@@ -239,13 +239,12 @@ def snapshot_main(argv) -> int:
     )
     args = p.parse_args(argv)
 
-    from .harness import Scenario
     from .snap import load_snapshot
 
     out = []
     for path in args.files:
         snap = load_snapshot(path)
-        scenario = Scenario.from_json(snap.scenario_json)
+        scenario = snap.scenario()
         queue = snap.state.get("queue")
         kinds: dict = {}
         for entry in queue or ():

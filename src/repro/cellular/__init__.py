@@ -9,7 +9,7 @@ from .geometry import (
 )
 from .hexgrid import AXIAL_DIRECTIONS, Hex, HexGrid, hex_distance
 from .spectrum import ReusePattern, Spectrum, cluster_shift, valid_cluster_sizes
-from .topology import CellularTopology
+from .topology import CellularTopology, topology_for
 
 __all__ = [
     "Hex",
@@ -21,6 +21,7 @@ __all__ = [
     "cluster_shift",
     "valid_cluster_sizes",
     "CellularTopology",
+    "topology_for",
     "axial_to_xy",
     "xy_to_axial",
     "nearest_cell",

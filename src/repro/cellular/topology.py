@@ -7,16 +7,27 @@ needs: it knows every cell's interference region ``IN_i``, primary set
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Any, Dict, FrozenSet, Mapping, Optional, Tuple
 
 from .hexgrid import HexGrid
 from .spectrum import ReusePattern, Spectrum
 
-__all__ = ["CellularTopology"]
+__all__ = ["CellularTopology", "topology_for"]
 
 
 class CellularTopology:
     """Immutable description of the cellular system under simulation.
+
+    The paper fixes ``IN_i``, ``PR_i`` and ``Spectrum`` for the life of
+    the system, and :func:`topology_for` hands one instance to every
+    simulation of the same shape in this process — so the object is
+    frozen once constructed: attributes cannot be rebound and the
+    per-cell tables are read-only mappings (so an instance does not
+    pickle; rebuild it from its scenario).  The freeze is shallow:
+    ``grid``, ``pattern`` and ``spectrum`` are shared along with it and
+    must not be mutated either.
 
     Parameters
     ----------
@@ -55,14 +66,27 @@ class CellularTopology:
             interference_radius = self.pattern.min_cochannel_distance() - 1
         self.interference_radius = interference_radius
         self.pattern.validate_against_radius(interference_radius)
-        #: ``IN_i`` for every cell i.
-        self.interference: Dict[int, FrozenSet[int]] = self.grid.interference_map(
-            interference_radius
+        #: ``IN_i`` for every cell i (read-only).
+        self.interference: Mapping[int, FrozenSet[int]] = MappingProxyType(
+            self.grid.interference_map(interference_radius)
         )
-        #: ``PR_i`` for every cell i.
-        self.primaries: Dict[int, FrozenSet[int]] = self.spectrum.primary_sets(
-            self.pattern, channels_per_color
+        #: ``PR_i`` for every cell i (read-only).
+        self.primaries: Mapping[int, FrozenSet[int]] = MappingProxyType(
+            self.spectrum.primary_sets(self.pattern, channels_per_color)
         )
+        self._sorted_in: Dict[int, Tuple[int, ...]] = {
+            cell: tuple(sorted(region))
+            for cell, region in self.interference.items()
+        }
+        self._frozen = True
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        if self.__dict__.get("_frozen"):
+            raise AttributeError(
+                f"CellularTopology is immutable (shared between "
+                f"simulations): cannot set {name!r}"
+            )
+        object.__setattr__(self, name, value)
 
     @property
     def num_cells(self) -> int:
@@ -75,6 +99,10 @@ class CellularTopology:
     def IN(self, cell: int) -> FrozenSet[int]:
         """Interference region of ``cell`` (excludes the cell itself)."""
         return self.interference[cell]
+
+    def sorted_IN(self, cell: int) -> Tuple[int, ...]:
+        """``IN_cell`` in ascending id order (deterministic iteration)."""
+        return self._sorted_in[cell]
 
     def PR(self, cell: int) -> FrozenSet[int]:
         """Primary channel set of ``cell``."""
@@ -96,3 +124,47 @@ class CellularTopology:
             f"{min(len(p) for p in self.primaries.values())}-"
             f"{max(len(p) for p in self.primaries.values())} primaries/cell"
         )
+
+
+@lru_cache(maxsize=4)
+def _shared_topology(
+    rows: int,
+    cols: int,
+    num_channels: int,
+    cluster_size: int,
+    interference_radius: Optional[int],
+    wrap: bool,
+    channels_per_color: Optional[Tuple[Tuple[int, int], ...]],
+) -> CellularTopology:
+    return CellularTopology(
+        rows,
+        cols,
+        num_channels=num_channels,
+        cluster_size=cluster_size,
+        interference_radius=interference_radius,
+        wrap=wrap,
+        channels_per_color=(
+            None if channels_per_color is None else dict(channels_per_color)
+        ),
+    )
+
+
+def topology_for(scenario: Any) -> CellularTopology:
+    """The (shared, frozen) topology of ``scenario``'s shape.
+
+    The one place a scenario becomes a :class:`CellularTopology`.
+    Scenarios that agree on the seven shape fields get the same object
+    from a small least-recently-used memo, so replications, shards and
+    snapshot restores stop rebuilding identical static tables; a shape
+    that fails validation raises every time (errors are not memoized).
+    """
+    plan = scenario.channels_per_color
+    return _shared_topology(
+        scenario.rows,
+        scenario.cols,
+        scenario.num_channels,
+        scenario.cluster_size,
+        scenario.interference_radius,
+        scenario.wrap,
+        None if plan is None else tuple(sorted(plan.items())),
+    )

@@ -64,7 +64,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Deque, Dict, Optional, Set, Tuple
+from typing import Deque, Dict, Iterable, Iterator, Optional, Set, Tuple
 
 from ..policies.base import make_policy
 from ..protocols.base import MSS
@@ -136,6 +136,58 @@ class _CountedSet(set):
 
     def clear(self):  # pragma: no cover - guard
         raise NotImplementedError("use replace(()) so refcounts stay exact")
+
+
+class _Mirrors(dict):
+    """``neighbour -> _CountedSet`` over one interference region, each
+    set created on first touch.
+
+    Most neighbours never borrow, so most of a station's 2·|IN|
+    mirrors stay empty for a whole run — and a snapshot restore
+    rebuilds every station per fork.  The mapping is total over the
+    region all the same: indexing an untouched neighbour returns (and
+    keeps) a fresh empty set, and iteration, ``len``, ``in``, ``get``,
+    ``keys``/``values``/``items`` cover every neighbour.  Only
+    :meth:`peek` reads without creating.
+    """
+
+    __slots__ = ("_cells", "_counts")
+
+    def __init__(self, cells: Tuple[int, ...], counts: Dict[int, int]) -> None:
+        super().__init__()
+        self._cells = cells
+        self._counts = counts
+
+    def __missing__(self, cell: int) -> _CountedSet:
+        if cell not in self._cells:
+            raise KeyError(cell)
+        mirror = self[cell] = _CountedSet(self._counts)
+        return mirror
+
+    def peek(self, cell: int) -> Iterable[int]:
+        """The mirror for *cell* if it was ever touched, else ``()``."""
+        return dict.get(self, cell, ())
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._cells)
+
+    def __len__(self) -> int:
+        return len(self._cells)
+
+    def __contains__(self, cell: object) -> bool:
+        return cell in self._cells
+
+    def get(self, cell, default=None):
+        return self[cell] if cell in self._cells else default
+
+    def keys(self):
+        return self._cells
+
+    def values(self):
+        return [self[j] for j in self._cells]
+
+    def items(self):
+        return [(j, self[j]) for j in self._cells]
 
 
 class Mode(enum.IntEnum):
@@ -241,14 +293,12 @@ class AdaptiveMSS(MSS):
         #: Per-channel count of mirrored entries (see _CountedSet).
         self._icount: Dict[int, int] = {}
         #: Mirrored usage of interference neighbors (paper's U_j sets).
-        self.U: Dict[int, Set[int]] = {
-            j: _CountedSet(self._icount) for j in self.IN
-        }
+        self.U: Dict[int, Set[int]] = _Mirrors(self.IN, self._icount)
         #: Channels granted to a neighbor whose borrow is still
         #: unconfirmed (deviation D6); part of the interference view.
-        self.granted_out: Dict[int, Set[int]] = {
-            j: _CountedSet(self._icount) for j in self.IN
-        }
+        self.granted_out: Dict[int, Set[int]] = _Mirrors(
+            self.IN, self._icount
+        )
         #: Neighbors currently in borrowing mode (paper's UpdateS_i).
         self.UpdateS: Set[int] = set()
         #: Deferred requests: (req_type, channel, ts, sender, round_id).
@@ -708,7 +758,7 @@ class AdaptiveMSS(MSS):
         best_id: Optional[int] = None
         best_bn = float("inf")
         for j in eligible:
-            common_bn = len(self.UpdateS & set(self.topo.IN(j)))
+            common_bn = len(self.UpdateS & self.topo.IN(j))
             if common_bn < best_bn:
                 best_id = j
                 best_bn = common_bn

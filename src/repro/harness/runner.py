@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Type
 
-from ..cellular import CellularTopology
+from ..cellular import CellularTopology, topology_for
 from ..core import AdaptiveMSS
 from ..faults import FaultInjector, Hardening
 from ..metrics import MetricsCollector
@@ -309,15 +309,7 @@ def build_simulation(
             )
     streams = StreamRegistry(scenario.seed)
     env = Environment()
-    topo = CellularTopology(
-        scenario.rows,
-        scenario.cols,
-        num_channels=scenario.num_channels,
-        cluster_size=scenario.cluster_size,
-        interference_radius=scenario.interference_radius,
-        wrap=scenario.wrap,
-        channels_per_color=scenario.channels_per_color,
-    )
+    topo = topology_for(scenario)
     network = Network(env, _make_latency(scenario, streams), fifo=scenario.fifo)
     if shard_port is not None:
         network.shard_port = shard_port

@@ -58,7 +58,7 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..cellular import CellularTopology
+from ..cellular import CellularTopology, topology_for
 from ..metrics import AcquisitionRecord, MetricsCollector
 from ..obs import ObsData
 from ..sim import RemoteRecord, ShardPlan, ShardPort, plan_shards
@@ -583,7 +583,6 @@ def merge_shard_results(
     scenario: Scenario,
     plan: ShardPlan,
     results: List[ShardResult],
-    topo: Optional[CellularTopology] = None,
 ) -> Report:
     """Fold per-shard results into one :class:`Report`.
 
@@ -618,9 +617,9 @@ def merge_shard_results(
     violations = sum(r.violations for r in results)
     usage = [u for r in results for u in r.usage]
     if usage and plan.shards > 1:
-        if topo is None:
-            topo = _topology(scenario)
-        violations += _cross_shard_violations(topo, plan, usage)
+        violations += _cross_shard_violations(
+            topology_for(scenario), plan, usage
+        )
 
     local_acquires = sum(r.local_acquires for r in results)
     local_notify = sum(r.local_notify for r in results)
@@ -665,18 +664,6 @@ def merge_shard_results(
     )
 
 
-def _topology(scenario: Scenario) -> CellularTopology:
-    return CellularTopology(
-        scenario.rows,
-        scenario.cols,
-        num_channels=scenario.num_channels,
-        cluster_size=scenario.cluster_size,
-        interference_radius=scenario.interference_radius,
-        wrap=scenario.wrap,
-        channels_per_color=scenario.channels_per_color,
-    )
-
-
 def run_sharded_results(
     scenario: Scenario,
     shards: int,
@@ -694,7 +681,7 @@ def run_sharded_results(
     validate_shardable(scenario, shards)
     if window_mode not in ("fixed", "adaptive"):
         raise ValueError(f"unknown window mode {window_mode!r}")
-    plan = plan_shards(_topology(scenario), shards)
+    plan = plan_shards(topology_for(scenario), shards)
     if mode == "inline" or plan.shards == 1:
         return plan, _run_inline(scenario, plan, window_mode)
     if mode == "process":

@@ -249,17 +249,9 @@ def _model_prediction(report: Any) -> Optional[Dict[str, float]]:
 
 def _region_size(scenario: Any) -> float:
     """Mean interference-region size |IN| of the scenario's topology."""
-    from ..cellular import CellularTopology  # lazy
+    from ..cellular import topology_for  # lazy
 
-    topo = CellularTopology(
-        scenario.rows,
-        scenario.cols,
-        num_channels=scenario.num_channels,
-        cluster_size=scenario.cluster_size,
-        interference_radius=scenario.interference_radius,
-        wrap=scenario.wrap,
-        channels_per_color=scenario.channels_per_color,
-    )
+    topo = topology_for(scenario)
     sizes = [len(topo.IN(cell)) for cell in topo.grid]
     return sum(sizes) / len(sizes) if sizes else 0.0
 

@@ -97,7 +97,7 @@ class MSS:
         self.use: Set[int] = set()
         #: Interference region ids (paper's ``IN_i``), sorted for
         #: deterministic iteration.
-        self.IN = tuple(sorted(topo.IN(cell)))
+        self.IN = topo.sorted_IN(cell)
         #: Primary set (paper's ``PR_i``).
         self.PR: FrozenSet[int] = topo.PR(cell)
         self.spectrum: FrozenSet[int] = topo.spectrum.all_channels

@@ -31,10 +31,23 @@ class StreamRegistry:
         self._cache: Dict[str, np.random.Generator] = {}
 
     def _key(self, parts: Tuple[Any, ...]) -> str:
-        return "/".join(str(p) for p in parts)
+        names = [str(p) for p in parts]
+        for name in names:
+            if "/" in name:
+                # "/" is the separator: ("a/b",) and ("a", "b") would
+                # silently share one substream.
+                raise ValueError(
+                    f"stream name part {name!r} must not contain '/'"
+                )
+        return "/".join(names)
 
     def stream(self, *parts: Any) -> np.random.Generator:
-        """Return (and memoize) the generator for the given name parts."""
+        """Return (and memoize) the generator for the given name parts.
+
+        Parts are identified by their ``str()``: ``(1, "2")`` and
+        ``("1", 2)`` name the same stream.  A part containing ``"/"``
+        raises :class:`ValueError`.
+        """
         key = self._key(parts)
         if key not in self._cache:
             digest = hashlib.sha256(
@@ -44,7 +57,7 @@ class StreamRegistry:
             self._cache[key] = np.random.default_rng(substream_seed)
         return self._cache[key]
 
-    def spawn(self, *parts) -> "StreamRegistry":
+    def spawn(self, *parts: Any) -> "StreamRegistry":
         """Derive a child registry (e.g. one per replication)."""
         digest = hashlib.sha256(
             f"{self.seed}:spawn:{self._key(parts)}".encode("utf-8")

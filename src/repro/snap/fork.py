@@ -87,10 +87,9 @@ def restore(snapshot: Snapshot, seed: Optional[int] = None) -> Any:
             f"snapshot format version {snapshot.version!r} is not "
             f"supported (this build reads {SNAPSHOT_FORMAT_VERSION})"
         )
-    from ..harness.config import Scenario
     from ..harness.runner import build_simulation
 
-    scenario = Scenario.from_json(snapshot.scenario_json)
+    scenario = snapshot.scenario()
     reseed = seed is not None and seed != scenario.seed
     if reseed:
         scenario = scenario.with_(seed=seed)
@@ -194,12 +193,9 @@ def run_from_snapshot(
     coordinator re-partitions state at build time, so ``shards > 1``
     raises :class:`SnapshotError` rather than silently diverging.
     """
-    from ..harness.config import Scenario
     from ..harness.runner import Report, run_scenario
 
-    scenario = Scenario.from_json(snapshot.scenario_json)
-    if seed is not None and seed != scenario.seed:
-        scenario = scenario.with_(seed=seed)
+    scenario = snapshot.scenario(seed)
     if not snapshot.started:
         return run_scenario(scenario, shards=shards)
     if shards != 1:
@@ -230,9 +226,8 @@ def fork_replications(
     :mod:`repro.harness.cache`).
     """
     from ..harness.cache import resolve_cache
-    from ..harness.config import Scenario
 
-    base = Scenario.from_json(snapshot.scenario_json)
+    base = snapshot.scenario()
     if seeds is None:
         seeds = [base.seed + i for i in range(n)]
     elif len(seeds) != n:

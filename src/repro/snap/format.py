@@ -34,8 +34,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
-from typing import Any, Dict
+from dataclasses import dataclass, field
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -161,6 +161,25 @@ class Snapshot:
     started: bool
     state: Dict[str, Any]
     version: int = SNAPSHOT_FORMAT_VERSION
+    #: ``scenario_json`` parsed — see :meth:`scenario`.
+    _parsed: Any = field(default=None, init=False, repr=False, compare=False)
+
+    def scenario(self, seed: Optional[int] = None) -> Any:
+        """The :class:`~repro.harness.config.Scenario` this snapshot was
+        taken from, under ``seed`` if given.
+
+        ``scenario_json`` is parsed once per snapshot, not once per
+        caller (a warm-start sweep asks on every fork).  Each call gets
+        its own ``Scenario``, but a shallow one: nested values
+        (``pattern``, ``faults``, the ``*_params`` dicts) are shared
+        between them and must not be mutated.
+        """
+        if self._parsed is None:
+            from ..harness.config import Scenario
+
+            self._parsed = Scenario.from_json(self.scenario_json)
+        base = self._parsed
+        return base.with_(seed=base.seed if seed is None else seed)
 
     def _encoded(self) -> Dict[str, Any]:
         return {

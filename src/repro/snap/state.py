@@ -294,8 +294,9 @@ def _capture_station(st: Any) -> Dict[str, Any]:
                 break
         data.update({
             "mode": int(st.mode),
-            "U": {j: set(st.U[j]) for j in sorted(st.U)},
-            "granted_out": {j: set(st.granted_out[j]) for j in sorted(st.granted_out)},
+            # ``peek``: reading must not materialize untouched mirrors.
+            "U": {j: set(st.U.peek(j)) for j in st.IN},
+            "granted_out": {j: set(st.granted_out.peek(j)) for j in st.IN},
             "UpdateS": set(st.UpdateS),
             "owed_acks": dict(st._owed_acks),
             "rounds": st.rounds,
@@ -910,10 +911,14 @@ def _apply_station(st: Any, data: Dict[str, Any]) -> None:
     name = data["scheme"]
     if name == "AdaptiveMSS":
         st.mode = Mode(data["mode"])
-        for j, members in sorted(data["U"].items()):
-            st.U[j].replace(members)
-        for j, members in sorted(data["granted_out"].items()):
-            st.granted_out[j].replace(members)
+        for mirrors, captured in (
+            (st.U, data["U"]), (st.granted_out, data["granted_out"])
+        ):
+            for j, members in sorted(captured.items()):
+                # Most mirrors are empty on both sides (a fresh build,
+                # an idle neighbour): nothing to replace or create.
+                if members or mirrors.peek(j):
+                    mirrors[j].replace(members)
         st.UpdateS.clear()
         st.UpdateS.update(data["UpdateS"])
         st._owed_acks.clear()

@@ -218,6 +218,24 @@ def test_release_clears_mirror_and_grant(stack):
     assert 7 not in s.interfered() and 8 not in s.interfered()
 
 
+def test_mirrors_cover_the_whole_region_although_built_lazily(stack):
+    # U / granted_out create a neighbour's set on first touch; every
+    # mapping read must still see all of IN, never just the touched part.
+    s = station(stack)
+    j = neighbor_of(stack)
+    s.U[j].add(7)
+    for mirrors in (s.U, s.granted_out):
+        assert len(mirrors) == len(s.IN) and tuple(mirrors) == s.IN
+        assert tuple(mirrors.keys()) == s.IN and len(mirrors.values()) == len(s.IN)
+        assert [k for k, _ in mirrors.items()] == list(s.IN)
+        assert all(k in mirrors for k in s.IN) and s.cell not in mirrors
+        assert mirrors.get(s.IN[-1]) == set() and mirrors.get(s.cell) is None
+        with pytest.raises(KeyError):
+            mirrors[s.cell]
+    assert sum(7 in m for m in s.U.values()) == 1
+    assert s.U.peek(j) == {7} and 7 in s.interfered()
+
+
 def test_double_search_response_to_same_searcher_raises(stack):
     s = station(stack)
     j = neighbor_of(stack)

@@ -47,12 +47,13 @@ def test_adaptive_quiesces_clean(load):
         assert not s.pending
         # No borrowed (non-primary) channel may linger in any mirror:
         # borrowed releases reach the whole region (deviation D7).
-        for j, mirrored in s.U.items():
-            stale_borrowed = mirrored - sim.topo.PR(j)
+        for j in s.IN:
+            stale_borrowed = s.U[j] - sim.topo.PR(j)
             assert not stale_borrowed, (
                 f"cell {s.cell} thinks {j} still borrows {stale_borrowed}"
             )
-        for j, granted in s.granted_out.items():
+        for j in s.IN:
+            granted = s.granted_out[j]
             assert not granted, (
                 f"cell {s.cell} never resolved grant {granted} to {j}"
             )

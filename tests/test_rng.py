@@ -1,6 +1,7 @@
 """Unit tests for named random substreams (StreamRegistry)."""
 
 import numpy as np
+import pytest
 
 from repro.sim import StreamRegistry
 
@@ -56,3 +57,37 @@ def test_multi_part_names():
     reg = StreamRegistry(seed=4)
     assert reg.stream("a", "b", 1) is reg.stream("a", "b", 1)
     assert reg.stream("a", "b", 1) is not reg.stream("a", "b", 2)
+
+
+def test_name_parts_are_identified_by_their_str():
+    reg = StreamRegistry(seed=4)
+    # One name is one stream, whatever the Python types of its parts.
+    assert reg.stream(1, "2") is reg.stream("1", 2)
+    assert reg.stream("traffic", "calls", 7) is reg.stream("traffic", "calls", "7")
+    assert reg.stream("traffic", "calls", np.int64(7)) is reg.stream("traffic", "calls", 7)
+    # Values that only compare equal in Python keep their distinct names.
+    assert reg.stream(1) is not reg.stream(1.0)
+    assert reg.stream(1) is not reg.stream(True)
+    assert reg.stream(1.0) is reg.stream("1.0")
+
+
+def test_substream_seed_derivation_is_pinned():
+    # sha256("<seed>:<parts joined by '/'>")[:8], little-endian: the
+    # derivation snapshots and golden rows depend on.
+    import hashlib
+
+    digest = hashlib.sha256(b"42:traffic/arrivals/7").digest()
+    expected = np.random.default_rng(int.from_bytes(digest[:8], "little"))
+    got = StreamRegistry(seed=42).stream("traffic", "arrivals", 7)
+    assert np.array_equal(got.random(8), expected.random(8))
+
+
+@pytest.mark.parametrize("parts", [("a/b",), ("a", "b/c"), ("x", "/"), (1, "2/3")])
+def test_separator_in_a_name_part_is_rejected(parts):
+    # ("a/b",) and ("a", "b") used to alias silently to one substream.
+    reg = StreamRegistry(seed=4)
+    with pytest.raises(ValueError, match="must not contain '/'"):
+        reg.stream(*parts)
+    with pytest.raises(ValueError, match="must not contain '/'"):
+        reg.spawn(*parts)
+    assert reg.stream("a", "b") is reg.stream("a", "b")

@@ -11,7 +11,7 @@ import dataclasses
 
 import pytest
 
-from repro.cellular import CellularTopology
+from repro.cellular import CellularTopology, topology_for
 from repro.faults import CrashWindow, FaultPlan, LinkPartition
 from repro.harness import (
     Scenario,
@@ -22,6 +22,7 @@ from repro.harness import (
     run_sharded,
     run_sharded_results,
 )
+from repro.harness import sharded
 from repro.harness.sharded import (
     _ShardRun,
     _WindowClock,
@@ -181,11 +182,31 @@ def test_sharded_rows_identical_per_scheme(scheme):
     assert rows(sharded) == rows(classic)
 
 
-def test_sharded_rows_identical_at_many_shard_counts():
+def test_sharded_rows_identical_at_many_shard_counts(monkeypatch):
     scenario = small("adaptive")
     classic = rows(run_scenario(scenario))
+    shard_sims = []
+
+    def recording_build(*args, **kwargs):
+        shard_sims.append(build_simulation(*args, **kwargs))
+        return shard_sims[-1]
+
+    monkeypatch.setattr(sharded, "build_simulation", recording_build)
+    plan_topologies = []
+
+    def recording_plan(topo, shards):
+        plan_topologies.append(topo)
+        return plan_shards(topo, shards)
+
+    monkeypatch.setattr(sharded, "plan_shards", recording_plan)
     for shards in (3, 7):
         assert rows(run_sharded(scenario, shards, mode="inline")) == classic
+    # The coordinator (shard plan, cross-shard replay) and every shard
+    # kernel work on one topology object, not shards + 1 equal copies.
+    assert len(shard_sims) == 3 + 7
+    shared = topology_for(scenario)
+    assert all(sim.topo is shared for sim in shard_sims)
+    assert all(topo is shared for topo in plan_topologies)
 
 
 def test_sharded_rows_identical_under_hostile_faults():

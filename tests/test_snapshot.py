@@ -195,6 +195,79 @@ def test_run_replications_warm_start_matches_fork_driver():
     assert [rows(r) for r in via_harness] == [rows(r) for r in via_fork]
 
 
+_FRESH_INTERPRETER = """
+import dataclasses, json, sys
+from repro.snap import checkpoint, load_snapshot, restore, run_from_snapshot
+
+snap = load_snapshot(sys.argv[1])
+rows = []
+for i in range(4):
+    data = dataclasses.asdict(run_from_snapshot(snap, seed=snap.scenario().seed + i))
+    for key in ("scenario", "obs", "metrics"):
+        data.pop(key)
+    rows.append(data)
+json.dump({"rows": rows, "again": checkpoint(restore(snap)).to_bytes().hex()}, sys.stdout)
+"""
+
+
+def test_restore_in_a_dirty_process_matches_a_fresh_interpreter(tmp_path):
+    """Process-shared statics (the topology memo) must not leak between
+    builds: forks from a process that has already built other grids,
+    schemes and seeds equal the same forks from a clean interpreter."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    scenario = small("adaptive")
+    snap = run_to_checkpoint(scenario, 80.0)
+    before = snap.to_bytes()
+    path = tmp_path / "warm.snap"
+    save_snapshot(snap, path)
+
+    # Dirty this process: other shapes (enough to cycle the topology
+    # memo), other schemes, other seeds — some run, some only built.
+    for other in (
+        small("basic_update", rows=14, cols=14, seed=5),
+        small("fixed", wrap=False, seed=6),
+        small("prakash", num_channels=140, seed=7),
+        small("adaptive", interference_radius=1, seed=8),
+        small("advanced_update", num_channels=77, seed=9),
+        small("adaptive", seed=10),
+    ):
+        run_scenario(other.with_(duration=60.0, warmup=20.0))
+    dirty = [
+        rows(run_from_snapshot(snap, seed=scenario.seed + i)) for i in range(4)
+    ]
+    assert dirty[0] == rows(run_scenario(scenario))  # seed 0: exact continuation
+    assert snap.to_bytes() == before
+    assert checkpoint(restore(snap)).to_bytes() == before
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    fresh = subprocess.run(
+        [sys.executable, "-c", _FRESH_INTERPRETER, str(path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src, "REPRO_CACHE": "off"},
+    )
+    assert fresh.returncode == 0, fresh.stderr
+    out = json.loads(fresh.stdout)
+    assert out["rows"] == json.loads(json.dumps(dirty))
+    assert bytes.fromhex(out["again"]) == before
+
+
+def test_snapshot_scenario_is_parsed_once_and_handed_out_as_copies():
+    scenario = small("adaptive")
+    snap = run_to_checkpoint(scenario, 0.0)
+    first = snap.scenario()
+    assert first == scenario and first is not snap.scenario()
+    assert snap.scenario(seed=99) == scenario.with_(seed=99)
+    # A caller editing its copy cannot reach later restores.
+    first.duration = 1.0
+    assert snap.scenario().duration == scenario.duration
+
+
 # -- byte stability and format ---------------------------------------------
 
 
