@@ -66,7 +66,7 @@ import enum
 from collections import deque
 from typing import Deque, Dict, Iterable, Iterator, Optional, Set, Tuple
 
-from ..policies.base import make_policy
+from ..policies.base import ModePolicy, make_policy
 from ..protocols.base import MSS
 from ..protocols.messages import (
     Acquisition,
@@ -325,6 +325,11 @@ class AdaptiveMSS(MSS):
             horizon=2 * self.T,
             initial=len(self.PR),
         )
+        #: Only donation-aware policies override ``solicit_need``; for
+        #: the rest the mode check skips the call.
+        self._solicits = (
+            type(self.policy).solicit_need is not ModePolicy.solicit_need
+        )
         self._gate = Gate(self.env)
         self._req_ts: Optional[Timestamp] = None
         self._collector: Optional[Collector] = None
@@ -440,9 +445,10 @@ class AdaptiveMSS(MSS):
             ):
                 self.pending = True
                 for searcher, owed_ts in self._owed_acks.items():
-                    self.env.emit(
-                        "wait.block", (self.cell, searcher, "gate", owed_ts)
-                    )
+                    if "wait.block" in self._probes:
+                        self.env.emit(
+                            "wait.block", (self.cell, searcher, "gate", owed_ts)
+                        )
                 while self.waiting > 0:
                     yield self._gate.wait()
                 self.pending = False
@@ -562,7 +568,8 @@ class AdaptiveMSS(MSS):
         round_id = self._next_round()
         self._collector = Collector(self.env, self.IN)
         self._collector_round = round_id
-        self.env.emit("search.begin", (self.cell, ts))
+        if "search.begin" in self._probes:
+            self.env.emit("search.begin", (self.cell, ts))
         self._broadcast(
             Request(ReqType.SEARCH, NO_CHANNEL, ts, self.cell, round_id)
         )
@@ -611,7 +618,8 @@ class AdaptiveMSS(MSS):
             self._broadcast(Acquisition(AcqType.SEARCH, self.cell, wire_channel))
             # The ACQUISITION broadcast is now in flight: from here on,
             # nobody is *blocked* on this search any more.
-            self.env.emit("search.end", self.cell)
+            if "search.end" in self._probes:
+                self.env.emit("search.end", self.cell)
             self.mode = Mode.BORROW_IDLE
 
         self._drain_deferq()
@@ -622,16 +630,18 @@ class AdaptiveMSS(MSS):
         """Answer every deferred request (tail of Fig. 3)."""
         while self.DeferQ:
             req_type, q, _ts, j, rid = self.DeferQ.popleft()
-            self.env.emit("wait.unblock", (j, self.cell))
+            if "wait.unblock" in self._probes:
+                self.env.emit("wait.unblock", (j, self.cell))
             if req_type is ReqType.UPDATE:
                 if q in self.use:
                     self._send(j, Response(ResType.REJECT, self.cell, q, rid))
                 else:
                     self._send(j, Response(ResType.GRANT, self.cell, q, rid))
                     self.granted_out[j].add(q)
-                    self.env.emit(
-                        "mirror.update", (self.cell, j, "granted_out", "add", q)
-                    )
+                    if "mirror.update" in self._probes:
+                        self.env.emit(
+                            "mirror.update", (self.cell, j, "granted_out", "add", q)
+                        )
             else:
                 self._respond_search(j, _ts, rid)
 
@@ -671,24 +681,34 @@ class AdaptiveMSS(MSS):
     # check_mode (Fig. 6)
     # ------------------------------------------------------------------
     def _check_mode(self) -> None:
-        s = self.free_primary_count()
+        # Runs once per handled message, so ``free_primary_count`` and
+        # ``Mode.is_borrowing`` are spelled out inline (no extra frames).
+        use = self.use
+        icount = self._icount
+        s = 0
+        for channel in self.PR:
+            if channel not in use and channel not in icount:
+                s += 1
         t = self.env._now
-        policy = self.policy
-        target = policy.decide(t, s, self.mode.is_borrowing)
-        self.env.emit("policy.decide", (self.cell, t, s, target))
+        mode = self.mode
+        target = self.policy.decide(t, s, mode is not Mode.LOCAL)
+        if "policy.decide" in self._probes:
+            self.env.emit("policy.decide", (self.cell, t, s, target))
         if target is True:
-            if self.mode is Mode.LOCAL:
+            if mode is Mode.LOCAL:
                 self._enter_borrowing()
         elif target is False:
-            if self.mode is Mode.BORROW_IDLE:
+            if mode is Mode.BORROW_IDLE:
                 self._exit_borrowing()
         # Modes 2 and 3 never transition here (a request is in flight).
-        need = policy.solicit_need(t, s, self.mode.is_borrowing)
-        if need:
-            # Harvest extension: broadcast the shortfall so unloaded
-            # neighbors can volunteer channels (advisory; see Donate).
-            self.env.emit("policy.solicit", (self.cell, need))
-            self._broadcast(Solicit(self.cell, need))
+        if self._solicits:
+            need = self.policy.solicit_need(t, s, self.mode.is_borrowing)
+            if need:
+                # Harvest extension: broadcast the shortfall so unloaded
+                # neighbors can volunteer channels (advisory; see Donate).
+                if "policy.solicit" in self._probes:
+                    self.env.emit("policy.solicit", (self.cell, need))
+                self._broadcast(Solicit(self.cell, need))
 
     def _enter_borrowing(self) -> None:
         if self.fastlane is not None:
@@ -703,9 +723,10 @@ class AdaptiveMSS(MSS):
                 return
         self.mode = Mode.BORROW_IDLE
         self.mode_changes += 1
-        self.env.emit(
-            "mode.change", (self.cell, int(Mode.LOCAL), int(Mode.BORROW_IDLE))
-        )
+        if "mode.change" in self._probes:
+            self.env.emit(
+                "mode.change", (self.cell, int(Mode.LOCAL), int(Mode.BORROW_IDLE))
+            )
         round_id = self._next_round()
         # Every CHANGE_MODE(1) broadcast registers a STATUS collector so
         # a Fig. 2 local-mode request can wait for the refreshed state.
@@ -720,9 +741,10 @@ class AdaptiveMSS(MSS):
     def _exit_borrowing(self) -> None:
         self.mode = Mode.LOCAL
         self.mode_changes += 1
-        self.env.emit(
-            "mode.change", (self.cell, int(Mode.BORROW_IDLE), int(Mode.LOCAL))
-        )
+        if "mode.change" in self._probes:
+            self.env.emit(
+                "mode.change", (self.cell, int(Mode.BORROW_IDLE), int(Mode.LOCAL))
+            )
         round_id = self._next_round()
         self._broadcast(ChangeMode(0, self.cell, round_id))
 
@@ -774,7 +796,8 @@ class AdaptiveMSS(MSS):
             self._handle_search_request(msg)
 
     def _handle_update_request(self, msg: Request) -> None:
-        self.env.emit("proto.request", (self.cell, msg.sender, msg.round_id))
+        if "proto.request" in self._probes:
+            self.env.emit("proto.request", (self.cell, msg.sender, msg.round_id))
         r, sender, rid = msg.channel, msg.sender, msg.round_id
         if self.mode in (Mode.LOCAL, Mode.BORROW_IDLE):
             if r in self.use:
@@ -791,7 +814,8 @@ class AdaptiveMSS(MSS):
             if self._req_ts < msg.ts:
                 # Our search is older: defer them until we acquired.
                 self.DeferQ.append((ReqType.UPDATE, r, msg.ts, sender, rid))
-                self.env.emit("wait.block", (sender, self.cell, "defer", msg.ts))
+                if "wait.block" in self._probes:
+                    self.env.emit("wait.block", (sender, self.cell, "defer", msg.ts))
             elif r in self.use:  # deviation D4: safety check
                 self._send(sender, Response(ResType.REJECT, self.cell, r, rid))
             else:
@@ -800,13 +824,15 @@ class AdaptiveMSS(MSS):
     def _grant_update(self, r: int, sender: int, rid: int) -> None:
         self._send(sender, Response(ResType.GRANT, self.cell, r, rid))
         self.granted_out[sender].add(r)
-        self.env.emit(
-            "mirror.update", (self.cell, sender, "granted_out", "add", r)
-        )
+        if "mirror.update" in self._probes:
+            self.env.emit(
+                "mirror.update", (self.cell, sender, "granted_out", "add", r)
+            )
         self._check_mode()
 
     def _handle_search_request(self, msg: Request) -> None:
-        self.env.emit("proto.request", (self.cell, msg.sender, msg.round_id))
+        if "proto.request" in self._probes:
+            self.env.emit("proto.request", (self.cell, msg.sender, msg.round_id))
         sender, rid = msg.sender, msg.round_id
         # Defer a *younger* search while we have an older claim of our
         # own in flight — ANY in-flight request, regardless of mode.
@@ -827,7 +853,8 @@ class AdaptiveMSS(MSS):
             self.DeferQ.append(
                 (ReqType.SEARCH, msg.channel, msg.ts, sender, rid)
             )
-            self.env.emit("wait.block", (sender, self.cell, "defer", msg.ts))
+            if "wait.block" in self._probes:
+                self.env.emit("wait.block", (sender, self.cell, "defer", msg.ts))
         else:
             self._respond_search(sender, msg.ts, rid)
 
@@ -841,13 +868,15 @@ class AdaptiveMSS(MSS):
             # The sender's previous search concluded but its ACQUISITION
             # to us was lost beyond the retry budget; a *new* search
             # from the same sender implicitly acknowledges the old one.
-            self.env.emit("wait.unblock", (self.cell, sender))
+            if "wait.unblock" in self._probes:
+                self.env.emit("wait.unblock", (self.cell, sender))
             del self._owed_acks[sender]
         self._owed_acks[sender] = ts
         if self.pending:
             # Our own request is parked on the gate; this new owed ack
             # extends the park, so it is a live wait-for edge.
-            self.env.emit("wait.block", (self.cell, sender, "gate", ts))
+            if "wait.block" in self._probes:
+                self.env.emit("wait.block", (self.cell, sender, "gate", ts))
         if self.hardening is not None:
             # Backstop for a terminally lost ACQUISITION: clear the owed
             # entry after ack_timeout (sized so the search has certainly
@@ -867,8 +896,10 @@ class AdaptiveMSS(MSS):
             return  # acknowledged (or superseded) in time
         del self._owed_acks[sender]
         self.stale_responses += 1
-        self.env.emit("fault.ack_timeout", (self.cell, sender))
-        self.env.emit("wait.unblock", (self.cell, sender))
+        if "fault.ack_timeout" in self._probes:
+            self.env.emit("fault.ack_timeout", (self.cell, sender))
+        if "wait.unblock" in self._probes:
+            self.env.emit("wait.unblock", (self.cell, sender))
         if not self._owed_acks:
             self._gate.pulse()
 
@@ -877,9 +908,10 @@ class AdaptiveMSS(MSS):
             # Full-state refresh: replace (not merge) the mirrored set —
             # this also heals any stale entries (see DESIGN.md §5 note 6).
             self.U[msg.sender].replace(msg.payload)
-            self.env.emit(
-                "mirror.update", (self.cell, msg.sender, "U", "replace", None)
-            )
+            if "mirror.update" in self._probes:
+                self.env.emit(
+                    "mirror.update", (self.cell, msg.sender, "U", "replace", None)
+                )
             collector = self._status_collectors.get(msg.round_id)
             if collector is not None and msg.sender in collector.outstanding:
                 collector.deliver(msg.sender, msg.payload)
@@ -897,9 +929,10 @@ class AdaptiveMSS(MSS):
                 # Search responses carry the responder's full Use set:
                 # replace our mirror, then hand it to the waiting round.
                 self.U[msg.sender].replace(msg.payload)
-                self.env.emit(
-                    "mirror.update", (self.cell, msg.sender, "U", "replace", None)
-                )
+                if "mirror.update" in self._probes:
+                    self.env.emit(
+                        "mirror.update", (self.cell, msg.sender, "U", "replace", None)
+                    )
                 self._collector.deliver(msg.sender, frozenset(msg.payload))
             else:
                 self._collector.deliver(msg.sender, msg.res_type)
@@ -907,7 +940,8 @@ class AdaptiveMSS(MSS):
             self.stale_responses += 1
 
     def _on_ChangeMode(self, msg: ChangeMode) -> None:
-        self.env.emit("proto.request", (self.cell, msg.sender, msg.round_id))
+        if "proto.request" in self._probes:
+            self.env.emit("proto.request", (self.cell, msg.sender, msg.round_id))
         if msg.mode == 0:
             self.UpdateS.discard(msg.sender)
         else:
@@ -921,14 +955,16 @@ class AdaptiveMSS(MSS):
     def _on_Acquisition(self, msg: Acquisition) -> None:
         if msg.channel != NO_CHANNEL:
             self.U[msg.sender].add(msg.channel)
-            self.env.emit(
-                "mirror.update", (self.cell, msg.sender, "U", "add", msg.channel)
-            )
+            if "mirror.update" in self._probes:
+                self.env.emit(
+                    "mirror.update", (self.cell, msg.sender, "U", "add", msg.channel)
+                )
             self.granted_out[msg.sender].discard(msg.channel)
-            self.env.emit(
-                "mirror.update",
-                (self.cell, msg.sender, "granted_out", "discard", msg.channel),
-            )
+            if "mirror.update" in self._probes:
+                self.env.emit(
+                    "mirror.update",
+                    (self.cell, msg.sender, "granted_out", "discard", msg.channel),
+                )
         self._check_mode()
         if msg.acq_type is AcqType.SEARCH:
             if msg.sender not in self._owed_acks:
@@ -943,20 +979,23 @@ class AdaptiveMSS(MSS):
                     f"without an owed response"
                 )
             del self._owed_acks[msg.sender]
-            self.env.emit("wait.unblock", (self.cell, msg.sender))
+            if "wait.unblock" in self._probes:
+                self.env.emit("wait.unblock", (self.cell, msg.sender))
             if not self._owed_acks:
                 self._gate.pulse()
 
     def _on_Release(self, msg: Release) -> None:
         self.U[msg.sender].discard(msg.channel)
-        self.env.emit(
-            "mirror.update", (self.cell, msg.sender, "U", "discard", msg.channel)
-        )
+        if "mirror.update" in self._probes:
+            self.env.emit(
+                "mirror.update", (self.cell, msg.sender, "U", "discard", msg.channel)
+            )
         self.granted_out[msg.sender].discard(msg.channel)
-        self.env.emit(
-            "mirror.update",
-            (self.cell, msg.sender, "granted_out", "discard", msg.channel),
-        )
+        if "mirror.update" in self._probes:
+            self.env.emit(
+                "mirror.update",
+                (self.cell, msg.sender, "granted_out", "discard", msg.channel),
+            )
         self._check_mode()
 
     # ------------------------------------------------------------------
@@ -972,7 +1011,8 @@ class AdaptiveMSS(MSS):
         )
         if count > 0:
             channels = tuple(free[:count])
-            self.env.emit("policy.donate", (self.cell, msg.sender, channels))
+            if "policy.donate" in self._probes:
+                self.env.emit("policy.donate", (self.cell, msg.sender, channels))
             self._send(msg.sender, Donate(self.cell, channels))
 
     def _on_Donate(self, msg: Donate) -> None:
@@ -997,7 +1037,8 @@ class AdaptiveMSS(MSS):
         # their own round deadlines resolve them.
         while self.DeferQ:
             _req_type, _q, _ts, j, _rid = self.DeferQ.popleft()
-            self.env.emit("wait.unblock", (j, self.cell))
+            if "wait.unblock" in self._probes:
+                self.env.emit("wait.unblock", (j, self.cell))
         if lose_state:
             # Cold restart: every volatile structure is gone.  The U /
             # granted_out mirrors are rebuilt by the restart re-sync;
@@ -1005,15 +1046,18 @@ class AdaptiveMSS(MSS):
             # protection is the ack-timeout backstop on their side).
             for j in self.IN:
                 self.U[j].replace(())
-                self.env.emit("mirror.update", (self.cell, j, "U", "replace", None))
+                if "mirror.update" in self._probes:
+                    self.env.emit("mirror.update", (self.cell, j, "U", "replace", None))
                 self.granted_out[j].replace(())
-                self.env.emit(
-                    "mirror.update", (self.cell, j, "granted_out", "replace", None)
-                )
+                if "mirror.update" in self._probes:
+                    self.env.emit(
+                        "mirror.update", (self.cell, j, "granted_out", "replace", None)
+                    )
             self.UpdateS.clear()
             for sender in tuple(self._owed_acks):
                 del self._owed_acks[sender]
-                self.env.emit("wait.unblock", (self.cell, sender))
+                if "wait.unblock" in self._probes:
+                    self.env.emit("wait.unblock", (self.cell, sender))
             self._gate.pulse()
             self.policy.reset(len(self.PR))
 

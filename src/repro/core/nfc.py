@@ -48,20 +48,11 @@ class NFCWindow:
             # Same-instant update supersedes the previous sample.
             samples.pop()
         samples.append((t, s))
-        # Prune inline (same rule as _prune; this is the hot caller).
-        horizon = t - self.window
-        while len(samples) >= 2 and samples[1][0] <= horizon:
-            samples.popleft()
-        first = samples[0]
-        if first[0] < horizon:
-            samples[0] = (horizon, first[1])
-
-    def _prune(self, horizon: float) -> None:
         # Delete samples strictly older than the horizon, but keep the
         # most recent of them as the boundary value so get(horizon) is
         # still answerable (the paper's deletion rule is looser; this is
         # the exact-semantics version).
-        samples = self._samples
+        horizon = t - self.window
         while len(samples) >= 2 and samples[1][0] <= horizon:
             samples.popleft()
         first = samples[0]
@@ -74,14 +65,6 @@ class NFCWindow:
         Times before recorded history return the oldest known value.
         """
         samples = self._samples
-        # Fast paths for the two queries ``predict`` makes right after
-        # ``add``: the newest sample (t >= last add) and the pruned
-        # window boundary (t == now - W, which lands on samples[0]).
-        newest = samples[-1]
-        if newest[0] <= t:
-            return newest[1]
-        if len(samples) > 1 and samples[1][0] > t:
-            return samples[0][1]
         result = samples[0][1]
         for when, value in samples:
             if when <= t:
@@ -96,9 +79,22 @@ class NFCWindow:
         ``next = s + horizon · (s − get(t − W)) / W`` where ``s`` is the
         current value.
         """
-        s = self.get(t)
-        last = self.get(t - self.window)
-        return s + horizon * (s - last) / self.window
+        samples = self._samples
+        window = self.window
+        # Right after ``add(t, ·)`` — the mode check's call shape — both
+        # queries hit an end of the deque: ``t`` is the newest sample
+        # and ``t - W`` the pruned boundary.  Anything else goes through
+        # :meth:`get`.
+        newest = samples[-1]
+        s = newest[1] if newest[0] <= t else self.get(t)
+        horizon_t = t - window
+        if newest[0] <= horizon_t:
+            last = newest[1]
+        elif len(samples) > 1 and samples[1][0] > horizon_t:
+            last = samples[0][1]
+        else:
+            last = self.get(horizon_t)
+        return s + horizon * (s - last) / window
 
     def __len__(self) -> int:
         return len(self._samples)

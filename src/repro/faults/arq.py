@@ -156,6 +156,7 @@ class ReliableLink:
         metrics: Any = None,
     ) -> None:
         self.env = env
+        self._probes = env._probes
         self.network = network
         self.node_id = node_id
         self.config = config
@@ -192,9 +193,10 @@ class ReliableLink:
             self.recovered += 1
             if self.metrics is not None:
                 self.metrics.record_fault_recovery("retransmit")
-            self.env.emit(
-                "fault.recovered", (self.node_id, record.dst, ack.msg_id)
-            )
+            if "fault.recovered" in self._probes:
+                self.env.emit(
+                    "fault.recovered", (self.node_id, record.dst, ack.msg_id)
+                )
         self._link_free(record.dst, ack.msg_id)
 
     def flush(self) -> None:
@@ -240,9 +242,10 @@ class ReliableLink:
             self.exhausted += 1
             if self.metrics is not None:
                 self.metrics.record_retry_exhausted()
-            self.env.emit(
-                "fault.retry_exhausted", (self.node_id, record.dst, msg_id)
-            )
+            if "fault.retry_exhausted" in self._probes:
+                self.env.emit(
+                    "fault.retry_exhausted", (self.node_id, record.dst, msg_id)
+                )
             # Give up on this message but not on the link: later queued
             # sends still go out (in order — the lost message simply
             # has no delivery for them to overtake).
@@ -252,10 +255,11 @@ class ReliableLink:
         self.retransmissions += 1
         if self.metrics is not None:
             self.metrics.record_retry()
-        self.env.emit(
-            "fault.retransmit",
-            (self.node_id, record.dst, msg_id, record.attempt),
-        )
+        if "fault.retransmit" in self._probes:
+            self.env.emit(
+                "fault.retransmit",
+                (self.node_id, record.dst, msg_id, record.attempt),
+            )
         self.network.send(
             self.node_id,
             record.dst,

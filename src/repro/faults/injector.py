@@ -86,6 +86,7 @@ class FaultInjector:
         metrics: Any = None,
     ) -> None:
         self.env = env
+        self._probes = env._probes
         self.plan = plan
         self.streams = streams
         self.latency = latency
@@ -113,7 +114,8 @@ class FaultInjector:
         self.injected[kind] = self.injected.get(kind, 0) + 1
         if self.metrics is not None:
             self.metrics.record_fault(kind)
-        self.env.emit(f"fault.{kind}", detail)
+        if f"fault.{kind}" in self._probes:
+            self.env.emit(f"fault.{kind}", detail)
 
     # -- network interface -------------------------------------------------
     def filter_send(

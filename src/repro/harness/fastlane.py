@@ -93,6 +93,7 @@ class FastLane:
                 "is not supported"
             )
         self.env = env
+        self._probes = env._probes
         self.stations = stations
         self.source = source
         self.metrics = metrics
@@ -230,7 +231,8 @@ class FastLane:
         self._fluid[cell] = self.env.now
         self.demotions += 1
         self.source.halt(cell)
-        self.env.emit("fastlane.demote", (cell,))
+        if "fastlane.demote" in self._probes:
+            self.env.emit("fastlane.demote", (cell,))
 
     def _promote(self, cell: int, reason: str) -> None:
         t0 = self._fluid.pop(cell, None)
@@ -258,7 +260,8 @@ class FastLane:
         self.promotions[reason] += 1
         self.source.launch(cell)
         station.fastlane_reconcile()
-        self.env.emit("fastlane.promote", (cell, reason))
+        if "fastlane.promote" in self._probes:
+            self.env.emit("fastlane.promote", (cell, reason))
         check_mode = getattr(station, "_check_mode", None)
         if check_mode is not None:
             # Materialization may have consumed the cell's headroom; let

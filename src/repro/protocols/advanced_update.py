@@ -176,7 +176,8 @@ class AdvancedUpdateMSS(MSS):
 
     # -- arbiter side -------------------------------------------------------------
     def _on_Request(self, msg: Request) -> None:
-        self.env.emit("proto.request", (self.cell, msg.sender, msg.round_id))
+        if "proto.request" in self._probes:
+            self.env.emit("proto.request", (self.cell, msg.sender, msg.round_id))
         channel = msg.channel
         if channel not in self.PR:
             raise AssertionError(

@@ -63,6 +63,9 @@ class MSS:
         hardening: Optional[Hardening] = None,
     ) -> None:
         self.env = env
+        #: The environment's live probe-subscriber table (shared by
+        #: reference): every emit site guards on ``kind in self._probes``.
+        self._probes = env._probes
         self.network = network
         self.topo = topo
         self.cell = cell
@@ -140,7 +143,8 @@ class MSS:
         semantics, which keeps offered load well defined at overload.
         """
         self._req_seq = req_id = self._req_seq + 1
-        self.env.emit("request.begin", (self.cell, req_id, kind))
+        if "request.begin" in self._probes:
+            self.env.emit("request.begin", (self.cell, req_id, kind))
         channel = None
         try:
             channel = yield from self._request_channel(
@@ -150,7 +154,8 @@ class MSS:
             # Fires on normal return AND on generator abandonment (the
             # traffic layer closing a half-driven request, a crashed
             # process): every opened acquisition span closes exactly once.
-            self.env.emit("request.end", (self.cell, req_id, channel))
+            if "request.end" in self._probes:
+                self.env.emit("request.end", (self.cell, req_id, channel))
         return channel
 
     def _request_channel(
@@ -197,7 +202,8 @@ class MSS:
         # Serving starts now: the queue wait behind earlier requests of
         # this cell is over (down-station and queue-timeout requests
         # never reach this point and never serve).
-        self.env.emit("request.serve", (self.cell, req_id))
+        if "request.serve" in self._probes:
+            self.env.emit("request.serve", (self.cell, req_id))
         ts: Timestamp = (t_start, self.cell)
         self._attempts = 0  # protocols update this as they retry
         try:
@@ -309,14 +315,16 @@ class MSS:
     def _grab(self, channel: int) -> None:
         """Add a channel to Use and notify the interference monitor."""
         self.use.add(channel)
-        self.env.emit("channel.acquired", (self.cell, channel))
+        if "channel.acquired" in self._probes:
+            self.env.emit("channel.acquired", (self.cell, channel))
         if self.monitor is not None:
             self.monitor.acquired(self.cell, channel, self.env.now)
 
     def _drop_from_use(self, channel: int) -> None:
         """Remove a channel from Use and notify the monitor."""
         self.use.discard(channel)
-        self.env.emit("channel.released", (self.cell, channel))
+        if "channel.released" in self._probes:
+            self.env.emit("channel.released", (self.cell, channel))
         if self.monitor is not None:
             self.monitor.released(self.cell, channel, self.env.now)
 
@@ -352,20 +360,24 @@ class MSS:
         ``complete=False`` so the protocol can resolve the round
         conservatively.
         """
-        self.env.emit("round.begin", (self.cell, len(collector.outstanding)))
+        if "round.begin" in self._probes:
+            self.env.emit("round.begin", (self.cell, len(collector.outstanding)))
         if self.hardening is None:
             yield collector.done
-            self.env.emit("round.end", (self.cell, True))
-            return collector.responses, True
-        deadline = self.env.timeout(self.hardening.round_deadline)
-        yield self.env.any_of([collector.done, deadline])
-        if collector.done.triggered:
-            self.env.emit("round.end", (self.cell, True))
-            return collector.responses, True
-        collector.cancel()
-        self.env.emit("fault.round_timeout", (self.cell, sorted(collector.outstanding)))
-        self.env.emit("round.end", (self.cell, False))
-        return collector.responses, False
+            complete = True
+        else:
+            deadline = self.env.timeout(self.hardening.round_deadline)
+            yield self.env.any_of([collector.done, deadline])
+            complete = collector.done.triggered
+            if not complete:
+                collector.cancel()
+                if "fault.round_timeout" in self._probes:
+                    self.env.emit(
+                        "fault.round_timeout", (self.cell, sorted(collector.outstanding))
+                    )
+        if "round.end" in self._probes:
+            self.env.emit("round.end", (self.cell, complete))
+        return collector.responses, complete
 
     # ------------------------------------------------------------------
     # Crash / restart (driven by the fault injector)
@@ -431,20 +443,20 @@ class MSS:
                 return  # crashed: the radio is off
             self.network.send(self.cell, envelope.src, Ack(envelope.msg_id))
             if not self._dedup.accept(envelope.src, envelope.msg_id):
-                self.env.emit(
-                    "fault.duplicate_suppressed",
-                    (self.cell, envelope.src, envelope.msg_id),
-                )
+                if "fault.duplicate_suppressed" in self._probes:
+                    self.env.emit(
+                        "fault.duplicate_suppressed",
+                        (self.cell, envelope.src, envelope.msg_id),
+                    )
                 return
         cls = type(payload)
-        try:
-            handler = self._handlers[cls]
-        except KeyError:
+        handler = self._handlers.get(cls)
+        if handler is None:
             handler = getattr(self, f"_on_{cls.__name__}", None)
             if handler is None:
                 raise NotImplementedError(
                     f"{type(self).__name__} has no handler for {cls.__name__}"
-                ) from None
+                )
             self._handlers[cls] = handler
         handler(payload)
 

@@ -83,7 +83,8 @@ class BasicSearchMSS(MSS):
 
     # -- message handlers -----------------------------------------------------
     def _on_Request(self, msg: Request) -> None:
-        self.env.emit("proto.request", (self.cell, msg.sender, msg.round_id))
+        if "proto.request" in self._probes:
+            self.env.emit("proto.request", (self.cell, msg.sender, msg.round_id))
         if msg.req_type is not ReqType.SEARCH:
             raise AssertionError("basic search only issues search requests")
         if self._searching and msg.ts > self._search_ts:

@@ -102,7 +102,8 @@ class BasicUpdateMSS(MSS):
 
     # -- message handlers ---------------------------------------------------------
     def _on_Request(self, msg: Request) -> None:
-        self.env.emit("proto.request", (self.cell, msg.sender, msg.round_id))
+        if "proto.request" in self._probes:
+            self.env.emit("proto.request", (self.cell, msg.sender, msg.round_id))
         if msg.req_type is not ReqType.UPDATE:
             raise AssertionError("basic update only issues update requests")
         channel = msg.channel

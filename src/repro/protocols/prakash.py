@@ -227,7 +227,8 @@ class PrakashMSS(MSS):
 
     # -- message handlers ---------------------------------------------------------
     def _on_Request(self, msg: Request) -> None:
-        self.env.emit("proto.request", (self.cell, msg.sender, msg.round_id))
+        if "proto.request" in self._probes:
+            self.env.emit("proto.request", (self.cell, msg.sender, msg.round_id))
         if self._polling and msg.ts > self._poll_ts:
             self._deferred.append((msg.sender, msg.round_id))
         else:
@@ -250,7 +251,8 @@ class PrakashMSS(MSS):
             self._collector.deliver(msg.sender, msg)
 
     def _on_Transfer(self, msg: Transfer) -> None:
-        self.env.emit("proto.request", (self.cell, msg.sender, msg.round_id))
+        if "proto.request" in self._probes:
+            self.env.emit("proto.request", (self.cell, msg.sender, msg.round_id))
         channel = msg.channel
         can_give = (
             channel in self.allocated

@@ -54,10 +54,13 @@ class Environment:
     #
     # Components of the simulation announce notable occurrences through
     # ``emit(kind, payload)``; observers (sanitizers, tracers) register
-    # with ``subscribe(kind, callback)``.  An emit with no subscriber is
-    # a single dict lookup, so instrumented code paths stay cheap when
-    # nothing is listening.  Probes are observation-only: callbacks must
-    # not mutate simulation state or schedule events.
+    # with ``subscribe(kind, callback)``.  Emit sites hold ``_probes``
+    # itself (one dict for the environment's whole life, mutated in
+    # place) and guard on ``kind in self._probes``, so a kind without a
+    # subscriber costs neither the call nor the payload, and a
+    # subscription takes effect at the next emit.  Probes are
+    # observation-only: callbacks must not mutate simulation state or
+    # schedule events.
     def subscribe(self, kind: str, callback: ProbeCallback) -> None:
         """Register ``callback`` for probe events of ``kind``."""
         self._probes.setdefault(kind, []).append(callback)
@@ -73,12 +76,7 @@ class Environment:
 
     def emit(self, kind: str, payload: Any = None) -> None:
         """Deliver a probe event to every subscriber of ``kind``."""
-        probes = self._probes
-        if not probes:
-            # Fast path: nothing anywhere is listening (the common case
-            # outside sanitized test runs) — skip even the key hash.
-            return
-        callbacks = probes.get(kind)
+        callbacks = self._probes.get(kind)
         if callbacks:
             now = self._now
             for callback in tuple(callbacks):
@@ -117,8 +115,9 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event triggering ``delay`` time units from now.
 
-        This is the kernel's hottest allocation site (every message
-        delivery and every hold/dwell interval goes through it), so it
+        This is the kernel's hottest allocation site (every hold/dwell
+        interval and protocol timer goes through it; message deliveries
+        are their own heap entries, see ``Network._schedule``), so it
         builds the :class:`Timeout` directly — same state as
         ``Timeout(self, delay, value)``, minus the generic event
         plumbing of the constructor chain.

@@ -11,11 +11,13 @@ used by the metrics layer to count control messages by type.
 from __future__ import annotations
 
 import math
+from heapq import heappush
 from typing import Any, Callable, Dict, Iterable, KeysView, List, Optional, Protocol, Tuple
 
 import numpy as np
 
 from .engine import Environment
+from .events import NORMAL
 
 __all__ = [
     "Envelope",
@@ -43,6 +45,10 @@ class Envelope:
     A plain ``__slots__`` class rather than a dataclass: one envelope is
     allocated per message send, which makes this one of the hottest
     allocation sites in the simulator.
+
+    A scheduled envelope is its own event-queue entry: ``callbacks``
+    (the network's delivery tuple while on the heap, else None) and
+    ``_processed`` are what the kernel reads on any queued event.
     """
 
     __slots__ = (
@@ -54,7 +60,11 @@ class Envelope:
         "seq",
         "msg_id",
         "fault_tag",
+        "callbacks",
+        "_processed",
     )
+
+    _ok = True  # a delivery cannot fail (the dispatch loop checks)
 
     def __init__(
         self,
@@ -84,6 +94,8 @@ class Envelope:
         #: this copy exists because of the ARQ or the fault injector (the
         #: causality sanitizer relaxes its checks accordingly).
         self.fault_tag = fault_tag
+        self.callbacks: Optional[Tuple[Callable[["Envelope"], None], ...]] = None
+        self._processed = False
 
     @property
     def kind(self) -> str:
@@ -195,6 +207,9 @@ class Network:
         fifo: bool = True,
     ) -> None:
         self.env = env
+        #: The environment's live subscriber table: emit sites guard
+        #: on ``kind in self._probes``, so an unheard kind costs no call.
+        self._probes = env._probes
         self.latency = latency or DeterministicLatency(1.0)
         self.fifo = fifo
         self._nodes: Dict[int, NetworkNode] = {}
@@ -218,6 +233,8 @@ class Network:
         #: Optional hooks: called with the envelope at send / delivery time.
         self.on_send: List[Callable[[Envelope], None]] = []
         self.on_deliver: List[Callable[[Envelope], None]] = []
+        #: ``Envelope.callbacks`` of every scheduled delivery.
+        self._delivery = (self._deliver,)
 
     # -- topology ----------------------------------------------------------
     def attach(self, node: NetworkNode) -> None:
@@ -247,11 +264,13 @@ class Network:
         """Send ``payload`` from ``src`` to ``dst``; returns the envelope.
 
         ``delay_override`` forces a specific latency for this message
-        (used by adversarial scenario construction, e.g. Figure 11).
-        ``msg_id`` pins the logical message identity (retransmissions
-        reuse the original's, so receiver dedup recognizes them); by
-        default a fresh per-network id is assigned.  ``fault_tag``
-        labels ARQ retransmissions for the sanitizers.
+        (used by adversarial scenario construction, e.g. Figure 11); a
+        negative or non-finite override raises ``ValueError`` before
+        the send leaves any trace.  ``msg_id`` pins the logical message
+        identity (retransmissions reuse the original's, so receiver
+        dedup recognizes them); by default a fresh per-network id is
+        assigned.  ``fault_tag`` labels ARQ retransmissions for the
+        sanitizers.
         """
         remote = False
         if dst not in self._nodes:
@@ -259,11 +278,14 @@ class Network:
             if port is None or not port.routes(dst) or port.owns(dst):
                 raise KeyError(f"unknown destination node {dst}")
             remote = True
-        env = self.env
-        now = env._now
+        now = self.env._now
         latency = self.latency
         if delay_override is not None:
             delay = float(delay_override)
+            if not 0.0 <= delay < math.inf:
+                raise ValueError(
+                    f"delay_override must be finite and >= 0, got {delay_override!r}"
+                )
         elif type(latency) is DeterministicLatency:
             # Fast path: skip the method call for the constant model.
             delay = latency.T
@@ -277,38 +299,53 @@ class Network:
             )
         deliver_at = now + delay
         if self.fifo:
-            link = (src, dst)
-            last_delivery = self._last_delivery
-            floor = last_delivery.get(link, 0.0)
-            if deliver_at < floor:
-                deliver_at = floor
-            # The scheduler computes ``now + (deliver_at - now)``, which
-            # can undershoot the clamped floor by one ulp and let this
-            # message overtake its predecessor on the link; nudge until
-            # the *scheduled* time respects the floor.  (Equal times are
-            # fine: the event queue breaks ties in send order.)
-            while now + (deliver_at - now) < floor:
-                deliver_at = math.nextafter(deliver_at, math.inf)
+            deliver_at = self._fifo_clamp((src, dst), now, deliver_at)
+        else:
             deliver_at = now + (deliver_at - now)
-            last_delivery[link] = deliver_at
-
         self._seq = seq = self._seq + 1
         env_msg = Envelope(src, dst, payload, now, deliver_at, seq, msg_id, fault_tag)
+        self._account(env_msg)
+        if remote:
+            self.shard_port.export(env_msg)
+        else:
+            self._schedule(env_msg, deliver_at)
+        return env_msg
+
+    def _fifo_clamp(self, link: Tuple[int, int], now: float, deliver_at: float) -> float:
+        """``deliver_at`` raised to ``link``'s FIFO floor, which it then becomes."""
+        floor = self._last_delivery.get(link, 0.0)
+        if deliver_at < floor:
+            deliver_at = floor
+        # Deliveries are scheduled at ``now + (deliver_at - now)``, which
+        # can undershoot the clamped floor by one ulp and let this
+        # message overtake its predecessor on the link; nudge until
+        # the *scheduled* time respects the floor.  (Equal times are
+        # fine: the event queue breaks ties in send order.)
+        while now + (deliver_at - now) < floor:
+            deliver_at = math.nextafter(deliver_at, math.inf)
+        self._last_delivery[link] = deliver_at = now + (deliver_at - now)
+        return deliver_at
+
+    def _account(self, env_msg: Envelope) -> None:
+        """Count one logical send; run the hooks and the ``net.send`` probe."""
         self.total_sent += 1
-        kind = type(payload).__name__
+        kind = type(env_msg.payload).__name__
         counts = self.sent_by_kind
         counts[kind] = counts.get(kind, 0) + 1
         if self.on_send:
             for hook in self.on_send:
                 hook(env_msg)
-        env.emit("net.send", env_msg)
+        if "net.send" in self._probes:
+            self.env.emit("net.send", env_msg)
 
-        if remote:
-            self.shard_port.export(env_msg)
-            return env_msg
-        delivery = env.timeout(deliver_at - now, env_msg)
-        delivery.callbacks.append(self._deliver)
-        return env_msg
+    def _schedule(self, env_msg: Envelope, at: float) -> None:
+        """Queue ``env_msg`` — itself the heap entry — for delivery at ``at``."""
+        env = self.env
+        if at < env._now:
+            raise ValueError(f"negative delay {at - env._now}")
+        env_msg.callbacks = self._delivery
+        env._eid = eid = env._eid + 1
+        heappush(env._queue, (at, NORMAL, eid, env_msg))
 
     def _send_faulty(
         self,
@@ -329,26 +366,17 @@ class Network:
         regardless, so message-overhead metrics keep counting protocol
         messages, not injector artifacts.
         """
-        env = self.env
-        now = env._now
+        now = self.env._now
         actions = self.injector.filter_send(src, dst, payload, delay, fault_tag)
         primary: Optional[Envelope] = None
-        last_delivery = self._last_delivery
-        link = (src, dst)
         for copy_delay, tag, clamp in actions:
             deliver_at = now + copy_delay
             if self.fifo and clamp:
-                floor = last_delivery.get(link, 0.0)
-                if deliver_at < floor:
-                    deliver_at = floor
-                # Same one-ulp guard as the fast path: the scheduled
-                # time must respect the floor (reordered copies skip the
-                # clamp *and* the floor update — they are allowed to
-                # overtake without dragging later messages with them).
-                while now + (deliver_at - now) < floor:
-                    deliver_at = math.nextafter(deliver_at, math.inf)
+                deliver_at = self._fifo_clamp((src, dst), now, deliver_at)
+            else:
+                # Reordered copies skip the clamp *and* the floor update:
+                # they may overtake without dragging later messages along.
                 deliver_at = now + (deliver_at - now)
-                last_delivery[link] = deliver_at
             self._seq = seq = self._seq + 1
             env_msg = Envelope(src, dst, payload, now, deliver_at, seq, msg_id, tag)
             if primary is None:
@@ -356,20 +384,12 @@ class Network:
             if remote:
                 self.shard_port.export(env_msg)
             else:
-                delivery = env.timeout(deliver_at - now, env_msg)
-                delivery.callbacks.append(self._deliver)
+                self._schedule(env_msg, deliver_at)
         if primary is None:
             # Dropped at send time: account for the send, deliver nothing.
             self._seq = seq = self._seq + 1
             primary = Envelope(src, dst, payload, now, now + delay, seq, msg_id, fault_tag)
-        self.total_sent += 1
-        kind = type(payload).__name__
-        counts = self.sent_by_kind
-        counts[kind] = counts.get(kind, 0) + 1
-        if self.on_send:
-            for hook in self.on_send:
-                hook(primary)
-        env.emit("net.send", primary)
+        self._account(primary)
         return primary
 
     def multicast(self, src: int, dsts: Iterable[int], payload: Any) -> int:
@@ -378,13 +398,62 @@ class Network:
         The destination iterable is snapshotted up front so a generator
         argument cannot be left half-consumed if a send raises (e.g. an
         unknown node id, or an error injected below ``send``).
+
+        Copy for copy the same as calling :meth:`send` per destination;
+        on the perfect network (no injector, no shard port, constant
+        latency) one loop here does what ``send`` + ``_schedule`` would,
+        with everything the copies share worked out once.
         """
         dsts = tuple(dsts)
-        count = 0
+        latency = self.latency
+        if (
+            self.injector is not None
+            or self.shard_port is not None
+            or type(latency) is not DeterministicLatency
+        ):
+            for dst in dsts:
+                self.send(src, dst, payload)
+            return len(dsts)
+        env = self.env
+        now = env._now
+        raw = now + latency.T
+        deliver_at = now + (raw - now)  # the form ``send`` schedules at
+        if deliver_at < now:
+            raise ValueError(f"negative delay {deliver_at - now}")
+        nodes = self._nodes
+        fifo = self.fifo
+        last_delivery = self._last_delivery
+        kind = type(payload).__name__
+        counts = self.sent_by_kind
+        hooks = self.on_send
+        queue = env._queue
+        delivery = self._delivery
         for dst in dsts:
-            self.send(src, dst, payload)
-            count += 1
-        return count
+            if dst not in nodes:
+                raise KeyError(f"unknown destination node {dst}")
+            if fifo:
+                link = (src, dst)
+                floor = last_delivery.get(link, 0.0)
+                if raw < floor or deliver_at < floor:
+                    # A ``delay_override`` pushed this link's floor out:
+                    # the clamp lives in ``send``.
+                    self.send(src, dst, payload)
+                    continue
+                last_delivery[link] = deliver_at
+            self._msg_id = msg_id = self._msg_id + 1
+            self._seq = seq = self._seq + 1
+            env_msg = Envelope(src, dst, payload, now, deliver_at, seq, msg_id)
+            self.total_sent += 1
+            counts[kind] = counts.get(kind, 0) + 1
+            if hooks:
+                for hook in hooks:
+                    hook(env_msg)
+            if "net.send" in self._probes:
+                env.emit("net.send", env_msg)
+            env_msg.callbacks = delivery
+            env._eid = eid = env._eid + 1
+            heappush(queue, (deliver_at, NORMAL, eid, env_msg))
+        return len(dsts)
 
     def inject_remote(self, record: Any) -> Envelope:
         """Schedule delivery of a cross-shard envelope on this kernel.
@@ -412,18 +481,17 @@ class Network:
             record.msg_id,
             record.fault_tag,
         )
-        env = self.env
-        env.emit("shard.recv", (env_msg, record.clock))
-        delivery = env.timeout_at(record.deliver_at, env_msg)
-        delivery.callbacks.append(self._deliver)
+        if "shard.recv" in self._probes:
+            self.env.emit("shard.recv", (env_msg, record.clock))
+        self._schedule(env_msg, record.deliver_at)
         return env_msg
 
-    def _deliver(self, event: Any) -> None:
-        env_msg: Envelope = event._value
+    def _deliver(self, env_msg: Envelope) -> None:
         if self.injector is not None and not self.injector.deliverable(env_msg):
             return
         if self.on_deliver:
             for hook in self.on_deliver:
                 hook(env_msg)
-        self.env.emit("net.deliver", env_msg)
+        if "net.deliver" in self._probes:
+            self.env.emit("net.deliver", env_msg)
         self._nodes[env_msg.dst].on_message(env_msg)

@@ -468,7 +468,7 @@ def _classify_queue(sim: Any) -> List[Dict[str, Any]]:
         owner, func_name = live[0]
 
         if owner is network and func_name == "_deliver":
-            envelope = event._value
+            envelope = event  # a scheduled envelope is its own queue entry
             if envelope.deliver_at != when:
                 raise UnsafeState("delivery event not at its envelope time")
             entries.append({
@@ -1082,8 +1082,7 @@ def _materialize_queue(sim: Any, entries: List[Dict[str, Any]], reseed: bool) ->
                 entry["msg_id"],
                 entry["fault_tag"],
             )
-            delivery = env.timeout_at(entry["deliver_at"], envelope)
-            delivery.callbacks.append(network._deliver)
+            network._schedule(envelope, entry["deliver_at"])
         elif kind == "arq_timer":
             link = stations[entry["cell"]]._link
             if link is None:

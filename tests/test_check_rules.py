@@ -255,6 +255,91 @@ def test_sim005_silent_outside_handlers(tmp_path):
     assert check_file(path) == []
 
 
+# ------------------------------------------------------------------ SIM010 ----
+def test_sim010_fires_on_unguarded_and_mismatched_emits(tmp_path):
+    path = write(
+        tmp_path,
+        "src/repro/core/x.py",
+        """
+        class P:
+            def bare(self):
+                self.env.emit("mode.change", (self.cell,))
+
+            def typo(self):
+                if "mode.chnage" in self._probes:
+                    self.env.emit("mode.change", (self.cell,))
+
+            def not_directly_under(self):
+                if "wait.block" in self._probes:
+                    for j in self.IN:
+                        self.env.emit("wait.block", (self.cell, j))
+
+            def wrong_table(self, listeners):
+                if "mode.change" in listeners:
+                    self.env.emit("mode.change", (self.cell,))
+
+            def computed(self, kind, other):
+                if other in self._probes:
+                    self.env.emit(kind, None)
+        """,
+    )
+    findings = check_file(path)
+    assert codes(findings) == ["SIM010"] * 5
+    assert [f.line for f in findings] == [4, 8, 13, 17, 21]
+    assert "guard on 'mode.chnage'" in findings[1].message
+    assert "unguarded emit" in findings[0].message
+
+
+def test_sim010_silent_on_guarded_emits_and_outside_scope(tmp_path):
+    in_scope = write(
+        tmp_path,
+        "src/repro/faults/x.py",
+        """
+        class P:
+            def literal(self, network):
+                if "net.send" in network._probes:
+                    network.env.emit("net.send", self)
+                    self.count += 1
+
+            def computed(self, kind):
+                key = f"fault.{kind}"
+                if key in self._probes:
+                    self.env.emit(key, None)
+                if f"fault.{kind}" in self._probes:
+                    self.env.emit(f"fault.{kind}", None)
+
+            def emit(self, kind, payload=None):  # a definition, not a site
+                return self._probes.get(kind)
+        """,
+    )
+    out_of_scope = write(
+        tmp_path,
+        "src/repro/obs/x.py",
+        """
+        def replay(env):
+            env.emit("mode.change", None)
+        """,
+    )
+    assert check_file(in_scope) == []
+    assert check_file(out_of_scope) == []
+
+
+def test_sim010_honours_noqa_and_flags_a_stale_one(tmp_path):
+    path = write(
+        tmp_path,
+        "src/repro/harness/x.py",
+        """
+        def f(env, probes):
+            env.emit("fastlane.demote", None)  # repro: noqa(SIM010)
+            if "fastlane.promote" in env._probes:
+                env.emit("fastlane.promote", None)  # repro: noqa(SIM010)
+        """,
+    )
+    findings = check_file(path)
+    assert codes(findings) == ["SIM100"]
+    assert findings[0].line == 5
+
+
 # ------------------------------------------------------------- suppression ----
 def test_noqa_suppresses_named_rule(tmp_path):
     path = write(

@@ -101,18 +101,20 @@ SCHEMES = [
     "adaptive",
 ]
 
-#: Kernel events/s on the machine that produced the committed baseline,
-#: measured at the commit *before* the kernel fast path landed (same
-#: B0 scenario, same CPU-time methodology).  Kept for the before/after
-#: record; the ``--check`` gate compares against the committed *after*
-#: numbers, not these.
+#: Kernel events/s of the commit *before* the last change to the message
+#: path (45d3b37, the parent of the message-path diet), measured on the
+#: host and in the session that produced the committed ``full`` kernel
+#: leg: three alternating parent/change runs of ``--no-sweep``, best per
+#: scheme on each side (same B0 scenario, same CPU-time methodology).
+#: Kept for the before/after record; the ``--check`` gate compares
+#: against the committed *after* numbers, not these.
 BEFORE_FULL = {
-    "fixed": 124925,
-    "basic_search": 138779,
-    "basic_update": 163325,
-    "advanced_update": 154086,
-    "prakash": 119414,
-    "adaptive": 96461,
+    "fixed": 201256,
+    "basic_search": 201030,
+    "basic_update": 242386,
+    "advanced_update": 225214,
+    "prakash": 176627,
+    "adaptive": 133458,
 }
 
 PROFILES = {

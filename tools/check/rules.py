@@ -9,7 +9,7 @@ exclusions, and a ``run(tree, ctx)`` generator yielding
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .engine import CheckContext
 
@@ -233,6 +233,71 @@ class NoBareExceptInHandlers(Rule):
                     )
 
 
+class GuardedEmit(Rule):
+    """SIM010: every probe emit sits under its own ``in _probes`` guard."""
+
+    code = "SIM010"
+    description = "unguarded or mismatched emit (guard: if kind in self._probes)"
+    paths = _SIM_SCOPE + ("src/repro/faults", "src/repro/harness")
+
+    @staticmethod
+    def _emit_kind(stmt: ast.stmt) -> Optional[ast.expr]:
+        """The kind argument if ``stmt`` is a bare ``<obj>.emit(kind, ...)``."""
+        call = stmt.value if isinstance(stmt, ast.Expr) else None
+        if (
+            isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and call.func.attr == "emit"
+            and call.args
+        ):
+            return call.args[0]
+        return None
+
+    @staticmethod
+    def _guard_kind(test: ast.expr) -> Optional[ast.expr]:
+        """The kind expression if ``test`` is ``kind in <obj>._probes``."""
+        if (
+            isinstance(test, ast.Compare)
+            and len(test.ops) == 1
+            and isinstance(test.ops[0], ast.In)
+            and isinstance(test.comparators[0], ast.Attribute)
+            and test.comparators[0].attr == "_probes"
+        ):
+            return test.left
+        return None
+
+    def run(self, tree: ast.Module, ctx: CheckContext) -> Iterator[Match]:
+        guarded = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.If):
+                continue
+            kind = self._guard_kind(node.test)
+            if kind is None:
+                continue
+            for stmt in node.body:
+                emitted = self._emit_kind(stmt)
+                if emitted is None:
+                    continue
+                guarded.add(id(stmt))
+                # Same literal, or the same name/expression for a
+                # computed kind.
+                if ast.dump(emitted) != ast.dump(kind):
+                    yield stmt, (
+                        f"emit of {ast.unparse(emitted)} under a guard on "
+                        f"{ast.unparse(kind)}: the guard mutes this probe "
+                        "unless the other kind has a subscriber"
+                    )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.stmt) and id(node) not in guarded:
+                emitted = self._emit_kind(node)
+                if emitted is not None:
+                    yield node, (
+                        f"unguarded emit of {ast.unparse(emitted)}; write "
+                        f"`if {ast.unparse(emitted)} in self._probes:` directly "
+                        "above it so an unsubscribed kind costs no call"
+                    )
+
+
 #: The active rule registry, in code order.
 RULES: List[Rule] = [
     NoWallClock(),
@@ -240,4 +305,5 @@ RULES: List[Rule] = [
     NoDirectUseMutation(),
     NoDirectHandlerCall(),
     NoBareExceptInHandlers(),
+    GuardedEmit(),
 ]
