@@ -318,14 +318,7 @@ class FastLane:
                 if t + holding >= t1:
                     survivors.append(t + holding - t1)
             self.metrics.record_acquisition(
-                cell=cell,
-                kind="new",
-                granted=not dropped,
-                queue_wait=0.0,
-                acquisition_time=0.0,
-                attempts=1,
-                mode="local",
-                time=t,
+                cell, "new", not dropped, 0.0, 0.0, 1, "local", t
             )
         log = self.source.log
         log.started += n

@@ -146,8 +146,6 @@ class Report:
     @classmethod
     def from_simulation(cls, sim: Simulation) -> "Report":
         m = sim.metrics
-        times = m.acquisition_times()
-        waits = m.queue_waits()
         mode_changes = sum(
             getattr(s, "mode_changes", 0) for s in sim.stations.values()
         )
@@ -159,24 +157,10 @@ class Report:
         )
         return cls(
             scenario=sim.scenario,
-            offered=m.offered,
-            granted=m.granted,
-            dropped=m.dropped,
-            drop_rate=m.drop_rate,
-            new_call_block_rate=m.drop_rate_of("new"),
-            handoff_failure_rate=m.drop_rate_of("handoff"),
-            mean_acquisition_time=m.mean_acquisition_time(),
-            p95_acquisition_time=m.acquisition_time_percentile(95),
-            max_acquisition_time=float(times.max()) if times.size else 0.0,
-            mean_queue_wait=float(waits.mean()) if waits.size else 0.0,
-            mean_attempts=m.mean_attempts(),
-            max_attempts=m.max_attempts(),
-            mode_fractions=m.mode_fractions(),
+            **m.summary(),
             messages_total=m.messages_since_warmup(sim.network),
             messages_by_kind=m.messages_by_kind(sim.network),
             messages_per_acquisition=m.messages_per_acquisition(sim.network),
-            fairness_index=m.fairness_index(),
-            per_cell_drop_rates=m.per_cell_drop_rates(),
             violations=len(sim.monitor.violations),
             mode_changes=mode_changes,
             calls_started=sim.source.log.started,

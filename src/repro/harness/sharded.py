@@ -623,30 +623,14 @@ def merge_shard_results(
 
     local_acquires = sum(r.local_acquires for r in results)
     local_notify = sum(r.local_notify for r in results)
-    times = merged.acquisition_times()
-    waits = merged.queue_waits()
     return Report(
         scenario=scenario,
-        offered=merged.offered,
-        granted=merged.granted,
-        dropped=merged.dropped,
-        drop_rate=merged.drop_rate,
-        new_call_block_rate=merged.drop_rate_of("new"),
-        handoff_failure_rate=merged.drop_rate_of("handoff"),
-        mean_acquisition_time=merged.mean_acquisition_time(),
-        p95_acquisition_time=merged.acquisition_time_percentile(95),
-        max_acquisition_time=float(times.max()) if times.size else 0.0,
-        mean_queue_wait=float(waits.mean()) if waits.size else 0.0,
-        mean_attempts=merged.mean_attempts(),
-        max_attempts=merged.max_attempts(),
-        mode_fractions=merged.mode_fractions(),
+        **merged.summary(),
         messages_total=messages_total,
         messages_by_kind=by_kind,
         messages_per_acquisition=(
             messages_total / merged.offered if merged.offered else 0.0
         ),
-        fairness_index=merged.fairness_index(),
-        per_cell_drop_rates=merged.per_cell_drop_rates(),
         violations=violations,
         mode_changes=sum(r.mode_changes for r in results),
         calls_started=sum(r.calls_started for r in results),

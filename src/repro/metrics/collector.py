@@ -14,16 +14,17 @@ instant so rates are consistent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
+    from ..sim import Network
 
 __all__ = ["AcquisitionRecord", "MetricsCollector"]
 
 
-@dataclass(frozen=True)
-class AcquisitionRecord:
+class AcquisitionRecord(NamedTuple):
     """One completed channel-acquisition attempt."""
 
     cell: int
@@ -34,6 +35,16 @@ class AcquisitionRecord:
     attempts: int
     mode: Optional[str]  # "local" / "update" / "search" / None
     time: float
+
+
+def _jain(rates: List[float]) -> float:
+    if not rates:
+        return 1.0
+    arr = np.array(rates)
+    denom = len(arr) * float((arr**2).sum())
+    if denom == 0:
+        return 1.0
+    return float(arr.sum()) ** 2 / denom
 
 
 class MetricsCollector:
@@ -59,10 +70,25 @@ class MetricsCollector:
         self.retry_exhausted = 0
 
     # -- recording (called by the protocol/traffic layers) -----------------
-    def record_acquisition(self, **kwargs) -> None:
-        record = AcquisitionRecord(**kwargs)
-        if record.time >= self.warmup:
-            self.records.append(record)
+    def record_acquisition(
+        self,
+        cell: int,
+        kind: str,
+        granted: bool,
+        queue_wait: float,
+        acquisition_time: float,
+        attempts: int,
+        mode: Optional[str],
+        time: float,
+    ) -> None:
+        """One finished acquisition attempt (kept if past the warm-up)."""
+        if time >= self.warmup:
+            self.records.append(
+                AcquisitionRecord(
+                    cell, kind, granted, queue_wait, acquisition_time,
+                    attempts, mode, time,
+                )
+            )
 
     def record_release(self, cell: int, channel: int, time: float) -> None:
         if time >= self.warmup:
@@ -92,7 +118,7 @@ class MetricsCollector:
     def total_faults_recovered(self) -> int:
         return sum(self.faults_recovered.values())
 
-    def snapshot_message_baseline(self, network) -> None:
+    def snapshot_message_baseline(self, network: Network) -> None:
         """Capture message counters at the warmup boundary."""
         self._message_baseline = dict(network.sent_by_kind)
         self._message_baseline_total = network.total_sent
@@ -172,22 +198,75 @@ class MetricsCollector:
 
     def fairness_index(self) -> float:
         """Jain's fairness index over per-cell grant rates (1 = fair)."""
-        rates = [1.0 - d for d in self.per_cell_drop_rates().values()]
-        if not rates:
-            return 1.0
-        arr = np.array(rates)
-        denom = len(arr) * float((arr**2).sum())
-        if denom == 0:
-            return 1.0
-        return float(arr.sum()) ** 2 / denom
+        return _jain([1.0 - d for d in self.per_cell_drop_rates().values()])
+
+    def summary(self) -> Dict[str, Any]:
+        """Every record-derived :class:`~repro.harness.Report` field, by
+        name, from one pass over the records.
+
+        Each value equals the accessor of the same name above (floats
+        bit for bit: the same arrays go into the same numpy reductions).
+        """
+        waits: List[float] = []
+        times: List[float] = []  # acquisition times of granted requests
+        tries: List[int] = []  # attempts of granted requests
+        asked: Dict[str, int] = {}
+        served: Dict[str, int] = {}
+        paths: Dict[str, int] = {}
+        cell_asked: Dict[int, int] = {}
+        cell_served: Dict[int, int] = {}
+        max_attempts = 0
+        for cell, kind, granted, wait, time, attempts, mode, _ in self.records:
+            waits.append(wait)
+            asked[kind] = asked.get(kind, 0) + 1
+            cell_asked[cell] = cell_asked.get(cell, 0) + 1
+            if attempts > max_attempts:
+                max_attempts = attempts
+            if granted:
+                times.append(time)
+                tries.append(attempts)
+                served[kind] = served.get(kind, 0) + 1
+                cell_served[cell] = cell_served.get(cell, 0) + 1
+                if mode:
+                    paths[mode] = paths.get(mode, 0) + 1
+        offered = len(waits)
+        n_granted = len(times)
+        with_path = sum(paths.values())
+        per_cell = {
+            cell: 1.0 - cell_served.get(cell, 0) / n
+            for cell, n in sorted(cell_asked.items())
+        }
+        acq = np.array(times)
+
+        def drop_rate_of(kind: str) -> float:
+            n = asked.get(kind, 0)
+            return (n - served.get(kind, 0)) / n if n else 0.0
+
+        return {
+            "offered": offered,
+            "granted": n_granted,
+            "dropped": offered - n_granted,
+            "drop_rate": (offered - n_granted) / offered if offered else 0.0,
+            "new_call_block_rate": drop_rate_of("new"),
+            "handoff_failure_rate": drop_rate_of("handoff"),
+            "mean_acquisition_time": float(acq.mean()) if n_granted else 0.0,
+            "p95_acquisition_time": float(np.percentile(acq, 95)) if n_granted else 0.0,
+            "max_acquisition_time": float(acq.max()) if n_granted else 0.0,
+            "mean_queue_wait": float(np.array(waits).mean()) if offered else 0.0,
+            "mean_attempts": float(np.mean(tries)) if n_granted else 0.0,
+            "max_attempts": max_attempts,
+            "mode_fractions": {k: v / with_path for k, v in sorted(paths.items())},
+            "fairness_index": _jain([1.0 - d for d in per_cell.values()]),
+            "per_cell_drop_rates": per_cell,
+        }
 
     # -- message statistics -----------------------------------------------------
-    def messages_since_warmup(self, network) -> int:
+    def messages_since_warmup(self, network: Network) -> int:
         base = self._message_baseline_total if self._baseline_taken else 0
         return network.total_sent - base
 
-    def messages_by_kind(self, network) -> Dict[str, int]:
-        out = {}
+    def messages_by_kind(self, network: Network) -> Dict[str, int]:
+        out: Dict[str, int] = {}
         for kind, count in network.sent_by_kind.items():
             base = self._message_baseline.get(kind, 0) if self._baseline_taken else 0
             delta = count - base
@@ -195,7 +274,7 @@ class MetricsCollector:
                 out[kind] = delta
         return dict(sorted(out.items()))
 
-    def messages_per_acquisition(self, network) -> float:
+    def messages_per_acquisition(self, network: Network) -> float:
         """Control messages per channel request (the paper's message
         complexity, measured end to end including releases)."""
         if not self.offered:

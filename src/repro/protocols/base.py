@@ -21,13 +21,14 @@ or generator) and ``_release(channel)``.
 
 from __future__ import annotations
 
-import inspect
 from collections import deque
-from typing import Any, Dict, FrozenSet, Optional, Set
+from types import GeneratorType
+from typing import Any, Dict, FrozenSet, Generator, Optional, Set
 
 from ..cellular import CellularTopology
 from ..faults.arq import Ack, DedupFilter, Hardening, ReliableLink
-from ..sim import Environment, Envelope, Network, Resource
+from ..sim import Environment, Envelope, Event, Network, Resource
+from ..sim.events import PENDING
 from .messages import Timestamp
 from .monitor import InterferenceMonitor
 
@@ -131,7 +132,7 @@ class MSS:
     # ------------------------------------------------------------------
     def request_channel(
         self, kind: str = "new", setup_deadline: Optional[float] = None
-    ):
+    ) -> Generator[Event, Any, Optional[int]]:
         """Acquire a channel; generator returning the channel id or None.
 
         ``kind`` labels the request for metrics ("new" or "handoff").
@@ -142,107 +143,82 @@ class MSS:
         earlier requests), the call abandons — blocked-calls-cleared
         semantics, which keeps offered load well defined at overload.
         """
+        env = self.env
+        metrics = self.metrics
         self._req_seq = req_id = self._req_seq + 1
         if "request.begin" in self._probes:
-            self.env.emit("request.begin", (self.cell, req_id, kind))
+            env.emit("request.begin", (self.cell, req_id, kind))
         channel = None
         try:
-            channel = yield from self._request_channel(
-                kind, setup_deadline, req_id
-            )
+            t_arrival = env._now
+            if self.down:
+                # Crashed station: no service (blocked-calls-cleared).
+                if metrics is not None:
+                    metrics.record_acquisition(
+                        self.cell, kind, False, 0.0, 0.0, 0, "down", t_arrival
+                    )
+                return None
+            #: Kind of the request being served ("new"/"handoff"), readable
+            #: by protocols implementing admission policies (guard channels).
+            self._req_kind = kind
+            lock_req = self._lock.request()
+            if setup_deadline is not None and lock_req._value is PENDING:
+                yield env.any_of([lock_req, env.timeout(setup_deadline)])
+                if lock_req._value is PENDING:
+                    self._lock.cancel(lock_req)
+                    if metrics is not None:
+                        metrics.record_acquisition(
+                            self.cell, kind, False, setup_deadline, 0.0, 0,
+                            "queue_timeout", env._now,
+                        )
+                    return None
+            else:
+                yield lock_req
+            t_start = env._now
+            # Serving starts now: the queue wait behind earlier requests
+            # of this cell is over (down-station and queue-timeout
+            # requests never reach this point and never serve).
+            if "request.serve" in self._probes:
+                env.emit("request.serve", (self.cell, req_id))
+            self._attempts = 0  # protocols update this as they retry
+            try:
+                outcome = self._request((t_start, self.cell))
+                if type(outcome) is GeneratorType:
+                    outcome = yield from outcome
+            finally:
+                self._lock.release()
+            t_done = env._now
+
+            if outcome is not None:
+                if self.down:
+                    # The station crashed while this acquisition was in
+                    # flight: the grant is void.  If the grab happened
+                    # before the crash, the crash already force-released
+                    # it; if after (a round deadline resumed the generator
+                    # while down), undo it here.
+                    if outcome in self.use:
+                        self._drop_from_use(outcome)
+                    else:
+                        self._crash_released -= 1  # crash released it; no stale handle
+                    outcome = None
+                elif outcome not in self.use:
+                    raise AssertionError(
+                        f"protocol bug: granted channel {outcome} not in Use_{self.cell}"
+                    )
+            if metrics is not None:
+                metrics.record_acquisition(
+                    self.cell, kind, outcome is not None, t_start - t_arrival,
+                    t_done - t_start, self._attempts,
+                    getattr(self, "_grant_mode", None), t_done,
+                )
+            channel = outcome  # what ``request.end`` reports
+            return channel
         finally:
             # Fires on normal return AND on generator abandonment (the
             # traffic layer closing a half-driven request, a crashed
             # process): every opened acquisition span closes exactly once.
             if "request.end" in self._probes:
-                self.env.emit("request.end", (self.cell, req_id, channel))
-        return channel
-
-    def _request_channel(
-        self, kind: str, setup_deadline: Optional[float], req_id: int
-    ):
-        t_arrival = self.env.now
-        if self.down:
-            # Crashed station: no service (blocked-calls-cleared).
-            if self.metrics is not None:
-                self.metrics.record_acquisition(
-                    cell=self.cell,
-                    kind=kind,
-                    granted=False,
-                    queue_wait=0.0,
-                    acquisition_time=0.0,
-                    attempts=0,
-                    mode="down",
-                    time=t_arrival,
-                )
-            return None
-        #: Kind of the request being served ("new"/"handoff"), readable
-        #: by protocols implementing admission policies (guard channels).
-        self._req_kind = kind
-        lock_req = self._lock.request()
-        if setup_deadline is not None and not lock_req.triggered:
-            yield self.env.any_of([lock_req, self.env.timeout(setup_deadline)])
-            if not lock_req.triggered:
-                self._lock.cancel(lock_req)
-                if self.metrics is not None:
-                    self.metrics.record_acquisition(
-                        cell=self.cell,
-                        kind=kind,
-                        granted=False,
-                        queue_wait=setup_deadline,
-                        acquisition_time=0.0,
-                        attempts=0,
-                        mode="queue_timeout",
-                        time=self.env.now,
-                    )
-                return None
-        else:
-            yield lock_req
-        t_start = self.env.now
-        # Serving starts now: the queue wait behind earlier requests of
-        # this cell is over (down-station and queue-timeout requests
-        # never reach this point and never serve).
-        if "request.serve" in self._probes:
-            self.env.emit("request.serve", (self.cell, req_id))
-        ts: Timestamp = (t_start, self.cell)
-        self._attempts = 0  # protocols update this as they retry
-        try:
-            outcome = self._request(ts)
-            if inspect.isgenerator(outcome):
-                channel = yield from outcome
-            else:
-                channel = outcome
-        finally:
-            self._lock.release()
-        t_done = self.env.now
-
-        if channel is not None and self.down:
-            # The station crashed while this acquisition was in flight:
-            # the grant is void.  If the grab happened before the crash,
-            # the crash already force-released it; if after (a round
-            # deadline resumed the generator while down), undo it here.
-            if channel in self.use:
-                self._drop_from_use(channel)
-            else:
-                self._crash_released -= 1  # crash released it; no stale handle
-            channel = None
-        if channel is not None:
-            if channel not in self.use:
-                raise AssertionError(
-                    f"protocol bug: granted channel {channel} not in Use_{self.cell}"
-                )
-        if self.metrics is not None:
-            self.metrics.record_acquisition(
-                cell=self.cell,
-                kind=kind,
-                granted=channel is not None,
-                queue_wait=t_start - t_arrival,
-                acquisition_time=t_done - t_start,
-                attempts=self._attempts,
-                mode=getattr(self, "_grant_mode", None),
-                time=t_done,
-            )
-        return channel
+                env.emit("request.end", (self.cell, req_id, channel))
 
     def release_channel(self, channel: int) -> None:
         """Relinquish a channel this cell holds.

@@ -70,18 +70,21 @@ class InterferenceMonitor:
 
     def acquired(self, cell: int, channel: int, time: float) -> None:
         """Record that ``cell`` started using ``channel`` at ``time``."""
-        users = self.users.setdefault(channel, set())
-        if cell in users:
+        users = self.users.get(channel)
+        if users is None:
+            users = self.users[channel] = set()
+        elif cell in users:
             raise AssertionError(
                 f"cell {cell} double-acquired channel {channel} at t={time}"
             )
         region = self.topo.IN(cell)
-        for other in users:
-            if other in region:
-                violation = InterferenceViolation(time, channel, cell, other)
-                if self.policy == "raise":
-                    raise AssertionError(str(violation))
-                self.violations.append(violation)
+        if not users.isdisjoint(region):
+            for other in users:
+                if other in region:
+                    violation = InterferenceViolation(time, channel, cell, other)
+                    if self.policy == "raise":
+                        raise AssertionError(str(violation))
+                    self.violations.append(violation)
         users.add(cell)
         self.total_acquisitions += 1
         self._active += 1

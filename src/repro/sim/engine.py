@@ -122,7 +122,7 @@ class Environment:
         ``Timeout(self, delay, value)``, minus the generic event
         plumbing of the constructor chain.
         """
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN, which would corrupt heap order
             raise ValueError(f"negative delay {delay}")
         event = Timeout.__new__(Timeout)
         event.env = self
@@ -145,7 +145,7 @@ class Environment:
         reproduce a delivery time bit-for-bit (the inter-shard router
         re-scheduling an exported envelope on its destination kernel).
         """
-        if at < self._now:
+        if not at >= self._now:  # also rejects NaN
             raise ValueError(f"cannot schedule at {at}, now is {self._now}")
         event = Timeout.__new__(Timeout)
         event.env = self

@@ -11,6 +11,7 @@ insertion-order) sequence.
 from __future__ import annotations
 
 from heapq import heappush as _heappush
+from types import GeneratorType
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -179,7 +180,7 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise ValueError(f"negative delay {delay}")
         super().__init__(env)
         self.delay = delay
@@ -209,20 +210,34 @@ class Process(Event):
         generator: Generator[Event, Any, Any],
         name: Optional[str] = None,
     ) -> None:
-        if not hasattr(generator, "send") or not hasattr(generator, "throw"):
+        if type(generator) is not GeneratorType and not (
+            hasattr(generator, "send") and hasattr(generator, "throw")
+        ):
             raise TypeError(f"{generator!r} is not a generator")
-        super().__init__(env)
+        # One process per call: built like ``Environment.timeout`` builds
+        # a Timeout — the state of ``Event.__init__`` plus a kick-start
+        # event pushed without the ``_schedule`` chain.
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._defused = False
+        self._processed = False
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         #: The event this process is currently waiting on (None if not
         #: started or already terminated).
         self._target: Optional[Event] = None
         # Kick-start: resume the generator at the current time, urgently.
-        init = Event(env)
-        init._ok = True
-        init._value = None
+        init = Event.__new__(Event)
+        init.env = env
         init.callbacks = [self._resume]
-        env._schedule(init, priority=URGENT)
+        init._value = None
+        init._ok = True
+        init._defused = False
+        init._processed = False
+        env._eid = eid = env._eid + 1
+        _heappush(env._queue, (env._now, URGENT, eid, init))
 
     @property
     def is_alive(self) -> bool:

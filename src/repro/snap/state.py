@@ -19,7 +19,8 @@ inside ``request_channel``, nothing parked on a gate or collector.
 Call/arrival/crash/sampler processes suspended on plain timeouts *are*
 capturable — each becomes a small descriptor, re-materialized at
 restore as a purpose-built "resumed" generator that replays the rest
-of the original control flow (same RNG draw order, same counters).
+of the original control flow (same RNG draw order, same counters); a
+call is re-entered through ``call_process``'s own ``resume`` argument.
 Anything else raises :class:`UnsafeState`; the drain loop in
 :func:`repro.snap.run_to_checkpoint` steps the kernel one event and
 retries, so a checkpoint lands on the first safe point at or after the
@@ -60,10 +61,16 @@ from ..protocols.prakash import PollResponse, Transfer, TransferReply
 from ..sim.events import NORMAL, PENDING, ConditionEvent, Process
 from ..sim.network import Envelope
 from ..sim.resources import Collector
-from ..traffic.calls import CallLog
+from ..metrics.collector import AcquisitionRecord
+from ..traffic.calls import call_process
 from .format import SnapshotError
 
 __all__ = ["UnsafeState", "capture_state", "apply_state"]
+
+#: The locals of a suspended ``call_process`` frame a call descriptor is
+#: read from: origin cell, serving station, held channel, holding time
+#: left after the wake, handoffs attempted so far.
+CALL_FRAME_LOCALS = ("cell", "mss", "channel", "remaining", "handoffs")
 
 
 class UnsafeState(Exception):
@@ -185,11 +192,7 @@ def _capture_network(network: Any) -> Dict[str, Any]:
 
 def _capture_metrics(metrics: Any) -> Dict[str, Any]:
     return {
-        "records": [
-            [r.cell, r.kind, r.granted, r.queue_wait, r.acquisition_time,
-             r.attempts, r.mode, r.time]
-            for r in metrics.records
-        ],
+        "records": [list(r) for r in metrics.records],
         "releases": metrics.releases,
         "message_baseline": dict(metrics._message_baseline),
         "message_baseline_total": metrics._message_baseline_total,
@@ -524,33 +527,20 @@ def _describe_process(sim: Any, proc: Process, when: float) -> Dict[str, Any]:
             raise UnsafeState("arrival process suspended in a sub-generator")
         return {"kind": "arrival", "cell": locs["cell"], "wake": when}
 
-    if code_name in ("_call_with_logs", "_resumed_call"):
-        sub = gen.gi_yieldfrom
-        if code_name == "_call_with_logs":
-            if sub is None or sub.gi_code.co_name != "call_process":
-                raise UnsafeState("call bookkeeping in flight")
-            if sub.gi_yieldfrom is not None:
-                raise UnsafeState("call channel request in flight")
-            inner = sub.gi_frame.f_locals
-            origin = locs["cell"]
-        else:
-            if sub is not None:
-                raise UnsafeState("resumed call channel request in flight")
-            inner = locs
-            origin = locs["origin"]
-        if "channel" not in inner or inner["channel"] is None:
-            raise UnsafeState("call suspended before channel grant")
-        remaining = inner["remaining"]
-        after = remaining - inner["step"] if "step" in inner else remaining
-        log = inner["log"] if "log" in inner else inner["local"]
+    if code_name == "call_process":
+        if gen.gi_yieldfrom is not None:
+            raise UnsafeState("call channel request in flight")
+        # Suspended in its hold: ``remaining`` is already the holding
+        # time left after the wake (see ``call_process``).
+        origin, mss, channel, after, handoffs = (locs[n] for n in CALL_FRAME_LOCALS)
         return {
             "kind": "call",
             "origin": origin,
-            "mss_cell": inner["mss"].cell,
-            "channel": inner["channel"],
+            "mss_cell": mss.cell,
+            "channel": channel,
             "after": after,
             "wake": when,
-            "handoffs_attempted": log.handoffs_attempted,
+            "handoffs_attempted": handoffs,
         }
 
     if code_name in ("at_warmup", "_warmup_process"):
@@ -603,8 +593,9 @@ def _crash_index(sim: Any, window: Any) -> int:
 #
 # Each replays the remainder of its original process's control flow
 # from a mid-flight descriptor, preserving the original's RNG draw
-# order exactly (verified against traffic/source.py and
-# traffic/calls.py — keep in sync).
+# order exactly (verified against traffic/source.py — keep in sync).
+# A suspended call needs no replica: ``call_process`` itself takes a
+# ``resume`` entry.
 
 
 def _resumed_arrivals(source: Any, cell: int, wake_at: float):
@@ -620,58 +611,13 @@ def _resumed_arrivals(source: Any, cell: int, wake_at: float):
         accept = source.pattern.rate(cell, now) / lam_max
         if accept >= 1.0 or rng.random() < accept:
             env.process(
-                source._call_with_logs(cell, source.config, call_rng, None),
+                call_process(
+                    env, source.stations, cell, source.config, call_rng, source.log
+                ),
                 name=f"call[{cell}]",
             )
         gap = float(rng.exponential(1.0 / lam_max))
         yield env.timeout(gap)
-
-
-def _resumed_call(
-    env: Any,
-    stations: Dict[int, Any],
-    source: Any,
-    origin: int,
-    mss_cell: int,
-    channel: int,
-    config: Any,
-    rng: Any,
-    after: float,
-    wake_at: float,
-    handoffs_attempted: int,
-):
-    local = CallLog()
-    local.handoffs_attempted = handoffs_attempted
-    mss = stations[mss_cell]
-    remaining = after
-    yield env.timeout_at(wake_at)
-    while True:
-        if remaining <= 0:
-            mss.release_channel(channel)
-            local.completed += 1
-            break
-        grid = mss.topo.grid
-        new_cell = grid.random_walk_step(mss.cell, rng)
-        mss.release_channel(channel)
-        mss = stations[new_cell]
-        local.handoffs_attempted += 1
-        channel = yield from mss.request_channel("handoff", config.setup_deadline)
-        if channel is None:
-            local.handoffs_failed += 1
-            break
-        if config.mean_dwell is None:
-            dwell = float("inf")
-        else:
-            dwell = float(rng.exponential(config.mean_dwell))
-        step = min(remaining, dwell)
-        yield env.timeout(step)
-        remaining -= step
-    # Fold into the aggregate log; ``started`` was counted at arrival.
-    log = source.log
-    log.blocked += local.blocked
-    log.completed += local.completed
-    log.handoffs_attempted += local.handoffs_attempted
-    log.handoffs_failed += local.handoffs_failed
 
 
 def _resumed_crash(
@@ -792,12 +738,8 @@ def _apply_network(network: Any, data: Dict[str, Any]) -> None:
 
 
 def _apply_metrics(metrics: Any, data: Dict[str, Any]) -> None:
-    metrics.records[:] = [
-        # Rebuild via record_acquisition's own dataclass to keep one
-        # construction path; the warmup filter must not re-apply, so
-        # append directly.
-        _make_record(fields) for fields in data["records"]
-    ]
+    # Not through ``record_acquisition``: the warmup filter must not re-apply.
+    metrics.records[:] = [AcquisitionRecord(*fields) for fields in data["records"]]
     metrics.releases = data["releases"]
     metrics._message_baseline = dict(data["message_baseline"])
     metrics._message_baseline_total = data["message_baseline_total"]
@@ -806,22 +748,6 @@ def _apply_metrics(metrics: Any, data: Dict[str, Any]) -> None:
     metrics.faults_recovered = dict(data["faults_recovered"])
     metrics.retries = data["retries"]
     metrics.retry_exhausted = data["retry_exhausted"]
-
-
-def _make_record(fields: List[Any]) -> Any:
-    from ..metrics.collector import AcquisitionRecord
-
-    cell, kind, granted, queue_wait, acquisition_time, attempts, mode, time = fields
-    return AcquisitionRecord(
-        cell=cell,
-        kind=kind,
-        granted=granted,
-        queue_wait=queue_wait,
-        acquisition_time=acquisition_time,
-        attempts=attempts,
-        mode=mode,
-        time=time,
-    )
 
 
 def _apply_monitor(monitor: Any, data: Optional[Dict[str, Any]]) -> None:
@@ -1107,18 +1033,12 @@ def _materialize_queue(sim: Any, entries: List[Dict[str, Any]], reseed: bool) ->
         elif kind == "call":
             origin = entry["origin"]
             rng = source.streams.stream("traffic", "calls", origin)
-            gen = _resumed_call(
-                env,
-                stations,
-                source,
-                origin,
-                entry["mss_cell"],
-                entry["channel"],
-                source.config,
-                rng,
-                entry["after"],
-                entry["wake"],
-                entry["handoffs_attempted"],
+            gen = call_process(
+                env, stations, origin, source.config, rng, source.log,
+                resume=(
+                    entry["mss_cell"], entry["channel"], entry["after"],
+                    entry["wake"], entry["handoffs_attempted"],
+                ),
             )
             _forge_process(env, gen, f"call[{origin}]")
         elif kind == "warmup":

@@ -11,11 +11,14 @@ blocked call, a denied "handoff" request is a forced termination.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Generator, Optional, Tuple
 
 import numpy as np
 
-from ..sim import Environment
+from ..sim import Environment, Event
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
+    from ..protocols import MSS
 
 __all__ = ["CallConfig", "call_process", "CallLog"]
 
@@ -32,11 +35,13 @@ class CallConfig:
     setup_deadline: Optional[float] = 30.0
 
     def __post_init__(self) -> None:
-        if self.mean_holding <= 0:
+        # ``not x > 0`` rather than ``x <= 0``: NaN must not pass (it
+        # would become a NaN heap key through ``Environment.timeout``).
+        if not self.mean_holding > 0:
             raise ValueError("mean_holding must be positive")
-        if self.mean_dwell is not None and self.mean_dwell <= 0:
+        if self.mean_dwell is not None and not self.mean_dwell > 0:
             raise ValueError("mean_dwell must be positive")
-        if self.setup_deadline is not None and self.setup_deadline <= 0:
+        if self.setup_deadline is not None and not self.setup_deadline > 0:
             raise ValueError("setup_deadline must be positive")
 
 
@@ -64,44 +69,66 @@ def call_process(
     config: CallConfig,
     rng: np.random.Generator,
     log: Optional[CallLog] = None,
-):
-    """Simulation process for one call originating in ``cell``."""
-    mss = stations[cell]
-    if log is not None:
-        log.started += 1
+    class_log: Optional[CallLog] = None,
+    resume: Optional[Tuple[int, int, float, float, int]] = None,
+) -> Generator[Event, Any, None]:
+    """Simulation process for one call originating in ``cell``.
 
-    channel = yield from mss.request_channel("new", config.setup_deadline)
-    if channel is None:
+    ``log`` (and ``class_log``, the per-class log of a ``TrafficMix``)
+    see ``started`` at arrival; everything else is counted in locals
+    and folded in when the call ends, so concurrent calls never share a
+    mutable counter mid-flight.  ``resume`` re-enters a call a snapshot
+    caught in its hold — ``(serving cell, channel, holding time left
+    after the wake, wake instant, handoffs attempted so far)`` — at the
+    hold it was suspended in; its arrival was counted before capture.
+    """
+    deadline = config.setup_deadline
+    mean_dwell = config.mean_dwell
+    blocked = completed = handoffs = handoffs_failed = 0
+    if resume is None:
         if log is not None:
-            log.blocked += 1
-        return
-
-    duration = float(rng.exponential(config.mean_holding))
-    remaining = duration
-    while True:
-        if config.mean_dwell is None:
-            dwell = float("inf")
+            log.started += 1
+        if class_log is not None:
+            class_log.started += 1
+        mss = stations[cell]
+        wake_at = None
+        channel = yield from mss.request_channel("new", deadline)
+        if channel is None:
+            blocked = 1
         else:
-            dwell = float(rng.exponential(config.mean_dwell))
-        step = min(remaining, dwell)
-        yield env.timeout(step)
-        remaining -= step
+            remaining = float(rng.exponential(config.mean_holding))
+    else:
+        serving, channel, remaining, wake_at, handoffs = resume
+        mss = stations[serving]
+    # ``remaining`` is the holding time left *after* the hold the call
+    # is suspended in — what a snapshot stores for it.
+    while channel is not None:
+        if wake_at is None:
+            if mean_dwell is None:
+                step = remaining
+            else:
+                step = min(remaining, float(rng.exponential(mean_dwell)))
+            remaining -= step
+            yield env.timeout(step)
+        else:
+            yield env.timeout_at(wake_at)
+            wake_at = None
         if remaining <= 0:
             mss.release_channel(channel)
-            if log is not None:
-                log.completed += 1
-            return
-
+            completed = 1
+            break
         # Handoff: move to a random adjacent cell, releasing the old
         # channel and acquiring a fresh one in the new cell.
-        grid = mss.topo.grid
-        new_cell = grid.random_walk_step(mss.cell, rng)
+        new_cell = mss.topo.grid.random_walk_step(mss.cell, rng)
         mss.release_channel(channel)
         mss = stations[new_cell]
-        if log is not None:
-            log.handoffs_attempted += 1
-        channel = yield from mss.request_channel("handoff", config.setup_deadline)
+        handoffs += 1
+        channel = yield from mss.request_channel("handoff", deadline)
         if channel is None:
-            if log is not None:
-                log.handoffs_failed += 1
-            return  # forced termination mid-call
+            handoffs_failed = 1  # forced termination mid-call
+    for sink in (log, class_log):
+        if sink is not None:
+            sink.blocked += blocked
+            sink.completed += completed
+            sink.handoffs_attempted += handoffs
+            sink.handoffs_failed += handoffs_failed

@@ -13,14 +13,16 @@ other cells do — variance reduction for scheme comparisons.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Generator, Optional, Union
 
-from typing import Union
-
-from ..sim import Environment, StreamRegistry
+from ..sim import Environment, Event, Process, StreamRegistry
 from .calls import CallConfig, CallLog, call_process
 from .mix import TrafficMix
 from .patterns import LoadPattern
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
+    from ..harness.fastlane import FastLane
+    from ..protocols import MSS
 
 __all__ = ["TrafficSource"]
 
@@ -52,10 +54,10 @@ class TrafficSource:
         #: Fast-lane controller (``repro.harness.fastlane``); when set,
         #: cells the lane claims at t=0 get no arrival process until
         #: the lane promotes them via :meth:`launch`.
-        self.lane = None
+        self.lane: Optional["FastLane"] = None
         #: Live arrival process per cell (lane demotion cancels the
         #: process's pending gap timeout through this).
-        self._procs: Dict[int, "Process"] = {}
+        self._procs: Dict[int, Process] = {}
 
     def start(self) -> None:
         """Launch one arrival process per cell."""
@@ -97,10 +99,11 @@ class TrafficSource:
         if target is not None:
             self.env.cancel(target)
 
-    def _arrivals(self, cell: int):
+    def _arrivals(self, cell: int) -> Generator[Event, Any, None]:
         rng = self.streams.stream("traffic", "arrivals", cell)
         call_rng = self.streams.stream("traffic", "calls", cell)
         lam_max = self.pattern.max_rate(cell)
+        name = f"call[{cell}]"
         while True:
             gap = float(rng.exponential(1.0 / lam_max))
             yield self.env.timeout(gap)
@@ -117,23 +120,9 @@ class TrafficSource:
                     config = self.config
                     class_log = None
                 self.env.process(
-                    self._call_with_logs(cell, config, call_rng, class_log),
-                    name=f"call[{cell}]",
+                    call_process(
+                        self.env, self.stations, cell, config, call_rng,
+                        self.log, class_log,
+                    ),
+                    name=name,
                 )
-
-    def _call_with_logs(self, cell, config, call_rng, class_log):
-        # Account each call into a private log, then fold it into the
-        # aggregate (and per-class) logs at completion — concurrent
-        # calls never share a mutable counter mid-flight.
-        targets = [self.log] if class_log is None else [self.log, class_log]
-        for log in targets:
-            log.started += 1  # visible immediately at arrival
-        local = CallLog()
-        yield from call_process(
-            self.env, self.stations, cell, config, call_rng, log=local
-        )
-        for log in targets:
-            log.blocked += local.blocked
-            log.completed += local.completed
-            log.handoffs_attempted += local.handoffs_attempted
-            log.handoffs_failed += local.handoffs_failed

@@ -14,14 +14,17 @@ Used with a *planar* grid (torus wrap has no continuous embedding).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Any, Dict, Generator, Optional
 
 import numpy as np
 
 from ..cellular.geometry import grid_bounds, nearest_cell
 from ..cellular.hexgrid import HexGrid
-from ..sim import Environment
+from ..sim import Environment, Event
 from .calls import CallConfig, CallLog
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
+    from ..protocols import MSS
 
 __all__ = ["WaypointHost", "waypoint_call_process"]
 
@@ -82,12 +85,12 @@ class WaypointHost:
 
 def waypoint_call_process(
     env: Environment,
-    stations,
+    stations: Dict[int, "MSS"],
     host: WaypointHost,
     config: CallConfig,
     rng: np.random.Generator,
     log: Optional[CallLog] = None,
-):
+) -> Generator[Event, Any, None]:
     """A call carried by a physically moving host.
 
     Acquires in the host's current cell, re-acquires whenever the

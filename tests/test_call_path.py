@@ -1,0 +1,297 @@
+"""The call path's contracts after its diet (DESIGN.md §4 "The call path").
+
+(a) *Same run* — one generator per call and per acquisition, tuple
+    records and the inlined kernel objects change no simulated value:
+    rows, event ids and records equal values pinned from the commit
+    before the restructuring, with and without probe subscribers, and
+    every acquisition span still closes exactly once.
+(b) *Lock contention* — concurrent requests at one MSS serve FIFO; one
+    that cannot start inside ``setup_deadline`` leaves the queue.
+(c) *Log folding* — aggregate and per-class ``CallLog`` counters move at
+    the same instants as before.
+(d) *One pass ≡ accessors* — ``Report.from_simulation`` equals a report
+    assembled from the public ``MetricsCollector`` accessors.
+(e) *Frame layout* — the locals the snapshot codec reads from a
+    suspended call exist in ``call_process``.
+"""
+
+import dataclasses
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro.harness import Scenario, build_simulation
+from repro.metrics import AcquisitionRecord, MetricsCollector
+from repro.protocols import BasicUpdateMSS, FixedMSS
+from repro.sim import StreamRegistry
+from repro.snap.state import CALL_FRAME_LOCALS
+from repro.traffic import (
+    CallConfig,
+    CallLog,
+    TrafficClass,
+    TrafficMix,
+    TrafficSource,
+    UniformLoad,
+    call_process,
+)
+from repro.verify import set_default_policy
+
+from conftest import make_stack
+
+
+@pytest.fixture
+def bare():
+    """No sanitizer suite: simulations start with an empty probe table."""
+    previous = set_default_policy(None)
+    yield
+    set_default_policy(previous)
+
+
+def rows(report):
+    data = dataclasses.asdict(report)
+    for key in ("scenario", "obs", "metrics"):
+        data.pop(key)
+    return data
+
+
+def digest(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+# ------------------------------------------------------------ (a) same run --
+#: scenario, final ``env._eid``, offered, digest of the records, digest
+#: of the report row — all read on the parent of the restructuring.
+PINNED = {
+    "fixed": (
+        Scenario(scheme="fixed", offered_load=8.0, duration=400.0, warmup=50.0,
+                 seed=5, mean_dwell=60.0),
+        7287, 2259, "fb4847ed02463128", "d0d2833df7927798",
+    ),
+    "adaptive": (
+        Scenario(scheme="adaptive", offered_load=12.0, duration=200.0,
+                 warmup=30.0, seed=5),
+        16079, 556, "b5b1ed7b09ea83a8", "19a5fe10b3dfd1ef",
+    ),
+}
+
+SPAN_KINDS = (
+    "request.begin", "request.serve", "request.end",
+    "channel.acquired", "channel.released",
+)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_run_equals_the_parent_commit_bare_and_observed(bare, name):
+    scenario, eid, offered, records_digest, row_digest = PINNED[name]
+    seen = {kind: [] for kind in SPAN_KINDS}
+    for observed in (False, True):
+        sim = build_simulation(scenario)
+        assert sim.sanitizers is None and not sim.env._probes
+        if observed:
+            for kind in SPAN_KINDS:
+                sim.env.subscribe(
+                    kind, lambda now, payload, kind=kind: seen[kind].append(payload)
+                )
+        report = sim.run()
+        assert sim.env._eid == eid
+        assert report.offered == offered
+        assert digest([tuple(r) for r in sim.metrics.records]) == records_digest
+        assert digest(sorted(rows(report).items())) == row_digest
+
+    # begin / serve / end pair by (cell, req_id): at most one serve and
+    # one end per begin (requests in flight at the horizon have none),
+    # a served request began, an ended one was served unless it was
+    # turned away, and every grant is a channel.acquired.
+    begins = [(cell, req) for cell, req, _kind in seen["request.begin"]]
+    serves = seen["request.serve"]
+    ends = [(cell, req) for cell, req, _channel in seen["request.end"]]
+    for spans in (begins, serves, ends):
+        assert len(set(spans)) == len(spans)
+    assert set(ends) <= set(begins) and set(serves) <= set(begins)
+    assert len(begins) - len(ends) < 50 <= len(ends)
+    granted = [(cell, req) for cell, req, ch in seen["request.end"] if ch is not None]
+    assert set(granted) <= set(serves)
+    acquired = [(cell, ch) for cell, _req, ch in seen["request.end"] if ch is not None]
+    assert set(acquired) <= set(seen["channel.acquired"])
+    assert len(seen["channel.released"]) <= len(seen["channel.acquired"])
+
+
+def _spans(env):
+    opened, closed = [], []
+    env.subscribe("request.begin", lambda now, p: opened.append(p[:2]))
+    env.subscribe("request.end", lambda now, p: closed.append(p))
+    return opened, closed
+
+
+def test_request_end_fires_once_when_a_call_is_closed_while_queued_on_the_lock():
+    env, net, topo, stations, monitor, metrics = make_stack(BasicUpdateMSS)
+    opened, closed = _spans(env)
+    rng = np.random.default_rng(0)
+    first = call_process(env, stations, 0, CallConfig(), rng)
+    queued = call_process(env, stations, 0, CallConfig(), rng, CallLog())
+    env.process(first)
+    env.process(queued)
+    env.run(until=0.5)  # first is inside its update round, holding the lock
+    assert stations[0]._lock.queued == 1
+    queued.close()
+    assert opened == [(0, 1), (0, 2)]
+    assert closed == [(0, 2, None)]
+    queued.close()  # closing twice opens or closes nothing
+    assert closed == [(0, 2, None)]
+
+
+def test_request_end_fires_once_when_a_call_is_closed_inside_request():
+    env, net, topo, stations, monitor, metrics = make_stack(BasicUpdateMSS)
+    opened, closed = _spans(env)
+    call = call_process(env, stations, 0, CallConfig(), np.random.default_rng(0))
+    env.process(call)
+    env.run(until=0.5)  # waiting for the round's responses
+    assert stations[0]._lock.in_use == 1
+    call.close()
+    assert opened == [(0, 1)] and closed == [(0, 1, None)]
+    assert stations[0]._lock.in_use == 0  # the finally released the lock
+    assert not metrics.records  # an abandoned acquisition records nothing
+
+
+# ------------------------------------------------------ (b) lock contention --
+def test_concurrent_requests_serve_fifo_and_a_late_one_times_out():
+    env, net, topo, stations, monitor, metrics = make_stack(BasicUpdateMSS)
+    served = []
+    env.subscribe("request.serve", lambda now, p: served.append((now, p[1])))
+    station = stations[0]
+    deadline = 5.0  # an update round takes 2 T: starts at 0, 2, 4, (6)
+    procs = [
+        env.process(station.request_channel("new", deadline)) for _ in range(4)
+    ]
+    env.run(until=env.all_of(procs))
+    assert served == [(0.0, 1), (2.0, 2), (4.0, 3)]
+    assert [p.value is not None for p in procs] == [True, True, True, False]
+    assert [r.queue_wait for r in metrics.records if r.granted] == [0.0, 2.0, 4.0]
+    late = [r for r in metrics.records if not r.granted]
+    assert late == [
+        AcquisitionRecord(0, "new", False, deadline, 0.0, 0, "queue_timeout", 5.0)
+    ]
+    assert late[0].queue_wait == deadline
+    assert station._lock.queued == 0
+    env.run()
+    assert station._lock.in_use == 0
+
+
+# ---------------------------------------------------------- (c) log folding --
+def test_call_logs_fold_at_the_same_instants_as_before():
+    env, net, topo, stations, monitor, metrics = make_stack(FixedMSS)
+    mix = TrafficMix([
+        TrafficClass("voice", 0.6, CallConfig(mean_holding=180.0, mean_dwell=25.0)),
+        TrafficClass("data", 0.4, CallConfig(mean_holding=20.0)),
+    ])
+    source = TrafficSource(
+        env, stations, UniformLoad(0.08), mix, StreamRegistry(seed=4), horizon=900.0
+    )
+    source.start()
+
+    def logs():
+        return [
+            dataclasses.astuple(log)
+            for log in (source.log, mix.logs["voice"], mix.logs["data"])
+        ]
+
+    # (started, blocked, completed, handoffs_attempted, handoffs_failed),
+    # read on the parent commit: mid-run, calls in flight have counted
+    # their arrival but none of their handoffs yet.
+    env.run(until=600.0)
+    assert logs() == [
+        (2404, 132, 1662, 4401, 314),
+        (1423, 78, 769, 4401, 314),
+        (981, 54, 893, 0, 0),
+    ]
+    env.run()
+    assert logs() == [
+        (3552, 211, 2818, 10768, 523),
+        (2115, 129, 1463, 10768, 523),
+        (1437, 82, 1355, 0, 0),
+    ]
+    assert env._eid == 38710
+
+
+def test_a_call_without_logs_and_a_directly_driven_log():
+    env, net, topo, stations, monitor, metrics = make_stack(FixedMSS)
+    rng = np.random.default_rng(1)
+    env.run(until=env.process(call_process(env, stations, 0, CallConfig(), rng)))
+    log = CallLog()
+    env.run(until=env.process(
+        call_process(env, stations, 0, CallConfig(mean_holding=5.0), rng, log, log)
+    ))
+    # Given twice, a log is folded into twice.
+    assert dataclasses.astuple(log) == (2, 0, 2, 0, 0)
+
+
+# ------------------------------------------------- (d) one pass ≡ accessors --
+def from_accessors(m):
+    times = m.acquisition_times()
+    waits = m.queue_waits()
+    return {
+        "offered": m.offered,
+        "granted": m.granted,
+        "dropped": m.dropped,
+        "drop_rate": m.drop_rate,
+        "new_call_block_rate": m.drop_rate_of("new"),
+        "handoff_failure_rate": m.drop_rate_of("handoff"),
+        "mean_acquisition_time": m.mean_acquisition_time(),
+        "p95_acquisition_time": m.acquisition_time_percentile(95),
+        "max_acquisition_time": float(times.max()) if times.size else 0.0,
+        "mean_queue_wait": float(waits.mean()) if waits.size else 0.0,
+        "mean_attempts": m.mean_attempts(),
+        "max_attempts": m.max_attempts(),
+        "mode_fractions": m.mode_fractions(),
+        "fairness_index": m.fairness_index(),
+        "per_cell_drop_rates": m.per_cell_drop_rates(),
+    }
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        PINNED["fixed"][0],  # drops and handoffs
+        PINNED["adaptive"][0],  # queue waits, retries, three grant modes
+        Scenario(scheme="fixed", offered_load=0.0, duration=20.0, warmup=10.0),
+    ],
+    ids=["fixed-mobile", "adaptive", "no-records"],
+)
+def test_report_equals_one_assembled_from_the_accessors(scenario):
+    sim = build_simulation(scenario)
+    report = sim.run()
+    expected = from_accessors(sim.metrics)
+    assert sim.metrics.summary() == expected
+    for name, value in expected.items():
+        assert getattr(report, name) == value, name
+    if scenario.offered_load:
+        assert report.dropped and len(report.mode_fractions) >= 1
+    else:
+        assert report.offered == 0 and report.fairness_index == 1.0
+
+
+def test_summary_of_denied_only_records():
+    m = MetricsCollector()
+    m.record_acquisition(3, "handoff", False, 30.0, 0.0, 0, "queue_timeout", 1.0)
+    m.record_acquisition(cell=3, kind="new", granted=False, queue_wait=0.0,
+                         acquisition_time=0.0, attempts=0, mode="down", time=2.0)
+    assert m.summary() == from_accessors(m)
+    assert m.summary()["mode_fractions"] == {}
+    assert m.summary()["per_cell_drop_rates"] == {3: 1.0}
+
+
+def test_record_acquisition_filters_warmup_before_building_a_record():
+    m = MetricsCollector(warmup=10.0)
+    m.record_acquisition(0, "new", True, 0.0, 0.0, 1, "local", 9.999)
+    assert m.records == []
+    m.record_acquisition(0, "new", True, 0.0, 0.0, 1, "local", 10.0)
+    assert m.records == [(0, "new", True, 0.0, 0.0, 1, "local", 10.0)]
+    assert m.records[0].mode == "local" and m.records[0].time == 10.0
+
+
+# ---------------------------------------------------------- (e) frame layout --
+def test_call_process_has_the_locals_the_snapshot_codec_reads():
+    names = call_process.__code__.co_varnames
+    assert set(CALL_FRAME_LOCALS) <= set(names)
+    assert "resume" in names[: call_process.__code__.co_argcount]

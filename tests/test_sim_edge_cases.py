@@ -9,6 +9,7 @@ from repro.sim import (
     EmptySchedule,
     Environment,
     Interrupt,
+    Timeout,
 )
 
 
@@ -207,3 +208,23 @@ def test_environment_len_and_peek_track_queue():
     env.timeout(1)
     assert len(env) == 2
     assert env.peek() == 1
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -1.0])
+def test_timeouts_reject_nan_and_leave_the_kernel_untouched(bad):
+    # ``nan < 0`` is false: a NaN delay used to pass the guard and push a
+    # NaN heap key, which silently breaks heap order for later events.
+    env = Environment()
+    env.timeout(2.0)
+    env.run(until=1.0)
+    queue, eid, now = list(env._queue), env._eid, env._now
+    with pytest.raises(ValueError):
+        env.timeout(bad)
+    with pytest.raises(ValueError):
+        env.timeout_at(bad if bad != bad else 0.5)  # NaN, or before now
+    with pytest.raises(ValueError):
+        Timeout(env, bad)
+    assert (list(env._queue), env._eid, env._now) == (queue, eid, now)
+    # inf is a legal "never" (a call with no mobility holds for min(x, inf)).
+    assert env.timeout(float("inf")).delay == float("inf")
+    assert env.timeout_at(float("inf")).delay == float("inf")

@@ -27,7 +27,13 @@ import json
 import pytest
 
 from repro.faults import CrashWindow, FaultPlan, LinkPartition
-from repro.harness import ResultCache, Scenario, run_replications, run_scenario
+from repro.harness import (
+    ResultCache,
+    Scenario,
+    build_simulation,
+    run_replications,
+    run_scenario,
+)
 from repro.snap import (
     SNAPSHOT_FORMAT_VERSION,
     Snapshot,
@@ -136,6 +142,34 @@ def test_midrun_resume_row_identical_to_uninterrupted(scheme):
     resumed = run_from_snapshot(snap)
     straight = run_scenario(scenario)
     assert rows(resumed) == rows(straight)
+
+
+@pytest.mark.parametrize("scheme", ["fixed", "adaptive"])
+def test_midrun_resume_with_mobility_is_row_identical(scheme):
+    # Calls suspended between two handoffs: the resumed call re-enters
+    # the handoff loop (random-walk draw, release, re-acquire, dwell
+    # draw) with the handoffs it had already counted.
+    scenario = small(scheme, offered_load=9.0, mean_dwell=30.0, duration=200.0)
+    snap = run_to_checkpoint(scenario, 100.0)
+    calls = [e for e in snap.state["queue"] if e["kind"] == "call"]
+    assert sum(1 for e in calls if e["handoffs_attempted"]) > 50
+    resumed_sim = restore(snap)
+    assert checkpoint(resumed_sim).to_bytes() == snap.to_bytes()
+    resumed = run_from_snapshot(snap)
+    straight_sim = build_simulation(scenario)
+    straight = straight_sim.run()
+    assert rows(resumed) == rows(straight)
+    assert resumed.calls_started == straight.calls_started > 0
+    assert resumed.calls_completed == straight.calls_completed > 0
+    if scheme == "fixed":
+        assert straight.handoff_failure_rate > 0
+
+    # The aggregate log a resumed run ends with is the uninterrupted one's.
+    env = resumed_sim.env
+    env.run(until=scenario.duration)
+    assert resumed_sim.source.log == straight_sim.source.log
+    assert straight_sim.source.log.handoffs_attempted > 300
+    assert (straight_sim.source.log.handoffs_failed > 0) == (scheme == "fixed")
 
 
 def test_midrun_resume_inside_crash_window_under_faults():

@@ -113,6 +113,15 @@ def test_config_validation():
         CallConfig(setup_deadline=0)
 
 
+@pytest.mark.parametrize("field", ["mean_holding", "mean_dwell", "setup_deadline"])
+def test_config_rejects_nan(field):
+    # NaN compares false to everything, so ``x <= 0`` let it through to
+    # ``Environment.timeout`` as a delay.
+    with pytest.raises(ValueError, match=field):
+        CallConfig(**{field: float("nan")})
+    assert getattr(CallConfig(**{field: float("inf")}), field) == float("inf")
+
+
 def test_forced_termination_rate():
     log = CallLog(handoffs_attempted=10, handoffs_failed=3)
     assert log.forced_termination_rate == pytest.approx(0.3)
@@ -186,10 +195,10 @@ def test_temporal_hotspot_thinning_produces_burst():
     arrivals_in = []
     orig = metrics.record_acquisition
 
-    def spy(**kw):
-        if kw["cell"] == 0:
-            arrivals_in.append(kw["time"])
-        orig(**kw)
+    def spy(cell, kind, granted, queue_wait, acquisition_time, attempts, mode, time):
+        if cell == 0:
+            arrivals_in.append(time)
+        orig(cell, kind, granted, queue_wait, acquisition_time, attempts, mode, time)
 
     metrics.record_acquisition = spy
     src.start()

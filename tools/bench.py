@@ -101,20 +101,20 @@ SCHEMES = [
     "adaptive",
 ]
 
-#: Kernel events/s of the commit *before* the last change to the message
-#: path (45d3b37, the parent of the message-path diet), measured on the
-#: host and in the session that produced the committed ``full`` kernel
-#: leg: three alternating parent/change runs of ``--no-sweep``, best per
-#: scheme on each side (same B0 scenario, same CPU-time methodology).
-#: Kept for the before/after record; the ``--check`` gate compares
-#: against the committed *after* numbers, not these.
+#: Kernel events/s of the commit *before* the last change to the kernel
+#: leg's code (152baac, the parent of the call-path diet), measured on
+#: the host and in the session that produced the committed ``full``
+#: kernel leg: three alternating parent/change runs of ``--no-sweep``,
+#: best per scheme on each side (same B0 scenario, same CPU-time
+#: methodology).  Kept for the before/after record; the ``--check`` gate
+#: compares against the committed *after* numbers, not these.
 BEFORE_FULL = {
-    "fixed": 201256,
-    "basic_search": 201030,
-    "basic_update": 242386,
-    "advanced_update": 225214,
-    "prakash": 176627,
-    "adaptive": 133458,
+    "fixed": 206295,
+    "basic_search": 231669,
+    "basic_update": 303184,
+    "advanced_update": 278515,
+    "prakash": 199515,
+    "adaptive": 177757,
 }
 
 PROFILES = {
