@@ -247,6 +247,21 @@ class AdaptiveMSS(MSS):
     """
 
     scheme = "adaptive"
+    #: The plain fields; :meth:`state_dict` adds the ones that are not
+    #: (counted mirrors, STATUS collectors, the tie-breaking generator).
+    SNAPSHOT = (
+        ("mode", "mode", Mode),
+        "UpdateS",
+        ("owed_acks", "_owed_acks"),
+        "rounds",
+        ("policy", "policy", ModePolicy),
+        ("collector_round", "_collector_round"),
+        "mode_changes",
+        "stale_responses",
+        "local_acquires",
+        "local_notify_sum",
+        "repacks",
+    )
 
     def __init__(
         self,
@@ -730,13 +745,16 @@ class AdaptiveMSS(MSS):
         round_id = self._next_round()
         # Every CHANGE_MODE(1) broadcast registers a STATUS collector so
         # a Fig. 2 local-mode request can wait for the refreshed state.
-        collector = Collector(self.env, self.IN)
-        self._status_collectors[round_id] = collector
-        collector.done.callbacks.append(
-            lambda _ev, rid=round_id: self._status_collectors.pop(rid, None)
-        )
-        self._last_status_collector = collector
+        self._last_status_collector = self._status_round(round_id, self.IN)
         self._broadcast(ChangeMode(1, self.cell, round_id))
+
+    def _status_round(self, round_id: int, expected: Iterable[int]) -> Collector:
+        """Register the STATUS collector of CHANGE_MODE round ``round_id``."""
+        collector = self._status_collectors[round_id] = Collector(self.env, expected)
+        collector.done.callbacks.append(
+            lambda _ev: self._status_collectors.pop(round_id, None)
+        )
+        return collector
 
     def _exit_borrowing(self) -> None:
         self.mode = Mode.LOCAL
@@ -772,11 +790,7 @@ class AdaptiveMSS(MSS):
         if self.best_policy == "first":
             return eligible[0]
         if self.best_policy == "random":
-            if self._best_rng is None:
-                import numpy as np
-
-                self._best_rng = np.random.default_rng(10_000 + self.cell)
-            return int(eligible[self._best_rng.integers(0, len(eligible))])
+            return int(eligible[self._tie_rng().integers(0, len(eligible))])
         best_id: Optional[int] = None
         best_bn = float("inf")
         for j in eligible:
@@ -785,6 +799,14 @@ class AdaptiveMSS(MSS):
                 best_id = j
                 best_bn = common_bn
         return best_id
+
+    def _tie_rng(self):
+        """The ``"random"`` Best() policy's generator, seeded on first use."""
+        if self._best_rng is None:
+            import numpy as np
+
+            self._best_rng = np.random.default_rng(10_000 + self.cell)
+        return self._best_rng
 
     # ------------------------------------------------------------------
     # Message handlers (Figs. 4, 5, 7, 8)
@@ -1069,10 +1091,57 @@ class AdaptiveMSS(MSS):
         # mirrors without claiming to be borrowing.
         self.mode = Mode.LOCAL
         round_id = self._next_round()
-        collector = Collector(self.env, self.IN)
-        self._status_collectors[round_id] = collector
-        collector.done.callbacks.append(
-            lambda _ev, rid=round_id: self._status_collectors.pop(rid, None)
-        )
-        self._last_status_collector = collector
+        self._last_status_collector = self._status_round(round_id, self.IN)
         self._broadcast(ChangeMode(0, self.cell, round_id))
+
+    # ------------------------------------------------------------------
+    # Snapshot hooks (see repro.snap.state)
+    # ------------------------------------------------------------------
+    def snapshot_obstacle(self) -> Optional[str]:
+        if self._req_ts is not None:
+            return "adaptive request in flight"
+        if self._collector is not None:
+            return "response round in flight"
+        if self.DeferQ:
+            return "DeferQ non-empty"
+        if self.pending or self._gate._waiters:
+            return "request parked on the waiting gate"
+        return super().snapshot_obstacle()
+
+    def state_dict(self) -> Dict[str, object]:
+        collectors = self._status_collectors
+        rng = self._best_rng
+        return {
+            # ``peek``: reading must not materialize untouched mirrors.
+            "U": {j: set(self.U.peek(j)) for j in self.IN},
+            "granted_out": {j: set(self.granted_out.peek(j)) for j in self.IN},
+            "status_collectors": {
+                rid: [sorted(c._expected), dict(c._responses)]
+                for rid, c in collectors.items()
+            },
+            "last_status": next(
+                (r for r, c in collectors.items() if c is self._last_status_collector),
+                None,
+            ),
+            "best_rng": None if rng is None else rng.bit_generator.state,
+        }
+
+    def load_state(self, state: Dict[str, object]) -> None:
+        for mirrors, captured in (
+            (self.U, state["U"]), (self.granted_out, state["granted_out"])
+        ):
+            # Most mirrors are empty on both sides (a fresh build, an
+            # idle neighbour): nothing to replace or create.
+            touched = dict.keys(mirrors)  # the mirrors that exist so far
+            if touched or any(captured.values()):
+                for j in self.IN:
+                    if captured[j] or j in touched:
+                        mirrors[j].replace(captured[j])
+        self._status_collectors = {}
+        for rid, (expected, responses) in sorted(state["status_collectors"].items()):
+            collector = self._status_round(rid, expected)
+            for tag in sorted(responses):
+                collector.deliver(tag, responses[tag])
+        self._last_status_collector = self._status_collectors.get(state["last_status"])
+        if state["best_rng"] is not None:
+            self._tie_rng().bit_generator.state = state["best_rng"]

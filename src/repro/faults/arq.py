@@ -42,11 +42,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, Optional, Set, Tuple
 
+from ..sim.network import Message, decode_payload, encode_payload
+
 __all__ = ["Ack", "Hardening", "ReliableLink", "DedupFilter"]
 
 
 @dataclass(frozen=True)
-class Ack:
+class Ack(Message):
     """Link-layer acknowledgement for envelope ``msg_id``.
 
     Acks are sent outside the ARQ (no ack-of-ack) and are themselves
@@ -147,6 +149,16 @@ class ReliableLink:
     docstring for why mutual exclusion depends on this.
     """
 
+    #: Snapshot fields (see :mod:`repro.snap.state`); :meth:`state_dict`
+    #: adds the two that hold message payloads.
+    SNAPSHOT = (
+        "down",
+        ("inflight", "_inflight"),
+        "retransmissions",
+        "recovered",
+        "exhausted",
+    )
+
     def __init__(
         self,
         env: Any,
@@ -204,6 +216,29 @@ class ReliableLink:
         self._pending.clear()
         self._inflight.clear()
         self._queue.clear()
+
+    def state_dict(self) -> Dict[str, Any]:
+        return {
+            "pending": {
+                msg_id: [p.dst, encode_payload(p.payload), p.attempt]
+                for msg_id, p in self._pending.items()
+            },
+            "queue": {
+                dst: [encode_payload(p) for p in queued]
+                for dst, queued in self._queue.items()
+                if queued
+            },
+        }
+
+    def load_state(self, state: Dict[str, Any]) -> None:
+        self._pending = {}
+        for msg_id, (dst, payload, attempt) in sorted(state["pending"].items()):
+            record = self._pending[msg_id] = _Pending(dst, decode_payload(payload))
+            record.attempt = attempt
+        self._queue = {
+            dst: deque(decode_payload(p) for p in payloads)
+            for dst, payloads in sorted(state["queue"].items())
+        }
 
     # -- per-destination ordering ------------------------------------------
     def _transmit(self, dst: int, payload: Any) -> None:
@@ -279,10 +314,23 @@ class DedupFilter:
     exact in practice).
     """
 
+    #: Snapshot fields; ``_seen`` goes through :meth:`state_dict` as the
+    #: arrival order alone (the set half is derived from it).
+    SNAPSHOT = ("suppressed",)
+
     def __init__(self, window: int = 512) -> None:
         self.window = window
         self._seen: Dict[int, Tuple[Set[int], Deque[int]]] = {}
         self.suppressed = 0
+
+    def state_dict(self) -> Dict[str, Any]:
+        return {"seen": {src: list(order) for src, (_, order) in self._seen.items()}}
+
+    def load_state(self, state: Dict[str, Any]) -> None:
+        self._seen = {
+            src: (set(order), deque(order))
+            for src, order in sorted(state["seen"].items())
+        }
 
     def accept(self, src: int, msg_id: int) -> bool:
         """Record (src, msg_id); False if it was already seen."""

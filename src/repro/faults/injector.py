@@ -77,6 +77,10 @@ class FaultInjector:
         injected/recovered counters.
     """
 
+    #: Snapshot fields (see :mod:`repro.snap.state`); the link streams
+    #: live in the registry and the crash processes on the event queue.
+    SNAPSHOT = ("down", "injected")
+
     def __init__(
         self,
         env: Any,
@@ -201,19 +205,35 @@ class FaultInjector:
                     f"crash window targets unknown cell {window.cell}"
                 )
 
-    def _crash_process(self, station: Any, window: Any):
-        yield self.env.timeout(window.at)
-        self.down.add(window.cell)
-        self._record("crash", (window.cell, window.lose_state))
-        station._crash(window.lose_state)
-        yield self.env.timeout(window.downtime)
+    def _crash_process(
+        self, station: Any, window: Any, wake_at: Optional[float] = None, phase: str = "pre"
+    ):
+        """One crash window.  ``wake_at`` re-enters a window a snapshot
+        caught waiting: for the crash (``phase="pre"``) or, with the
+        cell already down, for the restart (``"post"``)."""
+        env = self.env
+        if phase == "pre":
+            yield env.timeout(window.at) if wake_at is None else env.timeout_at(wake_at)
+            self.down.add(window.cell)
+            self._record("crash", (window.cell, window.lose_state))
+            station._crash(window.lose_state)
+            yield env.timeout(window.downtime)
+        else:
+            yield env.timeout_at(wake_at)
         self.down.discard(window.cell)
         self._record("restart", (window.cell,))
         station._restart()
 
-    def _shadow_crash_process(self, window: Any):
-        """Mirror a remote cell's crash window into the ``down`` set."""
-        yield self.env.timeout(window.at)
-        self.down.add(window.cell)
-        yield self.env.timeout(window.downtime)
+    def _shadow_crash_process(
+        self, window: Any, wake_at: Optional[float] = None, phase: str = "pre"
+    ):
+        """Mirror a remote cell's crash window into the ``down`` set
+        (``wake_at`` / ``phase`` as in :meth:`_crash_process`)."""
+        env = self.env
+        if phase == "pre":
+            yield env.timeout(window.at) if wake_at is None else env.timeout_at(wake_at)
+            self.down.add(window.cell)
+            yield env.timeout(window.downtime)
+        else:
+            yield env.timeout_at(wake_at)
         self.down.discard(window.cell)

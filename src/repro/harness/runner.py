@@ -74,18 +74,35 @@ class Simulation:
     #: Hybrid analytic fast lane (present iff ``scenario.fastlane``).
     fastlane: Optional[FastLane] = None
 
+    #: Snapshot fields (see :mod:`repro.snap.state`): the components
+    #: with a declaration of their own (not a dataclass field).
+    SNAPSHOT = (
+        ("network", "network", Network),
+        ("metrics", "metrics", MetricsCollector),
+        ("monitor", "monitor", InterferenceMonitor),
+        ("source", "source", TrafficSource),
+        ("injector", "injector", FaultInjector),
+        ("obs", "observer", Observer),
+    )
+
+    def at_warmup(self, wake_at: Optional[float] = None):
+        """Process: take the message baseline at the warm-up boundary
+        (``wake_at`` re-enters one a snapshot caught still waiting)."""
+        if wake_at is None:
+            yield self.env.timeout(self.scenario.warmup)
+        else:
+            yield self.env.timeout_at(wake_at)
+        self.metrics.snapshot_message_baseline(self.network)
+
+    def start(self) -> None:
+        """Start of every run: arm the warm-up process, start traffic."""
+        self.env.process(self.at_warmup())
+        self.source.start()
+
     def run(self) -> "Report":
         """Run to the scenario horizon and build the report."""
-        env = self.env
-        warmup = self.scenario.warmup
-
-        def at_warmup():
-            yield env.timeout(warmup)
-            self.metrics.snapshot_message_baseline(self.network)
-
-        env.process(at_warmup())
-        self.source.start()
-        env.run(until=self.scenario.duration)
+        self.start()
+        self.env.run(until=self.scenario.duration)
         if self.fastlane is not None:
             self.fastlane.finalize()
         return Report.from_simulation(self)

@@ -190,16 +190,7 @@ class _ShardRun:
 
             env.subscribe("channel.acquired", on_acquired)
             env.subscribe("channel.released", on_released)
-        # Same start-of-run choreography as Simulation.run().
-        env = sim.env
-        warmup = scenario.warmup
-
-        def at_warmup():
-            yield env.timeout(warmup)
-            sim.metrics.snapshot_message_baseline(sim.network)
-
-        env.process(at_warmup())
-        sim.source.start()
+        sim.start()
 
     def inject(self, records: Sequence[RemoteRecord]) -> None:
         network = self.sim.network

@@ -50,6 +50,19 @@ def _jain(rates: List[float]) -> float:
 class MetricsCollector:
     """Accumulates call-level and message-level statistics."""
 
+    #: Snapshot fields (see :mod:`repro.snap.state`).
+    SNAPSHOT = (
+        ("records", "records", AcquisitionRecord),
+        "releases",
+        ("message_baseline", "_message_baseline"),
+        ("message_baseline_total", "_message_baseline_total"),
+        ("baseline_taken", "_baseline_taken"),
+        "faults_injected",
+        "faults_recovered",
+        "retries",
+        "retry_exhausted",
+    )
+
     def __init__(self, warmup: float = 0.0) -> None:
         self.warmup = warmup
         self.records: List[AcquisitionRecord] = []

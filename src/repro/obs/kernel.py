@@ -32,6 +32,16 @@ __all__ = ["KernelProfiler"]
 class KernelProfiler:
     """Samples engine vitals every ``interval`` simulated time units."""
 
+    #: Snapshot fields (see :mod:`repro.snap.state`).
+    SNAPSHOT = (
+        "sim_times",
+        "events",
+        "heap_depth",
+        "wall",
+        "cpu",
+        ("messages_by_kind", "messages_by_kind", dict),
+    )
+
     def __init__(
         self,
         env: Any,
@@ -55,8 +65,11 @@ class KernelProfiler:
         self.messages_by_kind: List[Dict[str, int]] = []
         env.process(self._sampler(), name="obs-kernel")
 
-    def _sampler(self):
+    def _sampler(self, wake_at: Optional[float] = None):
+        """``wake_at`` re-enters a sampler a snapshot caught asleep."""
         env = self.env
+        if wake_at is not None:
+            yield env.timeout_at(wake_at)
         while env.now < self.horizon:
             self.sim_times.append(env.now)
             self.events.append(env._eid)

@@ -59,6 +59,13 @@ class Observer:
         Optional network, for the kernel profiler's message counters.
     """
 
+    #: Snapshot fields (see :mod:`repro.snap.state`): the collectors.
+    SNAPSHOT = (
+        ("tracer", "tracer", SpanTracer),
+        ("recorder", "recorder", TimeSeriesRecorder),
+        ("profiler", "profiler", KernelProfiler),
+    )
+
     def __init__(
         self,
         env: Any,

@@ -53,6 +53,8 @@ class Span:
         "channel",
         "events",
     )
+    #: Snapshot fields (see :mod:`repro.snap.state`): every slot.
+    SNAPSHOT = __slots__
 
     def __init__(self, cell: int, req_id: int, kind: str, t_begin: float):
         self.cell = cell
@@ -111,6 +113,15 @@ class SpanTracer:
         cap (so ``span_stats`` stays exact); overflowing spans are
         dropped and counted instead of retained.
     """
+
+    #: Snapshot fields (see :mod:`repro.snap.state`).
+    SNAPSHOT = (
+        ("closed", "closed", Span),
+        ("open", "open", Span),
+        ("serving", "_serving"),
+        "instants",
+        "stats",
+    )
 
     def __init__(self, env: Any, max_spans: int = 1_000_000) -> None:
         self.env = env

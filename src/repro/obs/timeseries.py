@@ -81,6 +81,15 @@ class TimeSeriesRecorder:
         unbounded sampler would keep the queue alive forever.
     """
 
+    #: Snapshot fields (see :mod:`repro.snap.state`).
+    SNAPSHOT = (
+        "times",
+        ("occupancy", "occupancy", list),
+        ("mode", "mode", list),
+        ("nfc_predicted", "nfc_predicted", list),
+        ("neighborhood_load", "neighborhood_load", list),
+    )
+
     def __init__(
         self,
         env: Any,
@@ -107,9 +116,12 @@ class TimeSeriesRecorder:
         }
         env.process(self._sampler(), name="obs-timeseries")
 
-    def _sampler(self):
+    def _sampler(self, wake_at: Optional[float] = None):
+        """``wake_at`` re-enters a sampler a snapshot caught asleep."""
         env = self.env
         stations = self.stations
+        if wake_at is not None:
+            yield env.timeout_at(wake_at)
         while env.now < self.horizon:
             now = env.now
             self.times.append(now)

@@ -56,6 +56,11 @@ class AdvancedUpdateMSS(MSS):
     """Primary-arbitrated borrowing (Dong & Lai's advanced update)."""
 
     scheme = "advanced_update"
+    SNAPSHOT = (
+        ("U", "U", set),
+        "outstanding",
+        ("collector_round", "_collector_round"),
+    )
 
     def __init__(self, *args, max_attempts: int = 25, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -84,6 +89,11 @@ class AdvancedUpdateMSS(MSS):
             ch: tuple(sorted(set(self.IN) | set(self._arbiters[ch])))
             for ch in sorted(self.spectrum)
         }
+
+    def snapshot_obstacle(self) -> Optional[str]:
+        if self._collector is not None:
+            return "response round in flight"
+        return super().snapshot_obstacle()
 
     def arbiters(self, channel: int) -> Tuple[int, ...]:
         """Arbiter cells whose unanimous grant a borrow of ``channel``

@@ -52,6 +52,24 @@ class MSS:
 
     #: Human-readable scheme name (subclasses override).
     scheme = "abstract"
+    #: Snapshot fields (see :mod:`repro.snap.state`); a subclass lists
+    #: only what it adds.
+    SNAPSHOT = (
+        ("scheme", "__class__", type),
+        "use",
+        "down",
+        ("crash_released", "_crash_released"),
+        ("round_counter", "_round_counter"),
+        ("req_seq", "_req_seq"),
+        ("req_kind", "_req_kind"),
+        ("alias", "_alias", deque),
+        ("grant_mode", "_grant_mode"),
+        ("link", "_link", ReliableLink),
+        ("dedup", "_dedup", DedupFilter),
+    )
+    #: ``_attempts`` is scratch of the request being served: zeroed when
+    #: serving starts, and no request is open at a safe point.
+    SNAPSHOT_TRANSIENT = ("_attempts",)
 
     def __init__(
         self,
@@ -110,6 +128,9 @@ class MSS:
         self._round_counter = 0
         self._req_seq = 0  # per-MSS request id (probe-bus span pairing)
         self._req_kind = "new"
+        #: Acquisition path of the last served request ("local" /
+        #: "update" / "search" / ...), set by the protocol.
+        self._grant_mode: Optional[str] = None
         #: Channel-reassignment aliases: when an MSS internally moves a
         #: call from channel b to channel r (repacking), the holder of b
         #: still releases "b" — the alias redirects that to r.  A
@@ -208,8 +229,7 @@ class MSS:
             if metrics is not None:
                 metrics.record_acquisition(
                     self.cell, kind, outcome is not None, t_start - t_arrival,
-                    t_done - t_start, self._attempts,
-                    getattr(self, "_grant_mode", None), t_done,
+                    t_done - t_start, self._attempts, self._grant_mode, t_done,
                 )
             channel = outcome  # what ``request.end`` reports
             return channel
@@ -269,6 +289,18 @@ class MSS:
         """Optionally retire a different channel than the one released
         (channel reassignment).  Default: no reassignment."""
         return channel
+
+    def snapshot_obstacle(self) -> Optional[str]:
+        """Why this station cannot be snapshotted right now (None: it can).
+
+        Generator frames cannot be captured, so a station is safe only
+        while no request of its own is in progress.  A scheme that parks
+        requests on events of its own (a collector, a gate) reports them
+        here before deferring to this check.
+        """
+        if self._lock._in_use or self._lock._queue:
+            return "channel request holds the acquisition lock"
+        return None
 
     def fastlane_eligible(self) -> bool:
         """May this station be advanced analytically right now?

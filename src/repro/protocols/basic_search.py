@@ -29,6 +29,7 @@ class BasicSearchMSS(MSS):
     """Search-based dynamic allocation (stateless between requests)."""
 
     scheme = "basic_search"
+    SNAPSHOT = (("collector_round", "_collector_round"),)
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -38,6 +39,15 @@ class BasicSearchMSS(MSS):
         self._collector_round = -1
         #: (sender, round_id) pairs whose response we postponed.
         self._deferred: List[Tuple[int, int]] = []
+
+    def snapshot_obstacle(self) -> Optional[str]:
+        if self._collector is not None:
+            return "response round in flight"
+        if self._searching or self._search_ts is not None:
+            return "search in flight"
+        if self._deferred:
+            return "deferred requests queued"
+        return super().snapshot_obstacle()
 
     # -- requesting ---------------------------------------------------------
     def _request(self, ts: Timestamp):

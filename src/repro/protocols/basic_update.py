@@ -41,6 +41,7 @@ class BasicUpdateMSS(MSS):
     """Update-based dynamic allocation with local channel pick."""
 
     scheme = "basic_update"
+    SNAPSHOT = (("U", "U", set), ("collector_round", "_collector_round"))
 
     def __init__(self, *args, max_attempts: int = 25, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -51,6 +52,13 @@ class BasicUpdateMSS(MSS):
         self._abort = False
         self._collector: Optional[Collector] = None
         self._collector_round = -1
+
+    def snapshot_obstacle(self) -> Optional[str]:
+        if self._collector is not None:
+            return "response round in flight"
+        if self._pending is not None:
+            return "update-round grab pending"
+        return super().snapshot_obstacle()
 
     # -- derived state -------------------------------------------------------
     def interfered(self) -> Set[int]:

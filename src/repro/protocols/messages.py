@@ -18,6 +18,8 @@ import enum
 from dataclasses import dataclass
 from typing import FrozenSet, Tuple, Union
 
+from ..sim.network import Message
+
 __all__ = [
     "Timestamp",
     "ReqType",
@@ -70,7 +72,7 @@ class AcqType(enum.IntEnum):
 
 
 @dataclass(frozen=True)
-class Request:
+class Request(Message):
     """REQUEST(req_type, r, ts_j, j): sender j wants to acquire a channel.
 
     ``channel`` is the concrete channel sought for update requests and
@@ -85,7 +87,7 @@ class Request:
 
 
 @dataclass(frozen=True)
-class Response:
+class Response(Message):
     """RESPONSE(res_type, j, ch): reply to a Request or ChangeMode.
 
     ``payload`` is a channel id for REJECT/GRANT (and CONDITIONAL_GRANT)
@@ -99,7 +101,7 @@ class Response:
 
 
 @dataclass(frozen=True)
-class ChangeMode:
+class ChangeMode(Message):
     """CHANGE_MODE(mode, j): sender j switched local (0) / borrowing (1)."""
 
     mode: int
@@ -108,7 +110,7 @@ class ChangeMode:
 
 
 @dataclass(frozen=True)
-class Acquisition:
+class Acquisition(Message):
     """ACQUISITION(acq_type, j, r): sender j acquired channel r.
 
     A failed search still broadcasts this with ``channel=NO_CHANNEL`` so
@@ -122,7 +124,7 @@ class Acquisition:
 
 
 @dataclass(frozen=True)
-class Release:
+class Release(Message):
     """RELEASE(j, r): sender j relinquished channel r."""
 
     sender: int
@@ -130,7 +132,7 @@ class Release:
 
 
 @dataclass(frozen=True)
-class Solicit:
+class Solicit(Message):
     """SOLICIT(j, need): sender j is starved and solicits donations.
 
     Extension used by the ``harvest`` mode policy (not in the paper):
@@ -144,7 +146,7 @@ class Solicit:
 
 
 @dataclass(frozen=True)
-class Donate:
+class Donate(Message):
     """DONATE(j, channels): sender j offers free primaries for borrowing.
 
     Reply to a :class:`Solicit` (harvest policy extension).  The offer

@@ -51,6 +51,16 @@ class InterferenceMonitor:
         ``"record"`` — append to :attr:`violations` and continue.
     """
 
+    #: Snapshot fields (see :mod:`repro.snap.state`).
+    SNAPSHOT = (
+        ("users", "users", set),
+        ("violations", "violations", InterferenceViolation),
+        "total_acquisitions",
+        "total_releases",
+        "max_concurrent_users",
+        ("active", "_active"),
+    )
+
     def __init__(self, topo: CellularTopology, policy: str = "raise") -> None:
         if policy not in ("raise", "record"):
             raise ValueError(f"unknown policy {policy!r}")

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..sim import Collector
+from ..sim.network import Message
 from .base import MSS
 from .messages import (
     Acquisition,
@@ -45,7 +46,7 @@ __all__ = ["PrakashMSS", "Transfer", "TransferReply", "PollResponse"]
 
 
 @dataclass(frozen=True)
-class PollResponse:
+class PollResponse(Message):
     """Reply to a poll: the responder's allocated and busy sets."""
 
     sender: int
@@ -55,7 +56,7 @@ class PollResponse:
 
 
 @dataclass(frozen=True)
-class Transfer:
+class Transfer(Message):
     """TRANSFER(r): ask the receiver to give up allocated channel r."""
 
     sender: int
@@ -65,7 +66,7 @@ class Transfer:
 
 
 @dataclass(frozen=True)
-class TransferReply:
+class TransferReply(Message):
     """AGREE (granted=True) or KEEP (granted=False) for a Transfer."""
 
     sender: int
@@ -78,6 +79,12 @@ class PrakashMSS(MSS):
     """Distributed allocation with migrating allocated sets."""
 
     scheme = "prakash"
+    SNAPSHOT = (
+        "allocated",
+        "pledged",
+        ("collector_round", "_collector_round"),
+        ("transfer_round", "_transfer_round"),
+    )
 
     def __init__(self, *args, max_transfer_rounds: int = 8, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -105,6 +112,19 @@ class PrakashMSS(MSS):
         self._collector_round = -1
         self._transfer_collector: Optional[Collector] = None
         self._transfer_round = -1
+
+    def snapshot_obstacle(self) -> Optional[str]:
+        if self._collector is not None:
+            return "response round in flight"
+        if self._transfer_collector is not None:
+            return "transfer round in flight"
+        if self._polling or self._poll_ts is not None:
+            return "poll in flight"
+        if self._claiming is not None:
+            return "channel claim in flight"
+        if self._deferred:
+            return "deferred requests queued"
+        return super().snapshot_obstacle()
 
     # -- requesting -----------------------------------------------------------
     def _request(self, ts: Timestamp):

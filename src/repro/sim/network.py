@@ -10,9 +10,23 @@ used by the metrics layer to count control messages by type.
 
 from __future__ import annotations
 
+import enum
 import math
+from dataclasses import fields
+from functools import lru_cache
 from heapq import heappush
-from typing import Any, Callable, Dict, Iterable, KeysView, List, Optional, Protocol, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    KeysView,
+    List,
+    Optional,
+    Protocol,
+    Tuple,
+    get_type_hints,
+)
 
 import numpy as np
 
@@ -20,6 +34,9 @@ from .engine import Environment
 from .events import NORMAL
 
 __all__ = [
+    "Message",
+    "encode_payload",
+    "decode_payload",
     "Envelope",
     "LatencyModel",
     "DeterministicLatency",
@@ -37,6 +54,45 @@ class NetworkNode(Protocol):
 
     def on_message(self, envelope: "Envelope") -> None:  # pragma: no cover
         ...
+
+
+class Message:
+    """Base of every protocol message dataclass.
+
+    Deriving from it is what makes a message type snapshotable: an
+    in-flight envelope or an ARQ window stores a payload as ``[class
+    name, field values]`` (:func:`encode_payload`), and
+    :func:`decode_payload` finds the class again among the subclasses.
+    """
+
+
+def encode_payload(payload: Message) -> List[Any]:
+    """``[class name, field values in declaration order]``."""
+    if not isinstance(payload, Message):
+        raise TypeError(f"{type(payload).__name__!r} is not a Message")
+    return [type(payload).__name__, [getattr(payload, f.name) for f in fields(payload)]]
+
+
+@lru_cache(maxsize=None)
+def _payload_class(name: str) -> Tuple[type, Tuple[Optional[type], ...]]:
+    """The message class called ``name`` and, per field, the enum to
+    coerce a stored int back into (None for every other field)."""
+    (cls,) = (c for c in Message.__subclasses__() if c.__name__ == name)
+    hints = get_type_hints(cls)
+    coerce = tuple(
+        hints[f.name]
+        if isinstance(hints[f.name], type) and issubclass(hints[f.name], enum.Enum)
+        else None
+        for f in fields(cls)
+    )
+    return cls, coerce
+
+
+def decode_payload(record: Any) -> Message:
+    """Inverse of :func:`encode_payload` (accepts its JSON round trip)."""
+    name, values = record
+    cls, coerce = _payload_class(name)
+    return cls(*(v if c is None else c(v) for v, c in zip(values, coerce)))
 
 
 class Envelope:
@@ -199,6 +255,17 @@ class Network:
         send order even under random latency.  Set False to allow
         overtaking (needed for the Figure 11 scenario).
     """
+
+    #: Snapshot fields (see :mod:`repro.snap.state`).
+    SNAPSHOT = (
+        ("last_delivery", "_last_delivery"),
+        ("msg_id", "_msg_id"),
+        "total_sent",
+        "sent_by_kind",
+    )
+    #: ``_seq`` only orders envelopes per link; a restore numbers the
+    #: in-flight ones afresh and resumes above them.
+    SNAPSHOT_TRANSIENT = ("_seq",)
 
     def __init__(
         self,

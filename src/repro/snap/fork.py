@@ -41,7 +41,9 @@ def checkpoint(sim: Any) -> Snapshot:
     The simulation must be at a safe point (see
     :mod:`repro.snap.state`); otherwise :class:`UnsafeState` propagates
     and the caller should step the kernel and retry —
-    :func:`run_to_checkpoint` does exactly that.
+    :func:`run_to_checkpoint` does exactly that.  What no amount of
+    stepping makes capturable (a fastlane stack, a ``TrafficMix``
+    source, an unserializable scenario) raises :class:`SnapshotError`.
     """
     if getattr(sim, "fastlane", None) is not None:
         raise SnapshotError(
@@ -142,16 +144,7 @@ def run_to_checkpoint(
         return checkpoint(sim)
 
     env = sim.env
-    warmup = scenario.warmup
-    metrics = sim.metrics
-    network = sim.network
-
-    def at_warmup():
-        yield env.timeout(warmup)
-        metrics.snapshot_message_baseline(network)
-
-    env.process(at_warmup())
-    sim.source.start()
+    sim.start()
     env.run(until=min(float(at), scenario.duration))
 
     if drain_window is None:

@@ -205,12 +205,19 @@ class Snapshot:
             body = json.loads(data.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise SnapshotError(f"corrupt snapshot: {exc}") from exc
+        if not isinstance(body, dict):
+            raise SnapshotError("corrupt snapshot: not a JSON object")
         version = body.get("version")
         if version != SNAPSHOT_FORMAT_VERSION:
             raise SnapshotError(
                 f"snapshot format version {version!r} is not supported "
                 f"(this build reads version {SNAPSHOT_FORMAT_VERSION})"
             )
+        # ``to_bytes`` always writes all five, the hash included: a file
+        # without one was not written by this code.
+        missing = [k for k in ("scenario", "time", "started", "state", "hash") if k not in body]
+        if missing:
+            raise SnapshotError(f"corrupt snapshot: no {', '.join(missing)} field")
         snap = cls(
             scenario_json=body["scenario"],
             time=decode_value(body["time"]),
@@ -218,8 +225,7 @@ class Snapshot:
             state=decode_value(body["state"]),
             version=version,
         )
-        claimed = body.get("hash")
-        if claimed is not None and claimed != snap.content_hash():
+        if body["hash"] != snap.content_hash():
             raise SnapshotError(
                 "snapshot content hash mismatch: file is corrupt or was "
                 "edited by hand"

@@ -20,7 +20,12 @@ from ..sim import Environment, Event
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from ..protocols import MSS
 
-__all__ = ["CallConfig", "call_process", "CallLog"]
+__all__ = ["CallConfig", "call_process", "CallLog", "CALL_FRAME_LOCALS"]
+
+#: The locals of a suspended :func:`call_process` frame a snapshot reads
+#: its call descriptor from: origin cell, serving station, held channel,
+#: holding time left after the wake, handoffs attempted so far.
+CALL_FRAME_LOCALS = ("cell", "mss", "channel", "remaining", "handoffs")
 
 
 @dataclass
@@ -48,6 +53,9 @@ class CallConfig:
 @dataclass
 class CallLog:
     """Aggregate call-completion accounting (beyond per-request metrics)."""
+
+    #: Snapshot fields (see :mod:`repro.snap.state`); not a dataclass field.
+    SNAPSHOT = ("started", "blocked", "completed", "handoffs_attempted", "handoffs_failed")
 
     started: int = 0
     blocked: int = 0

@@ -30,6 +30,10 @@ __all__ = ["TrafficSource"]
 class TrafficSource:
     """Drives call arrivals for every cell of a simulation."""
 
+    #: Snapshot fields (see :mod:`repro.snap.state`); the arrival and
+    #: call processes themselves are event-queue entries.
+    SNAPSHOT = (("log", "log", CallLog),)
+
     def __init__(
         self,
         env: Environment,
@@ -99,14 +103,21 @@ class TrafficSource:
         if target is not None:
             self.env.cancel(target)
 
-    def _arrivals(self, cell: int) -> Generator[Event, Any, None]:
+    def _arrivals(
+        self, cell: int, wake_at: Optional[float] = None
+    ) -> Generator[Event, Any, None]:
+        """One cell's arrival stream.  ``wake_at`` re-enters a stream a
+        snapshot caught between two arrivals, at the arrival it was
+        waiting for (its gap was drawn before capture)."""
         rng = self.streams.stream("traffic", "arrivals", cell)
         call_rng = self.streams.stream("traffic", "calls", cell)
         lam_max = self.pattern.max_rate(cell)
         name = f"call[{cell}]"
+        if wake_at is None:
+            yield self.env.timeout(float(rng.exponential(1.0 / lam_max)))
+        else:
+            yield self.env.timeout_at(wake_at)
         while True:
-            gap = float(rng.exponential(1.0 / lam_max))
-            yield self.env.timeout(gap)
             now = self.env.now
             if self.horizon is not None and now >= self.horizon:
                 return
@@ -126,3 +137,4 @@ class TrafficSource:
                     ),
                     name=name,
                 )
+            yield self.env.timeout(float(rng.exponential(1.0 / lam_max)))

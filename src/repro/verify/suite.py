@@ -10,11 +10,11 @@ per-test plumbing.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from ..sim import Environment, Network
 from .base import Sanitizer, Violation
-from .causality import CausalityChecker
+from .causality import REPLY_TYPES, CausalityChecker
 from .deadlock import DeadlockDetector
 from .quiescence import QuiescenceChecker
 from .vectorclock import VectorClockChecker
@@ -65,6 +65,30 @@ class SanitizerSuite:
         for sanitizer in self.sanitizers:
             found.extend(sanitizer.violations)
         return found
+
+    def adopt(self, stations: Dict[int, Any]) -> None:
+        """Take a restored world's standing facts as given.
+
+        * Quiescence: channels already in use must count as held, or
+          their eventual releases would flag as unmatched.
+        * Causality: reply payloads still queued in restored ARQ links
+          will be *sent* after restore, answering rounds whose requests
+          were processed before the snapshot — re-open those rounds.
+          (In-flight reply envelopes need nothing: their round
+          bookkeeping happened at the original send.  The vector-clock
+          checker is restore-tolerant by construction: deliveries
+          without a recorded send stamp verify nothing.)
+        """
+        for cell, station in sorted(stations.items()):
+            if station.use:
+                self.quiescence.held[cell] = set(station.use)
+            if station._link is not None:
+                for dst, queued in sorted(station._link._queue.items()):
+                    for payload in queued:
+                        if isinstance(payload, REPLY_TYPES):
+                            self.causality._open_rounds.setdefault(
+                                station.node_id, set()
+                            ).add((dst, payload.round_id))
 
     def finalize(self) -> None:
         """Run end-of-run checks.  Call only after traffic has drained."""

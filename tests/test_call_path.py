@@ -25,7 +25,7 @@ from repro.harness import Scenario, build_simulation
 from repro.metrics import AcquisitionRecord, MetricsCollector
 from repro.protocols import BasicUpdateMSS, FixedMSS
 from repro.sim import StreamRegistry
-from repro.snap.state import CALL_FRAME_LOCALS
+from repro.traffic.calls import CALL_FRAME_LOCALS
 from repro.traffic import (
     CallConfig,
     CallLog,

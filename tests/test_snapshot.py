@@ -22,7 +22,9 @@ before any row comparison gets a chance to.
 """
 
 import dataclasses
+import enum
 import json
+from collections import deque
 
 import pytest
 
@@ -34,10 +36,13 @@ from repro.harness import (
     run_replications,
     run_scenario,
 )
+from repro.obs import ObsConfig
 from repro.snap import (
     SNAPSHOT_FORMAT_VERSION,
     Snapshot,
     SnapshotError,
+    UnsafeState,
+    apply_state,
     checkpoint,
     fork_replications,
     load_snapshot,
@@ -325,6 +330,16 @@ def test_snapshot_rejects_tampered_bytes():
     assert tampered != blob
     with pytest.raises(SnapshotError, match="hash"):
         Snapshot.from_bytes(tampered)
+    # Stripping a field — the hash itself included — is no way round the
+    # check, and nothing malformed escapes as a KeyError / AttributeError.
+    body = json.loads(blob)
+    for field in ("hash", "scenario", "time", "started", "state"):
+        stripped = json.dumps({k: v for k, v in body.items() if k != field})
+        with pytest.raises(SnapshotError, match=f"corrupt snapshot: no {field} field"):
+            Snapshot.from_bytes(stripped.encode())
+    for not_an_object in (b"[]", b"7", b'"snapshot"', b"null"):
+        with pytest.raises(SnapshotError, match="corrupt snapshot: not a JSON object"):
+            Snapshot.from_bytes(not_an_object)
 
 
 def test_snapshot_rejects_unknown_format_version():
@@ -342,6 +357,205 @@ def test_content_hash_distinguishes_scenarios_and_instants():
     assert h0 == h0b
     assert h0 != h0_other
     assert h0 != h80
+
+
+def test_traffic_mix_source_is_refused_for_good_not_as_a_transient():
+    # ``UnsafeState`` means "step the kernel and retry"; no amount of
+    # stepping makes a multi-class source capturable.
+    from repro.traffic import CallConfig, TrafficClass, TrafficMix, TrafficSource
+
+    sim = build_simulation(small("fixed"))
+    mix = TrafficMix([
+        TrafficClass("voice", 0.7, CallConfig(mean_holding=180.0)),
+        TrafficClass("data", 0.3, CallConfig(mean_holding=20.0)),
+    ])
+    sim.source = TrafficSource(
+        sim.env, sim.stations, sim.source.pattern, mix, sim.streams, horizon=160.0
+    )
+    for started in (False, True):
+        with pytest.raises(SnapshotError, match="TrafficMix"):
+            checkpoint(sim)
+        if not started:
+            sim.start()
+            sim.env.run(until=20.0)
+
+
+# -- restore-side guards ----------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def hostile_traced_snapshot():
+    scenario = small(
+        "adaptive", offered_load=10.0, faults=hostile_faults(), duration=220.0,
+        obs=ObsConfig(sample_interval=10.0),
+    )
+    return run_to_checkpoint(scenario, 100.0)
+
+
+@pytest.mark.parametrize(
+    "change, refusal",
+    [
+        ({"scheme": "fixed"}, "cell 0: scheme mismatch, built FixedMSS"),
+        ({"rows": 5, "cols": 5, "wrap": False}, "unknown cell 25"),
+        ({"faults": None}, "injector presence differs"),
+        ({"obs": None}, "obs presence differs"),
+        ({"obs": ObsConfig(sample_interval=10.0, kernel=False)}, "profiler presence differs"),
+    ],
+)
+def test_apply_state_refuses_a_differently_built_simulation(
+    hostile_traced_snapshot, change, refusal
+):
+    snap = hostile_traced_snapshot
+    other = build_simulation(snap.scenario().with_(**change))
+    with pytest.raises(SnapshotError, match=refusal):
+        apply_state(other, snap.state)
+
+
+# -- the declarations are complete -----------------------------------------
+
+_OPAQUE = object()
+
+
+def plain(value):
+    """``value`` as comparable plain data — numbers, strings, enums and
+    sets / dicts / lists / deques / tuples of them — else ``_OPAQUE``."""
+    if value is None or isinstance(value, (bool, int, float, str, enum.Enum)):
+        return value
+    if isinstance(value, dict):
+        if hasattr(value, "peek"):
+            # An adaptive mirror map materialises an entry on first
+            # touch, so raw ``==`` differs by design: compare the view.
+            value = {cell: set(value.peek(cell)) for cell in value}
+        items = {key: plain(item) for key, item in value.items()}
+        return _OPAQUE if _OPAQUE in items.values() else items
+    if isinstance(value, (set, frozenset, list, deque, tuple)):
+        items = [plain(item) for item in value]
+        if _OPAQUE in items:
+            return _OPAQUE
+        return set(items) if isinstance(value, (set, frozenset)) else items
+    return _OPAQUE
+
+
+def undeclared(original, restored):
+    """Plain-data attributes two objects disagree on, minus the ones
+    their classes list in ``SNAPSHOT_TRANSIENT``."""
+    transient = {
+        name
+        for klass in type(original).__mro__
+        for name in vars(klass).get("SNAPSHOT_TRANSIENT", ())
+    }
+    found = []
+    for name in sorted((set(vars(original)) | set(vars(restored))) - transient):
+        ours = plain(getattr(original, name, _OPAQUE))
+        theirs = plain(getattr(restored, name, _OPAQUE))
+        if _OPAQUE not in (ours, theirs) and ours != theirs:
+            found.append(f"{type(original).__name__}.{name}")
+    return found
+
+
+@pytest.mark.parametrize(
+    "name", ["warm-fixed", "warm-advanced_update", "warm-prakash", "warm-adaptive", "faults"]
+)
+def test_every_mutable_attribute_is_declared_or_transient(name):
+    scenario, at = LAYOUT_CASES[name]
+    sim = build_simulation(scenario)
+    sim.start()
+    sim.env.run(until=at)
+    while True:
+        try:
+            snap = checkpoint(sim)
+            break
+        except UnsafeState:
+            sim.env.step()
+    twin = restore(snap)
+    pairs = [
+        (sim.network, twin.network),
+        (sim.metrics, twin.metrics),
+        (sim.monitor, twin.monitor),
+        (sim.source.log, twin.source.log),
+    ]
+    if sim.injector is not None:
+        pairs.append((sim.injector, twin.injector))
+    pairs += [(sim.stations[cell], twin.stations[cell]) for cell in sorted(sim.stations)]
+    assert sorted({attr for pair in pairs for attr in undeclared(*pair)}) == []
+    # The two by-design exceptions are live entries, not dead ones.
+    assert any(hasattr(st, "_attempts") for st in sim.stations.values())
+    assert not any(hasattr(st, "_attempts") for st in twin.stations.values())
+    if sim.network.total_sent:
+        assert sim.network._seq != twin.network._seq
+
+
+# -- layout pin -------------------------------------------------------------
+
+#: name -> (scenario, checkpoint instant): small snapshots that between
+#: them fill every part of the v2 layout ``bench/golden.json`` does not.
+LAYOUT_CASES = {
+    **{f"cold-{s}": (small(s), 0.0) for s in SCHEMES},
+    **{f"warm-{s}": (small(s), 80.0) for s in ("fixed", "advanced_update", "prakash")},
+    "warm-basic_search": (small("basic_search", offered_load=0.5), 80.0),
+    "warm-basic_update": (small("basic_update", offered_load=0.5), 80.0),
+    "warm-adaptive": (small("adaptive", offered_load=14.0), 120.0),
+    "mobility": (small("fixed", offered_load=9.0, mean_dwell=30.0), 80.0),
+    "faults": (
+        small("adaptive", offered_load=10.0, faults=hostile_faults(), duration=220.0),
+        100.0,
+    ),
+    "obs": (
+        small("adaptive", offered_load=14.0, obs=ObsConfig(sample_interval=10.0)),
+        80.0,
+    ),
+    **{
+        policy: (small("adaptive", offered_load=14.0, policy=policy), 120.0)
+        for policy in ("ewma", "quantile", "harvest")
+    },
+    "oracle": (small("adaptive", offered_load=13.0, policy="oracle"), 80.0),
+    "random-best": (
+        small(
+            "adaptive",
+            offered_load=14.0,
+            extra_params={"best_policy": "random", "repack": True},
+        ),
+        120.0,
+    ),
+}
+
+# Regenerate (only with a SNAPSHOT_FORMAT_VERSION bump): PYTHONPATH=src python -c "import tests.test_snapshot as t; print({n: t.layout_hash(n) for n in t.LAYOUT_CASES})"
+LAYOUT_PINS = {
+    "cold-fixed": "428b6d270840c7edb9bd7167479eb5ebbd550f9016c32ca83ae86a95e6caf12b",
+    "cold-basic_search": "bea54259c567c73c97d7bf9105154f0fe340f22738b4e5abdd1ab0529e0ecab3",
+    "cold-basic_update": "d931cb19e626e1032f4c51d800d0c629b863ca838cb645034f9cf06153acb560",
+    "cold-advanced_update": "6bb60dc139d5052b34c289aab56e08ab70e47061a31dc31d7b83ba7f9914d40a",
+    "cold-adaptive": "1cb437c1da63b4234ca663f7fc1a965d431bdd042ca79fab51738d65eb490057",
+    "cold-prakash": "4894d2ca226b1b441429674df782f2dee492b741aca634521173effc9c74cf75",
+    "warm-fixed": "02719f0520addcddbd178b6ee56f96f52e687fde8d5ca90037e86a754e609ae2",
+    "warm-advanced_update": "ac2840eff0502f55ca62dea4dc7513d4fce750d5ecc46ef4fa1d8706a4810114",
+    "warm-prakash": "909f323c892b3f26791b5d7e75ab1e056c0bf9ad55b30ee34e76ec1a7bc454e5",
+    "warm-basic_search": "c65b0f86f6e982d6d5e8f56681001b8f957a86ffb26ddc3b0da63aeba489e398",
+    "warm-basic_update": "7dc3dae2ff43234fca1d57d79031d0eb47ef05386d1648ccd63fd7353d8625e1",
+    "warm-adaptive": "8f1c8cff1ddcb76a64485899ef871ed6211df5ed47e18657ff65aa82495bf84e",
+    "mobility": "6c49eb1de7111630ebf3e73561db960b0c430b0a43220913e6163e8394b3898f",
+    "faults": "b24344d3b07a077716038bf0f74a6128f109df539baaeb837e3049e30168a387",
+    "obs": "cb91f8f13feba55528483d305ea04f3c756d9a70dc4594302a9dae8d9d5f7799",
+    "ewma": "f1a9f9078d72b97ff4f008f8e89f6fd7b3fefbafae4b5b91319e1e0bfbbd8d30",
+    "quantile": "e26d21a7c2f07b8fa305a457d1236db80a8d7cc25800bf7a6c622b2a61365016",
+    "harvest": "a99b3f3a0d703b3b801dc27b9f5849054f760414cacdfc7466183df11af5487a",
+    "oracle": "03bb8704281285e70e4c4532806ec957e63454711f0c089211932ebb441feaf1",
+    "random-best": "a5acb084021c60dea74db77cbbf061cc8734d03bdf073c7c9998c50702298b24",
+}
+
+
+def layout_hash(name):
+    snap = run_to_checkpoint(*LAYOUT_CASES[name])
+    profiler = (snap.state["obs"] or {}).get("profiler")
+    if profiler is not None:  # the kernel sampler's wall/CPU clocks are not state
+        for clock in ("wall", "cpu"):
+            profiler[clock] = [0.0] * len(profiler[clock])
+    return snap.content_hash()
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_CASES))
+def test_snapshot_layout_is_pinned(name):
+    assert layout_hash(name) == LAYOUT_PINS[name]
 
 
 # -- cache hygiene (the cache-poisoning regression) ------------------------

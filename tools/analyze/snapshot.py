@@ -15,10 +15,10 @@ flags the escape hatches statically:
   the stream registry.  A generator the registry never handed out has
   state no snapshot captures.  Allowlisted: ``sim/rng.py`` (the
   registry itself) and the adaptive scheme's tie-breaking ``_best_rng``
-  in ``core/adaptive.py`` + its re-creation in ``snap/state.py`` —
-  that one generator is *explicitly* captured and restored by the
-  state codec (see DESIGN.md §9), which is exactly the bar a new
-  allowlist entry must clear.
+  in ``core/adaptive.py`` — that one generator is *explicitly*
+  captured and restored by the station's own snapshot hook (see
+  DESIGN.md §9), which is exactly the bar a new allowlist entry must
+  clear.
 * **ANA302** — mutable module-level global in snapshot scope beyond
   the shard-scope dirs ANA203 already covers (faults, traffic,
   metrics, obs, verify): module globals are invisible to the state
@@ -70,8 +70,7 @@ _SHARD_COVERED = (
 #: entry must name state the snapshot codec captures explicitly.
 SNAP_RNG_ALLOWLIST = (
     "src/repro/sim/rng.py",      # the StreamRegistry itself
-    "src/repro/core/adaptive.py",  # _best_rng: captured by repro.snap.state
-    "src/repro/snap/state.py",   # the codec re-creating _best_rng on restore
+    "src/repro/core/adaptive.py",  # _best_rng: its state_dict / load_state hook
 )
 
 #: Legacy module-level numpy RNG entry points (global hidden state).
