@@ -20,7 +20,8 @@ import json
 import sys
 
 from .faults import FaultPlan
-from .harness import SCHEMES, Scenario, render_table, run_cells
+from .harness import SCHEMES, CompatibilityError, Scenario, check_compatible, render_table, run_cells
+from .harness.capability import rejected_with
 from .policies.base import policy_names
 from .traffic import HotspotLoad
 
@@ -71,8 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--record-policy-trace", type=str, default=None, metavar="FILE",
         help="run the scenario under the 'linear' policy, record the "
-        "per-cell load trace an oracle needs, write it to FILE and "
-        "exit (adaptive scheme only)",
+        "per-cell load trace an oracle needs, write it to FILE and exit; "
+        "not with: " + rejected_with("policy tooling"),
     )
     p.add_argument(
         "--faults", type=float, default=None, metavar="P",
@@ -97,16 +98,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="partition the grid into N row bands and run one "
         "conservatively synchronized kernel per band, each in its own "
         "process (space-parallel DES; results are row-identical to "
-        "--shards 1); requires the deterministic latency model and "
-        "static calls — see docs/PROTOCOL.md",
+        "--shards 1); not with: " + rejected_with("shards") + " — see docs/CAPABILITIES.md",
     )
     p.add_argument(
         "--fastlane", action="store_true",
         help="advance quiescent local-mode cells analytically "
         "(Erlang-loss fluid model) instead of event-by-event, "
-        "materializing them back on demand; a low-load accelerator — "
-        "schemes fixed/adaptive only, no faults/mobility/shards/"
-        "snapshots — see DESIGN.md",
+        "materializing them back on demand; a low-load accelerator; "
+        "not with: " + rejected_with("fastlane") + " — see docs/CAPABILITIES.md",
     )
     p.add_argument(
         "--no-cache", action="store_true",
@@ -286,34 +285,8 @@ def snapshot_main(argv) -> int:
     return 0
 
 
-def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "snapshot":
-        return snapshot_main(argv[1:])
-    args = build_parser().parse_args(argv)
-    schemes = sorted(SCHEMES) if args.all_schemes else [args.scheme]
-
-    if args.list_presets:
-        from .harness import preset_names
-
-        for name in preset_names():
-            print(name)
-        return 0
-
-    if args.from_checkpoint is not None:
-        from .snap import load_snapshot, run_from_snapshot
-
-        snap = load_snapshot(args.from_checkpoint)
-        report = run_from_snapshot(
-            snap, seed=args.fork_seed, shards=args.shards
-        )
-        if args.json:
-            print(json.dumps([report_dict(report)], indent=2))
-        else:
-            print(report.summary())
-        return 0
-
+def _scenarios(args, schemes) -> list:
+    """The scenario of every requested scheme, from --config / --preset / flags."""
     if args.config:
         with open(args.config) as fh:
             base = Scenario.from_json(fh.read())
@@ -324,34 +297,75 @@ def main(argv=None) -> int:
         base = preset(args.preset)
         scenarios = [base.with_(scheme=s, seed=args.seed) for s in schemes]
     else:
-        scenarios = [scenario_from_args(args, s) for s in schemes]
+        return [scenario_from_args(args, s) for s in schemes]
 
-    if args.faults is not None and (args.config or args.preset):
-        plan = FaultPlan.uniform_loss(args.faults)
-        scenarios = [s.with_(faults=plan) for s in scenarios]
+    overrides: dict = {}
+    if args.faults is not None:
+        overrides["faults"] = FaultPlan.uniform_loss(args.faults)
+    if args.policy is not None:
+        overrides["policy"] = args.policy
+    if args.policy_trace is not None:
+        with open(args.policy_trace) as fh:
+            overrides["policy_params"] = {"trace": json.load(fh)}
+    return [s.with_(**overrides) for s in scenarios]
 
-    if (args.config or args.preset) and (
-        args.policy is not None or args.policy_trace is not None
-    ):
-        overrides: dict = {}
-        if args.policy is not None:
-            overrides["policy"] = args.policy
-        if args.policy_trace is not None:
-            with open(args.policy_trace) as fh:
-                overrides["policy_params"] = {"trace": json.load(fh)}
-        scenarios = [s.with_(**overrides) for s in scenarios]
+
+def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] == "snapshot":
+        return snapshot_main(argv[1:])
+    args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except CompatibilityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run(args) -> int:
+    schemes = sorted(SCHEMES) if args.all_schemes else [args.scheme]
+
+    if args.list_presets:
+        from .harness import preset_names
+
+        for name in preset_names():
+            print(name)
+        return 0
+
+    # What the flags ask for, in the capability table's vocabulary; the
+    # scenario's own features are derived by the validator.
+    resume = args.from_checkpoint is not None
+    lanes = {
+        "fastlane": args.fastlane,
+        "checkpoint": args.checkpoint_at is not None,
+        "resume": resume,
+        "fresh run": not resume,
+        "fork seed": args.fork_seed is not None,
+        "policy tooling": args.record_policy_trace is not None,
+        "workers": args.workers != 1,
+        "all schemes": args.all_schemes,
+        "trace dir": args.trace is not None,
+    }
+    scenarios = [] if resume else _scenarios(args, schemes)
+    check_compatible(
+        scenarios[0] if scenarios else None,
+        shards=args.shards,
+        lanes=[name for name, on in lanes.items() if on],
+    )
+
+    if resume:
+        from .snap import load_snapshot, run_from_snapshot
+
+        snap = load_snapshot(args.from_checkpoint)
+        return _print_reports(
+            args, [run_from_snapshot(snap, seed=args.fork_seed, shards=args.shards)]
+        )
 
     if args.record_policy_trace is not None:
         from .policies import record_trace
 
-        base = scenarios[0]
-        if base.scheme != "adaptive":
-            print(
-                "--record-policy-trace requires the adaptive scheme",
-                file=sys.stderr,
-            )
-            return 2
-        trace = record_trace(base.with_(policy="linear", policy_params={}))
+        trace = record_trace(scenarios[0].with_(policy="linear", policy_params={}))
         with open(args.record_policy_trace, "w") as fh:
             json.dump(trace, fh)
         print(
@@ -400,7 +414,10 @@ def main(argv=None) -> int:
     )
     if args.trace is not None:
         print(f"run artifacts written to {args.trace}/", file=sys.stderr)
+    return _print_reports(args, reports)
 
+
+def _print_reports(args, reports) -> int:
     if args.json:
         print(json.dumps([report_dict(r) for r in reports], indent=2))
         return 0

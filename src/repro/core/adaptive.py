@@ -247,6 +247,8 @@ class AdaptiveMSS(MSS):
     """
 
     scheme = "adaptive"
+    fluid_model = True
+    policy_driven = True
     #: The plain fields; :meth:`state_dict` adds the ones that are not
     #: (counted mirrors, STATUS collectors, the tie-breaking generator).
     SNAPSHOT = (

@@ -1,5 +1,6 @@
 """Experiment harness: scenarios, runners, replication, table output."""
 
+from .capability import CompatibilityError, check_compatible
 from .config import Scenario
 from .runner import (
     Report,
@@ -18,7 +19,6 @@ from .sharded import (
     merge_shard_results,
     run_sharded,
     run_sharded_results,
-    validate_shardable,
 )
 from .stats import CI, compare, summarize
 from .sweeps import DEFAULT_COLUMNS, SweepResult, sweep, to_csv
@@ -60,7 +60,8 @@ __all__ = [
     "run_sharded_results",
     "merge_shard_results",
     "ShardResult",
-    "validate_shardable",
+    "CompatibilityError",
+    "check_compatible",
     "render_table",
     "format_value",
     "tune_policy",

@@ -1,0 +1,159 @@
+"""The capability table: which lane may run with which feature, decided once.
+
+Theorems 1 and 2 hold under the paper's assumptions, and each speed
+lane adds one of its own — sharding a hard lookahead ``T``, the fast
+lane Erlang-loss quiescence, a snapshot a globally quiescent instant.
+:data:`CAPABILITIES` writes every ``lane × feature`` verdict down once:
+
+* ``ok`` — accepted, and row-identical to the classic kernel (the
+  differential oracle in ``tests/test_lanes.py`` draws its scenarios
+  from exactly these cells; the shard merge adds acquisition times in
+  its own order, so that one mean agrees to the last ulps, not bits);
+* ``tolerance`` — accepted, within ``bound`` of the classic kernel;
+* ``rejected`` — refused with ``detail`` as the reason.
+
+A pair without a row is accepted and merely not drawn by the oracle.
+:func:`features` derives the vocabulary from one request and
+:func:`check_compatible` — the only place a combination is refused, with
+the only exception type — is called by every entry point before it
+builds anything.  The table names no scheme and no policy: a scheme owns
+its cells through ``MSS.fluid_model`` / ``MSS.policy_driven``, a policy
+through ``ModePolicy.fastlane_safe``.  ``docs/CAPABILITIES.md`` and the
+``--fastlane`` / ``--shards`` help text are generated from it.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Dict, Iterable, NamedTuple, Optional, Set, Tuple, Type
+
+from ..core import AdaptiveMSS
+from ..policies.base import policy_spec
+from ..protocols import MSS, AdvancedUpdateMSS, BasicSearchMSS, BasicUpdateMSS, FixedMSS, PrakashMSS
+
+__all__ = ["SCHEMES", "CAPABILITIES", "CompatibilityError", "Verdict", "check_compatible", "features", "rejected_with"]
+
+#: Registry of allocation schemes by name.
+SCHEMES: Dict[str, Type[MSS]] = {
+    "fixed": FixedMSS,
+    "basic_search": BasicSearchMSS,
+    "basic_update": BasicUpdateMSS,
+    "advanced_update": AdvancedUpdateMSS,
+    "adaptive": AdaptiveMSS,
+    "prakash": PrakashMSS,
+}
+
+
+class CompatibilityError(ValueError):
+    """A lane × feature combination the capability table rejects."""
+
+
+class Verdict(NamedTuple):
+    """One cell of the table: ``kind`` is ``"ok"``, ``"tolerance"``
+    (``detail`` names the quantity held within ``bound``) or
+    ``"rejected"`` (``detail`` is the reason)."""
+
+    kind: str
+    detail: str = ""
+    bound: Optional[float] = None
+
+
+OK = Verdict("ok")
+
+
+def _no(reason: str) -> Verdict:
+    return Verdict("rejected", reason)
+
+
+def _ok(lane: str, *names: str) -> Dict[Tuple[str, str], Verdict]:
+    return {(lane, name): OK for name in names}
+
+
+#: ``(lane, feature) -> Verdict``, one row a line; the pair is unordered.
+#: A "classic kernel" row says how the lane's report relates to the plain run's.
+CAPABILITIES: Dict[Tuple[str, str], Verdict] = {
+    # fastlane: quiescent cells leave the event heap and advance as Erlang-loss fluid.
+    ("fastlane", "classic kernel"): Verdict("tolerance", "drop rate (7x7 adaptive, 3 Erlang, 2000 s)", 0.02),
+    ("fastlane", "shards"): _no("a fluid (fastlane) cell is off the event heap: the window protocol has nothing of it to order"),
+    ("fastlane", "scheme without fluid model"): _no("only schemes that declare MSS.fluid_model can be advanced analytically"),
+    ("fastlane", "fault plan"): _no("fault-plan actions target discrete per-cell state"),
+    ("fastlane", "mobility"): _no("mobility needs handoff flows, which the fluid model lacks"),
+    ("fastlane", "guard channels"): _no("guard channels reserve primaries for handoffs; fluid admission is plain Erlang loss"),
+    ("fastlane", "policy not fastlane_safe"): _no("it decides on more than the occupancy sample fastlane reconciles at promotion"),
+    ("fastlane", "TrafficMix"): _no("the fluid model has one call class, a TrafficMix several"),
+    ("fastlane", "checkpoint"): _no("a fluid cell's calls are analytic occupancy, not call records a snapshot can capture"),
+    ("fastlane", "resume"): _no("a snapshot fixes its scenario, and no fastlane run has one"),
+    **_ok("fastlane", "obs", "random latency", "setup deadline", "planar grid"),
+    # shards: one kernel per row band, advanced in lockstep windows of width T.
+    ("shards", "random latency"): _no("the lookahead is the hard minimum delay that only latency_model='deterministic' has"),
+    ("shards", "mobility"): _no("needs static calls (mean_dwell=None): a handoff enters the neighbour's station with zero lookahead"),
+    ("shards", "mid-run snapshot"): _no("a mid-run snapshot resumes on a single kernel; checkpoint at t=0 to continue sharded"),
+    **_ok("shards", "fault plan", "obs", "setup deadline", "guard channels", "unordered links", "planar grid"),
+    **_ok("shards", "policy not fastlane_safe"),
+    # checkpoint: capture at a globally quiescent instant.  resume: run a snapshot to the horizon.
+    ("checkpoint", "TrafficMix"): _no("multi-class TrafficMix sources are not snapshotable"),
+    ("checkpoint", "shards"): _no("a snapshot holds one kernel's heap; capture unsharded (a t=0 snapshot resumes sharded)"),
+    ("checkpoint", "workers"): _no("a checkpoint captures one run, in this process"),
+    ("checkpoint", "all schemes"): _no("a snapshot holds one scenario"),
+    ("checkpoint", "resume"): _no("a resumed run goes to the horizon; it takes no checkpoint"),
+    **_ok("checkpoint", "fault plan", "obs", "policy not fastlane_safe", "guard channels"),
+    **_ok("checkpoint", "setup deadline", "planar grid", "random latency", "unordered links"),
+    ("resume", "workers"): _no("a snapshot resumes as one run, in this process"),
+    ("resume", "all schemes"): _no("a snapshot fixes its scheme"),
+    ("resume", "trace dir"): _no("obs is part of the snapshot's scenario and cannot be added"),
+    ("fresh run", "fork seed"): _no("a fork seed reseeds a snapshot; it needs --from-checkpoint"),
+    # policy tooling: record_trace / compare_policies / tune_policy.
+    ("policy tooling", "scheme not policy-driven"): _no("it drives a ModePolicy, which only a policy_driven scheme (the adaptive scheme) has"),
+    # Every other lane's report is the classic kernel's, row for row.
+    **{(lane, "classic kernel"): OK for lane in ("shards", "checkpoint", "workers", "result cache")},
+}
+
+_REJECTED = [(a, b, v.detail) for (a, b), v in CAPABILITIES.items() if v.kind == "rejected"]
+
+
+def rejected_with(lane: str) -> str:
+    """What the table refuses to combine with ``lane``, for CLI help text."""
+    return ", ".join(b if a == lane else a for a, b, _ in _REJECTED if lane in (a, b))
+
+
+def features(
+    scenario: Any = None, *, shards: int = 1, lanes: Iterable[str] = (), source: Any = None
+) -> Set[str]:
+    """The table's vocabulary one request switches on.
+
+    ``lanes`` are the features only the caller knows (``"checkpoint"``,
+    ``"policy tooling"``, a CLI flag, ...); ``source`` is a live traffic
+    source, the one feature a :class:`Scenario` cannot carry.
+    """
+    on = set(lanes)
+    if shards != 1:
+        on.add("shards")
+    if source is not None and source.mix is not None:
+        on.add("TrafficMix")
+    if scenario is None:
+        return on
+    scheme = SCHEMES.get(scenario.scheme, MSS)  # an unknown name is build_simulation's to refuse
+    derived = (
+        ("fastlane", scenario.fastlane),
+        ("scheme without fluid model", not scheme.fluid_model),
+        ("scheme not policy-driven", not scheme.policy_driven),
+        ("policy not fastlane_safe", scheme.policy_driven and not policy_spec(scenario.policy).fastlane_safe),
+        ("fault plan", scenario.faults is not None and scenario.faults.enabled),
+        ("mobility", scenario.mean_dwell is not None),
+        ("guard channels", scenario.extra_params.get("guard_channels")),
+        ("random latency", scenario.latency_model != "deterministic"),
+    )
+    return on.union(name for name, holds in derived if holds)
+
+
+def check_compatible(
+    scenario: Any = None, *, shards: int = 1, lanes: Iterable[str] = (), source: Any = None
+) -> None:
+    """Raise :class:`CompatibilityError` if the request (see
+    :func:`features`) switches on both sides of a ``rejected`` row.
+
+    Every entry point calls this before it builds anything.
+    """
+    on = features(scenario, shards=shards, lanes=lanes, source=source)
+    for a, b, reason in _REJECTED:
+        if a in on and b in on:
+            raise CompatibilityError(f"cannot combine {a} with {b}: {reason}")

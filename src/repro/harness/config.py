@@ -142,9 +142,8 @@ class Scenario:
     #: analytically (Erlang-loss fluid model) instead of event-by-event;
     #: cells materialize back on any borrow-related contact.  See
     #: ``repro.harness.fastlane``.  Off (the default) is bit-identical
-    #: to the classic kernel; on requires scheme "fixed" or "adaptive",
-    #: no fault plan, no mobility, and is rejected by sharded execution
-    #: and snapshots.
+    #: to the classic kernel; what on combines with is the ``fastlane``
+    #: column of docs/CAPABILITIES.md.
     fastlane: bool = False
 
     # -- bookkeeping ------------------------------------------------------------

@@ -48,9 +48,9 @@ Promotion triggers: any protocol message delivered to the cell
 (``MSS.on_message`` promotes before handling — a borrow of one of our
 primaries necessarily sends us a Request, so fluid state can never be
 implicated silently), the cell itself entering borrowing mode, a
-sampled occupancy spike, and end-of-run finalization.  Fault plans,
-mobility, snapshots and sharded execution are rejected up front (see
-``build_simulation`` / ``validate_shardable`` / ``repro.snap``).
+sampled occupancy spike, and end-of-run finalization.  What the lane
+may be combined with is the ``fastlane`` column of
+``docs/CAPABILITIES.md``.
 
 Per-cell lane substreams are seed-deterministic and scheme-invariant;
 with ``fastlane=False`` (the default) none of this module is even
@@ -63,6 +63,7 @@ from typing import Any, Dict, Tuple
 
 from ..analysis.erlang import carried_load, erlang_b
 from ..analysis.occupancy import truncated_poisson_pmf
+from .capability import check_compatible
 
 __all__ = ["FastLane"]
 
@@ -87,11 +88,7 @@ class FastLane:
         scenario: Any,
         streams: Any,
     ) -> None:
-        if source.mix is not None:
-            raise ValueError(
-                "fastlane models a single call class; TrafficMix traffic "
-                "is not supported"
-            )
+        check_compatible(scenario, lanes=("fastlane",), source=source)
         self.env = env
         self._probes = env._probes
         self.stations = stations

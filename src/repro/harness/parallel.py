@@ -37,6 +37,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from ..verify import get_default_policy, set_default_policy
 from .cache import ResultCache, resolve_cache
+from .capability import check_compatible
 from .config import Scenario
 from .runner import Report, run_scenario
 
@@ -156,20 +157,25 @@ def run_cells(
 
     Raises
     ------
+    CompatibilityError
+        Before anything is looked up, spawned or run, if the capability
+        table rejects any cell.
     ExperimentError
         After the whole grid has been attempted, if any cell crashed.
     """
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
     scenarios = list(scenarios)
+    for index, scenario in enumerate(scenarios):
+        if not isinstance(scenario, Scenario):
+            raise TypeError(f"cell {index} is not a Scenario: {scenario!r}")
+        check_compatible(scenario, shards=shards)
     store: Optional[ResultCache] = resolve_cache(cache)
     reports: List[Optional[Report]] = [None] * len(scenarios)
 
     pending: List[_Cell] = []
     policy = get_default_policy()
     for index, scenario in enumerate(scenarios):
-        if not isinstance(scenario, Scenario):
-            raise TypeError(f"cell {index} is not a Scenario: {scenario!r}")
         hit = store.get(scenario) if store is not None else None
         if hit is not None:
             reports[index] = hit

@@ -9,22 +9,14 @@ and safety monitor — runs it to the scenario horizon, and returns a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Type
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..cellular import CellularTopology, topology_for
 from ..core import AdaptiveMSS
 from ..faults import FaultInjector, Hardening
 from ..metrics import MetricsCollector
 from ..obs import ObsData, Observer
-from ..protocols import (
-    AdvancedUpdateMSS,
-    BasicSearchMSS,
-    BasicUpdateMSS,
-    FixedMSS,
-    InterferenceMonitor,
-    MSS,
-    PrakashMSS,
-)
+from ..protocols import MSS, AdvancedUpdateMSS, BasicUpdateMSS, InterferenceMonitor
 from ..sim import (
     DeterministicLatency,
     Environment,
@@ -32,23 +24,13 @@ from ..sim import (
     StreamRegistry,
     UniformLatency,
 )
-from ..policies.base import policy_spec
 from ..traffic import CallConfig, TrafficSource
 from ..verify import SanitizerSuite, get_default_policy
+from .capability import SCHEMES, check_compatible
 from .config import Scenario
 from .fastlane import FastLane
 
 __all__ = ["SCHEMES", "Simulation", "Report", "build_simulation", "run_scenario", "run_replications"]
-
-#: Registry of allocation schemes by name.
-SCHEMES: Dict[str, Type[MSS]] = {
-    "fixed": FixedMSS,
-    "basic_search": BasicSearchMSS,
-    "basic_update": BasicUpdateMSS,
-    "advanced_update": AdvancedUpdateMSS,
-    "adaptive": AdaptiveMSS,
-    "prakash": PrakashMSS,
-}
 
 
 @dataclass
@@ -269,45 +251,7 @@ def build_simulation(
         raise ValueError(
             f"unknown scheme {scenario.scheme!r}; available: {sorted(SCHEMES)}"
         )
-    if scenario.fastlane:
-        # The fluid model is only valid where its quiescence/Erlang-loss
-        # assumptions hold; everything else is rejected honestly rather
-        # than silently approximated (see DESIGN.md fast-lane matrix).
-        if cells is not None:
-            raise ValueError(
-                "fastlane is incompatible with sharded execution "
-                "(fluid cells have no events for the conservative "
-                "window protocol to order)"
-            )
-        if scenario.scheme not in ("fixed", "adaptive"):
-            raise ValueError(
-                f"fastlane supports schemes 'fixed' and 'adaptive', "
-                f"not {scenario.scheme!r}"
-            )
-        if scenario.faults is not None and scenario.faults.enabled:
-            raise ValueError(
-                "fastlane is incompatible with fault injection "
-                "(fault-plan actions target discrete per-cell state)"
-            )
-        if scenario.mean_dwell is not None:
-            raise ValueError(
-                "fastlane is incompatible with mobility (the fluid "
-                "model has no handoff flows)"
-            )
-        if scenario.extra_params.get("guard_channels"):
-            raise ValueError(
-                "fastlane is incompatible with guard channels (fluid "
-                "admission is plain Erlang loss)"
-            )
-        if scenario.scheme == "adaptive" and not policy_spec(
-            scenario.policy
-        ).fastlane_safe:
-            raise ValueError(
-                f"fastlane is incompatible with policy "
-                f"{scenario.policy!r} (its decisions depend on more "
-                f"than the reconciled occupancy sample, so demoted "
-                f"cells cannot be advanced analytically)"
-            )
+    check_compatible(scenario, lanes=() if cells is None else ("shards",))
     streams = StreamRegistry(scenario.seed)
     env = Environment()
     topo = topology_for(scenario)

@@ -42,12 +42,10 @@ Cross-shard co-channel interference (invisible to the per-shard
 monitors) is checked after the run by replaying the frontier cells'
 ``channel.acquired``/``channel.released`` logs against the topology.
 
-**Scope.**  Sharded execution requires the deterministic latency model
-(the uniform model draws from one global stream and has no useful
-minimum) and static calls (``mean_dwell=None``): a mid-call handoff
-migrates a call process into a neighboring cell's station with zero
-lookahead, which a conservative scheme cannot honor across a boundary.
-:func:`validate_shardable` enforces both with actionable errors.
+**Scope.**  What may be sharded — and why a non-deterministic latency
+model, mobility, the fast lane and a mid-run snapshot may not — is the
+``shards`` column of ``docs/CAPABILITIES.md``, generated from
+:mod:`repro.harness.capability`.
 """
 
 from __future__ import annotations
@@ -63,12 +61,12 @@ from ..metrics import AcquisitionRecord, MetricsCollector
 from ..obs import ObsData
 from ..sim import RemoteRecord, ShardPlan, ShardPort, plan_shards
 from ..verify import get_default_policy, set_default_policy
+from .capability import check_compatible
 from .config import Scenario
 from .runner import Report, build_simulation
 
 __all__ = [
     "ShardResult",
-    "validate_shardable",
     "run_sharded",
     "run_sharded_results",
     "merge_shard_results",
@@ -78,35 +76,6 @@ __all__ = [
 #: op 0 = release, 1 = acquire — tuple order sorts releases first at
 #: equal times, the conservative choice for the safety replay.
 _Usage = Tuple[float, int, int, int]
-
-
-def validate_shardable(scenario: Scenario, shards: int) -> None:
-    """Raise ``ValueError`` when a scenario cannot be sharded."""
-    if shards < 1:
-        raise ValueError(f"need at least one shard, got {shards}")
-    if scenario.latency_model != "deterministic":
-        raise ValueError(
-            "sharded execution requires latency_model='deterministic': "
-            "the conservative lookahead is the latency model's minimum "
-            f"delay, and the {scenario.latency_model!r} model draws "
-            "from a single global stream (shard-variant by construction)"
-        )
-    if scenario.mean_dwell is not None:
-        raise ValueError(
-            "sharded execution requires static calls (mean_dwell=None): "
-            "a handoff migrates the call process into the neighbor "
-            "cell's station with zero lookahead, which the window "
-            "scheme cannot honor across a shard boundary"
-        )
-    if scenario.fastlane:
-        raise ValueError(
-            "sharded execution is incompatible with fastlane=True: a "
-            "fluid cell is off the event heap, so its kernel exposes no "
-            "lookahead into the analytic interval and a frontier "
-            "neighbor's borrow message could not conservatively "
-            "materialize it mid-window; run fastlane scenarios "
-            "unsharded (run_scenario without shards=)"
-        )
 
 
 @dataclass
@@ -362,9 +331,9 @@ def _run_inline(
     kept as the reference implementation (and the fast path for tests,
     which care about parity, not wall-clock).
     """
+    clock = _WindowClock(scenario.duration, scenario.latency_T, window_mode)
     runs = [_ShardRun(scenario, plan, s) for s in range(plan.shards)]
     pending: List[List[RemoteRecord]] = [[] for _ in runs]
-    clock = _WindowClock(scenario.duration, scenario.latency_T, window_mode)
     until = clock.next(0.0)
     while until is not None:
         drains = []
@@ -441,6 +410,7 @@ def _run_process(
     scenario: Scenario, plan: ShardPlan, window_mode: str = "fixed"
 ) -> List[ShardResult]:
     """One worker process per shard, barrier-synchronized over pipes."""
+    clock = _WindowClock(scenario.duration, scenario.latency_T, window_mode)
     ctx = multiprocessing.get_context("spawn")
     policy = get_default_policy()
     conns = []
@@ -459,9 +429,6 @@ def _run_process(
         for shard, conn in enumerate(conns):
             _expect(conn, shard, "ready")
         pending: List[List[RemoteRecord]] = [[] for _ in conns]
-        clock = _WindowClock(
-            scenario.duration, scenario.latency_T, window_mode
-        )
         until = clock.next(0.0)
         while until is not None:
             for conn, records in zip(conns, pending):
@@ -653,9 +620,7 @@ def run_sharded_results(
     before folding into a :class:`Report` via
     :func:`merge_shard_results`.
     """
-    validate_shardable(scenario, shards)
-    if window_mode not in ("fixed", "adaptive"):
-        raise ValueError(f"unknown window mode {window_mode!r}")
+    check_compatible(scenario, lanes=("shards",))
     plan = plan_shards(topology_for(scenario), shards)
     if mode == "inline" or plan.shards == 1:
         return plan, _run_inline(scenario, plan, window_mode)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..policies.base import policy_spec
+from .capability import check_compatible
 from .config import Scenario
 from .parallel import run_cells
 from .runner import Report
@@ -81,7 +82,7 @@ def tune_policy(
 ) -> TuneResult:
     """Grid-search a policy's parameters over seeded replications.
 
-    ``base`` must be an adaptive scenario.  The grid is the cross
+    ``base`` must run a policy-driven scheme.  The grid is the cross
     product of ``alphas`` × ``theta_lows`` × ``theta_highs`` ×
     ``windows`` × ``param_grid`` (policy-specific parameters, e.g.
     ``{"beta": [0.1, 0.3, 0.5]}`` for "ewma"); infeasible corners with
@@ -93,10 +94,7 @@ def tune_policy(
     (minimized).  Ties break deterministically toward the first grid
     point in iteration order.
     """
-    if base.scheme != "adaptive":
-        raise ValueError(
-            f"tune_policy requires scheme 'adaptive', not {base.scheme!r}"
-        )
+    check_compatible(base, lanes=("policy tooling",))
     name = base.policy if policy is None else policy
     policy_spec(name)  # fail fast on unknown policies
     seeds = list(seeds)

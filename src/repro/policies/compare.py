@@ -101,12 +101,9 @@ def compare_policies(
     with the usual result-cache semantics.  The oracle is always
     included — it is the regret yardstick.
     """
-    from ..harness.parallel import run_cells
+    from ..harness import check_compatible, run_cells
 
-    if base.scheme != "adaptive":
-        raise ValueError(
-            f"compare_policies needs scheme 'adaptive', not {base.scheme!r}"
-        )
+    check_compatible(base, lanes=("policy tooling",))
     names = list(policies) if policies is not None else policy_names()
     if "oracle" not in names:
         names.append("oracle")

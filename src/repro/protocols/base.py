@@ -52,6 +52,12 @@ class MSS:
 
     #: Human-readable scheme name (subclasses override).
     scheme = "abstract"
+    #: Capability cells a scheme owns (see ``repro.harness.capability``):
+    #: can the fast lane advance its cells as an Erlang-loss fluid, and
+    #: does a ``ModePolicy`` drive it.  Set the attribute; the matrix,
+    #: the CLI help and the lane oracle pick it up.
+    fluid_model = False
+    policy_driven = False
     #: Snapshot fields (see :mod:`repro.snap.state`); a subclass lists
     #: only what it adds.
     SNAPSHOT = (

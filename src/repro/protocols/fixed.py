@@ -27,6 +27,7 @@ class FixedMSS(MSS):
     """Static allocation: serve from ``PR_i`` or deny."""
 
     scheme = "fixed"
+    fluid_model = True
 
     def __init__(self, *args, guard_channels: int = 0, **kwargs) -> None:
         super().__init__(*args, **kwargs)

@@ -104,17 +104,15 @@ def plan_shards(topo: Any, shards: int) -> ShardPlan:
 
     Cells are numbered row-major, so a band of rows is a contiguous id
     range; bands differ in height by at most one row.  Raises
-    ``ValueError`` when the grid has fewer rows than shards — a band
-    must own at least one full row to stay contiguous.
+    ``ValueError`` unless ``1 <= shards <= rows`` — a band must own at
+    least one full row to stay contiguous.
     """
-    if shards < 1:
-        raise ValueError(f"need at least one shard, got {shards}")
     rows = topo.grid.rows
     cols = topo.grid.cols
-    if shards > rows:
+    if not 1 <= shards <= rows:
         raise ValueError(
             f"cannot cut {rows} grid rows into {shards} row bands; "
-            f"use at most {rows} shards for this topology"
+            f"use 1 to {rows} shards for this topology"
         )
     owner: List[int] = [0] * (rows * cols)
     bands: List[Tuple[int, ...]] = []

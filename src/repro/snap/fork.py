@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional
 
+from ..harness.capability import check_compatible
 from .format import SNAPSHOT_FORMAT_VERSION, Snapshot, SnapshotError
 from .state import UnsafeState, apply_state, capture_state
 
@@ -41,17 +42,11 @@ def checkpoint(sim: Any) -> Snapshot:
     The simulation must be at a safe point (see
     :mod:`repro.snap.state`); otherwise :class:`UnsafeState` propagates
     and the caller should step the kernel and retry —
-    :func:`run_to_checkpoint` does exactly that.  What no amount of
-    stepping makes capturable (a fastlane stack, a ``TrafficMix``
-    source, an unserializable scenario) raises :class:`SnapshotError`.
+    :func:`run_to_checkpoint` does exactly that.  An unserializable
+    scenario raises :class:`SnapshotError`; a combination no amount of
+    stepping makes capturable (fastlane, a ``TrafficMix`` source),
+    :class:`~repro.harness.capability.CompatibilityError`.
     """
-    if getattr(sim, "fastlane", None) is not None:
-        raise SnapshotError(
-            "cannot checkpoint a fastlane simulation: a fluid cell's "
-            "calls exist only as analytic occupancy, not as discrete "
-            "call records the snapshot state format can capture; rerun "
-            "with fastlane=False to checkpoint"
-        )
     try:
         scenario_json = sim.scenario.to_json()
     except (TypeError, ValueError) as exc:
@@ -131,14 +126,7 @@ def run_to_checkpoint(
     from ..harness.runner import build_simulation
     from ..sim.engine import EmptySchedule
 
-    if getattr(scenario, "fastlane", False):
-        # Fail before paying the build: checkpoint() would reject the
-        # built stack anyway (fluid cells are not capturable).
-        raise SnapshotError(
-            "cannot checkpoint a fastlane scenario: fluid cells hold "
-            "analytic occupancy the snapshot state format cannot "
-            "represent; rerun with fastlane=False to checkpoint"
-        )
+    check_compatible(scenario, lanes=("checkpoint",))
     sim = build_simulation(scenario)
     if at <= 0.0:
         return checkpoint(sim)
@@ -182,20 +170,15 @@ def run_from_snapshot(
     to the scenario horizon; returns the :class:`Report`.
 
     A cold (t0) snapshot is a plain rebuild and supports any ``shards``
-    value.  A mid-run snapshot resumes on a single kernel — the sharded
-    coordinator re-partitions state at build time, so ``shards > 1``
-    raises :class:`SnapshotError` rather than silently diverging.
+    value; a mid-run one does not (the sharded coordinator re-partitions
+    state at build time) — see ``docs/CAPABILITIES.md``.
     """
     from ..harness.runner import Report, run_scenario
 
     scenario = snapshot.scenario(seed)
     if not snapshot.started:
         return run_scenario(scenario, shards=shards)
-    if shards != 1:
-        raise SnapshotError(
-            "a mid-run snapshot resumes on a single kernel; take the "
-            "checkpoint at t=0 for sharded continuation"
-        )
+    check_compatible(scenario, shards=shards, lanes=("mid-run snapshot",))
     sim = restore(snapshot, seed=seed)
     if sim.env._now < scenario.duration:
         sim.env.run(until=scenario.duration)

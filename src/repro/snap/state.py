@@ -66,6 +66,7 @@ from functools import lru_cache
 from typing import Any, Callable, Dict, List, Tuple
 
 from ..faults.arq import ReliableLink
+from ..harness.capability import check_compatible
 from ..sim.events import NORMAL, PENDING, ConditionEvent, Process
 from ..sim.network import Envelope, decode_payload, encode_payload
 from ..traffic.calls import CALL_FRAME_LOCALS, call_process
@@ -222,13 +223,13 @@ def capture_state(sim: Any) -> Dict[str, Any]:
     """Extract a plain-data description of ``sim``'s dynamic state.
 
     Raises :class:`UnsafeState` if the simulation (with a started
-    traffic source) is not at a safe point, and :class:`SnapshotError`
-    if it can never be captured.  For a never-started simulation the
+    traffic source) is not at a safe point, and
+    :class:`~repro.harness.capability.CompatibilityError` if it can never
+    be captured.  For a never-started simulation the
     event queue is not captured (``"queue": None``) — restore is a
     plain rebuild and the caller runs ``Simulation.start``.
     """
-    if sim.source.mix is not None:
-        raise SnapshotError("multi-class TrafficMix sources are not snapshotable")
+    check_compatible(sim.scenario, lanes=("checkpoint",), source=sim.source)
     queue = None
     if sim.source._started:
         # Checked before anything is walked: the drain loop retries per

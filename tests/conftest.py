@@ -6,12 +6,17 @@ deterministically; ``drive``/``drive_all`` run request generators to
 completion inside the event loop.
 """
 
+import multiprocessing
 import os
+from types import SimpleNamespace
 
 import pytest
 
 from repro.cellular import CellularTopology
+from repro.faults import CrashWindow, FaultPlan, LinkPartition
+from repro.harness import Scenario
 from repro.metrics import MetricsCollector
+from repro.obs import ObsConfig
 from repro.protocols import InterferenceMonitor
 from repro.sim import DeterministicLatency, Environment, Network
 from repro.verify import SanitizerSuite, set_default_policy
@@ -46,6 +51,18 @@ def _disable_ambient_result_cache():
         os.environ.pop("REPRO_CACHE", None)
     else:
         os.environ["REPRO_CACHE"] = previous
+
+
+@pytest.fixture
+def nothing_constructed(monkeypatch):
+    """No kernel, no worker process: building either fails the test
+    (for asserting that a request was refused before any work)."""
+
+    def touched(*args, **kwargs):
+        raise AssertionError("constructed before the validator fired")
+
+    monkeypatch.setattr(Environment, "__init__", touched)
+    monkeypatch.setattr(multiprocessing, "get_context", touched)
 
 
 def make_stack(
@@ -103,3 +120,78 @@ def grant_all(request):
         return got
 
     return _grant
+
+
+# -- capability-table witnesses ---------------------------------------------
+
+#: The hostile fault plan of the lane tests: loss, duplication, delay,
+#: two crash windows and a partition, all inside a 160-unit horizon.
+#: The crashes keep their state: a cold restart is a known gap of the
+#: classic kernel itself (tests/test_fault_restart_safety.py; with state
+#: loss, basic_search at 5 Erlang, seed 1 also trips the causality
+#: sanitizer's reply_before_request), not a difference between lanes.
+HOSTILE_FAULTS = FaultPlan(
+    drop_prob=0.05,
+    dup_prob=0.03,
+    delay_prob=0.05,
+    extra_delay=2.0,
+    crashes=(
+        CrashWindow(cell=10, at=60.0, downtime=30.0, lose_state=False),
+        CrashWindow(cell=24, at=100.0, downtime=25.0, lose_state=False),
+    ),
+    partitions=(LinkPartition(a=3, b=4, start=50.0, end=90.0),),
+)
+
+#: feature -> the smallest request that switches it on, for every
+#: feature ``repro.harness.capability.CAPABILITIES`` mentions:
+#: ``scenario`` (Scenario fields), ``shards`` / ``lanes`` / ``source``
+#: (``check_compatible`` keywords) and ``argv`` (the same thing said to
+#: ``python -m repro``; absent where no flag says it).  The boundary
+#: test and the lane oracle in tests/test_lanes.py both build their
+#: requests from it, so a feature without a witness fails there.
+WITNESS = {
+    "classic kernel": dict(argv=[]),
+    "fastlane": dict(scenario=dict(fastlane=True), argv=["--fastlane"]),
+    "shards": dict(shards=2, argv=["--shards", "2"]),
+    "checkpoint": dict(lanes=("checkpoint",), argv=["--checkpoint-at", "100"]),
+    "resume": dict(lanes=("resume",), argv=["--from-checkpoint", "no-such.snap"]),
+    "mid-run snapshot": dict(lanes=("mid-run snapshot",), argv=["--from-checkpoint", "{warm}"]),
+    "fresh run": dict(lanes=("fresh run",), argv=[]),
+    "fork seed": dict(lanes=("fork seed",), argv=["--fork-seed", "3"]),
+    "policy tooling": dict(lanes=("policy tooling",), argv=["--record-policy-trace", "trace.json"]),
+    "workers": dict(lanes=("workers",), argv=["--workers", "2"]),
+    "result cache": dict(),
+    "all schemes": dict(lanes=("all schemes",), argv=["--all-schemes"]),
+    "trace dir": dict(lanes=("trace dir",), argv=["--trace", "trace-out"]),
+    "scheme without fluid model": dict(
+        scenario=dict(scheme="basic_update"), argv=["--scheme", "basic_update"]
+    ),
+    "scheme not policy-driven": dict(scenario=dict(scheme="fixed"), argv=["--scheme", "fixed"]),
+    "policy not fastlane_safe": dict(scenario=dict(policy="harvest"), argv=["--policy", "harvest"]),
+    "fault plan": dict(scenario=dict(faults=HOSTILE_FAULTS), argv=["--faults", "0.05"]),
+    "mobility": dict(scenario=dict(mean_dwell=600.0), argv=["--dwell", "600"]),
+    "guard channels": dict(scenario=dict(extra_params={"guard_channels": 2})),
+    "TrafficMix": dict(source=SimpleNamespace(mix=object())),
+    "obs": dict(scenario=dict(obs=ObsConfig(sample_interval=20.0))),
+    "random latency": dict(scenario=dict(latency_model="uniform", latency_spread=0.5)),
+    "setup deadline": dict(scenario=dict(setup_deadline=10.0)),
+    "planar grid": dict(scenario=dict(wrap=False), argv=["--no-wrap"]),
+    "unordered links": dict(scenario=dict(fifo=False)),
+}
+
+
+def witness_request(*names, **fields):
+    """The witnesses of ``names`` merged into one request, ``fields``
+    overriding their Scenario fields: ``(check_compatible keywords, the
+    argv saying the same or None where some feature has no flag)``."""
+    scenario, argv = {}, []
+    request = {"shards": 1, "lanes": (), "source": None}
+    for name in names:
+        witness = WITNESS[name]
+        scenario.update(witness.get("scenario", {}))
+        request["shards"] = witness.get("shards", request["shards"])
+        request["lanes"] += witness.get("lanes", ())
+        request["source"] = witness.get("source", request["source"])
+        argv = None if argv is None or "argv" not in witness else argv + witness["argv"]
+    scenario.update(fields)
+    return dict(request, scenario=Scenario(**scenario)), argv

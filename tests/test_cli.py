@@ -73,3 +73,28 @@ def test_main_all_schemes_table(capsys):
 def test_invalid_scheme_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["--scheme", "bogus"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--scheme", "basic_update", "--fastlane"],
+        ["--fastlane", "--shards", "2"],
+        ["--fastlane", "--faults", "0.05"],
+        ["--fastlane", "--checkpoint-at", "100"],
+        # Four of the six cells are not runnable: none may be simulated.
+        ["--all-schemes", "--fastlane"],
+    ],
+    ids=" ".join,
+)
+def test_rejected_combination_is_one_error_line_not_a_traceback(
+    argv, capsys, monkeypatch, tmp_path, nothing_constructed
+):
+    monkeypatch.chdir(tmp_path)
+    rc = main(argv + ["--duration", "300", "--warmup", "50", "--no-cache"])
+    assert rc == 2  # argparse's own code for a bad command line
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())

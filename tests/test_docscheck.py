@@ -17,6 +17,7 @@ sys.path.insert(0, str(ROOT))
 from tools.docscheck import (  # noqa: E402
     EXCLUDED,
     check_code_paths,
+    check_generated,
     check_links,
     check_rule_catalog,
     markdown_files,
@@ -126,6 +127,20 @@ def test_internal_sentinel_is_tolerated(tmp_path):
         sources=("SIM001", "SIM000"),
     )
     assert check_rule_catalog(root) == []
+
+
+# -- pass 4: generated capability matrix -------------------------------------
+
+
+def test_stale_capability_matrix_is_flagged(tmp_path):
+    root = make_tree(tmp_path)
+    assert check_generated(root) == []  # no committed copy, nothing to compare
+    current = (ROOT / "docs" / "CAPABILITIES.md").read_text()
+    (tmp_path / "docs" / "CAPABILITIES.md").write_text(current)
+    assert check_generated(root) == []
+    (tmp_path / "docs" / "CAPABILITIES.md").write_text(current.replace("**no**", "ok", 1))
+    problems = check_generated(root)
+    assert len(problems) == 1 and "stale" in problems[0]
 
 
 # -- the real repository ----------------------------------------------------

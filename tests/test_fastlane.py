@@ -13,11 +13,11 @@ import pytest
 
 from repro.analysis.erlang import erlang_b
 from repro.faults import CrashWindow, FaultPlan
-from repro.harness import Scenario, build_simulation, run_scenario
+from repro.harness import CompatibilityError, Scenario, build_simulation, run_scenario
 from repro.harness.fastlane import FastLane
 from repro.protocols.messages import ChangeMode
 from repro.sim.network import Envelope
-from repro.snap import SnapshotError, checkpoint, run_to_checkpoint
+from repro.snap import checkpoint, run_to_checkpoint
 
 
 def lane_scenario(**overrides):
@@ -85,10 +85,10 @@ def test_trafficmix_rejected_at_lane_construction():
 
 
 def test_snapshot_gates_reject_fastlane():
-    with pytest.raises(SnapshotError, match="fastlane"):
+    with pytest.raises(CompatibilityError, match="fastlane"):
         run_to_checkpoint(lane_scenario(), at=100.0)
     sim = build_simulation(lane_scenario())
-    with pytest.raises(SnapshotError, match="fastlane"):
+    with pytest.raises(CompatibilityError, match="fastlane"):
         checkpoint(sim)
 
 

@@ -16,6 +16,7 @@ from repro.faults import CrashWindow, FaultPlan, LinkPartition
 from repro.harness import (
     Scenario,
     build_simulation,
+    check_compatible,
     merge_shard_results,
     run_cells,
     run_scenario,
@@ -28,7 +29,6 @@ from repro.harness.sharded import (
     _WindowClock,
     _cross_shard_violations,
     _windows,
-    validate_shardable,
 )
 from repro.sim import Environment, plan_shards
 
@@ -110,17 +110,17 @@ def test_plan_shards_rejects_bad_counts():
 
 def test_validate_shardable_gates():
     with pytest.raises(ValueError, match="deterministic"):
-        validate_shardable(
-            small(latency_model="uniform", latency_spread=1.0), 2
+        check_compatible(
+            small(latency_model="uniform", latency_spread=1.0), shards=2
         )
     with pytest.raises(ValueError, match="mean_dwell"):
-        validate_shardable(small(mean_dwell=600.0), 2)
+        check_compatible(small(mean_dwell=600.0), shards=2)
     # A fluid cell is off the event heap: its kernel has no lookahead
     # into the analytic interval, so the conservative window protocol
     # cannot order it.  Rejected up front, not degraded.
     with pytest.raises(ValueError, match="fastlane"):
-        validate_shardable(small(fastlane=True), 2)
-    validate_shardable(small(), 2)  # and the happy path is silent
+        check_compatible(small(fastlane=True), shards=2)
+    check_compatible(small(), shards=2)  # and the happy path is silent
 
 
 # -- window schedule -------------------------------------------------------

@@ -30,6 +30,7 @@ import pytest
 
 from repro.faults import CrashWindow, FaultPlan, LinkPartition
 from repro.harness import (
+    CompatibilityError,
     ResultCache,
     Scenario,
     build_simulation,
@@ -198,7 +199,7 @@ def test_midrun_snapshot_refuses_never_quiescent_scheme():
 
 def test_midrun_snapshot_refuses_sharded_resume():
     snap = run_to_checkpoint(small("adaptive"), 80.0)
-    with pytest.raises(SnapshotError, match="single kernel"):
+    with pytest.raises(CompatibilityError, match="single kernel"):
         run_from_snapshot(snap, shards=4)
 
 
@@ -373,7 +374,7 @@ def test_traffic_mix_source_is_refused_for_good_not_as_a_transient():
         sim.env, sim.stations, sim.source.pattern, mix, sim.streams, horizon=160.0
     )
     for started in (False, True):
-        with pytest.raises(SnapshotError, match="TrafficMix"):
+        with pytest.raises(CompatibilityError, match="TrafficMix"):
             checkpoint(sim)
         if not started:
             sim.start()

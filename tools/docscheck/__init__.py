@@ -1,6 +1,6 @@
 """Documentation cross-reference checker.
 
-Three passes over the repo's markdown (root ``*.md`` plus
+Four passes over the repo's markdown (root ``*.md`` plus
 ``docs/**/*.md``, minus the driver-metadata files):
 
 1. **Relative links** — every ``[text](target)`` that is not external
@@ -18,6 +18,9 @@ Three passes over the repo's markdown (root ``*.md`` plus
    implemented under ``tools/check``/``tools/analyze``, both ways
    (modulo the internal sentinel ``SIM000``, which is deliberately
    undocumented).
+4. **Generated capability matrix** — a committed
+   ``docs/CAPABILITIES.md`` must equal what ``tools/gen_api_docs.py``
+   renders from the capability table now.
 
 Run as ``python -m tools.docscheck`` (exit 1 on any problem); CI runs
 it in the docs job.  ``tests/test_docscheck.py`` covers the failure
@@ -35,6 +38,7 @@ __all__ = [
     "GENERATED_PATHS",
     "INTERNAL_RULE_IDS",
     "check_code_paths",
+    "check_generated",
     "check_links",
     "check_rule_catalog",
     "markdown_files",
@@ -160,11 +164,24 @@ def check_rule_catalog(root: pathlib.Path) -> List[str]:
     return problems
 
 
+def check_generated(root: pathlib.Path) -> List[str]:
+    """Pass 4: the committed capability matrix is what the table renders to."""
+    committed = root / "docs" / "CAPABILITIES.md"
+    if not committed.exists():
+        return []
+    from tools.gen_api_docs import generate_capabilities
+
+    if committed.read_text(encoding="utf-8") == generate_capabilities():
+        return []
+    return ["docs/CAPABILITIES.md is stale: run `python -m tools.gen_api_docs`"]
+
+
 def run_all(root: pathlib.Path) -> List[str]:
-    """All three passes; the empty list means the docs are consistent."""
+    """All four passes; the empty list means the docs are consistent."""
     files = markdown_files(root)
     return (
         check_links(root, files)
         + check_code_paths(root, files)
         + check_rule_catalog(root)
+        + check_generated(root)
     )
