@@ -94,13 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(0 = one per CPU); results are identical to serial",
     )
     p.add_argument(
-        "--shards", type=int, default=1, metavar="N",
-        help="partition the grid into N row bands and run one "
-        "conservatively synchronized kernel per band, each in its own "
-        "process (space-parallel DES; results are row-identical to "
-        "--shards 1); not with: " + rejected_with("shards") + " — see docs/CAPABILITIES.md",
-    )
-    p.add_argument(
         "--fastlane", action="store_true",
         help="advance quiescent local-mode cells analytically "
         "(Erlang-loss fluid model) instead of event-by-event, "
@@ -350,7 +343,6 @@ def _run(args) -> int:
     scenarios = [] if resume else _scenarios(args, schemes)
     check_compatible(
         scenarios[0] if scenarios else None,
-        shards=args.shards,
         lanes=[name for name, on in lanes.items() if on],
     )
 
@@ -358,9 +350,7 @@ def _run(args) -> int:
         from .snap import load_snapshot, run_from_snapshot
 
         snap = load_snapshot(args.from_checkpoint)
-        return _print_reports(
-            args, [run_from_snapshot(snap, seed=args.fork_seed, shards=args.shards)]
-        )
+        return _print_reports(args, [run_from_snapshot(snap, seed=args.fork_seed)])
 
     if args.record_policy_trace is not None:
         from .policies import record_trace
@@ -410,7 +400,6 @@ def _run(args) -> int:
         workers=args.workers if args.workers > 0 else None,
         cache=False if args.no_cache else None,
         trace_dir=args.trace,
-        shards=args.shards,
     )
     if args.trace is not None:
         print(f"run artifacts written to {args.trace}/", file=sys.stderr)

@@ -154,7 +154,7 @@ def topology_for(scenario: Any) -> CellularTopology:
 
     The one place a scenario becomes a :class:`CellularTopology`.
     Scenarios that agree on the seven shape fields get the same object
-    from a small least-recently-used memo, so replications, shards and
+    from a small least-recently-used memo, so replications and
     snapshot restores stop rebuilding identical static tables; a shape
     that fails validation raises every time (errors are not memoized).
     """

@@ -14,11 +14,9 @@ The injector plugs into the network through a two-method interface
 Every per-message decision draws from a dedicated seeded *per-link*
 stream (``("faults", "net", src, dst)``), so a given (seed, plan) pair
 always yields the same fault schedule per link regardless of worker
-count — and regardless of how the grid is sharded: a link's draw
-sequence depends only on that link's own send history, never on the
-global interleaving of sends across links, which differs between a
-single kernel and a sharded run.  Every injected fault is announced on
-the probe bus
+count: a link's draw sequence depends only on that link's own send
+history, never on the global interleaving of sends across links.
+Every injected fault is announced on the probe bus
 (``fault.drop``, ``fault.duplicate``, ``fault.delay``,
 ``fault.reorder``, ``fault.partition``, ``fault.crash``,
 ``fault.crash_drop``, ``fault.restart``) and counted by the metrics
@@ -27,7 +25,7 @@ collector.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from .plan import FaultPlan
 
@@ -67,8 +65,8 @@ class FaultInjector:
         draws each link's decisions from its own named substream
         (``("faults", "net", src, dst)``) — never shared with traffic
         or latency streams, so enabling faults cannot perturb their
-        draws, and never shared across links, so fault realizations
-        are identical for any sharding of the grid.
+        draws, and never shared across links, so one link's schedule
+        does not depend on how sends on other links interleave.
     latency:
         The network's latency model; duplicate copies are delivered one
         fresh latency sample after the original.
@@ -181,29 +179,14 @@ class FaultInjector:
         return True
 
     # -- crash schedule ----------------------------------------------------
-    def install(
-        self, stations: Dict[int, Any], shadow: Iterable[int] = ()
-    ) -> None:
-        """Spawn one crash–restart process per scheduled window.
-
-        ``shadow`` lists cells this kernel does *not* own (sharded
-        runs): a window targeting a shadow cell only toggles the
-        ``down`` set — so the send-side ``crash_drop`` veto applies on
-        every shard — while the station hooks, fault accounting and
-        probe emissions run once, on the owning shard.
-        """
-        shadow_cells = frozenset(shadow)
+    def install(self, stations: Dict[int, Any]) -> None:
+        """Spawn one crash–restart process per scheduled window."""
         for window in self.plan.crashes:
-            if window.cell in stations:
-                self.env.process(
-                    self._crash_process(stations[window.cell], window)
-                )
-            elif window.cell in shadow_cells:
-                self.env.process(self._shadow_crash_process(window))
-            else:
+            if window.cell not in stations:
                 raise ValueError(
                     f"crash window targets unknown cell {window.cell}"
                 )
+            self.env.process(self._crash_process(stations[window.cell], window))
 
     def _crash_process(
         self, station: Any, window: Any, wake_at: Optional[float] = None, phase: str = "pre"
@@ -223,17 +206,3 @@ class FaultInjector:
         self.down.discard(window.cell)
         self._record("restart", (window.cell,))
         station._restart()
-
-    def _shadow_crash_process(
-        self, window: Any, wake_at: Optional[float] = None, phase: str = "pre"
-    ):
-        """Mirror a remote cell's crash window into the ``down`` set
-        (``wake_at`` / ``phase`` as in :meth:`_crash_process`)."""
-        env = self.env
-        if phase == "pre":
-            yield env.timeout(window.at) if wake_at is None else env.timeout_at(wake_at)
-            self.down.add(window.cell)
-            yield env.timeout(window.downtime)
-        else:
-            yield env.timeout_at(wake_at)
-        self.down.discard(window.cell)

@@ -14,12 +14,6 @@ from .ascii_viz import bar_chart, hex_heatmap, sparkline
 from .cache import ResultCache, cache_key, code_stamp, resolve_cache
 from .parallel import CellFailure, ExperimentError, default_workers, run_cells
 from .presets import PRESETS, preset, preset_names
-from .sharded import (
-    ShardResult,
-    merge_shard_results,
-    run_sharded,
-    run_sharded_results,
-)
 from .stats import CI, compare, summarize
 from .sweeps import DEFAULT_COLUMNS, SweepResult, sweep, to_csv
 from .tables import format_value, render_table
@@ -56,10 +50,6 @@ __all__ = [
     "build_simulation",
     "run_scenario",
     "run_replications",
-    "run_sharded",
-    "run_sharded_results",
-    "merge_shard_results",
-    "ShardResult",
     "CompatibilityError",
     "check_compatible",
     "render_table",

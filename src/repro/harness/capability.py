@@ -1,14 +1,13 @@
 """The capability table: which lane may run with which feature, decided once.
 
 Theorems 1 and 2 hold under the paper's assumptions, and each speed
-lane adds one of its own — sharding a hard lookahead ``T``, the fast
-lane Erlang-loss quiescence, a snapshot a globally quiescent instant.
-:data:`CAPABILITIES` writes every ``lane × feature`` verdict down once:
+lane adds one of its own — the fast lane Erlang-loss quiescence, a
+snapshot a globally quiescent instant.  :data:`CAPABILITIES` writes
+every ``lane × feature`` verdict down once:
 
 * ``ok`` — accepted, and row-identical to the classic kernel (the
   differential oracle in ``tests/test_lanes.py`` draws its scenarios
-  from exactly these cells; the shard merge adds acquisition times in
-  its own order, so that one mean agrees to the last ulps, not bits);
+  from exactly these cells);
 * ``tolerance`` — accepted, within ``bound`` of the classic kernel;
 * ``rejected`` — refused with ``detail`` as the reason.
 
@@ -19,7 +18,7 @@ the only exception type — is called by every entry point before it
 builds anything.  The table names no scheme and no policy: a scheme owns
 its cells through ``MSS.fluid_model`` / ``MSS.policy_driven``, a policy
 through ``ModePolicy.fastlane_safe``.  ``docs/CAPABILITIES.md`` and the
-``--fastlane`` / ``--shards`` help text are generated from it.
+``--fastlane`` help text are generated from it.
 """
 
 from __future__ import annotations
@@ -73,7 +72,6 @@ def _ok(lane: str, *names: str) -> Dict[Tuple[str, str], Verdict]:
 CAPABILITIES: Dict[Tuple[str, str], Verdict] = {
     # fastlane: quiescent cells leave the event heap and advance as Erlang-loss fluid.
     ("fastlane", "classic kernel"): Verdict("tolerance", "drop rate (7x7 adaptive, 3 Erlang, 2000 s)", 0.02),
-    ("fastlane", "shards"): _no("a fluid (fastlane) cell is off the event heap: the window protocol has nothing of it to order"),
     ("fastlane", "scheme without fluid model"): _no("only schemes that declare MSS.fluid_model can be advanced analytically"),
     ("fastlane", "fault plan"): _no("fault-plan actions target discrete per-cell state"),
     ("fastlane", "mobility"): _no("mobility needs handoff flows, which the fluid model lacks"),
@@ -83,15 +81,8 @@ CAPABILITIES: Dict[Tuple[str, str], Verdict] = {
     ("fastlane", "checkpoint"): _no("a fluid cell's calls are analytic occupancy, not call records a snapshot can capture"),
     ("fastlane", "resume"): _no("a snapshot fixes its scenario, and no fastlane run has one"),
     **_ok("fastlane", "obs", "random latency", "setup deadline", "planar grid"),
-    # shards: one kernel per row band, advanced in lockstep windows of width T.
-    ("shards", "random latency"): _no("the lookahead is the hard minimum delay that only latency_model='deterministic' has"),
-    ("shards", "mobility"): _no("needs static calls (mean_dwell=None): a handoff enters the neighbour's station with zero lookahead"),
-    ("shards", "mid-run snapshot"): _no("a mid-run snapshot resumes on a single kernel; checkpoint at t=0 to continue sharded"),
-    **_ok("shards", "fault plan", "obs", "setup deadline", "guard channels", "unordered links", "planar grid"),
-    **_ok("shards", "policy not fastlane_safe"),
     # checkpoint: capture at a globally quiescent instant.  resume: run a snapshot to the horizon.
     ("checkpoint", "TrafficMix"): _no("multi-class TrafficMix sources are not snapshotable"),
-    ("checkpoint", "shards"): _no("a snapshot holds one kernel's heap; capture unsharded (a t=0 snapshot resumes sharded)"),
     ("checkpoint", "workers"): _no("a checkpoint captures one run, in this process"),
     ("checkpoint", "all schemes"): _no("a snapshot holds one scenario"),
     ("checkpoint", "resume"): _no("a resumed run goes to the horizon; it takes no checkpoint"),
@@ -104,7 +95,7 @@ CAPABILITIES: Dict[Tuple[str, str], Verdict] = {
     # policy tooling: record_trace / compare_policies / tune_policy.
     ("policy tooling", "scheme not policy-driven"): _no("it drives a ModePolicy, which only a policy_driven scheme (the adaptive scheme) has"),
     # Every other lane's report is the classic kernel's, row for row.
-    **{(lane, "classic kernel"): OK for lane in ("shards", "checkpoint", "workers", "result cache")},
+    **{(lane, "classic kernel"): OK for lane in ("checkpoint", "workers", "result cache")},
 }
 
 _REJECTED = [(a, b, v.detail) for (a, b), v in CAPABILITIES.items() if v.kind == "rejected"]
@@ -115,9 +106,7 @@ def rejected_with(lane: str) -> str:
     return ", ".join(b if a == lane else a for a, b, _ in _REJECTED if lane in (a, b))
 
 
-def features(
-    scenario: Any = None, *, shards: int = 1, lanes: Iterable[str] = (), source: Any = None
-) -> Set[str]:
+def features(scenario: Any = None, *, lanes: Iterable[str] = (), source: Any = None) -> Set[str]:
     """The table's vocabulary one request switches on.
 
     ``lanes`` are the features only the caller knows (``"checkpoint"``,
@@ -125,8 +114,6 @@ def features(
     source, the one feature a :class:`Scenario` cannot carry.
     """
     on = set(lanes)
-    if shards != 1:
-        on.add("shards")
     if source is not None and source.mix is not None:
         on.add("TrafficMix")
     if scenario is None:
@@ -145,15 +132,13 @@ def features(
     return on.union(name for name, holds in derived if holds)
 
 
-def check_compatible(
-    scenario: Any = None, *, shards: int = 1, lanes: Iterable[str] = (), source: Any = None
-) -> None:
+def check_compatible(scenario: Any = None, *, lanes: Iterable[str] = (), source: Any = None) -> None:
     """Raise :class:`CompatibilityError` if the request (see
     :func:`features`) switches on both sides of a ``rejected`` row.
 
     Every entry point calls this before it builds anything.
     """
-    on = features(scenario, shards=shards, lanes=lanes, source=source)
+    on = features(scenario, lanes=lanes, source=source)
     for a, b, reason in _REJECTED:
         if a in on and b in on:
             raise CompatibilityError(f"cannot combine {a} with {b}: {reason}")

@@ -31,7 +31,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
@@ -48,9 +47,8 @@ __all__ = [
     "default_workers",
 ]
 
-#: Pickled per-cell work order:
-#: (index, scenario, sanitizer policy, shards per cell).
-_Cell = Tuple[int, Scenario, Optional[str], int]
+#: Pickled per-cell work order: (index, scenario, sanitizer policy).
+_Cell = Tuple[int, Scenario, Optional[str]]
 
 #: Worker result: (index, ok, report-or-traceback-string).
 _CellResult = Tuple[int, bool, Any]
@@ -103,11 +101,11 @@ def _run_cell(cell: _Cell) -> _CellResult:
     Exceptions are captured as formatted tracebacks rather than
     propagated, so one bad cell cannot poison the pool.
     """
-    index, scenario, policy, shards = cell
+    index, scenario, policy = cell
     try:
         if get_default_policy() != policy:
             set_default_policy(policy)
-        return index, True, run_scenario(scenario, shards=shards)
+        return index, True, run_scenario(scenario)
     except Exception:
         return index, False, traceback.format_exc()
 
@@ -117,7 +115,6 @@ def run_cells(
     workers: Optional[int] = 1,
     cache: Any = None,
     trace_dir: Optional[str] = None,
-    shards: int = 1,
 ) -> List[Report]:
     """Run every scenario; reports come back in input order.
 
@@ -146,14 +143,6 @@ def run_cells(
         directory layout is deterministic regardless of worker count.
         Cells whose scenario has no enabled ``obs`` config are listed
         in the manifest as untraced and produce no subdirectory.
-    shards:
-        Space-parallel kernels *per cell* (see
-        :mod:`repro.harness.sharded`); results stay row-identical to
-        ``shards=1``.  Composes with ``workers``: ``workers=None``
-        sizes the pool to ``cpu_count() // shards`` so cells × shards
-        never oversubscribes the machine, and with ``workers > 1``
-        each cell worker hosts its own shard processes (the pool uses
-        non-daemonic workers in that case so they may spawn children).
 
     Raises
     ------
@@ -163,13 +152,11 @@ def run_cells(
     ExperimentError
         After the whole grid has been attempted, if any cell crashed.
     """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
     scenarios = list(scenarios)
     for index, scenario in enumerate(scenarios):
         if not isinstance(scenario, Scenario):
             raise TypeError(f"cell {index} is not a Scenario: {scenario!r}")
-        check_compatible(scenario, shards=shards)
+        check_compatible(scenario)
     store: Optional[ResultCache] = resolve_cache(cache)
     reports: List[Optional[Report]] = [None] * len(scenarios)
 
@@ -180,7 +167,7 @@ def run_cells(
         if hit is not None:
             reports[index] = hit
         else:
-            pending.append((index, scenario, policy, shards))
+            pending.append((index, scenario, policy))
 
     failures: List[CellFailure] = []
 
@@ -194,22 +181,10 @@ def run_cells(
             failures.append(CellFailure(index, scenarios[index], value))
 
     if workers is None:
-        # Each cell worker fans out into `shards` kernel processes of
-        # its own; divide the CPUs between the two levels instead of
-        # oversubscribing cells × shards workers onto them.
-        workers = max(1, default_workers() // max(1, shards))
+        workers = default_workers()
     if workers <= 1 or len(pending) <= 1:
         for cell in pending:
             consume(_run_cell(cell))
-    elif shards > 1:
-        # Pool workers are daemonic and may not spawn the per-shard
-        # kernel processes; ProcessPoolExecutor workers may.
-        ctx = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(pending)), mp_context=ctx
-        ) as pool:
-            for result in pool.map(_run_cell, pending):
-                consume(result)
     else:
         # ``spawn`` everywhere: identical semantics on every platform
         # and no accidental inheritance of parent state.

@@ -9,7 +9,7 @@ and safety monitor — runs it to the scenario horizon, and returns a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from ..cellular import CellularTopology, topology_for
 from ..core import AdaptiveMSS
@@ -232,32 +232,17 @@ def _make_latency(scenario: Scenario, streams: StreamRegistry):
     raise ValueError(f"unknown latency model {scenario.latency_model!r}")
 
 
-def build_simulation(
-    scenario: Scenario,
-    cells: Optional[Sequence[int]] = None,
-    shard_port: Optional[Any] = None,
-) -> Simulation:
-    """Construct the full stack for a scenario (without running it).
-
-    ``cells`` restricts the stack to a subset of the grid (sharded
-    execution, see :mod:`repro.harness.sharded`): stations, traffic
-    and crash hooks are built only for those cells, while the topology
-    and every per-cell random substream stay global — so a cell
-    behaves identically whether it shares a kernel with the whole grid
-    or only with its shard.  ``shard_port`` is attached to the network
-    to route sends at non-local cells to the inter-shard coordinator.
-    """
+def build_simulation(scenario: Scenario) -> Simulation:
+    """Construct the full stack for a scenario (without running it)."""
     if scenario.scheme not in SCHEMES:
         raise ValueError(
             f"unknown scheme {scenario.scheme!r}; available: {sorted(SCHEMES)}"
         )
-    check_compatible(scenario, lanes=() if cells is None else ("shards",))
+    check_compatible(scenario)
     streams = StreamRegistry(scenario.seed)
     env = Environment()
     topo = topology_for(scenario)
     network = Network(env, _make_latency(scenario, streams), fifo=scenario.fifo)
-    if shard_port is not None:
-        network.shard_port = shard_port
     metrics = MetricsCollector(warmup=scenario.warmup)
     monitor = InterferenceMonitor(topo, policy=scenario.monitor_policy)
     sanitizer_policy = get_default_policy()
@@ -300,20 +285,15 @@ def build_simulation(
     elif cls in (BasicUpdateMSS, AdvancedUpdateMSS):
         kwargs.setdefault("max_attempts", scenario.max_attempts)
 
-    local_cells = list(topo.grid) if cells is None else sorted(cells)
     stations: Dict[int, MSS] = {}
-    for cell in local_cells:
+    for cell in topo.grid:
         stations[cell] = cls(
             env, network, topo, cell, metrics=metrics, monitor=monitor, **kwargs
         )
     for station in stations.values():
         station.start()
     if injector is not None:
-        shadow = (
-            () if cells is None
-            else [c for c in topo.grid if c not in stations]
-        )
-        injector.install(stations, shadow=shadow)
+        injector.install(stations)
 
     source = TrafficSource(
         env,
@@ -366,19 +346,8 @@ def build_simulation(
     )
 
 
-def run_scenario(scenario: Scenario, shards: int = 1) -> Report:
-    """Build and run one scenario; returns its :class:`Report`.
-
-    ``shards > 1`` partitions the grid into contiguous row bands and
-    runs one conservatively synchronized kernel per band in its own
-    worker process (see :mod:`repro.harness.sharded`); the merged
-    report is row-identical to ``shards=1``.
-    """
-    if shards != 1:
-        # Local import: sharded builds on this module's machinery.
-        from .sharded import run_sharded
-
-        return run_sharded(scenario, shards)
+def run_scenario(scenario: Scenario) -> Report:
+    """Build and run one scenario; returns its :class:`Report`."""
     return build_simulation(scenario).run()
 
 

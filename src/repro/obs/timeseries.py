@@ -139,18 +139,10 @@ class TimeSeriesRecorder:
                 else:
                     predicted = None
                 self.nfc_predicted[cell].append(predicted)
-                # In a sharded run this kernel hosts only its band of
-                # the grid; a frontier cell's neighborhood load averages
-                # its same-shard neighbors (remote occupancy is not
-                # observable live, and this series is diagnostic only).
-                neighbors = [
-                    stations[j]
-                    for j in getattr(station, "IN", ())
-                    if j in stations
-                ]
+                neighbors = getattr(station, "IN", ())
                 if neighbors:
                     load = sum(
-                        len(s.use) for s in neighbors
+                        len(stations[j].use) for j in neighbors
                     ) / len(neighbors)
                 else:
                     load = 0.0

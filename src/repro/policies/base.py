@@ -12,8 +12,8 @@ key and of snapshot identity like any other scenario field.
 Design constraints (why the interface looks the way it does):
 
 * **Per-cell state only.**  A policy instance belongs to exactly one
-  station and holds no shared state — that keeps sharded execution and
-  checkpoint/restore sound (this package is in the shard-safety and
+  station and holds no shared state — that keeps checkpoint/restore
+  and warm forks sound (this package is in the shard-safety and
   snapshot-escape analyzer scopes, see ``tools/analyze``).
 * **Deterministic.**  No randomness, no wall clock; every input
   arrives through ``decide``/the hook arguments.

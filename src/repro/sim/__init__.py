@@ -25,7 +25,6 @@ from .network import (
 )
 from .resources import Collector, Gate, Resource, Store
 from .rng import StreamRegistry
-from .sharding import RemoteRecord, ShardPlan, ShardPort, plan_shards
 
 __all__ = [
     "Environment",
@@ -49,8 +48,4 @@ __all__ = [
     "UniformLatency",
     "ExponentialLatency",
     "StreamRegistry",
-    "ShardPlan",
-    "ShardPort",
-    "RemoteRecord",
-    "plan_shards",
 ]

@@ -142,8 +142,8 @@ class Environment:
         Same as :meth:`timeout` with ``delay = at - now``, except the
         scheduled time is exactly ``at`` — ``now + (at - now)`` can
         land one ulp off, which matters to consumers that must
-        reproduce a delivery time bit-for-bit (the inter-shard router
-        re-scheduling an exported envelope on its destination kernel).
+        reproduce a wake-up time bit-for-bit (snapshot restore
+        re-materialising a timer the captured run had pending).
         """
         if not at >= self._now:  # also rejects NaN
             raise ValueError(f"cannot schedule at {at}, now is {self._now}")

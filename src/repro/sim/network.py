@@ -287,12 +287,6 @@ class Network:
         #: per send for drop/duplicate/delay/reorder decisions and per
         #: delivery for crashed destinations.  None = perfect network.
         self.injector: Optional[Any] = None
-        #: Optional inter-shard router port (see
-        #: :class:`repro.sim.sharding.ShardPort`).  When attached,
-        #: sends to cells this kernel does not own are accounted here
-        #: (counters, hooks, probes, FIFO floor) and exported to the
-        #: destination shard instead of being scheduled locally.
-        self.shard_port: Optional[Any] = None
         #: Total messages sent, by payload type name.
         self.sent_by_kind: Dict[str, int] = {}
         #: Total messages sent overall.
@@ -339,12 +333,8 @@ class Network:
         assigned.  ``fault_tag`` labels ARQ retransmissions for the
         sanitizers.
         """
-        remote = False
         if dst not in self._nodes:
-            port = self.shard_port
-            if port is None or not port.routes(dst) or port.owns(dst):
-                raise KeyError(f"unknown destination node {dst}")
-            remote = True
+            raise KeyError(f"unknown destination node {dst}")
         now = self.env._now
         latency = self.latency
         if delay_override is not None:
@@ -361,9 +351,7 @@ class Network:
         if msg_id is None:
             self._msg_id = msg_id = self._msg_id + 1
         if self.injector is not None:
-            return self._send_faulty(
-                src, dst, payload, delay, msg_id, fault_tag, remote
-            )
+            return self._send_faulty(src, dst, payload, delay, msg_id, fault_tag)
         deliver_at = now + delay
         if self.fifo:
             deliver_at = self._fifo_clamp((src, dst), now, deliver_at)
@@ -372,10 +360,7 @@ class Network:
         self._seq = seq = self._seq + 1
         env_msg = Envelope(src, dst, payload, now, deliver_at, seq, msg_id, fault_tag)
         self._account(env_msg)
-        if remote:
-            self.shard_port.export(env_msg)
-        else:
-            self._schedule(env_msg, deliver_at)
+        self._schedule(env_msg, deliver_at)
         return env_msg
 
     def _fifo_clamp(self, link: Tuple[int, int], now: float, deliver_at: float) -> float:
@@ -422,7 +407,6 @@ class Network:
         delay: float,
         msg_id: int,
         fault_tag: Optional[str],
-        remote: bool = False,
     ) -> Envelope:
         """Slow path: route the send through the fault injector.
 
@@ -448,10 +432,7 @@ class Network:
             env_msg = Envelope(src, dst, payload, now, deliver_at, seq, msg_id, tag)
             if primary is None:
                 primary = env_msg
-            if remote:
-                self.shard_port.export(env_msg)
-            else:
-                self._schedule(env_msg, deliver_at)
+            self._schedule(env_msg, deliver_at)
         if primary is None:
             # Dropped at send time: account for the send, deliver nothing.
             self._seq = seq = self._seq + 1
@@ -467,17 +448,13 @@ class Network:
         unknown node id, or an error injected below ``send``).
 
         Copy for copy the same as calling :meth:`send` per destination;
-        on the perfect network (no injector, no shard port, constant
-        latency) one loop here does what ``send`` + ``_schedule`` would,
-        with everything the copies share worked out once.
+        on the perfect network (no injector, constant latency) one loop
+        here does what ``send`` + ``_schedule`` would, with everything
+        the copies share worked out once.
         """
         dsts = tuple(dsts)
         latency = self.latency
-        if (
-            self.injector is not None
-            or self.shard_port is not None
-            or type(latency) is not DeterministicLatency
-        ):
+        if self.injector is not None or type(latency) is not DeterministicLatency:
             for dst in dsts:
                 self.send(src, dst, payload)
             return len(dsts)
@@ -521,37 +498,6 @@ class Network:
             env._eid = eid = env._eid + 1
             heappush(queue, (deliver_at, NORMAL, eid, env_msg))
         return len(dsts)
-
-    def inject_remote(self, record: Any) -> Envelope:
-        """Schedule delivery of a cross-shard envelope on this kernel.
-
-        Called by the shard coordinator at a window barrier with a
-        :class:`~repro.sim.sharding.RemoteRecord` exported by another
-        shard's network.  The record's delivery time is already final
-        (latency, fault delays and the sender-side FIFO floor are
-        applied where the send happened); this side only assigns a
-        fresh local scheduling sequence number — injection order is the
-        coordinator's deterministic merge order, so per-link sequence
-        numbers remain monotone in delivery order and the FIFO/vector
-        -clock sanitizers keep checking cross-shard links.  The
-        ``shard.recv`` probe announces the arrival (with the sender's
-        vector-clock stamp, if any) before the delivery is scheduled.
-        """
-        self._seq = seq = self._seq + 1
-        env_msg = Envelope(
-            record.src,
-            record.dst,
-            record.payload,
-            record.sent_at,
-            record.deliver_at,
-            seq,
-            record.msg_id,
-            record.fault_tag,
-        )
-        if "shard.recv" in self._probes:
-            self.env.emit("shard.recv", (env_msg, record.clock))
-        self._schedule(env_msg, record.deliver_at)
-        return env_msg
 
     def _deliver(self, env_msg: Envelope) -> None:
         if self.injector is not None and not self.injector.deliverable(env_msg):

@@ -105,8 +105,7 @@ def run_to_checkpoint(
 
     ``at <= 0`` captures a *cold* snapshot — the built-but-unstarted
     stack, which restores as a plain rebuild and runs the normal start
-    choreography (this is the t0-fork form, works for every scheme,
-    and is the only form that can be resumed under ``shards > 1``).
+    choreography (this is the t0-fork form; it works for every scheme).
 
     For ``at > 0`` the kernel runs to ``at`` and then drains one event
     at a time until capture succeeds; the snapshot's ``time`` is the
@@ -161,24 +160,14 @@ def run_to_checkpoint(
     )
 
 
-def run_from_snapshot(
-    snapshot: Snapshot,
-    seed: Optional[int] = None,
-    shards: int = 1,
-) -> Any:
+def run_from_snapshot(snapshot: Snapshot, seed: Optional[int] = None) -> Any:
     """Restore ``snapshot`` (optionally forked to ``seed``) and run it
-    to the scenario horizon; returns the :class:`Report`.
-
-    A cold (t0) snapshot is a plain rebuild and supports any ``shards``
-    value; a mid-run one does not (the sharded coordinator re-partitions
-    state at build time) — see ``docs/CAPABILITIES.md``.
-    """
+    to the scenario horizon; returns the :class:`Report`."""
     from ..harness.runner import Report, run_scenario
 
     scenario = snapshot.scenario(seed)
     if not snapshot.started:
-        return run_scenario(scenario, shards=shards)
-    check_compatible(scenario, shards=shards, lanes=("mid-run snapshot",))
+        return run_scenario(scenario)
     sim = restore(snapshot, seed=seed)
     if sim.env._now < scenario.duration:
         sim.env.run(until=scenario.duration)

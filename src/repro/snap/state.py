@@ -348,14 +348,14 @@ def _describe_process(sim: Any, proc: Process, when: float) -> Dict[str, Any]:
         }
     if code_name == "at_warmup":
         return {"kind": "warmup", "wake": when}
-    if code_name in ("_crash_process", "_shadow_crash_process"):
+    if code_name == "_crash_process":
         window = locs["window"]
         crashes = sim.scenario.faults.crashes if sim.scenario.faults is not None else ()
         index = next((i for i, w in enumerate(crashes) if w is window), None)
         if index is None:
             raise UnsafeState("crash window not found in the scenario fault plan")
         return {
-            "kind": "crash" if code_name == "_crash_process" else "shadow_crash",
+            "kind": "crash",
             "index": index,
             "phase": "pre" if when == window.at else "post",
             "wake": when,
@@ -489,17 +489,15 @@ def _materialize_queue(sim: Any, entries: List[Dict[str, Any]], reseed: bool) ->
             _forge_process(env, gen, f"call[{origin}]")
         elif kind == "warmup":
             _forge_process(env, sim.at_warmup(entry["wake"]), "at_warmup")
-        elif kind in ("crash", "shadow_crash"):
+        elif kind == "crash":
             injector = sim.injector
             if injector is None:
                 raise SnapshotError("snapshot has crash windows but faults are off")
             window = sim.scenario.faults.crashes[entry["index"]]
-            resume = (window, entry["wake"], entry["phase"])
-            if kind == "crash":
-                gen = injector._crash_process(stations[window.cell], *resume)
-            else:
-                gen = injector._shadow_crash_process(*resume)
-            _forge_process(env, gen, gen.gi_code.co_name)
+            gen = injector._crash_process(
+                stations[window.cell], window, entry["wake"], entry["phase"]
+            )
+            _forge_process(env, gen, "_crash_process")
         elif kind == "sampler":
             which = entry["which"]
             sampler = getattr(sim.observer, _SAMPLERS[which], None)

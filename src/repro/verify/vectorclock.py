@@ -124,7 +124,6 @@ class VectorClockChecker(Sanitizer):
         self._listen("net.send", self._on_send)
         self._listen("net.deliver", self._on_deliver)
         self._listen("mirror.update", self._on_mirror_update)
-        self._listen("shard.recv", self._on_shard_recv)
 
     def _clock(self, node: int) -> Clock:
         clock = self._clocks.get(node)
@@ -142,25 +141,6 @@ class VectorClockChecker(Sanitizer):
         clock[envelope.src] = clock.get(envelope.src, 0) + 1
         self._stamps[envelope.seq] = dict(clock)
         self.messages_stamped += 1
-
-    def _on_shard_recv(self, now: float, payload: Any) -> None:
-        """Adopt a cross-shard arrival's sender-side stamp.
-
-        The inter-shard router ships the sending checker's stamp with
-        every exported envelope; priming the local stamp table under
-        the envelope's fresh local sequence number makes the upcoming
-        ``net.deliver`` indistinguishable from a same-shard delivery —
-        the per-link dominance check and mirror attribution keep
-        working across the shard boundary.  Arrivals without a stamp
-        (no checker on the sending shard, fault-tagged copies) are
-        left alone; :meth:`_on_deliver` already treats an unknown
-        stamp as nothing-to-verify.
-        """
-        if not isinstance(payload, tuple) or len(payload) != 2:
-            return  # foreign/synthetic payload shape
-        envelope, clock = payload
-        if clock is not None and envelope.fault_tag is None:
-            self._stamps[envelope.seq] = dict(clock)
 
     def _on_deliver(self, now: float, envelope: Envelope) -> None:
         if envelope.fault_tag is not None:

@@ -144,7 +144,7 @@ HOSTILE_FAULTS = FaultPlan(
 
 #: feature -> the smallest request that switches it on, for every
 #: feature ``repro.harness.capability.CAPABILITIES`` mentions:
-#: ``scenario`` (Scenario fields), ``shards`` / ``lanes`` / ``source``
+#: ``scenario`` (Scenario fields), ``lanes`` / ``source``
 #: (``check_compatible`` keywords) and ``argv`` (the same thing said to
 #: ``python -m repro``; absent where no flag says it).  The boundary
 #: test and the lane oracle in tests/test_lanes.py both build their
@@ -152,10 +152,8 @@ HOSTILE_FAULTS = FaultPlan(
 WITNESS = {
     "classic kernel": dict(argv=[]),
     "fastlane": dict(scenario=dict(fastlane=True), argv=["--fastlane"]),
-    "shards": dict(shards=2, argv=["--shards", "2"]),
     "checkpoint": dict(lanes=("checkpoint",), argv=["--checkpoint-at", "100"]),
     "resume": dict(lanes=("resume",), argv=["--from-checkpoint", "no-such.snap"]),
-    "mid-run snapshot": dict(lanes=("mid-run snapshot",), argv=["--from-checkpoint", "{warm}"]),
     "fresh run": dict(lanes=("fresh run",), argv=[]),
     "fork seed": dict(lanes=("fork seed",), argv=["--fork-seed", "3"]),
     "policy tooling": dict(lanes=("policy tooling",), argv=["--record-policy-trace", "trace.json"]),
@@ -185,11 +183,10 @@ def witness_request(*names, **fields):
     overriding their Scenario fields: ``(check_compatible keywords, the
     argv saying the same or None where some feature has no flag)``."""
     scenario, argv = {}, []
-    request = {"shards": 1, "lanes": (), "source": None}
+    request = {"lanes": (), "source": None}
     for name in names:
         witness = WITNESS[name]
         scenario.update(witness.get("scenario", {}))
-        request["shards"] = witness.get("shards", request["shards"])
         request["lanes"] += witness.get("lanes", ())
         request["source"] = witness.get("source", request["source"])
         argv = None if argv is None or "argv" not in witness else argv + witness["argv"]

@@ -75,11 +75,20 @@ def test_invalid_scheme_rejected():
         build_parser().parse_args(["--scheme", "bogus"])
 
 
+def test_shards_flag_is_gone_not_ignored(capsys, nothing_constructed):
+    # One scenario runs on one kernel: a stale script must fail loudly.
+    with pytest.raises(SystemExit) as exited:
+        main(["--shards", "2"])
+    assert exited.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: --shards 2" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["--scheme", "basic_update", "--fastlane"],
-        ["--fastlane", "--shards", "2"],
         ["--fastlane", "--faults", "0.05"],
         ["--fastlane", "--checkpoint-at", "100"],
         # Four of the six cells are not runnable: none may be simulated.

@@ -70,8 +70,6 @@ def test_build_gates_reject_invalid_combinations():
         build_simulation(lane_scenario(mean_dwell=600.0))
     with pytest.raises(ValueError, match="guard"):
         build_simulation(lane_scenario(extra_params={"guard_channels": 2}))
-    with pytest.raises(ValueError, match="fastlane"):
-        run_scenario(lane_scenario(), shards=2)
 
 
 def test_trafficmix_rejected_at_lane_construction():

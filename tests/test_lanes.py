@@ -16,16 +16,15 @@ rather than a hand list:
   ``violations == 0`` is part of the compared row, the hostile fault
   plan included.
 
-Budget: ``max_examples`` below (80 shards, 80 fork, 30 cache, 3×4
-workers, 40 fastlane) plus one process-mode run add about a minute to
-tier-1 on the development host, inside the issue's 90 s.
+Budget: ``max_examples`` below (80 fork, 30 cache, 3×4 workers,
+40 fastlane) add about half a minute to tier-1 on the development host.
 """
 
 import inspect
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import WITNESS, witness_request
@@ -33,28 +32,18 @@ from repro.__main__ import main
 from repro.harness import (
     CompatibilityError,
     ResultCache,
-    Scenario,
     build_simulation,
     check_compatible,
     run_cells,
     run_replications,
     run_scenario,
-    run_sharded,
-    run_sharded_results,
     tune_policy,
 )
 from repro.harness.capability import CAPABILITIES, SCHEMES
 from repro.harness.fastlane import FastLane
 from repro.policies import compare_policies
 from repro.policies.base import policy_names
-from repro.snap import (
-    Snapshot,
-    SnapshotError,
-    checkpoint,
-    run_from_snapshot,
-    run_to_checkpoint,
-    save_snapshot,
-)
+from repro.snap import SnapshotError, checkpoint, run_from_snapshot, run_to_checkpoint
 
 REJECTED = [pair for pair, verdict in CAPABILITIES.items() if verdict.kind == "rejected"]
 
@@ -66,7 +55,7 @@ def test_every_feature_has_a_witness_and_every_witness_a_row():
     assert mentioned == set(WITNESS)
 
 
-def entry_points(scenario, shards, lanes, source):
+def entry_points(scenario, lanes, source):
     """Every library call that can express the request, as thunks."""
     lanes = set(lanes)
     # What checkpoint() reads of an already built stack before it validates.
@@ -81,38 +70,26 @@ def entry_points(scenario, shards, lanes, source):
             return [lambda: checkpoint(fake_sim)]
         return [lambda: FastLane(None, {}, source, None, scenario, None)] if not lanes else []
     if not lanes:
-        calls = [
-            lambda: run_scenario(scenario, shards=shards),
-            lambda: run_cells([scenario], shards=shards, cache=False),
-            lambda: run_cells([scenario] * 2, shards=shards, workers=2, cache=False),
+        return [
+            lambda: run_scenario(scenario),
+            lambda: run_cells([scenario], cache=False),
+            lambda: run_cells([scenario] * 2, workers=2, cache=False),
+            lambda: build_simulation(scenario),
         ]
-        if shards == 1:
-            return calls + [lambda: build_simulation(scenario)]
-        return calls + [lambda: run_sharded_results(scenario, shards, mode="inline")]
-    if lanes == {"checkpoint"} and shards == 1:
+    if lanes == {"checkpoint"}:
         return [
             lambda: run_to_checkpoint(scenario, 0.0),
             lambda: run_replications(scenario, 2, warmup_checkpoint=0.0),
             lambda: checkpoint(fake_sim),
         ]
-    if lanes == {"mid-run snapshot"}:
-        warm = Snapshot(scenario_json=scenario.to_json(), time=1.0, started=True, state={})
-        return [lambda: run_from_snapshot(warm, shards=shards)]
-    if lanes == {"policy tooling"} and shards == 1:
+    if lanes == {"policy tooling"}:
         return [lambda: compare_policies(scenario), lambda: tune_policy(scenario)]
     return []
 
 
-@pytest.fixture(scope="module")
-def warm_path(tmp_path_factory):
-    path = tmp_path_factory.mktemp("lanes") / "warm.snap"
-    save_snapshot(run_to_checkpoint(Scenario(duration=160.0, warmup=40.0, seed=11), 80.0), path)
-    return str(path)
-
-
 @pytest.mark.parametrize("pair", REJECTED, ids=" x ".join)
 def test_rejected_row_fires_the_validator_before_anything_is_built(
-    pair, warm_path, nothing_constructed, capsys, tmp_path, monkeypatch
+    pair, nothing_constructed, capsys, tmp_path, monkeypatch
 ):
     reason = CAPABILITIES[pair].detail
     request, argv = witness_request(*pair)
@@ -128,7 +105,6 @@ def test_rejected_row_fires_the_validator_before_anything_is_built(
 
     if argv is not None:
         monkeypatch.chdir(tmp_path)
-        argv = [arg.replace("{warm}", warm_path) for arg in argv]
         assert main(argv + ["--duration", "160", "--warmup", "40", "--no-cache"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {caught.value}\n"
@@ -206,38 +182,6 @@ def lane_settings(max_examples):
         deadline=None,
         suppress_health_check=list(HealthCheck),
     )
-
-
-def assert_sharded_row(sharded, classic):
-    """Equal, except that the one float of the row that sums over
-    acquisition records may differ in its last ulps: the merge adds them
-    in (time, cell) order, the classic kernel in event order, and two
-    cells can complete at the same instant."""
-    sharded, classic = dict(sharded), dict(classic)
-    assert sharded.pop("mean_acquisition_time") == pytest.approx(
-        classic.pop("mean_acquisition_time"), rel=1e-13, abs=0
-    )
-    assert sharded == classic
-
-
-@lane_settings(80)
-@given(scenarios("shards"))
-# Found by this oracle: same-instant completions, mean off by 9e-16.
-@example(Scenario(scheme="basic_search", offered_load=5.0, seed=0, duration=160.0, warmup=40.0))
-def test_shards_inline_is_row_identical_to_classic(scenario):
-    classic = row(run_scenario(scenario))
-    assert classic["violations"] == 0
-    for bands in (2, 3):
-        assert_sharded_row(row(run_sharded(scenario, bands, mode="inline")), classic)
-
-
-def test_shards_process_mode_is_row_identical_to_classic():
-    # One fixed example: each run pays two interpreter spawns.
-    scenario = Scenario(
-        scheme="adaptive", offered_load=9, seed=5, duration=160.0, warmup=40.0,
-        **WITNESS["fault plan"]["scenario"], **WITNESS["obs"]["scenario"],
-    )
-    assert_sharded_row(row(run_sharded(scenario, 2, mode="process")), row(run_scenario(scenario)))
 
 
 @lane_settings(80)

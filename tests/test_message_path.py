@@ -24,7 +24,6 @@ from repro.sim import (
     Environment,
     Envelope,
     Network,
-    RemoteRecord,
     StreamRegistry,
     UniformLatency,
 )
@@ -107,12 +106,11 @@ def test_subscribers_never_change_a_run(bare, name):
     assert sim_all.network._seq == sim.network._seq == sim_one.network._seq
 
 
-#: Catalogued kinds none of the three scenarios can reach: they need the
-#: sharded coordinator, the fast lane or the harvest policy, or a loss
-#: pattern (terminally lost ACQUISITION, traffic across the severed
-#: link) these short runs do not produce.
+#: Catalogued kinds none of the three scenarios can reach: they need
+#: the fast lane or the harvest policy, or a loss pattern (terminally
+#: lost ACQUISITION, traffic across the severed link) these short runs
+#: do not produce.
 NOT_DRIVEN = {
-    "shard.recv",
     "fastlane.demote",
     "fastlane.promote",
     "policy.solicit",
@@ -365,23 +363,19 @@ def test_every_scheduling_site_puts_the_envelope_itself_on_the_heap():
     env, network, _ = twin()
     network.send(0, 1, "plain")
     network.multicast(0, [2, 3], "fan-out")
-    network.inject_remote(RemoteRecord(
-        deliver_at=2.5, sent_at=1.0, src=9, dst=4, msg_id=77,
-        payload="remote", fault_tag=None, clock=None,
-    ))
     plan = FaultPlan(dup_prob=1.0, reorder_prob=1.0, reorder_delay=0.5)
     network.injector = FaultInjector(env, plan, StreamRegistry(1), network.latency)
     network.send(0, 5, "faulty")
     tags = sorted(e[3].fault_tag or "" for e in env._queue if e[3].dst == 5)
     assert tags == ["dup", "reorder"]
-    assert len(env) == 6
+    assert len(env) == 5
     for entry in env._queue:
         assert_is_delivery(entry, network)
     network.injector = None
     env.run()
-    assert [len(network.node(n).got) for n in range(6)] == [0, 1, 1, 1, 1, 2]
-    assert network.node(4).got[0].callbacks is None
-    assert network.node(4).got[0]._processed is True
+    assert [len(network.node(n).got) for n in range(6)] == [0, 1, 1, 1, 0, 2]
+    assert network.node(1).got[0].callbacks is None
+    assert network.node(1).got[0]._processed is True
 
 
 def test_cancelling_an_envelope_skips_its_delivery():

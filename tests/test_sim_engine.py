@@ -460,3 +460,62 @@ def test_peek_discards_cancelled_entries():
     env.cancel(first)
     assert env.peek() == 3.0
     assert len(env) == 1  # the cancelled entry was popped, not skipped
+
+
+# -- absolute timers and stepped runs (what snapshots lean on) -------------
+
+
+def test_environment_timeout_at_schedules_absolute_time():
+    env = Environment()
+    seen = []
+    event = env.timeout_at(2.5, "x")
+    event.callbacks.append(lambda e: seen.append((env.now, e._value)))
+    env.run(until=5.0)
+    assert seen == [(2.5, "x")]
+    with pytest.raises(ValueError):
+        env.timeout_at(env.now - 1.0)
+
+    # Why the method exists: a restored timer must wake at the captured
+    # instant to the bit, and going through a delay cannot promise that.
+    now, at = 0.2, 0.9
+    assert now + (at - now) != at
+    env = Environment(initial_time=now)
+    exact, via_delay = env.timeout_at(at), env.timeout(at - now)
+    key = {event: when for when, _, _, event in env._queue}
+    assert key[exact] == at and key[via_delay] != at
+
+
+def test_stepped_run_is_the_single_run_plus_one_event_id_per_step():
+    """``k`` calls ``run(until=i·T)`` do what one ``run(until=k·T)`` does
+    (``run_to_checkpoint`` then ``run(until=duration)``, ``bench/trace.py``'s
+    stepping): same callbacks, same order, and an event exactly on a
+    boundary belongs to the *later* call."""
+    T, k = 1.0, 6
+
+    def build():
+        env = Environment()
+        trace = []
+
+        def worker(wid, delay):
+            while True:
+                yield env.timeout(delay)
+                trace.append((env.now, wid))
+
+        # 0.5 and 1.0 land on every boundary, 0.75 on every third.
+        for wid, delay in enumerate((0.5, 1.0, 0.75, 0.3)):
+            env.process(worker(wid, delay))
+        return env, trace
+
+    single_env, single = build()
+    single_env.run(until=k * T)
+
+    stepped_env, stepped = build()
+    for i in range(1, k + 1):
+        stepped_env.run(until=i * T)
+        assert stepped_env.now == i * T
+        assert all(when < i * T for when, _ in stepped)
+
+    assert stepped == single
+    assert any(when == T for when, _ in single)  # a boundary event exists
+    # Each call cost its stop event's id and nothing else.
+    assert stepped_env._eid == single_env._eid + (k - 1)

@@ -4,7 +4,7 @@ The headline contracts under test (see DESIGN.md §9):
 
 * **Fork-at-t0 row-identity** — a cold (t0) snapshot forked to any
   seed reports row-identically to a cold run of that seed, for every
-  scheme, under a hostile fault plan, and under sharded execution.
+  scheme and under a hostile fault plan.
 * **Exact mid-run continuation** — for schemes that reach global
   quiescence mid-run (fixed, adaptive, advanced_update, prakash at
   these loads), checkpointing at t and resuming is row-identical to
@@ -129,14 +129,6 @@ def test_t0_fork_row_identical_under_hostile_faults():
     assert rows(forked) == rows(cold)
 
 
-def test_t0_fork_row_identical_under_sharding():
-    scenario = small("adaptive")
-    snap = run_to_checkpoint(scenario, 0.0)
-    sharded = run_from_snapshot(snap, shards=4)
-    serial = run_scenario(scenario)
-    assert rows(sharded) == rows(serial)
-
-
 # -- exact mid-run continuation --------------------------------------------
 
 
@@ -195,12 +187,6 @@ def test_midrun_snapshot_refuses_never_quiescent_scheme():
     # up honestly instead of capturing a torn state.
     with pytest.raises(SnapshotError, match="no snapshot-safe point"):
         run_to_checkpoint(small("basic_update"), 80.0, drain_window=10.0)
-
-
-def test_midrun_snapshot_refuses_sharded_resume():
-    snap = run_to_checkpoint(small("adaptive"), 80.0)
-    with pytest.raises(CompatibilityError, match="single kernel"):
-        run_from_snapshot(snap, shards=4)
 
 
 # -- reseeded forking ------------------------------------------------------

@@ -1,7 +1,7 @@
 """One shared, frozen topology per scenario shape (``topology_for``).
 
 The paper fixes ``IN_i``/``PR_i``/``Spectrum`` for the life of the
-system, so every build of one shape — replications, shards, snapshot
+system, so every build of one shape — replications, snapshot
 restores — gets the same :class:`CellularTopology` from a bounded memo.
 Sharing is only sound if nobody can write to the shared value, and
 only bounded if the memo evicts; both are checked here, together with

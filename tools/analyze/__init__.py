@@ -12,8 +12,9 @@ Pass 1    Message-flow conformance (ANA101–ANA104): every message kind
 Pass 2    Shard-safety escape analysis (ANA201–ANA203): no read/write
           of another cell's mutable state outside ``Network.send`` and
           the probe bus; no process-shared mutable class attributes or
-          module globals in simulation scope.  Precondition gate for
-          the sharded-DES roadmap item.  (``tools/analyze/shard.py``)
+          module globals in simulation scope.  Guards the paper's
+          message-only coupling between stations, which snapshots,
+          forks and the fast lane rely on.  (``tools/analyze/shard.py``)
 Pass 3    Snapshot-escape analysis (ANA301–ANA303): no unregistered
           randomness and no mutable module/class-level state anywhere
           the checkpoint state codec must cover.  Precondition gate

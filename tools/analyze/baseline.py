@@ -1,10 +1,9 @@
 """Committed-baseline workflow for accepted analyzer findings.
 
 The analyzer fails only on findings *not* in the committed baseline
-(``tools/analyze/baseline.json``), so pre-existing accepted findings —
-e.g. the dict-iteration fan-outs over collector responses, which are
-deterministic within a run today and queued for sorting in the
-sharding refactor — do not block CI while still being on the record.
+(``tools/analyze/baseline.json``), so a pre-existing accepted finding —
+e.g. a dict-iteration fan-out that is deterministic within a run and
+queued for sorting — does not block CI while still being on the record.
 
 Baseline entries are keyed ``(code, path, message)`` — deliberately
 *line-insensitive*, so unrelated edits shifting a finding up or down a

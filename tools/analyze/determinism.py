@@ -2,14 +2,15 @@
 
 Rules over the same engine as ``tools.check`` (path scoping, alias
 resolution, ``# repro: noqa`` pragmas all apply), but owned by the
-whole-program analyzer because their findings gate the sharding
-roadmap item rather than day-to-day edits:
+whole-program analyzer because their findings gate row identity
+across lanes (``workers=N``, restore, fork) rather than day-to-day
+edits:
 
 * **SIM006** — iteration over a ``set``/``dict`` view that *feeds
   event scheduling or message fan-out*.  Set order is hash-dependent
-  across processes; dict order is insertion order, which under
-  sharding differs between equivalent shard states.  Either way the
-  event/message order stops being a pure function of the scenario.
+  across processes; dict order is insertion order, which differs
+  between a fresh stack and an equivalent restored one.  Either way
+  the event/message order stops being a pure function of the scenario.
 * **SIM007** — ordering by object identity or hash (``sorted(...,
   key=id)``, ``min(..., key=hash)`` and friends): differs run to run.
 * **SIM008** — ``dict.popitem()``: LIFO of insertion order, an easy
@@ -90,7 +91,7 @@ class NoUnorderedFanout(Rule):
                     "iterating an unordered set/dict view into message "
                     "sends or event scheduling; wrap the iterable in "
                     "sorted(...) so the fan-out order is deterministic "
-                    "across processes and shards"
+                    "across processes and restores"
                 )
 
 

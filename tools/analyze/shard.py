@@ -1,25 +1,30 @@
 """Pass 2 — shard-safety escape analysis (ANA201–ANA204).
 
-Precondition gate for the ROADMAP's sharded space-parallel DES: once
-cells are partitioned across shards running in separate workers, any
-read or write of *another cell's* mutable state that does not travel
-through ``Network.send`` or the probe bus becomes a real data race.
-This pass flags the cross-cell shortcuts statically:
+Guards what the paper's system model assumes — mobile service stations
+interact *only* by messages — and what snapshots, warm forks and the
+fast lane depend on: a cell's state is the station's own, so capturing,
+forking or parking one cell cannot miss state hidden somewhere else.
+Any read or write of *another cell's* mutable state that does not
+travel through ``Network.send`` or the probe bus breaks both.
+"Shard-safe" names the property: cut the grid anywhere and nothing
+but messages crosses the cut.  This pass flags the cross-cell
+shortcuts statically:
 
 * **ANA201** — protocol/kernel code dereferencing another node's
   object: attribute access on a ``.node(...)`` / ``.nodes[...]`` call
   result or any use of the fabric's ``._nodes`` registry outside the
   fabric itself.  The network (``sim/network.py``) is the fabric, and
   the interference monitor plus tracing/obs readers are allowlisted
-  observers (they are probe-bus consumers on the shard boundary).
+  observers (probe-bus consumers that never write protocol state).
 * **ANA202** — mutable class-level attribute (``list``/``dict``/``set``
   literal or constructor) on a class in protocol/core scope: class
   attributes are process-global, i.e. silently shared across every
-  cell in a shard — state must live per instance.
+  cell in the process — state must live per instance.
 * **ANA203** — mutable module-level global in simulation scope:
-  module globals are per-worker under sharding, so any mutable one is
-  either a hidden cross-cell channel today or a silent divergence
-  tomorrow.  Dunder names (``__all__``) are exempt.
+  module globals are shared by every cell of a run and by successive
+  runs in one process (a pool worker, a fork loop), and no snapshot
+  sees them, so any mutable one is a hidden cross-cell channel.
+  Dunder names (``__all__``) are exempt.
 * **ANA204** — fluid-state access from a protocol message handler:
   ``self.fastlane`` touched inside an ``_on_*`` / ``_handle_*``
   method.  By the time a handler runs, ``MSS.on_message`` has already
@@ -32,8 +37,8 @@ This pass flags the cross-cell shortcuts statically:
 
 Besides findings, the pass produces a machine-readable report (the
 ``--shard-report`` CI artifact) stating the files scanned, the
-allowlist applied, and a ``safe``/``unsafe`` verdict for the sharding
-roadmap item to gate on.
+allowlist applied, and a ``safe``/``unsafe`` verdict that CI gates
+on.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from tools.check.engine import Finding
 
 __all__ = ["run_shard_pass", "SHARD_SCOPE", "SHARD_ALLOWLIST"]
 
-#: Code that will run *inside* a shard: protocols, core, kernel.
+#: Code that runs *as* a cell or underneath one: protocols, core, kernel.
 SHARD_SCOPE = (
     "src/repro/protocols",
     "src/repro/core",
@@ -109,8 +114,8 @@ def _peer_access_findings(path: str, tree: ast.Module) -> List[Finding]:
                         node.col_offset,
                         "ANA201",
                         f"cross-cell state access: .node(...).{node.attr} "
-                        "dereferences another cell's object — under "
-                        "sharding this is a data race; communicate via "
+                        "dereferences another cell's object — stations "
+                        "interact only by messages; communicate via "
                         "Network.send or the probe bus",
                     )
                 )
@@ -127,8 +132,8 @@ def _peer_access_findings(path: str, tree: ast.Module) -> List[Finding]:
                         node.col_offset,
                         "ANA201",
                         f"cross-cell state access: nodes[...].{node.attr} "
-                        "reaches into the fabric's registry — under "
-                        "sharding this is a data race",
+                        "reaches into the fabric's registry — stations "
+                        "interact only by messages",
                     )
                 )
             elif node.attr == "_nodes" and id(node) not in covered:
@@ -148,7 +153,7 @@ def _peer_access_findings(path: str, tree: ast.Module) -> List[Finding]:
 def _class_attr_findings(path: str, tree: ast.Module) -> List[Finding]:
     findings: List[Finding] = []
     if "src/repro/sim" in path:
-        return findings  # kernel classes are per-shard singletons
+        return findings  # kernel classes are per-run singletons
     for node in ast.walk(tree):
         if not isinstance(node, ast.ClassDef):
             continue
@@ -198,9 +203,9 @@ def _module_global_findings(path: str, tree: ast.Module) -> List[Finding]:
                         stmt.col_offset,
                         "ANA203",
                         f"mutable module-level global {target.id!r} in "
-                        "simulation scope — per-worker under sharding, "
-                        "process-shared today; thread it through "
-                        "constructors instead",
+                        "simulation scope — shared by every cell and "
+                        "every run in the process, unseen by snapshots; "
+                        "thread it through constructors instead",
                     )
                 )
     return findings

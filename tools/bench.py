@@ -1,6 +1,6 @@
 """Simulator benchmark driver: kernel throughput, parallel sweep, cache.
 
-Runs seven measurements and records them in ``BENCH_simulator.json``:
+Runs six measurements and records them in ``BENCH_simulator.json``:
 
 1. **Kernel throughput (B0)** — events/second per scheme, using the
    same manual step loop as ``benchmarks/test_simulator_throughput.py``
@@ -14,15 +14,13 @@ Runs seven measurements and records them in ``BENCH_simulator.json``:
 3. **Cold vs warm cache** — the sweep run twice against a fresh
    :class:`~repro.harness.ResultCache`; the second run should be
    nearly free.
-4. **Sharded kernel** — classic vs space-parallel execution with a
-   row-parity check and a critical-path speedup floor.
-5. **Warm-start forking** — an N-seed replication sweep run cold
+4. **Warm-start forking** — an N-seed replication sweep run cold
    (N full simulations) vs warm (one ``run_to_checkpoint`` at the
    warmup boundary plus N forks, ``repro.snap``); fork seed 0 must be
    row-identical to the cold base run, and ``--check`` gates the
    speedup against the profile floor (>= 3x on the full reference
    sweep, where measurement is 10% of the horizon).
-6. **Fast lane** — the low-load reference scenario run with
+5. **Fast lane** — the low-load reference scenario run with
    ``fastlane=False`` (exact baseline) and ``fastlane=True`` (fluid
    local-mode cells, ``repro.harness.fastlane``).  ``--check`` gates
    the wall-clock speedup floor (>= 3x on the full profile), the
@@ -32,7 +30,7 @@ Runs seven measurements and records them in ``BENCH_simulator.json``:
    behavior is contractually bit-identical to a build without the
    lane.  The divergence table is also written to
    ``benchmarks/fastlane-divergence.json`` for CI artifact upload.
-7. **Policy comparison** — every registered mode policy (plus the
+6. **Policy comparison** — every registered mode policy (plus the
    clairvoyant oracle) run on one contended workload through
    ``repro.policies.compare_policies``; records per-policy mean
    regret-vs-oracle.  ``--check`` gates that the oracle's regret is
@@ -70,9 +68,6 @@ try:
         Scenario,
         build_simulation,
         run_replications,
-        run_scenario,
-        run_sharded_results,
-        merge_shard_results,
         sweep,
     )
     from repro.sim.engine import EmptySchedule
@@ -83,9 +78,6 @@ except ImportError:  # `python -m tools.bench` without PYTHONPATH=src
         Scenario,
         build_simulation,
         run_replications,
-        run_scenario,
-        run_sharded_results,
-        merge_shard_results,
         sweep,
     )
     from repro.sim.engine import EmptySchedule
@@ -128,19 +120,6 @@ PROFILES = {
             duration=600.0,
             warmup=100.0,
         ),
-        # Large grid so per-window compute dominates the per-window
-        # barrier cost; 784 cells is ~16x the paper's system.
-        "sharded": dict(
-            scheme="basic_update",
-            rows=28,
-            cols=28,
-            offered_load=5.0,
-            duration=400.0,
-            warmup=100.0,
-            seed=42,
-            shard_counts=[2, 4],
-            min_speedup=2.5,
-        ),
         # The reference warm-start sweep: a production-shaped horizon
         # where measurement is the last 10%, so the ideal fork speedup
         # is N*D / (W + N*(D-W)) = 30000/5700 ~ 5.3x; the floor leaves
@@ -172,22 +151,6 @@ PROFILES = {
             max_block_divergence=0.01,
             max_occupancy_divergence=0.5,
         ),
-        # Adaptive conservative windows: a sparse scenario (traffic so
-        # thin that whole multi-T stretches have no events anywhere)
-        # where the null-message optimization should collapse most
-        # barriers; the gate demands row parity with fixed windows plus
-        # an actual window-count reduction.
-        "shard_windows": dict(
-            scheme="adaptive",
-            rows=7,
-            cols=7,
-            offered_load=0.25,
-            duration=400.0,
-            warmup=50.0,
-            seed=5,
-            shards=2,
-            max_window_fraction=0.5,
-        ),
         # Contended enough (load 10 on the paper grid) that mode-policy
         # quality shows in the drop rate, so the regret ordering is
         # informative rather than noise around zero.
@@ -207,20 +170,6 @@ PROFILES = {
             offered_load=6.0,
             duration=300.0,
             warmup=50.0,
-        ),
-        # Small enough for CI; the barrier overhead is proportionally
-        # larger here, so the gate only demands parity plus a loose
-        # critical-path floor — the 2.5x claim is the full profile's.
-        "sharded": dict(
-            scheme="basic_update",
-            rows=14,
-            cols=14,
-            offered_load=5.0,
-            duration=200.0,
-            warmup=50.0,
-            seed=42,
-            shard_counts=[2, 4],
-            min_speedup=0.8,
         ),
         # Shorter horizon, so the fixed rebuild cost per fork weighs
         # more; the floor only guards the mechanism (ideal here is
@@ -250,17 +199,6 @@ PROFILES = {
             max_drop_divergence=0.02,
             max_block_divergence=0.02,
             max_occupancy_divergence=0.75,
-        ),
-        "shard_windows": dict(
-            scheme="adaptive",
-            rows=7,
-            cols=7,
-            offered_load=0.25,
-            duration=200.0,
-            warmup=50.0,
-            seed=5,
-            shards=2,
-            max_window_fraction=0.5,
         ),
         # One seed and a shorter horizon: the gate (oracle regret
         # exactly 0, zero violations) is structural, not statistical.
@@ -386,7 +324,7 @@ def bench_cache(spec: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _parity_row(report) -> List[Any]:
-    """The exact-equality fingerprint used for shard parity checks."""
+    """The exact-equality fingerprint of a report, for parity checks."""
     return [
         report.offered,
         report.granted,
@@ -396,77 +334,6 @@ def _parity_row(report) -> List[Any]:
         report.violations,
         report.calls_completed,
     ]
-
-
-def bench_sharded(spec: Dict[str, Any]) -> Dict[str, Any]:
-    """Space-parallel kernel: classic vs sharded on a large grid.
-
-    Records, per shard count, the wall time (hardware-bound: on a
-    single-core runner four shard processes cannot beat one) and the
-    **critical-path speedup** — classic CPU seconds divided by the
-    slowest shard worker's CPU seconds plus the coordinator's — which
-    is what the wall speedup converges to given >= shards free cores,
-    and is stable across machines, so it is the gated quantity.
-    events/s figures are kernel events over the same two denominators.
-    """
-    scenario = Scenario(
-        scheme=spec["scheme"],
-        rows=spec["rows"],
-        cols=spec["cols"],
-        offered_load=spec["offered_load"],
-        duration=spec["duration"],
-        warmup=spec["warmup"],
-        seed=spec["seed"],
-    )
-    windows = int(-(-spec["duration"] // 1))  # duration / latency_T (=1)
-
-    c0 = time.process_time()
-    w0 = time.perf_counter()
-    classic = run_scenario(scenario)
-    classic_cpu = time.process_time() - c0
-    classic_wall = time.perf_counter() - w0
-    classic_row = _parity_row(classic)
-
-    out: Dict[str, Any] = {
-        "grid": f"{spec['rows']}x{spec['cols']}",
-        "scheme": spec["scheme"],
-        "duration": spec["duration"],
-        "classic": {
-            "cpu_s": round(classic_cpu, 3),
-            "wall_s": round(classic_wall, 3),
-        },
-        "rows_identical": True,
-        "shards": {},
-    }
-    for shards in spec["shard_counts"]:
-        c0 = time.process_time()
-        w0 = time.perf_counter()
-        plan, results = run_sharded_results(scenario, shards, mode="process")
-        coord_cpu = time.process_time() - c0
-        wall = time.perf_counter() - w0
-        report = merge_shard_results(scenario, plan, results)
-        if _parity_row(report) != classic_row:
-            out["rows_identical"] = False
-        # Kernel events, net of the one stop event each window costs
-        # every shard (a windowing artifact, not simulation work).
-        events = sum(r.processed_events for r in results) - shards * windows
-        critical = max(r.cpu_s for r in results) + coord_cpu
-        out["shards"][str(shards)] = {
-            "wall_s": round(wall, 3),
-            "coordinator_cpu_s": round(coord_cpu, 3),
-            "max_shard_cpu_s": round(max(r.cpu_s for r in results), 3),
-            "events": events,
-            "cross_shard_messages": sum(r.exported for r in results),
-            "events_per_s_wall": int(events / wall) if wall else 0,
-            "events_per_s_critical_path": (
-                int(events / critical) if critical else 0
-            ),
-            "speedup_wall": round(classic_wall / wall, 2) if wall else 0.0,
-            "speedup_critical_path": (
-                round(classic_cpu / critical, 2) if critical else 0.0
-            ),
-        }
-    return out
 
 
 def bench_warmstart(spec: Dict[str, Any]) -> Dict[str, Any]:
@@ -581,50 +448,6 @@ def bench_fastlane(spec: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def bench_shard_windows(spec: Dict[str, Any]) -> Dict[str, Any]:
-    """Fixed vs adaptive conservative windows on a sparse scenario.
-
-    Inline mode on purpose: the quantity under test is the number of
-    barriers the null-message optimization eliminates (and row parity
-    across window modes), not transport wall time.
-    """
-    scenario = Scenario(
-        scheme=spec["scheme"],
-        rows=spec["rows"],
-        cols=spec["cols"],
-        offered_load=spec["offered_load"],
-        duration=spec["duration"],
-        warmup=spec["warmup"],
-        seed=spec["seed"],
-        wrap=False,
-    )
-    shards = spec["shards"]
-    rows = {}
-    windows = {}
-    for window_mode in ("fixed", "adaptive"):
-        plan, results = run_sharded_results(
-            scenario, shards, mode="inline", window_mode=window_mode
-        )
-        rows[window_mode] = _parity_row(
-            merge_shard_results(scenario, plan, results)
-        )
-        windows[window_mode] = results[0].windows
-    return {
-        "grid": f"{spec['rows']}x{spec['cols']}",
-        "scheme": spec["scheme"],
-        "offered_load": spec["offered_load"],
-        "shards": shards,
-        "windows_fixed": windows["fixed"],
-        "windows_adaptive": windows["adaptive"],
-        "window_fraction": (
-            round(windows["adaptive"] / windows["fixed"], 4)
-            if windows["fixed"]
-            else 0.0
-        ),
-        "rows_identical": rows["fixed"] == rows["adaptive"],
-    }
-
-
 def bench_policies(spec: Dict[str, Any], workers: int) -> Dict[str, Any]:
     """Every registered mode policy (plus the oracle) on one workload.
 
@@ -728,27 +551,6 @@ def check_fastlane(
     return problems
 
 
-def check_shard_windows(
-    result: Dict[str, Any], spec: Dict[str, Any]
-) -> List[str]:
-    """Gate: adaptive windows must match fixed windows row-for-row and
-    actually eliminate barriers on the sparse profile."""
-    problems = []
-    if not result["rows_identical"]:
-        problems.append(
-            "shard_windows: adaptive-window rows differ from fixed-window"
-        )
-    if result["window_fraction"] > spec["max_window_fraction"]:
-        problems.append(
-            f"shard_windows: adaptive ran {result['windows_adaptive']} of "
-            f"{result['windows_fixed']} windows "
-            f"({result['window_fraction']:.0%}), above the "
-            f"{spec['max_window_fraction']:.0%} ceiling — the "
-            "null-message optimization is not engaging"
-        )
-    return problems
-
-
 def check_warmstart(
     result: Dict[str, Any], spec: Dict[str, Any]
 ) -> List[str]:
@@ -764,25 +566,6 @@ def check_warmstart(
         problems.append(
             f"warmstart: speedup {result['speedup']}x is below the "
             f"{floor}x floor for this profile"
-        )
-    return problems
-
-
-def check_sharded(
-    result: Dict[str, Any], spec: Dict[str, Any]
-) -> List[str]:
-    """Gate: shard parity must hold; critical-path speedup must not
-    regress below the profile's floor at the highest shard count."""
-    problems = []
-    if not result["rows_identical"]:
-        problems.append("sharded: report rows differ from the classic kernel")
-    top = str(max(spec["shard_counts"]))
-    speedup = result["shards"][top]["speedup_critical_path"]
-    floor = spec["min_speedup"]
-    if speedup < floor:
-        problems.append(
-            f"sharded: critical-path speedup {speedup}x at {top} shards "
-            f"is below the {floor}x floor for this profile"
         )
     return problems
 
@@ -893,32 +676,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print("error: warm cache rows differ from cold run", file=sys.stderr)
             return 1
 
-        sharded_result = bench_sharded(spec["sharded"])
-        classic = sharded_result["classic"]
-        print(
-            f"sharded: {sharded_result['grid']} {sharded_result['scheme']}  "
-            f"classic {classic['cpu_s']}s cpu / {classic['wall_s']}s wall"
-        )
-        for count, entry in sharded_result["shards"].items():
-            print(
-                f"  shards={count}  wall {entry['wall_s']}s  "
-                f"critical path {entry['max_shard_cpu_s']}s+"
-                f"{entry['coordinator_cpu_s']}s coord  "
-                f"speedup {entry['speedup_critical_path']}x critical-path "
-                f"({entry['speedup_wall']}x wall)  "
-                f"{entry['events_per_s_critical_path']} ev/s  "
-                f"{entry['cross_shard_messages']} cross-shard msgs"
-            )
-        print(f"  rows identical across shard counts: "
-              f"{sharded_result['rows_identical']}")
-        section["sharded"] = sharded_result
-        if not sharded_result["rows_identical"]:
-            print(
-                "error: sharded rows differ from the classic kernel",
-                file=sys.stderr,
-            )
-            return 1
-
         warmstart_result = bench_warmstart(spec["warmstart"])
         print(
             f"warmstart: {warmstart_result['scheme']} "
@@ -976,24 +733,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
             return 1
 
-        windows_result = bench_shard_windows(spec["shard_windows"])
-        print(
-            f"shard windows: {windows_result['grid']} "
-            f"{windows_result['scheme']} load "
-            f"{windows_result['offered_load']} x{windows_result['shards']} "
-            f"shards  fixed {windows_result['windows_fixed']} windows  "
-            f"adaptive {windows_result['windows_adaptive']} "
-            f"({windows_result['window_fraction']:.0%})  "
-            f"rows identical: {windows_result['rows_identical']}"
-        )
-        section["shard_windows"] = windows_result
-        if not windows_result["rows_identical"]:
-            print(
-                "error: adaptive-window rows differ from fixed-window",
-                file=sys.stderr,
-            )
-            return 1
-
         policies_result = bench_policies(spec["policies"], workers)
         print(
             f"policies: load {policies_result['offered_load']} x"
@@ -1019,7 +758,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
         failures = check_regression(kernel, baseline, args.threshold)
         if not args.no_sweep:
-            failures += check_sharded(sharded_result, spec["sharded"])
             failures += check_warmstart(warmstart_result, spec["warmstart"])
             failures += check_fastlane(
                 fastlane_result,
@@ -1027,9 +765,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 committed.get("profiles", {})
                 .get(profile, {})
                 .get("fastlane", {}),
-            )
-            failures += check_shard_windows(
-                windows_result, spec["shard_windows"]
             )
             failures += check_policies(policies_result)
         for failure in failures:
