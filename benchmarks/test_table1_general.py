@@ -13,7 +13,7 @@ chatter and per-call release accounting), and the adaptive scheme's
 measured message count sits well below basic update's.
 """
 
-from repro.analysis import MODELS, ModelParams
+from repro.analysis import MODELS
 
 from _common import (
     N_REGION,
@@ -28,35 +28,6 @@ from _common import (
 SCHEMES = ["basic_search", "basic_update", "advanced_update", "adaptive"]
 
 
-def measured_params(scheme: str, report) -> ModelParams:
-    xi = report.xi
-    m = report.mean_attempts
-    if scheme == "basic_search":
-        # Search has no retry concept; m is not used by its formulas.
-        return ModelParams(N=N_REGION, N_search=1.0, m=0.0,
-                           xi1=0, xi2=0, xi3=1, alpha=report.scenario.alpha)
-    if scheme == "basic_update":
-        return ModelParams(N=N_REGION, m=m, alpha=max(m, 25),
-                           xi1=0, xi2=1, xi3=0)
-    if scheme == "advanced_update":
-        xi1 = xi["local"]
-        rest = 1 - xi1
-        return ModelParams(N=N_REGION, n_p=3.0, m=max(m, 1.0),
-                           alpha=max(m, 25), xi1=xi1, xi2=rest, xi3=0)
-    # adaptive
-    sum_xi = sum(xi.values()) or 1.0
-    return ModelParams(
-        N=N_REGION,
-        N_search=1.0,
-        N_borrow=0.0,  # patched by caller with the measured value
-        m=m,
-        alpha=report.scenario.alpha,
-        xi1=xi["local"] / sum_xi,
-        xi2=xi["update"] / sum_xi,
-        xi3=xi["search"] / sum_xi,
-    )
-
-
 def test_table1_general_load(benchmark):
     base = Scenario(offered_load=7.5, duration=2500.0, warmup=400.0, seed=13)
 
@@ -69,15 +40,8 @@ def test_table1_general_load(benchmark):
     shapes = {}
     for scheme in SCHEMES:
         rep = reports[scheme]
-        params = measured_params(scheme, rep)
-        if scheme == "adaptive":
-            import dataclasses
-
-            # Measured N_borrow from the protocol's own counters.
-            params = dataclasses.replace(
-                params, N_borrow=rep.measured_n_borrow
-            )
         model = MODELS[scheme]
+        params = model.measured_params(rep, N_REGION)
         pred_msgs = model.message_complexity(params)
         pred_time = model.acquisition_time(params)
         rows.append(

@@ -17,7 +17,9 @@ All expressions are parameterized exactly as in the paper:
 
 Each scheme exposes ``message_complexity`` and ``acquisition_time``
 (per channel acquisition), plus the low-load specialisations of Table 2
-and the min/max bounds of Table 3.
+and the min/max bounds of Table 3, and ``measured_params(report, N)``:
+the parameters above as one run measured them (a report is read by
+attribute; nothing here imports the simulator).
 
 Note: the paper's Table 1 prints the adaptive row as
 ``2ξ1·N_borrow + 3ξ3·mN + 2ξ3(α+2)N``; the derivation in the body of §5
@@ -28,7 +30,7 @@ derivation and flag the typo in EXPERIMENTS.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Any, Dict
 
 __all__ = [
     "ModelParams",
@@ -80,6 +82,9 @@ class SchemeModel:
     name: str
     message_complexity: "callable"
     acquisition_time: "callable"
+    #: ``(report, N) -> ModelParams``: what to evaluate the two at.
+    #: Raises ValueError where the run falls outside the model's domain.
+    measured_params: "callable"
     msg_min: "callable"
     msg_max: "callable"
     time_min: "callable"
@@ -130,6 +135,48 @@ def _fixed_time(p: ModelParams) -> float:
     return 0.0
 
 
+# -- Table 1 parameters, as measured by one run ------------------------------
+def _search_params(report: Any, N: float) -> ModelParams:
+    # Search has no retry concept; m is not used by its formulas.
+    return ModelParams(N=N, N_search=1.0, m=0.0, xi1=0, xi2=0, xi3=1,
+                       alpha=report.scenario.alpha)
+
+
+def _update_params(report: Any, N: float) -> ModelParams:
+    m = report.mean_attempts
+    return ModelParams(N=N, m=m, alpha=max(m, 25), xi1=0, xi2=1, xi3=0)
+
+
+def _advanced_params(report: Any, N: float) -> ModelParams:
+    m = report.mean_attempts
+    # A run too short to ground xi counts as all-local.
+    xi1 = report.xi["local"] if any(report.xi.values()) else 1.0
+    return ModelParams(N=N, n_p=3.0, m=max(m, 1.0), alpha=max(m, 25),
+                       xi1=xi1, xi2=1 - xi1, xi3=0)
+
+
+def _adaptive_params(report: Any, N: float) -> ModelParams:
+    xi = report.xi
+    total = sum(xi.values())
+    if not total:  # as above: all-local
+        xi, total = {"local": 1.0, "update": 0.0, "search": 0.0}, 1.0
+    m = report.mean_attempts
+    return ModelParams(
+        N=N,
+        N_search=1.0,
+        N_borrow=report.measured_n_borrow,
+        m=m,
+        alpha=max(report.scenario.alpha, m),
+        xi1=xi["local"] / total,
+        xi2=xi["update"] / total,
+        xi3=xi["search"] / total,
+    )
+
+
+def _fixed_params(report: Any, N: float) -> ModelParams:
+    return ModelParams(N=N)
+
+
 # -- Table 3 bounds ---------------------------------------------------------
 INF = float("inf")
 
@@ -137,6 +184,7 @@ basic_search = SchemeModel(
     name="Basic Search",
     message_complexity=_search_msgs,
     acquisition_time=_search_time,
+    measured_params=_search_params,
     msg_min=lambda p: 2 * p.N,
     msg_max=lambda p: 2 * p.N,
     time_min=lambda p: 2 * p.T,
@@ -147,6 +195,7 @@ basic_update = SchemeModel(
     name="Basic Update",
     message_complexity=_update_msgs,
     acquisition_time=_update_time,
+    measured_params=_update_params,
     msg_min=lambda p: 2 * p.N,
     msg_max=lambda p: INF,
     time_min=lambda p: 2 * p.T,
@@ -157,6 +206,7 @@ advanced_update = SchemeModel(
     name="Advanced Update",
     message_complexity=_advanced_msgs,
     acquisition_time=_advanced_time,
+    measured_params=_advanced_params,
     msg_min=lambda p: p.N,
     msg_max=lambda p: INF,
     time_min=lambda p: 0.0,
@@ -167,6 +217,7 @@ adaptive = SchemeModel(
     name="Adaptive (Proposed)",
     message_complexity=_adaptive_msgs,
     acquisition_time=_adaptive_time,
+    measured_params=_adaptive_params,
     msg_min=lambda p: 0.0,
     msg_max=lambda p: 2 * p.alpha * p.N + 4 * p.N,
     time_min=lambda p: 0.0,
@@ -177,6 +228,7 @@ fixed = SchemeModel(
     name="Fixed (FCA)",
     message_complexity=_fixed_msgs,
     acquisition_time=_fixed_time,
+    measured_params=_fixed_params,
     msg_min=lambda p: 0.0,
     msg_max=lambda p: 0.0,
     time_min=lambda p: 0.0,

@@ -63,7 +63,7 @@ from typing import Any, Dict, Tuple
 
 from ..analysis.erlang import carried_load, erlang_b
 from ..analysis.occupancy import truncated_poisson_pmf
-from .capability import check_compatible
+from .capability import SCHEMES, check_compatible
 
 __all__ = ["FastLane"]
 
@@ -101,7 +101,8 @@ class FastLane:
         self.duration = scenario.duration
         #: Observation cadence — the adaptive scheme's prediction window.
         self.period = scenario.window
-        self.adaptive = scenario.scheme == "adaptive"
+        #: A policy-driven scheme borrows: spike and headroom checks apply.
+        self.adaptive = SCHEMES[scenario.scheme].policy_driven
         #: Fluid cells: cell id -> start time of the open fluid interval.
         self._fluid: Dict[int, float] = {}
         #: Erlang-B memo: (offered_load, servers) -> blocking probability
@@ -256,15 +257,9 @@ class FastLane:
         self.fluid_time += now - t0
         self.promotions[reason] += 1
         self.source.launch(cell)
-        station.fastlane_reconcile()
         if "fastlane.promote" in self._probes:
             self.env.emit("fastlane.promote", (cell, reason))
-        check_mode = getattr(station, "_check_mode", None)
-        if check_mode is not None:
-            # Materialization may have consumed the cell's headroom; let
-            # the protocol's own predictor react (possibly re-entering
-            # borrowing, which re-promotes as a no-op).
-            check_mode()
+        station.fastlane_reconcile()
 
     def _holdover(self, station, channel: int, remaining: float):
         yield self.env.timeout(remaining)

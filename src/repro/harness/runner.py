@@ -12,11 +12,10 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ..cellular import CellularTopology, topology_for
-from ..core import AdaptiveMSS
 from ..faults import FaultInjector, Hardening
 from ..metrics import MetricsCollector
 from ..obs import ObsData, Observer
-from ..protocols import MSS, AdvancedUpdateMSS, BasicUpdateMSS, InterferenceMonitor
+from ..protocols import MSS, InterferenceMonitor
 from ..sim import (
     DeterministicLatency,
     Environment,
@@ -145,15 +144,10 @@ class Report:
     @classmethod
     def from_simulation(cls, sim: Simulation) -> "Report":
         m = sim.metrics
-        mode_changes = sum(
-            getattr(s, "mode_changes", 0) for s in sim.stations.values()
-        )
-        local_acquires = sum(
-            getattr(s, "local_acquires", 0) for s in sim.stations.values()
-        )
-        local_notify = sum(
-            getattr(s, "local_notify_sum", 0) for s in sim.stations.values()
-        )
+        stations = sim.stations.values()
+        mode_changes = sum(s.mode_changes for s in stations)
+        local_acquires = sum(s.local_acquires for s in stations)
+        local_notify = sum(s.local_notify_sum for s in stations)
         return cls(
             scenario=sim.scenario,
             **m.summary(),
@@ -275,15 +269,10 @@ def build_simulation(scenario: Scenario) -> Simulation:
     kwargs: Dict[str, Any] = dict(scenario.extra_params)
     if hardening is not None:
         kwargs["hardening"] = hardening
-    if cls is AdaptiveMSS:
-        kwargs.setdefault("alpha", scenario.alpha)
-        kwargs.setdefault("theta_low", scenario.theta_low)
-        kwargs.setdefault("theta_high", scenario.theta_high)
-        kwargs.setdefault("window", scenario.window)
-        kwargs.setdefault("policy", scenario.policy)
-        kwargs.setdefault("policy_params", dict(scenario.policy_params))
-    elif cls in (BasicUpdateMSS, AdvancedUpdateMSS):
-        kwargs.setdefault("max_attempts", scenario.max_attempts)
+    for name in cls.SCENARIO_FIELDS:
+        value = getattr(scenario, name)
+        # A mutable value is copied: the stations must not share the scenario's.
+        kwargs.setdefault(name, dict(value) if isinstance(value, dict) else value)
 
     stations: Dict[int, MSS] = {}
     for cell in topo.grid:

@@ -26,8 +26,8 @@ __all__ = ["ModeSampler"]
 class ModeSampler:
     """Samples station modes on a fixed interval.
 
-    Works with any scheme: stations without a ``mode`` attribute sample
-    as local (0).  Start it before running the simulation:
+    Works with any scheme: one without modes samples as local (0, the
+    ``MSS.mode`` default).  Start it before running the simulation:
 
     >>> sim = build_simulation(scenario)
     >>> sampler = ModeSampler(sim.env, sim.stations, interval=50.0)
@@ -56,8 +56,7 @@ class ModeSampler:
         while self.horizon is None or self.env.now < self.horizon:
             self.times.append(self.env.now)
             for cell, station in self.stations.items():
-                mode = getattr(station, "mode", 0)
-                self.samples[cell].append(coerce_mode(mode))
+                self.samples[cell].append(coerce_mode(station.mode))
             yield self.env.timeout(self.interval)
 
     # -- analysis ------------------------------------------------------------

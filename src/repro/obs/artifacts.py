@@ -190,51 +190,18 @@ def _md_table(headers: List[str], rows: List[List[Any]]) -> List[str]:
 def _model_prediction(report: Any) -> Optional[Dict[str, float]]:
     """Table 1 model columns at the run's measured parameters.
 
-    Mirrors benchmarks/test_table1_general.py: evaluate the §5 formulas
-    with m, ξ and N_borrow measured from this run.  Returns None when
-    the scheme has no model or the measured parameters fall outside the
+    Evaluates the §5 formulas with m, ξ and N_borrow measured from
+    this run (``SchemeModel.measured_params``).  Returns None when the
+    scheme has no model or the measured parameters fall outside the
     model's domain (e.g. a run too short to ground ξ).
     """
-    from ..analysis import MODELS, ModelParams  # lazy: keeps obs light
+    from ..analysis import MODELS  # lazy: keeps obs light
 
-    scheme = report.scenario.scheme
-    model = MODELS.get(scheme)
+    model = MODELS.get(report.scenario.scheme)
     if model is None:
         return None
-    xi = report.xi
-    sum_xi = sum(xi.values())
-    m = report.mean_attempts
     try:
-        if scheme == "basic_search":
-            params = ModelParams(
-                N=_region_size(report.scenario), N_search=1.0, m=0.0,
-                xi1=0, xi2=0, xi3=1, alpha=report.scenario.alpha,
-            )
-        elif scheme == "basic_update":
-            params = ModelParams(
-                N=_region_size(report.scenario), m=m, alpha=max(m, 25),
-                xi1=0, xi2=1, xi3=0,
-            )
-        elif scheme == "advanced_update":
-            xi1 = xi["local"] if sum_xi else 1.0
-            params = ModelParams(
-                N=_region_size(report.scenario), n_p=3.0, m=max(m, 1.0),
-                alpha=max(m, 25), xi1=xi1, xi2=1 - xi1, xi3=0,
-            )
-        elif scheme == "adaptive":
-            norm = sum_xi or 1.0
-            params = ModelParams(
-                N=_region_size(report.scenario),
-                N_search=1.0,
-                N_borrow=report.measured_n_borrow,
-                m=m,
-                alpha=max(report.scenario.alpha, m),
-                xi1=xi["local"] / norm if sum_xi else 1.0,
-                xi2=xi["update"] / norm if sum_xi else 0.0,
-                xi3=xi["search"] / norm if sum_xi else 0.0,
-            )
-        else:  # fixed
-            params = ModelParams(N=_region_size(report.scenario))
+        params = model.measured_params(report, _region_size(report.scenario))
     except ValueError:
         return None
     return {

@@ -127,19 +127,17 @@ class TimeSeriesRecorder:
             self.times.append(now)
             for cell, station in stations.items():
                 self.occupancy[cell].append(len(station.use))
-                self.mode[cell].append(
-                    coerce_mode(getattr(station, "mode", 0))
-                )
+                self.mode[cell].append(coerce_mode(station.mode))
                 # The column name "nfc_predicted" predates the policy
                 # registry; it now carries whatever the station's mode
                 # policy forecasts (None for non-predictive policies).
-                policy = getattr(station, "policy", None)
+                policy = station.policy
                 if policy is not None:
                     predicted = policy.predict_at(now)
                 else:
                     predicted = None
                 self.nfc_predicted[cell].append(predicted)
-                neighbors = getattr(station, "IN", ())
+                neighbors = station.IN
                 if neighbors:
                     load = sum(
                         len(stations[j].use) for j in neighbors

@@ -34,9 +34,8 @@ scheme's message-saving character (and its Figure 11 unfairness).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Set, Tuple
 
-from ..sim import Collector
 from .base import MSS
 from .messages import (
     Acquisition,
@@ -56,6 +55,7 @@ class AdvancedUpdateMSS(MSS):
     """Primary-arbitrated borrowing (Dong & Lai's advanced update)."""
 
     scheme = "advanced_update"
+    SCENARIO_FIELDS = ("max_attempts",)
     SNAPSHOT = (
         ("U", "U", set),
         "outstanding",
@@ -69,8 +69,6 @@ class AdvancedUpdateMSS(MSS):
         self.U: Dict[int, Set[int]] = {}
         #: As a primary/arbiter: channel -> (grantee, grantee_ts).
         self.outstanding: Dict[int, Tuple[int, Timestamp]] = {}
-        self._collector: Optional[Collector] = None
-        self._collector_round = -1
         # Arbiter map: channel -> primary cells of that channel within
         # distance 2R (excluding ourselves).  See reconstruction note.
         grid = self.topo.grid
@@ -89,11 +87,6 @@ class AdvancedUpdateMSS(MSS):
             ch: tuple(sorted(set(self.IN) | set(self._arbiters[ch])))
             for ch in sorted(self.spectrum)
         }
-
-    def snapshot_obstacle(self) -> Optional[str]:
-        if self._collector is not None:
-            return "response round in flight"
-        return super().snapshot_obstacle()
 
     def arbiters(self, channel: int) -> Tuple[int, ...]:
         """Arbiter cells whose unanimous grant a borrow of ``channel``
@@ -147,31 +140,31 @@ class AdvancedUpdateMSS(MSS):
             channel = candidates[self.cell % len(candidates)]
             arbiters = self._arbiters[channel]
 
-            round_id = self._next_round()
-            self._collector = Collector(self.env, arbiters)
-            self._collector_round = round_id
+            collector = self._open_round(arbiters)
             for p in arbiters:
                 self._send(
-                    p, Request(ReqType.UPDATE, channel, ts, self.cell, round_id)
+                    p,
+                    Request(ReqType.UPDATE, channel, ts, self.cell, self._collector_round),
                 )
-            verdicts = yield self._collector.done
-            self._collector = None
+            verdicts, complete = yield from self._await_round(collector)
 
-            if all(v is ResType.GRANT for v in verdicts.values()):
+            if complete and all(v is ResType.GRANT for v in verdicts.values()):
                 self._grab(channel)
-                self.network.multicast(
-                    self.cell,
-                    self._notify[channel],
+                self._broadcast(
                     Acquisition(AcqType.NON_SEARCH, self.cell, channel),
+                    dsts=self._notify[channel],
                 )
                 return channel
             # Failure: release the arbiters that did grant so they can
             # clear their outstanding-grant entry (the paper's
             # ``n_p (m-1)`` extra messages) and avoid re-requesting the
-            # same channel this request.
+            # same channel this request.  A round cut short by its
+            # deadline counts as refused, and a silent arbiter is
+            # released too: its GRANT may be recorded where the reply
+            # was lost, and RELEASE is a no-op at one that never granted.
             refused.add(channel)
-            for p in sorted(verdicts):
-                if verdicts[p] in (ResType.GRANT, ResType.CONDITIONAL_GRANT):
+            for p in arbiters:  # ascending cell ids
+                if verdicts.get(p) is not ResType.REJECT:
                     self._send(p, Release(self.cell, channel))
         return None
 
@@ -180,9 +173,7 @@ class AdvancedUpdateMSS(MSS):
         if channel in self.PR:
             self._broadcast(Release(self.cell, channel))
         else:
-            self.network.multicast(
-                self.cell, self._notify[channel], Release(self.cell, channel)
-            )
+            self._broadcast(Release(self.cell, channel), dsts=self._notify[channel])
 
     # -- arbiter side -------------------------------------------------------------
     def _on_Request(self, msg: Request) -> None:
@@ -226,11 +217,7 @@ class AdvancedUpdateMSS(MSS):
 
     # -- message handlers ----------------------------------------------------------
     def _on_Response(self, msg: Response) -> None:
-        if (
-            self._collector is not None
-            and msg.round_id == self._collector_round
-            and msg.sender in self._collector.outstanding
-        ):
+        if self._awaited(msg, self._collector, self._collector_round):
             self._collector.deliver(msg.sender, msg.res_type)
 
     def _on_Acquisition(self, msg: Acquisition) -> None:

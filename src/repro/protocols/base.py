@@ -10,6 +10,9 @@ cell.  The base class provides:
   processes one ``Request_Channel`` at a time per node; concurrent call
   arrivals queue);
 * message dispatch from the network to ``_on_<MessageType>`` handlers;
+* the response round a message-passing scheme runs — open, match a
+  reply, wait with the hardened deadline (``_open_round`` /
+  ``_awaited`` / ``_await_round``);
 * timestamp generation (``(time, node_id)`` pairs — the paper's
   "timestamp of the node at the time of generating the request");
 * bookkeeping hooks into the metrics collector and the global
@@ -23,11 +26,11 @@ from __future__ import annotations
 
 from collections import deque
 from types import GeneratorType
-from typing import Any, Dict, FrozenSet, Generator, Optional, Set
+from typing import Any, Dict, FrozenSet, Generator, Iterable, Optional, Set, Tuple
 
 from ..cellular import CellularTopology
 from ..faults.arq import Ack, DedupFilter, Hardening, ReliableLink
-from ..sim import Environment, Envelope, Event, Network, Resource
+from ..sim import Collector, Environment, Envelope, Event, Network, Resource
 from ..sim.events import PENDING
 from .messages import Timestamp
 from .monitor import InterferenceMonitor
@@ -58,6 +61,16 @@ class MSS:
     #: the CLI help and the lane oracle pick it up.
     fluid_model = False
     policy_driven = False
+    #: ``Scenario`` fields the constructor takes, each as the keyword of
+    #: the same name (``build_simulation`` passes them).
+    SCENARIO_FIELDS: Tuple[str, ...] = ()
+    #: What the samplers read and the report sums; a scheme that has a
+    #: mode, a ``ModePolicy`` or these counters sets them per station.
+    mode = 0
+    policy = None
+    mode_changes = 0
+    local_acquires = 0
+    local_notify_sum = 0
     #: Snapshot fields (see :mod:`repro.snap.state`); a subclass lists
     #: only what it adds.
     SNAPSHOT = (
@@ -132,6 +145,9 @@ class MSS:
 
         self._lock = Resource(env, capacity=1)
         self._round_counter = 0
+        #: The open response round (see :meth:`_open_round`) and its id.
+        self._collector: Optional[Collector] = None
+        self._collector_round = -1
         self._req_seq = 0  # per-MSS request id (probe-bus span pairing)
         self._req_kind = "new"
         #: Acquisition path of the last served request ("local" /
@@ -301,9 +317,11 @@ class MSS:
 
         Generator frames cannot be captured, so a station is safe only
         while no request of its own is in progress.  A scheme that parks
-        requests on events of its own (a collector, a gate) reports them
-        here before deferring to this check.
+        requests on events of its own (a second collector, a gate)
+        reports them here before deferring to this check.
         """
+        if self._collector is not None:
+            return "response round in flight"
         if self._lock._in_use or self._lock._queue:
             return "channel request holds the acquisition lock"
         return None
@@ -363,9 +381,29 @@ class MSS:
             return count
         return self.network.multicast(self.cell, targets, payload)
 
+    def _open_round(self, expected: Iterable[int]) -> Collector:
+        """Open this station's response round over the cells in
+        ``expected``; requests carry ``self._collector_round`` and the
+        caller waits through :meth:`_await_round`, which closes it."""
+        self._round_counter = self._collector_round = self._round_counter + 1
+        collector = self._collector = Collector(self.env, expected)
+        return collector
+
+    def _awaited(self, msg: Any, collector: Optional[Collector], round_id: int) -> bool:
+        """Is reply ``msg`` for the round ``(collector, round_id)`` —
+        ``self._collector, self._collector_round`` unless the scheme
+        keeps a second pair — and its sender still outstanding?"""
+        return (
+            collector is not None
+            and msg.round_id == round_id
+            and msg.sender in collector._expected
+            and msg.sender not in collector._responses
+        )
+
     def _await_round(self, collector):
         """Wait for a response round; returns ``(responses, complete)``.
 
+        The only wait on a collector, and where the open round closes.
         Without hardening this is exactly ``yield collector.done`` (the
         reliable network guarantees completion — event-for-event
         identical to the historical inline wait).  With hardening the
@@ -391,6 +429,7 @@ class MSS:
                     )
         if "round.end" in self._probes:
             self.env.emit("round.end", (self.cell, complete))
+        self._collector = None
         return collector.responses, complete
 
     # ------------------------------------------------------------------

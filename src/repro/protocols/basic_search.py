@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..sim import Collector
 from .base import MSS
 from .messages import NO_CHANNEL, ReqType, Request, ResType, Response, Timestamp
 
@@ -35,32 +34,20 @@ class BasicSearchMSS(MSS):
         super().__init__(*args, **kwargs)
         self._searching = False
         self._search_ts: Optional[Timestamp] = None
-        self._collector: Optional[Collector] = None
-        self._collector_round = -1
         #: (sender, round_id) pairs whose response we postponed.
         self._deferred: List[Tuple[int, int]] = []
-
-    def snapshot_obstacle(self) -> Optional[str]:
-        if self._collector is not None:
-            return "response round in flight"
-        if self._searching or self._search_ts is not None:
-            return "search in flight"
-        if self._deferred:
-            return "deferred requests queued"
-        return super().snapshot_obstacle()
 
     # -- requesting ---------------------------------------------------------
     def _request(self, ts: Timestamp):
         self._attempts = 1
         self._grant_mode = "search"
-        round_id = self._next_round()
         self._search_ts = ts
         self._searching = True
-        self._collector = Collector(self.env, self.IN)
-        self._collector_round = round_id
-
-        self._broadcast(Request(ReqType.SEARCH, NO_CHANNEL, ts, self.cell, round_id))
-        use_sets, complete = yield from self._await_round(self._collector)
+        collector = self._open_round(self.IN)
+        self._broadcast(
+            Request(ReqType.SEARCH, NO_CHANNEL, ts, self.cell, self._collector_round)
+        )
+        use_sets, complete = yield from self._await_round(collector)
 
         if complete:
             free = self.spectrum - self.use
@@ -80,7 +67,6 @@ class BasicSearchMSS(MSS):
         # post-acquisition Use set (this is what makes deferral safe).
         self._searching = False
         self._search_ts = None
-        self._collector = None
         deferred, self._deferred = self._deferred, []
         snapshot = frozenset(self.use)
         for sender, rid in deferred:
@@ -107,11 +93,7 @@ class BasicSearchMSS(MSS):
             )
 
     def _on_Response(self, msg: Response) -> None:
-        if (
-            self._collector is not None
-            and msg.round_id == self._collector_round
-            and msg.sender in self._collector.outstanding
-        ):
+        if self._awaited(msg, self._collector, self._collector_round):
             self._collector.deliver(msg.sender, msg.payload)
         # else: stale response from a past round — cannot happen in this
         # scheme (every response is matched), but tolerate defensively.

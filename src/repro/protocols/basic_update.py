@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Set, Tuple
 
-from ..sim import Collector
 from .base import MSS
 from .messages import (
     Acquisition,
@@ -41,6 +40,7 @@ class BasicUpdateMSS(MSS):
     """Update-based dynamic allocation with local channel pick."""
 
     scheme = "basic_update"
+    SCENARIO_FIELDS = ("max_attempts",)
     SNAPSHOT = (("U", "U", set), ("collector_round", "_collector_round"))
 
     def __init__(self, *args, max_attempts: int = 25, **kwargs) -> None:
@@ -50,15 +50,6 @@ class BasicUpdateMSS(MSS):
         self.U: Dict[int, Set[int]] = {j: set() for j in self.IN}
         self._pending: Optional[Tuple[int, Timestamp]] = None  # (channel, ts)
         self._abort = False
-        self._collector: Optional[Collector] = None
-        self._collector_round = -1
-
-    def snapshot_obstacle(self) -> Optional[str]:
-        if self._collector is not None:
-            return "response round in flight"
-        if self._pending is not None:
-            return "update-round grab pending"
-        return super().snapshot_obstacle()
 
     # -- derived state -------------------------------------------------------
     def interfered(self) -> Set[int]:
@@ -80,15 +71,14 @@ class BasicUpdateMSS(MSS):
                 return None  # no channel believed free → call dropped
             channel = min(free)
 
-            round_id = self._next_round()
             self._pending = (channel, ts)
             self._abort = False
-            self._collector = Collector(self.env, self.IN)
-            self._collector_round = round_id
-            self._broadcast(Request(ReqType.UPDATE, channel, ts, self.cell, round_id))
-            verdicts, complete = yield from self._await_round(self._collector)
+            collector = self._open_round(self.IN)
+            self._broadcast(
+                Request(ReqType.UPDATE, channel, ts, self.cell, self._collector_round)
+            )
+            verdicts, complete = yield from self._await_round(collector)
             self._pending = None
-            self._collector = None
 
             # A round that timed out (hardening) counts every missing
             # verdict as a rejection: grants in this scheme record no
@@ -131,11 +121,7 @@ class BasicUpdateMSS(MSS):
         )
 
     def _on_Response(self, msg: Response) -> None:
-        if (
-            self._collector is not None
-            and msg.round_id == self._collector_round
-            and msg.sender in self._collector.outstanding
-        ):
+        if self._awaited(msg, self._collector, self._collector_round):
             self._collector.deliver(msg.sender, msg.res_type)
 
     def _on_Acquisition(self, msg: Acquisition) -> None:

@@ -108,22 +108,12 @@ class PrakashMSS(MSS):
         self._polling = False
         self._poll_ts: Optional[Timestamp] = None
         self._deferred: List[Tuple[int, int]] = []
-        self._collector: Optional[Collector] = None
-        self._collector_round = -1
         self._transfer_collector: Optional[Collector] = None
         self._transfer_round = -1
 
     def snapshot_obstacle(self) -> Optional[str]:
-        if self._collector is not None:
-            return "response round in flight"
         if self._transfer_collector is not None:
             return "transfer round in flight"
-        if self._polling or self._poll_ts is not None:
-            return "poll in flight"
-        if self._claiming is not None:
-            return "channel claim in flight"
-        if self._deferred:
-            return "deferred requests queued"
         return super().snapshot_obstacle()
 
     # -- requesting -----------------------------------------------------------
@@ -155,16 +145,17 @@ class PrakashMSS(MSS):
             rounds += 1
             self._attempts = rounds
             # Poll the region (timestamp-serialized, like basic search).
-            round_id = self._next_round()
             self._poll_ts = ts
             self._polling = True
-            self._collector = Collector(self.env, self.IN)
-            self._collector_round = round_id
+            collector = self._open_round(self.IN)
             self._broadcast(
-                Request(ReqType.SEARCH, NO_CHANNEL, ts, self.cell, round_id)
+                Request(ReqType.SEARCH, NO_CHANNEL, ts, self.cell, self._collector_round)
             )
-            responses = yield self._collector.done
-            self._collector = None
+            responses, complete = yield from self._await_round(collector)
+            if not complete:
+                # Round deadline expired: with any neighbour's allocated
+                # set unknown, no claim is provably exclusive — abandon.
+                return None
 
             allocated_in_region: Set[int] = set(self.allocated) | self.pledged
             busy_in_region: Set[int] = set()
@@ -206,9 +197,11 @@ class PrakashMSS(MSS):
             self._claiming = channel
             for donor in donors:
                 self._send(donor, Transfer(self.cell, channel, ts, t_round))
-            replies = yield self._transfer_collector.done
+            replies, complete = yield from self._await_round(
+                self._transfer_collector
+            )
             self._transfer_collector = None
-            if all(r.granted for r in replies.values()):
+            if complete and all(r.granted for r in replies.values()):
                 self.allocated.add(channel)
                 self._claiming = None
                 self._grab(channel)
@@ -220,10 +213,15 @@ class PrakashMSS(MSS):
                         donor, Acquisition(AcqType.NON_SEARCH, self.cell, channel)
                     )
                 return channel
-            # Some donor KEEPs: undo the AGREEd pledges and move on.
+            # Some donor KEEPs: undo the AGREEd pledges and move on.  A
+            # donor silent at the round deadline counts as KEEP and is
+            # released too: its AGREE may be pledged where the reply was
+            # lost.  One that answered KEEP holds no pledge of ours, and
+            # RELEASE does not say whose pledge it undoes.
             self._claiming = None
-            for donor in sorted(replies):
-                if replies[donor].granted:
+            for donor in donors:
+                reply = replies.get(donor)
+                if reply is None or reply.granted:
                     self._send(donor, Release(self.cell, channel))
             refused.add(channel)
         return None
@@ -263,11 +261,7 @@ class PrakashMSS(MSS):
             )
 
     def _on_PollResponse(self, msg: PollResponse) -> None:
-        if (
-            self._collector is not None
-            and msg.round_id == self._collector_round
-            and msg.sender in self._collector.outstanding
-        ):
+        if self._awaited(msg, self._collector, self._collector_round):
             self._collector.deliver(msg.sender, msg)
 
     def _on_Transfer(self, msg: Transfer) -> None:
@@ -300,9 +294,5 @@ class PrakashMSS(MSS):
             self.allocated.add(msg.channel)
 
     def _on_TransferReply(self, msg: TransferReply) -> None:
-        if (
-            self._transfer_collector is not None
-            and msg.round_id == self._transfer_round
-            and msg.sender in self._transfer_collector.outstanding
-        ):
+        if self._awaited(msg, self._transfer_collector, self._transfer_round):
             self._transfer_collector.deliver(msg.sender, msg)

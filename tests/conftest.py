@@ -6,6 +6,7 @@ deterministically; ``drive``/``drive_all`` run request generators to
 completion inside the event loop.
 """
 
+import dataclasses
 import multiprocessing
 import os
 from types import SimpleNamespace
@@ -14,7 +15,7 @@ import pytest
 
 from repro.cellular import CellularTopology
 from repro.faults import CrashWindow, FaultPlan, LinkPartition
-from repro.harness import Scenario
+from repro.harness import Scenario, build_simulation
 from repro.metrics import MetricsCollector
 from repro.obs import ObsConfig
 from repro.protocols import InterferenceMonitor
@@ -141,6 +142,38 @@ HOSTILE_FAULTS = FaultPlan(
     ),
     partitions=(LinkPartition(a=3, b=4, start=50.0, end=90.0),),
 )
+
+
+def assert_drains_under_hostile_faults(scheme, seed=1):
+    """Every request of ``scheme`` ends, whatever the network loses.
+
+    HOSTILE_FAULTS with cell 10 down for 150 units — longer than the
+    ARQ retry budget, so a round towards it can only end by its
+    deadline — run to the horizon, then drained with arrivals stopped.
+    A round without a deadline leaves its station holding the
+    acquisition lock for good.
+    """
+    long_crash = dataclasses.replace(HOSTILE_FAULTS.crashes[0], downtime=150.0)
+    plan = dataclasses.replace(HOSTILE_FAULTS, crashes=(long_crash, HOSTILE_FAULTS.crashes[1]))
+    sim = build_simulation(
+        Scenario(scheme=scheme, offered_load=6.0, mean_holding=60.0, duration=300.0,
+                 warmup=50.0, seed=seed, faults=plan)
+    )
+    served, ended = set(), set()
+    sim.env.subscribe("request.serve", lambda now, p: served.add(p[:2]))
+    sim.env.subscribe("request.end", lambda now, p: ended.add(p[:2]))
+    sim.start()
+    sim.env.run(until=300.0)
+    sim.source.horizon = 0
+    sim.env.run()
+    # No open round, no held acquisition lock: what MSS.snapshot_obstacle names.
+    obstacles = {cell: s.snapshot_obstacle() for cell, s in sim.stations.items()}
+    assert {cell: why for cell, why in obstacles.items() if why is not None} == {}
+    assert served - ended == set()
+    assert sim.monitor.violations == []
+    sim.sanitizers.finalize()
+    sim.sanitizers.assert_clean()
+
 
 #: feature -> the smallest request that switches it on, for every
 #: feature ``repro.harness.capability.CAPABILITIES`` mentions:

@@ -16,6 +16,7 @@ from repro.analysis import (
     low_load_table,
     offered_load_for_blocking,
 )
+from repro.harness import Scenario, run_scenario
 
 
 # ------------------------------------------------------------- Table 1 ----
@@ -101,6 +102,36 @@ def test_models_registry_covers_all_schemes():
     assert set(MODELS) == {
         "fixed", "basic_search", "basic_update", "advanced_update", "adaptive",
     }
+
+
+# ------------------------------------- Tables 1 and 2 against the simulator ----
+@pytest.mark.parametrize("scheme", sorted(MODELS))
+def test_table1_messages_match_the_simulator_at_general_load(scheme):
+    """The T1 anchor (benchmarks/test_table1_general.py: 7x7, 7.5 Erlang),
+    shortened to 2000 units with 600 of warm-up — a shorter warm-up leaves
+    the adaptive row in its start-up transient, +40 % and more.  Measured
+    here, seeds 1-3, (sim - model) / model: basic_search +0.1 / +0.1 /
+    -0.1 %, advanced_update +8.5 / +8.1 / +8.7 %, basic_update -12.9 /
+    -15.3 / -13.8 %, adaptive +19.3 / +16.7 / +10.1 % (seed 13: +28.9 %);
+    EXPERIMENTS.md T1 reads 0, +9, -13, +22 % at full length.  The
+    formulas leave out CHANGE_MODE chatter and per-call releases."""
+    model = MODELS[scheme]
+    for seed in (1, 2, 3):
+        report = run_scenario(
+            Scenario(scheme=scheme, offered_load=7.5, duration=2000.0, warmup=600.0, seed=seed)
+        )
+        predicted = model.message_complexity(model.measured_params(report, 18))  # |IN| = 18
+        assert report.violations == 0
+        assert report.messages_per_acquisition == pytest.approx(predicted, rel=0.30)
+
+
+@pytest.mark.parametrize("scheme", ["adaptive", "fixed"])
+def test_table2_no_messages_at_low_load(scheme):
+    report = run_scenario(
+        Scenario(scheme=scheme, offered_load=1.0, duration=2000.0, warmup=600.0, seed=1)
+    )
+    assert report.offered > 300
+    assert report.messages_total == 0 == low_load_table()[scheme]["messages"]
 
 
 # ------------------------------------------------------------ Erlang-B ----

@@ -188,7 +188,7 @@ def test_sim004_silent_on_definitions_and_sends(tmp_path):
         """
         class P:
             def _on_Request(self, msg):
-                self.network.send(self.cell, msg.sender, msg)
+                self._send(msg.sender, msg)
         """,
     )
     assert check_file(path) == []
@@ -338,6 +338,64 @@ def test_sim010_honours_noqa_and_flags_a_stale_one(tmp_path):
     findings = check_file(path)
     assert codes(findings) == ["SIM100"]
     assert findings[0].line == 5
+
+
+# ------------------------------------------------------------------ SIM011 ----
+def test_sim011_fires_on_direct_send_and_bare_done_wait(tmp_path):
+    path = write(
+        tmp_path,
+        "src/repro/protocols/x.py",
+        """
+        class P:
+            def _request(self, ts):
+                self.network.send(self.cell, 3, ts)
+                replies = yield self._transfer_collector.done
+                self.network.multicast(self.cell, self.IN, replies)
+        """,
+    )
+    findings = check_file(path)
+    assert codes(findings) == ["SIM011"] * 3
+    assert [f.line for f in findings] == [4, 5, 6]
+
+
+def test_sim011_silent_in_base_and_on_the_base_api(tmp_path):
+    base = write(
+        tmp_path,
+        "src/repro/protocols/base.py",
+        """
+        class MSS:
+            def _send(self, dst, payload):
+                self.network.send(self.cell, dst, payload)
+
+            def _await_round(self, collector):
+                yield collector.done
+        """,
+    )
+    scheme = write(
+        tmp_path,
+        "src/repro/core/x.py",
+        """
+        class P:
+            def _request(self, ts):
+                collector = self._open_round(self.IN)
+                self._broadcast(ts)
+                self._link.send(3, ts)  # not the fabric
+                replies, complete = yield from self._await_round(collector)
+                yield self._gate.wait()
+        """,
+    )
+    out_of_scope = write(
+        tmp_path,
+        "src/repro/faults/x.py",
+        """
+        class Link:
+            def send(self, dst, payload):
+                self.network.send(self.cell, dst, payload)
+        """,
+    )
+    assert check_file(base) == []
+    assert check_file(scheme) == []
+    assert check_file(out_of_scope) == []
 
 
 # ------------------------------------------------------------- suppression ----

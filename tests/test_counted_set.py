@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.adaptive import _CountedSet
+from repro.core.mirrors import _CountedSet
 
 
 def make_pair():

@@ -17,9 +17,11 @@ from repro.faults import (
     LinkPartition,
 )
 from repro.faults.arq import DedupFilter, ReliableLink
-from repro.harness import Scenario, build_simulation, run_scenario
+from repro.harness import SCHEMES, Scenario, build_simulation, run_scenario
 from repro.sim import DeterministicLatency, Environment, Network
 from repro.traffic import HotspotLoad
+
+from conftest import assert_drains_under_hostile_faults
 
 
 # ---------------------------------------------------------------- FaultPlan --
@@ -301,6 +303,11 @@ def test_partition_blocks_link_during_window():
     report = run_scenario(_lossy(faults=plan, scheme="basic_update"))
     assert report.violations == 0
     assert report.faults_injected.get("partition", 0) > 0
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_every_request_ends_when_a_crash_outlasts_the_retry_budget(scheme):
+    assert_drains_under_hostile_faults(scheme)
 
 
 # ----------------------------------------------------------------- acceptance --

@@ -9,10 +9,10 @@ import pytest
 
 from repro import Scenario, run_scenario
 from repro.analysis import erlang_b
-from repro.harness import build_simulation
+from repro.harness import SCHEMES, build_simulation
 from repro.traffic import HotspotLoad, TemporalHotspot
 
-ALL_SCHEMES = ["fixed", "basic_search", "basic_update", "advanced_update", "adaptive"]
+ALL_SCHEMES = sorted(SCHEMES)
 
 
 def quick(**kw):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.analysis import erlang_b
 from repro.cellular import Hex, HexGrid, ReusePattern, Spectrum, hex_distance
 from repro.core import NFCWindow
-from repro.harness import Scenario, run_scenario
+from repro.harness import SCHEMES, Scenario, run_scenario
 from repro.sim import Environment
 
 hexes = st.builds(
@@ -179,10 +179,7 @@ def test_engine_clock_never_goes_backwards(seed):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(
-    scheme=st.sampled_from(
-        ["fixed", "basic_search", "basic_update", "advanced_update",
-         "adaptive", "prakash"]
-    ),
+    scheme=st.sampled_from(sorted(SCHEMES)),
     load=st.floats(0.5, 14.0),
     seed=st.integers(0, 10_000),
     spread=st.sampled_from([0.0, 0.7, 2.0]),

@@ -30,6 +30,7 @@ import pytest
 
 from repro.faults import CrashWindow, FaultPlan, LinkPartition
 from repro.harness import (
+    SCHEMES as SCHEME_TABLE,
     CompatibilityError,
     ResultCache,
     Scenario,
@@ -53,14 +54,7 @@ from repro.snap import (
     save_snapshot,
 )
 
-SCHEMES = [
-    "fixed",
-    "basic_search",
-    "basic_update",
-    "advanced_update",
-    "adaptive",
-    "prakash",
-]
+SCHEMES = sorted(SCHEME_TABLE)
 
 #: Schemes whose acquisitions resolve without suspending at these
 #: loads, so the drain in run_to_checkpoint finds a globally quiescent

@@ -18,6 +18,12 @@ SIM004    Event handlers are invoked only by the network fabric —
 SIM005    No bare ``except`` (or ``except Exception: pass``) inside
           message handlers — protocol errors must never be silently
           dropped.
+SIM010    Every probe emit sits directly under its own
+          ``if kind in self._probes`` guard.
+SIM011    Schemes send through ``_send`` / ``_broadcast`` and wait
+          through ``_await_round`` — never ``self.network.send`` /
+          ``multicast`` or a bare ``yield collector.done``, which skip
+          the ARQ and the round deadline of a hardened run.
 SIM100    No stale suppressions — a ``# repro: noqa`` pragma that
           silences nothing is itself a finding (and cannot be
           suppressed).

@@ -298,6 +298,37 @@ class GuardedEmit(Rule):
                     )
 
 
+class SendAndWaitThroughBase(Rule):
+    """SIM011: a scheme sends and waits through the base-class API."""
+
+    code = "SIM011"
+    description = "no direct self.network send or bare yield of .done outside protocols/base.py"
+    paths = ("src/repro/protocols", "src/repro/core")
+    excludes = ("src/repro/protocols/base.py",)
+
+    def run(self, tree: ast.Module, ctx: CheckContext) -> Iterator[Match]:
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("send", "multicast")
+                and ast.unparse(node.func.value) == "self.network"
+            ):
+                yield node, (
+                    f"direct self.network.{node.func.attr}(); send through "
+                    "_send/_broadcast so an installed ARQ carries the message"
+                )
+            elif (
+                isinstance(node, ast.Yield)
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "done"
+            ):
+                yield node, (
+                    f"bare yield of {ast.unparse(node.value)}; wait through "
+                    "_await_round so a hardened round has its deadline"
+                )
+
+
 #: The active rule registry, in code order.
 RULES: List[Rule] = [
     NoWallClock(),
@@ -306,4 +337,5 @@ RULES: List[Rule] = [
     NoDirectHandlerCall(),
     NoBareExceptInHandlers(),
     GuardedEmit(),
+    SendAndWaitThroughBase(),
 ]
