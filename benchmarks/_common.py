@@ -1,16 +1,15 @@
 """Shared plumbing for the benchmark harness.
 
 Each benchmark reproduces one table or figure of the paper (or one
-claim of its abstract/§6): it runs the simulations once inside
-``benchmark.pedantic`` (so ``pytest benchmarks/ --benchmark-only`` also
-measures the simulator's wall-clock cost), prints the regenerated table
-in the paper's layout, and asserts the *shape* of the result — who
-wins, by roughly what factor — rather than exact numbers.
+claim of its abstract/§6): it runs the simulations once, prints the
+regenerated table in the paper's layout (``pytest benchmarks/ -s``), and
+asserts the *shape* of the result — who wins, by roughly what factor —
+rather than exact numbers.  Wall-clock belongs to ``python -m bench``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable
+from typing import Dict, Iterable
 
 from repro.harness import Report, Scenario, render_table, run_scenario
 
@@ -28,11 +27,6 @@ PAPER_LABELS = {
 #: Topology constants of the default scenario (7x7 torus, k=7, R=2).
 N_REGION = 18  # |IN_i|
 N_PRIMARY = 10  # |PR_i|
-
-
-def run_once(benchmark, fn: Callable[[], object]):
-    """Run ``fn`` exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1)
 
 
 def run_schemes(
@@ -54,7 +48,6 @@ __all__ = [
     "PAPER_LABELS",
     "N_REGION",
     "N_PRIMARY",
-    "run_once",
     "run_schemes",
     "print_banner",
     "render_table",

@@ -15,13 +15,13 @@ predicts (Table 1's adaptive row):
 We sweep α at a contended load and print the cost surface.
 """
 
-from _common import Scenario, print_banner, render_table, run_once
+from _common import Scenario, print_banner, render_table
 from repro.harness import run_scenario
 
 ALPHAS = [0, 1, 2, 4, 8]
 
 
-def test_alpha_ablation(benchmark):
+def test_alpha_ablation():
     base = Scenario(
         scheme="adaptive",
         offered_load=9.0,
@@ -38,7 +38,7 @@ def test_alpha_ablation(benchmark):
             ]
         return out
 
-    results = run_once(benchmark, experiment)
+    results = experiment()
 
     def mean(vals):
         return sum(vals) / len(vals)

@@ -19,14 +19,14 @@ borrow and no more messages per request than the naive policies.
 
 from repro.traffic import HotspotLoad
 
-from _common import Scenario, print_banner, render_table, run_once
+from _common import Scenario, print_banner, render_table
 from repro.harness import run_scenario
 
 HOLDING = 180.0
 POLICIES = ["best", "first", "random"]
 
 
-def test_best_heuristic_ablation(benchmark):
+def test_best_heuristic_ablation():
     pattern = HotspotLoad(
         base_rate=3.0 / HOLDING,
         hot_cells=[16, 17, 24, 25],
@@ -55,7 +55,7 @@ def test_best_heuristic_ablation(benchmark):
             out[policy] = reps
         return out
 
-    results = run_once(benchmark, experiment)
+    results = experiment()
 
     def mean(vals):
         return sum(vals) / len(vals)

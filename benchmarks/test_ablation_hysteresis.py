@@ -12,7 +12,7 @@ Expected shape: transitions (and their message cost) drop as the gap
 widens, with little effect on the drop rate.
 """
 
-from _common import Scenario, print_banner, render_table, run_once
+from _common import Scenario, print_banner, render_table
 from repro.harness import run_scenario
 
 GAPS = [
@@ -23,7 +23,7 @@ GAPS = [
 ]
 
 
-def test_hysteresis_ablation(benchmark):
+def test_hysteresis_ablation():
     base = Scenario(
         scheme="adaptive",
         offered_load=6.5,  # hovers right around the borrowing threshold
@@ -43,7 +43,7 @@ def test_hysteresis_ablation(benchmark):
             out[label] = reps
         return out
 
-    results = run_once(benchmark, experiment)
+    results = experiment()
 
     def mean(vals):
         return sum(vals) / len(vals)

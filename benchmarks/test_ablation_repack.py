@@ -19,13 +19,13 @@ never degrades and records the overhead.
 
 from repro.traffic import HotspotLoad
 
-from _common import Scenario, print_banner, render_table, run_once
+from _common import Scenario, print_banner, render_table
 from repro.harness import run_scenario
 
 HOLDING = 180.0
 
 
-def test_repack_ablation(benchmark):
+def test_repack_ablation():
     pattern = HotspotLoad(
         base_rate=3.0 / HOLDING,
         hot_cells=[16, 24, 32],
@@ -50,7 +50,7 @@ def test_repack_ablation(benchmark):
             ]
         return out
 
-    results = run_once(benchmark, experiment)
+    results = experiment()
 
     def mean(vals):
         return sum(vals) / len(vals)

@@ -12,13 +12,13 @@ handoff that finds no free primary can still *borrow*, so g=1 already
 pushes adaptive forced terminations near zero while fixed needs g≈4.
 """
 
-from _common import Scenario, print_banner, render_table, run_once
+from _common import Scenario, print_banner, render_table
 from repro.harness import run_scenario
 
 GUARDS = [0, 1, 2, 4]
 
 
-def test_guard_channel_sweep(benchmark):
+def test_guard_channel_sweep():
     base = Scenario(
         offered_load=8.5,
         mean_dwell=150.0,
@@ -39,7 +39,7 @@ def test_guard_channel_sweep(benchmark):
                 out[(scheme, g)] = rep
         return out
 
-    results = run_once(benchmark, experiment)
+    results = experiment()
 
     rows = []
     for (scheme, g), rep in results.items():

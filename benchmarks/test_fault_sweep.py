@@ -25,7 +25,6 @@ from _common import (
     print_banner,
     render_table,
     run_scenario,
-    run_once,
 )
 
 SCHEMES = ["fixed", "basic_update", "basic_search", "adaptive"]
@@ -48,7 +47,7 @@ def _base(scheme: str, loss: float) -> Scenario:
     )
 
 
-def test_fault_sweep(benchmark):
+def test_fault_sweep():
     def experiment():
         return {
             (scheme, loss): run_scenario(_base(scheme, loss))
@@ -56,7 +55,7 @@ def test_fault_sweep(benchmark):
             for loss in LOSS_RATES
         }
 
-    reports = run_once(benchmark, experiment)
+    reports = experiment()
 
     rows = []
     for scheme in SCHEMES:

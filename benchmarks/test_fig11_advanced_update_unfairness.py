@@ -23,7 +23,7 @@ from repro.metrics import MetricsCollector
 from repro.protocols import AdvancedUpdateMSS, InterferenceMonitor
 from repro.sim import Environment, LatencyModel, Network
 
-from _common import print_banner, render_table, run_once
+from _common import print_banner, render_table
 
 
 class ScriptedLatency(LatencyModel):
@@ -104,14 +104,14 @@ def race(scheme_cls):
     return channel, results, len(monitor.violations), env.now - t0
 
 
-def test_fig11_timestamp_inversion(benchmark):
+def test_fig11_timestamp_inversion():
     def experiment():
         return {
             "advanced_update": race(AdvancedUpdateMSS),
             "adaptive": race(AdaptiveMSS),
         }
 
-    outcome = run_once(benchmark, experiment)
+    outcome = experiment()
 
     rows = []
     for scheme, (channel, results, violations, elapsed) in outcome.items():

@@ -19,7 +19,6 @@ from _common import (
     Scenario,
     print_banner,
     render_table,
-    run_once,
     run_schemes,
 )
 
@@ -28,7 +27,7 @@ HOLDING = 180.0
 HOT_CELLS = [24]  # one downtown cell; its 18 neighbors stay cool
 
 
-def test_hotspot_drop_rates(benchmark):
+def test_hotspot_drop_rates():
     pattern = HotspotLoad(
         base_rate=2.0 / HOLDING, hot_cells=HOT_CELLS, hot_rate=25.0 / HOLDING
     )
@@ -43,7 +42,7 @@ def test_hotspot_drop_rates(benchmark):
     def experiment():
         return run_schemes(SCHEMES, base)
 
-    reports = run_once(benchmark, experiment)
+    reports = experiment()
 
     rows = []
     for scheme in SCHEMES:

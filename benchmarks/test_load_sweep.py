@@ -21,7 +21,6 @@ from _common import (
     Scenario,
     print_banner,
     render_table,
-    run_once,
 )
 from repro.harness import run_scenario
 
@@ -29,7 +28,7 @@ LOADS = [1.0, 3.0, 5.0, 7.0, 9.0, 12.0]
 SCHEMES = ["fixed", "basic_update", "basic_search", "adaptive"]
 
 
-def test_load_sweep_regimes(benchmark):
+def test_load_sweep_regimes():
     base = Scenario(duration=2500.0, warmup=400.0, seed=41)
 
     def experiment():
@@ -41,7 +40,7 @@ def test_load_sweep_regimes(benchmark):
             }
         return table
 
-    results = run_once(benchmark, experiment)
+    results = experiment()
 
     rows = []
     for load in LOADS:

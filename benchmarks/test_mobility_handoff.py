@@ -18,14 +18,13 @@ from _common import (
     Scenario,
     print_banner,
     render_table,
-    run_once,
     run_schemes,
 )
 
 SCHEMES = ["fixed", "basic_update", "adaptive"]
 
 
-def test_mobility_handoff(benchmark):
+def test_mobility_handoff():
     base = Scenario(
         offered_load=7.0,
         mean_dwell=150.0,  # hosts cross a cell boundary ~1.2x per call
@@ -37,7 +36,7 @@ def test_mobility_handoff(benchmark):
     def experiment():
         return run_schemes(SCHEMES, base)
 
-    reports = run_once(benchmark, experiment)
+    reports = experiment()
 
     rows = []
     for scheme in SCHEMES:

@@ -21,7 +21,7 @@ from repro.analysis import plan_partition
 from repro.cellular import CellularTopology
 from repro.traffic import PiecewiseLoad
 
-from _common import Scenario, print_banner, render_table, run_once
+from _common import Scenario, print_banner, render_table
 from repro.harness import run_scenario
 
 HOLDING = 180.0
@@ -43,7 +43,7 @@ def build_workload():
     return PiecewiseLoad(rates), color_loads
 
 
-def test_planner_vs_adaptive(benchmark):
+def test_planner_vs_adaptive():
     pattern, color_loads = build_workload()
     plan = plan_partition(color_loads, 70)
     base = Scenario(
@@ -63,7 +63,7 @@ def test_planner_vs_adaptive(benchmark):
     def experiment():
         return {name: run_scenario(s) for name, s in variants.items()}
 
-    reports = run_once(benchmark, experiment)
+    reports = experiment()
 
     rows = []
     for name, rep in reports.items():

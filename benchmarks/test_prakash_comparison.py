@@ -25,7 +25,6 @@ from _common import (
     Scenario,
     print_banner,
     render_table,
-    run_once,
     run_schemes,
 )
 
@@ -33,7 +32,7 @@ HOLDING = 180.0
 SCHEMES = ["prakash", "adaptive"]
 
 
-def test_allocated_set_comparison(benchmark):
+def test_allocated_set_comparison():
     pattern = TemporalHotspot(
         base_rate=3.0 / HOLDING,
         hot_cells=[16, 17, 24, 25, 31],
@@ -52,7 +51,7 @@ def test_allocated_set_comparison(benchmark):
     def experiment():
         return run_schemes(SCHEMES, base)
 
-    reports = run_once(benchmark, experiment)
+    reports = experiment()
 
     rows = []
     for scheme in SCHEMES:

@@ -20,7 +20,7 @@ import pytest
 
 from repro.analysis import offered_load_for_blocking
 
-from _common import Scenario, print_banner, render_table, run_once
+from _common import Scenario, print_banner, render_table
 from repro.harness import run_scenario
 
 #: (cluster k, rows, cols, channels, expected N)
@@ -31,7 +31,7 @@ GEOMETRIES = [
 ]
 
 
-def test_cost_scaling_in_region_size(benchmark):
+def test_cost_scaling_in_region_size():
     def experiment():
         out = {}
         for k, rows, cols, channels, n_expected in GEOMETRIES:
@@ -53,7 +53,7 @@ def test_cost_scaling_in_region_size(benchmark):
                 out[(k, scheme)] = run_scenario(base.with_(scheme=scheme))
         return out
 
-    results = run_once(benchmark, experiment)
+    results = experiment()
 
     rows = []
     for k, _r, _c, channels, n in GEOMETRIES:

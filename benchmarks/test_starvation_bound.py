@@ -23,14 +23,13 @@ from _common import (
     Scenario,
     print_banner,
     render_table,
-    run_once,
     run_schemes,
 )
 
 SCHEMES = ["basic_update", "adaptive"]
 
 
-def test_starvation_tail_bound(benchmark):
+def test_starvation_tail_bound():
     base = Scenario(
         offered_load=11.0,
         duration=2500.0,
@@ -46,7 +45,7 @@ def test_starvation_tail_bound(benchmark):
     def experiment():
         return run_schemes(SCHEMES, base)
 
-    reports = run_once(benchmark, experiment)
+    reports = experiment()
 
     rows = []
     for scheme in SCHEMES:

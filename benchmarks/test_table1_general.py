@@ -21,20 +21,19 @@ from _common import (
     Scenario,
     print_banner,
     render_table,
-    run_once,
     run_schemes,
 )
 
 SCHEMES = ["basic_search", "basic_update", "advanced_update", "adaptive"]
 
 
-def test_table1_general_load(benchmark):
+def test_table1_general_load():
     base = Scenario(offered_load=7.5, duration=2500.0, warmup=400.0, seed=13)
 
     def experiment():
         return run_schemes(SCHEMES, base)
 
-    reports = run_once(benchmark, experiment)
+    reports = experiment()
 
     rows = []
     shapes = {}

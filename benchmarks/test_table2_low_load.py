@@ -21,20 +21,19 @@ from _common import (
     Scenario,
     print_banner,
     render_table,
-    run_once,
     run_schemes,
 )
 
 SCHEMES = ["basic_search", "basic_update", "advanced_update", "adaptive"]
 
 
-def test_table2_low_load(benchmark):
+def test_table2_low_load():
     base = Scenario(offered_load=1.0, duration=4000.0, warmup=400.0, seed=29)
 
     def experiment():
         return run_schemes(SCHEMES, base)
 
-    reports = run_once(benchmark, experiment)
+    reports = experiment()
     expected = low_load_table(N=N_REGION, n_p=3, T=base.latency_T)
 
     rows = []

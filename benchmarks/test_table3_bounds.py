@@ -24,7 +24,6 @@ from _common import (
     Scenario,
     print_banner,
     render_table,
-    run_once,
 )
 from repro.harness import run_scenario
 
@@ -48,7 +47,7 @@ def per_request_messages(report) -> float:
     return report.messages_total / protocol_requests
 
 
-def test_table3_bounds(benchmark):
+def test_table3_bounds():
     base = Scenario(duration=1500.0, warmup=300.0, seed=31)
 
     def experiment():
@@ -63,7 +62,7 @@ def test_table3_bounds(benchmark):
             out[scheme] = observed
         return out
 
-    results = run_once(benchmark, experiment)
+    results = experiment()
     paper = bounds_table(N=N_REGION, alpha=base.alpha, T=base.latency_T)
 
     rows = []

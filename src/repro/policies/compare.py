@@ -25,9 +25,12 @@ would be circular.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from .base import policy_names
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
+    from ..harness.stats import CI
 
 __all__ = ["record_trace", "compare_policies", "PolicyComparison"]
 
@@ -83,6 +86,13 @@ class PolicyComparison:
         if not values:
             raise KeyError(f"no rows for policy {policy!r}")
         return sum(values) / len(values)
+
+    def regret_interval(self, policy: str) -> CI:
+        """Paired-by-seed 95% interval of ``policy``'s drop rate minus the oracle's."""
+        from ..harness import compare
+
+        mine, oracle = ([self.reports[n, s] for s in self.seeds] for n in (policy, "oracle"))
+        return compare(mine, oracle, "drop_rate")
 
 
 def compare_policies(

@@ -21,7 +21,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.harness import Scenario, build_simulation
+from repro.harness import SCHEMES, Scenario, build_simulation
 from repro.metrics import AcquisitionRecord, MetricsCollector
 from repro.protocols import BasicUpdateMSS, FixedMSS
 from repro.sim import StreamRegistry
@@ -60,8 +60,14 @@ def digest(value):
 
 
 # ------------------------------------------------------------ (a) same run --
+def b0_smoke(scheme):
+    return Scenario(scheme=scheme, offered_load=8.0, duration=300.0,
+                    warmup=50.0, seed=101)
+
+
 #: scenario, final ``env._eid``, offered, digest of the records, digest
-#: of the report row — all read on the parent of the restructuring.
+#: of the report row — ``fixed`` and ``adaptive`` read on the parent of
+#: the restructuring, the other four on a clean copy of f02d344.
 PINNED = {
     "fixed": (
         Scenario(scheme="fixed", offered_load=8.0, duration=400.0, warmup=50.0,
@@ -73,6 +79,14 @@ PINNED = {
                  warmup=30.0, seed=5),
         16079, 556, "b5b1ed7b09ea83a8", "19a5fe10b3dfd1ef",
     ),
+    "advanced_update": (b0_smoke("advanced_update"),
+                        22404, 527, "2392edc80d514e5a", "305c4600327223bd"),
+    "basic_search": (b0_smoke("basic_search"),
+                     27540, 529, "73d1391d3f8e1c32", "ed17bc46e5cf6b80"),
+    "basic_update": (b0_smoke("basic_update"),
+                     98505, 577, "9e0781b0fbbb199b", "bb573a804459bd8d"),
+    "prakash": (b0_smoke("prakash"),
+                3996, 528, "73411c3ca6ca28b1", "e8fb6b28d7049bf4"),
 }
 
 SPAN_KINDS = (
@@ -81,7 +95,7 @@ SPAN_KINDS = (
 )
 
 
-@pytest.mark.parametrize("name", sorted(PINNED))
+@pytest.mark.parametrize("name", sorted(SCHEMES))
 def test_run_equals_the_parent_commit_bare_and_observed(bare, name):
     scenario, eid, offered, records_digest, row_digest = PINNED[name]
     seen = {kind: [] for kind in SPAN_KINDS}

@@ -124,6 +124,28 @@ def test_adaptive_low_load_stays_mostly_fluid_and_clean():
     assert lane["block_rate_abs_err"] >= 0.0
 
 
+def test_reference_profile_lane_off_is_the_plain_kernel_and_lane_on_within_tolerance():
+    """The profile the docs quote (EXPERIMENTS.md "the hybrid fast
+    lane"), in counts: pins read on a clean copy of f02d344, the same
+    with sanitizers raising and absent."""
+    reference = lane_scenario(rows=14, cols=14, duration=2000.0, warmup=200.0)
+    processed, reports = {}, {}
+    for on in (False, True):
+        sim = build_simulation(reference.with_(fastlane=on))
+        reports[on] = sim.run()
+        processed[on] = sim.env._eid - len(sim.env._queue)
+    # Lane off is the plain kernel, event for event.
+    assert processed[False] == 35_512
+    # The mechanism behind the quoted wall ratio: 2 352 events today (15x).
+    assert processed[True] * 10 <= processed[False]
+    lane = reports[True].fastlane
+    assert lane["fluid_fraction"] > 0.95
+    assert abs(reports[True].drop_rate - reports[False].drop_rate) <= 0.01
+    assert lane["block_rate_abs_err"] <= 0.01
+    assert lane["occupancy_abs_err"] <= 0.5
+    assert reports[False].violations == reports[True].violations == 0
+
+
 def test_runs_are_seed_deterministic():
     a = run_scenario(lane_scenario())
     b = run_scenario(lane_scenario())

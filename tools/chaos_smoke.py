@@ -1,6 +1,6 @@
 """Chaos smoke test: short lossy-network sweep with sanitizers raising.
 
-Runs every paper scheme on a hot-spot workload over an unreliable
+Runs every registered scheme on a hot-spot workload over an unreliable
 network (uniform message loss, default 5%) with the full sanitizer
 suite in ``raise`` mode, and fails if
 
@@ -31,12 +31,9 @@ import sys
 from typing import Optional, Sequence
 
 from repro.faults import FaultPlan
-from repro.harness import Scenario, render_table, run_scenario
+from repro.harness import SCHEMES, Scenario, render_table, run_scenario
 from repro.traffic import HotspotLoad
 from repro.verify import set_default_policy
-
-#: Schemes exercised by the smoke (the paper's four comparison points).
-SCHEMES = ("fixed", "basic_update", "basic_search", "adaptive")
 
 
 def build_scenario(
@@ -79,7 +76,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     rows = []
     failures = []
     trace_entries = []
-    for index, scheme in enumerate(SCHEMES):
+    for index, scheme in enumerate(sorted(SCHEMES)):
         scenario = build_scenario(
             scheme, args.loss, args.duration, args.seed, trace=bool(args.trace)
         )

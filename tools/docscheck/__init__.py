@@ -11,8 +11,7 @@ Four passes over the repo's markdown (root ``*.md`` plus
    (``src/...``, ``tools/...``, ``docs/...``, ``tests/...``,
    ``benchmarks/...``, ``examples/...``) must exist, so prose never
    points at moved or deleted code.  Paths carrying glob/placeholder
-   characters are ignored; known CI-generated artifacts are allowed
-   to be absent from a fresh checkout.
+   characters are ignored.
 3. **Rule-catalog correspondence** — the rule IDs documented as
    ``### <ID>`` headings in docs/CHECKS.md must match the IDs
    implemented under ``tools/check``/``tools/analyze``, both ways
@@ -35,7 +34,6 @@ from typing import List
 
 __all__ = [
     "EXCLUDED",
-    "GENERATED_PATHS",
     "INTERNAL_RULE_IDS",
     "check_code_paths",
     "check_generated",
@@ -49,10 +47,6 @@ __all__ = [
 EXCLUDED = frozenset(
     {"PAPER.md", "PAPERS.md", "SNIPPETS.md", "ISSUE.md", "CHANGES.md"}
 )
-
-#: Repo paths that docs may reference although they only exist after a
-#: bench/CI run (generated artifacts, never committed).
-GENERATED_PATHS = frozenset({"benchmarks/fastlane-divergence.json"})
 
 #: Rule IDs that exist in the checker source but are deliberately not
 #: part of the documented catalog (internal sentinels).
@@ -130,8 +124,6 @@ def check_code_paths(
         text = path.read_text(encoding="utf-8")
         for match in _PATH_RE.finditer(text):
             ref = match.group(1).rstrip("/").rstrip(".")
-            if ref in GENERATED_PATHS:
-                continue
             if not (root / ref).exists():
                 problems.append(
                     f"{path.relative_to(root)}: code path `{ref}` "
