@@ -9,9 +9,9 @@ rather than exact numbers.  Wall-clock belongs to ``python -m bench``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Dict, Hashable, Iterable, Mapping
 
-from repro.harness import Report, Scenario, render_table, run_scenario
+from repro.harness import Report, Scenario, render_table, run_cells
 
 #: Scheme display names in the paper's Table order.
 PAPER_ORDER = ["basic_search", "basic_update", "advanced_update", "adaptive"]
@@ -29,11 +29,16 @@ N_REGION = 18  # |IN_i|
 N_PRIMARY = 10  # |PR_i|
 
 
+def run_grid(cells: Mapping[Hashable, Scenario]) -> Dict[Hashable, Report]:
+    """Run a labelled grid of cells, one worker per core, always simulating."""
+    return dict(zip(cells, run_cells(list(cells.values()), workers=None, cache=False)))
+
+
 def run_schemes(
     schemes: Iterable[str], base: Scenario
 ) -> Dict[str, Report]:
     """Run the same scenario under several schemes."""
-    return {s: run_scenario(base.with_(scheme=s)) for s in schemes}
+    return run_grid({s: base.with_(scheme=s) for s in schemes})
 
 
 def print_banner(exp_id: str, description: str) -> None:
@@ -48,9 +53,9 @@ __all__ = [
     "PAPER_LABELS",
     "N_REGION",
     "N_PRIMARY",
+    "run_grid",
     "run_schemes",
     "print_banner",
     "render_table",
     "Scenario",
-    "run_scenario",
 ]

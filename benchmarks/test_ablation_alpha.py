@@ -15,10 +15,18 @@ predicts (Table 1's adaptive row):
 We sweep α at a contended load and print the cost surface.
 """
 
-from _common import Scenario, print_banner, render_table
-from repro.harness import run_scenario
+from _common import Scenario, print_banner, render_table, run_grid
+from repro.harness import summarize
 
 ALPHAS = [0, 1, 2, 4, 8]
+SEEDS = (59, 60, 61)
+#: Report attributes averaged over the seeds.
+MEANS = [
+    "drop_rate",
+    "messages_per_acquisition",
+    "mean_acquisition_time",
+    "p95_acquisition_time",
+]
 
 
 def test_alpha_ablation():
@@ -28,41 +36,25 @@ def test_alpha_ablation():
         duration=2500.0,
         warmup=400.0,
     )
-
-    def experiment():
-        out = {}
-        for alpha in ALPHAS:
-            out[alpha] = [
-                run_scenario(base.with_(seed=seed, alpha=alpha))
-                for seed in (59, 60, 61)
-            ]
-        return out
-
-    results = experiment()
-
-    def mean(vals):
-        return sum(vals) / len(vals)
+    grid = run_grid(
+        {(alpha, seed): base.with_(seed=seed, alpha=alpha) for alpha in ALPHAS for seed in SEEDS}
+    )
+    results = {alpha: [grid[alpha, seed] for seed in SEEDS] for alpha in ALPHAS}
 
     rows = []
     stats = {}
     for alpha in ALPHAS:
         reps = results[alpha]
-        stats[alpha] = dict(
-            drop=mean([r.drop_rate for r in reps]),
-            msgs=mean([r.messages_per_acquisition for r in reps]),
-            acq=mean([r.mean_acquisition_time for r in reps]),
-            p95=mean([r.p95_acquisition_time for r in reps]),
-            max_acq=max(r.max_acquisition_time for r in reps),
-            xi_search=mean([r.xi["search"] for r in reps]),
-        )
-        s = stats[alpha]
+        s = stats[alpha] = {m: ci.mean for m, ci in summarize(reps, MEANS).items()}
+        s["max_acq"] = max(r.max_acquisition_time for r in reps)
+        s["xi_search"] = sum(r.xi["search"] for r in reps) / len(reps)
         rows.append(
             [
                 alpha,
-                round(s["drop"], 4),
-                round(s["msgs"], 1),
-                round(s["acq"], 2),
-                round(s["p95"], 1),
+                round(s["drop_rate"], 4),
+                round(s["messages_per_acquisition"], 1),
+                round(s["mean_acquisition_time"], 2),
+                round(s["p95_acquisition_time"], 1),
                 round(s["max_acq"], 1),
                 round(s["xi_search"], 3),
             ]
@@ -96,6 +88,6 @@ def test_alpha_ablation():
         assert stats[alpha]["max_acq"] <= (2 * alpha * 18 + 1) + 2 * (18 + 1)
     # Service quality is roughly flat across alpha (the knob trades
     # message cost against latency, not drop rate).
-    drops = [stats[a]["drop"] for a in ALPHAS]
+    drops = [stats[a]["drop_rate"] for a in ALPHAS]
     assert max(drops) - min(drops) < 0.08
     assert all(r.violations == 0 for reps in results.values() for r in reps)

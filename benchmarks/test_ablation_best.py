@@ -19,11 +19,12 @@ borrow and no more messages per request than the naive policies.
 
 from repro.traffic import HotspotLoad
 
-from _common import Scenario, print_banner, render_table
-from repro.harness import run_scenario
+from _common import Scenario, print_banner, render_table, run_grid
+from repro.harness import summarize
 
 HOLDING = 180.0
 POLICIES = ["best", "first", "random"]
+SEEDS = (47, 48, 49)
 
 
 def test_best_heuristic_ablation():
@@ -40,51 +41,28 @@ def test_best_heuristic_ablation():
         warmup=500.0,
         alpha=4,  # room for retries so collision differences show up
     )
-
-    def experiment():
-        out = {}
-        for policy in POLICIES:
-            reps = [
-                run_scenario(
-                    base.with_(
-                        seed=seed, extra_params={"best_policy": policy}
-                    )
-                )
-                for seed in (47, 48, 49)
-            ]
-            out[policy] = reps
-        return out
-
-    results = experiment()
-
-    def mean(vals):
-        return sum(vals) / len(vals)
+    grid = run_grid(
+        {
+            (policy, seed): base.with_(seed=seed, extra_params={"best_policy": policy})
+            for policy in POLICIES
+            for seed in SEEDS
+        }
+    )
+    results = {policy: [grid[policy, seed] for seed in SEEDS] for policy in POLICIES}
 
     rows = []
     stats = {}
     for policy in POLICIES:
         reps = results[policy]
-        update_attempts = mean(
-            [
-                sum(
-                    r.attempts
-                    for r in rep.metrics.records
-                    if r.granted and r.mode == "update"
-                )
-                / max(
-                    1,
-                    sum(
-                        1
-                        for r in rep.metrics.records
-                        if r.granted and r.mode == "update"
-                    ),
-                )
-                for rep in reps
-            ]
-        )
-        msgs = mean([r.messages_per_acquisition for r in reps])
-        drop = mean([r.drop_rate for r in reps])
-        searches = mean([r.xi["search"] for r in reps])
+        borrows = [
+            [r.attempts for r in rep.metrics.records if r.granted and r.mode == "update"]
+            for rep in reps
+        ]
+        update_attempts = sum(sum(b) / max(1, len(b)) for b in borrows) / len(reps)
+        ci = summarize(reps, ["messages_per_acquisition", "drop_rate"])
+        msgs = ci["messages_per_acquisition"].mean
+        drop = ci["drop_rate"].mean
+        searches = sum(r.xi["search"] for r in reps) / len(reps)
         stats[policy] = (update_attempts, msgs, drop, searches)
         rows.append(
             [

@@ -12,8 +12,8 @@ Expected shape: transitions (and their message cost) drop as the gap
 widens, with little effect on the drop rate.
 """
 
-from _common import Scenario, print_banner, render_table
-from repro.harness import run_scenario
+from _common import Scenario, print_banner, render_table, run_grid
+from repro.harness import summarize
 
 GAPS = [
     ("2 / 2 (none)", 2.0, 2.0),
@@ -21,6 +21,7 @@ GAPS = [
     ("2 / 4", 2.0, 4.0),
     ("2 / 6", 2.0, 6.0),
 ]
+SEEDS = (53, 54, 55)
 
 
 def test_hysteresis_ablation():
@@ -30,38 +31,27 @@ def test_hysteresis_ablation():
         duration=3000.0,
         warmup=400.0,
     )
-
-    def experiment():
-        out = {}
-        for label, lo, hi in GAPS:
-            reps = [
-                run_scenario(
-                    base.with_(seed=seed, theta_low=lo, theta_high=hi)
-                )
-                for seed in (53, 54, 55)
-            ]
-            out[label] = reps
-        return out
-
-    results = experiment()
-
-    def mean(vals):
-        return sum(vals) / len(vals)
+    grid = run_grid(
+        {
+            (label, seed): base.with_(seed=seed, theta_low=lo, theta_high=hi)
+            for label, lo, hi in GAPS
+            for seed in SEEDS
+        }
+    )
+    results = {label: [grid[label, seed] for seed in SEEDS] for label, _, _ in GAPS}
 
     rows = []
     stats = {}
     for label, _, _ in GAPS:
         reps = results[label]
-        transitions = mean([r.mode_changes for r in reps])
-        overhead = mean(
-            [
-                r.messages_by_kind.get("ChangeMode", 0)
-                + r.messages_by_kind.get("Response", 0)
-                for r in reps
-            ]
-        )
-        drop = mean([r.drop_rate for r in reps])
-        msgs = mean([r.messages_per_acquisition for r in reps])
+        ci = summarize(reps, ["mode_changes", "drop_rate", "messages_per_acquisition"])
+        transitions = ci["mode_changes"].mean
+        overhead = sum(
+            r.messages_by_kind.get("ChangeMode", 0) + r.messages_by_kind.get("Response", 0)
+            for r in reps
+        ) / len(reps)
+        drop = ci["drop_rate"].mean
+        msgs = ci["messages_per_acquisition"].mean
         stats[label] = (transitions, overhead, drop, msgs)
         rows.append(
             [label, round(transitions), round(overhead), round(drop, 4), round(msgs, 1)]

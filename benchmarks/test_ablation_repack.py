@@ -19,10 +19,12 @@ never degrades and records the overhead.
 
 from repro.traffic import HotspotLoad
 
-from _common import Scenario, print_banner, render_table
-from repro.harness import run_scenario
+from _common import Scenario, print_banner, render_table, run_grid
+from repro.harness import summarize
 
 HOLDING = 180.0
+REPACK = {"off (paper)": False, "on (extension)": True}
+SEEDS = (97, 98, 99)
 
 
 def test_repack_ablation():
@@ -38,31 +40,24 @@ def test_repack_ablation():
         duration=3000.0,
         warmup=500.0,
     )
-
-    def experiment():
-        out = {}
-        for label, repack in [("off (paper)", False), ("on (extension)", True)]:
-            out[label] = [
-                run_scenario(
-                    base.with_(seed=seed, extra_params={"repack": repack})
-                )
-                for seed in (97, 98, 99)
-            ]
-        return out
-
-    results = experiment()
-
-    def mean(vals):
-        return sum(vals) / len(vals)
+    grid = run_grid(
+        {
+            (label, seed): base.with_(seed=seed, extra_params={"repack": repack})
+            for label, repack in REPACK.items()
+            for seed in SEEDS
+        }
+    )
+    results = {label: [grid[label, seed] for seed in SEEDS] for label in REPACK}
 
     rows = []
     stats = {}
     for label, reps in results.items():
-        drop = mean([r.drop_rate for r in reps])
-        msgs = mean([r.messages_per_acquisition for r in reps])
-        acq = mean([r.mean_acquisition_time for r in reps])
-        xi_update = mean([r.xi["update"] for r in reps])
-        xi_search = mean([r.xi["search"] for r in reps])
+        ci = summarize(reps, ["drop_rate", "messages_per_acquisition", "mean_acquisition_time"])
+        drop = ci["drop_rate"].mean
+        msgs = ci["messages_per_acquisition"].mean
+        acq = ci["mean_acquisition_time"].mean
+        xi_update = sum(r.xi["update"] for r in reps) / len(reps)
+        xi_search = sum(r.xi["search"] for r in reps) / len(reps)
         stats[label] = (drop, msgs, acq)
         rows.append(
             [

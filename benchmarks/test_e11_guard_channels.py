@@ -12,8 +12,7 @@ handoff that finds no free primary can still *borrow*, so g=1 already
 pushes adaptive forced terminations near zero while fixed needs g≈4.
 """
 
-from _common import Scenario, print_banner, render_table
-from repro.harness import run_scenario
+from _common import Scenario, print_banner, render_table, run_grid
 
 GUARDS = [0, 1, 2, 4]
 
@@ -26,20 +25,13 @@ def test_guard_channel_sweep():
         warmup=400.0,
         seed=107,
     )
-
-    def experiment():
-        out = {}
-        for scheme in ("fixed", "adaptive"):
-            for g in GUARDS:
-                rep = run_scenario(
-                    base.with_(
-                        scheme=scheme, extra_params={"guard_channels": g}
-                    )
-                )
-                out[(scheme, g)] = rep
-        return out
-
-    results = experiment()
+    results = run_grid(
+        {
+            (scheme, g): base.with_(scheme=scheme, extra_params={"guard_channels": g})
+            for scheme in ("fixed", "adaptive")
+            for g in GUARDS
+        }
+    )
 
     rows = []
     for (scheme, g), rep in results.items():

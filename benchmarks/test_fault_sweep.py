@@ -24,7 +24,7 @@ from _common import (
     Scenario,
     print_banner,
     render_table,
-    run_scenario,
+    run_grid,
 )
 
 SCHEMES = ["fixed", "basic_update", "basic_search", "adaptive"]
@@ -48,14 +48,9 @@ def _base(scheme: str, loss: float) -> Scenario:
 
 
 def test_fault_sweep():
-    def experiment():
-        return {
-            (scheme, loss): run_scenario(_base(scheme, loss))
-            for scheme in SCHEMES
-            for loss in LOSS_RATES
-        }
-
-    reports = experiment()
+    reports = run_grid(
+        {(scheme, loss): _base(scheme, loss) for scheme in SCHEMES for loss in LOSS_RATES}
+    )
 
     rows = []
     for scheme in SCHEMES:

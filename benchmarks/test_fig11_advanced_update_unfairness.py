@@ -105,13 +105,10 @@ def race(scheme_cls):
 
 
 def test_fig11_timestamp_inversion():
-    def experiment():
-        return {
-            "advanced_update": race(AdvancedUpdateMSS),
-            "adaptive": race(AdaptiveMSS),
-        }
-
-    outcome = experiment()
+    outcome = {
+        "advanced_update": race(AdvancedUpdateMSS),
+        "adaptive": race(AdaptiveMSS),
+    }
 
     rows = []
     for scheme, (channel, results, violations, elapsed) in outcome.items():

@@ -38,11 +38,7 @@ def test_hotspot_drop_rates():
         warmup=500.0,
         seed=37,
     )
-
-    def experiment():
-        return run_schemes(SCHEMES, base)
-
-    reports = experiment()
+    reports = run_schemes(SCHEMES, base)
 
     rows = []
     for scheme in SCHEMES:

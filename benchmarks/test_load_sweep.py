@@ -21,8 +21,8 @@ from _common import (
     Scenario,
     print_banner,
     render_table,
+    run_grid,
 )
-from repro.harness import run_scenario
 
 LOADS = [1.0, 3.0, 5.0, 7.0, 9.0, 12.0]
 SCHEMES = ["fixed", "basic_update", "basic_search", "adaptive"]
@@ -30,17 +30,14 @@ SCHEMES = ["fixed", "basic_update", "basic_search", "adaptive"]
 
 def test_load_sweep_regimes():
     base = Scenario(duration=2500.0, warmup=400.0, seed=41)
-
-    def experiment():
-        table = {}
-        for load in LOADS:
-            table[load] = {
-                s: run_scenario(base.with_(scheme=s, offered_load=load))
-                for s in SCHEMES
-            }
-        return table
-
-    results = experiment()
+    grid = run_grid(
+        {
+            (load, s): base.with_(scheme=s, offered_load=load)
+            for load in LOADS
+            for s in SCHEMES
+        }
+    )
+    results = {load: {s: grid[load, s] for s in SCHEMES} for load in LOADS}
 
     rows = []
     for load in LOADS:

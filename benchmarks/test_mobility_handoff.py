@@ -32,11 +32,7 @@ def test_mobility_handoff():
         warmup=500.0,
         seed=71,
     )
-
-    def experiment():
-        return run_schemes(SCHEMES, base)
-
-    reports = experiment()
+    reports = run_schemes(SCHEMES, base)
 
     rows = []
     for scheme in SCHEMES:

@@ -21,8 +21,7 @@ from repro.analysis import plan_partition
 from repro.cellular import CellularTopology
 from repro.traffic import PiecewiseLoad
 
-from _common import Scenario, print_banner, render_table
-from repro.harness import run_scenario
+from _common import Scenario, print_banner, render_table, run_grid
 
 HOLDING = 180.0
 HOT_COLOR = 0
@@ -54,16 +53,13 @@ def test_planner_vs_adaptive():
         seed=103,
     )
 
-    variants = {
-        "uniform FCA": base.with_(scheme="fixed"),
-        "planned FCA": base.with_(scheme="fixed", channels_per_color=plan),
-        "adaptive (balanced)": base.with_(scheme="adaptive"),
-    }
-
-    def experiment():
-        return {name: run_scenario(s) for name, s in variants.items()}
-
-    reports = experiment()
+    reports = run_grid(
+        {
+            "uniform FCA": base.with_(scheme="fixed"),
+            "planned FCA": base.with_(scheme="fixed", channels_per_color=plan),
+            "adaptive (balanced)": base.with_(scheme="adaptive"),
+        }
+    )
 
     rows = []
     for name, rep in reports.items():

@@ -21,7 +21,7 @@ SEEDS = range(1, 9)
 def test_policy_regret():
     base = Scenario(scheme="adaptive", offered_load=10.0, duration=600.0, warmup=100.0)
 
-    comparison = compare_policies(base, seeds=SEEDS, cache=False)
+    comparison = compare_policies(base, seeds=SEEDS, workers=None, cache=False)
 
     intervals = {name: comparison.regret_interval(name) for name in comparison.policies}
     rows = []

@@ -47,11 +47,7 @@ def test_allocated_set_comparison():
         warmup=400.0,
         seed=67,
     )
-
-    def experiment():
-        return run_schemes(SCHEMES, base)
-
-    reports = experiment()
+    reports = run_schemes(SCHEMES, base)
 
     rows = []
     for scheme in SCHEMES:

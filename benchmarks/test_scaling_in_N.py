@@ -20,8 +20,7 @@ import pytest
 
 from repro.analysis import offered_load_for_blocking
 
-from _common import Scenario, print_banner, render_table
-from repro.harness import run_scenario
+from _common import Scenario, print_banner, render_table, run_grid
 
 #: (cluster k, rows, cols, channels, expected N)
 GEOMETRIES = [
@@ -31,29 +30,29 @@ GEOMETRIES = [
 ]
 
 
-def test_cost_scaling_in_region_size():
-    def experiment():
-        out = {}
-        for k, rows, cols, channels, n_expected in GEOMETRIES:
-            primaries = channels // k
-            # Equal service quality everywhere: 1% Erlang-B blocking.
-            load = offered_load_for_blocking(0.01, primaries)
-            base = Scenario(
-                rows=rows,
-                cols=cols,
-                num_channels=channels,
-                cluster_size=k,
-                offered_load=load,
-                mean_holding=120.0,
-                duration=1500.0,
-                warmup=300.0,
-                seed=109,
-            )
-            for scheme in ("basic_search", "basic_update", "adaptive"):
-                out[(k, scheme)] = run_scenario(base.with_(scheme=scheme))
-        return out
+def _base(k: int, rows: int, cols: int, channels: int) -> Scenario:
+    return Scenario(
+        rows=rows,
+        cols=cols,
+        num_channels=channels,
+        cluster_size=k,
+        # Equal service quality everywhere: 1% Erlang-B blocking.
+        offered_load=offered_load_for_blocking(0.01, channels // k),
+        mean_holding=120.0,
+        duration=1500.0,
+        warmup=300.0,
+        seed=109,
+    )
 
-    results = experiment()
+
+def test_cost_scaling_in_region_size():
+    results = run_grid(
+        {
+            (k, scheme): _base(k, rows, cols, channels).with_(scheme=scheme)
+            for k, rows, cols, channels, _n in GEOMETRIES
+            for scheme in ("basic_search", "basic_update", "adaptive")
+        }
+    )
 
     rows = []
     for k, _r, _c, channels, n in GEOMETRIES:

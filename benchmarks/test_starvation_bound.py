@@ -41,11 +41,7 @@ def test_starvation_tail_bound():
         latency_model="uniform",
         latency_spread=2.0,
     )
-
-    def experiment():
-        return run_schemes(SCHEMES, base)
-
-    reports = experiment()
+    reports = run_schemes(SCHEMES, base)
 
     rows = []
     for scheme in SCHEMES:

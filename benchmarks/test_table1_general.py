@@ -29,11 +29,7 @@ SCHEMES = ["basic_search", "basic_update", "advanced_update", "adaptive"]
 
 def test_table1_general_load():
     base = Scenario(offered_load=7.5, duration=2500.0, warmup=400.0, seed=13)
-
-    def experiment():
-        return run_schemes(SCHEMES, base)
-
-    reports = experiment()
+    reports = run_schemes(SCHEMES, base)
 
     rows = []
     shapes = {}

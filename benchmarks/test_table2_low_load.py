@@ -29,11 +29,7 @@ SCHEMES = ["basic_search", "basic_update", "advanced_update", "adaptive"]
 
 def test_table2_low_load():
     base = Scenario(offered_load=1.0, duration=4000.0, warmup=400.0, seed=29)
-
-    def experiment():
-        return run_schemes(SCHEMES, base)
-
-    reports = experiment()
+    reports = run_schemes(SCHEMES, base)
     expected = low_load_table(N=N_REGION, n_p=3, T=base.latency_T)
 
     rows = []

@@ -24,8 +24,8 @@ from _common import (
     Scenario,
     print_banner,
     render_table,
+    run_grid,
 )
-from repro.harness import run_scenario
 
 SCHEMES = ["basic_search", "basic_update", "advanced_update", "adaptive"]
 LOADS = [0.5, 2.0, 5.0, 8.0, 11.0, 14.0, 18.0]
@@ -49,20 +49,14 @@ def per_request_messages(report) -> float:
 
 def test_table3_bounds():
     base = Scenario(duration=1500.0, warmup=300.0, seed=31)
-
-    def experiment():
-        out = {}
-        for scheme in SCHEMES:
-            observed = []
-            for load in LOADS:
-                rep = run_scenario(
-                    base.with_(scheme=scheme, offered_load=load)
-                )
-                observed.append(rep)
-            out[scheme] = observed
-        return out
-
-    results = experiment()
+    grid = run_grid(
+        {
+            (scheme, load): base.with_(scheme=scheme, offered_load=load)
+            for scheme in SCHEMES
+            for load in LOADS
+        }
+    )
+    results = {s: [grid[s, load] for load in LOADS] for s in SCHEMES}
     paper = bounds_table(N=N_REGION, alpha=base.alpha, T=base.latency_T)
 
     rows = []

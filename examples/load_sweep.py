@@ -19,27 +19,28 @@ The shape to look for (paper abstract / §6):
 Run:  python examples/load_sweep.py
 """
 
-from repro import Scenario, run_scenario
+from repro import Scenario
 from repro.analysis import erlang_b
-from repro.harness import render_table
+from repro.harness import render_table, run_cells
 
 LOADS = [1.0, 3.0, 5.0, 7.0, 9.0, 12.0]
 SCHEMES = ["fixed", "basic_search", "basic_update", "advanced_update", "prakash", "adaptive"]
 
 
 def main() -> None:
+    cells = {
+        (load, scheme): Scenario(
+            scheme=scheme, offered_load=load, duration=2500.0, warmup=400.0, seed=11
+        )
+        for load in LOADS
+        for scheme in SCHEMES
+    }
+    # One grid, one worker per core; rows come back in cell order.
+    reports = dict(zip(cells, run_cells(list(cells.values()), workers=None)))
     for load in LOADS:
         rows = []
         for scheme in SCHEMES:
-            rep = run_scenario(
-                Scenario(
-                    scheme=scheme,
-                    offered_load=load,
-                    duration=2500.0,
-                    warmup=400.0,
-                    seed=11,
-                )
-            )
+            rep = reports[load, scheme]
             xi = rep.xi
             rows.append(
                 [

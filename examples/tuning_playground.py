@@ -10,8 +10,8 @@ moderately hot workload, so an operator can pick a point.
 Run:  python examples/tuning_playground.py
 """
 
-from repro import Scenario, run_scenario
-from repro.harness import render_table
+from repro import Scenario
+from repro.harness import render_table, run_cells
 from repro.traffic import HotspotLoad
 
 HOLDING = 180.0
@@ -35,20 +35,19 @@ def base_scenario(**kw) -> Scenario:
     return Scenario(**defaults)
 
 
-def sweep(title, param_rows):
-    rows = []
-    for label, overrides in param_rows:
-        rep = run_scenario(base_scenario(**overrides))
-        rows.append(
-            [
-                label,
-                rep.drop_rate,
-                rep.mean_acquisition_time,
-                rep.p95_acquisition_time,
-                rep.messages_per_acquisition,
-                rep.mode_changes,
-            ]
-        )
+def show(title, param_rows):
+    reports = run_cells([base_scenario(**kw) for _, kw in param_rows], workers=None)
+    rows = [
+        [
+            label,
+            rep.drop_rate,
+            rep.mean_acquisition_time,
+            rep.p95_acquisition_time,
+            rep.messages_per_acquisition,
+            rep.mode_changes,
+        ]
+        for (label, _), rep in zip(param_rows, reports)
+    ]
     print(
         render_table(
             ["setting", "drop", "acq mean", "acq p95", "msgs/req", "mode changes"],
@@ -60,11 +59,11 @@ def sweep(title, param_rows):
 
 
 def main() -> None:
-    sweep(
+    show(
         "alpha — borrow attempts before falling back to search",
         [(f"alpha={a}", {"alpha": a}) for a in (0, 1, 2, 4, 8)],
     )
-    sweep(
+    show(
         "thresholds — hysteresis window (theta_l, theta_h)",
         [
             ("0.5 / 0.5 (no hysteresis)", {"theta_low": 0.5, "theta_high": 0.5}),
@@ -73,7 +72,7 @@ def main() -> None:
             ("2 / 5 (eager borrowing)", {"theta_low": 2.0, "theta_high": 5.0}),
         ],
     )
-    sweep(
+    show(
         "W — NFC prediction window",
         [(f"W={w:g}", {"window": w}) for w in (5.0, 15.0, 30.0, 60.0, 120.0)],
     )

@@ -363,12 +363,16 @@ def run_replications(
     :class:`~repro.snap.Snapshot`.  Forked replications share the
     pre-checkpoint trajectory by construction — they are exchangeable
     draws of the post-checkpoint window, not fully independent runs —
-    and run serially in-process (``workers`` is ignored; the speedup
+    and run serially in-process (any ``workers`` but 1 is refused with
+    :class:`~repro.harness.capability.CompatibilityError`; the speedup
     comes from skipping the warmup, and cache rows are keyed by the
     snapshot hash so warm results never alias cold ones).
     """
     if warmup_checkpoint is not None:
         from ..snap import Snapshot, fork_replications, run_to_checkpoint
+
+        if workers != 1:
+            check_compatible(scenario, lanes=("resume", "workers"))
 
         if isinstance(warmup_checkpoint, Snapshot):
             snapshot = warmup_checkpoint

@@ -1,9 +1,10 @@
-"""Parameter sweeps with replication — the workhorse behind the
-experiment scripts.
+"""One-parameter sweeps with replication, as tidy rows.
 
 ``sweep`` runs a base scenario across the values of one parameter (any
 ``Scenario`` field, or an ``extra_params`` key), optionally replicated
 over several seeds, and returns tidy rows suitable for tables or CSV.
+The cells go through :func:`~repro.harness.parallel.run_cells`, which
+the experiment scripts under ``benchmarks/`` call directly.
 """
 
 from __future__ import annotations

@@ -94,6 +94,8 @@ class Response(Message):
     and the sender's frozen ``Use`` set for SEARCH/STATUS.
     """
 
+    is_reply = True
+
     res_type: ResType
     sender: int
     payload: Union[int, FrozenSet[int]]

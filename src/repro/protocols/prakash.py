@@ -49,6 +49,8 @@ __all__ = ["PrakashMSS", "Transfer", "TransferReply", "PollResponse"]
 class PollResponse(Message):
     """Reply to a poll: the responder's allocated and busy sets."""
 
+    is_reply = True
+
     sender: int
     allocated: FrozenSet[int]
     busy: FrozenSet[int]
@@ -68,6 +70,8 @@ class Transfer(Message):
 @dataclass(frozen=True)
 class TransferReply(Message):
     """AGREE (granted=True) or KEEP (granted=False) for a Transfer."""
+
+    is_reply = True
 
     sender: int
     channel: int

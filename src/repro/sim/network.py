@@ -65,6 +65,10 @@ class Message:
     :func:`decode_payload` finds the class again among the subclasses.
     """
 
+    #: True on the types that answer a round (carry its ``round_id``
+    #: back); the causality sanitizer matches replies by this mark.
+    is_reply = False
+
 
 def encode_payload(payload: Message) -> List[Any]:
     """``[class name, field values in declaration order]``."""

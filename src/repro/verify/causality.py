@@ -31,17 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Set, Tuple
 
-from ..protocols.messages import Response
-from ..protocols.prakash import PollResponse, TransferReply
 from ..sim import Envelope, Environment
 from .base import Sanitizer, Violation
 
 __all__ = ["CausalityViolation", "CausalityChecker"]
-
-#: Payload types that answer a previously processed round.  Requests
-#: (Request, ChangeMode, Prakash's Transfer) also carry round ids, so
-#: replies are matched by type, not by attribute sniffing.
-REPLY_TYPES = (Response, PollResponse, TransferReply)
 
 
 @dataclass(frozen=True)
@@ -115,7 +108,7 @@ class CausalityChecker(Sanitizer):
             # clamp); they are not protocol actions — skip the
             # reply-matching for them.
             return
-        if isinstance(payload, REPLY_TYPES):
+        if getattr(payload, "is_reply", False):
             key = (envelope.dst, payload.round_id)
             open_rounds = self._open_rounds.get(envelope.src)
             if open_rounds is None or key not in open_rounds:

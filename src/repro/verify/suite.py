@@ -14,7 +14,7 @@ from typing import Any, Dict, List, Optional
 
 from ..sim import Environment, Network
 from .base import Sanitizer, Violation
-from .causality import REPLY_TYPES, CausalityChecker
+from .causality import CausalityChecker
 from .deadlock import DeadlockDetector
 from .quiescence import QuiescenceChecker
 from .vectorclock import VectorClockChecker
@@ -85,7 +85,7 @@ class SanitizerSuite:
             if station._link is not None:
                 for dst, queued in sorted(station._link._queue.items()):
                     for payload in queued:
-                        if isinstance(payload, REPLY_TYPES):
+                        if payload.is_reply:
                             self.causality._open_rounds.setdefault(
                                 station.node_id, set()
                             ).add((dst, payload.round_id))

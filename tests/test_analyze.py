@@ -1,8 +1,7 @@
 """Tests for the whole-program analyzer (``tools.analyze``).
 
 Every rule/pass gets a firing fixture module and a silent one; the
-baseline workflow, the CLI artifacts, and the real tree's cleanliness
-are covered at the end.  Fixture trees mimic the ``src/repro`` layout
+CLI artifacts and the real tree's cleanliness are covered at the end.  Fixture trees mimic the ``src/repro`` layout
 because both the flow and shard passes are scope-sensitive.
 """
 
@@ -16,15 +15,11 @@ sys.path.insert(0, str(ROOT))
 
 from tools.analyze import (  # noqa: E402
     DETERMINISM_RULES,
-    baseline_key,
     build_model,
-    load_baseline,
-    partition,
     render_dot,
     run_flow_pass,
     run_shard_pass,
     run_snapshot_pass,
-    write_baseline,
 )
 from tools.analyze.__main__ import main as analyze_main  # noqa: E402
 from tools.check.engine import check_paths, iter_python_files  # noqa: E402
@@ -507,56 +502,6 @@ def test_sim009_silent_outside_sim_scope(tmp_path):
     assert findings == []
 
 
-# ---------------------------------------------------------------- baseline ----
-def test_baseline_roundtrip_and_partition(tmp_path):
-    findings = det_findings(
-        tmp_path,
-        """
-        class X:
-            def fan_out(self, verdicts):
-                for j in verdicts.keys():
-                    self._send(j, 1)
-        """,
-    )
-    assert len(findings) == 1
-    baseline_file = tmp_path / "baseline.json"
-    write_baseline(findings, str(baseline_file))
-    baseline = load_baseline(str(baseline_file))
-    assert baseline == {baseline_key(findings[0])}
-    new, accepted, stale = partition(findings, baseline)
-    assert (new, accepted, stale) == ([], findings, [])
-    # An empty run leaves the baseline entry stale.
-    new, accepted, stale = partition([], baseline)
-    assert new == [] and accepted == [] and stale == sorted(baseline)
-
-
-def test_baseline_keys_are_line_insensitive(tmp_path):
-    fired = det_findings(
-        tmp_path,
-        """
-        class X:
-            def fan_out(self, verdicts):
-                for j in verdicts.keys():
-                    self._send(j, 1)
-        """,
-    )
-    shifted = det_findings(
-        tmp_path,
-        """
-        # a comment pushing everything down
-
-
-        class X:
-            def fan_out(self, verdicts):
-                for j in verdicts.keys():
-                    self._send(j, 1)
-        """,
-        relpath="src/repro/protocols/x.py",
-    )
-    assert fired[0].line != shifted[0].line
-    assert baseline_key(fired[0]) == baseline_key(shifted[0])
-
-
 # --------------------------------------------------------------------- CLI ----
 def test_cli_end_to_end(tmp_path, capsys):
     write(tmp_path, "src/repro/protocols/base.py", _BASE)
@@ -574,26 +519,20 @@ def test_cli_end_to_end(tmp_path, capsys):
         """,
     )
     tree = str(tmp_path / "src")
-    baseline = str(tmp_path / "baseline.json")
     dot = tmp_path / "flow.dot"
     report = tmp_path / "shard.json"
 
-    # Unbaselined finding: exit 1, JSON output carries the shared schema.
+    # A finding: exit 1, JSON output carries the shared schema and the verdicts.
     rc = analyze_main(
-        [tree, "--baseline", baseline, "--format", "json",
-         "--dot", str(dot), "--shard-report", str(report)]
+        [tree, "--format", "json", "--dot", str(dot), "--shard-report", str(report)]
     )
     assert rc == 1
     out = json.loads(capsys.readouterr().out)
-    assert [f["code"] for f in out["new"]] == ["ANA101"]
-    assert out["new"][0]["url"] == "docs/CHECKS.md#ana101"
+    assert [f["code"] for f in out["findings"]] == ["ANA101"]
+    assert out["findings"][0]["url"] == "docs/CHECKS.md#ana101"
+    assert out["shard_verdict"] == out["snapshot_verdict"] == "safe"
     assert "LonelyMSS" in dot.read_text()
     assert json.loads(report.read_text())["verdict"] == "safe"
-
-    # Accept it, then the same run is clean.
-    assert analyze_main([tree, "--baseline", baseline, "--write-baseline"]) == 0
-    capsys.readouterr()
-    assert analyze_main([tree, "--baseline", baseline]) == 0
 
     # Missing path: exit 2.
     assert analyze_main([str(tmp_path / "nope")]) == 2

@@ -112,6 +112,17 @@ def test_rejected_row_fires_the_validator_before_anything_is_built(
     assert calls or argv is not None, "no entry point can express this row"
 
 
+def test_run_replications_refuses_workers_when_forking(nothing_constructed, monkeypatch):
+    scenario = witness_request("workers", duration=160.0, warmup=40.0)[0]["scenario"]
+    reason = CAPABILITIES["resume", "workers"].detail
+    for workers in (None, 2):
+        with pytest.raises(CompatibilityError, match=reason):
+            run_replications(scenario, 2, workers=workers, warmup_checkpoint=0.0)
+    monkeypatch.undo()  # lift nothing_constructed: workers=1 must still fork
+    forked = run_replications(scenario, 2, workers=1, cache=False, warmup_checkpoint=0.0)
+    assert [r.scenario.seed for r in forked] == [scenario.seed, scenario.seed + 1]
+
+
 def test_accepted_request_is_silent():
     for name in WITNESS:
         check_compatible(**witness_request(name)[0])

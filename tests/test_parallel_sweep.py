@@ -63,6 +63,22 @@ def test_run_replications_parallel_matches_serial():
         assert a.messages_total == b.messages_total
 
 
+def test_what_experiments_read_off_a_worker_report_matches_serial():
+    """E3, E4, E7, E8 and T3 read the per-record data, not only the
+    headline attributes: it survives the trip back from a worker."""
+    cells = [
+        quick(scheme=s, duration=300.0, warmup=50.0, offered_load=7.0, mean_dwell=150.0)
+        for s in ("basic_update", "adaptive")
+    ]
+    serial = run_cells(cells, workers=1, cache=False)
+    parallel = run_cells(cells, workers=2, cache=False)
+    for a, b in zip(serial, parallel):
+        assert a.metrics.records == b.metrics.records and len(a.metrics.records) > 100
+        assert a.metrics.acquisition_times().tolist() == b.metrics.acquisition_times().tolist()
+        assert a.metrics.drop_rate_of("handoff") == b.metrics.drop_rate_of("handoff")
+        assert any(r.kind == "handoff" for r in a.metrics.records)
+
+
 def test_faulty_sweep_parallel_identical_to_serial():
     """Fault injection stays deterministic across worker processes.
 

@@ -4,8 +4,9 @@
 reserve: a cell takes it only with the permission of one neighbour (its
 *buddy*), who grants while it has primaries to spare itself.  Only own
 primaries are ever used, so Theorem 1 holds by construction; the
-permission round, the ``ToyNotice`` that follows a reserved grab and
-the two counters are there to meet every layer a real scheme meets —
+permission round, the ``ToyNotice`` that follows a reserved grab, the
+``ToyThanks`` that answers it (a reply type of the toy's own) and the
+two counters are there to meet every layer a real scheme meets —
 ``MSS._open_round`` / ``_await_round`` and the hardened round deadline,
 the ARQ payload codec, the causality sanitizer, the trace audits, the
 snapshot walker, the CLI and the capability table.
@@ -48,6 +49,18 @@ class ToyNotice(Message):
 
     sender: int
     channel: int
+    round_id: int
+
+
+@dataclass(frozen=True)
+class ToyThanks(Message):
+    """The buddy's answer to a ToyNotice: a reply type nothing under
+    ``src/repro/verify`` names, known to the causality sanitizer by its mark."""
+
+    is_reply = True
+
+    sender: int
+    round_id: int
 
 
 class ToyMSS(MSS):
@@ -74,17 +87,15 @@ class ToyMSS(MSS):
             return None
         self._grant_mode = "update"
         collector = self._open_round((self.buddy,))
-        self._send(
-            self.buddy,
-            Request(ReqType.UPDATE, NO_CHANNEL, ts, self.cell, self._collector_round),
-        )
+        round_id = self._collector_round
+        self._send(self.buddy, Request(ReqType.UPDATE, NO_CHANNEL, ts, self.cell, round_id))
         verdicts, complete = yield from self._await_round(collector)
         if not complete or verdicts[self.buddy] is not ResType.GRANT:
             self.refused += 1  # a silent buddy counts as a refusal
             return None
         channel = min(self.PR - self.use)  # requests are serialized: none was taken
         self._grab(channel)
-        self._send(self.buddy, ToyNotice(self.cell, channel))
+        self._send(self.buddy, ToyNotice(self.cell, channel, round_id))
         return channel
 
     def _release(self, channel):
@@ -102,6 +113,12 @@ class ToyMSS(MSS):
 
     def _on_ToyNotice(self, msg):
         self.heard += 1
+        if "proto.request" in self._probes:
+            self.env.emit("proto.request", (self.cell, msg.sender, msg.round_id))
+        self._send(msg.sender, ToyThanks(self.cell, msg.round_id))
+
+    def _on_ToyThanks(self, msg):
+        pass
 
 
 @pytest.fixture
@@ -153,6 +170,14 @@ def test_toy_passes_the_trace_audits_when_drained(toy):
     sim.sanitizers.finalize()
     sim.sanitizers.assert_clean()
     assert sum(s.heard for s in sim.stations.values()) == recorder.counts_by_type()["ToyNotice"]
+    assert recorder.counts_by_type()["ToyThanks"] == recorder.counts_by_type()["ToyNotice"]
+
+
+def test_toy_reply_before_request_is_caught_by_its_mark(toy):
+    sim = build_simulation(busy())
+    station = sim.stations[0]
+    with pytest.raises(AssertionError, match="reply_before_request"):
+        sim.network.send(station.node_id, station.buddy, ToyThanks(station.cell, 99))
 
 
 def test_toy_is_a_cli_scheme(toy, capsys):
@@ -167,7 +192,7 @@ def test_toy_is_a_cli_scheme(toy, capsys):
 
 @pytest.mark.parametrize(
     "at, overrides",
-    [(0.0, {}), (80.0, {}), (130.0, dict(offered_load=5.0, faults=HOSTILE_FAULTS))],
+    [(0.0, {}), (80.0, {}), (100.0, dict(offered_load=5.0, faults=HOSTILE_FAULTS))],
     ids=["cold", "warm", "warm-faults"],
 )
 def test_toy_snapshots_restore_exactly(toy, at, overrides):

@@ -26,19 +26,11 @@ Pass 4    Determinism lint family (SIM006–SIM009), run over the
           (``tools/analyze/determinism.py``)
 ========  =============================================================
 
-Accepted findings live in the committed baseline
-(``tools/analyze/baseline.json``); the CLI exits 1 only on findings
-outside it.  See ``docs/CHECKS.md`` for the full catalog and the
-baseline workflow.
+The CLI exits 1 on any finding; a finding is accepted inline
+(``# repro: noqa(CODE)``) or by a pass's own allowlist.  See
+``docs/CHECKS.md`` for the full catalog.
 """
 
-from .baseline import (
-    DEFAULT_BASELINE,
-    baseline_key,
-    load_baseline,
-    partition,
-    write_baseline,
-)
 from .determinism import DETERMINISM_RULES
 from .flow import render_dot, run_flow_pass
 from .model import ProtocolModel, build_model
@@ -46,16 +38,11 @@ from .shard import run_shard_pass
 from .snapshot import run_snapshot_pass
 
 __all__ = [
-    "DEFAULT_BASELINE",
     "DETERMINISM_RULES",
     "ProtocolModel",
-    "baseline_key",
     "build_model",
-    "load_baseline",
-    "partition",
     "render_dot",
     "run_flow_pass",
     "run_shard_pass",
     "run_snapshot_pass",
-    "write_baseline",
 ]

@@ -1,11 +1,10 @@
 """CLI entry point: ``python -m tools.analyze [paths...]``.
 
 Runs all four passes (message-flow, shard-safety, snapshot-escape,
-determinism lint) over the given paths (default ``src/repro``),
-compares the merged findings against the committed baseline, and exits
-1 when any finding is not baselined.  ``--format json`` emits the
-shared finding schema (code, path, line, col, message, rule-doc URL)
-also used by ``python -m tools.check --format json``.
+determinism lint) over the given paths (default ``src/repro``) and
+exits 1 on any finding.  ``--format json`` emits the shared finding
+schema (code, path, line, col, message, rule-doc URL) also used by
+``python -m tools.check --format json``, plus the two safety verdicts.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from typing import List, Optional, Sequence
 
 from tools.check.engine import Finding, check_paths, iter_python_files
 
-from .baseline import DEFAULT_BASELINE, load_baseline, partition, write_baseline
 from .determinism import DETERMINISM_RULES
 from .flow import render_dot, run_flow_pass
 from .model import build_model
@@ -31,10 +29,6 @@ _PASSES = (
     ("snapshot", "snapshot-escape analysis (ANA301-ANA303)"),
     ("determinism", "determinism lint family (SIM006-SIM009)"),
 )
-
-
-def _repo_root() -> pathlib.Path:
-    return pathlib.Path(__file__).resolve().parent.parent.parent
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -53,21 +47,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         choices=("text", "json"),
         default="text",
         help="output format (default: text)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        help=f"baseline file of accepted findings (default: {DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline: report every finding as new",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="regenerate the baseline from the current findings and exit 0",
     )
     parser.add_argument(
         "--dot",
@@ -129,27 +108,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             json.dumps(snapshot_report, indent=2) + "\n"
         )
 
-    baseline_path = args.baseline or str(_repo_root() / DEFAULT_BASELINE)
-    if args.write_baseline:
-        write_baseline(findings, baseline_path)
-        print(
-            f"wrote {len(findings)} accepted finding(s) to {baseline_path}",
-            file=sys.stderr,
-        )
-        return 0
-
-    baseline = set() if args.no_baseline else load_baseline(baseline_path)
-    new, accepted, stale = partition(findings, baseline)
-
     if args.format == "json":
         print(
             json.dumps(
                 {
-                    "new": [f.to_dict() for f in new],
-                    "accepted": [f.to_dict() for f in accepted],
-                    "stale_baseline": [
-                        {"code": c, "path": p, "message": m} for c, p, m in stale
-                    ],
+                    "findings": [f.to_dict() for f in findings],
                     "shard_verdict": shard_report["verdict"],
                     "snapshot_verdict": snapshot_report["verdict"],
                 },
@@ -157,22 +120,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
         )
     else:
-        for finding in new:
+        for finding in findings:
             print(finding)
-    if accepted:
-        print(f"{len(accepted)} baselined finding(s)", file=sys.stderr)
-    for code, path, message in stale:
-        print(
-            f"warning: stale baseline entry (no longer fires): "
-            f"{code} {path}: {message}",
-            file=sys.stderr,
-        )
-    if new:
-        print(
-            f"{len(new)} new finding(s) not in the baseline "
-            f"({baseline_path})",
-            file=sys.stderr,
-        )
+    if findings:
+        print(f"{len(findings)} finding(s)", file=sys.stderr)
         return 1
     return 0
 

@@ -17,21 +17,22 @@ Usage::
     python -m tools.chaos_smoke [--loss 0.05] [--duration 200] [--seed 7]
                                 [--trace DIR]
 
+The schemes are the cells of one ``run_cells`` grid (one worker per
+core; a crashed cell is a failure row, the others still finish).
 ``--trace DIR`` additionally runs every scheme with the observability
-layer on and writes one run-artifact directory per scheme under DIR
-(see docs/OBSERVABILITY.md) — in CI these are uploaded so a chaos
-failure comes with its trace attached.
+layer on, so the grid writes ``DIR/cell-<i>-<scheme>-seed<s>/`` and a
+manifest (see docs/OBSERVABILITY.md) — in CI these are uploaded so a
+chaos failure comes with its trace attached.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Optional, Sequence
 
 from repro.faults import FaultPlan
-from repro.harness import SCHEMES, Scenario, render_table, run_scenario
+from repro.harness import SCHEMES, ExperimentError, Scenario, render_table, run_cells
 from repro.traffic import HotspotLoad
 from repro.verify import set_default_policy
 
@@ -73,32 +74,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # causality / quiescence violation instead of recording it.
     set_default_policy("raise")
 
-    rows = []
+    cells = [
+        build_scenario(scheme, args.loss, args.duration, args.seed, trace=bool(args.trace))
+        for scheme in sorted(SCHEMES)
+    ]
     failures = []
-    trace_entries = []
-    for index, scheme in enumerate(sorted(SCHEMES)):
-        scenario = build_scenario(
-            scheme, args.loss, args.duration, args.seed, trace=bool(args.trace)
-        )
-        try:
-            report = run_scenario(scenario)
-        except Exception as exc:  # sanitizer raise = smoke failure
-            failures.append(f"{scheme}: {type(exc).__name__}: {exc}")
-            rows.append([scheme, "-", "-", "-", "-", "CRASHED"])
-            if args.trace:
-                trace_entries.append(
-                    {"index": index, "scheme": scheme, "seed": args.seed,
-                     "dir": None, "status": "failed"}
-                )
-            continue
-        if args.trace:
-            from repro.obs import write_run_artifacts
+    try:
+        reports = run_cells(cells, workers=None, cache=False, trace_dir=args.trace)
+    except ExperimentError as exc:  # sanitizer raise = smoke failure
+        reports = exc.reports
+        failures += [f.summary() for f in exc.failures]
 
-            files = write_run_artifacts(report, os.path.join(args.trace, scheme))
-            trace_entries.append(
-                {"index": index, "scheme": scheme, "seed": args.seed,
-                 "dir": scheme, "status": "ok", "files": files}
-            )
+    rows = []
+    for cell, report in zip(cells, reports):
+        scheme = cell.scheme
+        if report is None:
+            rows.append([scheme, "-", "-", "-", "-", "CRASHED"])
+            continue
         injected = sum(report.faults_injected.values())
         recovered = sum(report.faults_recovered.values())
         rows.append(
@@ -133,9 +125,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
     )
     if args.trace:
-        from repro.obs import write_manifest
-
-        write_manifest(args.trace, trace_entries)
         print(f"\nrun artifacts written to {args.trace}/", file=sys.stderr)
     if failures:
         print("\nFAIL", file=sys.stderr)
