@@ -13,8 +13,8 @@ Design constraints (why the interface looks the way it does):
 
 * **Per-cell state only.**  A policy instance belongs to exactly one
   station and holds no shared state — that keeps checkpoint/restore
-  and warm forks sound (this package is in the shard-safety and
-  snapshot-escape analyzer scopes, see ``tools/analyze``).
+  and warm forks sound (this package is in the scope of the
+  state-isolation rules ANA201–ANA204 and ANA301, see docs/CHECKS.md).
 * **Deterministic.**  No randomness, no wall clock; every input
   arrives through ``decide``/the hook arguments.
 * **Snapshot round-trippable.**  ``state_dict``/``load_state`` move
@@ -35,7 +35,9 @@ __all__ = ["ModePolicy", "register_policy", "policy_spec", "make_policy", "polic
 
 #: name -> policy class; populated by :func:`register_policy` at import
 #: time and never mutated afterwards (read-only from simulation code).
-_REGISTRY: Dict[str, Type["ModePolicy"]] = {}
+#: Accepted as module state because it is append-only, complete before
+#: any kernel starts and identical in every worker process.
+_REGISTRY: Dict[str, Type["ModePolicy"]] = {}  # repro: noqa(ANA203)
 
 
 def register_policy(cls: Type["ModePolicy"]) -> Type["ModePolicy"]:

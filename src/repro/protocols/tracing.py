@@ -1,6 +1,6 @@
 """Protocol trace recording and conformance checking.
 
-A :class:`TraceRecorder` hooks the network and logs every envelope; the
+A :class:`TraceRecorder` subscribes to ``net.send`` and logs every envelope; the
 ``check_*`` functions then audit protocol-level pairing invariants that
 neither the interference monitor (channel-level) nor unit tests
 (per-node) can see globally:
@@ -51,9 +51,9 @@ class TraceRecorder:
     def __init__(self, network: Network) -> None:
         self.network = network
         self.sent: List[_Sent] = []
-        network.on_send.append(self._record)
+        network.env.subscribe("net.send", self._record)
 
-    def _record(self, envelope: Envelope) -> None:
+    def _record(self, now: float, envelope: Envelope) -> None:
         self.sent.append(
             _Sent(envelope.sent_at, envelope.src, envelope.dst, envelope.payload)
         )

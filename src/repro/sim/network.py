@@ -4,8 +4,8 @@ Nodes register with the network and receive messages through their
 ``on_message(msg)`` method.  The network models per-message one-way
 latency (the paper's parameter ``T``), supports FIFO or non-FIFO
 per-link delivery (non-FIFO is required to reproduce the message
-overtaking of the paper's Figure 11), and exposes send/delivery hooks
-used by the metrics layer to count control messages by type.
+overtaking of the paper's Figure 11), and emits the ``net.send`` /
+``net.deliver`` probes — the one way to observe a message in flight.
 """
 
 from __future__ import annotations
@@ -295,9 +295,6 @@ class Network:
         self.sent_by_kind: Dict[str, int] = {}
         #: Total messages sent overall.
         self.total_sent = 0
-        #: Optional hooks: called with the envelope at send / delivery time.
-        self.on_send: List[Callable[[Envelope], None]] = []
-        self.on_deliver: List[Callable[[Envelope], None]] = []
         #: ``Envelope.callbacks`` of every scheduled delivery.
         self._delivery = (self._deliver,)
 
@@ -383,14 +380,11 @@ class Network:
         return deliver_at
 
     def _account(self, env_msg: Envelope) -> None:
-        """Count one logical send; run the hooks and the ``net.send`` probe."""
+        """Count one logical send and emit the ``net.send`` probe."""
         self.total_sent += 1
         kind = type(env_msg.payload).__name__
         counts = self.sent_by_kind
         counts[kind] = counts.get(kind, 0) + 1
-        if self.on_send:
-            for hook in self.on_send:
-                hook(env_msg)
         if "net.send" in self._probes:
             self.env.emit("net.send", env_msg)
 
@@ -416,7 +410,7 @@ class Network:
 
         The injector turns one logical send into zero (dropped /
         partitioned / crashed endpoint), one, or two (duplicated)
-        scheduled deliveries.  Send-side accounting — counters, hooks,
+        scheduled deliveries.  Send-side accounting — counters and
         the ``net.send`` probe — happens exactly once per logical send
         regardless, so message-overhead metrics keep counting protocol
         messages, not injector artifacts.
@@ -473,7 +467,6 @@ class Network:
         last_delivery = self._last_delivery
         kind = type(payload).__name__
         counts = self.sent_by_kind
-        hooks = self.on_send
         queue = env._queue
         delivery = self._delivery
         for dst in dsts:
@@ -493,9 +486,6 @@ class Network:
             env_msg = Envelope(src, dst, payload, now, deliver_at, seq, msg_id)
             self.total_sent += 1
             counts[kind] = counts.get(kind, 0) + 1
-            if hooks:
-                for hook in hooks:
-                    hook(env_msg)
             if "net.send" in self._probes:
                 env.emit("net.send", env_msg)
             env_msg.callbacks = delivery
@@ -506,9 +496,6 @@ class Network:
     def _deliver(self, env_msg: Envelope) -> None:
         if self.injector is not None and not self.injector.deliverable(env_msg):
             return
-        if self.on_deliver:
-            for hook in self.on_deliver:
-                hook(env_msg)
         if "net.deliver" in self._probes:
             self.env.emit("net.deliver", env_msg)
         self._nodes[env_msg.dst].on_message(env_msg)

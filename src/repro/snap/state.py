@@ -319,7 +319,8 @@ def _classify_queue(sim: Any) -> List[Dict[str, Any]]:
 
 
 #: Sampler descriptor tag (its process is ``obs-<tag>``) -> ``Observer`` attribute.
-_SAMPLERS = {"timeseries": "recorder", "kernel": "profiler"}
+#: A constant lookup table: written here, only ever read.
+_SAMPLERS = {"timeseries": "recorder", "kernel": "profiler"}  # repro: noqa(ANA203)
 
 
 def _describe_process(sim: Any, proc: Process, when: float) -> Dict[str, Any]:

@@ -15,7 +15,7 @@ engine's probe bus (:meth:`repro.sim.Environment.subscribe`):
   logical send with a vector clock, checks causal delivery per link,
   and flags causally unordered writes to the per-neighbor state
   mirrors (``mirror_race``) — the dynamic counterpart of the static
-  shard-safety pass in ``tools/analyze``.
+  cross-cell access rule (ANA201, ``python -m tools.check``).
 * :class:`QuiescenceChecker` — end-of-run hygiene: every acquired
   channel released, every channel request resolved.
 

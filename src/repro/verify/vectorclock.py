@@ -1,7 +1,7 @@
 """Vector-clock happens-before checker (the dynamic race oracle).
 
-Complements the static shard-safety pass (``tools/analyze/shard.py``):
-the static pass proves no cross-cell state is touched *except* through
+Complements the static cross-cell access rule (ANA201, docs/CHECKS.md):
+the static rule proves no cross-cell state is touched *except* through
 ``Network.send`` and the probe bus; this sanitizer checks that what
 does travel through the fabric respects causality, and that the
 mirrored per-neighbor state (``U[j]`` / ``granted_out[j]`` in the

@@ -1,10 +1,12 @@
-"""Tests for the whole-program analyzer (``tools.analyze``).
+"""Tests for the ANA rule families and SIM006–SIM009 (``tools.check``).
 
-Every rule/pass gets a firing fixture module and a silent one; the
-CLI artifacts and the real tree's cleanliness are covered at the end.  Fixture trees mimic the ``src/repro`` layout
-because both the flow and shard passes are scope-sensitive.
+Every rule gets a firing fixture module and a silent one, all run
+through the full registry; the CLI and the real tree's cleanliness
+are covered at the end.  Fixture trees mimic the ``src/repro`` layout
+because every rule is path-scoped.
 """
 
+import ast
 import json
 import pathlib
 import sys
@@ -13,16 +15,10 @@ import textwrap
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 
-from tools.analyze import (  # noqa: E402
-    DETERMINISM_RULES,
-    build_model,
-    render_dot,
-    run_flow_pass,
-    run_shard_pass,
-    run_snapshot_pass,
-)
-from tools.analyze.__main__ import main as analyze_main  # noqa: E402
-from tools.check.engine import check_paths, iter_python_files  # noqa: E402
+import pytest  # noqa: E402
+
+from tools.check import RULES, check_file, check_paths, iter_python_files  # noqa: E402
+from tools.check.__main__ import main as check_main  # noqa: E402
 
 
 def write(tmp_path, relpath, source):
@@ -68,8 +64,7 @@ def flow_findings(tmp_path, scheme_source):
     write(tmp_path, "src/repro/protocols/base.py", _BASE)
     write(tmp_path, "src/repro/protocols/messages.py", _MESSAGES)
     write(tmp_path, "src/repro/protocols/scheme.py", scheme_source)
-    files = list(iter_python_files([str(tmp_path / "src")]))
-    return run_flow_pass(build_model(files))
+    return check_paths([str(tmp_path / "src")])
 
 
 # ------------------------------------------------------------------ ANA101 ----
@@ -267,14 +262,12 @@ def test_ana104_silent_on_star_args_and_defaults(tmp_path):
 
 
 # ------------------------------------------------------------------ ANA201 ----
-def shard_findings(tmp_path, relpath, source):
-    path = write(tmp_path, relpath, source)
-    findings, report = run_shard_pass([path])
-    return findings, report
+def file_findings(tmp_path, relpath, source):
+    return check_file(write(tmp_path, relpath, source))
 
 
 def test_ana201_fires_on_cross_cell_access(tmp_path):
-    findings, report = shard_findings(
+    findings = file_findings(
         tmp_path,
         "src/repro/protocols/leaky.py",
         """
@@ -287,27 +280,27 @@ def test_ana201_fires_on_cross_cell_access(tmp_path):
         """,
     )
     assert codes(findings) == ["ANA201", "ANA201"]
-    assert report["verdict"] == "unsafe"
 
 
 def test_ana201_silent_in_allowlisted_files(tmp_path):
-    findings, report = shard_findings(
+    findings = file_findings(
         tmp_path,
         "src/repro/sim/network.py",
         """
+        ROUTES = {}
+
         class Network:
             def _deliver(self, msg):
                 self._nodes[msg.dst].on_message(msg)
         """,
     )
-    assert findings == []
-    assert report["files_allowlisted"]
-    assert report["verdict"] == "safe"
+    # The fabric may touch its own registry; nothing else is exempt there.
+    assert [(f.code, f.line) for f in findings] == [("ANA203", 2)]
 
 
 # ------------------------------------------------------------------ ANA202 ----
 def test_ana202_fires_on_mutable_class_attribute(tmp_path):
-    findings, _ = shard_findings(
+    findings = file_findings(
         tmp_path,
         "src/repro/protocols/shared.py",
         """
@@ -320,7 +313,7 @@ def test_ana202_fires_on_mutable_class_attribute(tmp_path):
 
 
 def test_ana202_silent_on_instance_state_and_immutables(tmp_path):
-    findings, _ = shard_findings(
+    findings = file_findings(
         tmp_path,
         "src/repro/protocols/clean.py",
         """
@@ -337,7 +330,7 @@ def test_ana202_silent_on_instance_state_and_immutables(tmp_path):
 
 # ------------------------------------------------------------------ ANA203 ----
 def test_ana203_fires_on_mutable_module_global(tmp_path):
-    findings, _ = shard_findings(
+    findings = file_findings(
         tmp_path,
         "src/repro/core/globals.py",
         """
@@ -349,7 +342,7 @@ def test_ana203_fires_on_mutable_module_global(tmp_path):
 
 
 def test_ana203_silent_outside_sim_scope(tmp_path):
-    findings, _ = shard_findings(
+    findings = file_findings(
         tmp_path,
         "src/repro/harness/registry.py",
         "CACHE = {}\n",
@@ -359,7 +352,7 @@ def test_ana203_silent_outside_sim_scope(tmp_path):
 
 # ------------------------------------------------------------------ ANA204 ----
 def test_ana204_fires_on_fluid_access_in_handler(tmp_path):
-    findings, _ = shard_findings(
+    findings = file_findings(
         tmp_path,
         "src/repro/protocols/leaky.py",
         """
@@ -384,7 +377,7 @@ def test_ana204_silent_on_sanctioned_sites(tmp_path):
     # on_message / _enter_borrowing are the sanctioned notify sites
     # (neither matches the handler prefixes); other-object .fastlane
     # and handler-local names don't fire either.
-    findings, _ = shard_findings(
+    findings = file_findings(
         tmp_path,
         "src/repro/protocols/clean_lane.py",
         """
@@ -406,8 +399,7 @@ def test_ana204_silent_on_sanctioned_sites(tmp_path):
 
 # ------------------------------------------------------------------ SIM006 ----
 def det_findings(tmp_path, source, relpath="src/repro/protocols/x.py"):
-    path = write(tmp_path, relpath, source)
-    return check_paths([path], rules=DETERMINISM_RULES)
+    return file_findings(tmp_path, relpath, source)
 
 
 def test_sim006_fires_on_dict_iteration_fanout(tmp_path):
@@ -520,40 +512,28 @@ def test_cli_end_to_end(tmp_path, capsys):
     )
     tree = str(tmp_path / "src")
     dot = tmp_path / "flow.dot"
-    report = tmp_path / "shard.json"
 
-    # A finding: exit 1, JSON output carries the shared schema and the verdicts.
-    rc = analyze_main(
-        [tree, "--format", "json", "--dot", str(dot), "--shard-report", str(report)]
-    )
+    # A finding: exit 1, JSON output is the list of finding rows.
+    rc = check_main([tree, "--format", "json", "--dot", str(dot)])
     assert rc == 1
     out = json.loads(capsys.readouterr().out)
-    assert [f["code"] for f in out["findings"]] == ["ANA101"]
-    assert out["findings"][0]["url"] == "docs/CHECKS.md#ana101"
-    assert out["shard_verdict"] == out["snapshot_verdict"] == "safe"
+    assert [f["code"] for f in out] == ["ANA101"]
+    assert out[0]["url"] == "docs/CHECKS.md#ana101"
     assert "LonelyMSS" in dot.read_text()
-    assert json.loads(report.read_text())["verdict"] == "safe"
 
     # Missing path: exit 2.
-    assert analyze_main([str(tmp_path / "nope")]) == 2
+    assert check_main([str(tmp_path / "nope")]) == 2
 
 
-def test_list_passes(capsys):
-    assert analyze_main(["--list-passes"]) == 0
+def test_list_rules(capsys):
+    assert check_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for token in ("flow", "shard", "snapshot", "determinism", "SIM006", "SIM009"):
-        assert token in out
+    assert [out.count(rule.code) for rule in RULES] == [1] * 20
 
 
 # ------------------------------------------------------------------ ANA3xx ----
-def snapshot_findings(tmp_path, relpath, source):
-    path = write(tmp_path, relpath, source)
-    findings, report = run_snapshot_pass([path])
-    return findings, report
-
-
 def test_ana301_fires_on_unregistered_randomness(tmp_path):
-    findings, report = snapshot_findings(
+    findings = file_findings(
         tmp_path,
         "src/repro/faults/sloppy.py",
         """
@@ -568,26 +548,26 @@ def test_ana301_fires_on_unregistered_randomness(tmp_path):
             return default_rng(7).random()
         """,
     )
-    assert codes(findings) == ["ANA301", "ANA301", "ANA301"]
-    assert report["verdict"] == "unsafe"
+    # The two global draws are SIM002's; the unregistered generator is ANA301's.
+    assert codes(findings) == ["SIM002", "SIM002", "ANA301"]
 
 
 def test_ana301_fires_on_from_random_import(tmp_path):
-    findings, _ = snapshot_findings(
+    findings = file_findings(
         tmp_path,
         "src/repro/traffic/sloppy.py",
         """
         from random import expovariate
         """,
     )
-    assert codes(findings) == ["ANA301"]
+    assert codes(findings) == ["SIM002"]
 
 
 def test_ana301_silent_in_allowlisted_files(tmp_path):
     # The registry itself and the adaptive tie-breaker are the
     # sanctioned generator factories (captured by the state codec).
     for relpath in ("src/repro/sim/rng.py", "src/repro/core/adaptive.py"):
-        findings, report = snapshot_findings(
+        findings = file_findings(
             tmp_path,
             relpath,
             """
@@ -598,11 +578,10 @@ def test_ana301_silent_in_allowlisted_files(tmp_path):
             """,
         )
         assert findings == []
-        assert report["verdict"] == "safe"
 
 
 def test_ana302_and_ana303_fire_outside_shard_scope(tmp_path):
-    findings, report = snapshot_findings(
+    findings = file_findings(
         tmp_path,
         "src/repro/metrics/sloppy.py",
         """
@@ -612,58 +591,73 @@ def test_ana302_and_ana303_fire_outside_shard_scope(tmp_path):
             shared = []
         """,
     )
-    assert codes(findings) == ["ANA302", "ANA303"]
-    assert report["verdict"] == "unsafe"
-
-
-def test_ana302_ana303_defer_to_shard_pass_inside_its_scope(tmp_path):
-    # protocols/ is ANA202/ANA203 territory; the snapshot pass must not
-    # double-report the same defect under a second code.
-    findings, _ = snapshot_findings(
-        tmp_path,
-        "src/repro/protocols/sloppy.py",
-        """
-        TALLIES = {}
-
-        class Collector:
-            shared = []
-        """,
-    )
-    assert findings == []
+    assert codes(findings) == ["ANA203", "ANA202"]
 
 
 def test_snapshot_pass_ignores_out_of_scope_and_private_names(tmp_path):
-    findings, report = snapshot_findings(
+    # A ``_`` prefix hides nothing from a snapshot: only dunders and
+    # immutables are exempt (the stricter of the two merged rules).
+    findings = file_findings(
         tmp_path,
         "src/repro/obs/tidy.py",
         """
         _PRIVATE_CACHE = {}
         FROZEN = frozenset({1, 2})
+        __all__ = ["FROZEN"]
         """,
     )
-    assert findings == []
-    out_of_scope = write(
-        tmp_path, "tools/bench_helper.py", "import random\n"
-    )
-    findings, report = run_snapshot_pass([out_of_scope])
-    assert findings == []
-    assert report["files_scanned"] == 0
+    assert [(f.code, f.line) for f in findings] == [("ANA203", 2)]
+    assert file_findings(tmp_path, "tools/bench_helper.py", "import random\n") == []
+
+
+# ------------------------------------- one defect, one code, everywhere ----
+#: code -> a file with that one defect; ``{noqa}`` sits on the defect's line.
+_DEFECTS = {
+    "ANA203": "TABLE = {{}}{noqa}\n",
+    "ANA202": "class C:\n    seen = []{noqa}\n",
+    "SIM002": "import random\nx = random.random(){noqa}\n",
+    "ANA301": "import numpy as np\nrng = np.random.default_rng(7){noqa}\n",
+    "ANA201": "def peek(net, j):\n    return net.node(j).use{noqa}\n",
+}
+#: Files the deleted allowlists hid from one pass or both.
+_NAMED = ("sim/network.py", "protocols/monitor.py", "protocols/tracing.py", "policies/extra.py")
+#: The only exemptions among those files and each rule's directories.
+_EXEMPT = {
+    "ANA201": {"src/repro/sim/network.py"},
+    "ANA202": {"src/repro/sim/x.py", "src/repro/sim/network.py"},
+}
+
+
+@pytest.mark.parametrize("code", sorted(_DEFECTS))
+def test_one_defect_one_code_suppressible_nowhere_invisible(tmp_path, code):
+    rule = next(r for r in RULES if r.code == code)
+    relpaths = [f"{d}/x.py" for d in rule.paths] + [f"src/repro/{name}" for name in _NAMED]
+    exempt = {p for p in relpaths if any(e in p for e in rule.excludes)}
+    assert exempt == _EXEMPT.get(code, set())
+    for relpath in sorted(set(relpaths) - exempt):
+        defect = _DEFECTS[code]
+        fired = file_findings(tmp_path, relpath, defect.format(noqa=""))
+        assert codes(fired) == [code], relpath
+        pragma = f"  # repro: noqa({code})"
+        assert file_findings(tmp_path, relpath, defect.format(noqa=pragma)) == [], relpath
+        stale = file_findings(tmp_path, relpath, f"y = 1{pragma}\n")
+        assert codes(stale) == ["SIM100"], relpath
 
 
 # ------------------------------------------------------------- real tree ----
-def test_real_tree_has_no_unbaselined_findings(capsys):
-    assert analyze_main(["src/repro"]) == 0
+def test_real_tree_has_no_unbaselined_findings(tmp_path, monkeypatch):
+    """Clean under every rule — and each file is parsed once, ``--dot`` included."""
+    parsed = []
+    real_parse = ast.parse
+    monkeypatch.setattr(
+        ast, "parse", lambda *a, **kw: parsed.append(kw["filename"]) or real_parse(*a, **kw)
+    )
+    assert check_main(["src", "tools", "--dot", str(tmp_path / "flow.dot")]) == 0
+    assert sorted(parsed) == sorted(iter_python_files(["src", "tools"]))
 
 
 def test_real_tree_dot_covers_all_schemes(tmp_path):
-    files = list(iter_python_files(["src/repro"]))
-    dot = render_dot(build_model(files))
-    for scheme in (
-        "AdaptiveMSS",
-        "AdvancedUpdateMSS",
-        "BasicSearchMSS",
-        "BasicUpdateMSS",
-        "FixedMSS",
-        "PrakashMSS",
-    ):
-        assert f'"{scheme}"' in dot
+    dot = tmp_path / "flow.dot"
+    check_main(["src/repro", "--dot", str(dot)])
+    for scheme in ("Adaptive", "AdvancedUpdate", "BasicSearch", "BasicUpdate", "Fixed", "Prakash"):
+        assert f'"{scheme}MSS"' in dot.read_text()

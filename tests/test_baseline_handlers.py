@@ -26,10 +26,11 @@ def test_search_responder_snapshot_is_frozen():
     j = sorted(topo.IN(0))[0]
     ch = drive(env, s.request_channel())
     sent = []
-    net.on_send.append(
-        lambda e: sent.append(e.payload)
+    env.subscribe(
+        "net.send",
+        lambda now, e: sent.append(e.payload)
         if isinstance(e.payload, Response)
-        else None
+        else None,
     )
     s._on_Request(Request(ReqType.SEARCH, NO_CHANNEL, (99.0, j), j, 1))
     snapshot = sent[-1].payload

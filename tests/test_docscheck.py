@@ -14,6 +14,7 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 
+from tools.check import RULES  # noqa: E402
 from tools.docscheck import (  # noqa: E402
     EXCLUDED,
     check_code_paths,
@@ -25,15 +26,14 @@ from tools.docscheck import (  # noqa: E402
 )
 
 
-def make_tree(tmp_path, checks_md="### SIM001 — demo\n", sources=("SIM001",)):
+#: One ``###`` heading per code of the real registry (plus SIM100).
+CATALOG = [f"### {code} — demo\n" for code in sorted({r.code for r in RULES} | {"SIM100"})]
+
+
+def make_tree(tmp_path, checks_md="".join(CATALOG)):
     """A minimal repo skeleton the three passes can run against."""
     (tmp_path / "docs").mkdir()
     (tmp_path / "docs" / "CHECKS.md").write_text(checks_md)
-    (tmp_path / "tools" / "check").mkdir(parents=True)
-    (tmp_path / "tools" / "analyze").mkdir()
-    (tmp_path / "tools" / "check" / "rules.py").write_text(
-        "\n".join(f"ID = {rule!r}" for rule in sources) + "\n"
-    )
     (tmp_path / "src").mkdir()
     (tmp_path / "src" / "real.py").write_text("x = 1\n")
     return tmp_path
@@ -98,34 +98,25 @@ def test_dead_code_paths_are_flagged(tmp_path):
 
 
 def test_undocumented_rule_is_flagged(tmp_path):
-    root = make_tree(
-        tmp_path,
-        checks_md="### SIM001 — demo\n",
-        sources=("SIM001", "ANA999"),
-    )
-    problems = check_rule_catalog(root)
-    assert problems == [
-        "rule ANA999 is implemented but has no ### heading in docs/CHECKS.md"
+    root = make_tree(tmp_path, checks_md="".join(CATALOG[1:]))
+    assert check_rule_catalog(root) == [
+        "rule ANA101 is implemented but has no ### heading in docs/CHECKS.md"
     ]
 
 
 def test_phantom_documented_rule_is_flagged(tmp_path):
-    root = make_tree(
-        tmp_path,
-        checks_md="### SIM001 — demo\n### SIM777 — phantom\n",
-        sources=("SIM001",),
-    )
+    # A code that source text merely mentions is not a rule: only the
+    # registry counts.
+    root = make_tree(tmp_path, checks_md="".join(CATALOG) + "### SIM777 — phantom\n")
     problems = check_rule_catalog(root)
     assert len(problems) == 1
     assert "SIM777" in problems[0]
 
 
 def test_internal_sentinel_is_tolerated(tmp_path):
-    root = make_tree(
-        tmp_path,
-        checks_md="### SIM001 — demo\n",
-        sources=("SIM001", "SIM000"),
-    )
+    # SIM000 (syntax error) is the engine's, not a rule: no section wanted.
+    root = make_tree(tmp_path)
+    assert "SIM000" not in "".join(CATALOG)
     assert check_rule_catalog(root) == []
 
 

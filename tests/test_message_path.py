@@ -197,16 +197,16 @@ class Sink:
 
 
 def twin(latency=None, fifo=True, nodes=8):
-    """A network with sink nodes, an ``on_send`` hook and a ``net.send``
-    subscriber that log into one list (their interleaving is part of
-    the contract)."""
+    """A network with sink nodes and a ``net.send`` subscriber logging
+    each copy with the counters as they stand when it is emitted."""
     env = Environment()
     network = Network(env, latency() if latency else None, fifo=fifo)
     for node_id in range(nodes):
         network.attach(Sink(node_id))
     log = []
-    network.on_send.append(lambda e: log.append(("hook", e.dst, e.seq, network.total_sent)))
-    env.subscribe("net.send", lambda now, e: log.append(("probe", e.dst, e.seq, now)))
+    env.subscribe(
+        "net.send", lambda now, e: log.append((e.dst, e.seq, network.total_sent, now))
+    )
     return env, network, log
 
 
@@ -269,9 +269,9 @@ def test_fan_out_equals_send_loop_on_the_perfect_network():
     fan, loop = fan_out_and_loop(advance, [1, 2, 3, 4, 5])
     assert fan == loop
     assert fan["total_sent"] == 6 and len(fan["heap"]) == 6  # "earlier" in flight
-    # hook and probe alternate per copy, in destination order
-    assert [(tag, dst) for tag, dst, _, _ in fan["log"][2:]] == [
-        (tag, dst) for dst in (1, 2, 3, 4, 5) for tag in ("hook", "probe")
+    # one probe per copy, in destination order, counted before it is emitted
+    assert [(dst, total) for dst, _, total, _ in fan["log"][1:]] == [
+        (dst, n) for n, dst in enumerate((1, 2, 3, 4, 5), start=2)
     ]
 
 

@@ -117,8 +117,8 @@ def test_send_and_deliver_hooks():
     env = Environment()
     net, _ = make_net(env)
     sends, delivers = [], []
-    net.on_send.append(lambda e: sends.append(e.payload))
-    net.on_deliver.append(lambda e: delivers.append(e.payload))
+    env.subscribe("net.send", lambda now, e: sends.append(e.payload))
+    env.subscribe("net.deliver", lambda now, e: delivers.append(e.payload))
     net.send(0, 1, "x")
     assert sends == ["x"] and delivers == []
     env.run()

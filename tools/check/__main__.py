@@ -1,8 +1,10 @@
 """CLI entry point: ``python -m tools.check [paths...]``.
 
-Exits 1 if any finding is reported, 0 on a clean tree.  ``--format
-json`` emits the shared finding schema (code, path, line, col,
-message, rule-doc URL) also used by ``python -m tools.analyze``.
+Exits 1 if any finding is reported, 0 on a clean tree, 2 on a path
+that does not exist.  ``--format json`` prints the findings as a list
+of :meth:`Finding.to_dict` rows (code, path, line, col, message,
+rule-doc URL); ``--dot FILE`` writes the message-flow graph of the
+checked files.
 """
 
 from __future__ import annotations
@@ -13,14 +15,16 @@ import pathlib
 import sys
 from typing import Optional, Sequence
 
-from .engine import check_paths
+from .engine import check_files, iter_python_files
+from .flow import render_dot
 from .rules import RULES
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="tools.check",
-        description="Simulation-specific static checks (SIM001-SIM005).",
+        description="The repository's static checks (SIM001-SIM011, "
+        "ANA101-ANA301, SIM100).",
     )
     parser.add_argument(
         "paths",
@@ -39,6 +43,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         action="store_true",
         help="print the rule registry and exit",
     )
+    parser.add_argument(
+        "--dot",
+        metavar="FILE",
+        default=None,
+        help="write the message-flow graph (GraphViz DOT) to FILE",
+    )
     args = parser.parse_args(argv)
 
     if args.list_rules:
@@ -52,7 +62,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"error: no such file or directory: {p}", file=sys.stderr)
         return 2
 
-    findings = check_paths(args.paths)
+    findings, files = check_files(iter_python_files(args.paths))
+    if args.dot:
+        pathlib.Path(args.dot).write_text(render_dot(files))
     if args.format == "json":
         print(json.dumps([f.to_dict() for f in findings], indent=2))
     else:

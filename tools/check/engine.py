@@ -1,18 +1,21 @@
-"""Core of the SIM lint: parsing, alias resolution, noqa, reporting.
+"""The one static-check engine: parsing, scoping, noqa, reporting.
 
-The engine parses each file once, builds an import-alias table so rules
-match *canonical* dotted names (``import numpy as np`` makes
-``np.random.seed`` resolve to ``numpy.random.seed``), runs every rule
-whose path scope covers the file, and filters findings through
-line-level ``# repro: noqa(...)`` pragmas.
+Every file of a run is parsed once into a :class:`CheckContext` (tree,
+import-alias table so rules match *canonical* dotted names — ``import
+numpy as np`` makes ``np.random.seed`` resolve to
+``numpy.random.seed`` — and the line's ``# repro: noqa(...)`` pragmas).
+A :class:`Rule` sees one in-scope file at a time; a
+:class:`ProgramRule` sees all of its in-scope files at once, for facts
+no single file holds.  Both declare their scope as path fragments
+(``paths`` / ``excludes``), and every finding of either kind passes
+through the same pragma filter.
 
 Suppressions are themselves checked: a pragma that silences nothing in
 the current run — a bare ``# repro: noqa`` with no finding on the line,
 or a named code that belongs to a rule scoped to the file but did not
 fire — is reported as ``SIM100`` (stale suppression).  Codes naming
-rules *outside* the current rule set are left alone, so a pragma for
-the whole-program analyzer (``tools.analyze``) does not trip the line
-lint and vice versa.  ``SIM100`` itself cannot be suppressed.
+rules outside the current rule set, or scoped elsewhere, are left
+alone.  ``SIM100`` itself cannot be suppressed.
 """
 
 from __future__ import annotations
@@ -21,11 +24,26 @@ import ast
 import re
 from dataclasses import dataclass
 from pathlib import Path, PurePath
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 __all__ = [
     "Finding",
     "CheckContext",
+    "Rule",
+    "ProgramRule",
+    "in_scope",
+    "check_files",
     "check_file",
     "check_paths",
     "iter_python_files",
@@ -47,9 +65,9 @@ STALE_NOQA_CODE = "SIM100"
 _DOC_URL_BASE = "docs/CHECKS.md#"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Finding:
-    """One rule violation at a precise source location."""
+    """One rule violation at a precise source location (sorts by it)."""
 
     path: str
     line: int
@@ -61,11 +79,7 @@ class Finding:
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
 
     def to_dict(self) -> Dict[str, Any]:
-        """The shared machine-readable schema (``--format json``).
-
-        Both ``tools.check`` and ``tools.analyze`` emit this shape, so
-        downstream tooling needs exactly one parser.
-        """
+        """The machine-readable schema (one ``--format json`` row)."""
         return {
             "code": self.code,
             "path": self.path,
@@ -77,11 +91,17 @@ class Finding:
 
 
 class CheckContext:
-    """Per-file facts shared by all rules: alias table and resolution."""
+    """One parsed file of one run: tree, alias resolution, pragma ledger."""
 
-    def __init__(self, path: str, tree: ast.Module) -> None:
+    def __init__(self, path: str, tree: ast.Module, source: str) -> None:
         self.path = path
         self.tree = tree
+        #: line number -> codes a pragma suppresses there (or ``{_ALL}``).
+        self.noqa = _noqa_lines(source)
+        #: line number -> codes whose findings a pragma actually swallowed.
+        self.used: Dict[int, Set[str]] = {}
+        #: codes of the rules whose scope covered this file in this run.
+        self.applicable: Set[str] = set()
         #: local name -> canonical dotted prefix it stands for.
         self.aliases: Dict[str, str] = {}
         self._collect_aliases(tree)
@@ -140,104 +160,144 @@ def _noqa_lines(source: str) -> Dict[int, Set[str]]:
     return suppressed
 
 
-def _scoped_rules(path: str, rules: Sequence[Any]) -> List[Any]:
+Match = Tuple[ast.AST, str]
+ProgramMatch = Tuple[str, ast.AST, str]
+
+
+class _Scoped:
+    """What every rule declares: a code, a summary line and a scope.
+
+    ``paths`` / ``excludes`` are fragments matched against the file's
+    POSIX path.  ``excludes`` is the only file-level exemption there
+    is; the rule's docstring says why each entry is exempt.
+    """
+
+    code: str = ""
+    description: str = ""
+    paths: Tuple[str, ...] = ()
+    excludes: Tuple[str, ...] = ()
+
+
+class Rule(_Scoped):
+    """A per-file rule: ``run`` sees one in-scope file at a time."""
+
+    def run(self, tree: ast.Module, ctx: CheckContext) -> Iterator[Match]:
+        """Yield ``(node, message)`` for each violation in the file."""
+        raise NotImplementedError
+
+
+class ProgramRule(_Scoped):
+    """A whole-program rule: ``run`` sees every in-scope file at once."""
+
+    def run(self, files: Tuple[CheckContext, ...]) -> Iterator[ProgramMatch]:
+        """Yield ``(path, node, message)``; ``path`` names one of ``files``."""
+        raise NotImplementedError
+
+
+#: What a ``rules=`` argument holds.
+AnyRule = Union[Rule, ProgramRule]
+
+
+def in_scope(path: str, rule: _Scoped) -> bool:
+    """Whether ``rule``'s ``paths`` / ``excludes`` cover ``path``."""
     posix = PurePath(path).as_posix()
-    chosen = []
-    for rule in rules:
-        if any(fragment in posix for fragment in rule.excludes):
-            continue
-        if any(fragment in posix for fragment in rule.paths):
-            chosen.append(rule)
-    return chosen
+    if any(fragment in posix for fragment in rule.excludes):
+        return False
+    return any(fragment in posix for fragment in rule.paths)
 
 
-def _stale_suppressions(
-    path: str,
-    suppressed: Dict[int, Set[str]],
-    used: Dict[int, Set[str]],
-    known_codes: Set[str],
-) -> List[Finding]:
+def _stale_suppressions(ctx: CheckContext) -> Iterator[Finding]:
     """SIM100 findings for pragmas that silenced nothing this run.
 
     A named code is judged only when it belongs to a rule applicable to
-    this file in this run — a pragma for a rule owned by the *other*
-    analyzer (or scoped elsewhere) is not ours to condemn.
+    this file in this run — a pragma for a rule outside the rule set,
+    or scoped elsewhere, is not ours to condemn.  SIM100 itself is
+    always judged: suppressing the stale-pragma check with a pragma is
+    exactly the loop it exists to close.
     """
-    findings: List[Finding] = []
-    for line, codes in sorted(suppressed.items()):
-        used_here = used.get(line, set())
+    for line, codes in sorted(ctx.noqa.items()):
+        used_here = ctx.used.get(line, set())
         if _ALL in codes:
             if not used_here:
-                findings.append(
-                    Finding(
-                        path,
-                        line,
-                        0,
-                        STALE_NOQA_CODE,
-                        "stale suppression: bare '# repro: noqa' pragma "
-                        "suppresses nothing on this line — remove it",
-                    )
+                yield Finding(
+                    ctx.path,
+                    line,
+                    0,
+                    STALE_NOQA_CODE,
+                    "stale suppression: bare '# repro: noqa' pragma "
+                    "suppresses nothing on this line — remove it",
                 )
             continue
         for code in sorted(codes):
-            if code in known_codes and code not in used_here:
-                findings.append(
-                    Finding(
-                        path,
-                        line,
-                        0,
-                        STALE_NOQA_CODE,
-                        f"stale suppression: noqa({code}) suppresses "
-                        "nothing on this line — remove it",
-                    )
+            judged = code in ctx.applicable or code == STALE_NOQA_CODE
+            if judged and code not in used_here:
+                yield Finding(
+                    ctx.path,
+                    line,
+                    0,
+                    STALE_NOQA_CODE,
+                    f"stale suppression: noqa({code}) suppresses "
+                    "nothing on this line — remove it",
                 )
-    return findings
 
 
-def check_file(path: str, rules: Optional[Sequence[Any]] = None) -> List[Finding]:
-    """Run every applicable rule over one file; returns its findings."""
-    if rules is None:
-        from .rules import RULES as rules  # late import: rules use engine types
+def _parse(path: str) -> Union[CheckContext, Finding]:
+    """One file's context — or the SIM000 finding that says why not."""
     source = Path(path).read_text()
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
-        return [
-            Finding(
-                path,
-                exc.lineno or 1,
-                (exc.offset or 1) - 1,
-                "SIM000",
-                f"syntax error: {exc.msg}",
-            )
-        ]
-    applicable = _scoped_rules(path, rules)
-    if not applicable:
-        return []
-    ctx = CheckContext(path, tree)
-    suppressed = _noqa_lines(source)
-    #: line -> codes whose findings a pragma actually swallowed.
-    used: Dict[int, Set[str]] = {}
-    findings: List[Finding] = []
-    for rule in applicable:
-        for node, message in rule.run(tree, ctx):
-            line = getattr(node, "lineno", 1)
-            codes = suppressed.get(line)
-            if codes is not None and (_ALL in codes or rule.code in codes):
-                used.setdefault(line, set()).add(rule.code)
-                continue
-            findings.append(
-                Finding(path, line, getattr(node, "col_offset", 0), rule.code, message)
-            )
-    if suppressed:
-        # SIM100 itself is always known: suppressing the stale-pragma
-        # check with a pragma is exactly the loop it exists to close.
-        known_codes = {rule.code for rule in applicable} | {STALE_NOQA_CODE}
-        findings.extend(
-            _stale_suppressions(path, suppressed, used, known_codes)
+        return Finding(
+            path,
+            exc.lineno or 1,
+            (exc.offset or 1) - 1,
+            "SIM000",
+            f"syntax error: {exc.msg}",
         )
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
-    return findings
+    return CheckContext(path, tree, source)
+
+
+def check_files(
+    paths: Iterable[str], rules: Optional[Sequence[AnyRule]] = None
+) -> Tuple[List[Finding], List[CheckContext]]:
+    """Parse each file once and run every rule whose scope covers it.
+
+    Returns the sorted findings — pragmas applied, stale ones reported —
+    and the parsed files, for a caller that wants more than findings
+    from the same parse (``--dot``).
+    """
+    if rules is None:
+        from .rules import RULES as rules  # late import: rules use engine types
+    parsed = [_parse(path) for path in paths]
+    findings = [p for p in parsed if isinstance(p, Finding)]
+    files = [p for p in parsed if isinstance(p, CheckContext)]
+    by_path = {ctx.path: ctx for ctx in files}
+
+    def report(ctx: CheckContext, code: str, node: ast.AST, message: str) -> None:
+        line = getattr(node, "lineno", 1)
+        pragma = ctx.noqa.get(line)
+        if pragma is not None and (_ALL in pragma or code in pragma):
+            ctx.used.setdefault(line, set()).add(code)
+        else:
+            findings.append(
+                Finding(ctx.path, line, getattr(node, "col_offset", 0), code, message)
+            )
+
+    for rule in rules:
+        scoped = tuple(ctx for ctx in files if in_scope(ctx.path, rule))
+        for ctx in scoped:
+            ctx.applicable.add(rule.code)
+        if isinstance(rule, ProgramRule):
+            for path, node, message in rule.run(scoped):
+                report(by_path[path], rule.code, node, message)
+        else:
+            for ctx in scoped:
+                for node, message in rule.run(ctx.tree, ctx):
+                    report(ctx, rule.code, node, message)
+    for ctx in files:
+        if ctx.applicable:  # a file no rule covers is not ours to police
+            findings.extend(_stale_suppressions(ctx))
+    return sorted(findings), files
 
 
 def iter_python_files(paths: Iterable[str]) -> Iterator[str]:
@@ -250,11 +310,13 @@ def iter_python_files(paths: Iterable[str]) -> Iterator[str]:
             yield str(p)
 
 
+def check_file(path: str, rules: Optional[Sequence[AnyRule]] = None) -> List[Finding]:
+    """Check one file on its own; returns its findings."""
+    return check_files([path], rules)[0]
+
+
 def check_paths(
-    paths: Iterable[str], rules: Optional[Sequence[Any]] = None
+    paths: Iterable[str], rules: Optional[Sequence[AnyRule]] = None
 ) -> List[Finding]:
     """Check every Python file under ``paths``; returns all findings."""
-    findings: List[Finding] = []
-    for file_path in iter_python_files(paths):
-        findings.extend(check_file(file_path, rules=rules))
-    return findings
+    return check_files(iter_python_files(paths), rules)[0]

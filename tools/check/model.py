@@ -1,11 +1,11 @@
 """Whole-program protocol model: messages, send sites, handlers.
 
-The flow pass (``tools/analyze/flow.py``) needs facts that no single
+The flow rules (``tools/check/flow.py``) need facts that no single
 file contains: which dataclasses are protocol messages, which scheme
 sends which message kinds (including sends inherited from the MSS base
 class), and which ``_on_<Kind>`` handlers exist with which field
-accesses.  This module extracts all of it from the ASTs of the files
-under analysis — no imports of simulation code, so the analyzer runs
+accesses.  This module extracts all of it from the trees the engine
+already parsed — no imports of simulation code, so the checker runs
 on a broken tree too.
 
 Extraction contract (kept deliberately syntactic):
@@ -35,14 +35,15 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path, PurePath
+from functools import lru_cache
 from typing import Dict, List, Optional, Set, Tuple
+
+from .engine import CheckContext
 
 __all__ = [
     "FieldSpec",
     "MessageClass",
     "SendSite",
-    "FieldAccess",
     "Handler",
     "SchemeClass",
     "ProtocolModel",
@@ -74,18 +75,12 @@ class MessageClass:
     """A protocol message dataclass."""
 
     name: str
-    path: str
-    line: int
     fields: List[FieldSpec]
     methods: Set[str] = field(default_factory=set)
 
     @property
     def field_names(self) -> Set[str]:
         return {f.name for f in self.fields}
-
-    @property
-    def required(self) -> int:
-        return sum(1 for f in self.fields if not f.has_default)
 
 
 @dataclass
@@ -96,18 +91,8 @@ class SendSite:
     method: str
     kind: Optional[str]  # message class name, None if not a constructor
     path: str
-    line: int
-    col: int
+    node: ast.Call  # the send call, where findings point
     call: Optional[ast.Call]  # the constructor call, for arity checks
-
-
-@dataclass(frozen=True)
-class FieldAccess:
-    """``msg.<attr>`` inside a handler."""
-
-    attr: str
-    line: int
-    col: int
 
 
 @dataclass
@@ -116,10 +101,14 @@ class Handler:
 
     scheme: str
     kind: str  # message class name it handles
-    method: str
     path: str
-    line: int
-    accesses: List[FieldAccess] = field(default_factory=list)
+    node: ast.FunctionDef
+    #: every ``msg.<attr>`` read on the message parameter
+    accesses: List[ast.Attribute] = field(default_factory=list)
+
+    @property
+    def method(self) -> str:
+        return self.node.name
 
 
 @dataclass
@@ -128,15 +117,13 @@ class SchemeClass:
 
     name: str
     bases: Tuple[str, ...]
-    path: str
-    line: int
     sends: List[SendSite] = field(default_factory=list)
     handlers: List[Handler] = field(default_factory=list)
 
 
 @dataclass
 class ProtocolModel:
-    """Everything the flow pass needs, for all analyzed files."""
+    """Everything the flow rules need, for all files in their scope."""
 
     messages: Dict[str, MessageClass] = field(default_factory=dict)
     classes: Dict[str, SchemeClass] = field(default_factory=dict)
@@ -272,8 +259,7 @@ def _collect_sends(
                 method=method_name,
                 kind=kind,
                 path=path,
-                line=node.lineno,
-                col=node.col_offset,
+                node=node,
                 call=call,
             )
         )
@@ -325,9 +311,8 @@ def _collect_handler(
     handler = Handler(
         scheme=cls.name,
         kind=kind,
-        method=method.name,
         path=path,
-        line=method.lineno,
+        node=method,
     )
     if param is not None:
         for node in ast.walk(method):
@@ -336,28 +321,23 @@ def _collect_handler(
                 and isinstance(node.value, ast.Name)
                 and node.value.id == param
             ):
-                handler.accesses.append(
-                    FieldAccess(node.attr, node.lineno, node.col_offset)
-                )
+                handler.accesses.append(node)
     cls.handlers.append(handler)
 
 
-def build_model(files: List[str]) -> ProtocolModel:
-    """Parse ``files`` and extract the whole-program protocol model."""
+@lru_cache(maxsize=1)
+def build_model(files: Tuple[CheckContext, ...]) -> ProtocolModel:
+    """The whole-program protocol model of the engine's parsed ``files``.
+
+    Remembered for the last file set only, so the four flow rules and
+    ``--dot`` of one run share one extraction.
+    """
     model = ProtocolModel()
-    trees: List[Tuple[str, ast.Module]] = []
-    for path in files:
-        try:
-            tree = ast.parse(Path(path).read_text(), filename=path)
-        except SyntaxError:
-            continue  # the line lint reports SIM000 for this file
-        trees.append((PurePath(path).as_posix(), tree))
-        for node in ast.walk(tree):
+    for ctx in files:
+        for node in ast.walk(ctx.tree):
             if isinstance(node, ast.ClassDef) and _is_dataclass_decorated(node):
                 model.messages[node.name] = MessageClass(
                     name=node.name,
-                    path=PurePath(path).as_posix(),
-                    line=node.lineno,
                     fields=_message_fields(node),
                     methods={
                         stmt.name
@@ -368,22 +348,17 @@ def build_model(files: List[str]) -> ProtocolModel:
                     },
                 )
     message_names = set(model.messages)
-    for path, tree in trees:
-        for node in ast.walk(tree):
+    for ctx in files:
+        for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.ClassDef):
                 continue
-            cls = SchemeClass(
-                name=node.name,
-                bases=_base_names(node),
-                path=path,
-                line=node.lineno,
-            )
+            cls = SchemeClass(name=node.name, bases=_base_names(node))
             # Latest definition wins on name collision (same contract
             # as Python imports; collisions don't occur in src/repro).
             model.classes[node.name] = cls
             for stmt in node.body:
                 if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    _collect_sends(cls, stmt, stmt.name, path, message_names)
+                    _collect_sends(cls, stmt, stmt.name, ctx.path, message_names)
                     if isinstance(stmt, ast.FunctionDef):
-                        _collect_handler(cls, stmt, path, message_names)
+                        _collect_handler(cls, stmt, ctx.path, message_names)
     return model

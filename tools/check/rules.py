@@ -1,44 +1,36 @@
-"""The SIM rule set.
+"""The SIM rule family and the registry of every rule.
 
-Each rule declares a code, a one-line description, the path fragments
-it applies to (matched against the file's POSIX path), optional
-exclusions, and a ``run(tree, ctx)`` generator yielding
-``(node, message)`` pairs.
+Each rule is a :class:`~tools.check.engine.Rule` subclass: a code, a
+one-line description, the path fragments it applies to, optional
+``excludes``, and a ``run(tree, ctx)`` generator yielding ``(node,
+message)`` pairs.  The state-isolation family (ANA2xx, ANA301) lives
+in ``isolation.py`` and the whole-program message-flow family
+(ANA101–ANA104) in ``flow.py``; :data:`RULES` lists them all.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional
 
-from .engine import CheckContext
+from .engine import AnyRule, CheckContext, Match, Rule
+from .flow import FLOW_RULES
+from .isolation import ISOLATION_RULES
 
 __all__ = ["Rule", "RULES"]
 
-Match = Tuple[ast.AST, str]
 
-#: Simulation code: everything that runs inside the event loop.
-_SIM_SCOPE = ("src/repro/sim", "src/repro/protocols", "src/repro/core")
+class SimulationRule(Rule):
+    """Scope of rules about code that runs inside the event loop."""
 
-
-class Rule:
-    """Base class: subclasses set the class attributes and ``run``."""
-
-    code: str = ""
-    description: str = ""
-    paths: Tuple[str, ...] = ()
-    excludes: Tuple[str, ...] = ()
-
-    def run(self, tree: ast.Module, ctx: CheckContext) -> Iterator[Match]:
-        raise NotImplementedError
+    paths = ("src/repro/sim", "src/repro/protocols", "src/repro/core")
 
 
-class NoWallClock(Rule):
+class NoWallClock(SimulationRule):
     """SIM001: simulated time comes from ``env.now``, never the host."""
 
     code = "SIM001"
     description = "no wall-clock reads in simulation code (use env.now)"
-    paths = _SIM_SCOPE
 
     #: Canonical callables that read the host clock.
     BANNED = frozenset(
@@ -94,6 +86,13 @@ class NoGlobalRandom(Rule):
 
     def run(self, tree: ast.Module, ctx: CheckContext) -> Iterator[Match]:
         for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "random":
+                for alias in node.names:
+                    yield node, (
+                        f"stdlib random.{alias.name} imported; its global "
+                        "state is unseeded and escapes snapshots — draw "
+                        "from a seeded stream (repro.sim.rng) instead"
+                    )
             if not isinstance(node, ast.Call):
                 continue
             name = ctx.dotted_name(node.func)
@@ -233,12 +232,163 @@ class NoBareExceptInHandlers(Rule):
                     )
 
 
+# -- determinism: a run is a pure function of its scenario --------------------
+# SIM006–SIM009 gate row identity across lanes (``workers=N``, restore,
+# fork): set order is hash-dependent across processes, dict order is
+# insertion order and differs between a fresh stack and a restored one,
+# ``id()`` / ``hash()`` differ run to run, and the host environment is
+# not part of the scenario.
+
+#: Call names that schedule events or fan out messages.
+_EFFECT_CALLS = frozenset(
+    {"send", "multicast", "_send", "_broadcast", "timeout", "schedule", "process"}
+)
+
+
+def _is_unordered_iterable(node: ast.expr) -> bool:
+    """Set-typed expressions and dict views, judged syntactically."""
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in ("set", "frozenset"):
+            return True
+        if isinstance(func, ast.Attribute) and func.attr in (
+            "keys",
+            "values",
+            "items",
+        ):
+            return True
+    return False
+
+
+def _has_effect_call(body: List[ast.stmt]) -> bool:
+    for stmt in body:
+        for node in ast.walk(stmt):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _EFFECT_CALLS
+            ):
+                return True
+    return False
+
+
+class NoUnorderedFanout(SimulationRule):
+    """SIM006: sort before iterating a set/dict into sends or events."""
+
+    code = "SIM006"
+    description = (
+        "no set/dict iteration feeding event scheduling or message fan-out "
+        "(sort first for a deterministic order)"
+    )
+
+    def run(self, tree: ast.Module, ctx: CheckContext) -> Iterator[Match]:
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.For, ast.AsyncFor)):
+                continue
+            if not _is_unordered_iterable(node.iter):
+                continue
+            if _has_effect_call(node.body):
+                yield node, (
+                    "iterating an unordered set/dict view into message "
+                    "sends or event scheduling; wrap the iterable in "
+                    "sorted(...) so the fan-out order is deterministic "
+                    "across processes and restores"
+                )
+
+
+class NoIdentityOrdering(SimulationRule):
+    """SIM007: never order by ``id()`` or ``hash()``."""
+
+    code = "SIM007"
+    description = "no ordering by id()/hash() (differs across runs)"
+
+    _ORDERING = frozenset({"sorted", "min", "max"})
+
+    @staticmethod
+    def _is_identity_key(node: ast.expr) -> bool:
+        if isinstance(node, ast.Name) and node.id in ("id", "hash"):
+            return True
+        if isinstance(node, ast.Lambda):
+            body = node.body
+            return (
+                isinstance(body, ast.Call)
+                and isinstance(body.func, ast.Name)
+                and body.func.id in ("id", "hash")
+            )
+        return False
+
+    def run(self, tree: ast.Module, ctx: CheckContext) -> Iterator[Match]:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            is_sort_method = isinstance(func, ast.Attribute) and func.attr == "sort"
+            is_ordering_fn = isinstance(func, ast.Name) and func.id in self._ORDERING
+            if not (is_sort_method or is_ordering_fn):
+                continue
+            for kw in node.keywords:
+                if kw.arg == "key" and self._is_identity_key(kw.value):
+                    yield node, (
+                        "ordering by object identity/hash; id() and "
+                        "hash() vary across interpreter runs — order by "
+                        "a stable domain key (cell id, channel, seq)"
+                    )
+
+
+class NoPopitem(SimulationRule):
+    """SIM008: ``dict.popitem()`` depends on construction history."""
+
+    code = "SIM008"
+    description = "no dict.popitem() in simulation code (order-of-insertion trap)"
+
+    def run(self, tree: ast.Module, ctx: CheckContext) -> Iterator[Match]:
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "popitem"
+            ):
+                yield node, (
+                    "dict.popitem() pops in insertion order — an implicit "
+                    "dependency on construction history; pop an explicit "
+                    "key (e.g. min(d)) instead"
+                )
+
+
+class NoEnvVarControlFlow(SimulationRule):
+    """SIM009: host environment variables must not steer the simulation."""
+
+    code = "SIM009"
+    description = "no env-var reads in simulation code (host state leak)"
+
+    def run(self, tree: ast.Module, ctx: CheckContext) -> Iterator[Match]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = ctx.dotted_name(node.func)
+                if name == "os.getenv":
+                    yield node, (
+                        "os.getenv() in simulation code; behavior must be "
+                        "a pure function of the scenario — pass the value "
+                        "in through the config instead"
+                    )
+            elif isinstance(node, ast.Attribute) and node.attr == "environ":
+                name = ctx.dotted_name(node)
+                if name == "os.environ":
+                    yield node, (
+                        "os.environ access in simulation code; behavior "
+                        "must be a pure function of the scenario — pass "
+                        "the value in through the config instead"
+                    )
+
+
 class GuardedEmit(Rule):
     """SIM010: every probe emit sits under its own ``in _probes`` guard."""
 
     code = "SIM010"
     description = "unguarded or mismatched emit (guard: if kind in self._probes)"
-    paths = _SIM_SCOPE + ("src/repro/faults", "src/repro/harness")
+    paths = SimulationRule.paths + ("src/repro/faults", "src/repro/harness")
 
     @staticmethod
     def _emit_kind(stmt: ast.stmt) -> Optional[ast.expr]:
@@ -329,13 +479,19 @@ class SendAndWaitThroughBase(Rule):
                 )
 
 
-#: The active rule registry, in code order.
-RULES: List[Rule] = [
+#: The one registry: every rule of every family, in code order.
+RULES: List[AnyRule] = [
+    *FLOW_RULES,
+    *ISOLATION_RULES,
     NoWallClock(),
     NoGlobalRandom(),
     NoDirectUseMutation(),
     NoDirectHandlerCall(),
     NoBareExceptInHandlers(),
+    NoUnorderedFanout(),
+    NoIdentityOrdering(),
+    NoPopitem(),
+    NoEnvVarControlFlow(),
     GuardedEmit(),
     SendAndWaitThroughBase(),
 ]

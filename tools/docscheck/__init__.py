@@ -13,10 +13,9 @@ Four passes over the repo's markdown (root ``*.md`` plus
    points at moved or deleted code.  Paths carrying glob/placeholder
    characters are ignored.
 3. **Rule-catalog correspondence** — the rule IDs documented as
-   ``### <ID>`` headings in docs/CHECKS.md must match the IDs
-   implemented under ``tools/check``/``tools/analyze``, both ways
-   (modulo the internal sentinel ``SIM000``, which is deliberately
-   undocumented).
+   ``### <ID>`` headings in docs/CHECKS.md must equal the codes of the
+   rule registry (``tools.check.RULES``) plus the engine's ``SIM100``,
+   both ways.
 4. **Generated capability matrix** — a committed
    ``docs/CAPABILITIES.md`` must equal what ``tools/gen_api_docs.py``
    renders from the capability table now.
@@ -32,9 +31,10 @@ import pathlib
 import re
 from typing import List
 
+from tools.check import RULES, STALE_NOQA_CODE
+
 __all__ = [
     "EXCLUDED",
-    "INTERNAL_RULE_IDS",
     "check_code_paths",
     "check_generated",
     "check_links",
@@ -48,10 +48,6 @@ EXCLUDED = frozenset(
     {"PAPER.md", "PAPERS.md", "SNIPPETS.md", "ISSUE.md", "CHANGES.md"}
 )
 
-#: Rule IDs that exist in the checker source but are deliberately not
-#: part of the documented catalog (internal sentinels).
-INTERNAL_RULE_IDS = frozenset({"SIM000"})
-
 #: ``[text](target)`` and ``![alt](target)``, target up to the first
 #: whitespace (drops optional markdown link titles).
 _LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
@@ -63,9 +59,6 @@ _PATH_RE = re.compile(
 
 #: ``### SIM001 — title`` headings in the CHECKS.md rule catalog.
 _RULE_HEADING_RE = re.compile(r"^###\s+((?:SIM|ANA)\d{3})\b", re.M)
-
-#: Any rule-ID-shaped token in checker/analyzer source.
-_RULE_ID_RE = re.compile(r"\b((?:SIM|ANA)\d{3})\b")
 
 
 def markdown_files(root: pathlib.Path) -> List[pathlib.Path]:
@@ -133,22 +126,19 @@ def check_code_paths(
 
 
 def check_rule_catalog(root: pathlib.Path) -> List[str]:
-    """Pass 3: CHECKS.md headings <-> implemented rule IDs, both ways."""
+    """Pass 3: CHECKS.md headings <-> the rule registry's codes, both ways."""
     problems: List[str] = []
     checks_md = root / "docs" / "CHECKS.md"
     if not checks_md.exists():
         return [f"docs/CHECKS.md missing (looked in {root})"]
     documented = set(_RULE_HEADING_RE.findall(checks_md.read_text()))
-    implemented: set = set()
-    for source_dir in ("tools/check", "tools/analyze"):
-        for source in (root / source_dir).glob("**/*.py"):
-            implemented.update(_RULE_ID_RE.findall(source.read_text()))
+    implemented = {rule.code for rule in RULES} | {STALE_NOQA_CODE}
     for rule in sorted(documented - implemented):
         problems.append(
-            f"docs/CHECKS.md documents {rule} but no checker source "
-            "mentions it"
+            f"docs/CHECKS.md documents {rule} but no rule in the "
+            "registry has that code"
         )
-    for rule in sorted(implemented - documented - INTERNAL_RULE_IDS):
+    for rule in sorted(implemented - documented):
         problems.append(
             f"rule {rule} is implemented but has no ### heading in "
             "docs/CHECKS.md"
