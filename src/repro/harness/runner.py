@@ -88,6 +88,35 @@ class Simulation:
             self.fastlane.finalize()
         return Report.from_simulation(self)
 
+    def close(self) -> None:
+        """Take a finished simulation apart so that dropping it frees it.
+
+        A simulation is one large reference cycle — queued timeouts and
+        the processes parked on them, requests queued on a station's
+        lock or waiting for a round, the network and its stations, a
+        station and its bound handlers — so without this a dead one
+        waits for a full garbage collection while a sweep or a fork
+        lane builds the next.  After it, stations, network, source and
+        monitor go by reference counting, at any load.
+
+        Call it once nothing will run or read the simulation again:
+        ``run_scenario`` and :mod:`repro.snap`'s drivers do, after the
+        report (plain data; it keeps only the metrics collector) is
+        built.  ``Simulation.run`` does not — its caller still holds
+        the simulation to look at.  Order matters: subscribers go first
+        so that a closing generator's ``finally:`` emits nothing, the
+        network last so that what such a block sends still has an
+        address.
+        """
+        if self.sanitizers is not None:
+            self.sanitizers.detach()  # each checker lists its own bound methods
+        self.env.close()
+        for station in self.stations.values():
+            station.close()
+        self.source.close()
+        self.env.close()  # what the abandoned requests scheduled on their way out
+        self.network.close()
+
 
 @dataclass
 class Report:
@@ -337,7 +366,11 @@ def build_simulation(scenario: Scenario) -> Simulation:
 
 def run_scenario(scenario: Scenario) -> Report:
     """Build and run one scenario; returns its :class:`Report`."""
-    return build_simulation(scenario).run()
+    sim = build_simulation(scenario)
+    try:
+        return sim.run()
+    finally:
+        sim.close()
 
 
 def run_replications(

@@ -1,5 +1,6 @@
 """Metrics: acquisition records, drop rates, latency, message counts."""
 
-from .collector import AcquisitionRecord, MetricsCollector
+from .collector import MetricsCollector
+from .log import AcquisitionLog, AcquisitionRecord, LabelTableFull
 
-__all__ = ["AcquisitionRecord", "MetricsCollector"]
+__all__ = ["AcquisitionLog", "AcquisitionRecord", "LabelTableFull", "MetricsCollector"]

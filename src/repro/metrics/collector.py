@@ -10,31 +10,24 @@ same units as the network latency T), the number of protocol attempts
 A ``warmup`` horizon discards transient samples; message counts are
 read from the network with a warmup-offset snapshot taken at the same
 instant so rates are consistent.
+
+The per-request log is a column store (:mod:`repro.metrics.log`); the
+statistics below are numpy expressions over views of its columns, one
+implementation each — ``summary()`` only collects them.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 import numpy as np
+
+from .log import AcquisitionLog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from ..sim import Network
 
-__all__ = ["AcquisitionRecord", "MetricsCollector"]
-
-
-class AcquisitionRecord(NamedTuple):
-    """One completed channel-acquisition attempt."""
-
-    cell: int
-    kind: str  # "new" or "handoff"
-    granted: bool
-    queue_wait: float
-    acquisition_time: float
-    attempts: int
-    mode: Optional[str]  # "local" / "update" / "search" / None
-    time: float
+__all__ = ["MetricsCollector"]
 
 
 def _jain(rates: List[float]) -> float:
@@ -50,9 +43,9 @@ def _jain(rates: List[float]) -> float:
 class MetricsCollector:
     """Accumulates call-level and message-level statistics."""
 
-    #: Snapshot fields (see :mod:`repro.snap.state`).
+    #: Snapshot fields (see :mod:`repro.snap.state`); the acquisition
+    #: log goes through :meth:`state_dict` as plain rows.
     SNAPSHOT = (
-        ("records", "records", AcquisitionRecord),
         "releases",
         ("message_baseline", "_message_baseline"),
         ("message_baseline_total", "_message_baseline_total"),
@@ -65,7 +58,9 @@ class MetricsCollector:
 
     def __init__(self, warmup: float = 0.0) -> None:
         self.warmup = warmup
-        self.records: List[AcquisitionRecord] = []
+        #: One row per request past the warm-up: reads as a sequence of
+        #: :class:`AcquisitionRecord` (see :mod:`repro.metrics.log`).
+        self.records = AcquisitionLog()
         self.releases = 0
         self._message_baseline: Dict[str, int] = {}
         self._message_baseline_total = 0
@@ -97,10 +92,8 @@ class MetricsCollector:
         """One finished acquisition attempt (kept if past the warm-up)."""
         if time >= self.warmup:
             self.records.append(
-                AcquisitionRecord(
-                    cell, kind, granted, queue_wait, acquisition_time,
-                    attempts, mode, time,
-                )
+                cell, kind, granted, queue_wait, acquisition_time,
+                attempts, mode, time,
             )
 
     def record_release(self, cell: int, channel: int, time: float) -> None:
@@ -137,7 +130,21 @@ class MetricsCollector:
         self._message_baseline_total = network.total_sent
         self._baseline_taken = True
 
+    def state_dict(self) -> Dict[str, Any]:
+        """Snapshot hook: the log as plain rows, ``list(record)`` each."""
+        return {"records": self.records.rows()}
+
+    def load_state(self, state: Dict[str, Any]) -> None:
+        """Inverse of :meth:`state_dict` (accepts its JSON round trip)."""
+        self.records = AcquisitionLog()
+        self.records.extend(state["records"])
+
     # -- derived statistics ---------------------------------------------------
+    #
+    # Each statistic is written once, as a numpy expression over views
+    # of the log's columns (element order is recording order), and comes
+    # out as a builtin ``int`` / ``float`` / ``dict``: a numpy scalar in
+    # a ``Report`` field would change its ``repr`` and its JSON.
     @property
     def offered(self) -> int:
         """Requests observed (after warmup)."""
@@ -145,7 +152,7 @@ class MetricsCollector:
 
     @property
     def granted(self) -> int:
-        return sum(1 for r in self.records if r.granted)
+        return int(np.count_nonzero(self.records.view("granted")))
 
     @property
     def dropped(self) -> int:
@@ -156,19 +163,19 @@ class MetricsCollector:
         return self.dropped / self.offered if self.offered else 0.0
 
     def drop_rate_of(self, kind: str) -> float:
-        subset = [r for r in self.records if r.kind == kind]
-        if not subset:
+        log = self.records
+        code = log.code_of(kind)
+        if code is None:
             return 0.0
-        return sum(1 for r in subset if not r.granted) / len(subset)
+        subset = log.view("kind") == code
+        asked = int(np.count_nonzero(subset))
+        if not asked:  # a label the log knows only as a mode
+            return 0.0
+        return int(np.count_nonzero(subset & ~log.view("granted"))) / asked
 
     def acquisition_times(self, granted_only: bool = True) -> np.ndarray:
-        return np.array(
-            [
-                r.acquisition_time
-                for r in self.records
-                if r.granted or not granted_only
-            ]
-        )
+        times = self.records.view("acquisition_time")
+        return times[self.records.view("granted")] if granted_only else times.copy()
 
     def mean_acquisition_time(self) -> float:
         times = self.acquisition_times()
@@ -178,35 +185,46 @@ class MetricsCollector:
         times = self.acquisition_times()
         return float(np.percentile(times, q)) if times.size else 0.0
 
+    def max_acquisition_time(self) -> float:
+        """Longest acquisition among granted requests."""
+        times = self.acquisition_times()
+        return float(times.max()) if times.size else 0.0
+
     def queue_waits(self) -> np.ndarray:
-        return np.array([r.queue_wait for r in self.records])
+        return self.records.view("queue_wait").copy()
+
+    def mean_queue_wait(self) -> float:
+        """Average wait behind earlier requests of the same cell, all requests."""
+        waits = self.records.view("queue_wait")
+        return float(waits.mean()) if waits.size else 0.0
 
     def mean_attempts(self) -> float:
         """Average protocol attempts per *granted* request (paper's m)."""
-        values = [r.attempts for r in self.records if r.granted]
-        return float(np.mean(values)) if values else 0.0
+        tries = self.records.view("attempts")[self.records.view("granted")]
+        return float(np.mean(tries)) if tries.size else 0.0
 
     def max_attempts(self) -> int:
-        values = [r.attempts for r in self.records]
-        return max(values) if values else 0
+        tries = self.records.view("attempts")
+        return int(tries.max()) if tries.size else 0
 
     def mode_fractions(self) -> Dict[str, float]:
         """ξ1/ξ2/ξ3: fraction of granted acquisitions per path."""
-        granted = [r for r in self.records if r.granted and r.mode]
-        if not granted:
-            return {}
-        out: Dict[str, float] = {}
-        for r in granted:
-            out[r.mode] = out.get(r.mode, 0) + 1
-        return {k: v / len(granted) for k, v in sorted(out.items())}
+        log = self.records
+        counts = np.bincount(log.view("mode")[log.view("granted")]).tolist()
+        paths = {label: n for label, n in zip(log.labels, counts) if label and n}
+        with_path = sum(paths.values())
+        return {label: n / with_path for label, n in sorted(paths.items())}
 
     def per_cell_drop_rates(self) -> Dict[int, float]:
-        by_cell: Dict[int, List[bool]] = {}
-        for r in self.records:
-            by_cell.setdefault(r.cell, []).append(r.granted)
+        log = self.records
+        cells, row_cell = np.unique(log.view("cell"), return_inverse=True)
+        asked = np.bincount(row_cell)
+        served = np.bincount(row_cell[log.view("granted")], minlength=len(cells))
         return {
-            cell: 1.0 - sum(grants) / len(grants)
-            for cell, grants in sorted(by_cell.items())
+            cell: 1.0 - n_served / n_asked
+            for cell, n_served, n_asked in zip(
+                cells.tolist(), served.tolist(), asked.tolist()
+            )
         }
 
     def fairness_index(self) -> float:
@@ -215,62 +233,23 @@ class MetricsCollector:
 
     def summary(self) -> Dict[str, Any]:
         """Every record-derived :class:`~repro.harness.Report` field, by
-        name, from one pass over the records.
-
-        Each value equals the accessor of the same name above (floats
-        bit for bit: the same arrays go into the same numpy reductions).
-        """
-        waits: List[float] = []
-        times: List[float] = []  # acquisition times of granted requests
-        tries: List[int] = []  # attempts of granted requests
-        asked: Dict[str, int] = {}
-        served: Dict[str, int] = {}
-        paths: Dict[str, int] = {}
-        cell_asked: Dict[int, int] = {}
-        cell_served: Dict[int, int] = {}
-        max_attempts = 0
-        for cell, kind, granted, wait, time, attempts, mode, _ in self.records:
-            waits.append(wait)
-            asked[kind] = asked.get(kind, 0) + 1
-            cell_asked[cell] = cell_asked.get(cell, 0) + 1
-            if attempts > max_attempts:
-                max_attempts = attempts
-            if granted:
-                times.append(time)
-                tries.append(attempts)
-                served[kind] = served.get(kind, 0) + 1
-                cell_served[cell] = cell_served.get(cell, 0) + 1
-                if mode:
-                    paths[mode] = paths.get(mode, 0) + 1
-        offered = len(waits)
-        n_granted = len(times)
-        with_path = sum(paths.values())
-        per_cell = {
-            cell: 1.0 - cell_served.get(cell, 0) / n
-            for cell, n in sorted(cell_asked.items())
-        }
-        acq = np.array(times)
-
-        def drop_rate_of(kind: str) -> float:
-            n = asked.get(kind, 0)
-            return (n - served.get(kind, 0)) / n if n else 0.0
-
+        name: each one is the accessor above."""
         return {
-            "offered": offered,
-            "granted": n_granted,
-            "dropped": offered - n_granted,
-            "drop_rate": (offered - n_granted) / offered if offered else 0.0,
-            "new_call_block_rate": drop_rate_of("new"),
-            "handoff_failure_rate": drop_rate_of("handoff"),
-            "mean_acquisition_time": float(acq.mean()) if n_granted else 0.0,
-            "p95_acquisition_time": float(np.percentile(acq, 95)) if n_granted else 0.0,
-            "max_acquisition_time": float(acq.max()) if n_granted else 0.0,
-            "mean_queue_wait": float(np.array(waits).mean()) if offered else 0.0,
-            "mean_attempts": float(np.mean(tries)) if n_granted else 0.0,
-            "max_attempts": max_attempts,
-            "mode_fractions": {k: v / with_path for k, v in sorted(paths.items())},
-            "fairness_index": _jain([1.0 - d for d in per_cell.values()]),
-            "per_cell_drop_rates": per_cell,
+            "offered": self.offered,
+            "granted": self.granted,
+            "dropped": self.dropped,
+            "drop_rate": self.drop_rate,
+            "new_call_block_rate": self.drop_rate_of("new"),
+            "handoff_failure_rate": self.drop_rate_of("handoff"),
+            "mean_acquisition_time": self.mean_acquisition_time(),
+            "p95_acquisition_time": self.acquisition_time_percentile(95),
+            "max_acquisition_time": self.max_acquisition_time(),
+            "mean_queue_wait": self.mean_queue_wait(),
+            "mean_attempts": self.mean_attempts(),
+            "max_attempts": self.max_attempts(),
+            "mode_fractions": self.mode_fractions(),
+            "fairness_index": self.fairness_index(),
+            "per_cell_drop_rates": self.per_cell_drop_rates(),
         }
 
     # -- message statistics -----------------------------------------------------

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .timeseries import mode_glyph
 
@@ -45,97 +45,91 @@ TRACE_SCALE = 1000.0
 # ---------------------------------------------------------------------------
 def trace_events(report: Any) -> List[Dict[str, Any]]:
     """Flatten a report's ObsData into Chrome trace_event dicts."""
+    return list(_iter_trace_events(report))
+
+
+def _iter_trace_events(report: Any) -> Iterator[Dict[str, Any]]:
+    """The events of :func:`trace_events`, one at a time: the writer
+    encodes each as it comes, so the full list never exists."""
     obs = report.obs
     scenario = report.scenario
-    events: List[Dict[str, Any]] = [
-        {
-            "ph": "M",
-            "pid": 0,
-            "tid": 0,
-            "name": "process_name",
-            "args": {
-                "name": f"{scenario.scheme} load={scenario.offered_load} "
-                f"seed={scenario.seed}"
-            },
-        }
-    ]
+    yield {
+        "ph": "M",
+        "pid": 0,
+        "tid": 0,
+        "name": "process_name",
+        "args": {
+            "name": f"{scenario.scheme} load={scenario.offered_load} "
+            f"seed={scenario.seed}"
+        },
+    }
     cells = sorted(
         {span["cell"] for span in obs.spans}
         | {int(c) for c in obs.series.get("cells", {})}
     )
     for cell in cells:
-        events.append(
-            {
-                "ph": "M",
-                "pid": 0,
-                "tid": cell,
-                "name": "thread_name",
-                "args": {"name": f"cell {cell}"},
-            }
-        )
+        yield {
+            "ph": "M",
+            "pid": 0,
+            "tid": cell,
+            "name": "thread_name",
+            "args": {"name": f"cell {cell}"},
+        }
 
     for span in obs.spans + obs.open_spans:
         t_begin = span["t_begin"]
         t_end = span["t_end"] if span["t_end"] is not None else t_begin
         name = f"acquire[{span['kind']}]"
-        events.append(
-            {
+        yield {
+            "ph": "X",
+            "pid": 0,
+            "tid": span["cell"],
+            "name": name,
+            "cat": "acquisition",
+            "ts": t_begin * TRACE_SCALE,
+            "dur": (t_end - t_begin) * TRACE_SCALE,
+            "args": {
+                "req_id": span["req_id"],
+                "channel": span["channel"],
+                "granted": span["granted"],
+                "closed": span["t_end"] is not None,
+            },
+        }
+        if span["t_serve"] is not None and t_end >= span["t_serve"]:
+            yield {
                 "ph": "X",
                 "pid": 0,
                 "tid": span["cell"],
-                "name": name,
+                "name": "serve",
                 "cat": "acquisition",
-                "ts": t_begin * TRACE_SCALE,
-                "dur": (t_end - t_begin) * TRACE_SCALE,
-                "args": {
-                    "req_id": span["req_id"],
-                    "channel": span["channel"],
-                    "granted": span["granted"],
-                    "closed": span["t_end"] is not None,
-                },
+                "ts": span["t_serve"] * TRACE_SCALE,
+                "dur": (t_end - span["t_serve"]) * TRACE_SCALE,
+                "args": {"req_id": span["req_id"]},
             }
-        )
-        if span["t_serve"] is not None and t_end >= span["t_serve"]:
-            events.append(
-                {
-                    "ph": "X",
-                    "pid": 0,
-                    "tid": span["cell"],
-                    "name": "serve",
-                    "cat": "acquisition",
-                    "ts": span["t_serve"] * TRACE_SCALE,
-                    "dur": (t_end - span["t_serve"]) * TRACE_SCALE,
-                    "args": {"req_id": span["req_id"]},
-                }
-            )
         for t, kind, detail in span["events"]:
-            events.append(
-                {
-                    "ph": "i",
-                    "pid": 0,
-                    "tid": span["cell"],
-                    "name": kind,
-                    "cat": "protocol",
-                    "ts": t * TRACE_SCALE,
-                    "s": "t",
-                    "args": {"detail": detail},
-                }
-            )
-    for t, kind, cell, detail in obs.instants:
-        if cell is None:
-            continue
-        events.append(
-            {
+            yield {
                 "ph": "i",
                 "pid": 0,
-                "tid": cell,
+                "tid": span["cell"],
                 "name": kind,
                 "cat": "protocol",
                 "ts": t * TRACE_SCALE,
                 "s": "t",
                 "args": {"detail": detail},
             }
-        )
+    for t, kind, cell, detail in obs.instants:
+        if cell is None:
+            continue
+        yield {
+            "ph": "i",
+            "pid": 0,
+            "tid": cell,
+            "name": kind,
+            "cat": "protocol",
+            "ts": t * TRACE_SCALE,
+            "s": "t",
+            "args": {"detail": detail},
+        }
 
     # System-wide counters: total occupancy and borrowing cells per
     # sample (deterministic), heap depth from the kernel profiler.
@@ -147,33 +141,28 @@ def trace_events(report: Any) -> List[Dict[str, Any]]:
             borrowing = sum(
                 1 for c in cell_series.values() if c["mode"][i] > 0
             )
-            events.append(
-                {
-                    "ph": "C",
-                    "pid": 0,
-                    "tid": 0,
-                    "name": "system",
-                    "ts": t * TRACE_SCALE,
-                    "args": {
-                        "channels_in_use": total,
-                        "cells_borrowing": borrowing,
-                    },
-                }
-            )
+            yield {
+                "ph": "C",
+                "pid": 0,
+                "tid": 0,
+                "name": "system",
+                "ts": t * TRACE_SCALE,
+                "args": {
+                    "channels_in_use": total,
+                    "cells_borrowing": borrowing,
+                },
+            }
     kernel = obs.kernel
     if kernel.get("sim_times"):
         for t, depth in zip(kernel["sim_times"], kernel["heap_depth"]):
-            events.append(
-                {
-                    "ph": "C",
-                    "pid": 0,
-                    "tid": 0,
-                    "name": "kernel",
-                    "ts": t * TRACE_SCALE,
-                    "args": {"heap_depth": depth},
-                }
-            )
-    return events
+            yield {
+                "ph": "C",
+                "pid": 0,
+                "tid": 0,
+                "name": "kernel",
+                "ts": t * TRACE_SCALE,
+                "args": {"heap_depth": depth},
+            }
 
 
 # ---------------------------------------------------------------------------
@@ -446,20 +435,37 @@ def _render_report_md(report: Any) -> str:
 # ---------------------------------------------------------------------------
 # CSV / JSON series
 # ---------------------------------------------------------------------------
-def _series_csv(obs: Any) -> str:
-    lines = ["time,cell,occupancy,mode,nfc_predicted,neighborhood_load"]
+def _series_csv(obs: Any) -> Iterator[str]:
+    """``timeseries.csv``, line by line."""
+    yield "time,cell,occupancy,mode,nfc_predicted,neighborhood_load\n"
     series = obs.series
     times = series.get("times") or []
     for cell in sorted(series.get("cells", {}), key=int):
         data = series["cells"][cell]
         for i, t in enumerate(times):
             nfc = data["nfc_predicted"][i]
-            lines.append(
+            yield (
                 f"{t:g},{cell},{data['occupancy'][i]},{data['mode'][i]},"
                 f"{'' if nfc is None else round(nfc, 4)},"
-                f"{data['neighborhood_load'][i]}"
+                f"{data['neighborhood_load'][i]}\n"
             )
-    return "\n".join(lines) + "\n"
+
+
+def _trace_json(report: Any) -> Iterator[str]:
+    """``trace.json``, piece by piece: one compact event per line.
+
+    ``json.dump(..., indent=2)`` runs the pure-Python encoder over the
+    materialised event list; one ``encode`` call per event stays in the
+    C encoder and holds one event at a time.  Same ``trace_event``
+    content either way — Perfetto loads it unchanged.
+    """
+    encode = json.JSONEncoder(sort_keys=True).encode
+    yield '{"displayTimeUnit": "ms", "traceEvents": [\n'
+    separator = ""
+    for event in _iter_trace_events(report):
+        yield separator + encode(event)
+        separator = ",\n"
+    yield "\n]}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -481,31 +487,28 @@ def write_run_artifacts(report: Any, out_dir: str) -> List[str]:
     obs = report.obs
     written: List[str] = []
 
-    def dump(name: str, payload: Any) -> None:
+    def write(name: str, pieces: Iterable[str]) -> None:
         with open(os.path.join(out_dir, name), "w") as fh:
-            if name.endswith(".json"):
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            else:
-                fh.write(payload)
+            fh.writelines(pieces)
         written.append(name)
 
-    dump("scenario.json", json.loads(report.scenario.to_json()))
-    dump(
-        "trace.json",
-        {"traceEvents": trace_events(report), "displayTimeUnit": "ms"},
-    )
-    dump("timeseries.csv", _series_csv(obs))
-    dump("timeseries.json", obs.series)
-    dump("kernel.json", obs.kernel)
-    dump("report.md", _render_report_md(report))
+    def indented(data: Any) -> Tuple[str, str]:
+        """The small JSON files, written for reading."""
+        return json.dumps(data, indent=2, sort_keys=True), "\n"
+
+    write("scenario.json", indented(json.loads(report.scenario.to_json())))
+    write("trace.json", _trace_json(report))
+    write("timeseries.csv", _series_csv(obs))
+    write("timeseries.json", indented(obs.series))
+    write("kernel.json", indented(obs.kernel))
+    write("report.md", (_render_report_md(report),))
     manifest = {
         "files": sorted(written),
         "scheme": report.scenario.scheme,
         "seed": report.scenario.seed,
         "spans": obs.span_stats,
     }
-    dump("manifest.json", manifest)
+    write("manifest.json", indented(manifest))
     return sorted(written)
 
 

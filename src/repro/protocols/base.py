@@ -30,7 +30,7 @@ from typing import Any, Dict, FrozenSet, Generator, Iterable, Optional, Set, Tup
 
 from ..cellular import CellularTopology
 from ..faults.arq import Ack, DedupFilter, Hardening, ReliableLink
-from ..sim import Collector, Environment, Envelope, Event, Network, Resource
+from ..sim import Collector, Environment, Envelope, Event, Gate, Network, Resource
 from ..sim.events import PENDING
 from .messages import Timestamp
 from .monitor import InterferenceMonitor
@@ -169,6 +169,23 @@ class MSS:
         #: the lane talks to the MSS, not the other way around (ANA204).
         self.fastlane: Optional[Any] = None
         network.attach(self)
+
+    def close(self) -> None:
+        """Let go of every request in flight (see ``Simulation.close``).
+
+        Whatever wait primitive this station owns — its lock, an open
+        round, a scheme's own gate or round table — abandons its
+        waiters: the parked request is dropped and its generator closed
+        while the station is still whole.  The handler cache (bound
+        methods of the station itself) and the link to a fast lane
+        (which holds the stations) go too.
+        """
+        self._handlers.clear()
+        self.fastlane = None
+        for held in vars(self).values():
+            for wait in held.values() if type(held) is dict else (held,):
+                if isinstance(wait, (Collector, Gate, Resource)):
+                    wait.abandon()
 
     # ------------------------------------------------------------------
     # Public call-level API (used by the traffic layer)

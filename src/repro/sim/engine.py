@@ -193,6 +193,21 @@ class Environment:
             raise RuntimeError(f"{event!r} was already processed")
         event.callbacks = None
 
+    def close(self) -> None:
+        """Abandon everything scheduled; the environment will not run again.
+
+        Unhooks every queued event from the process waiting on it
+        (:meth:`Event.abandon`), which is what lets a finished
+        simulation be freed by reference counting.  Probe subscribers
+        go first, in place: abandoning a process closes its generator,
+        the ``finally:`` blocks that fire then reach emit sites, and
+        those guard on the (now empty) subscriber table.
+        """
+        self._probes.clear()
+        queue = self._queue
+        while queue:  # a closing generator may still schedule (a lock hand-over)
+            queue.pop()[3].abandon()
+
     # -- execution ------------------------------------------------------------
     def step(self) -> None:
         """Process the next scheduled event.

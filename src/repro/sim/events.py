@@ -158,6 +158,21 @@ class Event:
             event.defuse()
             self.fail(event._value)
 
+    def abandon(self) -> None:
+        """Drop this event's callbacks unrun: whatever waits on it is let go.
+
+        For an event that will never be processed (a torn-down
+        simulation, see :meth:`Environment.close`).  A condition
+        listening on it is abandoned with it, so a process parked on
+        ``a | b`` is released — and, nothing else holding it, its
+        generator closed — when ``a`` and ``b`` are.
+        """
+        callbacks, self.callbacks = self.callbacks, None
+        for callback in callbacks or ():
+            owner = getattr(callback, "__self__", None)
+            if isinstance(owner, ConditionEvent):
+                owner.abandon()
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = (
             "processed"

@@ -162,6 +162,10 @@ class Envelope:
         """Message-type name used for per-type counting."""
         return type(self.payload).__name__
 
+    def abandon(self) -> None:
+        """Never deliver (what ``Event.abandon`` is for a queued event)."""
+        self.callbacks = None
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         tag = f", fault_tag={self.fault_tag!r}" if self.fault_tag else ""
         return (
@@ -305,6 +309,19 @@ class Network:
         if nid in self._nodes:
             raise ValueError(f"duplicate node id {nid}")
         self._nodes[nid] = node
+
+    def close(self) -> None:
+        """Let go of every node; the network will not deliver again.
+
+        The addresses stay known: a generator torn down with a finished
+        simulation may still send from a ``finally:`` block, and that
+        has to stay the quiet no-op it was (the envelope lands in a
+        queue nobody runs).  The nodes go, and so does the delivery
+        method bound to this network, so nothing points back from the
+        network at its stations or at itself.
+        """
+        self._nodes = dict.fromkeys(self._nodes)
+        self._delivery = ()
 
     def node(self, node_id: int) -> NetworkNode:
         return self._nodes[node_id]

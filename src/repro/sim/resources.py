@@ -72,6 +72,11 @@ class Gate:
         self._open = False
         self._open_value = None
 
+    def abandon(self) -> None:
+        """Let the current waiters go unwoken (see :meth:`Event.abandon`)."""
+        while self._waiters:
+            self._waiters.pop().abandon()
+
 
 class Store:
     """Unbounded FIFO mailbox.
@@ -164,6 +169,12 @@ class Resource:
             raise RuntimeError("event is not a queued request") from None
 
 
+    def abandon(self) -> None:
+        """Let the queued requests go ungranted (see :meth:`Event.abandon`)."""
+        while self._queue:
+            self._queue.pop().abandon()
+
+
 class Collector:
     """Gathers tagged responses until all expected tags have reported.
 
@@ -195,6 +206,10 @@ class Collector:
     def cancel(self) -> None:
         """Stop accepting deliveries; the done event never fires."""
         self._cancelled = True
+
+    def abandon(self) -> None:
+        """Let whoever waits on ``done`` go (see :meth:`Event.abandon`)."""
+        self.done.abandon()
 
     def deliver(self, tag: Any, value: Any) -> bool:
         """Record a response; returns True if this completed the set."""

@@ -127,37 +127,40 @@ def run_to_checkpoint(
 
     check_compatible(scenario, lanes=("checkpoint",))
     sim = build_simulation(scenario)
-    if at <= 0.0:
-        return checkpoint(sim)
-
-    env = sim.env
-    sim.start()
-    env.run(until=min(float(at), scenario.duration))
-
-    if drain_window is None:
-        drain_window = 50.0
-    # Events at exactly t=duration must stay unprocessed: a cold run's
-    # stop event outranks them, so processing any would make the
-    # resumed trajectory diverge from run-from-scratch.
-    limit = min(scenario.duration, float(at) + float(drain_window))
-    last_reason = "queue exhausted"
-    for _ in range(MAX_DRAIN_STEPS):
-        try:
+    try:
+        if at <= 0.0:
             return checkpoint(sim)
-        except UnsafeState as exc:
-            last_reason = exc.reason
-        if env._queue and env._queue[0][0] >= limit:
-            break
-        try:
-            env.step()
-        except EmptySchedule:
-            break
-    raise SnapshotError(
-        f"no snapshot-safe point found in [{at}, {limit}] "
-        f"(dominant obstacle: {last_reason}); this scheme/load may "
-        f"never quiesce mid-run — checkpoint at t=0 instead, or widen "
-        f"drain_window"
-    )
+
+        env = sim.env
+        sim.start()
+        env.run(until=min(float(at), scenario.duration))
+
+        if drain_window is None:
+            drain_window = 50.0
+        # Events at exactly t=duration must stay unprocessed: a cold run's
+        # stop event outranks them, so processing any would make the
+        # resumed trajectory diverge from run-from-scratch.
+        limit = min(scenario.duration, float(at) + float(drain_window))
+        last_reason = "queue exhausted"
+        for _ in range(MAX_DRAIN_STEPS):
+            try:
+                return checkpoint(sim)
+            except UnsafeState as exc:
+                last_reason = exc.reason
+            if env._queue and env._queue[0][0] >= limit:
+                break
+            try:
+                env.step()
+            except EmptySchedule:
+                break
+        raise SnapshotError(
+            f"no snapshot-safe point found in [{at}, {limit}] "
+            f"(dominant obstacle: {last_reason}); this scheme/load may "
+            f"never quiesce mid-run — checkpoint at t=0 instead, or widen "
+            f"drain_window"
+        )
+    finally:
+        sim.close()
 
 
 def run_from_snapshot(snapshot: Snapshot, seed: Optional[int] = None) -> Any:
@@ -169,9 +172,12 @@ def run_from_snapshot(snapshot: Snapshot, seed: Optional[int] = None) -> Any:
     if not snapshot.started:
         return run_scenario(scenario)
     sim = restore(snapshot, seed=seed)
-    if sim.env._now < scenario.duration:
-        sim.env.run(until=scenario.duration)
-    return Report.from_simulation(sim)
+    try:
+        if sim.env._now < scenario.duration:
+            sim.env.run(until=scenario.duration)
+        return Report.from_simulation(sim)
+    finally:
+        sim.close()
 
 
 def fork_replications(

@@ -86,6 +86,12 @@ class TrafficSource:
             self._arrivals(cell), name=f"arrivals[{cell}]"
         )
 
+    def close(self) -> None:
+        """Forget the arrival processes (their frames hold the source)
+        and the fast lane (which holds it too)."""
+        self._procs.clear()
+        self.lane = None
+
     def halt(self, cell: int) -> None:
         """Take a cell's arrival process off the event heap (fast lane).
 

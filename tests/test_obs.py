@@ -193,6 +193,32 @@ def test_write_run_artifacts(tmp_path, traced_report):
     assert len(csv) > 1
 
 
+@pytest.mark.parametrize("case", ["open spans", "no spans", "no events"])
+def test_trace_json_is_streamed_one_event_a_line(tmp_path, monkeypatch, case):
+    """The trace is written header, one compact event per line, footer —
+    and still loads as the document ``trace_events`` describes."""
+    if case == "open spans":  # saturated: requests still in flight at the horizon
+        report = run_scenario(small(scheme="basic_search", offered_load=14.0))
+        assert report.obs.open_spans and report.obs.spans
+    else:
+        report = run_scenario(small(offered_load=0.0))
+        assert not report.obs.spans and not report.obs.open_spans
+    if case == "no events":
+        monkeypatch.setattr("repro.obs.artifacts._iter_trace_events", lambda report: iter(()))
+        expected = []
+    else:
+        expected = trace_events(report)
+        assert expected[0]["name"] == "process_name"
+    write_run_artifacts(report, str(tmp_path))
+    text = (tmp_path / "trace.json").read_text()
+    trace = json.loads(text)
+    assert trace == {"traceEvents": expected, "displayTimeUnit": "ms"}
+    lines = text.splitlines()
+    assert len(lines) == max(len(expected), 1) + 2
+    for line, event in zip(lines[1:], expected):
+        assert json.loads(line.rstrip(",")) == event
+
+
 def test_write_run_artifacts_requires_obs(tmp_path):
     report = run_scenario(small(obs=None))
     with pytest.raises(ValueError, match="no observability data"):
