@@ -185,12 +185,10 @@ class AdaptiveMSS(Requester, Responder, MSS):
         #: Per-channel count of mirrored entries (see _CountedSet).
         self._icount: Dict[int, int] = {}
         #: Mirrored usage of interference neighbors (paper's U_j sets).
-        self.U: Dict[int, Set[int]] = _Mirrors(self.IN, self._icount)
+        self.U = _Mirrors(self.IN, self._icount)
         #: Channels granted to a neighbor whose borrow is still
         #: unconfirmed (deviation D6); part of the interference view.
-        self.granted_out: Dict[int, Set[int]] = _Mirrors(
-            self.IN, self._icount
-        )
+        self.granted_out = _Mirrors(self.IN, self._icount)
         #: Neighbors currently in borrowing mode (paper's UpdateS_i).
         self.UpdateS: Set[int] = set()
         #: Deferred requests: (req_type, channel, ts, sender, round_id).
@@ -461,11 +459,9 @@ class AdaptiveMSS(Requester, Responder, MSS):
         ):
             # Most mirrors are empty on both sides (a fresh build, an
             # idle neighbour): nothing to replace or create.
-            touched = dict.keys(mirrors)  # the mirrors that exist so far
-            if touched or any(captured.values()):
+            if dict.keys(mirrors) or any(captured.values()):
                 for j in self.IN:
-                    if captured[j] or j in touched:
-                        mirrors[j].replace(captured[j])
+                    mirrors.replace(j, captured[j])
         self._status_collectors = {}
         for rid, (expected, responses) in sorted(state["status_collectors"].items()):
             collector = self._status_round(rid, expected)

@@ -7,7 +7,7 @@ that keep one shared per-channel count, so ``I_i`` is never recomputed.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Tuple
+from typing import Collection, Dict, Iterable, Iterator, Tuple
 
 __all__ = ["_CountedSet", "_Mirrors"]
 
@@ -72,8 +72,9 @@ class _Mirrors(dict):
     rebuilds every station per fork.  The mapping is total over the
     region all the same: indexing an untouched neighbour returns (and
     keeps) a fresh empty set, and iteration, ``len``, ``in``, ``get``,
-    ``keys``/``values``/``items`` cover every neighbour.  Only
-    :meth:`peek` reads without creating.
+    ``keys``/``values``/``items`` cover every neighbour.  :meth:`peek`
+    reads without creating, and :meth:`discard` / :meth:`replace`
+    write without creating a mirror that would stay empty.
     """
 
     __slots__ = ("_cells", "_counts")
@@ -92,6 +93,26 @@ class _Mirrors(dict):
     def peek(self, cell: int) -> Iterable[int]:
         """The mirror for *cell* if it was ever touched, else ``()``."""
         return dict.get(self, cell, ())
+
+    def discard(self, cell: int, channel: int) -> None:
+        """``self[cell].discard(channel)``, creating no mirror."""
+        mirror = dict.get(self, cell)
+        if mirror is not None:
+            mirror.discard(channel)
+        elif cell not in self._cells:
+            raise KeyError(cell)
+
+    def replace(self, cell: int, members: Collection[int]) -> None:
+        """``self[cell].replace(members)``; an untouched *cell* stays
+        untouched when *members* is empty."""
+        mirror = dict.get(self, cell)
+        if mirror is None:
+            if cell not in self._cells:
+                raise KeyError(cell)
+            if not members:
+                return
+            mirror = self[cell]
+        mirror.replace(members)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._cells)

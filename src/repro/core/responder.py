@@ -152,7 +152,7 @@ class Responder:
         if msg.res_type is ResType.STATUS:
             # Full-state refresh: replace (not merge) the mirrored set —
             # this also heals any stale entries (see DESIGN.md §5 note 6).
-            self.U[msg.sender].replace(msg.payload)
+            self.U.replace(msg.sender, msg.payload)
             if "mirror.update" in self._probes:
                 self.env.emit(
                     "mirror.update", (self.cell, msg.sender, "U", "replace", None)
@@ -169,7 +169,7 @@ class Responder:
             if msg.res_type is ResType.SEARCH:
                 # Search responses carry the responder's full Use set:
                 # replace our mirror, then hand it to the waiting round.
-                self.U[msg.sender].replace(msg.payload)
+                self.U.replace(msg.sender, msg.payload)
                 if "mirror.update" in self._probes:
                     self.env.emit(
                         "mirror.update", (self.cell, msg.sender, "U", "replace", None)
@@ -200,7 +200,7 @@ class Responder:
                 self.env.emit(
                     "mirror.update", (self.cell, msg.sender, "U", "add", msg.channel)
                 )
-            self.granted_out[msg.sender].discard(msg.channel)
+            self.granted_out.discard(msg.sender, msg.channel)
             if "mirror.update" in self._probes:
                 self.env.emit(
                     "mirror.update",
@@ -226,12 +226,12 @@ class Responder:
                 self._gate.pulse()
 
     def _on_Release(self, msg: Release) -> None:
-        self.U[msg.sender].discard(msg.channel)
+        self.U.discard(msg.sender, msg.channel)
         if "mirror.update" in self._probes:
             self.env.emit(
                 "mirror.update", (self.cell, msg.sender, "U", "discard", msg.channel)
             )
-        self.granted_out[msg.sender].discard(msg.channel)
+        self.granted_out.discard(msg.sender, msg.channel)
         if "mirror.update" in self._probes:
             self.env.emit(
                 "mirror.update",
@@ -286,10 +286,10 @@ class Responder:
             # owed acknowledgements are dropped (their searchers' own
             # protection is the ack-timeout backstop on their side).
             for j in self.IN:
-                self.U[j].replace(())
+                self.U.replace(j, ())
                 if "mirror.update" in self._probes:
                     self.env.emit("mirror.update", (self.cell, j, "U", "replace", None))
-                self.granted_out[j].replace(())
+                self.granted_out.replace(j, ())
                 if "mirror.update" in self._probes:
                     self.env.emit(
                         "mirror.update", (self.cell, j, "granted_out", "replace", None)

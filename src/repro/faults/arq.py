@@ -38,9 +38,11 @@ exclusion at the price of liveness.  See docs/PROTOCOL.md §10.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, Optional, Set, Tuple
+from typing import Any, Deque, Dict, Tuple
 
 from ..sim.network import Message, decode_payload, encode_payload
 
@@ -308,44 +310,61 @@ class ReliableLink:
 class DedupFilter:
     """Receiver-side duplicate suppression keyed on ``Envelope.msg_id``.
 
-    Tracks recently seen ids per source in a bounded window (ids are
-    monotonically increasing per network, and duplicates can only
-    arrive within the ARQ's bounded retry horizon, so a small window is
-    exact in practice).
+    ``accept(src, msg_id)`` rejects an id iff it is among the last
+    ``window`` ids accepted from ``src`` (ids are monotonically
+    increasing per network, and duplicates can only arrive within the
+    ARQ's bounded retry horizon, so a small window is exact in
+    practice).
+
+    Each source's window is two ``array('q')`` columns — 16 bytes per
+    remembered id: ``order`` holds the accepted ids in acceptance order
+    (the oldest is evicted first) and ``ids`` the same ids sorted, for
+    ``bisect`` membership.  Ids nearly always arrive and leave in
+    increasing order, so an append past the largest id and an eviction
+    of the smallest skip the search.
     """
 
     #: Snapshot fields; ``_seen`` goes through :meth:`state_dict` as the
-    #: arrival order alone (the set half is derived from it).
+    #: acceptance order alone (the sorted column is derived from it).
     SNAPSHOT = ("suppressed",)
 
     def __init__(self, window: int = 512) -> None:
+        if window < 1:
+            raise ValueError(f"window must be >= 1, got {window}")
         self.window = window
-        self._seen: Dict[int, Tuple[Set[int], Deque[int]]] = {}
+        self._seen: Dict[int, Tuple[array, array]] = {}
         self.suppressed = 0
 
     def state_dict(self) -> Dict[str, Any]:
-        return {"seen": {src: list(order) for src, (_, order) in self._seen.items()}}
+        return {"seen": {src: order.tolist() for src, (order, _) in self._seen.items()}}
 
     def load_state(self, state: Dict[str, Any]) -> None:
         self._seen = {
-            src: (set(order), deque(order))
+            src: (array("q", order), array("q", sorted(order)))
             for src, order in sorted(state["seen"].items())
         }
 
     def accept(self, src: int, msg_id: int) -> bool:
-        """Record (src, msg_id); False if it was already seen."""
+        """Record (src, msg_id); False if it is in ``src``'s window."""
         entry = self._seen.get(src)
         if entry is None:
-            entry = (set(), deque())
-            self._seen[src] = entry
-        seen, order = entry
-        if msg_id in seen:
-            self.suppressed += 1
-            return False
-        seen.add(msg_id)
+            entry = self._seen[src] = (array("q"), array("q"))
+        order, ids = entry
+        if not ids or msg_id > ids[-1]:
+            ids.append(msg_id)
+        else:
+            at = bisect_left(ids, msg_id)
+            if ids[at] == msg_id:
+                self.suppressed += 1
+                return False
+            ids.insert(at, msg_id)
         order.append(msg_id)
         if len(order) > self.window:
-            seen.discard(order.popleft())
+            oldest = order.pop(0)
+            if ids[0] == oldest:
+                del ids[0]
+            else:
+                del ids[bisect_left(ids, oldest)]
         return True
 
     def reset(self) -> None:

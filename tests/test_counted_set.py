@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.mirrors import _CountedSet
+from repro.core.mirrors import _CountedSet, _Mirrors
 
 
 def make_pair():
@@ -97,3 +97,43 @@ def test_counts_equal_reconstructed_union():
             for c in t:
                 expected[c] = expected.get(c, 0) + 1
         assert counts == expected
+
+
+def make_mirrors():
+    counts = {}
+    return counts, _Mirrors((3, 5, 8), counts)
+
+
+def test_a_write_that_leaves_a_mirror_empty_builds_none():
+    counts, mirrors = make_mirrors()
+    mirrors.discard(5, 7)
+    mirrors.replace(8, ())
+    mirrors.replace(3, frozenset())
+    assert list(dict.keys(mirrors)) == []
+    assert counts == {}
+    assert mirrors.peek(5) == () and mirrors[5] == set()  # still total
+
+
+def test_mirror_writes_on_touched_cells_match_the_set_methods():
+    counts, mirrors = make_mirrors()
+    mirrors.replace(5, frozenset({1, 2}))
+    mirrors[8].add(2)
+    assert list(dict.keys(mirrors)) == [5, 8]
+    assert counts == {1: 1, 2: 2}
+    mirrors.discard(5, 2)
+    assert mirrors[5] == {1} and counts == {1: 1, 2: 1}
+    mirrors.replace(8, ())
+    assert mirrors[8] == set() and counts == {1: 1}
+    assert list(dict.keys(mirrors)) == [5, 8]
+
+
+@pytest.mark.parametrize("write", [
+    lambda m: m.discard(4, 1), lambda m: m.replace(4, ()), lambda m: m.replace(4, {1}),
+], ids=["discard", "replace-empty", "replace"])
+def test_mirror_writes_outside_the_region_raise_as_indexing_does(write):
+    counts, mirrors = make_mirrors()
+    with pytest.raises(KeyError):
+        mirrors[4]
+    with pytest.raises(KeyError):
+        write(mirrors)
+    assert list(dict.keys(mirrors)) == [] and counts == {}
