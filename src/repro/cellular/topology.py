@@ -12,7 +12,7 @@ from types import MappingProxyType
 from typing import Any, Dict, FrozenSet, Mapping, Optional, Tuple
 
 from .hexgrid import HexGrid
-from .spectrum import ReusePattern, Spectrum
+from .spectrum import ReusePattern, Spectrum, mask
 
 __all__ = ["CellularTopology", "topology_for"]
 
@@ -73,6 +73,11 @@ class CellularTopology:
         #: ``PR_i`` for every cell i (read-only).
         self.primaries: Mapping[int, FrozenSet[int]] = MappingProxyType(
             self.spectrum.primary_sets(self.pattern, channels_per_color)
+        )
+        #: ``Spectrum`` and ``PR_i`` as channel masks (``spectrum.mask``).
+        self.spectrum_mask = mask(self.spectrum.all_channels)
+        self.primary_masks: Mapping[int, int] = MappingProxyType(
+            {cell: mask(pr) for cell, pr in self.primaries.items()}
         )
         self._sorted_in: Dict[int, Tuple[int, ...]] = {
             cell: tuple(sorted(region))

@@ -65,11 +65,11 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, Iterable, Optional, Set, Tuple
 
+from ..cellular.spectrum import channels, mask
 from ..policies.base import ModePolicy, make_policy
 from ..protocols.base import MSS
 from ..protocols.messages import ChangeMode, ReqType, Solicit, Timestamp
 from ..sim import Collector, Gate
-from .mirrors import _Mirrors
 from .mode import Mode
 from .requester import Requester
 from .responder import Responder
@@ -182,13 +182,17 @@ class AdaptiveMSS(Requester, Responder, MSS):
         self.T = self.network.latency.max_delay
 
         self.mode = Mode.LOCAL
-        #: Per-channel count of mirrored entries (see _CountedSet).
+        #: How many mirror bits (over ``U`` and ``granted_out``) each
+        #: channel has set; its keys are ``I_i``.  Every mirror write goes
+        #: through ``_mirror_*``, which keep it exact, so ``I_i`` is never
+        #: recomputed from the mirrors.
         self._icount: Dict[int, int] = {}
-        #: Mirrored usage of interference neighbors (paper's U_j sets).
-        self.U = _Mirrors(self.IN, self._icount)
+        #: Mirrored usage of interference neighbors (paper's U_j sets),
+        #: one channel mask each.
+        self.U: Dict[int, int] = dict.fromkeys(self.IN, 0)
         #: Channels granted to a neighbor whose borrow is still
         #: unconfirmed (deviation D6); part of the interference view.
-        self.granted_out = _Mirrors(self.IN, self._icount)
+        self.granted_out: Dict[int, int] = dict.fromkeys(self.IN, 0)
         #: Neighbors currently in borrowing mode (paper's UpdateS_i).
         self.UpdateS: Set[int] = set()
         #: Deferred requests: (req_type, channel, ts, sender, round_id).
@@ -306,6 +310,48 @@ class AdaptiveMSS(Requester, Responder, MSS):
         which re-promotes as a no-op)."""
         self.policy.reconcile(self.free_primary_count())
         self._check_mode()
+
+    # ------------------------------------------------------------------
+    # Mirror writes: one neighbour's mask, with I_i's counts kept exact
+    # ------------------------------------------------------------------
+    def _mirror_add(self, mirrors: Dict[int, int], j: int, channel: int) -> None:
+        """Set ``channel`` in ``mirrors[j]`` (``U`` or ``granted_out``)."""
+        held = mirrors[j]
+        bit = 1 << channel
+        if not held & bit:
+            mirrors[j] = held | bit
+            icount = self._icount
+            icount[channel] = icount.get(channel, 0) + 1
+
+    def _mirror_discard(self, mirrors: Dict[int, int], j: int, channel: int) -> None:
+        """Clear ``channel`` in ``mirrors[j]``."""
+        held = mirrors[j]
+        bit = 1 << channel
+        if held & bit:
+            mirrors[j] = held ^ bit
+            self._uncount(channel)
+
+    def _mirror_replace(
+        self, mirrors: Dict[int, int], j: int, members: Iterable[int]
+    ) -> None:
+        """Make ``mirrors[j]`` the mask of ``members``."""
+        held = mirrors[j]
+        new = mask(members)
+        if held != new:
+            mirrors[j] = new
+            for channel in channels(held & ~new):
+                self._uncount(channel)
+            icount = self._icount
+            for channel in channels(new & ~held):
+                icount[channel] = icount.get(channel, 0) + 1
+
+    def _uncount(self, channel: int) -> None:
+        icount = self._icount
+        left = icount[channel] - 1
+        if left:
+            icount[channel] = left
+        else:
+            del icount[channel]
 
     # ------------------------------------------------------------------
     # check_mode (Fig. 6)
@@ -439,9 +485,8 @@ class AdaptiveMSS(Requester, Responder, MSS):
         collectors = self._status_collectors
         rng = self._best_rng
         return {
-            # ``peek``: reading must not materialize untouched mirrors.
-            "U": {j: set(self.U.peek(j)) for j in self.IN},
-            "granted_out": {j: set(self.granted_out.peek(j)) for j in self.IN},
+            "U": {j: set(channels(m)) for j, m in self.U.items()},
+            "granted_out": {j: set(channels(m)) for j, m in self.granted_out.items()},
             "status_collectors": {
                 rid: [sorted(c._expected), dict(c._responses)]
                 for rid, c in collectors.items()
@@ -457,11 +502,10 @@ class AdaptiveMSS(Requester, Responder, MSS):
         for mirrors, captured in (
             (self.U, state["U"]), (self.granted_out, state["granted_out"])
         ):
-            # Most mirrors are empty on both sides (a fresh build, an
-            # idle neighbour): nothing to replace or create.
-            if dict.keys(mirrors) or any(captured.values()):
+            # Most are empty on both sides (a fresh build, idle neighbours).
+            if any(mirrors.values()) or any(captured.values()):
                 for j in self.IN:
-                    mirrors.replace(j, captured[j])
+                    self._mirror_replace(mirrors, j, captured[j])
         self._status_collectors = {}
         for rid, (expected, responses) in sorted(state["status_collectors"].items()):
             collector = self._status_round(rid, expected)

@@ -248,7 +248,7 @@ class Requester:
                     self._send(j, Response(ResType.REJECT, self.cell, q, rid))
                 else:
                     self._send(j, Response(ResType.GRANT, self.cell, q, rid))
-                    self.granted_out[j].add(q)
+                    self._mirror_add(self.granted_out, j, q)
                     if "mirror.update" in self._probes:
                         self.env.emit(
                             "mirror.update", (self.cell, j, "granted_out", "add", q)

@@ -68,7 +68,7 @@ class Responder:
 
     def _grant_update(self, r: int, sender: int, rid: int) -> None:
         self._send(sender, Response(ResType.GRANT, self.cell, r, rid))
-        self.granted_out[sender].add(r)
+        self._mirror_add(self.granted_out, sender, r)
         if "mirror.update" in self._probes:
             self.env.emit(
                 "mirror.update", (self.cell, sender, "granted_out", "add", r)
@@ -152,7 +152,7 @@ class Responder:
         if msg.res_type is ResType.STATUS:
             # Full-state refresh: replace (not merge) the mirrored set —
             # this also heals any stale entries (see DESIGN.md §5 note 6).
-            self.U.replace(msg.sender, msg.payload)
+            self._mirror_replace(self.U, msg.sender, msg.payload)
             if "mirror.update" in self._probes:
                 self.env.emit(
                     "mirror.update", (self.cell, msg.sender, "U", "replace", None)
@@ -169,7 +169,7 @@ class Responder:
             if msg.res_type is ResType.SEARCH:
                 # Search responses carry the responder's full Use set:
                 # replace our mirror, then hand it to the waiting round.
-                self.U.replace(msg.sender, msg.payload)
+                self._mirror_replace(self.U, msg.sender, msg.payload)
                 if "mirror.update" in self._probes:
                     self.env.emit(
                         "mirror.update", (self.cell, msg.sender, "U", "replace", None)
@@ -195,12 +195,12 @@ class Responder:
 
     def _on_Acquisition(self, msg: Acquisition) -> None:
         if msg.channel != NO_CHANNEL:
-            self.U[msg.sender].add(msg.channel)
+            self._mirror_add(self.U, msg.sender, msg.channel)
             if "mirror.update" in self._probes:
                 self.env.emit(
                     "mirror.update", (self.cell, msg.sender, "U", "add", msg.channel)
                 )
-            self.granted_out.discard(msg.sender, msg.channel)
+            self._mirror_discard(self.granted_out, msg.sender, msg.channel)
             if "mirror.update" in self._probes:
                 self.env.emit(
                     "mirror.update",
@@ -226,12 +226,12 @@ class Responder:
                 self._gate.pulse()
 
     def _on_Release(self, msg: Release) -> None:
-        self.U.discard(msg.sender, msg.channel)
+        self._mirror_discard(self.U, msg.sender, msg.channel)
         if "mirror.update" in self._probes:
             self.env.emit(
                 "mirror.update", (self.cell, msg.sender, "U", "discard", msg.channel)
             )
-        self.granted_out.discard(msg.sender, msg.channel)
+        self._mirror_discard(self.granted_out, msg.sender, msg.channel)
         if "mirror.update" in self._probes:
             self.env.emit(
                 "mirror.update",
@@ -286,10 +286,10 @@ class Responder:
             # owed acknowledgements are dropped (their searchers' own
             # protection is the ack-timeout backstop on their side).
             for j in self.IN:
-                self.U.replace(j, ())
+                self._mirror_replace(self.U, j, ())
                 if "mirror.update" in self._probes:
                     self.env.emit("mirror.update", (self.cell, j, "U", "replace", None))
-                self.granted_out.replace(j, ())
+                self._mirror_replace(self.granted_out, j, ())
                 if "mirror.update" in self._probes:
                     self.env.emit(
                         "mirror.update", (self.cell, j, "granted_out", "replace", None)

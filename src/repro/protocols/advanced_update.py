@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from typing import Dict, Set, Tuple
 
+from ..cellular.spectrum import channels, lowest, mask
 from .base import MSS
 from .messages import (
     Acquisition,
@@ -56,17 +57,16 @@ class AdvancedUpdateMSS(MSS):
 
     scheme = "advanced_update"
     SCENARIO_FIELDS = ("max_attempts",)
-    SNAPSHOT = (
-        ("U", "U", set),
-        "outstanding",
-        ("collector_round", "_collector_round"),
-    )
+    #: ``state_dict`` adds the mirrors, as ``{j: set}`` over every
+    #: sender ever heard (emptied ones included).
+    SNAPSHOT = ("outstanding", ("collector_round", "_collector_round"))
 
     def __init__(self, *args, max_attempts: int = 25, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.max_attempts = max_attempts
-        #: Mirrored usage of cells we hear broadcasts from.
-        self.U: Dict[int, Set[int]] = {}
+        #: Mirrored usage of cells we hear broadcasts from, one channel
+        #: mask each.
+        self.U: Dict[int, int] = {}
         #: As a primary/arbiter: channel -> (grantee, grantee_ts).
         self.outstanding: Dict[int, Tuple[int, Timestamp]] = {}
         # Arbiter map: channel -> primary cells of that channel within
@@ -93,13 +93,17 @@ class AdvancedUpdateMSS(MSS):
         requires (the reconstruction's ``NP(c, r)``)."""
         return self._arbiters[channel]
 
+    def _interfered_mask(self) -> int:
+        region = self.topo.IN(self.cell)
+        held = 0
+        for holder, use_j in self.U.items():
+            if holder in region:
+                held |= use_j
+        return held
+
     def interfered(self) -> Set[int]:
         """Channels known in use within our interference region."""
-        result: Set[int] = set()
-        for holder, use_j in self.U.items():
-            if holder in self.topo.IN(self.cell):
-                result |= use_j
-        return result
+        return set(channels(self._interfered_mask()))
 
     def granted_channels(self) -> Set[int]:
         """Own primaries currently granted out to a borrower."""
@@ -109,13 +113,15 @@ class AdvancedUpdateMSS(MSS):
     def _request(self, ts: Timestamp):
         # Local primary first: zero acquisition latency.  Channels we
         # granted to a pending borrower are off limits until released.
-        free_primary = (
-            self.PR - self.use - self.interfered() - self.granted_channels()
+        topo = self.topo
+        own = topo.primary_masks[self.cell]
+        free_primary = own & ~(
+            mask(self.use) | self._interfered_mask() | mask(self.outstanding)
         )
         if free_primary:
             self._attempts = 1
             self._grant_mode = "local"
-            channel = min(free_primary)
+            channel = lowest(free_primary)
             self._grab(channel)
             self._broadcast(Acquisition(AcqType.NON_SEARCH, self.cell, channel))
             return channel
@@ -127,9 +133,9 @@ class AdvancedUpdateMSS(MSS):
         while attempts < self.max_attempts:
             attempts += 1
             self._attempts = attempts
-            free = self.spectrum - self.PR - self.use - self.interfered()
+            free = topo.spectrum_mask & ~(own | mask(self.use) | self._interfered_mask())
             candidates = [
-                ch for ch in sorted(free)
+                ch for ch in channels(free)
                 if self._arbiters[ch] and ch not in refused
             ]
             if not candidates:
@@ -194,8 +200,9 @@ class AdvancedUpdateMSS(MSS):
             return ResType.REJECT
         # Reject if we know of a user that interferes with the requester.
         requester_region = self.topo.IN(requester)
+        bit = 1 << channel
         for holder, use_j in self.U.items():
-            if channel in use_j and (
+            if use_j & bit and (
                 holder == requester or holder in requester_region
             ):
                 return ResType.REJECT
@@ -221,13 +228,22 @@ class AdvancedUpdateMSS(MSS):
             self._collector.deliver(msg.sender, msg.res_type)
 
     def _on_Acquisition(self, msg: Acquisition) -> None:
-        self.U.setdefault(msg.sender, set()).add(msg.channel)
+        self.U[msg.sender] = self.U.get(msg.sender, 0) | (1 << msg.channel)
         granted = self.outstanding.get(msg.channel)
         if granted is not None and granted[0] == msg.sender:
             del self.outstanding[msg.channel]
 
     def _on_Release(self, msg: Release) -> None:
-        self.U.setdefault(msg.sender, set()).discard(msg.channel)
+        self.U[msg.sender] = self.U.get(msg.sender, 0) & ~(1 << msg.channel)
         granted = self.outstanding.get(msg.channel)
         if granted is not None and granted[0] == msg.sender:
             del self.outstanding[msg.channel]
+
+    # -- snapshot hooks (see repro.snap.state) ------------------------------------
+    def state_dict(self) -> Dict[str, object]:
+        """The mirrors as ``{"U": {j: set of channels}}``."""
+        return {"U": {j: set(channels(m)) for j, m in self.U.items()}}
+
+    def load_state(self, state: Dict[str, object]) -> None:
+        """Restore the mirrors from :meth:`state_dict`'s layout."""
+        self.U = {j: mask(members) for j, members in sorted(state["U"].items())}

@@ -37,6 +37,11 @@ from .monitor import InterferenceMonitor
 
 __all__ = ["MSS"]
 
+#: What :meth:`MSS.close` abandons, matched by exact type: it tests every
+#: attribute and dict value of a station (an adaptive station's mirrors
+#: alone are 36 ints), so the test is one set lookup.
+_WAITS = frozenset({Collector, Gate, Resource})
+
 
 class MSS:
     """Base mobile service station (one per cell).
@@ -184,7 +189,7 @@ class MSS:
         self.fastlane = None
         for held in vars(self).values():
             for wait in held.values() if type(held) is dict else (held,):
-                if isinstance(wait, (Collector, Gate, Resource)):
+                if type(wait) in _WAITS:
                     wait.abandon()
 
     # ------------------------------------------------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Set, Tuple
 
+from ..cellular.spectrum import channels, lowest, mask
 from .base import MSS
 from .messages import (
     Acquisition,
@@ -41,23 +42,28 @@ class BasicUpdateMSS(MSS):
 
     scheme = "basic_update"
     SCENARIO_FIELDS = ("max_attempts",)
-    SNAPSHOT = (("U", "U", set), ("collector_round", "_collector_round"))
+    #: ``state_dict`` adds the mirrors, as ``{j: set}`` over ``IN``.
+    SNAPSHOT = (("collector_round", "_collector_round"),)
 
     def __init__(self, *args, max_attempts: int = 25, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.max_attempts = max_attempts
-        #: Mirrored usage of each interference neighbor (paper's U_j).
-        self.U: Dict[int, Set[int]] = {j: set() for j in self.IN}
+        #: Mirrored usage of each interference neighbor (paper's U_j),
+        #: one channel mask each.
+        self.U: Dict[int, int] = dict.fromkeys(self.IN, 0)
         self._pending: Optional[Tuple[int, Timestamp]] = None  # (channel, ts)
         self._abort = False
 
     # -- derived state -------------------------------------------------------
+    def _interfered_mask(self) -> int:
+        held = 0
+        for use_j in self.U.values():
+            held |= use_j
+        return held
+
     def interfered(self) -> Set[int]:
         """Channels known to be in use somewhere in IN (paper's I_i)."""
-        result: Set[int] = set()
-        for use_j in self.U.values():
-            result |= use_j
-        return result
+        return set(channels(self._interfered_mask()))
 
     # -- requesting ------------------------------------------------------------
     def _request(self, ts: Timestamp):
@@ -66,10 +72,10 @@ class BasicUpdateMSS(MSS):
         while attempts < self.max_attempts:
             attempts += 1
             self._attempts = attempts
-            free = self.spectrum - self.use - self.interfered()
+            free = self.topo.spectrum_mask & ~(mask(self.use) | self._interfered_mask())
             if not free:
                 return None  # no channel believed free → call dropped
-            channel = min(free)
+            channel = lowest(free)
 
             self._pending = (channel, ts)
             self._abort = False
@@ -125,7 +131,17 @@ class BasicUpdateMSS(MSS):
             self._collector.deliver(msg.sender, msg.res_type)
 
     def _on_Acquisition(self, msg: Acquisition) -> None:
-        self.U[msg.sender].add(msg.channel)
+        self.U[msg.sender] |= 1 << msg.channel
 
     def _on_Release(self, msg: Release) -> None:
-        self.U[msg.sender].discard(msg.channel)
+        self.U[msg.sender] &= ~(1 << msg.channel)
+
+    # -- snapshot hooks (see repro.snap.state) ------------------------------------
+    def state_dict(self) -> Dict[str, object]:
+        """The mirrors as ``{"U": {j: set of channels}}``."""
+        return {"U": {j: set(channels(m)) for j, m in self.U.items()}}
+
+    def load_state(self, state: Dict[str, object]) -> None:
+        """Restore the mirrors from :meth:`state_dict`'s layout."""
+        for j, members in state["U"].items():
+            self.U[j] = mask(members)

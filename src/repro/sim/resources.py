@@ -21,9 +21,23 @@ from heapq import heappush as _heappush
 from typing import Any, Deque, Dict, Iterable, List
 
 from .engine import Environment
-from .events import NORMAL, Event
+from .events import NORMAL, ConditionEvent, Event
 
 __all__ = ["Gate", "Store", "Resource", "Collector"]
+
+
+def _unhook_conditions(event: Event) -> None:
+    """Drop the conditions listening on ``event``, which will never fire.
+
+    A condition (``AnyOf`` of a wait and its deadline) holds its events
+    and each event holds the condition's callback: left in place, the
+    pair is a cycle that only the cyclic collector frees.
+    """
+    if event.callbacks:
+        event.callbacks[:] = [
+            callback for callback in event.callbacks
+            if not isinstance(getattr(callback, "__self__", None), ConditionEvent)
+        ]
 
 
 class Gate:
@@ -167,7 +181,7 @@ class Resource:
             self._queue.remove(event)
         except ValueError:
             raise RuntimeError("event is not a queued request") from None
-
+        _unhook_conditions(event)
 
     def abandon(self) -> None:
         """Let the queued requests go ungranted (see :meth:`Event.abandon`)."""
@@ -206,6 +220,7 @@ class Collector:
     def cancel(self) -> None:
         """Stop accepting deliveries; the done event never fires."""
         self._cancelled = True
+        _unhook_conditions(self.done)
 
     def abandon(self) -> None:
         """Let whoever waits on ``done`` go (see :meth:`Event.abandon`)."""

@@ -1,4 +1,4 @@
-"""Run with the PARENT's src on PYTHONPATH: writes five snapshots + the rows their exact continuation reports."""
+"""Run with the PARENT's src on PYTHONPATH: writes six snapshots + the rows their exact continuation reports."""
 import dataclasses, gzip, hashlib, json, sys
 from repro.faults import CrashWindow, FaultPlan
 from repro.harness import Scenario
@@ -13,6 +13,7 @@ CASES = {
     "fixed": (Scenario(scheme="fixed", offered_load=8.0, duration=160.0, warmup=20.0, seed=7, mean_dwell=60.0), 90.0),
     "prakash": (Scenario(scheme="prakash", offered_load=6.0, duration=160.0, warmup=20.0, seed=8), 90.0),
     "advanced_update-14x14": (Scenario(scheme="advanced_update", rows=14, cols=14, offered_load=3.0, duration=70.0, warmup=10.0, seed=9), 40.0),
+    "basic_update-28x28": (Scenario(scheme="basic_update", rows=28, cols=28, offered_load=0.2, duration=100.0, warmup=10.0, seed=10), 70.0),
 }
 rows = {}
 for name, (scenario, at) in CASES.items():

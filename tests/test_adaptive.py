@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cellular.spectrum import channels
 from repro.core import AdaptiveMSS, Mode
 from repro.protocols import Acquisition, AcqType, ChangeMode, Release
 
@@ -148,7 +149,7 @@ def test_granters_record_borrow():
     ch = drive(env, stations[0].request_channel())
     env.run()
     for j in topo.IN(0):
-        assert ch in stations[j].U[0] or ch in stations[j].granted_out[0]
+        assert ch in channels(stations[j].U[0] | stations[j].granted_out[0])
         assert ch in stations[j].interfered()
 
 
@@ -189,7 +190,7 @@ def test_search_after_alpha_failed_rounds():
     assert metrics.records[-1].mode == "search"
     env.run()  # flush the ACQUISITION broadcast
     for j in topo.IN(0):
-        assert ch in stations[j].U[0]
+        assert ch in channels(stations[j].U[0])
 
 
 def test_search_failure_drops_and_unblocks_waiters():
@@ -249,7 +250,7 @@ def test_status_refresh_does_not_wipe_pending_grant():
     grantee = sorted(topo.IN(0))[0]
     ch = min(topo.PR(0))
     # We grant `ch` to the neighbor...
-    s.granted_out[grantee].add(ch)
+    s._mirror_add(s.granted_out, grantee, ch)
     # ...then a STATUS response from it arrives without the channel
     # (it hasn't completed its round yet).
     from repro.protocols import Response, ResType
@@ -265,7 +266,7 @@ def test_release_clears_pending_grant():
     s = stations[0]
     grantee = sorted(topo.IN(0))[0]
     ch = min(topo.PR(0))
-    s.granted_out[grantee].add(ch)
+    s._mirror_add(s.granted_out, grantee, ch)
     s._on_Release(Release(grantee, ch))
     assert ch not in s.interfered()
 
@@ -275,10 +276,10 @@ def test_acquisition_confirms_pending_grant():
     s = stations[0]
     grantee = sorted(topo.IN(0))[0]
     ch = min(topo.PR(0))
-    s.granted_out[grantee].add(ch)
+    s._mirror_add(s.granted_out, grantee, ch)
     s._on_Acquisition(Acquisition(AcqType.NON_SEARCH, grantee, ch))
-    assert ch not in s.granted_out[grantee]
-    assert ch in s.U[grantee]
+    assert ch not in channels(s.granted_out[grantee])
+    assert ch in channels(s.U[grantee])
     assert ch in s.interfered()
 
 
@@ -319,7 +320,7 @@ def test_stale_status_responses_counted_not_crashing():
 
     s._on_Response(Response(ResType.STATUS, sorted(topo.IN(0))[0], frozenset({3}), 12345))
     assert s.stale_responses == 1
-    assert 3 in s.U[sorted(topo.IN(0))[0]]
+    assert 3 in channels(s.U[sorted(topo.IN(0))[0]])
 
 
 def test_hysteresis_reduces_flapping():
@@ -357,5 +358,5 @@ def test_free_primary_count_accounts_interference():
     assert s.free_primary_count() == len(topo.PR(0)) - 1
     neighbor = sorted(topo.IN(0))[0]
     borrowed = sorted(topo.PR(0))[-1]
-    s.U[neighbor].add(borrowed)  # neighbor borrowed one of our primaries
+    s._mirror_add(s.U, neighbor, borrowed)  # neighbor borrowed one of our primaries
     assert s.free_primary_count() == len(topo.PR(0)) - 2

@@ -6,6 +6,7 @@ message, asserting the exact response the pseudocode prescribes.
 
 import pytest
 
+from repro.cellular.spectrum import channels
 from repro.core import AdaptiveMSS, Mode
 from repro.protocols import (
     Acquisition,
@@ -59,7 +60,7 @@ def test_update_request_local_mode_grants_free_channel(stack):
     ch = min(s.PR)
     s._on_Request(Request(ReqType.UPDATE, ch, (1.0, j), j, 5))
     assert log[-1][2].res_type is ResType.GRANT
-    assert ch in s.granted_out[j]
+    assert ch in channels(s.granted_out[j])
     assert ch in s.interfered()
 
 
@@ -71,7 +72,7 @@ def test_update_request_local_mode_rejects_used_channel(stack):
     ch = env.run(until=env.process(s.request_channel()))
     s._on_Request(Request(ReqType.UPDATE, ch, (1.0, j), j, 5))
     assert log[-1][2].res_type is ResType.REJECT
-    assert ch not in s.granted_out[j]
+    assert ch not in channels(s.granted_out[j])
 
 
 def test_update_request_mode2_rejects_younger(stack):
@@ -94,7 +95,7 @@ def test_update_request_mode2_grants_older(stack):
     free_ch = max(s.spectrum)
     s._on_Request(Request(ReqType.UPDATE, free_ch, (2.0, j), j, 6))
     assert log[-1][2].res_type is ResType.GRANT
-    assert free_ch in s.granted_out[j]
+    assert free_ch in channels(s.granted_out[j])
 
 
 def test_update_request_mode3_defers_younger(stack):
@@ -186,7 +187,7 @@ def test_acquisition_updates_mirror_and_ack(stack):
     j = neighbor_of(stack)
     s._owed_acks[j] = (1.0, j)
     s._on_Acquisition(Acquisition(AcqType.SEARCH, j, 12))
-    assert 12 in s.U[j]
+    assert 12 in channels(s.U[j])
     assert s.waiting == 0
 
 
@@ -196,7 +197,7 @@ def test_failed_search_acquisition_still_acks(stack):
     s._owed_acks[j] = (1.0, j)
     s._on_Acquisition(Acquisition(AcqType.SEARCH, j, NO_CHANNEL))
     assert s.waiting == 0
-    assert NO_CHANNEL not in s.U[j]
+    assert NO_CHANNEL not in channels(s.U[j])
 
 
 def test_unexpected_search_ack_raises(stack):
@@ -209,31 +210,27 @@ def test_unexpected_search_ack_raises(stack):
 def test_release_clears_mirror_and_grant(stack):
     s = station(stack)
     j = neighbor_of(stack)
-    s.U[j].add(7)
-    s.granted_out[j].add(8)
+    s._mirror_add(s.U, j, 7)
+    s._mirror_add(s.granted_out, j, 8)
     s._on_Release(Release(j, 7))
     s._on_Release(Release(j, 8))
-    assert 7 not in s.U[j]
-    assert 8 not in s.granted_out[j]
+    assert 7 not in channels(s.U[j])
+    assert 8 not in channels(s.granted_out[j])
     assert 7 not in s.interfered() and 8 not in s.interfered()
 
 
-def test_mirrors_cover_the_whole_region_although_built_lazily(stack):
-    # U / granted_out create a neighbour's set on first touch; every
-    # mapping read must still see all of IN, never just the touched part.
+def test_mirrors_cover_the_whole_region(stack):
+    # One mask per neighbour of IN, in IN's order, and no other key.
     s = station(stack)
     j = neighbor_of(stack)
-    s.U[j].add(7)
+    s._mirror_add(s.U, j, 7)
     for mirrors in (s.U, s.granted_out):
-        assert len(mirrors) == len(s.IN) and tuple(mirrors) == s.IN
-        assert tuple(mirrors.keys()) == s.IN and len(mirrors.values()) == len(s.IN)
-        assert [k for k, _ in mirrors.items()] == list(s.IN)
-        assert all(k in mirrors for k in s.IN) and s.cell not in mirrors
-        assert mirrors.get(s.IN[-1]) == set() and mirrors.get(s.cell) is None
+        assert tuple(mirrors) == s.IN and s.cell not in mirrors
         with pytest.raises(KeyError):
-            mirrors[s.cell]
-    assert sum(7 in m for m in s.U.values()) == 1
-    assert s.U.peek(j) == {7} and 7 in s.interfered()
+            s._mirror_add(mirrors, s.cell, 7)
+    assert [channels(m) for m in s.U.values()].count([7]) == 1
+    assert channels(s.U[j]) == [7] and s.interfered() == {7}
+    assert not any(s.granted_out.values())
 
 
 def test_double_search_response_to_same_searcher_raises(stack):

@@ -4,6 +4,7 @@ the deadlock fix (DESIGN.md)."""
 
 import pytest
 
+from repro.cellular.spectrum import channels
 from repro.core import AdaptiveMSS, Mode
 from repro.protocols import Acquisition, AcqType, NO_CHANNEL, ReqType, Request
 
@@ -99,7 +100,7 @@ def test_guarded_round_grant_recorded_by_younger_searcher():
     sj._handle_update_request(
         Request(ReqType.UPDATE, ch, (1.0, 0), 0, 5)
     )
-    assert ch in sj.granted_out[0]
+    assert ch in channels(sj.granted_out[0])
     assert ch in sj.interfered()  # its later pick will skip ch
     sj.mode = Mode.LOCAL
     sj._req_ts = None

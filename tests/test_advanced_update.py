@@ -1,6 +1,7 @@
 """Unit tests for the advanced update baseline (primary arbitration)."""
 
 
+from repro.cellular.spectrum import channels
 from repro.protocols import AdvancedUpdateMSS, ResType
 
 from conftest import drive, drive_all, make_stack
@@ -20,7 +21,7 @@ def test_local_acquisition_broadcasts_to_region():
     assert net.sent_by_kind == {"Acquisition": N}
     env.run()
     for j in topo.IN(0):
-        assert stations[j].U[0]
+        assert channels(stations[j].U[0])
 
 
 def test_release_broadcasts():
@@ -122,7 +123,7 @@ def test_outstanding_cleared_by_release_and_acquisition():
     s._arbitrate(ch, grantee, (2.0, grantee))
     s._on_Acquisition(Acquisition(AcqType.NON_SEARCH, grantee, ch))
     assert ch not in s.granted_channels()
-    assert ch in s.U[grantee]
+    assert ch in channels(s.U[grantee])
 
 
 def test_arbitrate_rejects_known_interfering_user():

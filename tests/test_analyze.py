@@ -528,7 +528,7 @@ def test_cli_end_to_end(tmp_path, capsys):
 def test_list_rules(capsys):
     assert check_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    assert [out.count(rule.code) for rule in RULES] == [1] * 20
+    assert [out.count(rule.code) for rule in RULES] == [1] * 21
 
 
 # ------------------------------------------------------------------ ANA3xx ----

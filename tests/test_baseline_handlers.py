@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cellular.spectrum import channels
 from repro.protocols import (
     Acquisition,
     AcqType,
@@ -106,7 +107,7 @@ def test_update_mirrors_follow_acquisition_release():
     s = stations[0]
     j = sorted(topo.IN(0))[0]
     s._on_Acquisition(Acquisition(AcqType.NON_SEARCH, j, 13))
-    assert 13 in s.U[j]
+    assert 13 in channels(s.U[j])
     assert 13 in s.interfered()
     s._on_Release(Release(j, 13))
     assert 13 not in s.interfered()

@@ -1,6 +1,7 @@
 """Unit tests for the basic update scheme (Dong & Lai)."""
 
 
+from repro.cellular.spectrum import channels
 from repro.protocols import BasicUpdateMSS
 
 from conftest import drive, drive_all, make_stack
@@ -29,11 +30,11 @@ def test_neighbors_mirror_usage():
     ch = drive(env, stations[0].request_channel())
     env.run()  # let the acquisition broadcast land
     for j in topo.IN(0):
-        assert ch in stations[j].U[0]
+        assert ch in channels(stations[j].U[0])
     stations[0].release_channel(ch)
     env.run()
     for j in topo.IN(0):
-        assert ch not in stations[j].U[0]
+        assert ch not in channels(stations[j].U[0])
 
 
 def test_local_info_steers_channel_pick():
@@ -96,7 +97,7 @@ def test_reject_when_channel_in_use():
     env.run()
     # b now knows; but force the race: clear b's mirror so it asks for
     # the same channel, and a must reject.
-    stations[b].U[a].discard(ch)
+    stations[b].U[a] &= ~(1 << ch)
     chb = drive(env, stations[b].request_channel())
     assert chb != ch
     assert not monitor.violations

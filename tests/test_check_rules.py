@@ -1,4 +1,4 @@
-"""Unit tests for the engine and SIM001–SIM011 (``tools.check``).
+"""Unit tests for the engine and SIM001–SIM012 (``tools.check``).
 
 Each rule gets a firing fixture and a silent fixture, plus noqa
 suppression; finally the real tree must be clean.
@@ -400,6 +400,26 @@ def test_sim011_silent_in_base_and_on_the_base_api(tmp_path):
     assert check_file(out_of_scope) == []
 
 
+# ------------------------------------------------------------------ SIM012 ----
+def test_sim012_fires_on_bit_count_and_takes_its_pragma(tmp_path):
+    path = write(
+        tmp_path,
+        "src/repro/cellular/x.py",
+        """
+        def free(m):
+            return m.bit_count(), (m & 7).bit_count()  # repro: noqa(SIM012)
+
+        def held(m):
+            return int.bit_count(m), bin(m).count("1")
+        """,
+    )
+    findings = check_file(path)
+    assert codes(findings) == ["SIM012"]
+    assert findings[0].line == 6
+    outside = write(tmp_path, "tools/x.py", "n = (5).bit_count()\n")
+    assert check_file(outside) == []
+
+
 # ------------------------------------------------------------- suppression ----
 def test_noqa_suppresses_named_rule(tmp_path):
     path = write(
@@ -580,7 +600,7 @@ def test_registry_codes_unique_and_documented():
     seen = [rule.code for rule in RULES]
     assert seen == sorted(set(seen))
     headings = re.findall(r"^### ((?:SIM|ANA)\d{3}) ", (ROOT / "docs/CHECKS.md").read_text(), re.M)
-    assert sorted(headings) == sorted(seen + [STALE_NOQA_CODE]) and len(headings) == 21
+    assert sorted(headings) == sorted(seen + [STALE_NOQA_CODE]) and len(headings) == 22
     for rule in RULES:
         assert rule.description
         assert rule.paths

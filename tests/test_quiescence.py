@@ -7,6 +7,7 @@ mirrors, or pledges that never resolve.
 
 import pytest
 
+from repro.cellular.spectrum import channels
 from repro.core import Mode
 from repro.harness import Scenario, build_simulation
 
@@ -48,12 +49,12 @@ def test_adaptive_quiesces_clean(load):
         # No borrowed (non-primary) channel may linger in any mirror:
         # borrowed releases reach the whole region (deviation D7).
         for j in s.IN:
-            stale_borrowed = s.U[j] - sim.topo.PR(j)
+            stale_borrowed = set(channels(s.U[j])) - sim.topo.PR(j)
             assert not stale_borrowed, (
                 f"cell {s.cell} thinks {j} still borrows {stale_borrowed}"
             )
         for j in s.IN:
-            granted = s.granted_out[j]
+            granted = channels(s.granted_out[j])
             assert not granted, (
                 f"cell {s.cell} never resolved grant {granted} to {j}"
             )
@@ -67,7 +68,7 @@ def test_update_family_mirrors_quiesce_empty(scheme):
     for s in sim.stations.values():
         assert not s.use
         for j, mirrored in s.U.items():
-            assert not mirrored, f"cell {s.cell} stale mirror for {j}: {mirrored}"
+            assert not mirrored, f"cell {s.cell} stale mirror for {j}: {channels(mirrored)}"
     if scheme == "advanced_update":
         for s in sim.stations.values():
             assert not s.outstanding, f"cell {s.cell} leaked grants"

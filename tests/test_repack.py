@@ -1,6 +1,7 @@
 """Tests for the channel-reassignment (repack) extension."""
 
 
+from repro.cellular.spectrum import channels
 from repro.core import AdaptiveMSS
 from repro.harness import Scenario, run_scenario
 
@@ -41,8 +42,8 @@ def test_primary_release_retires_borrowed_channel():
     assert s.repacks == 1
     # The owners saw the release of the borrowed channel.
     for j in topo.IN(0):
-        assert borrowed not in stations[j].U[0]
-        assert borrowed not in stations[j].granted_out[0]
+        assert borrowed not in channels(stations[j].U[0])
+        assert borrowed not in channels(stations[j].granted_out[0])
 
 
 def test_alias_resolves_when_borrow_holder_releases():

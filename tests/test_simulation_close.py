@@ -8,6 +8,7 @@ load and at saturation, with a fault plan and with ``--trace`` — and
 closing must change nothing the report says.
 """
 
+import dataclasses
 import gc
 import sys
 import weakref
@@ -18,7 +19,7 @@ from repro.faults import CrashWindow, FaultPlan
 from repro.harness import SCHEMES, Scenario, build_simulation, run_scenario, runner
 from repro.obs import ObsConfig
 from repro.protocols import MSS
-from repro.sim import Network
+from repro.sim import ConditionEvent, Network
 from repro.snap import run_from_snapshot, run_to_checkpoint
 
 from test_call_path import rows
@@ -137,6 +138,23 @@ def test_snapshot_drivers_leave_nothing_for_the_collector(built, collector_off, 
     heavy, _ = cyclic_leftovers()
     assert heavy == [] and collector_off == []
     assert rows(resumed) == rows(run_scenario(base)) != rows(forked)
+
+
+def test_a_wait_that_timed_out_leaves_no_cycle(collector_off):
+    # A setup deadline frees the call from a lock request, a round
+    # deadline a station from a round's ``done``: neither event will
+    # fire, and its ``cancel`` unhooks the ``AnyOf`` that listened on it.
+    plan = dataclasses.replace(faulty(), round_deadline=4.0)
+    sim = build_simulation(scenario("adaptive", 12.0, faults=plan))
+    round_timeouts = []
+    sim.env.subscribe("fault.round_timeout", lambda now, p: round_timeouts.append(p))
+    report = sim.run()
+    sim.close()
+    del sim
+    gc.collect()
+    assert round_timeouts and "queue_timeout" in {r.mode for r in report.metrics.records}
+    assert [o for o in gc.garbage if isinstance(o, ConditionEvent)] == []
+    assert collector_off == []
 
 
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))

@@ -7,11 +7,11 @@ the rules come in three families:
 
 ========  =============================================================
 SIM001–   Simulation hygiene and determinism (``rules.py``): no
-SIM011    wall clock, no global RNG, channel state and handlers only
+SIM012    wall clock, no global RNG, channel state and handlers only
           through the base-class API, no swallowed handler errors, no
           unordered fan-out, identity ordering, ``popitem`` or env-var
           reads, guarded probe emits, sends and waits through the
-          hardened path.
+          hardened path, no ``int.bit_count`` (3.10+).
 ANA101–   Message-flow conformance (``flow.py``), the whole-program
 ANA104    rules: every kind sent is handled, every handler's kind is
           sent, every ``msg.<attr>`` is a field, every constructor

@@ -23,7 +23,7 @@ from .rules import RULES
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="tools.check",
-        description="The repository's static checks (SIM001-SIM011, "
+        description="The repository's static checks (SIM001-SIM012, "
         "ANA101-ANA301, SIM100).",
     )
     parser.add_argument(

@@ -479,6 +479,27 @@ class SendAndWaitThroughBase(Rule):
                 )
 
 
+class NoBitCount(Rule):
+    """SIM012: popcount without ``int.bit_count`` (Python 3.10+)."""
+
+    code = "SIM012"
+    description = "no .bit_count() call (Python 3.10+; the package supports 3.9)"
+    paths = ("src/repro",)
+
+    def run(self, tree: ast.Module, ctx: CheckContext) -> Iterator[Match]:
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "bit_count"
+            ):
+                yield node, (
+                    "int.bit_count() needs Python 3.10 and the package "
+                    "supports 3.9; count a channel mask's bits with "
+                    'bin(m).count("1")'
+                )
+
+
 #: The one registry: every rule of every family, in code order.
 RULES: List[AnyRule] = [
     *FLOW_RULES,
@@ -494,4 +515,5 @@ RULES: List[AnyRule] = [
     NoEnvVarControlFlow(),
     GuardedEmit(),
     SendAndWaitThroughBase(),
+    NoBitCount(),
 ]
