@@ -412,10 +412,14 @@ class AdaptiveMSS(Requester, Responder, MSS):
     def _status_round(self, round_id: int, expected: Iterable[int]) -> Collector:
         """Register the STATUS collector of CHANGE_MODE round ``round_id``."""
         collector = self._status_collectors[round_id] = Collector(self.env, expected)
-        collector.done.callbacks.append(
-            lambda _ev: self._status_collectors.pop(round_id, None)
-        )
+        collector.done.callbacks.append(lambda _ev: self._status_done(round_id))
         return collector
+
+    def _status_done(self, round_id: int) -> None:
+        # A completed round is let go: it is in no snapshot, and the
+        # request loop awaits only the round it has just opened.
+        if self._status_collectors.pop(round_id, None) is self._last_status_collector:
+            self._last_status_collector = None
 
     def _exit_borrowing(self) -> None:
         self.mode = Mode.LOCAL

@@ -158,7 +158,11 @@ class Responder:
                     "mirror.update", (self.cell, msg.sender, "U", "replace", None)
                 )
             collector = self._status_collectors.get(msg.round_id)
-            if collector is not None and msg.sender in collector.outstanding:
+            if (  # ``_awaited``'s test: two lookups, no set difference
+                collector is not None
+                and msg.sender in collector._expected
+                and msg.sender not in collector._responses
+            ):
                 collector.deliver(msg.sender, msg.payload)
             else:
                 self.stale_responses += 1

@@ -93,8 +93,10 @@ class FaultInjector:
         self.streams = streams
         self.latency = latency
         self.metrics = metrics
-        #: (src, dst) -> that link's decision stream (memoized locally;
-        #: the registry would re-derive the same generator).
+        #: (src, dst) -> that link's decision stream: a ``UniformStream``
+        #: (two ints, not a numpy ``Generator`` — a 14×14 run has ~3 300
+        #: links), memoized here so a send does not rebuild the
+        #: registry's string key; the registry owns it for snapshots.
         self._link_rngs: Dict[Tuple[int, int], Any] = {}
         #: Cells currently crashed (no sends, no deliveries).
         self.down: Set[int] = set()
@@ -106,7 +108,7 @@ class FaultInjector:
         link = (src, dst)
         rng = self._link_rngs.get(link)
         if rng is None:
-            rng = self._link_rngs[link] = self.streams.stream(
+            rng = self._link_rngs[link] = self.streams.uniforms(
                 "faults", "net", src, dst
             )
         return rng

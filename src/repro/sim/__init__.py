@@ -24,7 +24,7 @@ from .network import (
     UniformLatency,
 )
 from .resources import Collector, Gate, Resource, Store
-from .rng import StreamRegistry
+from .rng import StreamRegistry, UniformStream
 
 __all__ = [
     "Environment",
@@ -48,4 +48,5 @@ __all__ = [
     "UniformLatency",
     "ExponentialLatency",
     "StreamRegistry",
+    "UniformStream",
 ]

@@ -243,9 +243,7 @@ def capture_state(sim: Any) -> Dict[str, Any]:
         queue = _classify_queue(sim)
     state = _capture(sim)
     state["env"] = {"now": float(sim.env._now)}
-    state["streams"] = {
-        key: gen.bit_generator.state for key, gen in sorted(sim.streams._cache.items())
-    }
+    state["streams"] = sim.streams.state_dict()
     state["stations"] = {
         str(cell): _capture(station) for cell, station in sorted(sim.stations.items())
     }
@@ -392,8 +390,7 @@ def apply_state(sim: Any, state: Dict[str, Any], reseed: bool = False) -> None:
     env._now = state["env"]["now"]
 
     if not reseed:
-        for key, rng_state in sorted(state["streams"].items()):
-            sim.streams.stream(*key.split("/")).bit_generator.state = rng_state
+        sim.streams.load_state(state["streams"])
     _apply(sim, state, "simulation")
     for cell, data in sorted(stations.items()):
         _apply(sim.stations[cell], data, f"cell {cell}")

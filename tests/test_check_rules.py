@@ -1,4 +1,4 @@
-"""Unit tests for the engine and SIM001–SIM012 (``tools.check``).
+"""Unit tests for the engine, SIM001–SIM012 and ANA301 (``tools.check``).
 
 Each rule gets a firing fixture and a silent fixture, plus noqa
 suppression; finally the real tree must be clean.
@@ -8,6 +8,8 @@ import pathlib
 import re
 import sys
 import textwrap
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
@@ -122,6 +124,65 @@ def test_sim002_exempts_rng_module(tmp_path):
 
         def f(seed):
             return np.random.SeedSequence(seed)
+        """,
+    )
+    assert check_file(path) == []
+
+
+# ------------------------------------------------------------------ ANA301 ----
+#: constructor -> a call of it (bare form; ``Generator`` needs a ``PCG64``).
+ANA301_CALLS = {
+    "default_rng": "default_rng(7)",
+    "Generator": "Generator(PCG64(7))",
+    "PCG64": "PCG64(7).random_raw()",
+    "SeedSequence": "SeedSequence(7).entropy",
+}
+
+
+def ana301_imports(name):
+    return "Generator, PCG64" if name == "Generator" else name
+
+
+@pytest.mark.parametrize("name", sorted(ANA301_CALLS))
+def test_ana301_fires_on_each_generator_constructor_dotted_and_bare(tmp_path, name):
+    call = ANA301_CALLS[name]
+    dotted = write(
+        tmp_path,
+        "src/repro/faults/x.py",
+        f"""
+        import numpy as np
+
+        def f():
+            return np.random.{call.replace("(PCG64", "(np.random.PCG64")}
+        """,
+    )
+    bare = write(
+        tmp_path,
+        "src/repro/traffic/x.py",
+        f"""
+        from numpy.random import {ana301_imports(name)}
+
+        def f():
+            return {call}
+        """,
+    )
+    nested = 2 if name == "Generator" else 1  # Generator(PCG64(7)) is two
+    assert codes(check_file(dotted)) == ["ANA301"] * nested
+    findings = check_file(bare)
+    assert codes(findings) == ["ANA301"] * nested
+    assert findings[0].message.startswith(f"{name}(...)")
+    assert "streams.uniforms(...)" in findings[0].message
+
+
+@pytest.mark.parametrize("name", sorted(ANA301_CALLS))
+def test_ana301_takes_its_pragma_per_constructor(tmp_path, name):
+    path = write(
+        tmp_path,
+        "src/repro/obs/x.py",
+        f"""
+        from numpy.random import {ana301_imports(name)}
+
+        x = {ANA301_CALLS[name]}  # repro: noqa(ANA301)
         """,
     )
     assert check_file(path) == []

@@ -5,7 +5,8 @@ back plain data and call ``Simulation.close()`` on the simulation they
 built; with the collector off, the stations, the network, the traffic
 source and the monitor must already be gone when they return — at low
 load and at saturation, with a fault plan and with ``--trace`` — and
-closing must change nothing the report says.
+closing must change nothing the report says.  While a run goes on, a
+completed STATUS round goes the same way.
 """
 
 import dataclasses
@@ -154,6 +155,27 @@ def test_a_wait_that_timed_out_leaves_no_cycle(collector_off):
     gc.collect()
     assert round_timeouts and "queue_timeout" in {r.mode for r in report.metrics.records}
     assert [o for o in gc.garbage if isinstance(o, ConditionEvent)] == []
+    assert collector_off == []
+
+
+def test_a_completed_status_round_is_let_go(collector_off):
+    # Neither the round map nor ``_last_status_collector`` keeps a STATUS
+    # round once it has completed: it goes by reference counting.
+    sim = build_simulation(scenario("adaptive", 12.0))
+    rounds = []
+    for station in sim.stations.values():
+        def recording(round_id, expected, opened=station._status_round):
+            collector = opened(round_id, expected)
+            rounds.append((weakref.ref(collector), collector.done))
+            return collector
+
+        station._status_round = recording
+    sim.start()
+    sim.env.run(until=150.0)
+    completed = [ref for ref, done in rounds if done.processed]
+    assert len(completed) > 10
+    assert [ref for ref in completed if ref() is not None] == []
+    sim.close()
     assert collector_off == []
 
 

@@ -212,28 +212,36 @@ class NoUnregisteredGenerator(StatefulRule):
 
     What SIM002 allows — constructing a seeded generator — is still an
     escape when the :class:`~repro.sim.rng.StreamRegistry` never handed
-    it out: no snapshot captures its state.  Excluded: ``sim/rng.py``
-    (the registry itself) and ``core/adaptive.py``, whose tie-breaking
-    ``_best_rng`` the station's own snapshot hook captures and restores
-    (DESIGN.md §9) — the bar a new entry must clear.
+    it out: no snapshot captures its state.  Matched: the four numpy
+    constructors a stream is made of, dotted or imported bare.
+    Excluded: ``sim/rng.py`` (the registry itself) and
+    ``core/adaptive.py``, whose tie-breaking ``_best_rng`` the station's
+    own snapshot hook captures and restores (DESIGN.md §9) — the bar a
+    new entry must clear.
     """
 
     code = "ANA301"
-    description = "no default_rng(...) outside the stream registry (state escapes snapshots)"
+    description = (
+        "no default_rng / Generator / PCG64 / SeedSequence outside the stream "
+        "registry (state escapes snapshots)"
+    )
     excludes = ("src/repro/sim/rng.py", "src/repro/core/adaptive.py")
+
+    CONSTRUCTORS = frozenset({"default_rng", "Generator", "PCG64", "SeedSequence"})
 
     def run(self, tree: ast.Module, ctx: CheckContext) -> Iterator[Match]:
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             name = ctx.dotted_name(node.func) or _called_name(node.func) or ""
-            if name.endswith("default_rng"):
+            last = name.rsplit(".", 1)[-1]
+            if last in self.CONSTRUCTORS:
                 yield node, (
-                    "default_rng(...) creates a generator the "
-                    "StreamRegistry never handed out — its state is "
-                    "invisible to checkpoint/restore; use "
-                    "streams.stream(...) (or add an explicit capture "
-                    "to repro.snap.state and allowlist the file)"
+                    f"{last}(...) makes random state the "
+                    "StreamRegistry never handed out — it is invisible "
+                    "to checkpoint/restore; use streams.stream(...) or "
+                    "streams.uniforms(...) (or capture it in its owner's "
+                    "state_dict / load_state and allowlist the file)"
                 )
 
 
