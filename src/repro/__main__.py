@@ -65,17 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
         "predictor — see docs/POLICIES.md",
     )
     p.add_argument(
-        "--policy-trace", type=str, default=None, metavar="FILE",
-        help="per-cell load trace JSON for --policy oracle (record one "
-        "with --record-policy-trace)",
-    )
-    p.add_argument(
-        "--record-policy-trace", type=str, default=None, metavar="FILE",
-        help="run the scenario under the 'linear' policy, record the "
-        "per-cell load trace an oracle needs, write it to FILE and exit; "
-        "not with: " + rejected_with("policy tooling"),
-    )
-    p.add_argument(
         "--faults", type=float, default=None, metavar="P",
         help="inject uniform message loss with probability P (enables "
         "the hardened protocol stack: ack/retry/dedup); fine-grained "
@@ -158,10 +147,6 @@ def scenario_from_args(args, scheme: str) -> Scenario:
     faults = (
         FaultPlan.uniform_loss(args.faults) if args.faults is not None else None
     )
-    policy_params = {}
-    if args.policy_trace is not None:
-        with open(args.policy_trace) as fh:
-            policy_params["trace"] = json.load(fh)
     return Scenario(
         scheme=scheme,
         faults=faults,
@@ -183,7 +168,6 @@ def scenario_from_args(args, scheme: str) -> Scenario:
         theta_high=args.theta_high,
         window=args.window,
         policy=args.policy or "linear",
-        policy_params=policy_params,
         fastlane=args.fastlane,
     )
 
@@ -207,11 +191,6 @@ def report_dict(report) -> dict:
         "retries": report.retries,
         "retry_exhausted": report.retry_exhausted,
         **({"fastlane": report.fastlane} if report.fastlane else {}),
-        **(
-            {"regret_vs_oracle": report.regret_vs_oracle}
-            if report.regret_vs_oracle is not None
-            else {}
-        ),
     }
 
 
@@ -297,9 +276,6 @@ def _scenarios(args, schemes) -> list:
         overrides["faults"] = FaultPlan.uniform_loss(args.faults)
     if args.policy is not None:
         overrides["policy"] = args.policy
-    if args.policy_trace is not None:
-        with open(args.policy_trace) as fh:
-            overrides["policy_params"] = {"trace": json.load(fh)}
     return [s.with_(**overrides) for s in scenarios]
 
 
@@ -335,7 +311,6 @@ def _run(args) -> int:
         "resume": resume,
         "fresh run": not resume,
         "fork seed": args.fork_seed is not None,
-        "policy tooling": args.record_policy_trace is not None,
         "workers": args.workers != 1,
         "all schemes": args.all_schemes,
         "trace dir": args.trace is not None,
@@ -351,22 +326,6 @@ def _run(args) -> int:
 
         snap = load_snapshot(args.from_checkpoint)
         return _print_reports(args, [run_from_snapshot(snap, seed=args.fork_seed)])
-
-    if args.record_policy_trace is not None:
-        from .policies import record_trace
-
-        trace = record_trace(scenarios[0].with_(policy="linear", policy_params={}))
-        with open(args.record_policy_trace, "w") as fh:
-            json.dump(trace, fh)
-        print(
-            f"recorded per-cell load trace ({len(trace)} cells) -> "
-            f"{args.record_policy_trace}"
-        )
-        print(
-            f"replay with: python -m repro --scheme adaptive --policy "
-            f"oracle --policy-trace {args.record_policy_trace}"
-        )
-        return 0
 
     if args.trace is not None:
         from .obs import ObsConfig

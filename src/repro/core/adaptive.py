@@ -20,9 +20,8 @@ low threshold ``θ_l`` (enter borrowing) or the high threshold ``θ_h``
 (return to local); ``θ_l < θ_h`` gives hysteresis against flapping.
 The decision rule itself is pluggable (``repro.policies``): the
 default ``linear`` policy is the paper's predictor, bit-identically;
-alternatives (ewma, quantile, clairvoyant oracle, harvest/trade with
-SOLICIT/DONATE donation) swap in per scenario without touching this
-module — see docs/POLICIES.md.
+the ``quantile`` alternative swaps in per scenario without touching
+this module — see docs/POLICIES.md.
 
 Documented deviations from the TR pseudocode (see DESIGN.md §5):
 
@@ -68,7 +67,7 @@ from typing import Deque, Dict, Iterable, Optional, Set, Tuple
 from ..cellular.spectrum import channels, mask
 from ..policies.base import ModePolicy, make_policy
 from ..protocols.base import MSS
-from ..protocols.messages import ChangeMode, ReqType, Solicit, Timestamp
+from ..protocols.messages import ChangeMode, ReqType, Timestamp
 from ..sim import Collector, Gate
 from .mode import Mode
 from .requester import Requester
@@ -219,11 +218,6 @@ class AdaptiveMSS(Requester, Responder, MSS):
             horizon=2 * self.T,
             initial=len(self.PR),
         )
-        #: Only donation-aware policies override ``solicit_need``; for
-        #: the rest the mode check skips the call.
-        self._solicits = (
-            type(self.policy).solicit_need is not ModePolicy.solicit_need
-        )
         self._gate = Gate(self.env)
         self._req_ts: Optional[Timestamp] = None
         #: STATUS collectors keyed by CHANGE_MODE round id.  Several can
@@ -358,7 +352,7 @@ class AdaptiveMSS(Requester, Responder, MSS):
     # ------------------------------------------------------------------
     def _check_mode(self) -> None:
         # Runs once per handled message, so ``free_primary_count`` and
-        # ``Mode.is_borrowing`` are spelled out inline (no extra frames).
+        # the borrowing test are spelled out inline (no extra frames).
         use = self.use
         icount = self._icount
         s = 0
@@ -377,14 +371,6 @@ class AdaptiveMSS(Requester, Responder, MSS):
             if mode is Mode.BORROW_IDLE:
                 self._exit_borrowing()
         # Modes 2 and 3 never transition here (a request is in flight).
-        if self._solicits:
-            need = self.policy.solicit_need(t, s, self.mode.is_borrowing)
-            if need:
-                # Harvest extension: broadcast the shortfall so unloaded
-                # neighbors can volunteer channels (advisory; see Donate).
-                if "policy.solicit" in self._probes:
-                    self.env.emit("policy.solicit", (self.cell, need))
-                self._broadcast(Solicit(self.cell, need))
 
     def _enter_borrowing(self) -> None:
         if self.fastlane is not None:
@@ -446,12 +432,6 @@ class AdaptiveMSS(Requester, Responder, MSS):
         ]
         if not eligible:
             return None
-        # Harvest extension: a neighbor that recently volunteered a
-        # still-free channel beats the heuristics below (no-op for
-        # policies without a donation book).
-        donor = self.policy.preferred_donor(self.env._now, eligible, free)
-        if donor is not None:
-            return donor
         if self.best_policy == "first":
             return eligible[0]
         if self.best_policy == "random":

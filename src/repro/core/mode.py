@@ -14,7 +14,3 @@ class Mode(enum.IntEnum):
     BORROW_IDLE = 1
     BORROW_UPDATE = 2
     BORROW_SEARCH = 3
-
-    @property
-    def is_borrowing(self) -> bool:
-        return self is not Mode.LOCAL

@@ -1,10 +1,10 @@
 """The responding side of the adaptive scheme (Figs. 4, 5, 7 and 8).
 
 What a station does on a message: REQUEST (update and search),
-RESPONSE, CHANGE_MODE, ACQUISITION and RELEASE, the harvest policy's
-SOLICIT / DONATE, and the crash / restart hooks that void and rebuild
-that view.  A plain base of :class:`~repro.core.adaptive.AdaptiveMSS`
-(which holds the state these methods work on), not a scheme of its own.
+RESPONSE, CHANGE_MODE, ACQUISITION and RELEASE, and the crash / restart
+hooks that void and rebuild that view.  A plain base of
+:class:`~repro.core.adaptive.AdaptiveMSS` (which holds the state these
+methods work on), not a scheme of its own.
 """
 
 from __future__ import annotations
@@ -13,14 +13,12 @@ from ..protocols.messages import (
     Acquisition,
     AcqType,
     ChangeMode,
-    Donate,
     NO_CHANNEL,
     Release,
     ReqType,
     Request,
     Response,
     ResType,
-    Solicit,
     Timestamp,
 )
 from .mode import Mode
@@ -242,28 +240,6 @@ class Responder:
                 (self.cell, msg.sender, "granted_out", "discard", msg.channel),
             )
         self._check_mode()
-
-    # ------------------------------------------------------------------
-    # Harvest extension: SOLICIT / DONATE (repro.policies.harvest)
-    # ------------------------------------------------------------------
-    def _on_Solicit(self, msg: Solicit) -> None:
-        # Offer free primaries per local knowledge only; the donation
-        # is advisory, so an offer raced by a concurrent acquisition is
-        # merely useless, never unsafe (the permission round decides).
-        free = sorted(self.PR - self.use - self.interfered())
-        count = self.policy.consider_solicit(
-            self.env._now, msg.need, len(free), self.mode.is_borrowing
-        )
-        if count > 0:
-            channels = tuple(free[:count])
-            if "policy.donate" in self._probes:
-                self.env.emit("policy.donate", (self.cell, msg.sender, channels))
-            self._send(msg.sender, Donate(self.cell, channels))
-
-    def _on_Donate(self, msg: Donate) -> None:
-        self.policy.record_donation(
-            self.env._now, msg.sender, tuple(msg.channels)
-        )
 
     # ------------------------------------------------------------------
     # Crash / restart (fault injection)

@@ -18,7 +18,6 @@ from .stats import CI, compare, summarize
 from .sweeps import DEFAULT_COLUMNS, SweepResult, sweep, to_csv
 from .tables import format_value, render_table
 from .timeline import ModeSampler
-from .tuning import TuneResult, tune_policy
 
 __all__ = [
     "sweep",
@@ -54,6 +53,4 @@ __all__ = [
     "check_compatible",
     "render_table",
     "format_value",
-    "tune_policy",
-    "TuneResult",
 ]

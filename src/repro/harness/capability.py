@@ -15,9 +15,9 @@ A pair without a row is accepted and merely not drawn by the oracle.
 :func:`features` derives the vocabulary from one request and
 :func:`check_compatible` — the only place a combination is refused, with
 the only exception type — is called by every entry point before it
-builds anything.  The table names no scheme and no policy: a scheme owns
-its cells through ``MSS.fluid_model`` / ``MSS.policy_driven``, a policy
-through ``ModePolicy.fastlane_safe``.  ``docs/CAPABILITIES.md`` and the
+builds anything; it also refuses a policy name the registry does not
+know.  The table names no scheme and no policy: a scheme owns its cells
+through ``MSS.fluid_model``.  ``docs/CAPABILITIES.md`` and the
 ``--fastlane`` help text are generated from it.
 """
 
@@ -76,7 +76,6 @@ CAPABILITIES: Dict[Tuple[str, str], Verdict] = {
     ("fastlane", "fault plan"): _no("fault-plan actions target discrete per-cell state"),
     ("fastlane", "mobility"): _no("mobility needs handoff flows, which the fluid model lacks"),
     ("fastlane", "guard channels"): _no("guard channels reserve primaries for handoffs; fluid admission is plain Erlang loss"),
-    ("fastlane", "policy not fastlane_safe"): _no("it decides on more than the occupancy sample fastlane reconciles at promotion"),
     ("fastlane", "TrafficMix"): _no("the fluid model has one call class, a TrafficMix several"),
     ("fastlane", "checkpoint"): _no("a fluid cell's calls are analytic occupancy, not call records a snapshot can capture"),
     ("fastlane", "resume"): _no("a snapshot fixes its scenario, and no fastlane run has one"),
@@ -86,14 +85,12 @@ CAPABILITIES: Dict[Tuple[str, str], Verdict] = {
     ("checkpoint", "workers"): _no("a checkpoint captures one run, in this process"),
     ("checkpoint", "all schemes"): _no("a snapshot holds one scenario"),
     ("checkpoint", "resume"): _no("a resumed run goes to the horizon; it takes no checkpoint"),
-    **_ok("checkpoint", "fault plan", "obs", "policy not fastlane_safe", "guard channels"),
+    **_ok("checkpoint", "fault plan", "obs", "guard channels"),
     **_ok("checkpoint", "setup deadline", "planar grid", "random latency", "unordered links"),
     ("resume", "workers"): _no("a snapshot resumes as one run, in this process"),
     ("resume", "all schemes"): _no("a snapshot fixes its scheme"),
     ("resume", "trace dir"): _no("obs is part of the snapshot's scenario and cannot be added"),
     ("fresh run", "fork seed"): _no("a fork seed reseeds a snapshot; it needs --from-checkpoint"),
-    # policy tooling: record_trace / compare_policies / tune_policy.
-    ("policy tooling", "scheme not policy-driven"): _no("it drives a ModePolicy, which only a policy_driven scheme (the adaptive scheme) has"),
     # Every other lane's report is the classic kernel's, row for row.
     **{(lane, "classic kernel"): OK for lane in ("checkpoint", "workers", "result cache")},
 }
@@ -110,8 +107,8 @@ def features(scenario: Any = None, *, lanes: Iterable[str] = (), source: Any = N
     """The table's vocabulary one request switches on.
 
     ``lanes`` are the features only the caller knows (``"checkpoint"``,
-    ``"policy tooling"``, a CLI flag, ...); ``source`` is a live traffic
-    source, the one feature a :class:`Scenario` cannot carry.
+    a CLI flag, ...); ``source`` is a live traffic source, the one
+    feature a :class:`Scenario` cannot carry.
     """
     on = set(lanes)
     if source is not None and source.mix is not None:
@@ -122,8 +119,6 @@ def features(scenario: Any = None, *, lanes: Iterable[str] = (), source: Any = N
     derived = (
         ("fastlane", scenario.fastlane),
         ("scheme without fluid model", not scheme.fluid_model),
-        ("scheme not policy-driven", not scheme.policy_driven),
-        ("policy not fastlane_safe", scheme.policy_driven and not policy_spec(scenario.policy).fastlane_safe),
         ("fault plan", scenario.faults is not None and scenario.faults.enabled),
         ("mobility", scenario.mean_dwell is not None),
         ("guard channels", scenario.extra_params.get("guard_channels")),
@@ -134,10 +129,13 @@ def features(scenario: Any = None, *, lanes: Iterable[str] = (), source: Any = N
 
 def check_compatible(scenario: Any = None, *, lanes: Iterable[str] = (), source: Any = None) -> None:
     """Raise :class:`CompatibilityError` if the request (see
-    :func:`features`) switches on both sides of a ``rejected`` row.
+    :func:`features`) switches on both sides of a ``rejected`` row, and
+    ``ValueError`` if a policy-driven scenario names an unknown policy.
 
     Every entry point calls this before it builds anything.
     """
+    if scenario is not None and SCHEMES.get(scenario.scheme, MSS).policy_driven:
+        policy_spec(scenario.policy)
     on = features(scenario, lanes=lanes, source=source)
     for a, b, reason in _REJECTED:
         if a in on and b in on:

@@ -115,9 +115,9 @@ class Scenario:
     #: default "linear" is the paper's sliding-window predictor and is
     #: bit-identical to the pre-registry behaviour.
     policy: str = "linear"
-    #: Policy-specific constructor parameters (e.g. ``{"beta": 0.5}``
-    #: for "ewma", ``{"trace": {...}}`` for "oracle").  Participates in
-    #: the scenario JSON, hence in result-cache keys.
+    #: Policy-specific constructor parameters (e.g. ``{"q": 0.1}`` for
+    #: "quantile").  Participates in the scenario JSON, hence in
+    #: result-cache keys.
     policy_params: Dict[str, Any] = field(default_factory=dict)
 
     # -- baseline parameters -------------------------------------------------------

@@ -3,7 +3,7 @@
 The paper's entire evaluation is a grid of independent
 (scheme, parameter, seed) simulations, and ``run_cells`` is the one way
 this repo runs such a grid — every experiment under ``benchmarks/``,
-``sweep``, cold ``run_replications``, the policy tooling, the CLI.  Cells
+``sweep``, cold ``run_replications``, the CLI.  Cells
 fan out over a ``multiprocessing`` pool: each worker rebuilds its
 simulation from a pickled :class:`~repro.harness.config.Scenario` and
 returns the finished :class:`~repro.harness.runner.Report`.

@@ -150,11 +150,6 @@ class Report:
     #: neighbors at local acquisitions (the paper's N_borrow); 0 for
     #: other schemes.
     measured_n_borrow: float = 0.0
-    #: Drop-rate excess over the clairvoyant oracle on the same
-    #: (scenario, seed) — filled by ``repro.policies.compare_policies``;
-    #: None for runs outside a policy comparison.  The oracle's own
-    #: regret is exactly 0.0 by construction.
-    regret_vs_oracle: Optional[float] = None
     #: Fast-lane divergence summary (see ``FastLane.summary``); None
     #: when the run did not use the hybrid analytic lane.
     fastlane: Optional[Dict[str, Any]] = None

@@ -3,23 +3,16 @@
 The decision rule behind ``check_mode`` (Fig. 6) — *when should a cell
 enter or leave borrowing mode?* — is a :class:`ModePolicy` selected
 per scenario (``Scenario.policy``, CLI ``--policy``).  The registry
-ships five entries:
+ships two entries:
 
 * ``linear`` — the paper's NFC linear extrapolation (the default;
   bit-identical to the pre-registry simulator);
-* ``ewma`` — exponentially weighted level + trend extrapolation;
-* ``quantile`` — rank statistic over the sample window;
-* ``oracle`` — clairvoyant replay of a recorded load trace (the
-  regret yardstick, see :mod:`repro.policies.compare`);
-* ``harvest`` — linear predictor plus a SOLICIT/DONATE donation
-  market steering borrow-target selection.
+* ``quantile`` — rank statistic over the sample window.
 
 A new controller is a one-file drop-in: subclass :class:`ModePolicy`,
 decorate with :func:`register_policy`, and every harness entry point
-(sweeps, cache, snapshots, CLI, bench) picks it up by name.
-
-See docs/POLICIES.md for the handbook: rule semantics, tuning
-workflow, oracle-trace recording and the regret metric.
+(sweeps, cache, snapshots, CLI, bench) picks it up by name.  It stays
+only if it passes the rule in docs/POLICIES.md.
 """
 
 # Import order matters: `base` must be fully loaded before the policy
@@ -33,11 +26,7 @@ from .base import (
     register_policy,
 )
 from .linear import LinearPolicy
-from .ewma import EwmaPolicy
 from .quantile import QuantilePolicy
-from .oracle import OraclePolicy
-from .harvest import HarvestPolicy
-from .compare import PolicyComparison, compare_policies, record_trace
 
 __all__ = [
     "ModePolicy",
@@ -46,11 +35,5 @@ __all__ = [
     "policy_spec",
     "policy_names",
     "LinearPolicy",
-    "EwmaPolicy",
     "QuantilePolicy",
-    "OraclePolicy",
-    "HarvestPolicy",
-    "record_trace",
-    "compare_policies",
-    "PolicyComparison",
 ]

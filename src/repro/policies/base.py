@@ -16,20 +16,17 @@ Design constraints (why the interface looks the way it does):
   and warm forks sound (this package is in the scope of the
   state-isolation rules ANA201–ANA204 and ANA301, see docs/CHECKS.md).
 * **Deterministic.**  No randomness, no wall clock; every input
-  arrives through ``decide``/the hook arguments.
+  arrives through ``decide``.
 * **Snapshot round-trippable.**  ``state_dict``/``load_state`` move
   the complete mutable state through plain JSON-safe data; the
   snapshot codec (``repro.snap.state``) calls them per station.
 * **No protocol knowledge.**  Policies see sample streams and answer
-  questions; the station owns modes, messages and safety.  The
-  harvest hooks (``solicit_need`` …) are advisory — acquisitions
-  always run the full permission protocol regardless of what a policy
-  suggests.
+  one question; the station owns modes, messages and safety.
 """
 
 from __future__ import annotations
 
-from typing import Any, ClassVar, Dict, Iterable, List, Optional, Set, Tuple, Type
+from typing import Any, ClassVar, Dict, List, Optional, Type
 
 __all__ = ["ModePolicy", "register_policy", "policy_spec", "make_policy", "policy_names"]
 
@@ -80,10 +77,9 @@ def make_policy(
     """Instantiate the registered policy ``name`` for one station.
 
     ``params`` are the policy-specific keyword arguments from
-    ``Scenario.policy_params`` (e.g. the oracle's ``trace`` or the
-    EWMA's ``beta``); the remaining arguments are the station-derived
-    context every policy receives.  Unknown parameters raise
-    ``ValueError`` naming the policy.
+    ``Scenario.policy_params`` (e.g. the quantile's ``q``); the
+    remaining arguments are the station-derived context every policy
+    receives.  Unknown parameters raise ``ValueError`` naming the policy.
     """
     cls = policy_spec(name)
     try:
@@ -103,20 +99,13 @@ def make_policy(
 class ModePolicy:
     """Base class for mode-switching decision rules.
 
-    Subclasses implement :meth:`decide` (and usually
-    :meth:`predict_at`, :meth:`state_dict`, :meth:`load_state`); the
-    harvest hooks have no-op defaults so only donation-aware policies
-    pay for them.
+    Subclasses implement :meth:`decide`, :meth:`reset`,
+    :meth:`state_dict`, :meth:`load_state` and usually
+    :meth:`predict_at`.
     """
 
     #: Registry key; also the ``Scenario.policy`` value.
     name: ClassVar[str] = ""
-    #: True when the policy's state can be honestly reconciled after an
-    #: analytically advanced (fast-lane) interval.  The clairvoyant
-    #: oracle and the harvest policy are not — their state references
-    #: history/peers the fluid model never produced — so fast-lane runs
-    #: reject them (see ``build_simulation``).
-    fastlane_safe: ClassVar[bool] = False
 
     def __init__(
         self,
@@ -134,9 +123,6 @@ class ModePolicy:
         self.window = window
         self.horizon = horizon
         self.initial = initial
-        #: Policy-specific parameters for :meth:`to_config` round-trips;
-        #: subclasses that take extra kwargs record them here.
-        self.params: Dict[str, Any] = {}
 
     # -- the decision rule ---------------------------------------------------
     def decide(self, t: float, s: int, borrowing: bool) -> Optional[bool]:
@@ -175,33 +161,3 @@ class ModePolicy:
     def load_state(self, data: Dict[str, Any]) -> None:
         """Inverse of :meth:`state_dict` (accepts its JSON round trip)."""
         raise NotImplementedError
-
-    def to_config(self) -> Dict[str, Any]:
-        """The ``(name, params)`` pair that reconstructs this policy."""
-        return {"name": self.name, "params": dict(self.params)}
-
-    # -- harvest/trade hooks (no-ops outside the harvest policy) -------------
-    def solicit_need(self, t: float, s: int, borrowing: bool) -> Optional[int]:
-        """How many channels to solicit from neighbors right now
-        (``None``/0 = don't).  Called after every decide."""
-        return None
-
-    def consider_solicit(
-        self, t: float, need: int, surplus: int, borrowing: bool
-    ) -> int:
-        """How many of our ``surplus`` free primaries to offer a
-        soliciting neighbor asking for ``need`` (0 = decline)."""
-        return 0
-
-    def record_donation(
-        self, t: float, donor: int, channels: Tuple[int, ...]
-    ) -> None:
-        """A neighbor offered ``channels`` for borrowing."""
-
-    def preferred_donor(
-        self, t: float, eligible: Iterable[int], free: Set[int]
-    ) -> Optional[int]:
-        """A borrow target to prefer over the Fig. 10 heuristic, or
-        ``None``.  Must return a member of ``eligible``; the suggestion
-        is advisory — the full permission round still decides."""
-        return None

@@ -24,7 +24,6 @@ class LinearPolicy(ModePolicy):
     """Fig. 6: threshold test on the NFC linear extrapolation."""
 
     name = "linear"
-    fastlane_safe = True
 
     def __init__(self, **context: Any) -> None:
         super().__init__(**context)

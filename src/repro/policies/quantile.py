@@ -13,7 +13,7 @@ overshoots like it.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from .base import ModePolicy, register_policy
 
@@ -25,22 +25,17 @@ class QuantilePolicy(ModePolicy):
     """Threshold test on the q-quantile of the sample window."""
 
     name = "quantile"
-    fastlane_safe = True
 
     def __init__(self, q: float = 0.25, **context: Any) -> None:
         super().__init__(**context)
         if not 0.0 <= q <= 1.0:
             raise ValueError("q must be in [0, 1]")
         self.q = float(q)
-        self.params = {"q": self.q}
         self._samples: Deque[Tuple[float, int]] = deque()
         self._initial = self.initial
 
-    def _quantile(self) -> float:
-        if self._samples:
-            values = sorted(s for _t, s in self._samples)
-        else:
-            values = [self._initial]
+    def _quantile(self, values: List[int]) -> float:
+        values = sorted(values) if values else [self._initial]
         # Deterministic lower-rank quantile (no interpolation).
         index = int(self.q * (len(values) - 1))
         return float(values[index])
@@ -51,7 +46,7 @@ class QuantilePolicy(ModePolicy):
         horizon = t - self.window
         while samples and samples[0][0] < horizon:
             samples.popleft()
-        predicted = self._quantile()
+        predicted = self._quantile([v for _t, v in samples])
         if not borrowing and predicted < self.theta_low:
             return True
         if borrowing and predicted >= self.theta_high:
@@ -59,7 +54,15 @@ class QuantilePolicy(ModePolicy):
         return None
 
     def predict_at(self, t: float) -> Optional[float]:
-        return self._quantile()
+        # The window at ``t``, not at the last decide: samples older
+        # than ``t - W`` no longer count.  With none left the free
+        # count has held at the newest sample since.
+        samples = self._samples
+        horizon = t - self.window
+        values = [v for tv, v in samples if tv >= horizon]
+        if not values and samples:
+            values = [samples[-1][1]]
+        return self._quantile(values)
 
     def reset(self, initial: int) -> None:
         self._samples.clear()

@@ -15,14 +15,12 @@ from .messages import (
     Acquisition,
     AcqType,
     ChangeMode,
-    Donate,
     NO_CHANNEL,
     Release,
     ReqType,
     Request,
     ResType,
     Response,
-    Solicit,
     Timestamp,
 )
 from .monitor import InterferenceMonitor, InterferenceViolation
@@ -45,8 +43,6 @@ __all__ = [
     "ChangeMode",
     "Acquisition",
     "Release",
-    "Solicit",
-    "Donate",
     "ReqType",
     "ResType",
     "AcqType",

@@ -30,8 +30,6 @@ __all__ = [
     "ChangeMode",
     "Acquisition",
     "Release",
-    "Solicit",
-    "Donate",
     "NO_CHANNEL",
 ]
 
@@ -131,31 +129,3 @@ class Release(Message):
 
     sender: int
     channel: int
-
-
-@dataclass(frozen=True)
-class Solicit(Message):
-    """SOLICIT(j, need): sender j is starved and solicits donations.
-
-    Extension used by the ``harvest`` mode policy (not in the paper):
-    a borrowing-mode cell whose predictor stays below θ_l broadcasts
-    its shortfall to the interference region instead of borrowing
-    blind.  Purely advisory — it changes no channel state.
-    """
-
-    sender: int
-    need: int
-
-
-@dataclass(frozen=True)
-class Donate(Message):
-    """DONATE(j, channels): sender j offers free primaries for borrowing.
-
-    Reply to a :class:`Solicit` (harvest policy extension).  The offer
-    is advisory: the solicitor still acquires any donated channel
-    through the full update-round permission protocol, so donation
-    adds no new safety obligations — it only steers target selection.
-    """
-
-    sender: int
-    channels: Tuple[int, ...]

@@ -189,7 +189,6 @@ WITNESS = {
     "resume": dict(lanes=("resume",), argv=["--from-checkpoint", "no-such.snap"]),
     "fresh run": dict(lanes=("fresh run",), argv=[]),
     "fork seed": dict(lanes=("fork seed",), argv=["--fork-seed", "3"]),
-    "policy tooling": dict(lanes=("policy tooling",), argv=["--record-policy-trace", "trace.json"]),
     "workers": dict(lanes=("workers",), argv=["--workers", "2"]),
     "result cache": dict(),
     "all schemes": dict(lanes=("all schemes",), argv=["--all-schemes"]),
@@ -197,8 +196,6 @@ WITNESS = {
     "scheme without fluid model": dict(
         scenario=dict(scheme="basic_update"), argv=["--scheme", "basic_update"]
     ),
-    "scheme not policy-driven": dict(scenario=dict(scheme="fixed"), argv=["--scheme", "fixed"]),
-    "policy not fastlane_safe": dict(scenario=dict(policy="harvest"), argv=["--policy", "harvest"]),
     "fault plan": dict(scenario=dict(faults=HOSTILE_FAULTS), argv=["--faults", "0.05"]),
     "mobility": dict(scenario=dict(mean_dwell=600.0), argv=["--dwell", "600"]),
     "guard channels": dict(scenario=dict(extra_params={"guard_channels": 2})),

@@ -323,7 +323,10 @@ def test_snapshot_written_by_the_parent_commit_restores_and_recheckpoints(name):
     assert sim.metrics.records.rows() == snap.state["metrics"]["records"]
     assert checkpoint(sim).to_bytes() == data
     report = run_from_snapshot(snap)
-    assert plain_row(report) == json.loads(json.dumps(expected["row"], sort_keys=True))
+    # The fixture rows predate the removal of a Report column that was always null here.
+    row = dict(expected["row"])
+    assert row.pop("regret_vs_oracle") is None
+    assert plain_row(report) == json.loads(json.dumps(row, sort_keys=True))
     records = [tuple(r) for r in report.metrics.records]
     assert len(records) == expected["offered"]
     assert hashlib.sha256(repr(records).encode()).hexdigest()[:16] == expected["records_digest"]

@@ -21,6 +21,7 @@ Budget: ``max_examples`` below (80 fork, 30 cache, 3×4 workers,
 """
 
 import inspect
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -32,16 +33,15 @@ from repro.__main__ import main
 from repro.harness import (
     CompatibilityError,
     ResultCache,
+    Scenario,
     build_simulation,
     check_compatible,
     run_cells,
     run_replications,
     run_scenario,
-    tune_policy,
 )
 from repro.harness.capability import CAPABILITIES, SCHEMES
 from repro.harness.fastlane import FastLane
-from repro.policies import compare_policies
 from repro.policies.base import policy_names
 from repro.snap import SnapshotError, checkpoint, run_from_snapshot, run_to_checkpoint
 
@@ -82,8 +82,6 @@ def entry_points(scenario, lanes, source):
             lambda: run_replications(scenario, 2, warmup_checkpoint=0.0),
             lambda: checkpoint(fake_sim),
         ]
-    if lanes == {"policy tooling"}:
-        return [lambda: compare_policies(scenario), lambda: tune_policy(scenario)]
     return []
 
 
@@ -121,6 +119,19 @@ def test_run_replications_refuses_workers_when_forking(nothing_constructed, monk
     monkeypatch.undo()  # lift nothing_constructed: workers=1 must still fork
     forked = run_replications(scenario, 2, workers=1, cache=False, warmup_checkpoint=0.0)
     assert [r.scenario.seed for r in forked] == [scenario.seed, scenario.seed + 1]
+
+
+def test_unknown_policy_is_refused_before_anything_is_built(nothing_constructed):
+    scenario = Scenario(policy="harvest", duration=160.0, warmup=40.0)
+    calls = [
+        lambda: run_scenario(scenario),
+        lambda: run_cells([scenario], cache=False),
+        lambda: run_cells([scenario] * 2, workers=2, cache=False),
+        lambda: run_to_checkpoint(scenario, 0.0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape("available: ['linear', 'quantile']")):
+            call()
 
 
 def test_accepted_request_is_silent():
@@ -170,9 +181,7 @@ def scenarios(draw, lane, **fixed):
         warmup=40.0,
     )
     if SCHEMES[scheme].policy_driven:
-        fields["policy"] = draw(
-            st.sampled_from([p for p in policy_names() if p != "oracle" and accepted(lane, policy=p)])
-        )
+        fields["policy"] = draw(st.sampled_from([p for p in policy_names() if accepted(lane, policy=p)]))
     ok = sorted(
         name for (a, name), verdict in CAPABILITIES.items()
         if a == lane and verdict.kind == "ok" and "scenario" in WITNESS[name]

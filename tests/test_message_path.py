@@ -107,14 +107,11 @@ def test_subscribers_never_change_a_run(bare, name):
 
 
 #: Catalogued kinds none of the three scenarios can reach: they need
-#: the fast lane or the harvest policy, or a loss pattern (terminally
-#: lost ACQUISITION, traffic across the severed link) these short runs
-#: do not produce.
+#: the fast lane, or a loss pattern (terminally lost ACQUISITION,
+#: traffic across the severed link) these short runs do not produce.
 NOT_DRIVEN = {
     "fastlane.demote",
     "fastlane.promote",
-    "policy.solicit",
-    "policy.donate",
     "fault.ack_timeout",
     "fault.partition",
 }

@@ -485,11 +485,7 @@ LAYOUT_CASES = {
         small("adaptive", offered_load=14.0, obs=ObsConfig(sample_interval=10.0)),
         80.0,
     ),
-    **{
-        policy: (small("adaptive", offered_load=14.0, policy=policy), 120.0)
-        for policy in ("ewma", "quantile", "harvest")
-    },
-    "oracle": (small("adaptive", offered_load=13.0, policy="oracle"), 80.0),
+    "quantile": (small("adaptive", offered_load=14.0, policy="quantile"), 120.0),
     "random-best": (
         small(
             "adaptive",
@@ -517,10 +513,7 @@ LAYOUT_PINS = {
     "mobility": "6c49eb1de7111630ebf3e73561db960b0c430b0a43220913e6163e8394b3898f",
     "faults": "b24344d3b07a077716038bf0f74a6128f109df539baaeb837e3049e30168a387",
     "obs": "cb91f8f13feba55528483d305ea04f3c756d9a70dc4594302a9dae8d9d5f7799",
-    "ewma": "f1a9f9078d72b97ff4f008f8e89f6fd7b3fefbafae4b5b91319e1e0bfbbd8d30",
     "quantile": "e26d21a7c2f07b8fa305a457d1236db80a8d7cc25800bf7a6c622b2a61365016",
-    "harvest": "a99b3f3a0d703b3b801dc27b9f5849054f760414cacdfc7466183df11af5487a",
-    "oracle": "03bb8704281285e70e4c4532806ec957e63454711f0c089211932ebb441feaf1",
     "random-best": "a5acb084021c60dea74db77cbbf061cc8734d03bdf073c7c9998c50702298b24",
 }
 
