@@ -10,7 +10,8 @@ title promises.
 Run:  python examples/mode_timeline.py
 """
 
-from repro.harness import ModeSampler, Scenario, build_simulation, sparkline
+from repro.harness import Scenario, build_simulation, sparkline
+from repro.obs import ObsConfig, borrowing_fraction, mode_timeline
 from repro.traffic import TemporalHotspot
 
 HOLDING = 180.0
@@ -33,24 +34,28 @@ def main() -> None:
         duration=4000.0,
         warmup=0.0,
         seed=19,
+        obs=ObsConfig(sample_interval=40.0),
     )
-    sim = build_simulation(scenario)
-    sampler = ModeSampler(sim.env, sim.stations, interval=40.0)
-    report = sim.run()
+    report = build_simulation(scenario).run()
+    series = report.obs.series
+    cells = series["cells"]
 
     print("Rush hour t in [1200, 2800); sampled every 40 time units.")
     print()
     print("Downtown cells:")
-    print(sampler.timeline(cells=DOWNTOWN))
+    print("\n".join(mode_timeline(series, DOWNTOWN)))
     print()
     print("Suburban cells:")
-    print(sampler.timeline(cells=SUBURBS))
+    print("\n".join(mode_timeline(series, SUBURBS)))
     print()
-    series = sampler.system_borrowing_series()
-    print(f"System borrowing fraction over time: {sparkline(series)}")
+    system = [
+        borrowing_fraction(sample)
+        for sample in zip(*(c["mode"] for c in cells.values()))
+    ]
+    print(f"System borrowing fraction over time: {sparkline(system)}")
     print()
-    hot_frac = sum(sampler.borrowing_fraction(c) for c in DOWNTOWN) / len(DOWNTOWN)
-    cool_frac = sum(sampler.borrowing_fraction(c) for c in SUBURBS) / len(SUBURBS)
+    hot_frac = sum(borrowing_fraction(cells[c]["mode"]) for c in DOWNTOWN) / len(DOWNTOWN)
+    cool_frac = sum(borrowing_fraction(cells[c]["mode"]) for c in SUBURBS) / len(SUBURBS)
     print(
         f"Borrowing-mode occupancy: downtown {hot_frac:.1%}, "
         f"suburbs {cool_frac:.1%}; drop rate {report.drop_rate:.4f}, "

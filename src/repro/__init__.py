@@ -55,7 +55,6 @@ _HARNESS_EXPORTS = (
     "summarize",
     "compare",
     "render_table",
-    "ModeSampler",
 )
 
 

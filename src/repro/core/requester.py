@@ -249,10 +249,6 @@ class Requester:
                 else:
                     self._send(j, Response(ResType.GRANT, self.cell, q, rid))
                     self._mirror_add(self.granted_out, j, q)
-                    if "mirror.update" in self._probes:
-                        self.env.emit(
-                            "mirror.update", (self.cell, j, "granted_out", "add", q)
-                        )
             else:
                 self._respond_search(j, _ts, rid)
 

@@ -67,10 +67,6 @@ class Responder:
     def _grant_update(self, r: int, sender: int, rid: int) -> None:
         self._send(sender, Response(ResType.GRANT, self.cell, r, rid))
         self._mirror_add(self.granted_out, sender, r)
-        if "mirror.update" in self._probes:
-            self.env.emit(
-                "mirror.update", (self.cell, sender, "granted_out", "add", r)
-            )
         self._check_mode()
 
     def _handle_search_request(self, msg: Request) -> None:
@@ -151,10 +147,6 @@ class Responder:
             # Full-state refresh: replace (not merge) the mirrored set —
             # this also heals any stale entries (see DESIGN.md §5 note 6).
             self._mirror_replace(self.U, msg.sender, msg.payload)
-            if "mirror.update" in self._probes:
-                self.env.emit(
-                    "mirror.update", (self.cell, msg.sender, "U", "replace", None)
-                )
             collector = self._status_collectors.get(msg.round_id)
             if (  # ``_awaited``'s test: two lookups, no set difference
                 collector is not None
@@ -172,10 +164,6 @@ class Responder:
                 # Search responses carry the responder's full Use set:
                 # replace our mirror, then hand it to the waiting round.
                 self._mirror_replace(self.U, msg.sender, msg.payload)
-                if "mirror.update" in self._probes:
-                    self.env.emit(
-                        "mirror.update", (self.cell, msg.sender, "U", "replace", None)
-                    )
                 self._collector.deliver(msg.sender, frozenset(msg.payload))
             else:
                 self._collector.deliver(msg.sender, msg.res_type)
@@ -198,16 +186,7 @@ class Responder:
     def _on_Acquisition(self, msg: Acquisition) -> None:
         if msg.channel != NO_CHANNEL:
             self._mirror_add(self.U, msg.sender, msg.channel)
-            if "mirror.update" in self._probes:
-                self.env.emit(
-                    "mirror.update", (self.cell, msg.sender, "U", "add", msg.channel)
-                )
             self._mirror_discard(self.granted_out, msg.sender, msg.channel)
-            if "mirror.update" in self._probes:
-                self.env.emit(
-                    "mirror.update",
-                    (self.cell, msg.sender, "granted_out", "discard", msg.channel),
-                )
         self._check_mode()
         if msg.acq_type is AcqType.SEARCH:
             if msg.sender not in self._owed_acks:
@@ -229,16 +208,7 @@ class Responder:
 
     def _on_Release(self, msg: Release) -> None:
         self._mirror_discard(self.U, msg.sender, msg.channel)
-        if "mirror.update" in self._probes:
-            self.env.emit(
-                "mirror.update", (self.cell, msg.sender, "U", "discard", msg.channel)
-            )
         self._mirror_discard(self.granted_out, msg.sender, msg.channel)
-        if "mirror.update" in self._probes:
-            self.env.emit(
-                "mirror.update",
-                (self.cell, msg.sender, "granted_out", "discard", msg.channel),
-            )
         self._check_mode()
 
     # ------------------------------------------------------------------
@@ -267,13 +237,7 @@ class Responder:
             # protection is the ack-timeout backstop on their side).
             for j in self.IN:
                 self._mirror_replace(self.U, j, ())
-                if "mirror.update" in self._probes:
-                    self.env.emit("mirror.update", (self.cell, j, "U", "replace", None))
                 self._mirror_replace(self.granted_out, j, ())
-                if "mirror.update" in self._probes:
-                    self.env.emit(
-                        "mirror.update", (self.cell, j, "granted_out", "replace", None)
-                    )
             self.UpdateS.clear()
             for sender in tuple(self._owed_acks):
                 del self._owed_acks[sender]

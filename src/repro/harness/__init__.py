@@ -17,7 +17,6 @@ from .presets import PRESETS, preset, preset_names
 from .stats import CI, compare, summarize
 from .sweeps import DEFAULT_COLUMNS, SweepResult, sweep, to_csv
 from .tables import format_value, render_table
-from .timeline import ModeSampler
 
 __all__ = [
     "sweep",
@@ -41,7 +40,6 @@ __all__ = [
     "preset",
     "preset_names",
     "PRESETS",
-    "ModeSampler",
     "Scenario",
     "Report",
     "Simulation",

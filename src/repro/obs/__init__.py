@@ -31,8 +31,10 @@ from .timeseries import (
     MODE_GLYPHS,
     TimeSeriesRecorder,
     UNKNOWN_MODE,
+    borrowing_fraction,
     coerce_mode,
     mode_glyph,
+    mode_timeline,
 )
 
 __all__ = [
@@ -50,4 +52,6 @@ __all__ = [
     "UNKNOWN_MODE",
     "coerce_mode",
     "mode_glyph",
+    "mode_timeline",
+    "borrowing_fraction",
 ]

@@ -31,7 +31,7 @@ import json
 import os
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .timeseries import mode_glyph
+from .timeseries import borrowing_fraction, mode_timeline
 
 __all__ = ["trace_events", "write_run_artifacts", "write_manifest"]
 
@@ -212,36 +212,13 @@ def _region_size(scenario: Any) -> float:
     return sum(sizes) / len(sizes) if sizes else 0.0
 
 
-def _mode_timeline(obs: Any, timeline_cells: int, width: int = 72) -> List[str]:
-    """ASCII mode timeline of the busiest borrowers, from the series."""
-    series = obs.series
-    times = series.get("times") or []
-    if not times:
-        return ["(no time-series samples)"]
+def _mode_timeline(series: Dict[str, Any], timeline_cells: int) -> List[str]:
+    """Fenced ASCII mode timeline of the busiest borrowers."""
     cells = series["cells"]
-
-    def borrow_fraction(data: Dict[str, Any]) -> float:
-        modes = data["mode"]
-        return sum(1 for v in modes if v > 0) / len(modes) if modes else 0.0
-
     ranked = sorted(
-        cells, key=lambda c: (-borrow_fraction(cells[c]), int(c))
+        cells, key=lambda c: (-borrowing_fraction(cells[c]["mode"]), int(c))
     )
-    chosen = sorted(ranked[:timeline_cells], key=int)
-    n = len(times)
-    stride = max(1, n // width)
-    label_w = max(len(str(c)) for c in chosen)
-    lines = ["```"]
-    for cell in chosen:
-        modes = cells[cell]["mode"]
-        row = "".join(mode_glyph(modes[i]) for i in range(0, n, stride))
-        lines.append(f"{str(cell).rjust(label_w)} {row}")
-    lines.append(
-        f"{' ' * label_w} (t = {times[0]:g} .. {times[-1]:g}; "
-        ". local, b idle-borrowing, U update, S search, ? unknown)"
-    )
-    lines.append("```")
-    return lines
+    return ["```", *mode_timeline(series, ranked[:timeline_cells]), "```"]
 
 
 def _render_report_md(report: Any) -> str:
@@ -386,7 +363,7 @@ def _render_report_md(report: Any) -> str:
     if obs is not None and obs.series.get("times"):
         timeline_cells = (obs.config or {}).get("timeline_cells", 12)
         lines += ["", "## Mode timeline (busiest borrowers)", ""]
-        lines += _mode_timeline(obs, timeline_cells)
+        lines += _mode_timeline(obs.series, timeline_cells)
 
     if obs is not None and obs.kernel.get("sim_times"):
         kernel = obs.kernel

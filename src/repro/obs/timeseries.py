@@ -13,22 +13,27 @@ and records, per cell:
   ``IN_i`` (the load the cell's borrowing machinery actually reacts to).
 
 The glyph helpers (:data:`MODE_GLYPHS`, :func:`mode_glyph`,
-:func:`coerce_mode`) are the single source of truth for rendering mode
-values as ASCII timelines; ``repro.harness.timeline.ModeSampler`` and
-the run-report writer both use them, so an unknown or transient mode
-value renders as ``?`` everywhere instead of raising.
+:func:`coerce_mode`) and the renderer over a recorded series
+(:func:`mode_timeline`, :func:`borrowing_fraction`) are the single
+source of truth for mode timelines: the run report's timeline is
+drawn by them, and so is anything that watches a run's modes through
+``Scenario(obs=ObsConfig(sample_interval=...))`` and
+``report.obs.series``.  An unknown or transient mode value renders as
+``?`` everywhere instead of raising.
 """
 
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
 __all__ = [
     "MODE_GLYPHS",
     "UNKNOWN_MODE",
     "coerce_mode",
     "mode_glyph",
+    "borrowing_fraction",
+    "mode_timeline",
     "TimeSeriesRecorder",
 ]
 
@@ -64,6 +69,44 @@ def coerce_mode(value: Any) -> int:
 def mode_glyph(value: Any) -> str:
     """The timeline glyph for a (possibly raw) mode value; ``?`` if odd."""
     return MODE_GLYPHS.get(coerce_mode(value), "?")
+
+
+def borrowing_fraction(modes: Sequence[int]) -> float:
+    """Fraction of mode samples outside local mode; 0.0 for none.
+
+    ``v > 0``: :data:`UNKNOWN_MODE` samples are not borrowing.
+    """
+    return sum(1 for v in modes if v > 0) / len(modes) if modes else 0.0
+
+
+def mode_timeline(
+    series: Mapping[str, Any], cells: Optional[Iterable[Any]] = None
+) -> List[str]:
+    """ASCII mode timeline of a :meth:`TimeSeriesRecorder.to_dict` series.
+
+    One row per cell (``cells``, default all, ascending) with the
+    samples thinned to about 72 columns, then a line giving the time
+    span and the glyph legend.  Cell keys may be ints or, in a series
+    read back from ``timeseries.json``, their strings.
+    """
+    times = series.get("times") or []
+    if not times:
+        return ["(no time-series samples)"]
+    modes = {int(c): data["mode"] for c, data in series["cells"].items()}
+    chosen = sorted(int(c) for c in (modes if cells is None else cells))
+    n = len(times)
+    stride = max(1, n // 72)
+    label_w = max(len(str(c)) for c in chosen)
+    lines = [
+        f"{str(c).rjust(label_w)} "
+        + "".join(mode_glyph(modes[c][i]) for i in range(0, n, stride))
+        for c in chosen
+    ]
+    lines.append(
+        f"{' ' * label_w} (t = {times[0]:g} .. {times[-1]:g}; "
+        ". local, b idle-borrowing, U update, S search, ? unknown)"
+    )
+    return lines
 
 
 class TimeSeriesRecorder:

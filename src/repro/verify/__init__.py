@@ -10,12 +10,9 @@ engine's probe bus (:meth:`repro.sim.Environment.subscribe`):
 * :class:`CausalityChecker` — hardens the FIFO-link assumption: per
   (src, dst) link, messages must deliver in send order, and no node
   may send a RESPONSE for a round whose REQUEST/CHANGE_MODE it has not
-  yet received.
-* :class:`VectorClockChecker` — happens-before oracle: stamps every
-  logical send with a vector clock, checks causal delivery per link,
-  and flags causally unordered writes to the per-neighbor state
-  mirrors (``mirror_race``) — the dynamic counterpart of the static
-  cross-cell access rule (ANA201, ``python -m tools.check``).
+  yet received.  Its FIFO check is the runtime counterpart of the
+  static state-isolation rules (ANA201–ANA203, ``python -m
+  tools.check``).
 * :class:`QuiescenceChecker` — end-of-run hygiene: every acquired
   channel released, every channel request resolved.
 
@@ -23,7 +20,7 @@ All sanitizers share the :class:`InterferenceMonitor` policy API:
 ``policy="raise"`` fails loudly on the first violation (tests),
 ``policy="record"`` accumulates violations for inspection.
 
-:class:`SanitizerSuite` bundles the four and attaches them to a
+:class:`SanitizerSuite` bundles the three and attaches them to a
 simulation in one call; the pytest ``conftest`` enables it globally
 via :func:`set_default_policy`.
 """
@@ -35,7 +32,6 @@ from .causality import CausalityChecker, CausalityViolation
 from .deadlock import DeadlockDetector, DeadlockViolation
 from .quiescence import QuiescenceChecker, QuiescenceViolation
 from .suite import SanitizerSuite
-from .vectorclock import VectorClockChecker, VectorClockViolation
 
 __all__ = [
     "Sanitizer",
@@ -46,8 +42,6 @@ __all__ = [
     "CausalityViolation",
     "QuiescenceChecker",
     "QuiescenceViolation",
-    "VectorClockChecker",
-    "VectorClockViolation",
     "SanitizerSuite",
     "set_default_policy",
     "get_default_policy",

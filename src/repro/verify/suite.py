@@ -1,8 +1,8 @@
 """Bundle of all runtime sanitizers, attached in one call.
 
 ``SanitizerSuite(env, network)`` wires a :class:`DeadlockDetector`, a
-:class:`CausalityChecker`, a :class:`VectorClockChecker` and a
-:class:`QuiescenceChecker` to the environment's probe bus.  The harness attaches one automatically when
+:class:`CausalityChecker` and a :class:`QuiescenceChecker` to the
+environment's probe bus.  The harness attaches one automatically when
 :func:`repro.verify.set_default_policy` is active (the pytest suite
 turns it on globally), so every scenario run is sanitized without any
 per-test plumbing.
@@ -17,13 +17,12 @@ from .base import Sanitizer, Violation
 from .causality import CausalityChecker
 from .deadlock import DeadlockDetector
 from .quiescence import QuiescenceChecker
-from .vectorclock import VectorClockChecker
 
 __all__ = ["SanitizerSuite"]
 
 
 class SanitizerSuite:
-    """All four sanitizers behind one attach/detach/assert interface.
+    """All three sanitizers behind one attach/detach/assert interface.
 
     Parameters
     ----------
@@ -49,14 +48,11 @@ class SanitizerSuite:
         check_fifo = network.fifo if network is not None else True
         self.deadlock = DeadlockDetector(env, policy=policy)
         self.causality = CausalityChecker(env, policy=policy, check_fifo=check_fifo)
-        self.vector_clock = VectorClockChecker(
-            env, policy=policy, check_order=check_fifo
-        )
         self.quiescence = QuiescenceChecker(env, policy=policy)
 
     @property
     def sanitizers(self) -> List[Sanitizer]:
-        return [self.deadlock, self.causality, self.vector_clock, self.quiescence]
+        return [self.deadlock, self.causality, self.quiescence]
 
     @property
     def violations(self) -> List[Violation]:
@@ -74,10 +70,9 @@ class SanitizerSuite:
         * Causality: reply payloads still queued in restored ARQ links
           will be *sent* after restore, answering rounds whose requests
           were processed before the snapshot — re-open those rounds.
-          (In-flight reply envelopes need nothing: their round
-          bookkeeping happened at the original send.  The vector-clock
-          checker is restore-tolerant by construction: deliveries
-          without a recorded send stamp verify nothing.)
+          In-flight reply envelopes need nothing: their round
+          bookkeeping happened at the original send, and the FIFO
+          check starts each link's watermark afresh.
         """
         for cell, station in sorted(stations.items()):
             if station.use:

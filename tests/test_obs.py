@@ -3,8 +3,7 @@
 Covers the ObsConfig contract, span pairing (including under a hostile
 fault plan), determinism of the collected data, the run-artifact
 writer, the ``--trace`` directory layout of ``run_cells``, and the
-shared mode-glyph coercion used by both ``ModeSampler`` and the run
-reports.
+shared mode-glyph coercion behind every mode timeline.
 """
 
 import json
@@ -13,19 +12,15 @@ import os
 import pytest
 
 from repro.faults import CrashWindow, FaultPlan
-from repro.harness import (
-    ModeSampler,
-    Scenario,
-    build_simulation,
-    run_cells,
-    run_scenario,
-)
+from repro.harness import Scenario, build_simulation, run_cells, run_scenario
 from repro.obs import (
     MODE_GLYPHS,
     UNKNOWN_MODE,
     ObsConfig,
+    borrowing_fraction,
     coerce_mode,
     mode_glyph,
+    mode_timeline,
     trace_events,
     write_run_artifacts,
 )
@@ -272,13 +267,14 @@ def test_mode_sampler_tolerates_weird_mode_values():
     station flagged "down") must sample as ``?``, not raise."""
     sim = build_simulation(
         Scenario(scheme="fixed", offered_load=2.0, mean_holding=30.0,
-                 duration=100.0, warmup=10.0)
+                 duration=100.0, warmup=10.0,
+                 obs=ObsConfig(sample_interval=20.0))
     )
     sim.stations[0].mode = "down"
-    sampler = ModeSampler(sim.env, sim.stations, interval=20.0)
-    sim.run()
-    assert set(sampler.samples[0]) == {UNKNOWN_MODE}
-    assert sampler.borrowing_fraction(0) == 0.0  # unknown is not borrowing
-    text = sampler.timeline(cells=[0, 1])
-    assert "?" in text.splitlines()[0]
-    assert "." in text.splitlines()[1]
+    series = sim.run().obs.series
+    modes = series["cells"][0]["mode"]
+    assert set(modes) == {UNKNOWN_MODE}
+    assert borrowing_fraction(modes) == 0.0  # unknown is not borrowing
+    lines = mode_timeline(series, cells=[0, 1])
+    assert "?" in lines[0]
+    assert "." in lines[1]

@@ -1,15 +1,22 @@
-"""Tests for the mode-occupancy sampler."""
+"""Tests for mode timelines: the recorder's mode column and its renderer."""
 
 import pytest
 
-from repro.harness import ModeSampler, Scenario, build_simulation
+from repro.harness import Scenario, build_simulation
+from repro.obs import ObsConfig, TimeSeriesRecorder, borrowing_fraction, mode_timeline
 from repro.traffic import TemporalHotspot
+
+
+def sampled(scenario, interval):
+    """The run's time series, sampled every ``interval``."""
+    sim = build_simulation(scenario.with_(obs=ObsConfig(sample_interval=interval)))
+    return sim.run().obs.series
 
 
 def test_sampler_validation():
     sim = build_simulation(Scenario(duration=200.0, warmup=50.0))
     with pytest.raises(ValueError):
-        ModeSampler(sim.env, sim.stations, interval=0)
+        TimeSeriesRecorder(sim.env, sim.stations, interval=0, horizon=200.0)
 
 
 def test_sampler_counts_and_glyphs():
@@ -21,14 +28,12 @@ def test_sampler_counts_and_glyphs():
         mean_holding=60.0,
         seed=21,
     )
-    sim = build_simulation(scenario)
-    sampler = ModeSampler(sim.env, sim.stations, interval=40.0)
-    sim.run()
-    assert len(sampler.times) == 10  # 0, 40, ..., 360
-    assert all(len(v) == 10 for v in sampler.samples.values())
-    text = sampler.timeline(cells=[0, 1])
-    assert text.count("\n") == 2
-    assert "." in text
+    series = sampled(scenario, 40.0)
+    assert len(series["times"]) == 10  # 0, 40, ..., 360
+    assert all(len(c["mode"]) == 10 for c in series["cells"].values())
+    lines = mode_timeline(series, cells=[0, 1])
+    assert len(lines) == 3
+    assert "." in "\n".join(lines)
 
 
 def test_borrowing_fraction_tracks_hotspot():
@@ -47,16 +52,16 @@ def test_borrowing_fraction_tracks_hotspot():
         warmup=0.0,
         seed=23,
     )
-    sim = build_simulation(scenario)
-    sampler = ModeSampler(sim.env, sim.stations, interval=20.0)
-    sim.run()
-    hot = sampler.borrowing_fraction(24)
-    quiet = sampler.borrowing_fraction(0)
-    assert hot > 0.3
-    assert quiet < 0.1
-    series = sampler.system_borrowing_series()
-    assert max(series) > 0.05
-    assert series[0] == 0.0  # idle at start
+    cells = sampled(scenario, 20.0)["cells"]
+    assert borrowing_fraction(cells[24]["mode"]) > 0.3
+    assert borrowing_fraction(cells[0]["mode"]) < 0.1
+    # Per sample, the fraction of cells borrowing.
+    system = [
+        borrowing_fraction(sample)
+        for sample in zip(*(c["mode"] for c in cells.values()))
+    ]
+    assert max(system) > 0.05
+    assert system[0] == 0.0  # idle at start
 
 
 def test_sampler_on_modeless_scheme():
@@ -64,15 +69,9 @@ def test_sampler_on_modeless_scheme():
         scheme="fixed", offered_load=3.0, duration=200.0, warmup=50.0,
         mean_holding=60.0,
     )
-    sim = build_simulation(scenario)
-    sampler = ModeSampler(sim.env, sim.stations, interval=50.0)
-    sim.run()
-    assert all(
-        sampler.borrowing_fraction(c) == 0.0 for c in sim.stations
-    )
+    cells = sampled(scenario, 50.0)["cells"]
+    assert all(borrowing_fraction(c["mode"]) == 0.0 for c in cells.values())
 
 
 def test_empty_timeline_renders():
-    sim = build_simulation(Scenario(duration=200.0, warmup=50.0))
-    sampler = ModeSampler(sim.env, sim.stations, interval=40.0, horizon=0.0)
-    assert "no samples" in sampler.timeline()
+    assert mode_timeline({}) == ["(no time-series samples)"]
