@@ -26,6 +26,19 @@ from .policies.base import policy_names
 from .traffic import HotspotLoad
 
 
+def _worker_count(text: str) -> int:
+    """``--workers``: 0 (one per CPU) or a positive process count."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if count < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be 0 (one per CPU) or a positive count, got {count}"
+        )
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="python -m repro",
@@ -78,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
         "report) into DIR; see docs/OBSERVABILITY.md",
     )
     p.add_argument(
-        "--workers", type=int, default=1, metavar="N",
+        "--workers", type=_worker_count, default=1, metavar="N",
         help="run scenarios in parallel over N worker processes "
         "(0 = one per CPU); results are identical to serial",
     )

@@ -25,12 +25,13 @@ Guarantees, in order of importance:
 
 ``workers=1`` (the default everywhere) bypasses the pool entirely and
 runs serially in-process, with the same failure capture and the same
-result cache integration (see :mod:`repro.harness.cache`).
+result cache integration (see :mod:`repro.harness.cache`).  The pool
+machinery (``multiprocessing`` and the sockets and selectors under it)
+is imported only when a pool runs, so a serial run never loads it.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import traceback
 from dataclasses import dataclass
@@ -128,7 +129,7 @@ def run_cells(
     workers:
         Process count: ``1`` (default) runs serially in-process, ``N``
         fans out over a pool of N, ``None`` uses one per CPU.  Output
-        is bit-identical regardless.
+        is bit-identical regardless.  Anything below 1 is refused.
     cache:
         Result-cache knob (see
         :func:`repro.harness.cache.resolve_cache`): ``None`` uses the
@@ -148,12 +149,17 @@ def run_cells(
 
     Raises
     ------
+    ValueError
+        Before anything runs, if ``workers`` is neither None nor at
+        least 1.
     CompatibilityError
         Before anything is looked up, spawned or run, if the capability
         table rejects any cell.
     ExperimentError
         After the whole grid has been attempted, if any cell crashed.
     """
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be None or at least 1, got {workers!r}")
     scenarios = list(scenarios)
     for index, scenario in enumerate(scenarios):
         if not isinstance(scenario, Scenario):
@@ -188,6 +194,8 @@ def run_cells(
         for cell in pending:
             consume(_run_cell(cell))
     else:
+        import multiprocessing
+
         # ``spawn`` everywhere: identical semantics on every platform
         # and no accidental inheritance of parent state.
         ctx = multiprocessing.get_context("spawn")

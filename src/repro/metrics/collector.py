@@ -18,6 +18,7 @@ implementation each — ``summary()`` only collects them.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 import numpy as np
@@ -182,8 +183,36 @@ class MetricsCollector:
         return float(times.mean()) if times.size else 0.0
 
     def acquisition_time_percentile(self, q: float) -> float:
+        """The ``q``-th percentile (0 to 100) of the granted acquisition
+        times by numpy's linear rule, bit-identical to ``np.percentile``;
+        0.0 when nothing was granted.
+
+        The rule, step for step (NaN in gives NaN out): the virtual
+        index ``vi = (n - 1) * (q / 100)`` lies between the order
+        statistics ``x`` at ``lo = floor(vi)`` and ``y`` at ``lo + 1``,
+        with weight ``g = vi - lo``; the value is ``x + (y - x) * g``,
+        or ``y - (y - x) * (1 - g)`` when ``g >= 0.5``.  At
+        ``vi >= n - 1`` it is the maximum.  The two order statistics
+        come from partitioning the copy in place (``np.percentile``
+        would also import ``numpy.ma`` for them).
+        """
         times = self.acquisition_times()
-        return float(np.percentile(times, q)) if times.size else 0.0
+        n = times.size
+        if not n:
+            return 0.0
+        top = float(times.max())  # NaN when any time is NaN
+        vi = (n - 1) * (q / 100)
+        if vi >= n - 1 or top != top:
+            # numpy indexes the maximum as -1 here, so both neighbours
+            # are the maximum and the weight is vi + 1.
+            x = y = top
+            g = vi + 1
+        else:
+            lo = math.floor(vi)
+            g = vi - lo
+            times.partition((lo, lo + 1))
+            x, y = float(times[lo]), float(times[lo + 1])
+        return y - (y - x) * (1 - g) if g >= 0.5 else x + (y - x) * g
 
     def max_acquisition_time(self) -> float:
         """Longest acquisition among granted requests."""
@@ -216,14 +245,24 @@ class MetricsCollector:
         return {label: n / with_path for label, n in sorted(paths.items())}
 
     def per_cell_drop_rates(self) -> Dict[int, float]:
+        """Drop rate of every cell that saw a request, in cell-id order.
+
+        Counted with ``np.bincount`` over the ids less the smallest one,
+        so ids may be negative and nothing is sorted.
+        """
         log = self.records
-        cells, row_cell = np.unique(log.view("cell"), return_inverse=True)
+        cells = log.view("cell")
+        if not cells.size:
+            return {}
+        low = int(cells.min())
+        row_cell = np.subtract(cells, low, dtype=np.intp)
         asked = np.bincount(row_cell)
-        served = np.bincount(row_cell[log.view("granted")], minlength=len(cells))
+        served = np.bincount(row_cell[log.view("granted")], minlength=asked.size)
+        seen = np.flatnonzero(asked)
         return {
-            cell: 1.0 - n_served / n_asked
-            for cell, n_served, n_asked in zip(
-                cells.tolist(), served.tolist(), asked.tolist()
+            low + offset: 1.0 - n_served / n_asked
+            for offset, n_served, n_asked in zip(
+                seen.tolist(), served[seen].tolist(), asked[seen].tolist()
             )
         }
 

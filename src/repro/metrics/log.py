@@ -2,7 +2,7 @@
 
 A run appends one row per channel request and reads them all once, in
 the report — so the log keeps eight typed ``array.array`` columns
-(about 40 bytes a row) instead of a list of tuples (184), hands the
+(35 bytes a row) instead of a list of tuples (184), hands the
 statistics zero-copy numpy views of them, and pickles as the eight
 buffers.  To every caller it still *reads* as the sequence of
 :class:`AcquisitionRecord` it replaced: ``len``, truth, indexing,

@@ -4,7 +4,9 @@
     accessor bodies are kept here as the reference; every accessor and
     every ``summary()`` key of the column store equals them with ``==``
     on floats, and every value is a builtin (no numpy scalar reaches a
-    ``Report``).
+    ``Report``); by hand, the percentile's and the per-cell count's
+    edge cases (one or two rows, q at 0 and 100, ties, 10^5 rows, NaN,
+    negative and gapped cell ids).
 (b) *Still a sequence of records* — ``len``, truth, indexing, slices,
     iteration, ``==`` against a list of tuples or another log, pickling.
 (c) *The label table's limit is a decision*: 256 labels, the 257th
@@ -182,6 +184,56 @@ def test_every_statistic_equals_the_list_of_tuples_formula(rows_):
     held = m.queue_waits(), m.acquisition_times(False)
     m.record_acquisition(0, "new", True, 0.0, 0.0, 1, "local", 1.0)
     assert len(held[0]) == len(records) and m.offered == len(records) + 1
+
+
+def granted_with_times(times):
+    """A collector whose granted rows have these acquisition times, and
+    one denied row that the percentile must not see."""
+    m = collector_of([(0, "new", False, 0.0, -1e300, 1, None, 1.0)])
+    m.records.extend((i % 7, "new", True, 0.0, t, 1, "local", 1.0) for i, t in enumerate(times))
+    return m
+
+
+QS = [0, 5, 50, 95, 99.9, 100]
+rng = np.random.default_rng(30)
+EDGE_TIMES = {
+    "n=1": [3.25],
+    "n=2": [4.0, 1.5],
+    "all equal": [2.0] * 9,
+    "ties and zeros": [0.0, 2.0, 0.0, 1.0, 2.0, 2.0, 0.0, 1.0],
+    "1e5 rows": (rng.exponential(3.0, 100_003) * (rng.random(100_003) < 0.8)).tolist(),
+}
+
+
+@pytest.mark.parametrize("q", QS)
+@pytest.mark.parametrize("times", list(EDGE_TIMES.values()), ids=list(EDGE_TIMES))
+def test_percentile_edge_cases_equal_numpy(times, q):
+    m = granted_with_times(times)
+    ours = m.acquisition_time_percentile(q)
+    assert ours == float(np.percentile(np.array(times), q)) and type(ours) is float
+    if len(times) < 100:
+        assert ours == ref_percentile(list(m.records), q)
+
+
+@pytest.mark.parametrize("q", QS)
+def test_a_nan_time_gives_a_nan_percentile_as_numpy_does(q):
+    times = [1.0, float("nan"), 0.5, 2.0]
+    assert np.isnan(np.percentile(np.array(times), q))
+    assert np.isnan(granted_with_times(times).acquisition_time_percentile(q))
+
+
+def test_per_cell_drop_rates_with_negative_and_gapped_cell_ids():
+    feed = [
+        (cell, "new", granted, 0.0, 0.0, 1, "local", 1.0)
+        for cell, granted in [(1000, True), (-5, False), (7, True), (-5, True), (0, False),
+                              (7, False), (-1, True), (1000, True), (-5, False), (7, True)]
+    ]
+    ours = collector_of(feed).per_cell_drop_rates()
+    expected = ref_per_cell_drop_rates([AcquisitionRecord(*row) for row in feed])
+    assert list(ours.items()) == list(expected.items())
+    assert list(ours) == [-5, -1, 0, 7, 1000] and ours[-5] == 1.0 - 1 / 3
+    assert all(type(cell) is int for cell in ours)
+    assert collector_of([]).per_cell_drop_rates() == {}
 
 
 # ------------------------------------------------------ (b) sequence-ness --

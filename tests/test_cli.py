@@ -75,6 +75,17 @@ def test_invalid_scheme_rejected():
         build_parser().parse_args(["--scheme", "bogus"])
 
 
+def test_negative_workers_is_a_usage_error(capsys, nothing_constructed):
+    # 0 means one per CPU; below that is not a count.
+    with pytest.raises(SystemExit) as exited:
+        main(["--workers", "-2"])
+    assert exited.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument --workers: must be 0 (one per CPU) or a positive count, got -2" in err
+    assert build_parser().parse_args(["--workers", "0"]).workers == 0
+
+
 def test_shards_flag_is_gone_not_ignored(capsys, nothing_constructed):
     # One scenario runs on one kernel: a stale script must fail loudly.
     with pytest.raises(SystemExit) as exited:

@@ -6,8 +6,15 @@ run, for every scheme, and a crashing cell reports its traceback
 without losing the rest of the grid.
 """
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import repro
 from repro.faults import FaultPlan
 from repro.harness import (
     ExperimentError,
@@ -139,6 +146,54 @@ def test_failure_capture_serial_path():
 def test_run_cells_rejects_non_scenarios():
     with pytest.raises(TypeError, match="not a Scenario"):
         run_cells(["adaptive"], cache=False)
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_workers_below_one_is_refused_before_anything_runs(workers, nothing_constructed):
+    with pytest.raises(ValueError, match=f"got {workers}"):
+        run_cells([quick(scheme="fixed")], workers=workers, cache=False)
+
+
+#: Runs in a fresh interpreter: pytest's conftest imports multiprocessing.
+_FOOTPRINT = textwrap.dedent(
+    """
+    import json, sys
+    import numpy
+    eager = {"numpy.ma"} & set(sys.modules)  # numpy 1.x imports it with numpy
+    from repro.harness import Scenario, build_simulation, run_cells
+    from repro.verify import get_default_policy
+    assert get_default_policy() is None  # sanitizers off
+    def loaded():
+        return [m for m in ("numpy.ma", "multiprocessing")
+                if m in sys.modules and m not in eager]
+    scenario = Scenario(scheme="adaptive", offered_load=10.0, duration=300.0,
+                        warmup=50.0, seed=7)
+    out = {}
+    report = build_simulation(scenario).run()
+    assert report.granted > 0 and report.p95_acquisition_time > 0
+    out["run"] = loaded()
+    reports = run_cells([scenario, scenario.with_(seed=8)], workers=1, cache=False)
+    assert len(reports) == 2
+    out["run_cells(workers=1)"] = loaded()
+    print(json.dumps(out))
+    """
+)
+
+
+def test_a_serial_run_loads_neither_numpy_ma_nor_multiprocessing():
+    """The report's statistics do not import ``numpy.ma`` (as
+    ``np.percentile`` does) and a serial grid does not import the pool
+    machinery: neither is in ``sys.modules`` after a finished run."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src, "REPRO_CACHE": "off"},
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"run": [], "run_cells(workers=1)": []}
 
 
 def test_default_workers_positive():

@@ -1,10 +1,18 @@
-"""Tests for replication statistics (CIs and paired comparisons)."""
+"""Tests for replication statistics (CIs and paired comparisons).
 
+``summarize`` and ``compare`` read report fields only, so they are fed
+synthetic ``Report``s: one real report, copied with the fields and
+seeds set by hand.  Whether adaptive beats fixed is an experiment, not
+a property of the interval code: ``benchmarks/test_load_sweep.py``
+asserts ``adaptive < fixed`` on the drop rate at 5 and 7 Erlang.
+"""
+
+import dataclasses
 import math
 
 import pytest
 
-from repro.harness import CI, Scenario, compare, run_replications, summarize
+from repro.harness import CI, Scenario, compare, run_scenario, summarize
 from repro.harness.stats import _interval, _t95
 
 
@@ -47,34 +55,51 @@ def test_ci_str():
     assert "0.5" in text and "n=4" in text
 
 
-def quick(scheme):
-    return Scenario(
-        scheme=scheme, offered_load=8.0, duration=600.0, warmup=100.0,
-        mean_holding=60.0, seed=5,
+@pytest.fixture(scope="module")
+def real_report():
+    return run_scenario(
+        Scenario(scheme="fixed", offered_load=8.0, duration=200.0, warmup=50.0, seed=5)
     )
 
 
-def test_summarize_over_replications():
-    reps = run_replications(quick("fixed"), 3)
+def replications(report, scheme, seeds, **fields):
+    """Copies of ``report`` as replications of ``scheme`` at ``seeds``;
+    each keyword gives one field's value per replication."""
+    return [
+        dataclasses.replace(
+            report,
+            scenario=report.scenario.with_(scheme=scheme, seed=seed),
+            **{name: values[i] for name, values in fields.items()},
+        )
+        for i, seed in enumerate(seeds)
+    ]
+
+
+def test_summarize_over_replications(real_report):
+    reps = replications(
+        real_report, "fixed", [5, 6, 7], drop_rate=[0.1, 0.2, 0.3], offered=[90, 100, 110]
+    )
     stats = summarize(reps, ["drop_rate", "offered"])
     assert set(stats) == {"drop_rate", "offered"}
-    assert stats["drop_rate"].n == 3
-    assert 0 <= stats["drop_rate"].mean <= 1
+    assert stats["drop_rate"] == _interval([0.1, 0.2, 0.3])
+    assert stats["drop_rate"].n == 3 and stats["drop_rate"].mean == pytest.approx(0.2)
+    assert stats["offered"].mean == 100.0
+    assert stats["offered"].half_width == pytest.approx(4.303 * 10 / math.sqrt(3), rel=1e-3)
 
 
-def test_compare_paired_by_seed():
-    fixed = run_replications(quick("fixed"), 3)
-    adaptive = run_replications(quick("adaptive"), 3)
+def test_compare_paired_by_seed(real_report):
+    fixed = replications(real_report, "fixed", [5, 6, 7], drop_rate=[0.30, 0.25, 0.35])
+    adaptive = replications(real_report, "adaptive", [5, 6, 7], drop_rate=[0.10, 0.12, 0.08])
     diff = compare(fixed, adaptive, "drop_rate")
     assert diff.n == 3
-    # Adaptive should not be worse at this load; the sign of the mean
-    # difference (fixed - adaptive) is non-negative.
-    assert diff.mean >= -0.01
+    assert diff == _interval([0.30 - 0.10, 0.25 - 0.12, 0.35 - 0.08])
+    assert diff.mean == pytest.approx(0.2) and diff.excludes_zero()
+    assert compare(adaptive, fixed, "drop_rate").mean == pytest.approx(-0.2)
 
 
-def test_compare_unpaired_rejected():
-    fixed = run_replications(quick("fixed"), 2)
-    adaptive = run_replications(quick("adaptive").with_(seed=99), 2)
+def test_compare_unpaired_rejected(real_report):
+    fixed = replications(real_report, "fixed", [5, 6])
+    adaptive = replications(real_report, "adaptive", [99, 100])
     with pytest.raises(ValueError, match="paired"):
         compare(fixed, adaptive, "drop_rate")
     with pytest.raises(ValueError, match="length"):
