@@ -12,7 +12,7 @@ The package is organized bottom-up:
 * :mod:`repro.traffic` — call workload generators and mobility;
 * :mod:`repro.metrics` — drop rate, acquisition latency, message counts;
 * :mod:`repro.analysis` — the closed-form models of the paper's §5;
-* :mod:`repro.harness` — scenario configs, sweeps and table rendering.
+* :mod:`repro.harness` — scenario configs, runners and table rendering.
 
 Quick start::
 
@@ -51,7 +51,6 @@ _HARNESS_EXPORTS = (
     "SCHEMES",
     "preset",
     "preset_names",
-    "sweep",
     "summarize",
     "compare",
     "render_table",

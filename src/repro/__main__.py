@@ -223,11 +223,9 @@ def snapshot_main(argv) -> int:
     )
     args = p.parse_args(argv)
 
-    from .snap import load_snapshot
-
     out = []
     for path in args.files:
-        snap = load_snapshot(path)
+        snap = _load_snapshot(p, path)
         scenario = snap.scenario()
         queue = snap.state.get("queue")
         kinds: dict = {}
@@ -270,6 +268,16 @@ def snapshot_main(argv) -> int:
     return 0
 
 
+def _load_snapshot(parser: argparse.ArgumentParser, path: str):
+    """The snapshot at ``path``, or a usage error naming the file."""
+    from .snap import SnapshotError, load_snapshot
+
+    try:
+        return load_snapshot(path)
+    except (OSError, SnapshotError) as exc:
+        parser.error(f"cannot load snapshot {path}: {exc}")
+
+
 def _scenarios(args, schemes) -> list:
     """The scenario of every requested scheme, from --config / --preset / flags."""
     if args.config:
@@ -297,15 +305,16 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     if argv and argv[0] == "snapshot":
         return snapshot_main(argv[1:])
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        return _run(args)
+        return _run(args, parser)
     except CompatibilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
-def _run(args) -> int:
+def _run(args, parser: argparse.ArgumentParser) -> int:
     schemes = sorted(SCHEMES) if args.all_schemes else [args.scheme]
 
     if args.list_presets:
@@ -328,16 +337,19 @@ def _run(args) -> int:
         "all schemes": args.all_schemes,
         "trace dir": args.trace is not None,
     }
-    scenarios = [] if resume else _scenarios(args, schemes)
+    try:
+        scenarios = [] if resume else _scenarios(args, schemes)
+    except (OSError, ValueError) as exc:
+        parser.error(str(exc))
     check_compatible(
         scenarios[0] if scenarios else None,
         lanes=[name for name, on in lanes.items() if on],
     )
 
     if resume:
-        from .snap import load_snapshot, run_from_snapshot
+        from .snap import run_from_snapshot
 
-        snap = load_snapshot(args.from_checkpoint)
+        snap = _load_snapshot(parser, args.from_checkpoint)
         return _print_reports(args, [run_from_snapshot(snap, seed=args.fork_seed)])
 
     if args.trace is not None:

@@ -17,7 +17,6 @@ from .occupancy import (
     XiPrediction,
     predict_xi,
     truncated_poisson_pmf,
-    truncated_poisson_sample,
 )
 from .planning import expected_blocked_traffic, marginal_allocation, plan_partition
 
@@ -36,7 +35,6 @@ __all__ = [
     "carried_load",
     "offered_load_for_blocking",
     "truncated_poisson_pmf",
-    "truncated_poisson_sample",
     "predict_xi",
     "XiPrediction",
     "marginal_allocation",

@@ -34,13 +34,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict
+from typing import Dict
 
 from .erlang import erlang_b
 
 __all__ = [
     "truncated_poisson_pmf",
-    "truncated_poisson_sample",
     "predict_xi",
     "XiPrediction",
 ]
@@ -71,26 +70,6 @@ def truncated_poisson_pmf(offered_load: float, servers: int) -> Dict[int, float]
     return {k: w / total for k, w in enumerate(weights)}
 
 
-def truncated_poisson_sample(
-    offered_load: float, servers: int, rng: Any
-) -> int:
-    """One draw of the busy-server count of an M/M/c/c queue.
-
-    Inverse-CDF sampling over :func:`truncated_poisson_pmf` consuming
-    exactly one uniform from ``rng`` per draw — the fast lane's
-    occupancy model at observation instants, where a fixed per-draw
-    stream cost is what keeps de/materialization seed-deterministic.
-    """
-    pmf = truncated_poisson_pmf(offered_load, servers)
-    u = float(rng.random())
-    acc = 0.0
-    for k in range(servers + 1):
-        acc += pmf[k]
-        if u < acc:
-            return k
-    return servers  # float round-off: the CDF summed to just under 1
-
-
 @dataclass(frozen=True)
 class XiPrediction:
     """Predicted acquisition-path fractions."""
@@ -99,15 +78,8 @@ class XiPrediction:
     xi_update: float
     xi_search: float
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "local": self.xi_local,
-            "update": self.xi_update,
-            "search": self.xi_search,
-        }
 
-
-def predict_xi(
+def predict_xi(  # repro: noqa(ANA401) tests/test_occupancy.py
     offered_load: float,
     primaries: int = 10,
     region_size: int = 18,

@@ -113,10 +113,6 @@ class CellularTopology:
         """Primary channel set of ``cell``."""
         return self.primaries[cell]
 
-    def primary_capacity(self, cell: int) -> int:
-        """Number of statically assigned channels of a cell."""
-        return len(self.primaries[cell])
-
     def describe(self) -> str:
         """One-line human-readable summary."""
         g = self.grid

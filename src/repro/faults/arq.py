@@ -188,7 +188,7 @@ class ReliableLink:
         self.exhausted = 0
 
     @property
-    def in_flight(self) -> int:
+    def in_flight(self) -> int:  # repro: noqa(ANA401) tests/test_faults.py
         return len(self._pending)
 
     def send(self, dst: int, payload: Any) -> None:

@@ -10,19 +10,14 @@ from .runner import (
     run_replications,
     run_scenario,
 )
-from .ascii_viz import bar_chart, hex_heatmap, sparkline
+from .ascii_viz import sparkline
 from .cache import ResultCache, cache_key, code_stamp, resolve_cache
 from .parallel import CellFailure, ExperimentError, default_workers, run_cells
 from .presets import PRESETS, preset, preset_names
 from .stats import CI, compare, summarize
-from .sweeps import DEFAULT_COLUMNS, SweepResult, sweep, to_csv
 from .tables import format_value, render_table
 
 __all__ = [
-    "sweep",
-    "SweepResult",
-    "to_csv",
-    "DEFAULT_COLUMNS",
     "run_cells",
     "default_workers",
     "CellFailure",
@@ -32,8 +27,6 @@ __all__ = [
     "cache_key",
     "code_stamp",
     "sparkline",
-    "bar_chart",
-    "hex_heatmap",
     "CI",
     "summarize",
     "compare",

@@ -1,4 +1,4 @@
-"""Terminal visualizations: sparklines, bar charts, hex heat maps.
+"""Terminal visualization: a one-line sparkline.
 
 Pure-text output so results render anywhere (CI logs, EXPERIMENTS.md);
 no plotting dependencies.
@@ -6,9 +6,9 @@ no plotting dependencies.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
-__all__ = ["sparkline", "bar_chart", "hex_heatmap"]
+__all__ = ["sparkline"]
 
 _SPARK_LEVELS = "▁▂▃▄▅▆▇█"
 
@@ -29,43 +29,3 @@ def sparkline(values: Sequence[float], lo: Optional[float] = None,
         idx = int((v - lo) / span * (len(_SPARK_LEVELS) - 1))
         out.append(_SPARK_LEVELS[max(0, min(idx, len(_SPARK_LEVELS) - 1))])
     return "".join(out)
-
-
-def bar_chart(
-    items: Dict[str, float], width: int = 40, fmt: str = "{:.3f}"
-) -> str:
-    """Horizontal labelled bar chart."""
-    if not items:
-        return ""
-    label_w = max(len(k) for k in items)
-    peak = max(abs(v) for v in items.values()) or 1.0
-    lines = []
-    for label, value in items.items():
-        bar = "█" * max(0, int(round(abs(value) / peak * width)))
-        lines.append(f"{label.ljust(label_w)}  {bar} {fmt.format(value)}")
-    return "\n".join(lines)
-
-
-def hex_heatmap(
-    values: Dict[int, float],
-    rows: int,
-    cols: int,
-    levels: str = " .:-=+*#%@",
-    lo: Optional[float] = None,
-    hi: Optional[float] = None,
-) -> str:
-    """Render per-cell values on the hex grid (row-major ids, offset
-    indent suggests the hexagonal geometry)."""
-    vals = [values.get(c, 0.0) for c in range(rows * cols)]
-    lo = min(vals) if lo is None else lo
-    hi = max(vals) if hi is None else hi
-    span = hi - lo or 1.0
-    lines = []
-    for r in range(rows):
-        cells = []
-        for q in range(cols):
-            v = vals[r * cols + q]
-            idx = int((v - lo) / span * (len(levels) - 1))
-            cells.append(levels[max(0, min(idx, len(levels) - 1))])
-        lines.append(" " * r + " ".join(cells))
-    return "\n".join(lines)

@@ -154,11 +154,13 @@ class Scenario:
 
     def __post_init__(self) -> None:
         if self.duration <= self.warmup:
-            raise ValueError("duration must exceed warmup")
+            raise ValueError(
+                f"duration {self.duration:g} must exceed warmup {self.warmup:g}"
+            )
         if self.offered_load < 0:
-            raise ValueError("offered_load must be >= 0")
+            raise ValueError(f"offered_load must be >= 0, got {self.offered_load:g}")
         if self.mean_holding <= 0:
-            raise ValueError("mean_holding must be positive")
+            raise ValueError(f"mean_holding must be positive, got {self.mean_holding:g}")
 
     @property
     def arrival_rate(self) -> float:

@@ -50,10 +50,6 @@ class CI:
     def high(self) -> float:
         return self.mean + self.half_width
 
-    def excludes_zero(self) -> bool:
-        """True when the interval lies strictly on one side of zero."""
-        return self.low > 0 or self.high < 0
-
     def __str__(self) -> str:
         return f"{self.mean:.4f} ± {self.half_width:.4f} (n={self.n})"
 

@@ -117,14 +117,6 @@ class MetricsCollector:
         """One message given up on after the full retry budget."""
         self.retry_exhausted += 1
 
-    @property
-    def total_faults_injected(self) -> int:
-        return sum(self.faults_injected.values())
-
-    @property
-    def total_faults_recovered(self) -> int:
-        return sum(self.faults_recovered.values())
-
     def snapshot_message_baseline(self, network: Network) -> None:
         """Capture message counters at the warmup boundary."""
         self._message_baseline = dict(network.sent_by_kind)
@@ -219,7 +211,7 @@ class MetricsCollector:
         times = self.acquisition_times()
         return float(times.max()) if times.size else 0.0
 
-    def queue_waits(self) -> np.ndarray:
+    def queue_waits(self) -> np.ndarray:  # repro: noqa(ANA401) tests/test_acquisition_log.py
         return self.records.view("queue_wait").copy()
 
     def mean_queue_wait(self) -> float:

@@ -43,7 +43,7 @@ TRACE_SCALE = 1000.0
 # ---------------------------------------------------------------------------
 # Chrome trace_event generation
 # ---------------------------------------------------------------------------
-def trace_events(report: Any) -> List[Dict[str, Any]]:
+def trace_events(report: Any) -> List[Dict[str, Any]]:  # repro: noqa(ANA401) docs/OBSERVABILITY.md
     """Flatten a report's ObsData into Chrome trace_event dicts."""
     return list(_iter_trace_events(report))
 

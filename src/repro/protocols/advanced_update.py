@@ -105,7 +105,7 @@ class AdvancedUpdateMSS(MSS):
         """Channels known in use within our interference region."""
         return set(channels(self._interfered_mask()))
 
-    def granted_channels(self) -> Set[int]:
+    def granted_channels(self) -> Set[int]:  # repro: noqa(ANA401) tests/test_advanced_update.py
         """Own primaries currently granted out to a borrower."""
         return set(self.outstanding)
 

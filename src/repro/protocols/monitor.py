@@ -113,11 +113,11 @@ class InterferenceMonitor:
         self._active -= 1
 
     @property
-    def in_use(self) -> int:
+    def in_use(self) -> int:  # repro: noqa(ANA401) tests/test_monitor.py
         """Number of (cell, channel) pairs currently active."""
         return self._active
 
-    def channels_used_by(self, cell: int) -> Set[int]:
+    def channels_used_by(self, cell: int) -> Set[int]:  # repro: noqa(ANA401) tests/test_monitor.py
         return {ch for ch, users in self.users.items() if cell in users}
 
     def assert_clean(self) -> None:

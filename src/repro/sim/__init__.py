@@ -11,19 +11,17 @@ from .events import (
     AnyOf,
     ConditionEvent,
     Event,
-    Interrupt,
     Process,
     Timeout,
 )
 from .network import (
     DeterministicLatency,
     Envelope,
-    ExponentialLatency,
     LatencyModel,
     Network,
     UniformLatency,
 )
-from .resources import Collector, Gate, Resource, Store
+from .resources import Collector, Gate, Resource
 from .rng import StreamRegistry, UniformStream
 
 __all__ = [
@@ -33,12 +31,10 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "Interrupt",
     "ConditionEvent",
     "AllOf",
     "AnyOf",
     "Gate",
-    "Store",
     "Resource",
     "Collector",
     "Network",
@@ -46,7 +42,6 @@ __all__ = [
     "LatencyModel",
     "DeterministicLatency",
     "UniformLatency",
-    "ExponentialLatency",
     "StreamRegistry",
     "UniformStream",
 ]

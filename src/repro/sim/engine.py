@@ -46,7 +46,6 @@ class Environment:
         self._now = float(initial_time)
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._eid = 0
-        self._active_process: Optional[Process] = None
         #: Probe subscribers by event kind (see :meth:`subscribe`).
         self._probes: Dict[str, List[ProbeCallback]] = {}
 
@@ -87,11 +86,6 @@ class Environment:
     def now(self) -> float:
         """Current simulation time."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed (None between resumptions)."""
-        return self._active_process
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none.

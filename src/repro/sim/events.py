@@ -21,7 +21,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "Interrupt",
     "ConditionEvent",
     "AllOf",
     "AnyOf",
@@ -49,18 +48,6 @@ URGENT = 0
 
 #: Default scheduling priority.
 NORMAL = 1
-
-
-class Interrupt(Exception):
-    """Exception thrown into a process when it is interrupted.
-
-    The ``cause`` attribute carries the object passed to
-    :meth:`Process.interrupt`.
-    """
-
-    @property
-    def cause(self) -> Any:
-        return self.args[0] if self.args else None
 
 
 class Event:
@@ -110,17 +97,6 @@ class Event:
             raise RuntimeError(f"{self!r} has not been triggered yet")
         return self._value
 
-    @property
-    def cancelled(self) -> bool:
-        """True when the event was removed via ``Environment.cancel``
-        (scheduled, then lazily deleted — it will never process)."""
-        return self.callbacks is None and not self._processed
-
-    @property
-    def defused(self) -> bool:
-        """True when a failure has been handled by some waiter."""
-        return self._defused
-
     def defuse(self) -> None:
         """Mark a failed event as handled so the kernel won't re-raise."""
         self._defused = True
@@ -149,14 +125,6 @@ class Event:
         self._value = exception
         self.env._schedule(self, priority=priority)
         return self
-
-    def trigger(self, event: "Event") -> None:
-        """Copy the outcome of ``event`` onto this event (callback helper)."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            event.defuse()
-            self.fail(event._value)
 
     def abandon(self) -> None:
         """Drop this event's callbacks unrun: whatever waits on it is let go.
@@ -264,39 +232,9 @@ class Process(Event):
         """The event this process currently waits on."""
         return self._target
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        The process must be alive and must not interrupt itself.
-        """
-        if not self.is_alive:
-            raise RuntimeError(f"{self!r} has terminated; cannot interrupt")
-        if self is self.env.active_process:
-            raise RuntimeError("a process is not allowed to interrupt itself")
-        event = Event(self.env)
-        event._ok = False
-        event._value = Interrupt(cause)
-        event._defused = True
-        # Jump the queue so the interrupt beats whatever the process waits on.
-        event.callbacks = [self._resume_interrupt]
-        self.env._schedule(event, priority=URGENT)
-
     # -- internal --------------------------------------------------------
-    def _resume_interrupt(self, event: Event) -> None:
-        if not self.is_alive:  # terminated before the interrupt landed
-            return
-        # Detach from the event we were waiting on (it may still fire; we
-        # simply no longer care about *this* wakeup).
-        if self._target is not None and self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._resume)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-        self._resume(event)
-
     def _resume(self, event: Event) -> None:
         env = self.env
-        env._active_process = self
         while True:
             self._target = None
             try:
@@ -306,23 +244,19 @@ class Process(Event):
                     event.defuse()
                     next_target = self._generator.throw(event._value)
             except StopIteration as stop:
-                env._active_process = None
                 self.succeed(stop.value, priority=URGENT)
                 return
             except BaseException as exc:
-                env._active_process = None
                 self.fail(exc, priority=URGENT)
                 return
 
             if not isinstance(next_target, Event):
-                env._active_process = None
                 exc = RuntimeError(
                     f"process {self.name!r} yielded a non-event: {next_target!r}"
                 )
                 self.fail(exc, priority=URGENT)
                 return
             if next_target.env is not env:
-                env._active_process = None
                 self.fail(
                     RuntimeError("yielded an event from a foreign environment"),
                     priority=URGENT,
@@ -336,7 +270,6 @@ class Process(Event):
             self._target = next_target
             assert next_target.callbacks is not None
             next_target.callbacks.append(self._resume)
-            env._active_process = None
             return
 
 

@@ -20,7 +20,6 @@ from typing import (
     Callable,
     Dict,
     Iterable,
-    KeysView,
     List,
     Optional,
     Protocol,
@@ -41,7 +40,6 @@ __all__ = [
     "LatencyModel",
     "DeterministicLatency",
     "UniformLatency",
-    "ExponentialLatency",
     "Network",
     "NetworkNode",
 ]
@@ -221,34 +219,6 @@ class UniformLatency(LatencyModel):
         return self.hi
 
 
-class ExponentialLatency(LatencyModel):
-    """Shifted exponential latency: base + Exp(mean_extra)."""
-
-    def __init__(
-        self,
-        base: float,
-        mean_extra: float,
-        rng: np.random.Generator,
-        cap: Optional[float] = None,
-    ) -> None:
-        if base <= 0 or mean_extra < 0:
-            raise ValueError("need base > 0 and mean_extra >= 0")
-        self.base = float(base)
-        self.mean_extra = float(mean_extra)
-        self.cap = float(cap) if cap is not None else self.base + 10 * max(
-            self.mean_extra, 1e-9
-        )
-        self._rng = rng
-
-    def sample(self, src: int, dst: int) -> float:
-        extra = float(self._rng.exponential(self.mean_extra)) if self.mean_extra else 0.0
-        return min(self.base + extra, self.cap)
-
-    @property
-    def max_delay(self) -> float:
-        return self.cap
-
-
 class Network:
     """Latency-modelled message fabric connecting protocol nodes.
 
@@ -325,10 +295,6 @@ class Network:
 
     def node(self, node_id: int) -> NetworkNode:
         return self._nodes[node_id]
-
-    @property
-    def node_ids(self) -> KeysView[int]:
-        return self._nodes.keys()
 
     # -- messaging -----------------------------------------------------------
     def send(

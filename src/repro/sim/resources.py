@@ -6,7 +6,6 @@ paper's blocking pseudocode (``wait UNTIL ...``):
 * :class:`Gate` — a broadcast condition variable; waiters get an event
   that fires the next time the gate is pulsed (or immediately if the
   gate is already open).
-* :class:`Store` — an unbounded FIFO mailbox with blocking ``get``.
 * :class:`Resource` — a counted resource with FIFO queuing (used by the
   traffic layer to model control-channel contention in some scenarios).
 * :class:`Collector` — gathers N responses and fires when all arrived;
@@ -23,7 +22,7 @@ from typing import Any, Deque, Dict, Iterable, List
 from .engine import Environment
 from .events import NORMAL, ConditionEvent, Event
 
-__all__ = ["Gate", "Store", "Resource", "Collector"]
+__all__ = ["Gate", "Resource", "Collector"]
 
 
 def _unhook_conditions(event: Event) -> None:
@@ -56,7 +55,7 @@ class Gate:
         self._open_value: Any = None
 
     @property
-    def is_open(self) -> bool:
+    def is_open(self) -> bool:  # repro: noqa(ANA401) tests/test_sim_resources.py
         return self._open
 
     def wait(self) -> Event:
@@ -92,36 +91,6 @@ class Gate:
             self._waiters.pop().abandon()
 
 
-class Store:
-    """Unbounded FIFO mailbox.
-
-    ``put(item)`` never blocks.  ``get()`` returns an event that fires
-    with the next item (immediately if one is queued).
-    """
-
-    def __init__(self, env: Environment) -> None:
-        self.env = env
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        event = self.env.event()
-        if self._items:
-            event.succeed(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event
-
-
 class Resource:
     """A counted resource with FIFO request queue.
 
@@ -138,7 +107,7 @@ class Resource:
         self._queue: Deque[Event] = deque()
 
     @property
-    def in_use(self) -> int:
+    def in_use(self) -> int:  # repro: noqa(ANA401) tests/test_resource_cancel.py
         return self._in_use
 
     @property

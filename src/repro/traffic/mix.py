@@ -69,14 +69,3 @@ class TrafficMix:
         return float(
             sum(p * c.config.mean_holding for p, c in zip(self._probs, self.classes))
         )
-
-    def combined_log(self) -> CallLog:
-        """Aggregate accounting across all classes."""
-        out = CallLog()
-        for log in self.logs.values():
-            out.started += log.started
-            out.blocked += log.blocked
-            out.completed += log.completed
-            out.handoffs_attempted += log.handoffs_attempted
-            out.handoffs_failed += log.handoffs_failed
-        return out

@@ -1,4 +1,4 @@
-"""Unit tests for the engine, SIM001–SIM012 and ANA301 (``tools.check``).
+"""Unit tests for the engine, SIM001–SIM012, ANA301 and ANA401 (``tools.check``).
 
 Each rule gets a firing fixture and a silent fixture, plus noqa
 suppression; finally the real tree must be clean.
@@ -635,6 +635,125 @@ def test_cli_json_format(tmp_path, capsys):
     assert set(out[0]) == {"code", "path", "line", "col", "message", "url"}
 
 
+# ------------------------------------------------------------------ ANA401 ----
+def package(tmp_path, module, consumers=()):
+    """A tmp tree laid out like the repo: the package, one module, consumers."""
+    write(tmp_path, "src/repro/__init__.py", "")
+    for relpath, source in consumers:
+        write(tmp_path, relpath, source)
+    return write(tmp_path, "src/repro/mod.py", module)
+
+
+def test_ana401_flags_a_def_only_tests_use(tmp_path):
+    path = package(
+        tmp_path,
+        """
+        def helper():
+            return 1
+        """,
+        [("tests/test_mod.py", "from repro.mod import helper\nassert helper()\n")],
+    )
+    findings = check_file(path)
+    assert codes(findings) == ["ANA401"] and findings[0].line == 2
+    assert "helper" in findings[0].message
+
+
+@pytest.mark.parametrize("consumer", ["benchmarks/test_x.py", "examples/demo.py"])
+def test_ana401_silent_when_benchmarks_or_examples_use_it(tmp_path, consumer):
+    path = package(
+        tmp_path,
+        "def helper():\n    return 1\n",
+        [(consumer, "from repro.mod import helper\nprint(helper())\n")],
+    )
+    assert check_file(path) == []
+
+
+def test_ana401_all_entry_and_reexport_are_not_uses(tmp_path):
+    path = package(tmp_path, "def helper():\n    return 1\n")
+    write(
+        tmp_path,
+        "src/repro/__init__.py",
+        """
+        from .mod import helper
+
+        __all__ = ["helper"]
+        _HARNESS_EXPORTS = ("helper",)
+        """,
+    )
+    assert codes(check_file(path)) == ["ANA401"]
+
+
+def test_ana401_exempts_registered_defs_and_dunders_but_checks_properties(tmp_path):
+    path = package(
+        tmp_path,
+        """
+        def register(fn):
+            return fn
+
+        @register
+        def plugin():
+            pass
+
+        class Thing:
+            def __init__(self):
+                self.n = 0
+
+            def __len__(self):
+                return self.n
+
+            @property
+            def size(self):
+                return self.n
+
+            @size.setter
+            def size(self, n):
+                self.n = n
+        """,
+        [("examples/demo.py", "from repro.mod import Thing\nThing()\n")],
+    )
+    assert [(f.code, f.line) for f in check_file(path)] == [("ANA401", 17), ("ANA401", 21)]
+
+
+def test_ana401_pragma_silences_and_goes_stale_once_src_calls_it(tmp_path):
+    path = package(
+        tmp_path,
+        "def helper():  # repro: noqa(ANA401) tests/test_mod.py\n    return 1\n",
+    )
+    assert check_file(path) == []
+    write(tmp_path, "src/repro/user.py", "from .mod import helper\n\nVALUE = helper()\n")
+    assert codes(check_file(path)) == ["SIM100"]
+
+
+def test_ana401_verdict_does_not_depend_on_the_paths_given(tmp_path):
+    path = package(
+        tmp_path,
+        """
+        def helper():
+            return 1
+
+        def unused():
+            return helper()
+        """,
+        [("tools/report.py", "from repro.mod import helper\nprint(helper())\n")],
+    )
+    whole = [f for f in check_paths([str(tmp_path)]) if f.path == path]
+    assert check_file(path) == whole and codes(whole) == ["ANA401"]
+    events = str(ROOT / "src/repro/sim/events.py")
+    assert check_file(events) == [f for f in check_paths([str(ROOT / "src")]) if f.path == events]
+
+
+def test_every_ana401_keeper_names_a_consumer_that_uses_it():
+    pragma = re.compile(r"(?:def|class) (\w+)\b.*# repro: noqa\(ANA401\) (\S+)")
+    keepers = [
+        m.groups()
+        for path in (ROOT / "src/repro").rglob("*.py")
+        for m in pragma.finditer(path.read_text())
+    ]
+    assert keepers
+    for name, consumer in keepers:
+        assert re.search(rf"\b{name}\b", (ROOT / consumer).read_text()), (name, consumer)
+
+
 # ------------------------------------------------------------------ engine ----
 def test_syntax_error_reported_not_raised(tmp_path):
     path = write(tmp_path, "src/repro/sim/x.py", "def broken(:\n")
@@ -661,12 +780,14 @@ def test_registry_codes_unique_and_documented():
     seen = [rule.code for rule in RULES]
     assert seen == sorted(set(seen))
     headings = re.findall(r"^### ((?:SIM|ANA)\d{3}) ", (ROOT / "docs/CHECKS.md").read_text(), re.M)
-    assert sorted(headings) == sorted(seen + [STALE_NOQA_CODE]) and len(headings) == 22
+    assert sorted(headings) == sorted(seen + [STALE_NOQA_CODE]) and len(headings) == 23
     for rule in RULES:
         assert rule.description
         assert rule.paths
 
 
 def test_repository_tree_is_clean():
-    findings = check_paths([str(ROOT / "src"), str(ROOT / "tools")])
+    findings = check_paths(
+        [str(ROOT / p) for p in ("src", "tools", "benchmarks", "examples", "bench")]
+    )
     assert findings == [], "\n".join(str(f) for f in findings)

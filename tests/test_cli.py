@@ -86,6 +86,30 @@ def test_negative_workers_is_a_usage_error(capsys, nothing_constructed):
     assert build_parser().parse_args(["--workers", "0"]).workers == 0
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--load", "-3"], "offered_load must be >= 0, got -3"),
+        (["--duration", "100", "--warmup", "200"], "duration 100 must exceed warmup 200"),
+        (["snapshot", "inspect", "missing.snap"], "missing.snap"),
+        (["snapshot", "inspect", "garbage.snap"], "garbage.snap: corrupt snapshot"),
+        (["--from-checkpoint", "missing.snap"], "missing.snap"),
+    ],
+    ids=["load", "warmup", "inspect-missing", "inspect-garbage", "from-checkpoint"],
+)
+def test_bad_input_is_a_usage_error_not_a_traceback(
+    argv, named, capsys, monkeypatch, tmp_path, nothing_constructed
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "garbage.snap").write_text("not a snapshot")
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert "error: " in err.splitlines()[-1] and named in err.splitlines()[-1]
+
+
 def test_shards_flag_is_gone_not_ignored(capsys, nothing_constructed):
     # One scenario runs on one kernel: a stale script must fail loudly.
     with pytest.raises(SystemExit) as exited:

@@ -1,5 +1,6 @@
 """Tests for the a-priori occupancy model (truncated Poisson, ξ)."""
 
+import dataclasses
 import math
 
 import pytest
@@ -88,5 +89,5 @@ def test_predict_xi_matches_simulation_at_low_and_moderate_load():
 def test_predict_xi_validation_and_dict():
     with pytest.raises(ValueError):
         predict_xi(-1)
-    d = predict_xi(5.0).as_dict()
-    assert set(d) == {"local", "update", "search"}
+    d = dataclasses.asdict(predict_xi(5.0))
+    assert set(d) == {"xi_local", "xi_update", "xi_search"}

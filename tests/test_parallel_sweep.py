@@ -22,9 +22,7 @@ from repro.harness import (
     default_workers,
     run_cells,
     run_replications,
-    sweep,
 )
-from repro.harness.sweeps import to_csv
 
 
 def quick(**kw):
@@ -36,21 +34,37 @@ def quick(**kw):
     return Scenario(**base)
 
 
+#: The report fields an experiment row is made of.
+ROW_FIELDS = (
+    "drop_rate",
+    "new_call_block_rate",
+    "handoff_failure_rate",
+    "mean_acquisition_time",
+    "p95_acquisition_time",
+    "messages_per_acquisition",
+    "mean_attempts",
+    "fairness_index",
+    "violations",
+)
+
+
+def grid(base, schemes, seeds):
+    return [base.with_(scheme=s, seed=seed) for s in schemes for seed in seeds]
+
+
+def rows(reports):
+    return [[getattr(r, f) for f in ROW_FIELDS] for r in reports]
+
+
 def test_parallel_sweep_rows_identical_to_serial():
-    """sweep(workers=4) is row-for-row identical to serial, 3 schemes."""
-    base = quick()
-    kwargs = dict(
-        parameter="scheme",
-        values=["fixed", "basic_update", "adaptive"],
-        seeds=[1, 2],
-        cache=False,
-    )
-    serial = sweep(base, workers=1, **kwargs)
-    parallel = sweep(base, workers=4, **kwargs)
-    assert len(serial.rows) == 6
-    assert parallel.rows == serial.rows
+    """run_cells(workers=4) is row-for-row identical to serial, 3 schemes."""
+    cells = grid(quick(), ["fixed", "basic_update", "adaptive"], [1, 2])
+    serial = run_cells(cells, workers=1, cache=False)
+    parallel = run_cells(cells, workers=4, cache=False)
+    assert len(serial) == 6
+    assert rows(parallel) == rows(serial)
     # Full reports match on every headline quantity, not just the rows.
-    for a, b in zip(serial.reports, parallel.reports):
+    for a, b in zip(serial, parallel):
         assert a.offered == b.offered
         assert a.drop_rate == b.drop_rate
         assert a.messages_total == b.messages_total
@@ -94,17 +108,11 @@ def test_faulty_sweep_parallel_identical_to_serial():
     byte-identical results no matter how the work is partitioned.
     """
     base = quick(scheme="adaptive", faults=FaultPlan.uniform_loss(0.05))
-    kwargs = dict(
-        parameter="scheme",
-        values=["basic_update", "adaptive"],
-        seeds=[3, 4],
-        cache=False,
-    )
-    serial = sweep(base, workers=1, **kwargs)
-    parallel = sweep(base, workers=4, **kwargs)
-    assert parallel.rows == serial.rows
-    assert to_csv(parallel) == to_csv(serial)
-    for a, b in zip(serial.reports, parallel.reports):
+    cells = grid(base, ["basic_update", "adaptive"], [3, 4])
+    serial = run_cells(cells, workers=1, cache=False)
+    parallel = run_cells(cells, workers=4, cache=False)
+    assert rows(parallel) == rows(serial)
+    for a, b in zip(serial, parallel):
         assert a.drop_rate == b.drop_rate
         assert a.messages_total == b.messages_total
         assert a.faults_injected == b.faults_injected
@@ -113,7 +121,7 @@ def test_faulty_sweep_parallel_identical_to_serial():
         assert a.retry_exhausted == b.retry_exhausted
     # Faults actually fired in this configuration (the parity above is
     # not vacuous).
-    assert all(sum(r.faults_injected.values()) > 0 for r in serial.reports)
+    assert all(sum(r.faults_injected.values()) > 0 for r in serial)
 
 
 def test_failure_capture_completes_grid():

@@ -1,14 +1,12 @@
 """Edge-case tests for the DES kernel: failure propagation, condition
-events under failure, interrupt corner cases, run() termination modes."""
+events under failure, run() termination modes."""
 
 import pytest
 
 from repro.sim import (
     AllOf,
     AnyOf,
-    EmptySchedule,
     Environment,
-    Interrupt,
     Timeout,
 )
 
@@ -76,88 +74,10 @@ def test_condition_event_cross_environment_rejected():
         AllOf(env1, [env1.timeout(1), env2.timeout(1)])
 
 
-def test_event_trigger_copies_success_and_failure():
-    env = Environment()
-    src_ok = env.event().succeed("v")
-    dst_ok = env.event()
-    env.run()
-    dst_ok.trigger(src_ok)
-    assert dst_ok.triggered and dst_ok._value == "v"
-
-    src_bad = env.event()
-    src_bad.fail(ValueError("x"))
-    env2_dst = env.event()
-    env2_dst.trigger(src_bad)
-    assert not env2_dst.ok
-    env2_dst.defuse()
-    with pytest.raises(EmptySchedule):
-        while True:
-            env.step()
-
-
 def test_fail_requires_exception():
     env = Environment()
     with pytest.raises(TypeError):
         env.event().fail("not an exception")
-
-
-def test_interrupt_cause_accessible():
-    exc = Interrupt("why")
-    assert exc.cause == "why"
-    assert Interrupt().cause is None
-
-
-def test_interrupt_during_immediate_resume():
-    # Interrupt a process that is waiting on an already-processed event
-    # (scheduled for immediate resumption).
-    env = Environment()
-    log = []
-
-    def sleeper():
-        try:
-            yield env.timeout(100)
-        except Interrupt:
-            log.append("int")
-            # Continue and wait again; second interrupt also lands.
-            try:
-                yield env.timeout(100)
-            except Interrupt:
-                log.append("int2")
-
-    def interrupter(victim):
-        yield env.timeout(1)
-        victim.interrupt()
-        yield env.timeout(1)
-        victim.interrupt()
-
-    v = env.process(sleeper())
-    env.process(interrupter(v))
-    env.run()
-    assert log == ["int", "int2"]
-
-
-def test_interrupted_process_ignores_original_wakeup():
-    env = Environment()
-    timeline = []
-
-    def sleeper():
-        try:
-            yield env.timeout(5)
-            timeline.append(("woke", env.now))
-        except Interrupt:
-            timeline.append(("interrupted", env.now))
-            yield env.timeout(100)
-            timeline.append(("second", env.now))
-
-    def interrupter(victim):
-        yield env.timeout(2)
-        victim.interrupt()
-
-    v = env.process(sleeper())
-    env.process(interrupter(v))
-    env.run()
-    # The original t=5 wakeup must NOT resume the process a second time.
-    assert timeline == [("interrupted", 2), ("second", 102)]
 
 
 def test_run_until_processed_failed_event_reraises():

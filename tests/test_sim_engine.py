@@ -7,7 +7,6 @@ from repro.sim import (
     AnyOf,
     EmptySchedule,
     Environment,
-    Interrupt,
 )
 
 
@@ -336,52 +335,6 @@ def test_empty_all_of_triggers_immediately():
     p = env.process(proc())
     assert env.run(until=p) == "ok"
     assert env.now == 0
-
-
-def test_interrupt_wakes_waiting_process():
-    env = Environment()
-    log = []
-
-    def sleeper():
-        try:
-            yield env.timeout(100)
-            log.append("overslept")
-        except Interrupt as i:
-            log.append(("interrupted", i.cause, env.now))
-
-    def interrupter(victim):
-        yield env.timeout(3)
-        victim.interrupt(cause="wake up")
-
-    victim = env.process(sleeper())
-    env.process(interrupter(victim))
-    env.run()
-    assert log == [("interrupted", "wake up", 3)]
-
-
-def test_interrupt_dead_process_raises():
-    env = Environment()
-
-    def quick():
-        yield env.timeout(1)
-
-    p = env.process(quick())
-    env.run()
-    with pytest.raises(RuntimeError):
-        p.interrupt()
-
-
-def test_self_interrupt_rejected():
-    env = Environment()
-
-    def selfish():
-        me = env.active_process
-        with pytest.raises(RuntimeError):
-            me.interrupt()
-        yield env.timeout(0)
-
-    p = env.process(selfish())
-    env.run(until=p)
 
 
 def test_peek_and_len():

@@ -6,7 +6,6 @@ import pytest
 from repro.sim import (
     DeterministicLatency,
     Environment,
-    ExponentialLatency,
     Network,
     UniformLatency,
 )
@@ -148,16 +147,6 @@ def test_latency_model_validation():
         UniformLatency(0, 1, np.random.default_rng(0))
     with pytest.raises(ValueError):
         UniformLatency(5, 2, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        ExponentialLatency(0, 1, np.random.default_rng(0))
-
-
-def test_exponential_latency_bounded_by_cap():
-    rng = np.random.default_rng(1)
-    lat = ExponentialLatency(1.0, 2.0, rng, cap=4.0)
-    samples = [lat.sample(0, 1) for _ in range(200)]
-    assert all(1.0 <= s <= 4.0 for s in samples)
-    assert lat.max_delay == 4.0
 
 
 def test_deterministic_max_delay():

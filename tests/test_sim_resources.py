@@ -1,8 +1,8 @@
-"""Unit tests for Gate, Store, Resource and Collector primitives."""
+"""Unit tests for Gate, Resource and Collector primitives."""
 
 import pytest
 
-from repro.sim import Collector, Environment, Gate, Resource, Store
+from repro.sim import Collector, Environment, Gate, Resource
 
 
 # ---------------------------------------------------------------- Gate ----
@@ -70,86 +70,6 @@ def test_gate_open_latches():
     assert gate.is_open
     gate.close()
     assert not gate.is_open
-
-
-# --------------------------------------------------------------- Store ----
-def test_store_put_then_get():
-    env = Environment()
-    store = Store(env)
-    store.put("x")
-    got = []
-
-    def getter():
-        got.append((yield store.get()))
-
-    env.process(getter())
-    env.run()
-    assert got == ["x"]
-
-
-def test_store_get_blocks_until_put():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def getter():
-        got.append(((yield store.get()), env.now))
-
-    env.process(getter())
-
-    def putter():
-        yield env.timeout(4)
-        store.put("y")
-
-    env.process(putter())
-    env.run()
-    assert got == [("y", 4)]
-
-
-def test_store_fifo_order():
-    env = Environment()
-    store = Store(env)
-    for i in range(5):
-        store.put(i)
-    got = []
-
-    def getter():
-        for _ in range(5):
-            got.append((yield store.get()))
-
-    env.process(getter())
-    env.run()
-    assert got == [0, 1, 2, 3, 4]
-
-
-def test_store_multiple_getters_fifo():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def getter(i):
-        got.append((i, (yield store.get())))
-
-    for i in range(3):
-        env.process(getter(i))
-
-    def putter():
-        yield env.timeout(1)
-        for v in "abc":
-            store.put(v)
-
-    env.process(putter())
-    env.run()
-    assert got == [(0, "a"), (1, "b"), (2, "c")]
-
-
-def test_store_len():
-    env = Environment()
-    store = Store(env)
-    assert len(store) == 0
-    store.put(1)
-    store.put(2)
-    assert len(store) == 2
 
 
 # ------------------------------------------------------------- Resource ----

@@ -151,7 +151,7 @@ def test_topology_defaults():
     assert topo.interference_radius == 2
     for cell in topo.grid:
         assert len(topo.IN(cell)) == 18
-        assert topo.primary_capacity(cell) == 10
+        assert len(topo.PR(cell)) == 10
         assert cell not in topo.IN(cell)
 
 

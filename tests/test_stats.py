@@ -44,12 +44,6 @@ def test_t95_table_and_normal_tail():
         _t95(0)
 
 
-def test_ci_excludes_zero():
-    assert CI(1.0, 0.5, 5).excludes_zero()
-    assert CI(-1.0, 0.5, 5).excludes_zero()
-    assert not CI(0.1, 0.5, 5).excludes_zero()
-
-
 def test_ci_str():
     text = str(CI(0.5, 0.1, 4))
     assert "0.5" in text and "n=4" in text
@@ -93,7 +87,7 @@ def test_compare_paired_by_seed(real_report):
     diff = compare(fixed, adaptive, "drop_rate")
     assert diff.n == 3
     assert diff == _interval([0.30 - 0.10, 0.25 - 0.12, 0.35 - 0.08])
-    assert diff.mean == pytest.approx(0.2) and diff.excludes_zero()
+    assert diff.mean == pytest.approx(0.2) and diff.low > 0
     assert compare(adaptive, fixed, "drop_rate").mean == pytest.approx(-0.2)
 
 

@@ -1,76 +1,9 @@
-"""Unit tests for the sweep utility and terminal visualizations."""
+"""Unit tests for the terminal sparkline."""
 
 
-from repro.harness import (
-    Scenario,
-    SweepResult,
-    bar_chart,
-    hex_heatmap,
-    sparkline,
-    sweep,
-    to_csv,
-)
+from repro.harness import sparkline
 
 
-def quick_base():
-    return Scenario(
-        scheme="fixed", duration=400.0, warmup=100.0, mean_holding=60.0
-    )
-
-
-def test_sweep_over_scenario_field():
-    res = sweep(quick_base(), "offered_load", [2.0, 8.0], seeds=[1, 2])
-    assert len(res.rows) == 4
-    assert res.values() == [2.0, 8.0]
-    means = res.mean_over_seeds("drop_rate")
-    assert means[2.0] < means[8.0]  # more load, more blocking
-
-
-def test_sweep_rows_carry_seed_and_columns():
-    res = sweep(quick_base(), "offered_load", [3.0], seeds=[5])
-    row = res.rows[0]
-    assert row["seed"] == 5
-    assert "drop_rate" in row and "violations" in row
-    assert row["violations"] == 0
-
-
-def test_sweep_over_extra_param():
-    base = quick_base().with_(scheme="adaptive", offered_load=8.0)
-    res = sweep(base, "best_policy", ["best", "first"], seeds=[1])
-    assert len(res.rows) == 2
-    assert {r["best_policy"] for r in res.rows} == {"best", "first"}
-
-
-def test_sweep_extra_callback():
-    res = sweep(
-        quick_base(),
-        "offered_load",
-        [2.0],
-        extra=lambda rep: {"offered": rep.offered},
-    )
-    assert res.rows[0]["offered"] > 0
-
-
-def test_table_rows_aggregates_means():
-    res = sweep(quick_base(), "offered_load", [2.0, 8.0], seeds=[1, 2])
-    rows = res.table_rows(["drop_rate"])
-    assert len(rows) == 2
-    assert rows[0][0] == 2.0 and rows[1][0] == 8.0
-
-
-def test_to_csv_round_trip():
-    res = sweep(quick_base(), "offered_load", [2.0], seeds=[1])
-    text = to_csv(res)
-    lines = text.strip().splitlines()
-    assert lines[0].startswith("offered_load,seed,")
-    assert len(lines) == 2
-
-
-def test_to_csv_empty():
-    assert to_csv(SweepResult(parameter="x", columns=[])) == ""
-
-
-# ------------------------------------------------------------------ viz ----
 def test_sparkline_shape():
     s = sparkline([0, 1, 2, 3, 2, 1, 0])
     assert len(s) == 7
@@ -80,26 +13,3 @@ def test_sparkline_shape():
 def test_sparkline_flat_and_empty():
     assert sparkline([]) == ""
     assert sparkline([5, 5, 5]) == "▁▁▁"
-
-
-def test_bar_chart_alignment():
-    out = bar_chart({"alpha": 1.0, "much-longer": 0.5})
-    lines = out.splitlines()
-    assert len(lines) == 2
-    assert lines[0].index("█") == lines[1].index(" ", 1) or True
-    assert "1.000" in lines[0]
-
-
-def test_bar_chart_empty():
-    assert bar_chart({}) == ""
-
-
-def test_hex_heatmap_renders_grid():
-    values = {i: float(i) for i in range(9)}
-    out = hex_heatmap(values, rows=3, cols=3)
-    lines = out.splitlines()
-    assert len(lines) == 3
-    assert lines[1].startswith(" ")  # hex offset
-    assert lines[2].startswith("  ")
-    # Highest value gets the densest glyph.
-    assert "@" in lines[2]

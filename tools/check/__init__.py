@@ -3,7 +3,7 @@
 An AST checker for invariants generic linters cannot know about.  One
 engine (``engine.py``) parses each file once, scopes every rule by
 path, applies ``# repro: noqa(CODE)`` pragmas and reports stale ones;
-the rules come in three families:
+the rules come in four families:
 
 ========  =============================================================
 SIM001–   Simulation hygiene and determinism (``rules.py``): no
@@ -21,6 +21,9 @@ ANA204,   by messages, and no simulation state lives where a snapshot
 ANA301    cannot see it — no cross-cell dereference, no mutable class
           attribute or module global, no fluid-state access in a
           handler, no generator outside the stream registry.
+ANA401    Public surface (``surface.py``), whole-program: every public
+          def, class and method under ``src/repro`` is referenced
+          outside ``tests/``, or names its consumer in a pragma.
 SIM100    No stale suppressions — a ``# repro: noqa`` pragma that
           silences nothing is itself a finding (and cannot be
           suppressed).

@@ -24,13 +24,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="tools.check",
         description="The repository's static checks (SIM001-SIM012, "
-        "ANA101-ANA301, SIM100).",
+        "ANA101-ANA401, SIM100).",
     )
     parser.add_argument(
         "paths",
         nargs="*",
-        default=["src", "tools"],
-        help="files or directories to check (default: src tools)",
+        default=["src", "tools", "benchmarks", "examples", "bench"],
+        help="files or directories to check "
+        "(default: src tools benchmarks examples bench)",
     )
     parser.add_argument(
         "--format",

@@ -189,6 +189,9 @@ class Rule(_Scoped):
 class ProgramRule(_Scoped):
     """A whole-program rule: ``run`` sees every in-scope file at once."""
 
+    #: Fragments of further files ``run`` gets to read; it judges none of them.
+    reads: Tuple[str, ...] = ()
+
     def run(self, files: Tuple[CheckContext, ...]) -> Iterator[ProgramMatch]:
         """Yield ``(path, node, message)``; ``path`` names one of ``files``."""
         raise NotImplementedError
@@ -288,7 +291,11 @@ def check_files(
         for ctx in scoped:
             ctx.applicable.add(rule.code)
         if isinstance(rule, ProgramRule):
-            for path, node, message in rule.run(scoped):
+            read = tuple(
+                ctx for ctx in files
+                if ctx not in scoped and any(f in ctx.path for f in rule.reads)
+            )
+            for path, node, message in rule.run(scoped + read):
                 report(by_path[path], rule.code, node, message)
         else:
             for ctx in scoped:

@@ -16,6 +16,7 @@ from typing import Iterator, List, Optional
 from .engine import AnyRule, CheckContext, Match, Rule
 from .flow import FLOW_RULES
 from .isolation import ISOLATION_RULES
+from .surface import SURFACE_RULES
 
 __all__ = ["Rule", "RULES"]
 
@@ -504,6 +505,7 @@ class NoBitCount(Rule):
 RULES: List[AnyRule] = [
     *FLOW_RULES,
     *ISOLATION_RULES,
+    *SURFACE_RULES,
     NoWallClock(),
     NoGlobalRandom(),
     NoDirectUseMutation(),
