@@ -11,7 +11,7 @@ Run:  python examples/mode_timeline.py
 """
 
 from repro.harness import Scenario, build_simulation, sparkline
-from repro.obs import ObsConfig, borrowing_fraction, mode_timeline
+from repro.obs import borrowing_fraction, mode_timeline
 from repro.traffic import TemporalHotspot
 
 HOLDING = 180.0
@@ -34,7 +34,7 @@ def main() -> None:
         duration=4000.0,
         warmup=0.0,
         seed=19,
-        obs=ObsConfig(sample_interval=40.0),
+        obs=40.0,  # sample every 40 time units
     )
     report = build_simulation(scenario).run()
     series = report.obs.series

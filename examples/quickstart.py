@@ -42,9 +42,9 @@ def main() -> None:
         seed=1,
     )
     if args.trace:
-        from repro.obs import ObsConfig
+        from repro.obs import SAMPLE_INTERVAL
 
-        scenario = scenario.with_(obs=ObsConfig())
+        scenario = scenario.with_(obs=SAMPLE_INTERVAL)
     report = run_scenario(scenario)
 
     print("Topology:", "7x7 torus, 70 channels, reuse k=7 (|IN| = 18)")

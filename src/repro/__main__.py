@@ -20,7 +20,15 @@ import json
 import sys
 
 from .faults import FaultPlan
-from .harness import SCHEMES, CompatibilityError, Scenario, check_compatible, render_table, run_cells
+from .harness import (
+    SCHEMES,
+    CompatibilityError,
+    ExperimentError,
+    Scenario,
+    check_compatible,
+    render_table,
+    run_cells,
+)
 from .harness.capability import rejected_with
 from .policies.base import policy_names
 from .traffic import HotspotLoad
@@ -312,6 +320,13 @@ def main(argv=None) -> int:
     except CompatibilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ExperimentError as exc:
+        # One line per failed cell; the tracebacks are for library callers.
+        print(f"error: {len(exc.failures)} of {len(exc.reports)} runs failed:",
+              file=sys.stderr)
+        for failure in exc.failures:
+            print(f"  - {failure.summary()}", file=sys.stderr)
+        return 1
 
 
 def _run(args, parser: argparse.ArgumentParser) -> int:
@@ -353,12 +368,12 @@ def _run(args, parser: argparse.ArgumentParser) -> int:
         return _print_reports(args, [run_from_snapshot(snap, seed=args.fork_seed)])
 
     if args.trace is not None:
-        from .obs import ObsConfig
+        from .obs import SAMPLE_INTERVAL
 
-        # Scenarios that already carry an obs config (e.g. from a
+        # Scenarios that already carry a sample interval (e.g. from a
         # --config file) keep it; the flag only switches tracing on.
         scenarios = [
-            s if s.obs is not None else s.with_(obs=ObsConfig())
+            s if s.obs is not None else s.with_(obs=SAMPLE_INTERVAL)
             for s in scenarios
         ]
 

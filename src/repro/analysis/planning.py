@@ -31,9 +31,7 @@ def expected_blocked_traffic(loads: Sequence[float], counts: Sequence[int]) -> f
     return sum(a * erlang_b(a, n) for a, n in zip(loads, counts))
 
 
-def marginal_allocation(
-    loads: Sequence[float], total_channels: int, min_per_color: int = 1
-) -> List[int]:
+def marginal_allocation(loads: Sequence[float], total_channels: int) -> List[int]:
     """Optimal integer split of ``total_channels`` across colors.
 
     Parameters
@@ -42,24 +40,22 @@ def marginal_allocation(
         Offered load ``A_c`` (Erlangs) per reuse color.
     total_channels:
         Channels to distribute (the spectrum size ``n``).
-    min_per_color:
-        Floor per color (a color with zero channels would make its
-        cells permanently dead under FCA); default 1.
 
     Returns the per-color channel counts, summing to ``total_channels``.
+    Every color gets at least one: a color with none would make its
+    cells permanently dead under FCA.
     """
     k = len(loads)
     if k == 0:
         raise ValueError("need at least one color")
     if any(a < 0 for a in loads):
         raise ValueError("loads must be >= 0")
-    if total_channels < k * min_per_color:
+    if total_channels < k:
         raise ValueError(
-            f"{total_channels} channels cannot give {min_per_color} to "
-            f"each of {k} colors"
+            f"{total_channels} channels cannot give one to each of {k} colors"
         )
 
-    counts = [min_per_color] * k
+    counts = [1] * k
 
     def gain(color: int) -> float:
         a, n = loads[color], counts[color]
@@ -70,7 +66,7 @@ def marginal_allocation(
     # so a lazy heap with recomputation on pop is exact.
     heap: List[Tuple[float, int]] = [(-gain(c), c) for c in range(k)]
     heapq.heapify(heap)
-    remaining = total_channels - k * min_per_color
+    remaining = total_channels - k
     while remaining > 0:
         neg, color = heapq.heappop(heap)
         current = -gain(color)
@@ -83,12 +79,8 @@ def marginal_allocation(
     return counts
 
 
-def plan_partition(
-    color_loads: Dict[int, float], total_channels: int, min_per_color: int = 1
-) -> Dict[int, int]:
+def plan_partition(color_loads: Dict[int, float], total_channels: int) -> Dict[int, int]:
     """Dict-flavoured wrapper: color -> channel count."""
     colors = sorted(color_loads)
-    counts = marginal_allocation(
-        [color_loads[c] for c in colors], total_channels, min_per_color
-    )
+    counts = marginal_allocation([color_loads[c] for c in colors], total_channels)
     return dict(zip(colors, counts))

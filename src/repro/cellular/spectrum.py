@@ -97,22 +97,12 @@ class ReusePattern:
         the torus translations must belong to the reuse lattice,
         otherwise the coloring would be inconsistent across the seam).
     cluster_size:
-        k = i²+ij+j²; the shift (i, j) is derived automatically unless
-        given explicitly via ``shift``.
+        k = i²+ij+j²; the shift (i, j) is :func:`cluster_shift` of it.
     """
 
-    def __init__(
-        self,
-        grid: HexGrid,
-        cluster_size: int = 7,
-        shift: Optional[Tuple[int, int]] = None,
-    ) -> None:
+    def __init__(self, grid: HexGrid, cluster_size: int = 7) -> None:
         self.grid = grid
-        if shift is None:
-            shift = cluster_shift(cluster_size)
-        i, j = shift
-        if i * i + i * j + j * j != cluster_size:
-            raise ValueError(f"shift {shift} does not produce cluster size {cluster_size}")
+        i, j = cluster_shift(cluster_size)
         self.cluster_size = cluster_size
         self.shift = (i, j)
         # Reuse lattice basis: u = (i, j), v = rotate60(u) = (-j, i+j).

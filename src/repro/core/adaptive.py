@@ -171,11 +171,7 @@ class AdaptiveMSS(Requester, Responder, MSS):
         self.repack = repack
         #: Number of reassignments performed (repack diagnostics).
         self.repacks = 0
-        if guard_channels < 0 or guard_channels >= len(self.PR):
-            raise ValueError(
-                "guard_channels must be in [0, primaries per cell)"
-            )
-        self.guard_channels = guard_channels
+        self.guard_channels = self._checked_guard(guard_channels)
         #: Max one-way message latency (paper's T); 2T is the round trip
         #: used by the Fig. 6 prediction.
         self.T = self.network.latency.max_delay

@@ -10,11 +10,11 @@ channels (10 primaries per cell, |IN| = 18) and unit message latency T.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Dict, Optional
 
 from ..faults import FaultPlan
-from ..obs import ObsConfig
 from ..traffic.patterns import (
     HotspotLoad,
     LoadPattern,
@@ -131,11 +131,12 @@ class Scenario:
     faults: Optional[FaultPlan] = None
 
     # -- observability ----------------------------------------------------------
-    #: Observability config (see ``repro.obs``): span tracing, per-cell
-    #: time series and kernel profiling.  None (default) or a disabled
-    #: config attaches nothing — the probe bus stays empty and the
-    #: kernel keeps its no-subscriber fast path.
-    obs: Optional[ObsConfig] = None
+    #: Observability (see ``repro.obs``): the sample interval, in
+    #: simulated time units, of the span tracer, per-cell time series
+    #: and kernel profiler that then run.  None (default) attaches
+    #: nothing — the probe bus stays empty and the kernel keeps its
+    #: no-subscriber fast path.
+    obs: Optional[float] = None
 
     # -- hybrid analytic/DES fast lane -------------------------------------------
     #: Advance local-mode cells with a quiescent neighborhood
@@ -161,6 +162,15 @@ class Scenario:
             raise ValueError(f"offered_load must be >= 0, got {self.offered_load:g}")
         if self.mean_holding <= 0:
             raise ValueError(f"mean_holding must be positive, got {self.mean_holding:g}")
+        obs = self.obs
+        if obs is not None and (
+            isinstance(obs, bool)
+            or not isinstance(obs, (int, float))
+            or not 0 < obs < math.inf
+        ):
+            raise ValueError(
+                f"obs must be None or a positive sample interval, got {obs!r}"
+            )
 
     @property
     def arrival_rate(self) -> float:
@@ -186,7 +196,6 @@ class Scenario:
         # asdict recursed into the plan; replace with the canonical form
         # (lists, not tuples) so cache keys and JSON round-trips agree.
         data["faults"] = self.faults.to_dict() if self.faults is not None else None
-        data["obs"] = self.obs.to_dict() if self.obs is not None else None
         return data
 
     @classmethod
@@ -203,10 +212,6 @@ class Scenario:
             data["faults"], FaultPlan
         ):
             data["faults"] = FaultPlan.from_dict(data["faults"])
-        if data.get("obs") is not None and not isinstance(
-            data["obs"], ObsConfig
-        ):
-            data["obs"] = ObsConfig.from_dict(data["obs"])
         if data.get("channels_per_color") is not None:
             # JSON object keys are strings; restore integer colors.
             data["channels_per_color"] = {

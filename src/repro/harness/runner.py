@@ -23,7 +23,7 @@ from ..sim import (
     StreamRegistry,
     UniformLatency,
 )
-from ..traffic import CallConfig, TrafficSource
+from ..traffic import CallConfig, HotspotLoad, PiecewiseLoad, TemporalHotspot, TrafficSource
 from ..verify import SanitizerSuite, get_default_policy
 from .capability import SCHEMES, check_compatible
 from .config import Scenario
@@ -50,7 +50,7 @@ class Simulation:
     sanitizers: Optional[SanitizerSuite] = None
     #: Fault injector (present iff the scenario has an enabled plan).
     injector: Optional[FaultInjector] = None
-    #: Observability collectors (present iff ``scenario.obs`` is enabled).
+    #: Observability collectors (present iff ``scenario.obs`` is set).
     observer: Optional[Observer] = None
     #: Hybrid analytic fast lane (present iff ``scenario.fastlane``).
     fastlane: Optional[FastLane] = None
@@ -250,6 +250,22 @@ def _make_latency(scenario: Scenario, streams: StreamRegistry):
     raise ValueError(f"unknown latency model {scenario.latency_model!r}")
 
 
+def _check_pattern_cells(pattern: Any, grid: Any) -> None:
+    """Refuse a load pattern that names a cell the grid does not have."""
+    if isinstance(pattern, (HotspotLoad, TemporalHotspot)):
+        cells = pattern.hot_cells
+    elif isinstance(pattern, PiecewiseLoad):
+        cells = pattern.rates
+    else:
+        return
+    outside = sorted(c for c in cells if c not in range(len(grid)))
+    if outside:
+        raise ValueError(
+            f"{type(pattern).__name__} names cells {outside} outside the "
+            f"{grid.rows}x{grid.cols} grid (cells 0..{len(grid) - 1})"
+        )
+
+
 def build_simulation(scenario: Scenario) -> Simulation:
     """Construct the full stack for a scenario (without running it)."""
     if scenario.scheme not in SCHEMES:
@@ -260,6 +276,7 @@ def build_simulation(scenario: Scenario) -> Simulation:
     streams = StreamRegistry(scenario.seed)
     env = Environment()
     topo = topology_for(scenario)
+    _check_pattern_cells(scenario.pattern, topo.grid)
     network = Network(env, _make_latency(scenario, streams), fifo=scenario.fifo)
     metrics = MetricsCollector(warmup=scenario.warmup)
     monitor = InterferenceMonitor(topo, policy=scenario.monitor_policy)
@@ -330,17 +347,11 @@ def build_simulation(scenario: Scenario) -> Simulation:
         lane.install()
 
     # Observability: attached last so its probe subscriptions see the
-    # fully wired stack.  With no (enabled) obs config, nothing here
+    # fully wired stack.  With no sample interval, nothing here
     # subscribes and the kernel's no-probe fast path stays active.
     observer: Optional[Observer] = None
-    if scenario.obs is not None and scenario.obs.enabled:
-        observer = Observer(
-            env,
-            stations,
-            scenario.obs,
-            duration=scenario.duration,
-            network=network,
-        )
+    if scenario.obs is not None:
+        observer = Observer(env, stations, scenario.obs, scenario.duration, network)
 
     return Simulation(
         scenario=scenario,
@@ -373,42 +384,17 @@ def run_replications(
     n: int,
     workers: Optional[int] = 1,
     cache: Any = None,
-    warmup_checkpoint: Any = None,
 ) -> List[Report]:
     """Run ``n`` independent replications (seeds seed, seed+1, ...).
 
     ``workers`` fans replications out over a process pool (``None`` =
     one per CPU) with deterministically ordered results; ``cache``
     controls the persistent result cache (see
-    :func:`repro.harness.cache.resolve_cache`).
-
-    ``warmup_checkpoint`` switches the sweep to *warm-start forking*
-    (see :mod:`repro.snap`): the scenario runs once to a checkpoint and
-    every replication forks from that snapshot under its own seed, so
-    the warmup transient is simulated once instead of ``n`` times.
-    Accepts a checkpoint instant (a float, typically
-    ``scenario.warmup``) or a ready-made
-    :class:`~repro.snap.Snapshot`.  Forked replications share the
-    pre-checkpoint trajectory by construction — they are exchangeable
-    draws of the post-checkpoint window, not fully independent runs —
-    and run serially in-process (any ``workers`` but 1 is refused with
-    :class:`~repro.harness.capability.CompatibilityError`; the speedup
-    comes from skipping the warmup, and cache rows are keyed by the
-    snapshot hash so warm results never alias cold ones).
+    :func:`repro.harness.cache.resolve_cache`).  The warm-start form —
+    one run to a checkpoint, every replication forked from it — is
+    ``fork_replications(run_to_checkpoint(scenario, t), n)`` (see
+    :mod:`repro.snap`).
     """
-    if warmup_checkpoint is not None:
-        from ..snap import Snapshot, fork_replications, run_to_checkpoint
-
-        if workers != 1:
-            check_compatible(scenario, lanes=("resume", "workers"))
-
-        if isinstance(warmup_checkpoint, Snapshot):
-            snapshot = warmup_checkpoint
-        else:
-            snapshot = run_to_checkpoint(scenario, float(warmup_checkpoint))
-        seeds = [scenario.seed + i for i in range(n)]
-        return fork_replications(snapshot, n, cache=cache, seeds=seeds)
-
     # Local import: parallel builds on this module's run_scenario.
     from .parallel import run_cells
 

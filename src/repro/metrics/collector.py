@@ -166,9 +166,9 @@ class MetricsCollector:
             return 0.0
         return int(np.count_nonzero(subset & ~log.view("granted"))) / asked
 
-    def acquisition_times(self, granted_only: bool = True) -> np.ndarray:
-        times = self.records.view("acquisition_time")
-        return times[self.records.view("granted")] if granted_only else times.copy()
+    def acquisition_times(self) -> np.ndarray:
+        """The granted requests' acquisition times (a fresh array)."""
+        return self.records.view("acquisition_time")[self.records.view("granted")]
 
     def mean_acquisition_time(self) -> float:
         times = self.acquisition_times()

@@ -1,8 +1,8 @@
 """Unified observability layer: spans, time-series, run artifacts.
 
 Everything here rides the DES kernel's probe bus and is **off by
-default**: without an enabled :class:`ObsConfig` on the scenario, no
-observer is constructed, no probe is subscribed, and the kernel's
+default**: without a sample interval in the scenario's ``obs`` field,
+no observer is constructed, no probe is subscribed, and the kernel's
 ``if not probes: return`` fast path keeps the hot loop untouched.
 
 Layering: this package imports only the simulation layer (never the
@@ -12,9 +12,9 @@ analysis layer lazily.
 Quick start::
 
     from repro.harness import Scenario, run_scenario
-    from repro.obs import ObsConfig, write_run_artifacts
+    from repro.obs import SAMPLE_INTERVAL, write_run_artifacts
 
-    report = run_scenario(Scenario(obs=ObsConfig()))
+    report = run_scenario(Scenario(obs=SAMPLE_INTERVAL))
     write_run_artifacts(report, "run-artifacts")
 
 or, equivalently, ``python -m repro --trace run-artifacts``.  See
@@ -23,7 +23,6 @@ docs/TUTORIAL.md for an end-to-end walkthrough.
 """
 
 from .artifacts import trace_events, write_manifest, write_run_artifacts
-from .config import ObsConfig
 from .kernel import KernelProfiler
 from .observer import ObsData, Observer
 from .spans import Span, SpanTracer
@@ -37,8 +36,12 @@ from .timeseries import (
     mode_timeline,
 )
 
+#: The observers' default sample interval (simulated time units): what
+#: ``python -m repro --trace`` puts in ``Scenario.obs``.
+SAMPLE_INTERVAL = 50.0
+
 __all__ = [
-    "ObsConfig",
+    "SAMPLE_INTERVAL",
     "Observer",
     "ObsData",
     "Span",

@@ -39,6 +39,10 @@ __all__ = ["trace_events", "write_run_artifacts", "write_manifest"]
 #: 1000 makes one unit of T read as one millisecond in Perfetto.
 TRACE_SCALE = 1000.0
 
+#: How many cells the report's ASCII mode timeline shows (the busiest
+#: borrowers, picked deterministically).
+TIMELINE_CELLS = 12
+
 
 # ---------------------------------------------------------------------------
 # Chrome trace_event generation
@@ -212,13 +216,13 @@ def _region_size(scenario: Any) -> float:
     return sum(sizes) / len(sizes) if sizes else 0.0
 
 
-def _mode_timeline(series: Dict[str, Any], timeline_cells: int) -> List[str]:
+def _mode_timeline(series: Dict[str, Any]) -> List[str]:
     """Fenced ASCII mode timeline of the busiest borrowers."""
     cells = series["cells"]
     ranked = sorted(
         cells, key=lambda c: (-borrowing_fraction(cells[c]["mode"]), int(c))
     )
-    return ["```", *mode_timeline(series, ranked[:timeline_cells]), "```"]
+    return ["```", *mode_timeline(series, ranked[:TIMELINE_CELLS]), "```"]
 
 
 def _render_report_md(report: Any) -> str:
@@ -345,54 +349,50 @@ def _render_report_md(report: Any) -> str:
             ],
         )
 
-    if obs is not None and obs.span_stats:
-        stats = obs.span_stats
-        lines += [
-            "",
-            "## Acquisition spans",
-            "",
-            f"{stats.get('opened', 0)} spans opened, "
-            f"{stats.get('closed', 0)} closed "
-            f"({len(obs.open_spans)} still open at the horizon, "
-            f"{stats.get('dropped', 0)} over the retention cap, "
-            f"{stats.get('orphan_children', 0)} events outside any span).  "
-            "Full detail in `trace.json` — open it at "
-            "<https://ui.perfetto.dev>.",
-        ]
+    stats = obs.span_stats
+    lines += [
+        "",
+        "## Acquisition spans",
+        "",
+        f"{stats.get('opened', 0)} spans opened, "
+        f"{stats.get('closed', 0)} closed "
+        f"({len(obs.open_spans)} still open at the horizon, "
+        f"{stats.get('dropped', 0)} over the retention cap, "
+        f"{stats.get('orphan_children', 0)} events outside any span).  "
+        "Full detail in `trace.json` — open it at "
+        "<https://ui.perfetto.dev>.",
+    ]
 
-    if obs is not None and obs.series.get("times"):
-        timeline_cells = (obs.config or {}).get("timeline_cells", 12)
-        lines += ["", "## Mode timeline (busiest borrowers)", ""]
-        lines += _mode_timeline(obs.series, timeline_cells)
+    lines += ["", "## Mode timeline (busiest borrowers)", ""]
+    lines += _mode_timeline(obs.series)
 
-    if obs is not None and obs.kernel.get("sim_times"):
-        kernel = obs.kernel
-        rates = [r for r in kernel.get("events_per_s", []) if r]
-        occ = [o for o in kernel.get("occupancy", []) if o is not None]
-        lines += [
-            "",
-            "## Kernel vitals",
-            "",
-            "*(events and heap depth are deterministic; the rate and "
-            "occupancy columns are wall-clock measurements and vary "
-            "run to run)*",
-            "",
-        ]
-        lines += _md_table(
-            ["metric", "value"],
+    kernel = obs.kernel
+    rates = [r for r in kernel.get("events_per_s", []) if r]
+    occ = [o for o in kernel.get("occupancy", []) if o is not None]
+    lines += [
+        "",
+        "## Kernel vitals",
+        "",
+        "*(events and heap depth are deterministic; the rate and "
+        "occupancy columns are wall-clock measurements and vary "
+        "run to run)*",
+        "",
+    ]
+    lines += _md_table(
+        ["metric", "value"],
+        [
+            ["events processed", kernel.get("total_events", 0)],
+            ["max heap depth", kernel.get("max_heap_depth", 0)],
             [
-                ["events processed", kernel.get("total_events", 0)],
-                ["max heap depth", kernel.get("max_heap_depth", 0)],
-                [
-                    "events/s (median interval)",
-                    sorted(rates)[len(rates) // 2] if rates else "n/a",
-                ],
-                [
-                    "event-loop occupancy (median)",
-                    sorted(occ)[len(occ) // 2] if occ else "n/a",
-                ],
+                "events/s (median interval)",
+                sorted(rates)[len(rates) // 2] if rates else "n/a",
             ],
-        )
+            [
+                "event-loop occupancy (median)",
+                sorted(occ)[len(occ) // 2] if occ else "n/a",
+            ],
+        ],
+    )
 
     if report.faults_injected:
         lines += ["", "## Faults", ""]

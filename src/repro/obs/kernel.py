@@ -47,7 +47,7 @@ class KernelProfiler:
         env: Any,
         interval: float,
         horizon: float,
-        network: Optional[Any] = None,
+        network: Any,
     ) -> None:
         if interval <= 0:
             raise ValueError("interval must be positive")
@@ -76,8 +76,7 @@ class KernelProfiler:
             self.heap_depth.append(len(env._queue))
             self.wall.append(time.perf_counter())
             self.cpu.append(time.process_time())
-            if self.network is not None:
-                self.messages_by_kind.append(dict(self.network.sent_by_kind))
+            self.messages_by_kind.append(dict(self.network.sent_by_kind))
             yield env.timeout(self.interval)
 
     # -- export --------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The per-run observer: builds the collectors, harvests :class:`ObsData`.
 
 ``build_simulation`` constructs one :class:`Observer` when the
-scenario's ``obs`` config is enabled; after the run,
+scenario's ``obs`` field holds a sample interval; after the run,
 ``Report.from_simulation`` calls :meth:`Observer.collect` and stores
 the resulting :class:`ObsData` on ``Report.obs``.  ObsData is a plain
 data container — picklable (it rides Reports through the
@@ -12,10 +12,9 @@ process, wherever the run directory should land.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, List
 
-from .config import ObsConfig
 from .kernel import KernelProfiler
 from .spans import SpanTracer
 from .timeseries import TimeSeriesRecorder
@@ -27,36 +26,34 @@ __all__ = ["ObsData", "Observer"]
 class ObsData:
     """Everything one run's observability layer collected (plain data)."""
 
-    #: The :class:`ObsConfig` that produced this data, as a dict.
-    config: Dict[str, Any] = field(default_factory=dict)
     #: Closed acquisition spans (see :class:`repro.obs.spans.Span`).
-    spans: List[Dict[str, Any]] = field(default_factory=list)
+    spans: List[Dict[str, Any]]
     #: Spans still open when the run ended (halted mid-traffic).
-    open_spans: List[Dict[str, Any]] = field(default_factory=list)
+    open_spans: List[Dict[str, Any]]
     #: Free-standing instants: [time, kind, cell, detail].
-    instants: List[List[Any]] = field(default_factory=list)
+    instants: List[List[Any]]
     #: Span-pairing accounting: opened/closed/dropped/malformed/….
-    span_stats: Dict[str, int] = field(default_factory=dict)
+    span_stats: Dict[str, int]
     #: Per-cell time series (see ``TimeSeriesRecorder.to_dict``).
-    series: Dict[str, Any] = field(default_factory=dict)
+    series: Dict[str, Any]
     #: Kernel vitals (see ``KernelProfiler.to_dict``).
-    kernel: Dict[str, Any] = field(default_factory=dict)
+    kernel: Dict[str, Any]
 
 
 class Observer:
-    """Attaches the configured collectors to a freshly built simulation.
+    """Attaches the three collectors to a freshly built simulation.
 
     Parameters
     ----------
-    env, stations:
-        The simulation environment and its ``cell -> MSS`` map.
-    config:
-        The scenario's :class:`ObsConfig`.
+    env, stations, network:
+        The simulation environment, its ``cell -> MSS`` map and its
+        network (for the kernel profiler's message counters).
+    interval:
+        The scenario's ``obs``: the sample interval of the time-series
+        recorder and the kernel profiler, in simulated time units.
     duration:
         Scenario horizon; bounds the sampling processes so drain-style
         runs still terminate.
-    network:
-        Optional network, for the kernel profiler's message counters.
     """
 
     #: Snapshot fields (see :mod:`repro.snap.state`): the collectors.
@@ -70,36 +67,22 @@ class Observer:
         self,
         env: Any,
         stations: Dict[int, Any],
-        config: ObsConfig,
+        interval: float,
         duration: float,
-        network: Optional[Any] = None,
+        network: Any,
     ) -> None:
-        self.config = config
-        self.tracer: Optional[SpanTracer] = None
-        self.recorder: Optional[TimeSeriesRecorder] = None
-        self.profiler: Optional[KernelProfiler] = None
-        if config.spans:
-            self.tracer = SpanTracer(env, max_spans=config.max_spans)
-        if config.timeseries:
-            self.recorder = TimeSeriesRecorder(
-                env, stations, config.sample_interval, horizon=duration
-            )
-        if config.kernel:
-            self.profiler = KernelProfiler(
-                env, config.sample_interval, horizon=duration, network=network
-            )
+        self.tracer = SpanTracer(env)
+        self.recorder = TimeSeriesRecorder(env, stations, interval, horizon=duration)
+        self.profiler = KernelProfiler(env, interval, horizon=duration, network=network)
 
     def collect(self) -> ObsData:
         """Harvest everything collected into one picklable container."""
-        data = ObsData(config=self.config.to_dict())
-        if self.tracer is not None:
-            traced = self.tracer.to_dict()
-            data.spans = traced["spans"]
-            data.open_spans = traced["open_at_end"]
-            data.instants = traced["instants"]
-            data.span_stats = traced["stats"]
-        if self.recorder is not None:
-            data.series = self.recorder.to_dict()
-        if self.profiler is not None:
-            data.kernel = self.profiler.to_dict()
-        return data
+        traced = self.tracer.to_dict()
+        return ObsData(
+            spans=traced["spans"],
+            open_spans=traced["open_at_end"],
+            instants=traced["instants"],
+            span_stats=traced["stats"],
+            series=self.recorder.to_dict(),
+            kernel=self.profiler.to_dict(),
+        )

@@ -108,11 +108,12 @@ class SpanTracer:
     ----------
     env:
         The simulation environment (probe bus).
-    max_spans:
-        Cap on *retained* closed spans.  Pairing continues beyond the
-        cap (so ``span_stats`` stays exact); overflowing spans are
-        dropped and counted instead of retained.
     """
+
+    #: Cap on *retained* closed spans, a memory bound.  Pairing
+    #: continues beyond the cap (so ``span_stats`` stays exact);
+    #: overflowing spans are dropped and counted instead of retained.
+    MAX_SPANS = 1_000_000
 
     #: Snapshot fields (see :mod:`repro.snap.state`).
     SNAPSHOT = (
@@ -123,9 +124,8 @@ class SpanTracer:
         "stats",
     )
 
-    def __init__(self, env: Any, max_spans: int = 1_000_000) -> None:
+    def __init__(self, env: Any) -> None:
         self.env = env
-        self.max_spans = max_spans
         #: Closed spans in close order (deterministic).
         self.closed: List[Span] = []
         #: (cell, req_id) -> open span.
@@ -183,7 +183,7 @@ class SpanTracer:
         span.t_end = now
         span.channel = payload[2] if len(payload) > 2 else None
         self.stats["closed"] += 1
-        if len(self.closed) < self.max_spans:
+        if len(self.closed) < self.MAX_SPANS:
             self.closed.append(span)
         else:
             self.stats["dropped"] += 1

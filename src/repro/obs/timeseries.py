@@ -17,7 +17,7 @@ The glyph helpers (:data:`MODE_GLYPHS`, :func:`mode_glyph`,
 (:func:`mode_timeline`, :func:`borrowing_fraction`) are the single
 source of truth for mode timelines: the run report's timeline is
 drawn by them, and so is anything that watches a run's modes through
-``Scenario(obs=ObsConfig(sample_interval=...))`` and
+``Scenario(obs=<sample interval>)`` and
 ``report.obs.series``.  An unknown or transient mode value renders as
 ``?`` everywhere instead of raising.
 """

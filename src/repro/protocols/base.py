@@ -366,6 +366,17 @@ class MSS:
         stateless schemes need no reconciliation."""
 
     # -- shared helpers -----------------------------------------------------
+    def _checked_guard(self, guard_channels: int) -> int:
+        """``guard_channels`` if it leaves new calls a primary, else ValueError."""
+        primaries = len(self.PR)
+        if not 0 <= guard_channels < primaries:
+            hint = "" if primaries else " (fewer channels than reuse colours)"
+            raise ValueError(
+                f"cell {self.cell} has {primaries} primary channels{hint}, so "
+                f"guard_channels={guard_channels} must be in [0, {primaries})"
+            )
+        return guard_channels
+
     def _grab(self, channel: int) -> None:
         """Add a channel to Use and notify the interference monitor."""
         self.use.add(channel)

@@ -31,11 +31,7 @@ class FixedMSS(MSS):
 
     def __init__(self, *args, guard_channels: int = 0, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        if guard_channels < 0 or guard_channels >= len(self.PR):
-            raise ValueError(
-                "guard_channels must be in [0, primaries per cell)"
-            )
-        self.guard_channels = guard_channels
+        self.guard_channels = self._checked_guard(guard_channels)
 
     def _request(self, ts: Timestamp) -> Optional[int]:
         self._attempts = 1

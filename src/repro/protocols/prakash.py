@@ -89,10 +89,11 @@ class PrakashMSS(MSS):
         ("collector_round", "_collector_round"),
         ("transfer_round", "_transfer_round"),
     )
+    #: Poll-and-transfer rounds one request tries before it is dropped.
+    MAX_TRANSFER_ROUNDS = 8
 
-    def __init__(self, *args, max_transfer_rounds: int = 8, **kwargs) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.max_transfer_rounds = max_transfer_rounds
         #: Channels this cell owns the right to use (starts at PR_i, the
         #: natural initial partition).
         self.allocated: Set[int] = set(self.PR)
@@ -145,7 +146,7 @@ class PrakashMSS(MSS):
     def _acquire_remote(self, ts: Timestamp):
         rounds = 0
         refused: Set[int] = set()  # channels whose donor replied KEEP
-        while rounds < self.max_transfer_rounds:
+        while rounds < self.MAX_TRANSFER_ROUNDS:
             rounds += 1
             self._attempts = rounds
             # Poll the region (timestamp-serialized, like basic search).

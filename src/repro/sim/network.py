@@ -302,32 +302,21 @@ class Network:
         src: int,
         dst: int,
         payload: Any,
-        delay_override: Optional[float] = None,
         msg_id: Optional[int] = None,
         fault_tag: Optional[str] = None,
     ) -> Envelope:
         """Send ``payload`` from ``src`` to ``dst``; returns the envelope.
 
-        ``delay_override`` forces a specific latency for this message
-        (used by adversarial scenario construction, e.g. Figure 11); a
-        negative or non-finite override raises ``ValueError`` before
-        the send leaves any trace.  ``msg_id`` pins the logical message
-        identity (retransmissions reuse the original's, so receiver
-        dedup recognizes them); by default a fresh per-network id is
-        assigned.  ``fault_tag`` labels ARQ retransmissions for the
-        sanitizers.
+        ``msg_id`` pins the logical message identity (retransmissions
+        reuse the original's, so receiver dedup recognizes them); by
+        default a fresh per-network id is assigned.  ``fault_tag``
+        labels ARQ retransmissions for the sanitizers.
         """
         if dst not in self._nodes:
             raise KeyError(f"unknown destination node {dst}")
         now = self.env._now
         latency = self.latency
-        if delay_override is not None:
-            delay = float(delay_override)
-            if not 0.0 <= delay < math.inf:
-                raise ValueError(
-                    f"delay_override must be finite and >= 0, got {delay_override!r}"
-                )
-        elif type(latency) is DeterministicLatency:
+        if type(latency) is DeterministicLatency:
             # Fast path: skip the method call for the constant model.
             delay = latency.T
         else:
@@ -459,8 +448,9 @@ class Network:
                 link = (src, dst)
                 floor = last_delivery.get(link, 0.0)
                 if raw < floor or deliver_at < floor:
-                    # A ``delay_override`` pushed this link's floor out:
-                    # the clamp lives in ``send``.
+                    # A slower earlier send (under another latency
+                    # model) pushed this link's floor out: the clamp
+                    # lives in ``send``.
                     self.send(src, dst, payload)
                     continue
                 last_delivery[link] = deliver_at

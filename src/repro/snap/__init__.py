@@ -41,6 +41,7 @@ from .format import (
     save_snapshot,
 )
 from .fork import (
+    DRAIN_WINDOW,
     MAX_DRAIN_STEPS,
     checkpoint,
     fork_replications,
@@ -51,6 +52,7 @@ from .fork import (
 from .state import UnsafeState, apply_state, capture_state
 
 __all__ = [
+    "DRAIN_WINDOW",
     "MAX_DRAIN_STEPS",
     "SNAPSHOT_FORMAT_VERSION",
     "Snapshot",

@@ -21,6 +21,7 @@ from .format import SNAPSHOT_FORMAT_VERSION, Snapshot, SnapshotError
 from .state import UnsafeState, apply_state, capture_state
 
 __all__ = [
+    "DRAIN_WINDOW",
     "MAX_DRAIN_STEPS",
     "checkpoint",
     "fork_replications",
@@ -34,6 +35,10 @@ __all__ = [
 #: real simulation reaches a safe point in far fewer events; the bound
 #: only exists to turn a (hypothetical) livelock into a clean error.
 MAX_DRAIN_STEPS = 100_000
+
+#: How far past the requested instant :func:`run_to_checkpoint` drains
+#: before it gives up (simulated time units, ~25 round trips).
+DRAIN_WINDOW = 50.0
 
 
 def checkpoint(sim: Any) -> Snapshot:
@@ -96,11 +101,7 @@ def restore(snapshot: Snapshot, seed: Optional[int] = None) -> Any:
     return sim
 
 
-def run_to_checkpoint(
-    scenario: Any,
-    at: float,
-    drain_window: Optional[float] = None,
-) -> Snapshot:
+def run_to_checkpoint(scenario: Any, at: float) -> Snapshot:
     """Run ``scenario`` to (the first safe point at/after) ``at``.
 
     ``at <= 0`` captures a *cold* snapshot — the built-but-unstarted
@@ -116,11 +117,11 @@ def run_to_checkpoint(
     adaptive and fixed acquisitions complete without suspending and
     quiesce constantly, while a saturated search scheme (mean
     acquisition ~12 T across 49 cells) may never quiesce before the
-    horizon.  The drain gives up at ``at + drain_window`` (default:
-    ``50`` time units, ~25 round trips) or ``scenario.duration``,
-    whichever is earlier — it never simulates past the horizon — and
-    raises :class:`SnapshotError` naming the dominant obstacle, rather
-    than returning a snapshot far from where you asked.
+    horizon.  The drain gives up at ``at +`` :data:`DRAIN_WINDOW` or
+    ``scenario.duration``, whichever is earlier — it never simulates
+    past the horizon — and raises :class:`SnapshotError` naming the
+    dominant obstacle, rather than returning a snapshot far from where
+    you asked.
     """
     from ..harness.runner import build_simulation
     from ..sim.engine import EmptySchedule
@@ -135,12 +136,10 @@ def run_to_checkpoint(
         sim.start()
         env.run(until=min(float(at), scenario.duration))
 
-        if drain_window is None:
-            drain_window = 50.0
         # Events at exactly t=duration must stay unprocessed: a cold run's
         # stop event outranks them, so processing any would make the
         # resumed trajectory diverge from run-from-scratch.
-        limit = min(scenario.duration, float(at) + float(drain_window))
+        limit = min(scenario.duration, float(at) + DRAIN_WINDOW)
         last_reason = "queue exhausted"
         for _ in range(MAX_DRAIN_STEPS):
             try:
@@ -156,8 +155,7 @@ def run_to_checkpoint(
         raise SnapshotError(
             f"no snapshot-safe point found in [{at}, {limit}] "
             f"(dominant obstacle: {last_reason}); this scheme/load may "
-            f"never quiesce mid-run — checkpoint at t=0 instead, or widen "
-            f"drain_window"
+            f"never quiesce mid-run — checkpoint at t=0 instead"
         )
     finally:
         sim.close()
@@ -180,33 +178,26 @@ def run_from_snapshot(snapshot: Snapshot, seed: Optional[int] = None) -> Any:
         sim.close()
 
 
-def fork_replications(
-    snapshot: Snapshot,
-    n: int,
-    cache: Any = None,
-    seeds: Optional[List[int]] = None,
-) -> List[Any]:
+def fork_replications(snapshot: Snapshot, n: int, cache: Any = None) -> List[Any]:
     """Fork ``n`` replications (seed, seed+1, ...) from one snapshot.
 
     The warm counterpart of
     :func:`repro.harness.runner.run_replications`: the warmup transient
     is paid once (by whoever produced ``snapshot``) and each
-    replication simulates only the post-checkpoint window.  Results are
-    cached under ``variant="warm:<snapshot hash>"`` so warm rows can
-    never alias cold rows for the same scenario (see
-    :mod:`repro.harness.cache`).
+    replication simulates only the post-checkpoint window.  The forks
+    share the pre-checkpoint trajectory by construction: they are
+    exchangeable draws of that window, not fully independent runs, and
+    they run serially in this process.  Results are cached under
+    ``variant="warm:<snapshot hash>"`` so warm rows can never alias
+    cold rows for the same scenario (see :mod:`repro.harness.cache`).
     """
     from ..harness.cache import resolve_cache
 
     base = snapshot.scenario()
-    if seeds is None:
-        seeds = [base.seed + i for i in range(n)]
-    elif len(seeds) != n:
-        raise ValueError(f"got {len(seeds)} seeds for n={n}")
     store = resolve_cache(cache)
     variant = f"warm:{snapshot.content_hash()}"
     reports: List[Any] = []
-    for seed in seeds:
+    for seed in range(base.seed, base.seed + n):
         scenario = base.with_(seed=seed)
         hit = store.get(scenario, variant=variant) if store is not None else None
         if hit is not None:

@@ -498,9 +498,8 @@ def _materialize_queue(sim: Any, entries: List[Dict[str, Any]], reseed: bool) ->
             _forge_process(env, gen, "_crash_process")
         elif kind == "sampler":
             which = entry["which"]
-            sampler = getattr(sim.observer, _SAMPLERS[which], None)
-            if sampler is None:
-                raise SnapshotError(f"snapshot has a {which} sampler but it is off")
+            # An observer is here: ``_apply`` refused a snapshot it is not in.
+            sampler = getattr(sim.observer, _SAMPLERS[which])
             _forge_process(env, sampler._sampler(entry["wake"]), f"obs-{which}")
         else:
             raise SnapshotError(f"unknown queue descriptor kind {kind!r}")

@@ -17,7 +17,6 @@ from repro.cellular import CellularTopology
 from repro.faults import CrashWindow, FaultPlan, LinkPartition
 from repro.harness import Scenario, build_simulation
 from repro.metrics import MetricsCollector
-from repro.obs import ObsConfig
 from repro.protocols import InterferenceMonitor
 from repro.sim import DeterministicLatency, Environment, Network
 from repro.verify import SanitizerSuite, set_default_policy
@@ -108,21 +107,6 @@ def drive_all(env: Environment, generators):
     return [p.value for p in procs]
 
 
-@pytest.fixture
-def grant_all(request):
-    """Convenience: acquire ``n`` channels in one cell."""
-
-    def _grant(env, station, n):
-        got = []
-        for _ in range(n):
-            ch = drive(env, station.request_channel())
-            assert ch is not None
-            got.append(ch)
-        return got
-
-    return _grant
-
-
 # -- capability-table witnesses ---------------------------------------------
 
 #: The hostile fault plan of the lane tests: loss, duplication, delay,
@@ -200,7 +184,7 @@ WITNESS = {
     "mobility": dict(scenario=dict(mean_dwell=600.0), argv=["--dwell", "600"]),
     "guard channels": dict(scenario=dict(extra_params={"guard_channels": 2})),
     "TrafficMix": dict(source=SimpleNamespace(mix=object())),
-    "obs": dict(scenario=dict(obs=ObsConfig(sample_interval=20.0))),
+    "obs": dict(scenario=dict(obs=20.0)),
     "random latency": dict(scenario=dict(latency_model="uniform", latency_spread=0.5)),
     "setup deadline": dict(scenario=dict(setup_deadline=10.0)),
     "planar grid": dict(scenario=dict(wrap=False), argv=["--no-wrap"]),

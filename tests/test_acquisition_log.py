@@ -55,8 +55,8 @@ def ref_drop_rate_of(records, kind):
     return sum(1 for r in subset if not r.granted) / len(subset)
 
 
-def ref_acquisition_times(records, granted_only=True):
-    return np.array([r.acquisition_time for r in records if r.granted or not granted_only])
+def ref_acquisition_times(records):
+    return np.array([r.acquisition_time for r in records if r.granted])
 
 
 def ref_percentile(records, q):
@@ -175,13 +175,11 @@ def test_every_statistic_equals_the_list_of_tuples_formula(rows_):
         assert m.drop_rate_of(kind) == ref_drop_rate_of(records, kind)
         assert type(m.drop_rate_of(kind)) is float
     assert m.acquisition_time_percentile(50) == ref_percentile(records, 50)
-    for granted_only in (True, False):
-        ours = m.acquisition_times(granted_only)
-        theirs = ref_acquisition_times(records, granted_only)
-        assert ours.dtype == np.float64 and ours.tolist() == theirs.tolist()
+    ours, theirs = m.acquisition_times(), ref_acquisition_times(records)
+    assert ours.dtype == np.float64 and ours.tolist() == theirs.tolist()
     assert m.queue_waits().tolist() == [r.queue_wait for r in records]
     # The arrays handed out are copies: holding one must not pin a column.
-    held = m.queue_waits(), m.acquisition_times(False)
+    held = m.queue_waits(), m.acquisition_times()
     m.record_acquisition(0, "new", True, 0.0, 0.0, 1, "local", 1.0)
     assert len(held[0]) == len(records) and m.offered == len(records) + 1
 

@@ -110,6 +110,28 @@ def test_bad_input_is_a_usage_error_not_a_traceback(
     assert "error: " in err.splitlines()[-1] and named in err.splitlines()[-1]
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--rows", "0"], "rows and cols must be >= 1"),
+        (["--window", "0"], "window W must be positive"),
+        (["--alpha", "-1"], "alpha must be >= 0"),
+        (["--cluster", "5"], "5 is not a valid reuse cluster size"),
+        (["--latency", "-1"], "latency must be positive"),
+        (["--dwell", "0"], "mean_dwell must be positive"),
+        (["--theta-low", "5", "--theta-high", "1"], "need theta_low <= theta_high"),
+        (["--channels", "3"], "cell 3 has 0 primary channels"),
+    ],
+    ids=["rows", "window", "alpha", "cluster", "latency", "dwell", "theta", "channels"],
+)
+def test_a_failed_run_is_one_line_per_run_not_a_traceback(argv, named, capsys):
+    assert main(argv + ["--duration", "50", "--warmup", "10", "--no-cache"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("error: 1 of 1 runs failed:")
+    assert f"ValueError: {named}" in err
+
+
 def test_shards_flag_is_gone_not_ignored(capsys, nothing_constructed):
     # One scenario runs on one kernel: a stale script must fail loudly.
     with pytest.raises(SystemExit) as exited:

@@ -2,7 +2,7 @@
 
 Two halves: the failure modes on a synthetic tree (broken links,
 absolute links, dead code paths, rule-catalog drift in both
-directions), and the pin that keeps the real repository clean — the
+directions, stale calls in doc code), and the pin that keeps the real repository clean — the
 latter is the actual contract CI enforces, the former proves the
 checker would notice if it drifted.
 """
@@ -18,6 +18,7 @@ from tools.check import RULES  # noqa: E402
 from tools.docscheck import (  # noqa: E402
     EXCLUDED,
     check_code_paths,
+    check_doc_calls,
     check_generated,
     check_links,
     check_rule_catalog,
@@ -132,6 +133,30 @@ def test_stale_capability_matrix_is_flagged(tmp_path):
     (tmp_path / "docs" / "CAPABILITIES.md").write_text(current.replace("**no**", "ok", 1))
     problems = check_generated(root)
     assert len(problems) == 1 and "stale" in problems[0]
+
+
+# -- pass 5: stale calls in doc code ------------------------------------------
+
+
+def test_stale_imports_and_keywords_in_doc_code_are_flagged(tmp_path):
+    root = make_tree(tmp_path)
+    (tmp_path / "README.md").write_text(
+        "```pycon\n"
+        ">>> from repro.harness import Scenario, run_replications as reps\n"
+        ">>> from repro.protocols import PrakashMSS\n"
+        ">>> reps(Scenario(seed=3), n=2, warm_start=9.0)\n"
+        ">>> PrakashMSS(any_keyword=1)  # it takes **kwargs\n"
+        "```\n"
+        "```python\n"
+        "from repro.obs import Settings\n"
+        "from repro.gone import x\n"
+        "```\n"
+    )
+    assert check_doc_calls(root, markdown_files(root)) == [
+        "README.md:4: `reps` takes no keyword `warm_start`",
+        "README.md:8: `repro.obs` has no `Settings`",
+        "README.md:9: no module `repro.gone`",
+    ]
 
 
 # -- the real repository ----------------------------------------------------

@@ -16,6 +16,10 @@ def test_guard_validation():
         make_stack(FixedMSS, guard_channels=10)  # == primaries per cell
     with pytest.raises(ValueError):
         make_stack(AdaptiveMSS, guard_channels=10)
+    for scheme in ("fixed", "adaptive"):  # 3 channels over k = 7: cell 3 has none
+        with pytest.raises(ValueError, match=r"^cell 3 has 0 primary channels \(fewer "
+                           r"channels than reuse colours\), so guard_channels=0 must"):
+            run_scenario(Scenario(scheme=scheme, num_channels=3))
 
 
 def test_fixed_reserves_last_channels_for_handoffs():

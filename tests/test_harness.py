@@ -10,6 +10,7 @@ from repro.harness import (
     run_replications,
     run_scenario,
 )
+from repro.traffic import HotspotLoad, PiecewiseLoad, TemporalHotspot
 
 
 def quick(**kw):
@@ -50,6 +51,20 @@ def test_with_override():
 def test_unknown_scheme_rejected():
     with pytest.raises(ValueError, match="unknown scheme"):
         build_simulation(quick(scheme="nonesuch"))
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [
+        HotspotLoad(0.01, [-1, 24, 49], 0.1),
+        TemporalHotspot(0.01, [-1, 24, 49], 0.1, 100.0, 200.0),
+        PiecewiseLoad({-1: 0.1, 24: 0.1, 49: 0.1}),
+    ],
+    ids=lambda pattern: type(pattern).__name__,
+)
+def test_a_pattern_naming_a_cell_off_the_grid_is_refused(pattern):
+    with pytest.raises(ValueError, match=r"names cells \[-1, 49\] outside the 7x7 grid"):
+        build_simulation(quick(pattern=pattern))
 
 
 def test_schemes_registry():

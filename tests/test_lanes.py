@@ -23,6 +23,7 @@ Budget: ``max_examples`` below (80 fork, 30 cache, 3×4 workers,
 import inspect
 import re
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -37,7 +38,6 @@ from repro.harness import (
     build_simulation,
     check_compatible,
     run_cells,
-    run_replications,
     run_scenario,
 )
 from repro.harness.capability import CAPABILITIES, SCHEMES
@@ -79,7 +79,6 @@ def entry_points(scenario, lanes, source):
     if lanes == {"checkpoint"}:
         return [
             lambda: run_to_checkpoint(scenario, 0.0),
-            lambda: run_replications(scenario, 2, warmup_checkpoint=0.0),
             lambda: checkpoint(fake_sim),
         ]
     return []
@@ -108,17 +107,6 @@ def test_rejected_row_fires_the_validator_before_anything_is_built(
         assert out == "" and err == f"error: {caught.value}\n"
         assert not list(tmp_path.iterdir())
     assert calls or argv is not None, "no entry point can express this row"
-
-
-def test_run_replications_refuses_workers_when_forking(nothing_constructed, monkeypatch):
-    scenario = witness_request("workers", duration=160.0, warmup=40.0)[0]["scenario"]
-    reason = CAPABILITIES["resume", "workers"].detail
-    for workers in (None, 2):
-        with pytest.raises(CompatibilityError, match=reason):
-            run_replications(scenario, 2, workers=workers, warmup_checkpoint=0.0)
-    monkeypatch.undo()  # lift nothing_constructed: workers=1 must still fork
-    forked = run_replications(scenario, 2, workers=1, cache=False, warmup_checkpoint=0.0)
-    assert [r.scenario.seed for r in forked] == [scenario.seed, scenario.seed + 1]
 
 
 def test_unknown_policy_is_refused_before_anything_is_built(nothing_constructed):
@@ -210,7 +198,8 @@ def test_fork_at_the_snapshots_own_seed_is_row_identical_to_classic(scenario, at
     classic = row(run_scenario(scenario))
     assert classic["violations"] == 0
     try:
-        snapshot = run_to_checkpoint(scenario, at, drain_window=10.0)
+        with mock.patch("repro.snap.fork.DRAIN_WINDOW", 10.0):
+            snapshot = run_to_checkpoint(scenario, at)
     except SnapshotError as exc:
         # Run-time state, not a table cell: this scheme at this load never quiesces.
         assert at > 0 and "no snapshot-safe point" in str(exc)

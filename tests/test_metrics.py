@@ -51,13 +51,13 @@ def test_drop_rate_by_kind():
     assert m.drop_rate_of("nonexistent") == 0.0
 
 
-def test_acquisition_time_stats_use_granted_only_by_default():
+def test_acquisition_time_stats_use_granted_requests_only():
     m = MetricsCollector()
     rec(m, granted=True, acquisition_time=2.0)
     rec(m, granted=True, acquisition_time=4.0)
     rec(m, granted=False, acquisition_time=100.0)
     assert m.mean_acquisition_time() == pytest.approx(3.0)
-    assert m.acquisition_times(granted_only=False).size == 3
+    assert m.acquisition_times().tolist() == [2.0, 4.0]
 
 
 def test_percentile():
@@ -67,7 +67,7 @@ def test_percentile():
     assert m.acquisition_time_percentile(95) == pytest.approx(95.05)
 
 
-def test_mean_attempts_granted_only():
+def test_mean_attempts_of_granted_requests():
     m = MetricsCollector()
     rec(m, granted=True, attempts=1)
     rec(m, granted=True, attempts=3)

@@ -1,12 +1,13 @@
 """Tests for the observability layer (repro.obs).
 
-Covers the ObsConfig contract, span pairing (including under a hostile
-fault plan), determinism of the collected data, the run-artifact
+Covers the ``Scenario.obs`` sample interval, span pairing (including
+under a hostile fault plan), determinism of the collected data, the run-artifact
 writer, the ``--trace`` directory layout of ``run_cells``, and the
 shared mode-glyph coercion behind every mode timeline.
 """
 
 import json
+import math
 import os
 
 import pytest
@@ -16,7 +17,7 @@ from repro.harness import Scenario, build_simulation, run_cells, run_scenario
 from repro.obs import (
     MODE_GLYPHS,
     UNKNOWN_MODE,
-    ObsConfig,
+    SpanTracer,
     borrowing_fraction,
     coerce_mode,
     mode_glyph,
@@ -35,7 +36,7 @@ def small(**kw):
         duration=200.0,
         warmup=25.0,
         seed=11,
-        obs=ObsConfig(sample_interval=25.0),
+        obs=25.0,
     )
     base.update(kw)
     return Scenario(**base)
@@ -46,22 +47,13 @@ def traced_report():
     return run_scenario(small())
 
 
-# ----------------------------------------------------------- ObsConfig ----
+# ------------------------------------------------- the sample interval ----
 def test_obs_config_validation():
-    with pytest.raises(ValueError):
-        ObsConfig(sample_interval=0)
-    with pytest.raises(ValueError):
-        ObsConfig(max_spans=-1)
-    with pytest.raises(ValueError):
-        ObsConfig(timeline_cells=0)
-
-
-def test_obs_config_round_trip():
-    cfg = ObsConfig(sample_interval=10.0, kernel=False, timeline_cells=4)
-    assert ObsConfig.from_dict(cfg.to_dict()) == cfg
-    assert cfg.with_(spans=False).spans is False
-    with pytest.raises(ValueError, match="unknown obs config fields"):
-        ObsConfig.from_dict({"bogus": 1})
+    for bad in (0, -1.0, math.nan, math.inf, True, "50", {"sample_interval": 50.0}):
+        with pytest.raises(ValueError, match="positive sample interval"):
+            Scenario(obs=bad)
+        with pytest.raises(ValueError, match="positive sample interval"):
+            Scenario.from_dict({"obs": bad})
 
 
 def test_scenario_round_trip_with_obs():
@@ -124,7 +116,6 @@ def test_spans_pair_exactly_under_hostile_faults():
 
 def test_disabled_obs_collects_nothing():
     assert run_scenario(small(obs=None)).obs is None
-    assert run_scenario(small(obs=ObsConfig(enabled=False))).obs is None
 
 
 def test_obs_data_is_deterministic(traced_report):
@@ -137,8 +128,9 @@ def test_obs_data_is_deterministic(traced_report):
     # obs.kernel is excluded: its wall-clock columns vary by design.
 
 
-def test_max_spans_cap_counts_overflow():
-    report = run_scenario(small(obs=ObsConfig(max_spans=5)))
+def test_max_spans_cap_counts_overflow(monkeypatch):
+    monkeypatch.setattr(SpanTracer, "MAX_SPANS", 5)
+    report = run_scenario(small())
     obs = report.obs
     assert len(obs.spans) == 5
     assert obs.span_stats["dropped"] == obs.span_stats["closed"] - 5
@@ -268,7 +260,7 @@ def test_mode_sampler_tolerates_weird_mode_values():
     sim = build_simulation(
         Scenario(scheme="fixed", offered_load=2.0, mean_holding=30.0,
                  duration=100.0, warmup=10.0,
-                 obs=ObsConfig(sample_interval=20.0))
+                 obs=20.0)
     )
     sim.stations[0].mode = "down"
     series = sim.run().obs.series

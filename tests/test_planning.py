@@ -40,10 +40,10 @@ def test_greedy_is_optimal_small_instance():
     assert expected_blocked_traffic(loads, greedy) == pytest.approx(best)
 
 
-def test_min_per_color_floor():
-    counts = marginal_allocation([0.0, 10.0], 10, min_per_color=2)
-    assert counts[0] == 2  # the idle color keeps its floor, no more
-    assert counts[1] == 8
+def test_every_color_keeps_one_channel():
+    counts = marginal_allocation([0.0, 10.0], 10)
+    assert counts[0] == 1  # the idle color keeps its floor, no more
+    assert counts[1] == 9
 
 
 def test_planner_validation():

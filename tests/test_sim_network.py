@@ -103,15 +103,6 @@ def test_non_fifo_allows_overtaking():
     assert payloads != list(range(50))  # with this seed, overtaking occurs
 
 
-def test_delay_override_forces_latency():
-    env = Environment()
-    net, nodes = make_net(env, latency=DeterministicLatency(1.0), fifo=False)
-    net.send(0, 1, "slow", delay_override=9.0)
-    net.send(0, 1, "fast")
-    env.run()
-    assert [p for _, _, p in nodes[1].received] == ["fast", "slow"]
-
-
 def test_send_and_deliver_hooks():
     env = Environment()
     net, _ = make_net(env)

@@ -18,7 +18,7 @@ import pytest
 
 from repro.faults import CrashWindow, FaultPlan
 from repro.harness import SCHEMES, Scenario, build_simulation, run_scenario, runner
-from repro.obs import ObsConfig
+from repro.obs import SAMPLE_INTERVAL
 from repro.protocols import MSS
 from repro.sim import ConditionEvent, Network
 from repro.snap import run_from_snapshot, run_to_checkpoint
@@ -85,8 +85,8 @@ def cyclic_leftovers():
 
 CONFIGS = {
     "plain": {},
-    "trace": {"obs": ObsConfig()},
-    "faults+trace": {"faults": faulty(), "obs": ObsConfig()},
+    "trace": {"obs": SAMPLE_INTERVAL},
+    "faults+trace": {"faults": faulty(), "obs": SAMPLE_INTERVAL},
 }
 
 
@@ -123,7 +123,7 @@ def test_a_fast_lane_run_is_freed_too(built, collector_off):
 @pytest.mark.parametrize("faults", [None, faulty()], ids=["clean", "faults"])
 @pytest.mark.parametrize("scheme, load", [("adaptive", 6.0), ("basic_update", 0.2)])
 def test_snapshot_drivers_leave_nothing_for_the_collector(built, collector_off, scheme, load, faults):
-    base = scenario(scheme, load, faults=faults, obs=ObsConfig())
+    base = scenario(scheme, load, faults=faults, obs=SAMPLE_INTERVAL)
     snapshot = run_to_checkpoint(base, 90.0)
     run_from_snapshot(snapshot, seed=11)
     del built[:]
@@ -181,7 +181,7 @@ def test_a_completed_status_round_is_let_go(collector_off):
 
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
 def test_a_closed_simulations_report_is_the_unclosed_ones(scheme):
-    base = scenario(scheme, 9.0, faults=faulty(), obs=ObsConfig())
+    base = scenario(scheme, 9.0, faults=faulty(), obs=SAMPLE_INTERVAL)
     sim = build_simulation(base)
     kept = sim.run()
     closed = run_scenario(base)

@@ -35,10 +35,8 @@ from repro.harness import (
     ResultCache,
     Scenario,
     build_simulation,
-    run_replications,
     run_scenario,
 )
-from repro.obs import ObsConfig
 from repro.snap import (
     SNAPSHOT_FORMAT_VERSION,
     Snapshot,
@@ -175,12 +173,13 @@ def test_midrun_resume_inside_crash_window_under_faults():
     assert rows(resumed) == rows(straight)
 
 
-def test_midrun_snapshot_refuses_never_quiescent_scheme():
+def test_midrun_snapshot_refuses_never_quiescent_scheme(monkeypatch):
     # Every basic_update acquisition runs an update round, so no
     # globally quiescent instant exists mid-run; the drain must give
     # up honestly instead of capturing a torn state.
+    monkeypatch.setattr("repro.snap.fork.DRAIN_WINDOW", 10.0)
     with pytest.raises(SnapshotError, match="no snapshot-safe point"):
-        run_to_checkpoint(small("basic_update"), 80.0, drain_window=10.0)
+        run_to_checkpoint(small("basic_update"), 80.0)
 
 
 # -- reseeded forking ------------------------------------------------------
@@ -203,16 +202,6 @@ def test_fork_replications_seed_zero_is_exact_continuation():
     # row-identical to the cold run of the base scenario.
     assert rows(reports[0]) == rows(run_scenario(scenario))
     assert rows(reports[0]) != rows(reports[1])
-
-
-def test_run_replications_warm_start_matches_fork_driver():
-    scenario = small("adaptive")
-    snap = run_to_checkpoint(scenario, 80.0)
-    via_harness = run_replications(
-        scenario, 2, cache=False, warmup_checkpoint=snap
-    )
-    via_fork = fork_replications(snap, 2)
-    assert [rows(r) for r in via_harness] == [rows(r) for r in via_fork]
 
 
 _FRESH_INTERPRETER = """
@@ -368,7 +357,7 @@ def test_traffic_mix_source_is_refused_for_good_not_as_a_transient():
 def hostile_traced_snapshot():
     scenario = small(
         "adaptive", offered_load=10.0, faults=hostile_faults(), duration=220.0,
-        obs=ObsConfig(sample_interval=10.0),
+        obs=10.0,
     )
     return run_to_checkpoint(scenario, 100.0)
 
@@ -380,7 +369,6 @@ def hostile_traced_snapshot():
         ({"rows": 5, "cols": 5, "wrap": False}, "unknown cell 25"),
         ({"faults": None}, "injector presence differs"),
         ({"obs": None}, "obs presence differs"),
-        ({"obs": ObsConfig(sample_interval=10.0, kernel=False)}, "profiler presence differs"),
     ],
 )
 def test_apply_state_refuses_a_differently_built_simulation(
@@ -482,7 +470,7 @@ LAYOUT_CASES = {
         100.0,
     ),
     "obs": (
-        small("adaptive", offered_load=14.0, obs=ObsConfig(sample_interval=10.0)),
+        small("adaptive", offered_load=14.0, obs=10.0),
         80.0,
     ),
     "quantile": (small("adaptive", offered_load=14.0, policy="quantile"), 120.0),
@@ -512,7 +500,7 @@ LAYOUT_PINS = {
     "warm-adaptive": "8f1c8cff1ddcb76a64485899ef871ed6211df5ed47e18657ff65aa82495bf84e",
     "mobility": "6c49eb1de7111630ebf3e73561db960b0c430b0a43220913e6163e8394b3898f",
     "faults": "b24344d3b07a077716038bf0f74a6128f109df539baaeb837e3049e30168a387",
-    "obs": "cb91f8f13feba55528483d305ea04f3c756d9a70dc4594302a9dae8d9d5f7799",
+    "obs": "b8462793c70e84bf5776f6805d4acc4f13d52ab1e7774531d5db24c34a9f9ed5",
     "quantile": "e26d21a7c2f07b8fa305a457d1236db80a8d7cc25800bf7a6c622b2a61365016",
     "random-best": "a5acb084021c60dea74db77cbbf061cc8734d03bdf073c7c9998c50702298b24",
 }
@@ -538,14 +526,13 @@ def test_snapshot_layout_is_pinned(name):
 def test_warm_forked_rows_never_alias_cold_rows(tmp_path):
     cache = ResultCache(tmp_path)
     scenario = small("adaptive")
-    fork_seed = scenario.seed + 1
-    forked_scenario = scenario.with_(seed=fork_seed)
+    forked_scenario = scenario.with_(seed=scenario.seed + 1)
 
     cold = run_scenario(forked_scenario)
     cache.put(forked_scenario, cold)
 
     snap = run_to_checkpoint(scenario, 80.0)
-    (warm,) = fork_replications(snap, 1, cache=cache, seeds=[fork_seed])
+    _, warm = fork_replications(snap, 2, cache=cache)
     # The warm fork simulates a different trajectory (warmup paid under
     # the base seed) — it must have MISSED the cold row, not returned it.
     assert rows(warm) != rows(cold)
@@ -554,8 +541,8 @@ def test_warm_forked_rows_never_alias_cold_rows(tmp_path):
     # report, and a second warm fork hits the warm row (no simulation).
     assert rows(cache.get(forked_scenario)) == rows(cold)
     hits_before = cache.hits
-    (warm2,) = fork_replications(snap, 1, cache=cache, seeds=[fork_seed])
-    assert cache.hits == hits_before + 1
+    _, warm2 = fork_replications(snap, 2, cache=cache)
+    assert cache.hits == hits_before + 2
     assert rows(warm2) == rows(warm)
 
 

@@ -97,12 +97,6 @@ def test_k9_coloring_with_gcd_shift():
                 assert g.distance(a, b) >= 3
 
 
-def test_bad_explicit_shift_rejected():
-    g = HexGrid(7, 7, wrap=False)
-    with pytest.raises(ValueError):
-        ReusePattern(g, 7, shift=(1, 1))
-
-
 def test_spectrum_balanced_partition():
     s = Spectrum(70)
     sets = [s.channels_of_color(c, 7) for c in range(7)]

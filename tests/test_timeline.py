@@ -3,13 +3,13 @@
 import pytest
 
 from repro.harness import Scenario, build_simulation
-from repro.obs import ObsConfig, TimeSeriesRecorder, borrowing_fraction, mode_timeline
+from repro.obs import TimeSeriesRecorder, borrowing_fraction, mode_timeline
 from repro.traffic import TemporalHotspot
 
 
 def sampled(scenario, interval):
     """The run's time series, sampled every ``interval``."""
-    sim = build_simulation(scenario.with_(obs=ObsConfig(sample_interval=interval)))
+    sim = build_simulation(scenario.with_(obs=interval))
     return sim.run().obs.series
 
 

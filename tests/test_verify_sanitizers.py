@@ -52,6 +52,13 @@ def make_net(env, fifo=True, n=4, sink=Sink):
     return net
 
 
+def send_slow_then_fast(net):
+    """Two sends on link 0→1, the second overtaking the first."""
+    for payload, delay in (("slow", 5.0), ("fast", 1.0)):
+        net.latency = DeterministicLatency(delay)
+        net.send(0, 1, payload)
+
+
 # ------------------------------------------------------ deadlock detector ----
 def test_deadlock_cycle_raises():
     det = DeadlockDetector(Environment(), policy="raise")
@@ -163,8 +170,7 @@ def test_fifo_overtaking_flagged():
         env = Environment()
         net = make_net(env, fifo=False, sink=sink)  # network *allows* reordering
         chk = CausalityChecker(env, policy="record", check_fifo=True)
-        net.send(0, 1, "slow", delay_override=5.0)
-        net.send(0, 1, "fast", delay_override=1.0)
+        send_slow_then_fast(net)
         env.run()
         assert [v.kind for v in chk.violations] == ["fifo"]
     # The overtaken write landed last: the mirror holds the older state.
@@ -196,8 +202,7 @@ def test_fifo_check_disabled_for_reordering_network():
     env = Environment()
     net = make_net(env, fifo=False)
     chk = CausalityChecker(env, policy="record", check_fifo=False)
-    net.send(0, 1, "slow", delay_override=5.0)
-    net.send(0, 1, "fast", delay_override=1.0)
+    send_slow_then_fast(net)
     env.run()
     assert chk.violations == []
     assert chk.messages_checked == 2

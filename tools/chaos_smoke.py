@@ -33,6 +33,7 @@ from typing import Optional, Sequence
 
 from repro.faults import FaultPlan
 from repro.harness import SCHEMES, ExperimentError, Scenario, render_table, run_cells
+from repro.obs import SAMPLE_INTERVAL
 from repro.traffic import HotspotLoad
 from repro.verify import set_default_policy
 
@@ -41,11 +42,6 @@ def build_scenario(
     scheme: str, loss: float, duration: float, seed: int, trace: bool = False
 ) -> Scenario:
     holding = 60.0
-    obs = None
-    if trace:
-        from repro.obs import ObsConfig
-
-        obs = ObsConfig()
     return Scenario(
         scheme=scheme,
         faults=FaultPlan.uniform_loss(loss),
@@ -55,7 +51,7 @@ def build_scenario(
         duration=duration,
         warmup=min(50.0, duration / 4),
         seed=seed,
-        obs=obs,
+        obs=SAMPLE_INTERVAL if trace else None,
     )
 
 

@@ -1,6 +1,6 @@
 """Documentation cross-reference checker.
 
-Four passes over the repo's markdown (root ``*.md`` plus
+Five passes over the repo's markdown (root ``*.md`` plus
 ``docs/**/*.md``, minus the driver-metadata files):
 
 1. **Relative links** — every ``[text](target)`` that is not external
@@ -19,6 +19,9 @@ Four passes over the repo's markdown (root ``*.md`` plus
 4. **Generated capability matrix** — a committed
    ``docs/CAPABILITIES.md`` must equal what ``tools/gen_api_docs.py``
    renders from the capability table now.
+5. **Stale calls in doc code** — a fenced ``python`` / ``pycon`` block
+   may import only existing ``repro`` names, and call one only with
+   keywords its signature accepts (any, given ``**kwargs``).
 
 Run as ``python -m tools.docscheck`` (exit 1 on any problem); CI runs
 it in the docs job.  ``tests/test_docscheck.py`` covers the failure
@@ -27,15 +30,20 @@ modes on a synthetic tree and pins the real repo clean.
 
 from __future__ import annotations
 
+import ast
+import importlib
+import inspect
 import pathlib
 import re
-from typing import List
+import textwrap
+from typing import Any, Dict, Iterator, List, Tuple
 
 from tools.check import RULES, STALE_NOQA_CODE
 
 __all__ = [
     "EXCLUDED",
     "check_code_paths",
+    "check_doc_calls",
     "check_generated",
     "check_links",
     "check_rule_catalog",
@@ -59,6 +67,9 @@ _PATH_RE = re.compile(
 
 #: ``### SIM001 — title`` headings in the CHECKS.md rule catalog.
 _RULE_HEADING_RE = re.compile(r"^###\s+((?:SIM|ANA)\d{3})\b", re.M)
+
+#: The opening fence of a ``python`` or ``pycon`` code block.
+_CODE_FENCE_RE = re.compile(r"^\s*```(python|pycon)\s*$")
 
 
 def markdown_files(root: pathlib.Path) -> List[pathlib.Path]:
@@ -158,12 +169,85 @@ def check_generated(root: pathlib.Path) -> List[str]:
     return ["docs/CAPABILITIES.md is stale: run `python -m tools.gen_api_docs`"]
 
 
+def _code_blocks(text: str) -> Iterator[Tuple[int, str]]:
+    """(line number of the first body line, source) of every python /
+    pycon block; a pycon block keeps only its ``>>>`` / ``...`` input,
+    with other lines blanked so line numbers still match the file."""
+    lines = text.splitlines()
+    at = 0
+    while at < len(lines):
+        fence = _CODE_FENCE_RE.match(lines[at])
+        at += 1
+        if not fence:
+            continue
+        first, body = at + 1, []
+        while at < len(lines) and not lines[at].lstrip().startswith("```"):
+            line = lines[at]
+            if fence.group(1) == "pycon":
+                prompt = line.lstrip()
+                line = prompt[4:] if prompt[:3] in (">>>", "...") else ""
+            body.append(line)
+            at += 1
+        yield first, textwrap.dedent("\n".join(body))
+
+
+def _stale_calls(tree: ast.AST) -> Iterator[Tuple[ast.AST, str]]:
+    """(node, problem) for every dead ``repro`` import in ``tree`` and
+    every call of an imported name with a keyword it does not take."""
+    imported: Dict[str, Any] = {}
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ImportFrom) and node.level == 0
+                and node.module.split(".")[0] == "repro"):
+            continue
+        try:
+            module = importlib.import_module(node.module)
+        except ImportError:
+            yield node, f"no module `{node.module}`"
+            continue
+        for alias in node.names:
+            if hasattr(module, alias.name):
+                imported[alias.asname or alias.name] = getattr(module, alias.name)
+            else:
+                yield node, f"`{node.module}` has no `{alias.name}`"
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in imported):
+            continue
+        try:
+            params = inspect.signature(imported[node.func.id]).parameters.values()
+        except (TypeError, ValueError):  # nothing to check the call against
+            continue
+        if any(p.kind is p.VAR_KEYWORD for p in params):
+            continue
+        accepted = {p.name for p in params if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)}
+        for keyword in node.keywords:
+            if keyword.arg is not None and keyword.arg not in accepted:
+                yield node, f"`{node.func.id}` takes no keyword `{keyword.arg}`"
+
+
+def check_doc_calls(root: pathlib.Path, files: List[pathlib.Path]) -> List[str]:
+    """Pass 5: doc code imports live ``repro`` names and calls them with
+    keywords their signatures accept."""
+    problems: List[str] = []
+    for path in files:
+        for first, source in _code_blocks(path.read_text(encoding="utf-8")):
+            try:
+                tree = ast.parse(source)
+            except SyntaxError:  # a fragment, not a program
+                continue
+            for node, problem in _stale_calls(tree):
+                line = first + node.lineno - 1
+                problems.append(f"{path.relative_to(root)}:{line}: {problem}")
+    return problems
+
+
 def run_all(root: pathlib.Path) -> List[str]:
-    """All four passes; the empty list means the docs are consistent."""
+    """All five passes; the empty list means the docs are consistent."""
     files = markdown_files(root)
     return (
         check_links(root, files)
         + check_code_paths(root, files)
         + check_rule_catalog(root)
         + check_generated(root)
+        + check_doc_calls(root, files)
     )
