@@ -51,7 +51,7 @@ __all__ = [
 DEFAULT_CACHE_DIR = ".repro-cache"
 
 #: Environment switch: ``off``/``0``/``false``/``no`` disables the
-#: default cache; ``on``/``1``/``true``/``yes`` force-enables it.
+#: default cache; any other value (or none) leaves it on.
 ENV_SWITCH = "REPRO_CACHE"
 
 #: Environment override for the default cache directory.
@@ -62,7 +62,6 @@ ENV_DIR = "REPRO_CACHE_DIR"
 SCHEMA_VERSION = 1
 
 _FALSY = frozenset({"off", "0", "false", "no"})
-_TRUTHY = frozenset({"on", "1", "true", "yes"})
 
 _code_stamp: Optional[str] = None
 
@@ -219,13 +218,9 @@ class ResultCache:
 
 
 def default_enabled() -> bool:
-    """Whether ambient (``cache=None``) caching is currently on."""
-    value = os.environ.get(ENV_SWITCH, "").strip().lower()
-    if value in _FALSY:
-        return False
-    if value in _TRUTHY:
-        return True
-    return True  # cache is on by default; the version salt keeps it safe
+    """Whether ambient (``cache=None``) caching is currently on: unless
+    ``REPRO_CACHE`` is off/0/false/no (the version salt keeps it safe)."""
+    return os.environ.get(ENV_SWITCH, "").strip().lower() not in _FALSY
 
 
 def resolve_cache(

@@ -3,15 +3,14 @@
 Theorems 1 and 2 hold under the paper's assumptions, and each speed
 lane adds one of its own — the fast lane Erlang-loss quiescence, a
 snapshot a globally quiescent instant.  :data:`CAPABILITIES` writes
-every ``lane × feature`` verdict down once:
+down every exception to "any lane runs with any feature":
 
-* ``ok`` — accepted, and row-identical to the classic kernel (the
-  differential oracle in ``tests/test_lanes.py`` draws its scenarios
-  from exactly these cells);
-* ``tolerance`` — accepted, within ``bound`` of the classic kernel;
-* ``rejected`` — refused with ``detail`` as the reason.
+* ``rejected`` — refused with ``detail`` as the reason;
+* ``tolerance`` — accepted, within ``bound`` of the classic kernel.
 
-A pair without a row is accepted and merely not drawn by the oracle.
+Every combination without a row is accepted and row-identical to the
+classic kernel; the differential oracle in ``tests/test_lanes.py``
+draws every such combination.
 :func:`features` derives the vocabulary from one request and
 :func:`check_compatible` — the only place a combination is refused, with
 the only exception type — is called by every entry point before it
@@ -47,24 +46,17 @@ class CompatibilityError(ValueError):
 
 
 class Verdict(NamedTuple):
-    """One cell of the table: ``kind`` is ``"ok"``, ``"tolerance"``
-    (``detail`` names the quantity held within ``bound``) or
-    ``"rejected"`` (``detail`` is the reason)."""
+    """One row of the table: ``kind`` is ``"tolerance"`` (``detail``
+    names the quantity held within ``bound``) or ``"rejected"``
+    (``detail`` is the reason)."""
 
     kind: str
     detail: str = ""
     bound: Optional[float] = None
 
 
-OK = Verdict("ok")
-
-
 def _no(reason: str) -> Verdict:
     return Verdict("rejected", reason)
-
-
-def _ok(lane: str, *names: str) -> Dict[Tuple[str, str], Verdict]:
-    return {(lane, name): OK for name in names}
 
 
 #: ``(lane, feature) -> Verdict``, one row a line; the pair is unordered.
@@ -79,20 +71,15 @@ CAPABILITIES: Dict[Tuple[str, str], Verdict] = {
     ("fastlane", "TrafficMix"): _no("the fluid model has one call class, a TrafficMix several"),
     ("fastlane", "checkpoint"): _no("a fluid cell's calls are analytic occupancy, not call records a snapshot can capture"),
     ("fastlane", "resume"): _no("a snapshot fixes its scenario, and no fastlane run has one"),
-    **_ok("fastlane", "obs", "random latency", "setup deadline", "planar grid"),
     # checkpoint: capture at a globally quiescent instant.  resume: run a snapshot to the horizon.
     ("checkpoint", "TrafficMix"): _no("multi-class TrafficMix sources are not snapshotable"),
     ("checkpoint", "workers"): _no("a checkpoint captures one run, in this process"),
     ("checkpoint", "all schemes"): _no("a snapshot holds one scenario"),
     ("checkpoint", "resume"): _no("a resumed run goes to the horizon; it takes no checkpoint"),
-    **_ok("checkpoint", "fault plan", "obs", "guard channels"),
-    **_ok("checkpoint", "setup deadline", "planar grid", "random latency", "unordered links"),
     ("resume", "workers"): _no("a snapshot resumes as one run, in this process"),
     ("resume", "all schemes"): _no("a snapshot fixes its scheme"),
     ("resume", "trace dir"): _no("obs is part of the snapshot's scenario and cannot be added"),
     ("fresh run", "fork seed"): _no("a fork seed reseeds a snapshot; it needs --from-checkpoint"),
-    # Every other lane's report is the classic kernel's, row for row.
-    **{(lane, "classic kernel"): OK for lane in ("checkpoint", "workers", "result cache")},
 }
 
 _REJECTED = [(a, b, v.detail) for (a, b), v in CAPABILITIES.items() if v.kind == "rejected"]

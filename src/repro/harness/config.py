@@ -143,8 +143,8 @@ class Scenario:
     #: analytically (Erlang-loss fluid model) instead of event-by-event;
     #: cells materialize back on any borrow-related contact.  See
     #: ``repro.harness.fastlane``.  Off (the default) is bit-identical
-    #: to the classic kernel; what on combines with is the ``fastlane``
-    #: column of docs/CAPABILITIES.md.
+    #: to the classic kernel; what on refuses is listed in
+    #: docs/CAPABILITIES.md.
     fastlane: bool = False
 
     # -- bookkeeping ------------------------------------------------------------
@@ -154,14 +154,6 @@ class Scenario:
     extra_params: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.duration <= self.warmup:
-            raise ValueError(
-                f"duration {self.duration:g} must exceed warmup {self.warmup:g}"
-            )
-        if self.offered_load < 0:
-            raise ValueError(f"offered_load must be >= 0, got {self.offered_load:g}")
-        if self.mean_holding <= 0:
-            raise ValueError(f"mean_holding must be positive, got {self.mean_holding:g}")
         obs = self.obs
         if obs is not None and (
             isinstance(obs, bool)
@@ -171,6 +163,23 @@ class Scenario:
             raise ValueError(
                 f"obs must be None or a positive sample interval, got {obs!r}"
             )
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and math.isnan(value):
+                raise ValueError(f"{f.name} must be a number, got nan")
+        for name in ("duration", "warmup", "offered_load"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.warmup < 0:
+            raise ValueError(f"warmup must be >= 0, got {self.warmup:g}")
+        if self.duration <= self.warmup:
+            raise ValueError(
+                f"duration {self.duration:g} must exceed warmup {self.warmup:g}"
+            )
+        if self.offered_load < 0:
+            raise ValueError(f"offered_load must be >= 0, got {self.offered_load:g}")
+        if self.mean_holding <= 0:
+            raise ValueError(f"mean_holding must be positive, got {self.mean_holding:g}")
 
     @property
     def arrival_rate(self) -> float:

@@ -62,7 +62,7 @@ class MSS:
     scheme = "abstract"
     #: Capability cells a scheme owns (see ``repro.harness.capability``):
     #: can the fast lane advance its cells as an Erlang-loss fluid, and
-    #: does a ``ModePolicy`` drive it.  Set the attribute; the matrix,
+    #: does a ``ModePolicy`` drive it.  Set the attribute; the table,
     #: the CLI help and the lane oracle pick it up.
     fluid_model = False
     policy_driven = False

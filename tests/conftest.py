@@ -65,6 +65,13 @@ def nothing_constructed(monkeypatch):
     monkeypatch.setattr(multiprocessing, "get_context", touched)
 
 
+def report_row(report):
+    """A report's row: every :class:`~repro.harness.Report` field but
+    ``scenario``, ``obs`` and ``metrics`` (read off, not deep-copied)."""
+    names = [f.name for f in dataclasses.fields(report)]
+    return {name: getattr(report, name) for name in names if name not in ("scenario", "obs", "metrics")}
+
+
 def make_stack(
     scheme_cls,
     rows: int = 7,

@@ -18,7 +18,6 @@
     and re-checkpoint byte-identically: the plain-row layout did not move.
 """
 
-import dataclasses
 import gzip
 import hashlib
 import json
@@ -32,6 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import report_row
 from repro.harness import Report, Scenario
 from repro.metrics import AcquisitionLog, AcquisitionRecord, LabelTableFull, MetricsCollector
 from repro.snap import Snapshot, checkpoint, restore, run_from_snapshot
@@ -356,13 +356,6 @@ FIXTURES = pathlib.Path(__file__).parent / "data" / "snapshots_b425d78"
 EXPECTED = json.loads((FIXTURES / "rows.json").read_text())
 
 
-def plain_row(report):
-    row = dataclasses.asdict(report)
-    for key in ("scenario", "obs", "metrics"):
-        row.pop(key)
-    return json.loads(json.dumps(row, sort_keys=True))
-
-
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_snapshot_written_by_the_parent_commit_restores_and_recheckpoints(name):
     expected = EXPECTED[name]
@@ -376,7 +369,7 @@ def test_snapshot_written_by_the_parent_commit_restores_and_recheckpoints(name):
     # The fixture rows predate the removal of a Report column that was always null here.
     row = dict(expected["row"])
     assert row.pop("regret_vs_oracle") is None
-    assert plain_row(report) == json.loads(json.dumps(row, sort_keys=True))
+    assert json.loads(json.dumps(report_row(report))) == row
     records = [tuple(r) for r in report.metrics.records]
     assert len(records) == expected["offered"]
     assert hashlib.sha256(repr(records).encode()).hexdigest()[:16] == expected["records_digest"]

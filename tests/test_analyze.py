@@ -580,7 +580,7 @@ def test_ana301_silent_in_allowlisted_files(tmp_path):
         assert findings == []
 
 
-def test_ana302_and_ana303_fire_outside_shard_scope(tmp_path):
+def test_ana202_and_ana203_fire_on_metrics_state(tmp_path):
     findings = file_findings(
         tmp_path,
         "src/repro/metrics/sloppy.py",

@@ -37,7 +37,7 @@ from repro.traffic import (
 )
 from repro.verify import set_default_policy
 
-from conftest import make_stack
+from conftest import make_stack, report_row
 
 
 @pytest.fixture
@@ -46,13 +46,6 @@ def bare():
     previous = set_default_policy(None)
     yield
     set_default_policy(previous)
-
-
-def rows(report):
-    data = dataclasses.asdict(report)
-    for key in ("scenario", "obs", "metrics"):
-        data.pop(key)
-    return data
 
 
 def digest(value):
@@ -113,7 +106,7 @@ def test_run_equals_the_parent_commit_bare_and_observed(bare, name):
         assert sim.env._eid == eid
         assert report.offered == offered
         assert digest([tuple(r) for r in sim.metrics.records]) == records_digest
-        assert digest(sorted(rows(report).items())) == row_digest
+        assert digest(sorted(report_row(report).items())) == row_digest
 
     # begin / serve / end pair by (cell, req_id): at most one serve and
     # one end per begin (requests in flight at the horizon have none),

@@ -94,8 +94,20 @@ def test_negative_workers_is_a_usage_error(capsys, nothing_constructed):
         (["snapshot", "inspect", "missing.snap"], "missing.snap"),
         (["snapshot", "inspect", "garbage.snap"], "garbage.snap: corrupt snapshot"),
         (["--from-checkpoint", "missing.snap"], "missing.snap"),
+        (["--load", "nan"], "offered_load must be a number, got nan"),
+        (["--latency", "nan"], "latency_T must be a number, got nan"),
+        (["--theta-low", "nan"], "theta_low must be a number, got nan"),
+        (["--duration", "inf"], "duration must be finite, got inf"),
+        (["--load", "inf"], "offered_load must be finite, got inf"),
+        (["--duration", "nan"], "duration must be a number, got nan"),
+        (["--warmup", "-5"], "warmup must be >= 0, got -5"),
+        (["--warmup", "nan"], "warmup must be a number, got nan"),
     ],
-    ids=["load", "warmup", "inspect-missing", "inspect-garbage", "from-checkpoint"],
+    ids=[
+        "load", "warmup", "inspect-missing", "inspect-garbage", "from-checkpoint", "load-nan",
+        "latency-nan", "theta-nan", "duration-inf", "load-inf", "duration-nan", "warmup-negative",
+        "warmup-nan",
+    ],
 )
 def test_bad_input_is_a_usage_error_not_a_traceback(
     argv, named, capsys, monkeypatch, tmp_path, nothing_constructed

@@ -121,7 +121,7 @@ def test_internal_sentinel_is_tolerated(tmp_path):
     assert check_rule_catalog(root) == []
 
 
-# -- pass 4: generated capability matrix -------------------------------------
+# -- pass 4: generated capability table --------------------------------------
 
 
 def test_stale_capability_matrix_is_flagged(tmp_path):
@@ -130,7 +130,7 @@ def test_stale_capability_matrix_is_flagged(tmp_path):
     current = (ROOT / "docs" / "CAPABILITIES.md").read_text()
     (tmp_path / "docs" / "CAPABILITIES.md").write_text(current)
     assert check_generated(root) == []
-    (tmp_path / "docs" / "CAPABILITIES.md").write_text(current.replace("**no**", "ok", 1))
+    (tmp_path / "docs" / "CAPABILITIES.md").write_text(current.replace("## Refused", "## Accepted", 1))
     problems = check_generated(root)
     assert len(problems) == 1 and "stale" in problems[0]
 

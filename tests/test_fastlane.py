@@ -7,10 +7,9 @@ trigger materializes *before* protocol state is observed, and the
 promote→demote→promote round trip neither invents nor loses calls.
 """
 
-import dataclasses
-
 import pytest
 
+from conftest import report_row
 from repro.analysis.erlang import erlang_b
 from repro.faults import CrashWindow, FaultPlan
 from repro.harness import CompatibilityError, Scenario, build_simulation, run_scenario
@@ -32,14 +31,6 @@ def lane_scenario(**overrides):
     )
     defaults.update(overrides)
     return Scenario(**defaults)
-
-
-def rows(report):
-    data = dataclasses.asdict(report)
-    data.pop("scenario")
-    data.pop("obs")
-    data.pop("metrics")
-    return data
 
 
 # -- default-off: the lane must not exist ----------------------------------
@@ -149,7 +140,7 @@ def test_reference_profile_lane_off_is_the_plain_kernel_and_lane_on_within_toler
 def test_runs_are_seed_deterministic():
     a = run_scenario(lane_scenario())
     b = run_scenario(lane_scenario())
-    assert rows(a) == rows(b)
+    assert report_row(a) == report_row(b)
     assert a.fastlane == b.fastlane
 
 

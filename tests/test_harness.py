@@ -34,6 +34,8 @@ def test_scenario_validation():
         Scenario(offered_load=-1)
     with pytest.raises(ValueError):
         Scenario(mean_holding=0)
+    with pytest.raises(ValueError, match="mean_dwell must be a number, got nan"):
+        Scenario.from_dict({"mean_dwell": float("nan")})
 
 
 def test_arrival_rate_conversion():

@@ -10,11 +10,10 @@
     entry is the ``Envelope`` itself, armed with ``Network._deliver``.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
+from conftest import report_row
 from repro.faults import CrashWindow, FaultInjector, FaultPlan, LinkPartition
 from repro.harness import Scenario, build_simulation
 from repro.policies.linear import LinearPolicy
@@ -71,20 +70,13 @@ SCENARIOS = {
 }
 
 
-def rows(report):
-    data = dataclasses.asdict(report)
-    for key in ("scenario", "obs", "metrics"):
-        data.pop(key)
-    return data
-
-
 def run(scenario, subscribe=()):
     """Run ``scenario`` with ``subscribe`` = ((kind, callback), ...)."""
     sim = build_simulation(scenario)
     for kind, callback in subscribe:
         sim.env.subscribe(kind, callback)
     report = sim.run()
-    return sim, rows(report)
+    return sim, report_row(report)
 
 
 # --------------------------------------------------- (a) probe transparency --

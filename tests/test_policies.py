@@ -13,11 +13,11 @@ The contracts under test (docs/POLICIES.md):
   format-v2 opaque policy state actually carries the policy's memory).
 """
 
-import dataclasses
 import json
 
 import pytest
 
+from conftest import report_row
 from repro.harness import Scenario, run_scenario
 from repro.harness.cache import cache_key
 from repro.policies import make_policy, policy_names, policy_spec
@@ -44,15 +44,6 @@ def small(**overrides):
     )
     defaults.update(overrides)
     return Scenario(**defaults)
-
-
-def rows(report):
-    """Every Report field that must be policy/snapshot-invariant."""
-    data = dataclasses.asdict(report)
-    data.pop("scenario")
-    data.pop("obs")
-    data.pop("metrics")
-    return data
 
 
 # -- registry ---------------------------------------------------------------
@@ -147,7 +138,7 @@ def test_default_policy_is_linear_and_row_identical():
     """An explicit policy="linear" is the default, bit for bit."""
     default = run_scenario(small())
     explicit = run_scenario(small(policy="linear", policy_params={}))
-    assert rows(default) == rows(explicit)
+    assert report_row(default) == report_row(explicit)
 
 
 # -- snapshot round trip ----------------------------------------------------
@@ -156,9 +147,9 @@ def test_default_policy_is_linear_and_row_identical():
 @pytest.mark.parametrize("name", policy_names())
 def test_midrun_checkpoint_resumes_row_identically(name):
     scenario = small(policy=name)
-    cold = rows(run_scenario(scenario))
+    cold = report_row(run_scenario(scenario))
     snapshot = run_to_checkpoint(scenario, at=80.0)
-    resumed = rows(run_from_snapshot(snapshot))
+    resumed = report_row(run_from_snapshot(snapshot))
     assert resumed == cold
 
 

@@ -21,21 +21,6 @@ def quick(**kw):
     return Scenario(**base)
 
 
-def test_cold_run_stores_then_warm_run_hits(tmp_path):
-    cache = ResultCache(tmp_path)
-    scenario = quick()
-    (cold,) = run_cells([scenario], cache=cache)
-    assert cache.misses == 1 and cache.stores == 1 and cache.hits == 0
-    (warm,) = run_cells([scenario], cache=cache)
-    assert cache.hits == 1
-    # The warm report is the cold one, field for field.
-    assert warm.offered == cold.offered
-    assert warm.drop_rate == cold.drop_rate
-    assert warm.messages_total == cold.messages_total
-    assert warm.mean_acquisition_time == cold.mean_acquisition_time
-    assert warm.scenario == cold.scenario
-
-
 def test_different_scenarios_do_not_collide(tmp_path):
     cache = ResultCache(tmp_path)
     run_cells([quick(seed=1)], cache=cache)

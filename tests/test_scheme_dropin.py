@@ -18,7 +18,6 @@ all the class declares.  Serial only: a spawned worker imports
 ``repro`` afresh and would not see the patch.
 """
 
-import dataclasses
 import json
 from dataclasses import dataclass
 
@@ -38,7 +37,7 @@ from repro.protocols import MSS, NO_CHANNEL, ReqType, Request, ResType, Response
 from repro.sim.network import Message
 from repro.snap import checkpoint, restore, run_from_snapshot, run_to_checkpoint
 
-from conftest import HOSTILE_FAULTS, assert_drains_under_hostile_faults
+from conftest import HOSTILE_FAULTS, assert_drains_under_hostile_faults, report_row
 
 STOCK = ["adaptive", "advanced_update", "basic_search", "basic_update", "fixed", "prakash"]
 
@@ -135,13 +134,6 @@ def busy(**overrides):
     return Scenario(**fields)
 
 
-def rows(report):
-    data = dataclasses.asdict(report)
-    for key in ("scenario", "obs", "metrics"):
-        data.pop(key)
-    return data
-
-
 def test_the_patch_is_undone_with_the_fixture():
     with pytest.MonkeyPatch.context() as patch:
         patch.setitem(SCHEMES, "toy", ToyMSS)
@@ -199,7 +191,7 @@ def test_toy_snapshots_restore_exactly(toy, at, overrides):
     scenario = busy(**overrides)
     snap = run_to_checkpoint(scenario, at)
     assert snap.started == (at > 0.0)
-    assert rows(run_from_snapshot(snap)) == rows(run_scenario(scenario))
+    assert report_row(run_from_snapshot(snap)) == report_row(run_scenario(scenario))
     assert checkpoint(restore(snap)).to_bytes() == snap.to_bytes()
     if at > 0.0:
         stations = snap.state["stations"].values()

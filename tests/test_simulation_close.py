@@ -9,6 +9,7 @@ closing must change nothing the report says.  While a run goes on, a
 completed STATUS round goes the same way.
 """
 
+import copy
 import dataclasses
 import gc
 import sys
@@ -23,7 +24,7 @@ from repro.protocols import MSS
 from repro.sim import ConditionEvent, Network
 from repro.snap import run_from_snapshot, run_to_checkpoint
 
-from test_call_path import rows
+from conftest import report_row
 
 HEAVY = ("network", "source", "monitor", "injector", "observer", "sanitizers", "fastlane")
 
@@ -138,7 +139,7 @@ def test_snapshot_drivers_leave_nothing_for_the_collector(built, collector_off, 
     assert len(built) == 3 and [alive(parts) for parts in built] == [[], [], []]
     heavy, _ = cyclic_leftovers()
     assert heavy == [] and collector_off == []
-    assert rows(resumed) == rows(run_scenario(base)) != rows(forked)
+    assert report_row(resumed) == report_row(run_scenario(base)) != report_row(forked)
 
 
 def test_a_wait_that_timed_out_leaves_no_cycle(collector_off):
@@ -185,13 +186,13 @@ def test_a_closed_simulations_report_is_the_unclosed_ones(scheme):
     sim = build_simulation(base)
     kept = sim.run()
     closed = run_scenario(base)
-    assert rows(closed) == rows(kept)
+    assert report_row(closed) == report_row(kept)
     assert closed.metrics.records == kept.metrics.records and len(kept.metrics.records) > 100
     assert closed.obs.spans == kept.obs.spans and closed.obs.series == kept.obs.series
     # ``Simulation.run`` leaves the simulation whole for its caller ...
     assert sim.env.peek() < float("inf") and sim.network.node(0) is sim.stations[0]
-    before = rows(kept), list(kept.metrics.records)
+    before = copy.deepcopy(report_row(kept)), list(kept.metrics.records)
     sim.close()
     sim.close()  # ... and closing it, twice, moves nothing the report holds.
-    assert (rows(kept), list(kept.metrics.records)) == before
+    assert (report_row(kept), list(kept.metrics.records)) == before
     assert sim.env.peek() == float("inf") and not sim.env._probes

@@ -2,9 +2,9 @@
 
 The headline contracts under test (see DESIGN.md §9):
 
-* **Fork-at-t0 row-identity** — a cold (t0) snapshot forked to any
-  seed reports row-identically to a cold run of that seed, for every
-  scheme and under a hostile fault plan.
+* **Fork-at-t0 row-identity** — a cold (t0) snapshot forked to another
+  seed is that seed's cold run: the checkpoint oracle in
+  ``tests/test_lanes.py`` draws it for every scheme and feature.
 * **Exact mid-run continuation** — for schemes that reach global
   quiescence mid-run (fixed, adaptive, advanced_update, prakash at
   these loads), checkpointing at t and resuming is row-identical to
@@ -28,6 +28,7 @@ from collections import deque
 
 import pytest
 
+from conftest import report_row
 from repro.faults import CrashWindow, FaultPlan, LinkPartition
 from repro.harness import (
     SCHEMES as SCHEME_TABLE,
@@ -88,39 +89,6 @@ def hostile_faults():
     )
 
 
-def rows(report):
-    """Every Report field that must be snapshot-invariant."""
-    data = dataclasses.asdict(report)
-    data.pop("scenario")
-    data.pop("obs")
-    data.pop("metrics")
-    return data
-
-
-# -- fork at t0: every scheme ----------------------------------------------
-
-
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_t0_fork_row_identical_to_cold_run(scheme):
-    scenario = small(scheme)
-    snap = run_to_checkpoint(scenario, 0.0)
-    assert not snap.started and snap.time == 0.0
-    fork_seed = scenario.seed + 7
-    forked = run_from_snapshot(snap, seed=fork_seed)
-    cold = run_scenario(scenario.with_(seed=fork_seed))
-    assert rows(forked) == rows(cold)
-
-
-def test_t0_fork_row_identical_under_hostile_faults():
-    scenario = small(
-        "adaptive", faults=hostile_faults(), duration=220.0
-    )
-    snap = run_to_checkpoint(scenario, 0.0)
-    forked = run_from_snapshot(snap, seed=scenario.seed + 1)
-    cold = run_scenario(scenario.with_(seed=scenario.seed + 1))
-    assert rows(forked) == rows(cold)
-
-
 # -- exact mid-run continuation --------------------------------------------
 
 
@@ -131,7 +99,7 @@ def test_midrun_resume_row_identical_to_uninterrupted(scheme):
     assert snap.started and snap.time >= 80.0
     resumed = run_from_snapshot(snap)
     straight = run_scenario(scenario)
-    assert rows(resumed) == rows(straight)
+    assert report_row(resumed) == report_row(straight)
 
 
 @pytest.mark.parametrize("scheme", ["fixed", "adaptive"])
@@ -148,7 +116,7 @@ def test_midrun_resume_with_mobility_is_row_identical(scheme):
     resumed = run_from_snapshot(snap)
     straight_sim = build_simulation(scenario)
     straight = straight_sim.run()
-    assert rows(resumed) == rows(straight)
+    assert report_row(resumed) == report_row(straight)
     assert resumed.calls_started == straight.calls_started > 0
     assert resumed.calls_completed == straight.calls_completed > 0
     if scheme == "fixed":
@@ -170,7 +138,7 @@ def test_midrun_resume_inside_crash_window_under_faults():
     snap = run_to_checkpoint(scenario, 100.0)
     resumed = run_from_snapshot(snap)
     straight = run_scenario(scenario)
-    assert rows(resumed) == rows(straight)
+    assert report_row(resumed) == report_row(straight)
 
 
 def test_midrun_snapshot_refuses_never_quiescent_scheme(monkeypatch):
@@ -190,8 +158,8 @@ def test_fork_same_seed_is_deterministic_and_seeds_differ():
     a = run_from_snapshot(snap, seed=101)
     b = run_from_snapshot(snap, seed=101)
     c = run_from_snapshot(snap, seed=102)
-    assert rows(a) == rows(b)
-    assert rows(a) != rows(c)
+    assert report_row(a) == report_row(b)
+    assert report_row(a) != report_row(c)
 
 
 def test_fork_replications_seed_zero_is_exact_continuation():
@@ -200,8 +168,8 @@ def test_fork_replications_seed_zero_is_exact_continuation():
     reports = fork_replications(snap, 2)
     # Seed i=0 forks under the snapshot's own seed: exact continuation,
     # row-identical to the cold run of the base scenario.
-    assert rows(reports[0]) == rows(run_scenario(scenario))
-    assert rows(reports[0]) != rows(reports[1])
+    assert report_row(reports[0]) == report_row(run_scenario(scenario))
+    assert report_row(reports[0]) != report_row(reports[1])
 
 
 _FRESH_INTERPRETER = """
@@ -247,9 +215,9 @@ def test_restore_in_a_dirty_process_matches_a_fresh_interpreter(tmp_path):
     ):
         run_scenario(other.with_(duration=60.0, warmup=20.0))
     dirty = [
-        rows(run_from_snapshot(snap, seed=scenario.seed + i)) for i in range(4)
+        report_row(run_from_snapshot(snap, seed=scenario.seed + i)) for i in range(4)
     ]
-    assert dirty[0] == rows(run_scenario(scenario))  # seed 0: exact continuation
+    assert dirty[0] == report_row(run_scenario(scenario))  # seed 0: exact continuation
     assert snap.to_bytes() == before
     assert checkpoint(restore(snap)).to_bytes() == before
 
@@ -535,15 +503,15 @@ def test_warm_forked_rows_never_alias_cold_rows(tmp_path):
     _, warm = fork_replications(snap, 2, cache=cache)
     # The warm fork simulates a different trajectory (warmup paid under
     # the base seed) — it must have MISSED the cold row, not returned it.
-    assert rows(warm) != rows(cold)
+    assert report_row(warm) != report_row(cold)
 
     # Both rows now coexist: the plain lookup still returns the cold
     # report, and a second warm fork hits the warm row (no simulation).
-    assert rows(cache.get(forked_scenario)) == rows(cold)
+    assert report_row(cache.get(forked_scenario)) == report_row(cold)
     hits_before = cache.hits
     _, warm2 = fork_replications(snap, 2, cache=cache)
     assert cache.hits == hits_before + 2
-    assert rows(warm2) == rows(warm)
+    assert report_row(warm2) == report_row(warm)
 
 
 def test_forks_of_different_snapshots_do_not_share_rows(tmp_path):

@@ -126,7 +126,7 @@ class NoCrossCellAccess(Rule):
             elif node.attr == "_nodes" and id(node) not in covered:
                 yield node, (
                     "use of the fabric's private node registry "
-                    "(._nodes) outside sim/network.py — shard-unsafe"
+                    "(._nodes) outside sim/network.py — stations interact only by messages"
                 )
 
 

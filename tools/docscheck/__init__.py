@@ -16,7 +16,7 @@ Five passes over the repo's markdown (root ``*.md`` plus
    ``### <ID>`` headings in docs/CHECKS.md must equal the codes of the
    rule registry (``tools.check.RULES``) plus the engine's ``SIM100``,
    both ways.
-4. **Generated capability matrix** — a committed
+4. **Generated capability table** — a committed
    ``docs/CAPABILITIES.md`` must equal what ``tools/gen_api_docs.py``
    renders from the capability table now.
 5. **Stale calls in doc code** — a fenced ``python`` / ``pycon`` block
@@ -158,7 +158,7 @@ def check_rule_catalog(root: pathlib.Path) -> List[str]:
 
 
 def check_generated(root: pathlib.Path) -> List[str]:
-    """Pass 4: the committed capability matrix is what the table renders to."""
+    """Pass 4: the committed capability doc is what the table renders to."""
     committed = root / "docs" / "CAPABILITIES.md"
     if not committed.exists():
         return []
