@@ -25,7 +25,6 @@ from .harness import (
     CompatibilityError,
     ExperimentError,
     Scenario,
-    check_compatible,
     render_table,
     run_cells,
 )
@@ -47,17 +46,11 @@ def _worker_count(text: str) -> int:
     return count
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="python -m repro",
-        description="Simulate distributed dynamic channel allocation "
-        "(reproduction of Kahol et al., 1998).",
-    )
+def _scenario_flags() -> argparse.ArgumentParser:
+    """The flags that say which scenario to run, shared as a parent by
+    the main command and ``snapshot take``."""
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--scheme", default="adaptive", choices=sorted(SCHEMES))
-    p.add_argument(
-        "--all-schemes", action="store_true",
-        help="run every scheme on the same workload and print a comparison",
-    )
     p.add_argument("--rows", type=int, default=7)
     p.add_argument("--cols", type=int, default=7)
     p.add_argument("--channels", type=int, default=70)
@@ -91,6 +84,37 @@ def build_parser() -> argparse.ArgumentParser:
         "the hardened protocol stack: ack/retry/dedup); fine-grained "
         "fault plans go in a --config file's \"faults\" section",
     )
+    p.add_argument(
+        "--fastlane", action="store_true",
+        help="advance quiescent local-mode cells analytically "
+        "(Erlang-loss fluid model) instead of event-by-event, "
+        "materializing them back on demand; a low-load accelerator; "
+        "not with: " + rejected_with("fastlane") + " — see docs/CAPABILITIES.md",
+    )
+    p.add_argument(
+        "--config", type=str, default=None, metavar="FILE",
+        help="load the scenario from a JSON file (other scenario flags "
+        "are ignored; --scheme/--all-schemes still apply)",
+    )
+    p.add_argument(
+        "--preset", type=str, default=None,
+        help="use a named preset workload (see --list-presets)",
+    )
+    return p
+
+
+def build_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(
+        prog="python -m repro",
+        description="Simulate distributed dynamic channel allocation "
+        "(reproduction of Kahol et al., 1998).  Snapshots: "
+        "python -m repro snapshot {take,run,inspect} --help.",
+        parents=[_scenario_flags()],
+    )
+    p.add_argument(
+        "--all-schemes", action="store_true",
+        help="run every scheme on the same workload and print a comparison",
+    )
     p.add_argument("--json", action="store_true", help="JSON output")
     p.add_argument(
         "--trace", type=str, default=None, metavar="DIR",
@@ -104,47 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
         "(0 = one per CPU); results are identical to serial",
     )
     p.add_argument(
-        "--fastlane", action="store_true",
-        help="advance quiescent local-mode cells analytically "
-        "(Erlang-loss fluid model) instead of event-by-event, "
-        "materializing them back on demand; a low-load accelerator; "
-        "not with: " + rejected_with("fastlane") + " — see docs/CAPABILITIES.md",
-    )
-    p.add_argument(
         "--no-cache", action="store_true",
         help="ignore the persistent result cache (.repro-cache/) and "
         "always simulate",
-    )
-    p.add_argument(
-        "--checkpoint-at", type=float, default=None, metavar="T",
-        help="run the scenario to sim-time T, capture a snapshot at "
-        "the first safe point, write it to --checkpoint-out, and exit "
-        "(T=0 captures a cold t0 snapshot; see docs/TUTORIAL.md)",
-    )
-    p.add_argument(
-        "--checkpoint-out", type=str, default="checkpoint.snap",
-        metavar="PATH", help="snapshot output path for --checkpoint-at",
-    )
-    p.add_argument(
-        "--from-checkpoint", type=str, default=None, metavar="PATH",
-        help="resume from a snapshot file instead of building the "
-        "scenario from flags: restore, run to the horizon, report; "
-        "combine with --fork-seed to fork a fresh replication",
-    )
-    p.add_argument(
-        "--fork-seed", type=int, default=None, metavar="K",
-        help="with --from-checkpoint: fork the snapshot under seed K "
-        "(reseeds every post-fork random stream) instead of exactly "
-        "continuing the recorded run",
-    )
-    p.add_argument(
-        "--config", type=str, default=None, metavar="FILE",
-        help="load the scenario from a JSON file (other scenario flags "
-        "are ignored; --scheme/--all-schemes still apply)",
-    )
-    p.add_argument(
-        "--preset", type=str, default=None,
-        help="use a named preset workload (see --list-presets)",
     )
     p.add_argument(
         "--list-presets", action="store_true",
@@ -215,21 +201,66 @@ def report_dict(report) -> dict:
     }
 
 
-def snapshot_main(argv) -> int:
-    """``python -m repro snapshot inspect FILE [...]`` subcommand."""
+def _snapshot_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="python -m repro snapshot",
-        description="Inspect snapshot files (see repro.snap).",
+        description="Take, run and inspect snapshot files (see repro.snap).",
     )
     sub = p.add_subparsers(dest="cmd", required=True)
-    inspect = sub.add_parser(
-        "inspect", help="print a snapshot's identity and contents summary"
+    take = sub.add_parser(
+        "take", parents=[_scenario_flags()],
+        help="run the scenario to sim-time T and write a snapshot taken "
+        "at the first safe point (T=0 takes a cold t0 snapshot; see "
+        "docs/TUTORIAL.md)",
     )
+    take.add_argument(
+        "--at", type=float, required=True, metavar="T",
+        help="capture instant, 0 <= T < duration",
+    )
+    take.add_argument(
+        "--out", type=str, default="checkpoint.snap", metavar="PATH",
+        help="snapshot output path",
+    )
+    run = sub.add_parser(
+        "run", help="restore a snapshot, run it to its horizon and report",
+    )
+    run.add_argument("file", metavar="PATH")
+    run.add_argument(
+        "--fork-seed", type=int, default=None, metavar="K",
+        help="fork the snapshot under seed K (reseeds every post-fork "
+        "random stream) instead of exactly continuing the recorded run",
+    )
+    inspect = sub.add_parser("inspect", help="print a snapshot's identity and contents summary")
     inspect.add_argument("files", nargs="+", metavar="FILE")
-    inspect.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
+    for command in (run, inspect):
+        command.add_argument("--json", action="store_true", help="JSON output")
+    return p
+
+
+def snapshot_main(argv) -> int:
+    """``python -m repro snapshot {take,run,inspect}``."""
+    p = _snapshot_parser()
     args = p.parse_args(argv)
+    if args.cmd == "take":
+        from .snap import run_to_checkpoint, save_snapshot
+
+        scenario = _scenarios(args, [args.scheme], p)[0]
+        try:
+            snap = run_to_checkpoint(scenario, args.at)
+        except CompatibilityError:
+            raise
+        except ValueError as exc:
+            p.error(str(exc))
+        save_snapshot(snap, args.out)
+        kind = "warm" if snap.started else "cold (t0)"
+        print(f"{kind} snapshot of scheme={scenario.scheme} at t={snap.time:g} -> {args.out}")
+        print(f"content hash: {snap.content_hash()}")
+        return 0
+    if args.cmd == "run":
+        from .snap import run_from_snapshot
+
+        snap = _load_snapshot(p, args.file)
+        return _print_reports(args, [run_from_snapshot(snap, seed=args.fork_seed)])
 
     out = []
     for path in args.files:
@@ -286,37 +317,40 @@ def _load_snapshot(parser: argparse.ArgumentParser, path: str):
         parser.error(f"cannot load snapshot {path}: {exc}")
 
 
-def _scenarios(args, schemes) -> list:
-    """The scenario of every requested scheme, from --config / --preset / flags."""
-    if args.config:
-        with open(args.config) as fh:
-            base = Scenario.from_json(fh.read())
-        scenarios = [base.with_(scheme=s) for s in schemes]
-    elif args.preset:
-        from .harness import preset
+def _scenarios(args, schemes, parser: argparse.ArgumentParser) -> list:
+    """The scenario of every requested scheme, from --config / --preset /
+    flags; a usage error if they do not make one."""
+    try:
+        if args.config:
+            with open(args.config) as fh:
+                base = Scenario.from_json(fh.read())
+            scenarios = [base.with_(scheme=s) for s in schemes]
+        elif args.preset:
+            from .harness import preset
 
-        base = preset(args.preset)
-        scenarios = [base.with_(scheme=s, seed=args.seed) for s in schemes]
-    else:
-        return [scenario_from_args(args, s) for s in schemes]
+            base = preset(args.preset)
+            scenarios = [base.with_(scheme=s, seed=args.seed) for s in schemes]
+        else:
+            return [scenario_from_args(args, s) for s in schemes]
 
-    overrides: dict = {}
-    if args.faults is not None:
-        overrides["faults"] = FaultPlan.uniform_loss(args.faults)
-    if args.policy is not None:
-        overrides["policy"] = args.policy
-    return [s.with_(**overrides) for s in scenarios]
+        overrides: dict = {}
+        if args.faults is not None:
+            overrides["faults"] = FaultPlan.uniform_loss(args.faults)
+        if args.policy is not None:
+            overrides["policy"] = args.policy
+        return [s.with_(**overrides) for s in scenarios]
+    except (OSError, ValueError) as exc:
+        parser.error(str(exc))
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "snapshot":
-        return snapshot_main(argv[1:])
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return _run(args, parser)
+        if argv and argv[0] == "snapshot":
+            return snapshot_main(argv[1:])
+        parser = build_parser()
+        return _run(parser.parse_args(argv), parser)
     except CompatibilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -330,8 +364,6 @@ def main(argv=None) -> int:
 
 
 def _run(args, parser: argparse.ArgumentParser) -> int:
-    schemes = sorted(SCHEMES) if args.all_schemes else [args.scheme]
-
     if args.list_presets:
         from .harness import preset_names
 
@@ -339,34 +371,8 @@ def _run(args, parser: argparse.ArgumentParser) -> int:
             print(name)
         return 0
 
-    # What the flags ask for, in the capability table's vocabulary; the
-    # scenario's own features are derived by the validator.
-    resume = args.from_checkpoint is not None
-    lanes = {
-        "fastlane": args.fastlane,
-        "checkpoint": args.checkpoint_at is not None,
-        "resume": resume,
-        "fresh run": not resume,
-        "fork seed": args.fork_seed is not None,
-        "workers": args.workers != 1,
-        "all schemes": args.all_schemes,
-        "trace dir": args.trace is not None,
-    }
-    try:
-        scenarios = [] if resume else _scenarios(args, schemes)
-    except (OSError, ValueError) as exc:
-        parser.error(str(exc))
-    check_compatible(
-        scenarios[0] if scenarios else None,
-        lanes=[name for name, on in lanes.items() if on],
-    )
-
-    if resume:
-        from .snap import run_from_snapshot
-
-        snap = _load_snapshot(parser, args.from_checkpoint)
-        return _print_reports(args, [run_from_snapshot(snap, seed=args.fork_seed)])
-
+    schemes = sorted(SCHEMES) if args.all_schemes else [args.scheme]
+    scenarios = _scenarios(args, schemes, parser)
     if args.trace is not None:
         from .obs import SAMPLE_INTERVAL
 
@@ -381,19 +387,7 @@ def _run(args, parser: argparse.ArgumentParser) -> int:
         print(scenarios[0].to_json())
         return 0
 
-    if args.checkpoint_at is not None:
-        from .snap import run_to_checkpoint, save_snapshot
-
-        snap = run_to_checkpoint(scenarios[0], args.checkpoint_at)
-        save_snapshot(snap, args.checkpoint_out)
-        kind = "warm" if snap.started else "cold (t0)"
-        print(
-            f"{kind} snapshot of scheme={scenarios[0].scheme} at "
-            f"t={snap.time:g} -> {args.checkpoint_out}"
-        )
-        print(f"content hash: {snap.content_hash()}")
-        return 0
-
+    # run_cells validates every cell before it looks anything up or runs it.
     reports = run_cells(
         scenarios,
         workers=args.workers if args.workers > 0 else None,

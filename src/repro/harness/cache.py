@@ -21,8 +21,8 @@ Key properties:
   results cannot leak across code changes.
 * **Kill switch.** ``REPRO_CACHE=off`` in the environment disables the
   *default* cache (``cache=None`` callers).  An explicitly passed
-  cache (``cache=True``, a directory path, or a :class:`ResultCache`)
-  always wins.  ``REPRO_CACHE_DIR`` relocates the default directory.
+  :class:`ResultCache` always wins.  ``REPRO_CACHE_DIR`` relocates the
+  default directory.
 * **Concurrency-safe writes.** Entries are written to a temp file and
   atomically renamed, so parallel workers and concurrent sweeps never
   observe a torn entry.
@@ -34,7 +34,7 @@ import hashlib
 import os
 import pickle
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Literal, Optional, Union
 
 from .config import Scenario
 
@@ -90,16 +90,12 @@ def code_stamp() -> str:
     return _code_stamp
 
 
-def cache_key(
-    scenario: Scenario,
-    salt: Optional[str] = None,
-    variant: Optional[str] = None,
-) -> Optional[str]:
+def cache_key(scenario: Scenario, variant: Optional[str] = None) -> Optional[str]:
     """Canonical content hash of ``scenario``, or None if uncacheable.
 
     The key covers every dataclass field including ``extra_params``
     (via the scenario's sorted-key JSON form) and is salted with
-    ``salt`` (default: :func:`code_stamp`).
+    :func:`code_stamp`.
 
     ``variant`` distinguishes results produced by a *different
     execution recipe* for the same scenario.  The one stock producer is
@@ -117,7 +113,7 @@ def cache_key(
         # Unserializable pattern or extra_params: not cacheable.
         return None
     digest = hashlib.sha256()
-    digest.update((salt if salt is not None else code_stamp()).encode())
+    digest.update(code_stamp().encode())
     digest.update(b"\0")
     digest.update(blob.encode())
     if variant is not None:
@@ -134,18 +130,10 @@ class ResultCache:
     root:
         Cache directory (default: ``$REPRO_CACHE_DIR`` or
         ``.repro-cache``).  Created lazily on the first store.
-    salt:
-        Version-salt override; defaults to :func:`code_stamp`.  Tests
-        use this to exercise invalidation without editing sources.
     """
 
-    def __init__(
-        self,
-        root: Union[str, Path, None] = None,
-        salt: Optional[str] = None,
-    ) -> None:
+    def __init__(self, root: Union[str, Path, None] = None) -> None:
         self.root = Path(root or os.environ.get(ENV_DIR) or DEFAULT_CACHE_DIR)
-        self.salt = salt
         #: Lookup counters (since construction).
         self.hits = 0
         self.misses = 0
@@ -164,7 +152,7 @@ class ResultCache:
         :func:`cache_key`); a plain run (``variant=None``) never reads a
         warm-forked row and vice versa.
         """
-        key = cache_key(scenario, self.salt, variant=variant)
+        key = cache_key(scenario, variant=variant)
         if key is None:
             self.misses += 1
             return None
@@ -191,7 +179,7 @@ class ResultCache:
         self, scenario: Scenario, report: Any, variant: Optional[str] = None
     ) -> bool:
         """Store ``report`` under ``scenario``'s key; False if uncacheable."""
-        key = cache_key(scenario, self.salt, variant=variant)
+        key = cache_key(scenario, variant=variant)
         if key is None:
             return False
         path = self._path(key)
@@ -223,25 +211,20 @@ def default_enabled() -> bool:
     return os.environ.get(ENV_SWITCH, "").strip().lower() not in _FALSY
 
 
-def resolve_cache(
-    cache: Union[None, bool, str, Path, "ResultCache"],
-) -> Optional[ResultCache]:
+def resolve_cache(cache: Union[None, Literal[False], ResultCache]) -> Optional[ResultCache]:
     """Normalize a user-facing ``cache`` knob to a cache instance.
 
     * ``None`` — the ambient default: a :class:`ResultCache` in the
       default directory, unless ``REPRO_CACHE=off``.
-    * ``True`` / ``False`` — force on (default directory) / off.
-    * a path — cache rooted there.
-    * a :class:`ResultCache` — used as-is.
+    * ``False`` — off.
+    * a :class:`ResultCache` — used as-is, whatever ``REPRO_CACHE`` says.
 
-    Explicit values override the ``REPRO_CACHE`` environment switch.
+    Anything else is a ``TypeError``.
     """
     if cache is None:
         return ResultCache() if default_enabled() else None
-    if cache is True:
-        return ResultCache()
     if cache is False:
         return None
     if isinstance(cache, ResultCache):
         return cache
-    return ResultCache(root=cache)
+    raise TypeError(f"cache must be None, False or a ResultCache, got {cache!r}")

@@ -16,8 +16,10 @@ draws every such combination.
 the only exception type — is called by every entry point before it
 builds anything; it also refuses a policy name the registry does not
 know.  The table names no scheme and no policy: a scheme owns its cells
-through ``MSS.fluid_model``.  ``docs/CAPABILITIES.md`` and the
-``--fastlane`` help text are generated from it.
+through ``MSS.fluid_model``.  Nor does it name a CLI flag: the snapshot
+operations are subcommands, so a flag that means nothing there is an
+argparse error.  ``docs/CAPABILITIES.md`` and the ``--fastlane`` help
+text are generated from it.
 """
 
 from __future__ import annotations
@@ -70,16 +72,8 @@ CAPABILITIES: Dict[Tuple[str, str], Verdict] = {
     ("fastlane", "guard channels"): _no("guard channels reserve primaries for handoffs; fluid admission is plain Erlang loss"),
     ("fastlane", "TrafficMix"): _no("the fluid model has one call class, a TrafficMix several"),
     ("fastlane", "checkpoint"): _no("a fluid cell's calls are analytic occupancy, not call records a snapshot can capture"),
-    ("fastlane", "resume"): _no("a snapshot fixes its scenario, and no fastlane run has one"),
-    # checkpoint: capture at a globally quiescent instant.  resume: run a snapshot to the horizon.
+    # checkpoint: capture at a globally quiescent instant.
     ("checkpoint", "TrafficMix"): _no("multi-class TrafficMix sources are not snapshotable"),
-    ("checkpoint", "workers"): _no("a checkpoint captures one run, in this process"),
-    ("checkpoint", "all schemes"): _no("a snapshot holds one scenario"),
-    ("checkpoint", "resume"): _no("a resumed run goes to the horizon; it takes no checkpoint"),
-    ("resume", "workers"): _no("a snapshot resumes as one run, in this process"),
-    ("resume", "all schemes"): _no("a snapshot fixes its scheme"),
-    ("resume", "trace dir"): _no("obs is part of the snapshot's scenario and cannot be added"),
-    ("fresh run", "fork seed"): _no("a fork seed reseeds a snapshot; it needs --from-checkpoint"),
 }
 
 _REJECTED = [(a, b, v.detail) for (a, b), v in CAPABILITIES.items() if v.kind == "rejected"]
@@ -93,9 +87,9 @@ def rejected_with(lane: str) -> str:
 def features(scenario: Any = None, *, lanes: Iterable[str] = (), source: Any = None) -> Set[str]:
     """The table's vocabulary one request switches on.
 
-    ``lanes`` are the features only the caller knows (``"checkpoint"``,
-    a CLI flag, ...); ``source`` is a live traffic source, the one
-    feature a :class:`Scenario` cannot carry.
+    ``lanes`` are the features only the caller knows (``"checkpoint"``);
+    ``source`` is a live traffic source, the one feature a
+    :class:`Scenario` cannot carry.
     """
     on = set(lanes)
     if source is not None and source.mix is not None:

@@ -88,7 +88,7 @@ class FastLane:
         scenario: Any,
         streams: Any,
     ) -> None:
-        check_compatible(scenario, lanes=("fastlane",), source=source)
+        check_compatible(scenario, source=source)
         self.env = env
         self._probes = env._probes
         self.stations = stations

@@ -134,9 +134,8 @@ def run_cells(
         Result-cache knob (see
         :func:`repro.harness.cache.resolve_cache`): ``None`` uses the
         ambient default (on unless ``REPRO_CACHE=off``), ``False``
-        disables, ``True``/path/:class:`ResultCache` select a cache
-        explicitly.  Cached cells are served without running (or
-        spawning workers) at all.
+        disables, a :class:`ResultCache` is used as given.  Cached
+        cells are served without running (or spawning workers) at all.
     trace_dir:
         When set, write run artifacts (see
         :func:`repro.obs.write_run_artifacts`) for every traced report

@@ -29,9 +29,7 @@ from .spans import Span, SpanTracer
 from .timeseries import (
     MODE_GLYPHS,
     TimeSeriesRecorder,
-    UNKNOWN_MODE,
     borrowing_fraction,
-    coerce_mode,
     mode_glyph,
     mode_timeline,
 )
@@ -52,8 +50,6 @@ __all__ = [
     "write_manifest",
     "trace_events",
     "MODE_GLYPHS",
-    "UNKNOWN_MODE",
-    "coerce_mode",
     "mode_glyph",
     "mode_timeline",
     "borrowing_fraction",

@@ -4,22 +4,21 @@ The :class:`TimeSeriesRecorder` polls every station on a fixed cadence
 and records, per cell:
 
 * ``occupancy`` — channels in use (``len(Use_i)``);
-* ``mode`` — the station's mode as an int (non-adaptive schemes and
-  transient oddities coerce via :func:`coerce_mode`);
+* ``mode`` — the station's mode as an int (``0`` for every
+  non-adaptive scheme);
 * ``nfc_predicted`` — the adaptive scheme's NFC prediction of the
   free-primary count one round-trip ahead (the Fig. 6 quantity that
   drives mode transitions); ``None`` per-sample for other schemes;
 * ``neighborhood_load`` — mean occupancy over the interference region
   ``IN_i`` (the load the cell's borrowing machinery actually reacts to).
 
-The glyph helpers (:data:`MODE_GLYPHS`, :func:`mode_glyph`,
-:func:`coerce_mode`) and the renderer over a recorded series
-(:func:`mode_timeline`, :func:`borrowing_fraction`) are the single
+The glyph helpers (:data:`MODE_GLYPHS`, :func:`mode_glyph`) and the
+renderer over a recorded series (:func:`mode_timeline`,
+:func:`borrowing_fraction`) are the single
 source of truth for mode timelines: the run report's timeline is
 drawn by them, and so is anything that watches a run's modes through
 ``Scenario(obs=<sample interval>)`` and
-``report.obs.series``.  An unknown or transient mode value renders as
-``?`` everywhere instead of raising.
+``report.obs.series``.
 """
 
 from __future__ import annotations
@@ -29,8 +28,6 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
 __all__ = [
     "MODE_GLYPHS",
-    "UNKNOWN_MODE",
-    "coerce_mode",
     "mode_glyph",
     "borrowing_fraction",
     "mode_timeline",
@@ -43,39 +40,13 @@ MODE_GLYPHS: Mapping[int, str] = MappingProxyType(
     {0: ".", 1: "b", 2: "U", 3: "S"}
 )
 
-#: Sentinel stored for mode values that are not (coercible to) a known
-#: mode int — e.g. the string ``"down"`` a future crash-aware station
-#: might expose, or a float mid-transition.
-UNKNOWN_MODE = -1
-
-
-def coerce_mode(value: Any) -> int:
-    """Best-effort mode int for ``value``; :data:`UNKNOWN_MODE` if odd.
-
-    Accepts ints, IntEnums, numeric strings and floats with integral
-    value.  Anything else — including unknown mode numbers — maps to
-    :data:`UNKNOWN_MODE` rather than raising, so samplers survive
-    stations exposing transient or scheme-specific mode values.
-    """
-    try:
-        ivalue = int(value)
-    except (TypeError, ValueError):
-        return UNKNOWN_MODE
-    if isinstance(value, float) and value != ivalue:
-        return UNKNOWN_MODE
-    return ivalue if ivalue in MODE_GLYPHS else UNKNOWN_MODE
-
-
-def mode_glyph(value: Any) -> str:
-    """The timeline glyph for a (possibly raw) mode value; ``?`` if odd."""
-    return MODE_GLYPHS.get(coerce_mode(value), "?")
+def mode_glyph(value: int) -> str:
+    """The timeline glyph for a mode value."""
+    return MODE_GLYPHS[value]
 
 
 def borrowing_fraction(modes: Sequence[int]) -> float:
-    """Fraction of mode samples outside local mode; 0.0 for none.
-
-    ``v > 0``: :data:`UNKNOWN_MODE` samples are not borrowing.
-    """
+    """Fraction of mode samples outside local mode; 0.0 for none."""
     return sum(1 for v in modes if v > 0) / len(modes) if modes else 0.0
 
 
@@ -104,7 +75,7 @@ def mode_timeline(
     ]
     lines.append(
         f"{' ' * label_w} (t = {times[0]:g} .. {times[-1]:g}; "
-        ". local, b idle-borrowing, U update, S search, ? unknown)"
+        ". local, b idle-borrowing, U update, S search)"
     )
     return lines
 
@@ -170,7 +141,7 @@ class TimeSeriesRecorder:
             self.times.append(now)
             for cell, station in stations.items():
                 self.occupancy[cell].append(len(station.use))
-                self.mode[cell].append(coerce_mode(station.mode))
+                self.mode[cell].append(int(station.mode))
                 # The column name "nfc_predicted" predates the policy
                 # registry; it now carries whatever the station's mode
                 # policy forecasts (None for non-predictive policies).

@@ -250,8 +250,8 @@ class Environment:
             stop.callbacks.append(self._stop_callback)
         else:
             at = float(until)
-            if at < self._now:
-                raise ValueError(f"until={at} lies before now={self._now}")
+            if not at >= self._now:  # also rejects NaN
+                raise ValueError(f"until={at} is not at or after now={self._now}")
             stop = Event(self)
             stop._ok = True
             stop._value = None

@@ -104,9 +104,11 @@ def restore(snapshot: Snapshot, seed: Optional[int] = None) -> Any:
 def run_to_checkpoint(scenario: Any, at: float) -> Snapshot:
     """Run ``scenario`` to (the first safe point at/after) ``at``.
 
-    ``at <= 0`` captures a *cold* snapshot — the built-but-unstarted
-    stack, which restores as a plain rebuild and runs the normal start
-    choreography (this is the t0-fork form; it works for every scheme).
+    ``at`` must lie in ``[0, scenario.duration)``; anything else (NaN
+    included) is a ``ValueError``.  ``at == 0`` captures a *cold*
+    snapshot — the built-but-unstarted stack, which restores as a plain
+    rebuild and runs the normal start choreography (this is the t0-fork
+    form; it works for every scheme).
 
     For ``at > 0`` the kernel runs to ``at`` and then drains one event
     at a time until capture succeeds; the snapshot's ``time`` is the
@@ -126,15 +128,17 @@ def run_to_checkpoint(scenario: Any, at: float) -> Snapshot:
     from ..harness.runner import build_simulation
     from ..sim.engine import EmptySchedule
 
+    if not 0.0 <= at < scenario.duration:  # also rejects NaN
+        raise ValueError(f"checkpoint time must lie in [0, {scenario.duration:g}), got {at!r}")
     check_compatible(scenario, lanes=("checkpoint",))
     sim = build_simulation(scenario)
     try:
-        if at <= 0.0:
+        if at == 0.0:
             return checkpoint(sim)
 
         env = sim.env
         sim.start()
-        env.run(until=min(float(at), scenario.duration))
+        env.run(until=float(at))
 
         # Events at exactly t=duration must stay unprocessed: a cold run's
         # stop event outranks them, so processing any would make the

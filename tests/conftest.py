@@ -170,20 +170,16 @@ def assert_drains_under_hostile_faults(scheme, seed=1):
 #: feature ``repro.harness.capability.CAPABILITIES`` mentions:
 #: ``scenario`` (Scenario fields), ``lanes`` / ``source``
 #: (``check_compatible`` keywords) and ``argv`` (the same thing said to
-#: ``python -m repro``; absent where no flag says it).  The boundary
-#: test and the lane oracle in tests/test_lanes.py both build their
-#: requests from it, so a feature without a witness fails there.
+#: ``python -m repro``, a subcommand first; absent where no flag says
+#: it).  The boundary test and the lane oracle in tests/test_lanes.py
+#: both build their requests from it, so a feature without a witness
+#: fails there.
 WITNESS = {
     "classic kernel": dict(argv=[]),
     "fastlane": dict(scenario=dict(fastlane=True), argv=["--fastlane"]),
-    "checkpoint": dict(lanes=("checkpoint",), argv=["--checkpoint-at", "100"]),
-    "resume": dict(lanes=("resume",), argv=["--from-checkpoint", "no-such.snap"]),
-    "fresh run": dict(lanes=("fresh run",), argv=[]),
-    "fork seed": dict(lanes=("fork seed",), argv=["--fork-seed", "3"]),
-    "workers": dict(lanes=("workers",), argv=["--workers", "2"]),
+    "checkpoint": dict(lanes=("checkpoint",), argv=["snapshot", "take", "--at", "100"]),
+    "workers": dict(),
     "result cache": dict(),
-    "all schemes": dict(lanes=("all schemes",), argv=["--all-schemes"]),
-    "trace dir": dict(lanes=("trace dir",), argv=["--trace", "trace-out"]),
     "scheme without fluid model": dict(
         scenario=dict(scheme="basic_update"), argv=["--scheme", "basic_update"]
     ),
@@ -203,13 +199,14 @@ def witness_request(*names, **fields):
     """The witnesses of ``names`` merged into one request, ``fields``
     overriding their Scenario fields: ``(check_compatible keywords, the
     argv saying the same or None where some feature has no flag)``."""
-    scenario, argv = {}, []
+    scenario, pieces = {}, []
     request = {"lanes": (), "source": None}
     for name in names:
         witness = WITNESS[name]
         scenario.update(witness.get("scenario", {}))
         request["lanes"] += witness.get("lanes", ())
         request["source"] = witness.get("source", request["source"])
-        argv = None if argv is None or "argv" not in witness else argv + witness["argv"]
+        pieces.append(witness.get("argv"))
     scenario.update(fields)
+    argv = None if None in pieces else sum(sorted(pieces, key=lambda p: p[:1] != ["snapshot"]), [])
     return dict(request, scenario=Scenario(**scenario)), argv

@@ -93,7 +93,7 @@ def test_negative_workers_is_a_usage_error(capsys, nothing_constructed):
         (["--duration", "100", "--warmup", "200"], "duration 100 must exceed warmup 200"),
         (["snapshot", "inspect", "missing.snap"], "missing.snap"),
         (["snapshot", "inspect", "garbage.snap"], "garbage.snap: corrupt snapshot"),
-        (["--from-checkpoint", "missing.snap"], "missing.snap"),
+        (["snapshot", "run", "missing.snap"], "missing.snap"),
         (["--load", "nan"], "offered_load must be a number, got nan"),
         (["--latency", "nan"], "latency_T must be a number, got nan"),
         (["--theta-low", "nan"], "theta_low must be a number, got nan"),
@@ -102,11 +102,19 @@ def test_negative_workers_is_a_usage_error(capsys, nothing_constructed):
         (["--duration", "nan"], "duration must be a number, got nan"),
         (["--warmup", "-5"], "warmup must be >= 0, got -5"),
         (["--warmup", "nan"], "warmup must be a number, got nan"),
+        (["snapshot", "take", "--at", "nan"], "checkpoint time must lie in [0, 3000), got nan"),
+        # A flag that means nothing to the subcommand is no longer dropped.
+        (["snapshot", "take", "--at", "100", "--trace", "d"], "unrecognized arguments: --trace d"),
+        (["snapshot", "take", "--at", "100", "--dump-config"], "unrecognized arguments: --dump-config"),
+        (["snapshot", "run", "x.snap", "--scheme", "fixed"], "unrecognized arguments: --scheme fixed"),
+        (["snapshot", "run", "x.snap", "--workers", "2"], "unrecognized arguments: --workers 2"),
+        (["--checkpoint-at", "100"], "unrecognized arguments: --checkpoint-at 100"),
     ],
     ids=[
         "load", "warmup", "inspect-missing", "inspect-garbage", "from-checkpoint", "load-nan",
         "latency-nan", "theta-nan", "duration-inf", "load-inf", "duration-nan", "warmup-negative",
-        "warmup-nan",
+        "warmup-nan", "take-at-nan", "take-trace", "take-dump-config", "run-scheme", "run-workers",
+        "checkpoint-at-gone",
     ],
 )
 def test_bad_input_is_a_usage_error_not_a_traceback(
@@ -120,6 +128,7 @@ def test_bad_input_is_a_usage_error_not_a_traceback(
     out, err = capsys.readouterr()
     assert out == "" and "Traceback" not in err
     assert "error: " in err.splitlines()[-1] and named in err.splitlines()[-1]
+    assert [path.name for path in tmp_path.iterdir()] == ["garbage.snap"]
 
 
 @pytest.mark.parametrize(
@@ -159,7 +168,7 @@ def test_shards_flag_is_gone_not_ignored(capsys, nothing_constructed):
     [
         ["--scheme", "basic_update", "--fastlane"],
         ["--fastlane", "--faults", "0.05"],
-        ["--fastlane", "--checkpoint-at", "100"],
+        ["snapshot", "take", "--at", "100", "--fastlane"],
         # Four of the six cells are not runnable: none may be simulated.
         ["--all-schemes", "--fastlane"],
     ],
@@ -169,7 +178,7 @@ def test_rejected_combination_is_one_error_line_not_a_traceback(
     argv, capsys, monkeypatch, tmp_path, nothing_constructed
 ):
     monkeypatch.chdir(tmp_path)
-    rc = main(argv + ["--duration", "300", "--warmup", "50", "--no-cache"])
+    rc = main(argv + ["--duration", "300", "--warmup", "50"])
     assert rc == 2  # argparse's own code for a bad command line
     out, err = capsys.readouterr()
     assert out == ""

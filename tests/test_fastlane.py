@@ -64,7 +64,7 @@ def test_build_gates_reject_invalid_combinations():
 
 
 def test_trafficmix_rejected_at_lane_construction():
-    sim = build_simulation(lane_scenario(fastlane=False))
+    sim = build_simulation(lane_scenario())
     sim.source.mix = object()  # what a TrafficMix-built source carries
     with pytest.raises(ValueError, match="TrafficMix"):
         FastLane(

@@ -108,7 +108,7 @@ def test_rejected_row_fires_the_validator_before_anything_is_built(
 
     if argv is not None:
         monkeypatch.chdir(tmp_path)
-        assert main(argv + ["--duration", "160", "--warmup", "40", "--no-cache"]) == 2
+        assert main(argv + ["--duration", "160", "--warmup", "40"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {caught.value}\n"
         assert not list(tmp_path.iterdir())

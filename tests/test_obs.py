@@ -3,7 +3,7 @@
 Covers the ``Scenario.obs`` sample interval, span pairing (including
 under a hostile fault plan), determinism of the collected data, the run-artifact
 writer, the ``--trace`` directory layout of ``run_cells``, and the
-shared mode-glyph coercion behind every mode timeline.
+shared mode glyphs behind every mode timeline.
 """
 
 import json
@@ -13,15 +13,11 @@ import os
 import pytest
 
 from repro.faults import CrashWindow, FaultPlan
-from repro.harness import Scenario, build_simulation, run_cells, run_scenario
+from repro.harness import Scenario, run_cells, run_scenario
 from repro.obs import (
     MODE_GLYPHS,
-    UNKNOWN_MODE,
     SpanTracer,
-    borrowing_fraction,
-    coerce_mode,
     mode_glyph,
-    mode_timeline,
     trace_events,
     write_run_artifacts,
 )
@@ -238,35 +234,5 @@ def test_run_cells_trace_dir_layout(tmp_path):
 
 
 # ------------------------------------------------------- mode glyphs ----
-def test_coerce_mode():
-    assert coerce_mode(0) == 0
-    assert coerce_mode(3) == 3
-    assert coerce_mode(2.0) == 2
-    assert coerce_mode(2.5) == UNKNOWN_MODE
-    assert coerce_mode("down") == UNKNOWN_MODE
-    assert coerce_mode(None) == UNKNOWN_MODE
-    assert coerce_mode(99) == UNKNOWN_MODE  # integral but not a known mode
-
-
 def test_mode_glyphs():
     assert [mode_glyph(m) for m in sorted(MODE_GLYPHS)] == [".", "b", "U", "S"]
-    assert mode_glyph(UNKNOWN_MODE) == "?"
-    assert mode_glyph("down") == "?"
-
-
-def test_mode_sampler_tolerates_weird_mode_values():
-    """Regression: a non-integer ``mode`` attribute (e.g. a crashed
-    station flagged "down") must sample as ``?``, not raise."""
-    sim = build_simulation(
-        Scenario(scheme="fixed", offered_load=2.0, mean_holding=30.0,
-                 duration=100.0, warmup=10.0,
-                 obs=20.0)
-    )
-    sim.stations[0].mode = "down"
-    series = sim.run().obs.series
-    modes = series["cells"][0]["mode"]
-    assert set(modes) == {UNKNOWN_MODE}
-    assert borrowing_fraction(modes) == 0.0  # unknown is not borrowing
-    lines = mode_timeline(series, cells=[0, 1])
-    assert "?" in lines[0]
-    assert "." in lines[1]

@@ -2,6 +2,8 @@
 
 import os
 
+import pytest
+
 from repro.harness import ResultCache, Scenario, cache_key, code_stamp, run_cells
 from repro.harness.cache import default_enabled, resolve_cache
 from repro.traffic import UniformLoad
@@ -28,26 +30,36 @@ def test_different_scenarios_do_not_collide(tmp_path):
     assert cache.get(quick(seed=1)) is not None
 
 
-def test_version_salt_invalidates(tmp_path):
+def stamp(monkeypatch, value):
+    """Pretend the ``repro`` sources hash to ``value``."""
+    monkeypatch.setattr("repro.harness.cache.code_stamp", lambda: value)
+
+
+def test_version_salt_invalidates(tmp_path, monkeypatch):
     """A changed code stamp orphans all previous entries."""
     scenario = quick()
-    old = ResultCache(tmp_path, salt="stamp-a")
+    stamp(monkeypatch, "stamp-a")
+    old = ResultCache(tmp_path)
     run_cells([scenario], cache=old)
     assert old.stores == 1
-    new = ResultCache(tmp_path, salt="stamp-b")
+    stamp(monkeypatch, "stamp-b")
+    new = ResultCache(tmp_path)
     assert new.get(scenario) is None  # stale entry not visible
     assert new.misses == 1
-    # Same salt still hits.
-    again = ResultCache(tmp_path, salt="stamp-a")
+    # Same stamp still hits.
+    stamp(monkeypatch, "stamp-a")
+    again = ResultCache(tmp_path)
     assert again.get(scenario) is not None
 
 
-def test_cache_key_is_canonical_and_salted():
+def test_cache_key_is_canonical_and_salted(monkeypatch):
     a = quick()
     assert cache_key(a) == cache_key(quick())
     assert cache_key(a) != cache_key(quick(seed=99))
-    assert cache_key(a, salt="x") != cache_key(a, salt="y")
-    assert cache_key(a) == cache_key(a, salt=code_stamp())
+    stamp(monkeypatch, "x")
+    x = cache_key(a)
+    stamp(monkeypatch, "y")
+    assert x != cache_key(a)
 
 
 def test_fastlane_rows_never_alias():
@@ -95,13 +107,13 @@ def test_explicit_cache_overrides_kill_switch(tmp_path, monkeypatch):
     assert cache.stores == 1
 
 
-def test_resolve_cache_knobs(tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+def test_resolve_cache_knobs(tmp_path):
+    # None (ambient), False (off) or a ResultCache: one spelling per choice.
     assert resolve_cache(False) is None
-    explicit = resolve_cache(str(tmp_path / "c"))
-    assert explicit is not None and explicit.root == tmp_path / "c"
-    forced = resolve_cache(True)
-    assert forced is not None
+    for knob in (True, str(tmp_path / "c")):
+        with pytest.raises(TypeError, match="cache must be None, False or a ResultCache"):
+            resolve_cache(knob)
+    assert not list(tmp_path.iterdir())
 
 
 def test_corrupt_entry_is_a_miss(tmp_path):

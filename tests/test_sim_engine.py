@@ -85,6 +85,14 @@ def test_run_until_time_in_past_rejected():
         env.run(until=1)
 
 
+def test_run_until_nan_rejected():
+    env = Environment()
+    env.timeout(5)
+    with pytest.raises(ValueError, match="until=nan"):
+        env.run(until=float("nan"))
+    assert env.now == 0
+
+
 def test_run_until_event_returns_value():
     env = Environment()
 

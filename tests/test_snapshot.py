@@ -150,6 +150,14 @@ def test_midrun_snapshot_refuses_never_quiescent_scheme(monkeypatch):
         run_to_checkpoint(small("basic_update"), 80.0)
 
 
+@pytest.mark.parametrize("at", [float("nan"), -5.0, 160.0, 5000.0], ids=["nan", "negative", "horizon", "past"])
+def test_checkpoint_time_outside_the_run_is_refused(at, nothing_constructed):
+    # A past-horizon or negative instant used to become a snapshot of
+    # the horizon or of t0; NaN ran the kernel backwards.
+    with pytest.raises(ValueError, match=rf"must lie in \[0, 160\), got {at!r}"):
+        run_to_checkpoint(small("adaptive"), at)
+
+
 # -- reseeded forking ------------------------------------------------------
 
 
@@ -536,11 +544,11 @@ def test_cli_checkpoint_resume_and_inspect(tmp_path, capsys):
         "--scheme", "adaptive", "--load", "5", "--duration", "160",
         "--warmup", "40", "--seed", "11",
     ]
-    assert main(args + ["--checkpoint-at", "80", "--checkpoint-out", str(out)]) == 0
+    assert main(["snapshot", "take", "--at", "80", "--out", str(out)] + args) == 0
     assert out.exists()
     capsys.readouterr()
 
-    assert main(["--from-checkpoint", str(out), "--json"]) == 0
+    assert main(["snapshot", "run", str(out), "--json"]) == 0
     resumed = json.loads(capsys.readouterr().out)[0]
     straight = run_scenario(small("adaptive"))
     assert resumed["offered"] == straight.offered
