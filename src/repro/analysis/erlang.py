@@ -13,7 +13,6 @@ from __future__ import annotations
 
 __all__ = [
     "erlang_b",
-    "erlang_b_inverse_load",
     "carried_load",
     "offered_load_for_blocking",
 ]
@@ -54,9 +53,11 @@ def carried_load(offered_load: float, servers: int) -> float:
     return offered_load * (1.0 - erlang_b(offered_load, servers))
 
 
-def offered_load_for_blocking(
-    target_blocking: float, servers: int, tol: float = 1e-9
-) -> float:
+#: Relative width of the bracket at which the bisection stops.
+_BISECTION_TOL = 1e-9
+
+
+def offered_load_for_blocking(target_blocking: float, servers: int) -> float:
     """Inverse Erlang-B: the offered load that yields a target blocking.
 
     Solved by bisection (Erlang-B is strictly increasing in A).
@@ -68,14 +69,10 @@ def offered_load_for_blocking(
         hi *= 2
         if hi > 1e9:  # pragma: no cover - defensive
             raise RuntimeError("bisection bracket failed")
-    while hi - lo > tol * max(1.0, hi):
+    while hi - lo > _BISECTION_TOL * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         if erlang_b(mid, servers) < target_blocking:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-# Backwards-compatible alias used in some notebooks/scripts.
-erlang_b_inverse_load = offered_load_for_blocking

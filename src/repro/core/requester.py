@@ -230,7 +230,7 @@ class Requester:
             # The ACQUISITION broadcast is now in flight: from here on,
             # nobody is *blocked* on this search any more.
             if "search.end" in self._probes:
-                self.env.emit("search.end", self.cell)
+                self.env.emit("search.end", (self.cell,))
             self.mode = Mode.BORROW_IDLE
 
         self._drain_deferq()

@@ -282,7 +282,7 @@ def build_simulation(scenario: Scenario) -> Simulation:
     monitor = InterferenceMonitor(topo, policy=scenario.monitor_policy)
     sanitizer_policy = get_default_policy()
     sanitizers = (
-        SanitizerSuite(env, network, policy=sanitizer_policy)
+        SanitizerSuite(env, network, monitor, policy=sanitizer_policy)
         if sanitizer_policy is not None
         else None
     )

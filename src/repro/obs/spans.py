@@ -194,9 +194,6 @@ class SpanTracer:
             if isinstance(payload, tuple) and payload:
                 cell = payload[0]
                 detail: Any = payload[1:]
-            elif isinstance(payload, int):
-                cell = payload  # e.g. search.end carries the bare cell
-                detail = ()
             else:
                 cell = None
                 detail = payload

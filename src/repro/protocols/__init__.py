@@ -25,7 +25,6 @@ from .messages import (
 )
 from .monitor import InterferenceMonitor, InterferenceViolation
 from .prakash import PrakashMSS
-from .tracing import TraceRecorder, TraceViolation
 
 __all__ = [
     "MSS",
@@ -36,8 +35,6 @@ __all__ = [
     "PrakashMSS",
     "InterferenceMonitor",
     "InterferenceViolation",
-    "TraceRecorder",
-    "TraceViolation",
     "Request",
     "Response",
     "ChangeMode",

@@ -10,19 +10,21 @@ engine's probe bus (:meth:`repro.sim.Environment.subscribe`):
 * :class:`CausalityChecker` — hardens the FIFO-link assumption: per
   (src, dst) link, messages must deliver in send order, and no node
   may send a RESPONSE for a round whose REQUEST/CHANGE_MODE it has not
-  yet received.  Its FIFO check is the runtime counterpart of the
-  static state-isolation rules (ANA201–ANA203, ``python -m
+  yet received; at the end of a drained run, every such round must
+  have been answered.  Its FIFO check is the runtime counterpart of
+  the static state-isolation rules (ANA201–ANA203, ``python -m
   tools.check``).
-* :class:`QuiescenceChecker` — end-of-run hygiene: every acquired
-  channel released, every channel request resolved.
+* :class:`QuiescenceChecker` — end-of-run hygiene: no channel left in
+  the interference monitor's ledger, every channel request resolved.
 
 All sanitizers share the :class:`InterferenceMonitor` policy API:
 ``policy="raise"`` fails loudly on the first violation (tests),
 ``policy="record"`` accumulates violations for inspection.
 
 :class:`SanitizerSuite` bundles the three and attaches them to a
-simulation in one call; the pytest ``conftest`` enables it globally
-via :func:`set_default_policy`.
+simulation in one call; its ``finalize()`` runs the end-of-run checks
+(one oracle per property).  The pytest ``conftest`` enables it
+globally via :func:`set_default_policy`.
 """
 
 from typing import Optional

@@ -20,6 +20,9 @@ both properties on the live message stream:
   reply is flagged as well.
 * **No time travel** — an envelope's delivery time is never before its
   send time.
+* **Every round answered** — :meth:`finalize`, at the end of a drained
+  run, flags every round still open: processed and never answered
+  (Theorem 2 assumes each REQUEST and CHANGE_MODE gets its RESPONSE).
 
 State grows with the number of open rounds; rounds are forgotten as
 soon as the (single) response of each responder is observed, keeping
@@ -41,7 +44,7 @@ __all__ = ["CausalityViolation", "CausalityChecker"]
 class CausalityViolation(Violation):
     """One causality breach on the message fabric."""
 
-    kind: str  # "fifo" | "reply_before_request" | "time_travel"
+    kind: str  # "fifo" | "reply_before_request" | "time_travel" | "unanswered_round"
     src: int
     dst: int
     detail: str
@@ -156,3 +159,24 @@ class CausalityChecker(Sanitizer):
         self._open_rounds.setdefault(responder, set()).add(
             (requester, round_id)
         )
+
+    # -- verdict -----------------------------------------------------------
+    def finalize(self) -> None:
+        """Flag every round processed and never answered.
+
+        Call only after a drained run over a network that loses
+        nothing: a crashed responder legitimately forgets the rounds it
+        held, so :class:`SanitizerSuite` skips this under a fault plan.
+        """
+        now = self.env.now
+        for responder in sorted(self._open_rounds):
+            for requester, round_id in sorted(self._open_rounds[responder]):
+                self._report(
+                    CausalityViolation(
+                        now,
+                        "unanswered_round",
+                        responder,
+                        requester,
+                        f"round {round_id} processed and never answered",
+                    )
+                )

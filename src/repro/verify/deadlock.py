@@ -101,7 +101,8 @@ class DeadlockDetector(Sanitizer):
         searcher, ts = payload
         self.open_searches[searcher] = ts
 
-    def _on_search_end(self, now: float, searcher: int) -> None:
+    def _on_search_end(self, now: float, payload: Tuple[int]) -> None:
+        (searcher,) = payload
         self.open_searches.pop(searcher, None)
         # The searcher's ACQUISITION broadcast is in flight: every gate
         # wait on this search is resolved.

@@ -1,6 +1,6 @@
 """Bundle of all runtime sanitizers, attached in one call.
 
-``SanitizerSuite(env, network)`` wires a :class:`DeadlockDetector`, a
+``SanitizerSuite(env, network, monitor)`` wires a :class:`DeadlockDetector`, a
 :class:`CausalityChecker` and a :class:`QuiescenceChecker` to the
 environment's probe bus.  The harness attaches one automatically when
 :func:`repro.verify.set_default_policy` is active (the pytest suite
@@ -10,13 +10,16 @@ per-test plumbing.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List
 
 from ..sim import Environment, Network
 from .base import Sanitizer, Violation
 from .causality import CausalityChecker
 from .deadlock import DeadlockDetector
 from .quiescence import QuiescenceChecker
+
+if TYPE_CHECKING:
+    from ..protocols import InterferenceMonitor
 
 __all__ = ["SanitizerSuite"]
 
@@ -29,10 +32,13 @@ class SanitizerSuite:
     env:
         The simulation environment to observe.
     network:
-        The message fabric (optional).  Only used to decide whether the
-        FIFO-ordering check applies: a ``fifo=False`` network reorders
-        by design, so only the causal (reply-before-request) checks
-        remain active there.
+        The message fabric.  A ``fifo=False`` network reorders by
+        design, so only the causal (reply-before-request) checks remain
+        active there; a network with a fault injector loses rounds by
+        design, so :meth:`finalize` does not judge unanswered ones there.
+    monitor:
+        The run's :class:`~repro.protocols.InterferenceMonitor`, whose
+        channel ledger the quiescence check reads.
     policy:
         ``"raise"`` or ``"record"``, applied to every sanitizer.
     """
@@ -40,15 +46,16 @@ class SanitizerSuite:
     def __init__(
         self,
         env: Environment,
-        network: Optional[Network] = None,
+        network: Network,
+        monitor: InterferenceMonitor,
         policy: str = "raise",
     ) -> None:
         self.env = env
+        self.network = network
         self.policy = policy
-        check_fifo = network.fifo if network is not None else True
         self.deadlock = DeadlockDetector(env, policy=policy)
-        self.causality = CausalityChecker(env, policy=policy, check_fifo=check_fifo)
-        self.quiescence = QuiescenceChecker(env, policy=policy)
+        self.causality = CausalityChecker(env, policy=policy, check_fifo=network.fifo)
+        self.quiescence = QuiescenceChecker(env, monitor, policy=policy)
 
     @property
     def sanitizers(self) -> List[Sanitizer]:
@@ -65,18 +72,15 @@ class SanitizerSuite:
     def adopt(self, stations: Dict[int, Any]) -> None:
         """Take a restored world's standing facts as given.
 
-        * Quiescence: channels already in use must count as held, or
-          their eventual releases would flag as unmatched.
-        * Causality: reply payloads still queued in restored ARQ links
-          will be *sent* after restore, answering rounds whose requests
-          were processed before the snapshot — re-open those rounds.
-          In-flight reply envelopes need nothing: their round
-          bookkeeping happened at the original send, and the FIFO
-          check starts each link's watermark afresh.
+        Reply payloads still queued in restored ARQ links will be
+        *sent* after restore, answering rounds whose requests were
+        processed before the snapshot — re-open those rounds.  In-flight
+        reply envelopes need nothing: their round bookkeeping happened
+        at the original send, and the FIFO check starts each link's
+        watermark afresh.  Held channels need nothing either: the
+        monitor the quiescence check reads is restored in place.
         """
-        for cell, station in sorted(stations.items()):
-            if station.use:
-                self.quiescence.held[cell] = set(station.use)
+        for station in stations.values():
             if station._link is not None:
                 for dst, queued in sorted(station._link._queue.items()):
                     for payload in queued:
@@ -87,6 +91,8 @@ class SanitizerSuite:
 
     def finalize(self) -> None:
         """Run end-of-run checks.  Call only after traffic has drained."""
+        if self.network.injector is None:
+            self.causality.finalize()
         self.quiescence.finalize()
 
     def assert_clean(self) -> None:

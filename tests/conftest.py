@@ -3,7 +3,8 @@
 ``make_stack`` builds a minimal live system (env, network, topology,
 stations) for a given scheme so tests can drive individual requests
 deterministically; ``drive``/``drive_all`` run request generators to
-completion inside the event loop.
+completion inside the event loop; ``drain`` runs a whole simulation out
+and ends in the sanitizers' end-of-run checks.
 """
 
 import dataclasses
@@ -89,7 +90,7 @@ def make_stack(
     monitor = InterferenceMonitor(topo, policy=monitor_policy)
     # Runtime sanitizers ride along on every test stack; they observe
     # through the probe bus and raise on any protocol-invariant breach.
-    SanitizerSuite(env, network, policy="raise")
+    SanitizerSuite(env, network, monitor, policy="raise")
     stations = {}
     for cell in topo.grid:
         stations[cell] = scheme_cls(
@@ -112,6 +113,20 @@ def drive_all(env: Environment, generators):
     procs = [env.process(g) for g in generators]
     env.run(until=env.all_of(procs))
     return [p.value for p in procs]
+
+
+def drain(sim):
+    """Run ``sim`` to its horizon, stop arrivals, run until nothing is
+    left, then apply the sanitizers' end-of-run checks: no channel held,
+    no request unresolved and, over a network without faults, no round
+    processed and never answered.  Returns ``sim``."""
+    sim.start()
+    sim.env.run(until=sim.scenario.duration)
+    sim.source.horizon = 0
+    sim.env.run()
+    sim.sanitizers.finalize()
+    sim.sanitizers.assert_clean()
+    return sim
 
 
 # -- capability-table witnesses ---------------------------------------------
@@ -153,17 +168,12 @@ def assert_drains_under_hostile_faults(scheme, seed=1):
     served, ended = set(), set()
     sim.env.subscribe("request.serve", lambda now, p: served.add(p[:2]))
     sim.env.subscribe("request.end", lambda now, p: ended.add(p[:2]))
-    sim.start()
-    sim.env.run(until=300.0)
-    sim.source.horizon = 0
-    sim.env.run()
+    drain(sim)
     # No open round, no held acquisition lock: what MSS.snapshot_obstacle names.
     obstacles = {cell: s.snapshot_obstacle() for cell, s in sim.stations.items()}
     assert {cell: why for cell, why in obstacles.items() if why is not None} == {}
     assert served - ended == set()
     assert sim.monitor.violations == []
-    sim.sanitizers.finalize()
-    sim.sanitizers.assert_clean()
 
 
 #: feature -> the smallest request that switches it on, for every

@@ -12,6 +12,8 @@ from repro.analysis import erlang_b
 from repro.harness import SCHEMES, build_simulation
 from repro.traffic import HotspotLoad, TemporalHotspot
 
+from conftest import drain
+
 ALL_SCHEMES = sorted(SCHEMES)
 
 
@@ -114,14 +116,10 @@ def test_temporal_hotspot_recovery():
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
 def test_channel_accounting_balances(scheme):
     # After arrivals stop and calls drain, no channel remains in use.
-    sim = build_simulation(
+    sim = drain(build_simulation(
         Scenario(scheme=scheme, offered_load=4.0, duration=800.0,
                  warmup=100.0, seed=9, mean_holding=60.0)
-    )
-    sim.source.start()
-    sim.env.run(until=800)
-    sim.source.horizon = 0  # no new arrivals
-    sim.env.run()  # drain everything
+    ))
     assert all(not s.use for s in sim.stations.values())
     assert sim.monitor.in_use == 0
     assert sim.monitor.total_acquisitions == sim.monitor.total_releases

@@ -11,34 +11,21 @@ from repro.cellular.spectrum import channels
 from repro.core import Mode
 from repro.harness import Scenario, build_simulation
 
+from conftest import drain
 
-def drain(scheme: str, load: float, seed: int, **kw):
-    sim = build_simulation(
-        Scenario(
-            scheme=scheme,
-            offered_load=load,
-            mean_holding=60.0,
-            duration=700.0,
-            warmup=100.0,
-            seed=seed,
-            **kw,
+
+def drained(scheme: str, load: float, seed: int, **kw):
+    return drain(
+        build_simulation(
+            Scenario(scheme=scheme, offered_load=load, mean_holding=60.0,
+                     duration=700.0, warmup=100.0, seed=seed, **kw)
         )
     )
-    sim.source.start()
-    sim.env.run(until=700)
-    sim.source.horizon = 0
-    sim.env.run()
-    # Traffic has fully drained: the end-of-run sanitizer checks apply
-    # (every channel released, every request resolved).
-    assert sim.sanitizers is not None  # pytest runs fully sanitized
-    sim.sanitizers.finalize()
-    sim.sanitizers.assert_clean()
-    return sim
 
 
 @pytest.mark.parametrize("load", [4.0, 9.0, 14.0])
 def test_adaptive_quiesces_clean(load):
-    sim = drain("adaptive", load, seed=89)
+    sim = drained("adaptive", load, seed=89)
     for s in sim.stations.values():
         assert not s.use
         assert s.mode in (Mode.LOCAL, Mode.BORROW_IDLE)
@@ -64,7 +51,7 @@ def test_adaptive_quiesces_clean(load):
 
 @pytest.mark.parametrize("scheme", ["basic_update", "advanced_update"])
 def test_update_family_mirrors_quiesce_empty(scheme):
-    sim = drain(scheme, 9.0, seed=90)
+    sim = drained(scheme, 9.0, seed=90)
     for s in sim.stations.values():
         assert not s.use
         for j, mirrored in s.U.items():
@@ -75,7 +62,7 @@ def test_update_family_mirrors_quiesce_empty(scheme):
 
 
 def test_prakash_quiesces_with_exclusive_allocations():
-    sim = drain("prakash", 9.0, seed=91)
+    sim = drained("prakash", 9.0, seed=91)
     for s in sim.stations.values():
         assert not s.use
         assert s._collector is None
@@ -95,7 +82,7 @@ def test_prakash_quiesces_with_exclusive_allocations():
 
 
 def test_adaptive_quiesces_clean_with_mobility():
-    sim = drain("adaptive", 7.0, seed=92, mean_dwell=80.0)
+    sim = drained("adaptive", 7.0, seed=92, mean_dwell=80.0)
     for s in sim.stations.values():
         assert not s.use
         assert s.waiting == 0

@@ -8,7 +8,7 @@ permission round, the ``ToyNotice`` that follows a reserved grab, the
 ``ToyThanks`` that answers it (a reply type of the toy's own) and the
 two counters are there to meet every layer a real scheme meets —
 ``MSS._open_round`` / ``_await_round`` and the hardened round deadline,
-the ARQ payload codec, the causality sanitizer, the trace audits, the
+the ARQ payload codec, the causality sanitizer and its end-of-run round audit, the
 snapshot walker, the CLI and the capability table.
 
 The whole footprint is this module plus one line in ``SCHEMES``, which
@@ -33,11 +33,11 @@ from repro.harness import (
     run_scenario,
 )
 from repro.harness.capability import CAPABILITIES
-from repro.protocols import MSS, NO_CHANNEL, ReqType, Request, ResType, Response, TraceRecorder
+from repro.protocols import MSS, NO_CHANNEL, ReqType, Request, ResType, Response
 from repro.sim.network import Message
 from repro.snap import checkpoint, restore, run_from_snapshot, run_to_checkpoint
 
-from conftest import HOSTILE_FAULTS, assert_drains_under_hostile_faults, report_row
+from conftest import HOSTILE_FAULTS, assert_drains_under_hostile_faults, drain, report_row
 
 STOCK = ["adaptive", "advanced_update", "basic_search", "basic_update", "fixed", "prakash"]
 
@@ -151,18 +151,11 @@ def test_toy_runs_clean_and_uses_both_paths(toy):
 
 
 def test_toy_passes_the_trace_audits_when_drained(toy):
-    sim = build_simulation(busy())
-    recorder = TraceRecorder(sim.network)
-    sim.start()
-    sim.env.run(until=200.0)
-    sim.source.horizon = 0
-    sim.env.run()
-    recorder.check_all()
-    assert recorder.counts_by_type()["Request"] == recorder.counts_by_type()["Response"] > 0
-    sim.sanitizers.finalize()
-    sim.sanitizers.assert_clean()
-    assert sum(s.heard for s in sim.stations.values()) == recorder.counts_by_type()["ToyNotice"]
-    assert recorder.counts_by_type()["ToyThanks"] == recorder.counts_by_type()["ToyNotice"]
+    sim = drain(build_simulation(busy()))
+    sent = sim.network.sent_by_kind
+    assert sent["Request"] == sent["Response"] > 0
+    assert sum(s.heard for s in sim.stations.values()) == sent["ToyNotice"]
+    assert sent["ToyThanks"] == sent["ToyNotice"]
 
 
 def test_toy_reply_before_request_is_caught_by_its_mark(toy):

@@ -1,10 +1,13 @@
 """Property-based protocol-conformance tests.
 
-Hypothesis drives random workloads through the full stack and then
-audits the complete message trace: every request answered exactly once,
-every search response acknowledged, every CHANGE_MODE answered, plus
-the quiescence invariants.  This is the strongest correctness net in
-the suite — it exercises the interleavings unit tests cannot enumerate.
+Hypothesis drives random workloads through the full stack, drains them
+and applies the sanitizers' end-of-run checks: every REQUEST and
+CHANGE_MODE round answered (the causality checker; a duplicate or
+orphan reply is already ``reply_before_request`` online), every request
+resolved and every channel released (the quiescence checker), plus
+each test's own state checks — ``waiting == 0`` is the search
+handshake's balance.  This is the strongest correctness net in the
+suite — it exercises the interleavings unit tests cannot enumerate.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -12,17 +15,8 @@ from hypothesis import strategies as st
 
 from repro.core import Mode
 from repro.harness import Scenario, build_simulation
-from repro.protocols import TraceRecorder
 
-
-def run_drained(scenario):
-    sim = build_simulation(scenario)
-    recorder = TraceRecorder(sim.network)
-    sim.source.start()
-    sim.env.run(until=scenario.duration)
-    sim.source.horizon = 0
-    sim.env.run()  # drain calls and in-flight rounds
-    return sim, recorder
+from conftest import drain
 
 
 @settings(
@@ -46,8 +40,7 @@ def test_adaptive_trace_always_conformant(load, seed, alpha, spread):
         latency_model="uniform" if spread else "deterministic",
         latency_spread=spread,
     )
-    sim, recorder = run_drained(scenario)
-    recorder.check_all()
+    sim = drain(build_simulation(scenario))
     assert sim.monitor.violations == []
     assert sim.monitor.in_use == 0
     for s in sim.stations.values():
@@ -73,8 +66,7 @@ def test_baseline_requests_always_answered(scheme, load, seed):
         warmup=50.0,
         seed=seed,
     )
-    sim, recorder = run_drained(scenario)
-    recorder.check_requests_answered()
+    sim = drain(build_simulation(scenario))
     assert sim.monitor.violations == []
     assert sim.monitor.in_use == 0
 
@@ -98,8 +90,7 @@ def test_adaptive_trace_conformant_with_mobility_and_repack(load, seed, dwell):
         seed=seed,
         extra_params={"repack": True},
     )
-    sim, recorder = run_drained(scenario)
-    recorder.check_all()
+    sim = drain(build_simulation(scenario))
     assert sim.monitor.violations == []
     assert sim.monitor.in_use == 0
     for s in sim.stations.values():

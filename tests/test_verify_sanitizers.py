@@ -7,9 +7,10 @@ the raise and record policies.
 
 import pytest
 
+from repro.cellular import CellularTopology
 from repro.core import AdaptiveMSS
 from repro.harness import SCHEMES, Scenario, build_simulation
-from repro.protocols import ResType, Response
+from repro.protocols import ChangeMode, InterferenceMonitor, ReqType, Request, ResType, Response
 from repro.sim import DeterministicLatency, Envelope, Environment, Network
 from repro.verify import (
     CausalityChecker,
@@ -50,6 +51,10 @@ def make_net(env, fifo=True, n=4, sink=Sink):
     for i in range(n):
         net.attach(sink(i, env))
     return net
+
+
+def make_monitor():
+    return InterferenceMonitor(CellularTopology(7, 7, num_channels=70, wrap=True))
 
 
 def send_slow_then_fast(net):
@@ -118,7 +123,7 @@ def test_gate_edge_requires_open_search():
     assert det.blocked_on(1) == {2}
     # The ACQUISITION broadcast closes the search and clears every gate
     # edge pointing at the searcher.
-    env.emit("search.end", 2)
+    env.emit("search.end", (2,))
     assert det.blocked_on(1) == set()
     # A later block for the *old* search timestamp is stale: ignored.
     env.emit("wait.block", (1, 2, "gate", ts))
@@ -228,42 +233,81 @@ def test_time_travel_flagged():
     assert [v.kind for v in chk.violations] == ["time_travel"]
 
 
+REQUEST = Request(ReqType.UPDATE, 5, (0.0, 0), 0, round_id=7)
+CHANGE_MODE = ChangeMode(1, 0, round_id=7)
+ANSWER = {
+    REQUEST: Response(ResType.GRANT, 1, 5, 7),
+    CHANGE_MODE: Response(ResType.STATUS, 1, frozenset(), 7),
+}
+
+
+def process(env, net, message, answered):
+    """Node 1 handles node 0's ``message`` as a scheme's handler does:
+    announces it on ``proto.request``, then answers it or not."""
+    net.send(0, 1, message)
+    env.run()
+    env.emit("proto.request", (1, 0, message.round_id))
+    if answered:
+        net.send(1, 0, ANSWER[message])
+    env.run()
+
+
+@pytest.mark.parametrize("answered", [False, True], ids=["unanswered", "answered"])
+@pytest.mark.parametrize("message", [REQUEST, CHANGE_MODE], ids=["request", "change_mode"])
+def test_finalize_flags_a_round_only_if_unanswered(message, answered):
+    env = Environment()
+    net = make_net(env)
+    chk = CausalityChecker(env, policy="record")
+    process(env, net, message, answered)
+    assert chk.violations == []  # open is not yet wrong
+    chk.finalize()
+    expected = [] if answered else [("unanswered_round", 1, 0)]
+    assert [(v.kind, v.src, v.dst) for v in chk.violations] == expected
+
+
+def test_suite_judges_unanswered_rounds_only_without_faults():
+    env = Environment()
+    net = make_net(env)
+    suite = SanitizerSuite(env, net, make_monitor(), policy="record")
+    process(env, net, REQUEST, answered=False)
+    net.injector = object()  # a fault plan may lose the round
+    suite.finalize()
+    assert suite.violations == []
+    net.injector = None
+    suite.finalize()
+    assert [v.kind for v in suite.violations] == ["unanswered_round"]
+
+
 # ----------------------------------------------------- quiescence checker ----
 def test_held_channel_reported_at_finalize():
     env = Environment()
-    chk = QuiescenceChecker(env, policy="record")
-    env.emit("channel.acquired", (3, 17))
+    monitor = make_monitor()
+    chk = QuiescenceChecker(env, monitor, policy="record")
+    monitor.acquired(3, 17, 0.0)
+    monitor.acquired(3, 2, 0.0)
     chk.finalize()
-    assert [v.kind for v in chk.violations] == ["held_channel"]
-    assert chk.violations[0].cell == 3
+    assert [(v.kind, v.cell) for v in chk.violations] == [("held_channel", 3)]
+    assert "[2, 17]" in chk.violations[0].detail
 
 
 def test_unresolved_request_reported_at_finalize():
     env = Environment()
-    chk = QuiescenceChecker(env, policy="record")
-    env.emit("request.begin", 5)
+    chk = QuiescenceChecker(env, make_monitor(), policy="record")
+    env.emit("request.begin", (5, 1, "new"))
     chk.finalize()
     assert [v.kind for v in chk.violations] == ["unresolved_request"]
 
 
-def test_unbalanced_release_reported_immediately():
-    env = Environment()
-    chk = QuiescenceChecker(env, policy="raise")
-    with pytest.raises(AssertionError, match="never acquired"):
-        env.emit("channel.released", (2, 9))
-
-
 def test_balanced_lifecycle_is_clean():
     env = Environment()
-    chk = QuiescenceChecker(env, policy="raise")
-    env.emit("request.begin", 1)
-    env.emit("channel.acquired", (1, 4))
-    env.emit("request.end", 1)
-    env.emit("channel.released", (1, 4))
+    monitor = make_monitor()
+    chk = QuiescenceChecker(env, monitor, policy="raise")
+    env.emit("request.begin", (1, 1, "new"))
+    monitor.acquired(1, 4, 0.0)
+    env.emit("request.end", (1, 1, 4))
+    monitor.released(1, 4, 1.0)
     chk.finalize()
-    assert chk.channels_held == 0
-    assert chk.requests_open == 0
-    assert chk.total_acquisitions == chk.total_releases == 1
+    assert chk.open_requests == {}
 
 
 # --------------------------------------------------------- policies / API ----
@@ -287,24 +331,24 @@ def test_default_policy_roundtrip():
 def test_suite_respects_network_fifo_flag():
     env = Environment()
     net = make_net(env, fifo=False)
-    suite = SanitizerSuite(env, net, policy="record")
+    suite = SanitizerSuite(env, net, make_monitor(), policy="record")
     assert suite.causality.check_fifo is False
     assert len(suite.sanitizers) == 3
 
 
 def test_suite_aggregates_and_detaches():
     env = Environment()
-    suite = SanitizerSuite(env, policy="record")
+    suite = SanitizerSuite(env, make_net(env), make_monitor(), policy="record")
     env.emit("wait.block", (1, 2, "defer", (0.0, 1)))
     env.emit("wait.block", (2, 1, "defer", (0.0, 2)))  # 2-cycle
-    env.emit("channel.acquired", (0, 3))
-    suite.finalize()  # held channel
+    env.emit("request.begin", (0, 1, "new"))
+    suite.finalize()  # unresolved request
     assert len(suite.violations) == 2
     with pytest.raises(AssertionError):
         suite.assert_clean()
     suite.detach()
-    env.emit("channel.acquired", (9, 9))
-    assert suite.quiescence.channels_held == 1  # unchanged after detach
+    env.emit("request.begin", (9, 1, "new"))
+    assert suite.quiescence.open_requests == {0: 1}  # unchanged after detach
 
 
 def test_real_run_is_sanitized_and_clean():

@@ -4,13 +4,15 @@ Runs every registered scheme on a hot-spot workload over an unreliable
 network (uniform message loss, default 5%) with the full sanitizer
 suite in ``raise`` mode, and fails if
 
-* any sanitizer trips (deadlock, causality, quiescence), or
+* any online sanitizer check trips (deadlock, causality), or
 * any mutual-exclusion (co-channel interference) violation is recorded, or
 * the hardened stack never actually recovers a lost message
   (``faults_recovered == 0`` would mean the ARQ layer is dead code).
 
-This is deliberately small — a CI smoke, not a study.  The full loss
-sweep lives in ``benchmarks/test_fault_sweep.py``.
+Runs stop undrained at the horizon, so no end-of-run check runs:
+``tests/test_faults.py`` drains every scheme under faults
+(``assert_drains_under_hostile_faults``).  The loss sweep is
+``benchmarks/test_fault_sweep.py``.
 
 Usage::
 
@@ -62,12 +64,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.add_argument("--duration", type=float, default=200.0)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--trace", metavar="DIR", default=None,
-                   help="write per-scheme run artifacts (trace, series, "
-                        "report) under DIR")
+                   help="write per-scheme run artifacts (trace, series, report) under DIR")
     args = p.parse_args(argv)
 
-    # Sanitizers in raise mode: the run aborts on the first deadlock /
-    # causality / quiescence violation instead of recording it.
+    # Sanitizers raising: the first deadlock / causality violation aborts the run.
     set_default_policy("raise")
 
     cells = [
