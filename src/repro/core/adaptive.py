@@ -138,6 +138,7 @@ class AdaptiveMSS(Requester, Responder, MSS):
         "local_notify_sum",
         "repacks",
     )
+    WAITS = ("_gate", "_status_collectors", "_last_status_collector")
 
     def __init__(
         self,

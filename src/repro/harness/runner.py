@@ -393,10 +393,14 @@ def run_replications(
     :func:`repro.harness.cache.resolve_cache`).  The warm-start form —
     one run to a checkpoint, every replication forked from it — is
     ``fork_replications(run_to_checkpoint(scenario, t), n)`` (see
-    :mod:`repro.snap`).
+    :mod:`repro.snap`).  ``n`` below 1 is a ``ValueError``, raised
+    before anything is built.
     """
     # Local import: parallel builds on this module's run_scenario.
     from .parallel import run_cells
+
+    if not n >= 1:
+        raise ValueError(f"n must be at least 1, got {n!r}")
 
     cells = [scenario.with_(seed=scenario.seed + i) for i in range(n)]
     return run_cells(cells, workers=workers, cache=cache)

@@ -25,22 +25,26 @@ or generator) and ``_release(channel)``.
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 from types import GeneratorType
 from typing import Any, Dict, FrozenSet, Generator, Iterable, Optional, Set, Tuple
 
 from ..cellular import CellularTopology
 from ..faults.arq import Ack, DedupFilter, Hardening, ReliableLink
-from ..sim import Collector, Environment, Envelope, Event, Gate, Network, Resource
+from ..sim import Collector, Environment, Envelope, Event, Network, Resource
 from ..sim.events import PENDING
 from .messages import Timestamp
 from .monitor import InterferenceMonitor
 
 __all__ = ["MSS"]
 
-#: What :meth:`MSS.close` abandons, matched by exact type: it tests every
-#: attribute and dict value of a station (an adaptive station's mirrors
-#: alone are 36 ints), so the test is one set lookup.
-_WAITS = frozenset({Collector, Gate, Resource})
+
+@lru_cache(maxsize=None)
+def _waits(cls: type) -> Tuple[str, ...]:
+    """Every ``WAITS`` entry of ``cls`` and its bases, resolved once."""
+    return tuple(
+        name for klass in reversed(cls.__mro__) for name in vars(klass).get("WAITS", ())
+    )
 
 
 class MSS:
@@ -94,6 +98,10 @@ class MSS:
     #: ``_attempts`` is scratch of the request being served: zeroed when
     #: serving starts, and no request is open at a safe point.
     SNAPSHOT_TRANSIENT = ("_attempts",)
+    #: The attributes that hold this station's wait primitives — a
+    #: ``Collector``, ``Gate`` or ``Resource``, None, or a dict of them —
+    #: which :meth:`close` abandons; a subclass lists only what it adds.
+    WAITS: Tuple[str, ...] = ("_lock", "_collector")
 
     def __init__(
         self,
@@ -178,18 +186,19 @@ class MSS:
     def close(self) -> None:
         """Let go of every request in flight (see ``Simulation.close``).
 
-        Whatever wait primitive this station owns — its lock, an open
-        round, a scheme's own gate or round table — abandons its
-        waiters: the parked request is dropped and its generator closed
-        while the station is still whole.  The handler cache (bound
-        methods of the station itself) and the link to a fast lane
-        (which holds the stations) go too.
+        Every wait primitive the class declares in ``WAITS`` — its
+        lock, an open round, a scheme's own gate or round table —
+        abandons its waiters: the parked request is dropped and its
+        generator closed while the station is still whole.  The handler
+        cache (bound methods of the station itself) and the link to a
+        fast lane (which holds the stations) go too.
         """
         self._handlers.clear()
         self.fastlane = None
-        for held in vars(self).values():
+        for name in _waits(type(self)):
+            held = getattr(self, name)
             for wait in held.values() if type(held) is dict else (held,):
-                if type(wait) in _WAITS:
+                if wait is not None:
                     wait.abandon()
 
     # ------------------------------------------------------------------

@@ -89,6 +89,7 @@ class PrakashMSS(MSS):
         ("collector_round", "_collector_round"),
         ("transfer_round", "_transfer_round"),
     )
+    WAITS = ("_transfer_collector",)
     #: Poll-and-transfer rounds one request tries before it is dropped.
     MAX_TRANSFER_ROUNDS = 8
 

@@ -11,12 +11,18 @@ A substream is handed out in one of two forms: :meth:`StreamRegistry
 PCG64 stream held as two Python ints, for consumers that draw only
 ``random()`` / ``uniform()`` and come by the thousand (one per fault
 link).
+
+A consumer that may never draw names its stream with
+:meth:`StreamRegistry.reserve` and builds it at the first draw: a
+reserved stream is listed by :meth:`StreamRegistry.state_dict` at its
+initial state, exactly as a built but undrawn one would be, so what a
+snapshot holds does not depend on when a stream is built.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, Mapping, Tuple
+from typing import Any, Dict, Mapping, Set, Tuple
 
 import numpy as np
 
@@ -106,17 +112,17 @@ class StreamRegistry:
         self._streams: Dict[str, Any] = {}
         #: key -> a loaded state whose stream nobody has asked for yet.
         self._loaded: Dict[str, Dict[str, Any]] = {}
+        #: Keys named by :meth:`reserve` whose stream is not built yet.
+        self._reserved: Set[str] = set()
 
     def _key(self, parts: Tuple[Any, ...]) -> str:
-        names = [str(p) for p in parts]
-        for name in names:
-            if "/" in name:
-                # "/" is the separator: ("a/b",) and ("a", "b") would
-                # silently share one substream.
-                raise ValueError(
-                    f"stream name part {name!r} must not contain '/'"
-                )
-        return "/".join(names)
+        key = "/".join(map(str, parts))
+        if key.count("/") >= len(parts) > 0:
+            # "/" is the separator: ("a/b",) and ("a", "b") would
+            # silently share one substream.
+            name = next(str(p) for p in parts if "/" in str(p))
+            raise ValueError(f"stream name part {name!r} must not contain '/'")
+        return key
 
     def _seed_of(self, key: str) -> int:
         digest = hashlib.sha256(f"{self.seed}:{key}".encode("utf-8")).digest()
@@ -133,6 +139,7 @@ class StreamRegistry:
         gen = self._streams.get(key)
         if gen is None:
             gen = self._streams[key] = np.random.default_rng(self._seed_of(key))
+            self._reserved.discard(key)
             loaded = self._loaded.pop(key, None)
             if loaded is not None:
                 gen.bit_generator.state = loaded
@@ -147,11 +154,26 @@ class StreamRegistry:
         key = self._key(parts)
         light = self._streams.get(key)
         if light is None:
+            self._reserved.discard(key)
             loaded = self._loaded.pop(key, None)
             if loaded is None:
                 loaded = np.random.PCG64(self._seed_of(key)).state
             light = self._streams[key] = UniformStream(loaded)
         return light
+
+    def reserve(self, *parts: Any) -> None:
+        """Name a stream without building it (name parts as in
+        :meth:`stream`).
+
+        Seeding a stream costs more than most of its draws, so a
+        consumer that may never draw — a cell's call stream before its
+        first accepted arrival — reserves it and asks for it at its
+        first draw.  Until then :meth:`state_dict` lists the stream at
+        the state a freshly built one would have.
+        """
+        key = self._key(parts)
+        if key not in self._streams:
+            self._reserved.add(key)
 
     def spawn(self, *parts: Any) -> "StreamRegistry":
         """Derive a child registry (e.g. one per replication)."""
@@ -163,11 +185,14 @@ class StreamRegistry:
     # -- snapshot hooks (see repro.snap.state) -------------------------------
     def state_dict(self) -> Dict[str, Dict[str, Any]]:
         """Every stream's bit-generator state by key, sorted: the streams
-        handed out and the loaded states not yet asked for alike."""
+        handed out, the loaded states not yet asked for and the reserved
+        streams (at their initial state) alike."""
         states = {
-            key: {**loaded, "state": dict(loaded["state"])}
-            for key, loaded in self._loaded.items()
+            key: np.random.PCG64(self._seed_of(key)).state
+            for key in self._reserved - self._loaded.keys()
         }
+        for key, loaded in self._loaded.items():
+            states[key] = {**loaded, "state": dict(loaded["state"])}
         for key, handed in self._streams.items():
             states[key] = handed.bit_generator.state
         return dict(sorted(states.items()))

@@ -91,13 +91,10 @@ def restore(snapshot: Snapshot, seed: Optional[int] = None) -> Any:
         )
     from ..harness.runner import build_simulation
 
-    scenario = snapshot.scenario()
-    reseed = seed is not None and seed != scenario.seed
-    if reseed:
-        scenario = scenario.with_(seed=seed)
+    scenario = snapshot.scenario(seed)
     sim = build_simulation(scenario)
     if snapshot.started:
-        apply_state(sim, snapshot.state, reseed=reseed)
+        apply_state(sim, snapshot.state, reseed=scenario.seed != snapshot.seed)
     return sim
 
 
@@ -170,13 +167,13 @@ def run_from_snapshot(snapshot: Snapshot, seed: Optional[int] = None) -> Any:
     to the scenario horizon; returns the :class:`Report`."""
     from ..harness.runner import Report, run_scenario
 
-    scenario = snapshot.scenario(seed)
     if not snapshot.started:
-        return run_scenario(scenario)
+        return run_scenario(snapshot.scenario(seed))
     sim = restore(snapshot, seed=seed)
     try:
-        if sim.env._now < scenario.duration:
-            sim.env.run(until=scenario.duration)
+        duration = sim.scenario.duration
+        if sim.env._now < duration:
+            sim.env.run(until=duration)
         return Report.from_simulation(sim)
     finally:
         sim.close()
@@ -194,21 +191,24 @@ def fork_replications(snapshot: Snapshot, n: int, cache: Any = None) -> List[Any
     they run serially in this process.  Results are cached under
     ``variant="warm:<snapshot hash>"`` so warm rows can never alias
     cold rows for the same scenario (see :mod:`repro.harness.cache`).
+    ``n`` below 1 is a ``ValueError``, raised before anything is built.
     """
     from ..harness.cache import resolve_cache
 
-    base = snapshot.scenario()
+    if not n >= 1:
+        raise ValueError(f"n must be at least 1, got {n!r}")
+    seeds = range(snapshot.seed, snapshot.seed + n)
     store = resolve_cache(cache)
+    if store is None:
+        # A fork's one ``Scenario`` is the one its restore builds.
+        return [run_from_snapshot(snapshot, seed) for seed in seeds]
     variant = f"warm:{snapshot.content_hash()}"
     reports: List[Any] = []
-    for seed in range(base.seed, base.seed + n):
-        scenario = base.with_(seed=seed)
-        hit = store.get(scenario, variant=variant) if store is not None else None
-        if hit is not None:
-            reports.append(hit)
-            continue
-        report = run_from_snapshot(snapshot, seed=seed)
-        if store is not None:
+    for seed in seeds:
+        scenario = snapshot.scenario(seed)
+        report = store.get(scenario, variant=variant)
+        if report is None:
+            report = run_from_snapshot(snapshot, seed)
             store.put(scenario, report, variant=variant)
         reports.append(report)
     return reports

@@ -174,12 +174,21 @@ class Snapshot:
         (``pattern``, ``faults``, the ``*_params`` dicts) are shared
         between them and must not be mutated.
         """
+        base = self._base()
+        return base.with_(seed=base.seed if seed is None else seed)
+
+    @property
+    def seed(self) -> int:
+        """The seed of the run this snapshot was taken from: a restore
+        under any other seed is a fork."""
+        return self._base().seed
+
+    def _base(self) -> Any:
         if self._parsed is None:
             from ..harness.config import Scenario
 
             self._parsed = Scenario.from_json(self.scenario_json)
-        base = self._parsed
-        return base.with_(seed=base.seed if seed is None else seed)
+        return self._parsed
 
     def _encoded(self) -> Dict[str, Any]:
         return {

@@ -466,17 +466,19 @@ def _materialize_queue(sim: Any, entries: List[Dict[str, Any]], reseed: bool) ->
             timer.callbacks.append(station._owed_ack_expire)
         elif kind == "arrival":
             cell = entry["cell"]
-            wake = entry["wake"]
-            if reseed:
-                # The exponential gap is memoryless: redrawing the next
-                # arrival from the fork seed's own substream keeps the
-                # process statistically exact and deterministic per seed.
-                rng = source.streams.stream("traffic", "arrivals", cell)
-                wake = env._now + float(rng.exponential(1.0 / source.pattern.max_rate(cell)))
+            # A fork enters the stream as a fresh one, drawing the next
+            # gap from the fork seed's own substream: the exponential
+            # gap is memoryless, so the process stays statistically
+            # exact and deterministic per seed.
+            wake = None if reseed else entry["wake"]
             _forge_process(env, source._arrivals(cell, wake), f"arrivals[{cell}]")
         elif kind == "call":
             origin = entry["origin"]
-            rng = source.streams.stream("traffic", "calls", origin)
+            # Resumed in its hold without mobility, a call draws nothing
+            # (its stream is named by its origin's arrival process).
+            rng = None
+            if source.config.mean_dwell is not None:
+                rng = source.streams.stream("traffic", "calls", origin)
             gen = call_process(
                 env, stations, origin, source.config, rng, source.log,
                 resume=(

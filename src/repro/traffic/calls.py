@@ -75,7 +75,7 @@ def call_process(
     stations: Dict[int, "MSS"],
     cell: int,
     config: CallConfig,
-    rng: np.random.Generator,
+    rng: Optional[np.random.Generator],
     log: Optional[CallLog] = None,
     class_log: Optional[CallLog] = None,
     resume: Optional[Tuple[int, int, float, float, int]] = None,
@@ -89,6 +89,8 @@ def call_process(
     caught in its hold — ``(serving cell, channel, holding time left
     after the wake, wake instant, handoffs attempted so far)`` — at the
     hold it was suspended in; its arrival was counted before capture.
+    A resumed call without mobility draws nothing, so its ``rng`` may
+    be None.
     """
     deadline = config.setup_deadline
     mean_dwell = config.mean_dwell

@@ -116,7 +116,10 @@ class TrafficSource:
         snapshot caught between two arrivals, at the arrival it was
         waiting for (its gap was drawn before capture)."""
         rng = self.streams.stream("traffic", "arrivals", cell)
-        call_rng = self.streams.stream("traffic", "calls", cell)
+        # The call stream is built at the first accepted arrival: many
+        # cells of a short (forked) window never accept one.
+        self.streams.reserve("traffic", "calls", cell)
+        call_rng = None
         lam_max = self.pattern.max_rate(cell)
         name = f"call[{cell}]"
         if wake_at is None:
@@ -136,6 +139,8 @@ class TrafficSource:
                 else:
                     config = self.config
                     class_log = None
+                if call_rng is None:
+                    call_rng = self.streams.stream("traffic", "calls", cell)
                 self.env.process(
                     call_process(
                         self.env, self.stations, cell, config, call_rng,

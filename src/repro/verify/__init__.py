@@ -10,8 +10,8 @@ engine's probe bus (:meth:`repro.sim.Environment.subscribe`):
 * :class:`CausalityChecker` — hardens the FIFO-link assumption: per
   (src, dst) link, messages must deliver in send order, and no node
   may send a RESPONSE for a round whose REQUEST/CHANGE_MODE it has not
-  yet received; at the end of a drained run, every such round must
-  have been answered.  Its FIFO check is the runtime counterpart of
+  yet received, nor process such a round twice; at the end of a
+  drained run, every such round must have been answered.  Its FIFO check is the runtime counterpart of
   the static state-isolation rules (ANA201–ANA203, ``python -m
   tools.check``).
 * :class:`QuiescenceChecker` — end-of-run hygiene: no channel left in

@@ -18,6 +18,17 @@ both properties on the live message stream:
   white-box tests that inject messages straight into handlers are
   covered too).  Each responder answers a round at most once; a second
   reply is flagged as well.
+* **No request processed twice** — on a FIFO network a requester's
+  rounds reach each responder in increasing ``round_id`` order, so a
+  REQUEST or CHANGE_MODE whose round is at or below the highest one of
+  its message type the responder has processed from that requester is
+  a ``duplicate_request`` (two types may share a round: a request and
+  the notice that follows its grant).  ARQ retransmissions and
+  injector copies are not judged (a retransmission may legitimately
+  land after a later round), and a responder that crashes with lost
+  state starts over: its duplicate window is reset, so a
+  retransmission it had already processed is then legitimately
+  processed again.
 * **No time travel** — an envelope's delivery time is never before its
   send time.
 * **Every round answered** — :meth:`finalize`, at the end of a drained
@@ -26,13 +37,14 @@ both properties on the live message stream:
 
 State grows with the number of open rounds; rounds are forgotten as
 soon as the (single) response of each responder is observed, keeping
-the per-node footprint proportional to in-flight traffic.
+the per-node footprint proportional to in-flight traffic.  The
+duplicate check keeps one round id per link and message type.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from ..sim import Envelope, Environment
 from .base import Sanitizer, Violation
@@ -44,7 +56,7 @@ __all__ = ["CausalityViolation", "CausalityChecker"]
 class CausalityViolation(Violation):
     """One causality breach on the message fabric."""
 
-    kind: str  # "fifo" | "reply_before_request" | "time_travel" | "unanswered_round"
+    kind: str  # "fifo" | "reply_before_request" | "duplicate_request" | "time_travel" | "unanswered_round"
     src: int
     dst: int
     detail: str
@@ -66,9 +78,10 @@ class CausalityChecker(Sanitizer):
     policy:
         ``"raise"`` or ``"record"`` (see :class:`Sanitizer`).
     check_fifo:
-        Enable the per-link ordering check.  Pass the network's
-        ``fifo`` flag: over a deliberately reordering network the
-        protocol's own runtime assertions are the oracle, not this.
+        Enable the per-link ordering and duplicate-request checks.
+        Pass the network's ``fifo`` flag: over a deliberately
+        reordering network the protocol's own runtime assertions are
+        the oracle, not this.
     """
 
     name = "causality"
@@ -82,6 +95,14 @@ class CausalityChecker(Sanitizer):
         #: responder -> set of (requester, round_id) whose request the
         #: responder has processed and not yet answered.
         self._open_rounds: Dict[int, Set[Tuple[int, int]]] = {}
+        #: responder -> (requester, message type) -> highest round id
+        #: processed.
+        self._highest_round: Dict[int, Dict[Tuple[int, Optional[type]], int]] = {}
+        #: The payload type of the envelope being delivered, and whether
+        #: it is an ARQ or injector copy: a handler announcing a round
+        #: runs inside its delivery.
+        self._delivered_type: Optional[type] = None
+        self._delivered_copy = False
         self.messages_checked = 0
         super().__init__(env, policy)
 
@@ -89,6 +110,7 @@ class CausalityChecker(Sanitizer):
         self._listen("net.send", self._on_send)
         self._listen("net.deliver", self._on_deliver)
         self._listen("proto.request", self._on_request_seen)
+        self._listen("fault.crash", self._on_crash)
 
     # -- probe handlers ----------------------------------------------------
     def _on_send(self, now: float, envelope: Envelope) -> None:
@@ -130,6 +152,8 @@ class CausalityChecker(Sanitizer):
 
     def _on_deliver(self, now: float, envelope: Envelope) -> None:
         self.messages_checked += 1
+        self._delivered_type = type(envelope.payload)
+        self._delivered_copy = envelope.fault_tag is not None
         if self.check_fifo:
             if envelope.fault_tag is not None:
                 # An injected reorder legitimately overtakes (and must
@@ -159,6 +183,28 @@ class CausalityChecker(Sanitizer):
         self._open_rounds.setdefault(responder, set()).add(
             (requester, round_id)
         )
+        if not self.check_fifo:
+            return
+        key = (requester, self._delivered_type)
+        seen = self._highest_round.setdefault(responder, {})
+        highest = seen.get(key, -1)
+        if round_id > highest:
+            seen[key] = round_id
+        elif not self._delivered_copy:
+            self._report(
+                CausalityViolation(
+                    now,
+                    "duplicate_request",
+                    requester,
+                    responder,
+                    f"round {round_id} processed after round {highest}",
+                )
+            )
+
+    def _on_crash(self, now: float, payload: Tuple[int, bool]) -> None:
+        cell, lose_state = payload
+        if lose_state:
+            self._highest_round.pop(cell, None)
 
     # -- verdict -----------------------------------------------------------
     def finalize(self) -> None:

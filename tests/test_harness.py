@@ -107,6 +107,12 @@ def test_replications_use_distinct_seeds():
     assert seeds == [2, 3, 4]
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_replications_below_one_are_refused_before_anything_is_built(n, nothing_constructed):
+    with pytest.raises(ValueError, match=f"n must be at least 1, got {n}"):
+        run_replications(quick(scheme="fixed"), n)
+
+
 def test_xi_fractions_accessor():
     rep = run_scenario(quick(scheme="adaptive", offered_load=6.0))
     xi = rep.xi

@@ -91,3 +91,25 @@ def test_separator_in_a_name_part_is_rejected(parts):
     with pytest.raises(ValueError, match="must not contain '/'"):
         reg.spawn(*parts)
     assert reg.stream("a", "b") is reg.stream("a", "b")
+
+
+def test_a_reserved_stream_is_listed_at_the_state_a_built_one_has():
+    lazy, eager = StreamRegistry(seed=7), StreamRegistry(seed=7)
+    lazy.reserve("traffic", "calls", 3)
+    eager.stream("traffic", "calls", 3)
+    assert lazy._streams == {} and lazy.state_dict() == eager.state_dict()
+    # Built at its first draw, it is the stream an eager build gives.
+    assert lazy.stream("traffic", "calls", 3).random() == eager.stream("traffic", "calls", 3).random()
+    assert lazy.state_dict() == eager.state_dict()
+    lazy.reserve("traffic", "calls", 3)  # already built: nothing changes
+    assert lazy.state_dict() == eager.state_dict()
+
+
+def test_a_reserved_stream_takes_a_loaded_state():
+    source = StreamRegistry(seed=7)
+    source.stream("x").random(5)
+    restored = StreamRegistry(seed=7)
+    restored.reserve("x")
+    restored.load_state(source.state_dict())
+    assert restored.state_dict() == source.state_dict()
+    assert restored.stream("x").random() == source.stream("x").random()

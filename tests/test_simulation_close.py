@@ -6,7 +6,9 @@ built; with the collector off, the stations, the network, the traffic
 source and the monitor must already be gone when they return — at low
 load and at saturation, with a fault plan and with ``--trace`` — and
 closing must change nothing the report says.  While a run goes on, a
-completed STATUS round goes the same way.
+completed STATUS round goes the same way.  What ``MSS.close`` abandons
+is what a scheme declares in ``WAITS``: every wait primitive a station
+holds mid-flight must be reachable through it.
 """
 
 import copy
@@ -21,10 +23,10 @@ from repro.faults import CrashWindow, FaultPlan
 from repro.harness import SCHEMES, Scenario, build_simulation, run_scenario, runner
 from repro.obs import SAMPLE_INTERVAL
 from repro.protocols import MSS
-from repro.sim import ConditionEvent, Network
+from repro.sim import Collector, ConditionEvent, Gate, Network, Resource
 from repro.snap import run_from_snapshot, run_to_checkpoint
 
-from conftest import report_row
+from conftest import HOSTILE_FAULTS, report_row
 
 HEAVY = ("network", "source", "monitor", "injector", "observer", "sanitizers", "fastlane")
 
@@ -196,3 +198,39 @@ def test_a_closed_simulations_report_is_the_unclosed_ones(scheme):
     sim.close()  # ... and closing it, twice, moves nothing the report holds.
     assert (report_row(kept), list(kept.metrics.records)) == before
     assert sim.env.peek() == float("inf") and not sim.env._probes
+
+
+def held_waits(station):
+    """Every wait primitive in a station's attributes and their dict
+    values, by attribute name."""
+    for name, held in vars(station).items():
+        for wait in held.values() if type(held) is dict else (held,):
+            if type(wait) in (Collector, Gate, Resource):
+                yield name, wait
+
+
+def declared_waits(cls):
+    return [name for klass in cls.__mro__ for name in vars(klass).get("WAITS", ())]
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_waits_declares_every_wait_a_station_holds(scheme):
+    seen = set()
+    # Saturated (requests parked on locks, rounds, the gate, STATUS
+    # rounds, Prakash transfers) and under the hostile fault plan.
+    for overrides in ({"offered_load": 14.0}, {"offered_load": 8.0, "faults": HOSTILE_FAULTS}):
+        sim = build_simulation(scenario(scheme, **overrides))
+        sim.start()
+        for t in range(60, 140, 4):
+            sim.env.run(until=t + 0.37)
+            for station in sim.stations.values():
+                reachable = set()
+                for name in declared_waits(type(station)):
+                    held = getattr(station, name)
+                    reachable.update(map(id, held.values() if type(held) is dict else (held,)))
+                for name, wait in held_waits(station):
+                    assert id(wait) in reachable, (scheme, name)
+                    seen.add(name)
+        sim.close()
+    added = set(declared_waits(SCHEMES[scheme])) - set(MSS.WAITS)
+    assert "_lock" in seen and added <= seen

@@ -180,6 +180,41 @@ def test_fork_replications_seed_zero_is_exact_continuation():
     assert report_row(reports[0]) != report_row(reports[1])
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_forks_below_one_are_refused_before_anything_is_built(n, nothing_constructed):
+    cold = Snapshot(scenario_json=small().to_json(), time=0.0, started=False, state={})
+    with pytest.raises(ValueError, match=f"n must be at least 1, got {n}"):
+        fork_replications(cold, n)
+
+
+def test_a_fork_builds_a_call_stream_only_in_cells_that_accept_an_arrival(monkeypatch):
+    # Per fork: one arrival stream per cell, and a call stream in each
+    # cell whose arrival process accepts a call in the window.  A call
+    # resumed in its hold without mobility draws nothing.
+    import numpy as np
+
+    import repro.traffic.source as source_module
+
+    snap = run_to_checkpoint(small("adaptive", offered_load=3.0, duration=120.0), 80.0)
+    built, accepted = [], set()
+    real_rng, real_call = np.random.default_rng, source_module.call_process
+
+    def counting_rng(seed):
+        built.append(seed)
+        return real_rng(seed)
+
+    def recording_call(env, stations, cell, *args, **kwargs):
+        accepted.add((env, cell))
+        return real_call(env, stations, cell, *args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    monkeypatch.setattr(source_module, "call_process", recording_call)
+    reports = fork_replications(snap, 3)
+    cells = len(snap.state["stations"])
+    assert len(built) == 3 * cells + len(accepted)
+    assert 0 < len(accepted) < 3 * cells and all(r.offered for r in reports)
+
+
 _FRESH_INTERPRETER = """
 import dataclasses, json, sys
 from repro.snap import checkpoint, load_snapshot, restore, run_from_snapshot

@@ -278,6 +278,60 @@ def test_suite_judges_unanswered_rounds_only_without_faults():
     assert [v.kind for v in suite.violations] == ["unanswered_round"]
 
 
+def announce(env, net, round_id, message=REQUEST, fault_tag=None):
+    """Node 1 processes node 0's ``message`` as round ``round_id``."""
+    net.send(0, 1, message, fault_tag=fault_tag)
+    env.run()
+    env.emit("proto.request", (1, 0, round_id))
+
+
+def test_a_round_processed_twice_is_a_duplicate_request():
+    env = Environment()
+    net = make_net(env)
+    chk = CausalityChecker(env, policy="record")
+    for round_id in (7, 8, 8, 3):
+        announce(env, net, round_id)
+    announce(env, net, 8, CHANGE_MODE)  # another message type counts its own
+    assert [(v.kind, v.src, v.dst) for v in chk.violations] == [("duplicate_request", 0, 1)] * 2
+    # An ARQ or injector copy may land after a later round: not judged.
+    announce(env, net, 7, fault_tag="retransmit")
+    assert len(chk.violations) == 2
+    # A responder that loses its state forgets the rounds it processed.
+    env.emit("fault.crash", (1, False))
+    announce(env, net, 8)
+    assert len(chk.violations) == 3
+    env.emit("fault.crash", (1, True))
+    announce(env, net, 8)
+    assert len(chk.violations) == 3
+
+
+def test_duplicate_requests_are_not_judged_over_a_reordering_network():
+    env = Environment()
+    chk = CausalityChecker(env, policy="record", check_fifo=False)
+    env.emit("proto.request", (1, 0, 7))
+    env.emit("proto.request", (1, 0, 7))
+    assert chk.violations == [] and chk._highest_round == {}
+
+
+def test_a_request_broadcast_twice_is_caught_by_the_sanitizer(monkeypatch):
+    # basic_update sending each Request twice: every responder processes
+    # the round twice and answers it twice.
+    basic_update = SCHEMES["basic_update"]
+    real = basic_update._broadcast
+
+    def twice(self, payload, dsts=None):
+        if type(payload) is Request:
+            real(self, payload, dsts)
+        return real(self, payload, dsts)
+
+    monkeypatch.setattr(basic_update, "_broadcast", twice)
+    sim = build_simulation(
+        Scenario(scheme="basic_update", offered_load=9.0, duration=200.0, warmup=20.0, seed=5)
+    )
+    with pytest.raises(AssertionError, match="duplicate_request"):
+        sim.run()
+
+
 # ----------------------------------------------------- quiescence checker ----
 def test_held_channel_reported_at_finalize():
     env = Environment()
