@@ -389,7 +389,10 @@ def apply_state(sim: Any, state: Dict[str, Any], reseed: bool = False) -> None:
     env._eid = 0
     env._now = state["env"]["now"]
 
-    if not reseed:
+    if reseed:
+        # Every stream the snapshot names is seeded anew: in one batch.
+        sim.streams.prepare_keys(state["streams"])
+    else:
         sim.streams.load_state(state["streams"])
     _apply(sim, state, "simulation")
     for cell, data in sorted(stations.items()):

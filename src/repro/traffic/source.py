@@ -64,15 +64,22 @@ class TrafficSource:
         self._procs: Dict[int, Process] = {}
 
     def start(self) -> None:
-        """Launch one arrival process per cell."""
+        """Launch one arrival process per cell (their arrival and call
+        streams are seeded in one batch)."""
         if self._started:
             raise RuntimeError("traffic source already started")
         self._started = True
-        for cell in sorted(self.stations):
-            if self.pattern.max_rate(cell) > 0:
-                if self.lane is not None and self.lane.claims(cell):
-                    continue  # fluid from t=0; lane settles analytically
-                self.launch(cell)
+        cells = [
+            cell for cell in sorted(self.stations)
+            if self.pattern.max_rate(cell) > 0
+            # A cell the lane claims is fluid from t=0; the lane settles it.
+            and not (self.lane is not None and self.lane.claims(cell))
+        ]
+        self.streams.prepare(
+            ("traffic", kind, cell) for cell in cells for kind in ("arrivals", "calls")
+        )
+        for cell in cells:
+            self.launch(cell)
 
     def launch(self, cell: int) -> None:
         """(Re)start the arrival process for one cell.

@@ -113,3 +113,70 @@ def test_a_reserved_stream_takes_a_loaded_state():
     restored.load_state(source.state_dict())
     assert restored.state_dict() == source.state_dict()
     assert restored.stream("x").random() == source.stream("x").random()
+
+
+# -- the one-pass seeding kernel -----------------------------------------------
+def _kernel_seeds():
+    rng = np.random.default_rng(2024)
+    edges = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+    wide = rng.integers(0, 2**64, 10_000, dtype=np.uint64, endpoint=False).tolist()
+    narrow = rng.integers(0, 2**31, 10_000).tolist()
+    return edges + wide + narrow
+
+
+def test_the_seed_kernel_is_numpys_seed_sequence():
+    # One-word (below 2**32) and two-word entropy alike: the kernel's
+    # rows are numpy's SeedSequence words, and a PCG64 seeded from a
+    # row is the stream default_rng builds.
+    from repro.sim.rng import _seed_words_type, seed_words
+
+    seeds = _kernel_seeds()
+    assert sum(s < 2**32 for s in seeds) > 10_000 and sum(s >= 2**32 for s in seeds) > 9_000
+    rows = seed_words(np.array(seeds, dtype=np.uint64))
+    assert rows.shape == (len(seeds), 4) and rows.dtype == np.uint64
+    for seed, row in zip(seeds, rows):
+        assert np.array_equal(row, np.random.SeedSequence(seed).generate_state(4, np.uint64)), seed
+        built = np.random.Generator(np.random.PCG64(_seed_words_type()(row)))
+        assert built.bit_generator.state == np.random.default_rng(seed).bit_generator.state, seed
+
+
+def test_prepared_streams_are_the_streams_built_one_by_one():
+    names = [("traffic", kind, cell) for cell in range(40) for kind in ("arrivals", "calls")]
+    batched, single = StreamRegistry(seed=11), StreamRegistry(seed=11)
+    batched.prepare(names)
+    assert batched._streams == {} and len(batched._words) == len(names)
+    # Prepared names are not named: a snapshot lists none of them.
+    assert batched.state_dict() == single.state_dict() == {}
+    for cell in range(0, 40, 3):
+        batched.reserve("traffic", "calls", cell)
+        single.reserve("traffic", "calls", cell)
+    assert batched.state_dict() == single.state_dict()
+    for name in names[::2]:
+        assert batched.stream(*name).random(3).tolist() == single.stream(*name).random(3).tolist()
+    for name in names[1::4]:
+        assert batched.uniforms(*name).random() == single.uniforms(*name).random()
+    assert batched.state_dict() == single.state_dict()
+
+
+def test_a_small_batch_is_left_to_numpys_seed_sequence():
+    reg = StreamRegistry(seed=3)
+    reg.prepare([("x", i) for i in range(3)])
+    assert reg._words == {}
+    reg.stream("y")
+    # Handed out or already prepared names are passed over.
+    reg.prepare([("y",)] + [("x", i) for i in range(20)])
+    assert "y" not in reg._words and len(reg._words) == 20
+    reg.prepare([("x", i) for i in range(20)])
+    assert len(reg._words) == 20
+
+
+def test_a_name_is_handed_out_in_one_form_only():
+    reg = StreamRegistry(seed=5)
+    light = reg.uniforms("faults", "net", 1, 2)
+    with pytest.raises(TypeError, match=r"'faults/net/1/2' was handed out as a UniformStream"):
+        reg.stream("faults", "net", 1, 2)
+    assert reg.uniforms("faults", "net", 1, 2) is light
+    gen = reg.stream("traffic", "calls", 4)
+    with pytest.raises(TypeError, match=r"'traffic/calls/4' was handed out as a Generator"):
+        reg.uniforms("traffic", "calls", 4)
+    assert reg.stream("traffic", "calls", 4) is gen

@@ -197,22 +197,64 @@ def test_a_fork_builds_a_call_stream_only_in_cells_that_accept_an_arrival(monkey
 
     snap = run_to_checkpoint(small("adaptive", offered_load=3.0, duration=120.0), 80.0)
     built, accepted = [], set()
-    real_rng, real_call = np.random.default_rng, source_module.call_process
+    real_generator, real_call = np.random.Generator, source_module.call_process
 
-    def counting_rng(seed):
-        built.append(seed)
-        return real_rng(seed)
+    def counting_generator(bit_generator):
+        built.append(bit_generator)
+        return real_generator(bit_generator)
 
     def recording_call(env, stations, cell, *args, **kwargs):
         accepted.add((env, cell))
         return real_call(env, stations, cell, *args, **kwargs)
 
-    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    monkeypatch.setattr(np.random, "Generator", counting_generator)
     monkeypatch.setattr(source_module, "call_process", recording_call)
     reports = fork_replications(snap, 3)
     cells = len(snap.state["stations"])
     assert len(built) == 3 * cells + len(accepted)
     assert 0 < len(accepted) < 3 * cells and all(r.offered for r in reports)
+
+
+def test_a_restore_seeds_its_streams_without_a_seed_sequence(monkeypatch):
+    # A reseeded fork derives every stream the snapshot names in one
+    # batch; an exact continuation loads every state it draws from.
+    import numpy as np
+
+    snap = run_to_checkpoint(small("adaptive", offered_load=3.0, duration=120.0), 80.0)
+    made = []
+    for name in ("SeedSequence", "default_rng"):  # default_rng makes one inside
+        real = getattr(np.random, name)
+        monkeypatch.setattr(
+            np.random, name, lambda *a, real=real, **kw: made.append(a) or real(*a, **kw)
+        )
+    forked = run_from_snapshot(snap, seed=snap.seed + 1)
+    assert made == [] and forked.offered
+    resumed = run_from_snapshot(snap)
+    assert made == [] and resumed.offered
+
+
+@pytest.mark.parametrize("fork", [False, True])
+def test_a_batched_restore_gives_the_streams_of_the_single_key_path(monkeypatch, fork):
+    from repro.harness import Report
+    from repro.sim import StreamRegistry
+
+    snap = run_to_checkpoint(small("adaptive", offered_load=3.0, duration=120.0), 80.0)
+    seed = snap.seed + 1 if fork else None
+
+    def restored_states():
+        sim = restore(snap, seed=seed)
+        try:
+            after_restore = sim.streams.state_dict()
+            sim.env.run(until=sim.scenario.duration)
+            return after_restore, sim.streams.state_dict(), report_row(Report.from_simulation(sim))
+        finally:
+            sim.close()
+
+    batched = restored_states()
+    monkeypatch.setattr(StreamRegistry, "prepare_keys", lambda self, keys: None)
+    single = restored_states()
+    assert batched == single
+    assert batched[0].keys() == snap.state["streams"].keys()
 
 
 _FRESH_INTERPRETER = """
