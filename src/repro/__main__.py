@@ -28,7 +28,6 @@ from .harness import (
     render_table,
     run_cells,
 )
-from .harness.capability import rejected_with
 from .policies.base import policy_names
 from .traffic import HotspotLoad
 
@@ -83,13 +82,6 @@ def _scenario_flags() -> argparse.ArgumentParser:
         help="inject uniform message loss with probability P (enables "
         "the hardened protocol stack: ack/retry/dedup); fine-grained "
         "fault plans go in a --config file's \"faults\" section",
-    )
-    p.add_argument(
-        "--fastlane", action="store_true",
-        help="advance quiescent local-mode cells analytically "
-        "(Erlang-loss fluid model) instead of event-by-event, "
-        "materializing them back on demand; a low-load accelerator; "
-        "not with: " + rejected_with("fastlane") + " — see docs/CAPABILITIES.md",
     )
     p.add_argument(
         "--config", type=str, default=None, metavar="FILE",
@@ -175,7 +167,6 @@ def scenario_from_args(args, scheme: str) -> Scenario:
         theta_high=args.theta_high,
         window=args.window,
         policy=args.policy or "linear",
-        fastlane=args.fastlane,
     )
 
 
@@ -197,7 +188,6 @@ def report_dict(report) -> dict:
         "faults_recovered": sum(report.faults_recovered.values()),
         "retries": report.retries,
         "retry_exhausted": report.retry_exhausted,
-        **({"fastlane": report.fastlane} if report.fastlane else {}),
     }
 
 

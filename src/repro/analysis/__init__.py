@@ -12,12 +12,8 @@ from .complexity import (
     fixed,
     low_load_table,
 )
-from .erlang import carried_load, erlang_b, offered_load_for_blocking
-from .occupancy import (
-    XiPrediction,
-    predict_xi,
-    truncated_poisson_pmf,
-)
+from .erlang import erlang_b, offered_load_for_blocking
+from .occupancy import XiPrediction, predict_xi
 from .planning import expected_blocked_traffic, marginal_allocation, plan_partition
 
 __all__ = [
@@ -32,9 +28,7 @@ __all__ = [
     "low_load_table",
     "bounds_table",
     "erlang_b",
-    "carried_load",
     "offered_load_for_blocking",
-    "truncated_poisson_pmf",
     "predict_xi",
     "XiPrediction",
     "marginal_allocation",

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 __all__ = [
     "erlang_b",
-    "carried_load",
     "offered_load_for_blocking",
 ]
 
@@ -41,16 +40,6 @@ def erlang_b(offered_load: float, servers: int) -> float:
     for k in range(1, servers + 1):
         b = offered_load * b / (k + offered_load * b)
     return b
-
-
-def carried_load(offered_load: float, servers: int) -> float:
-    """Mean number of busy servers of an M/M/c/c queue: ``A·(1 − B)``.
-
-    The stationary expected occupancy — the analytic reference the fast
-    lane's model-vs-sim divergence section compares sampled occupancy
-    against.
-    """
-    return offered_load * (1.0 - erlang_b(offered_load, servers))
 
 
 #: Relative width of the bracket at which the bisection stops.

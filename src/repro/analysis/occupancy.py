@@ -32,42 +32,14 @@ model to its validated regime.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict
 
 from .erlang import erlang_b
 
 __all__ = [
-    "truncated_poisson_pmf",
     "predict_xi",
     "XiPrediction",
 ]
-
-
-def truncated_poisson_pmf(offered_load: float, servers: int) -> Dict[int, float]:
-    """Stationary distribution of busy servers in an M/M/c/c queue.
-
-    ``p_k = (A^k / k!) / Σ_j A^j / j!`` for k in 0..c.
-    """
-    if servers < 0:
-        raise ValueError("servers must be >= 0")
-    if offered_load < 0:
-        raise ValueError("offered_load must be >= 0")
-    if offered_load == 0:
-        return {0: 1.0} | {k: 0.0 for k in range(1, servers + 1)}
-    # Compute in log space to stay stable for large c.
-    log_terms = []
-    log_a = math.log(offered_load)
-    acc = 0.0
-    for k in range(servers + 1):
-        if k > 0:
-            acc += log_a - math.log(k)
-        log_terms.append(acc)
-    peak = max(log_terms)
-    weights = [math.exp(t - peak) for t in log_terms]
-    total = sum(weights)
-    return {k: w / total for k, w in enumerate(weights)}
 
 
 @dataclass(frozen=True)

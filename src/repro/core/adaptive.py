@@ -120,7 +120,7 @@ class AdaptiveMSS(Requester, Responder, MSS):
     """
 
     scheme = "adaptive"
-    fluid_model = True
+    requires_fifo = True
     policy_driven = True
     SCENARIO_FIELDS = ("alpha", "theta_low", "theta_high", "window", "policy", "policy_params")
     #: The plain fields; :meth:`state_dict` adds the ones that are not
@@ -240,67 +240,10 @@ class AdaptiveMSS(Requester, Responder, MSS):
         I_i), including unconfirmed outbound grants (D6)."""
         return set(self._icount)
 
-    def free_primary_count(self) -> int:
-        """``s = |PR_i − (I_i ∪ Use_i)|`` of Fig. 6."""
-        use = self.use
-        icount = self._icount
-        count = 0
-        for channel in self.PR:
-            if channel not in use and channel not in icount:
-                count += 1
-        return count
-
     @property
     def waiting(self) -> int:
         """Unacknowledged search responses (paper's ``waiting_i``)."""
         return len(self._owed_acks)
-
-    def fastlane_eligible(self) -> bool:
-        """Quiescence predicate for the hybrid analytic fast lane.
-
-        An adaptive cell may be advanced analytically only while it is
-        a pure M/M/c/c loss system on its own primaries and no protocol
-        interaction can implicate it without first sending it a message:
-
-        * local mode, with no borrowing neighbors (empty ``UpdateS`` —
-          otherwise acquisitions/releases must be broadcast);
-        * nothing deferred, owed, parked or collecting (any of those
-          means a round is in flight that will resume via local state,
-          not via a message we could promote on);
-        * every held channel is an own primary, and per local knowledge
-          no neighbor uses one of our primaries (``use ⊆ PR`` and
-          ``PR ∩ I_i = ∅``) — so ``c = |PR|`` servers are genuinely
-          available to the fluid model.
-        """
-        if self.down or self.mode is not Mode.LOCAL:
-            return False
-        if self.UpdateS or self.DeferQ or self._owed_acks:
-            return False
-        if self.pending or self._req_ts is not None:
-            return False
-        if self._status_collectors or self._collector is not None:
-            return False
-        if not self.use <= self.PR:
-            return False
-        if self.PR & self.interfered():
-            return False
-        return True
-
-    def fastlane_reconcile(self) -> None:
-        """Re-anchor the mode policy at the current free-primary count.
-
-        The pre-demotion samples plus the materialization jump would
-        otherwise read as a crash-dive in free channels — the linear
-        extrapolation then flips freshly promoted cells straight into
-        borrowing mode, flooding the region with phantom borrow traffic
-        (observed: a 20× drop-rate inflation at high load).  The fluid
-        interval's sample history is fictional anyway; the honest
-        predictor state after materialization is "flat at s".
-        Materialization may have consumed the cell's headroom, so the
-        predictor then gets to react (possibly re-entering borrowing,
-        which re-promotes as a no-op)."""
-        self.policy.reconcile(self.free_primary_count())
-        self._check_mode()
 
     # ------------------------------------------------------------------
     # Mirror writes: one neighbour's mask, with I_i's counts kept exact
@@ -348,8 +291,8 @@ class AdaptiveMSS(Requester, Responder, MSS):
     # check_mode (Fig. 6)
     # ------------------------------------------------------------------
     def _check_mode(self) -> None:
-        # Runs once per handled message, so ``free_primary_count`` and
-        # the borrowing test are spelled out inline (no extra frames).
+        # Runs once per handled message, so ``s = |PR_i − (I_i ∪ Use_i)|``
+        # of Fig. 6 and the borrowing test are spelled out inline.
         use = self.use
         icount = self._icount
         s = 0
@@ -370,16 +313,6 @@ class AdaptiveMSS(Requester, Responder, MSS):
         # Modes 2 and 3 never transition here (a request is in flight).
 
     def _enter_borrowing(self) -> None:
-        if self.fastlane is not None:
-            # A fluid cell can reach here through a residual call's
-            # release (the predictor crossing θ_l): materialize before
-            # the mode change so the CHANGE_MODE broadcast and all
-            # subsequent borrowing traffic see discrete state.
-            # Materialization re-runs check_mode, which may complete the
-            # borrowing entry itself — bail instead of broadcasting twice.
-            self.fastlane.notify_borrow(self.cell)
-            if self.mode is not Mode.LOCAL:
-                return
         self.mode = Mode.BORROW_IDLE
         self.mode_changes += 1
         if "mode.change" in self._probes:

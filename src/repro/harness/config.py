@@ -138,15 +138,6 @@ class Scenario:
     #: no-subscriber fast path.
     obs: Optional[float] = None
 
-    # -- hybrid analytic/DES fast lane -------------------------------------------
-    #: Advance local-mode cells with a quiescent neighborhood
-    #: analytically (Erlang-loss fluid model) instead of event-by-event;
-    #: cells materialize back on any borrow-related contact.  See
-    #: ``repro.harness.fastlane``.  Off (the default) is bit-identical
-    #: to the classic kernel; what on refuses is listed in
-    #: docs/CAPABILITIES.md.
-    fastlane: bool = False
-
     # -- bookkeeping ------------------------------------------------------------
     seed: int = 1
     monitor_policy: str = "raise"
@@ -205,12 +196,21 @@ class Scenario:
         # asdict recursed into the plan; replace with the canonical form
         # (lists, not tuples) so cache keys and JSON round-trips agree.
         data["faults"] = self.faults.to_dict() if self.faults is not None else None
+        # A v2 format constant: the key sits in every v2 snapshot's
+        # scenario JSON, every result-cache key and the warm-fork golden
+        # hash, so it leaves with the next SNAPSHOT_FORMAT_VERSION.
+        data["fastlane"] = False
         return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Scenario":
         """Inverse of :meth:`to_dict`; unknown keys are rejected."""
         data = dict(data)
+        if data.pop("fastlane", False):
+            raise ValueError(
+                "fastlane: the hybrid analytic fast lane was removed "
+                "(DESIGN.md §10 records why); run the scenario without it"
+            )
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:

@@ -27,7 +27,6 @@ from ..traffic import CallConfig, HotspotLoad, PiecewiseLoad, TemporalHotspot, T
 from ..verify import SanitizerSuite, get_default_policy
 from .capability import SCHEMES, check_compatible
 from .config import Scenario
-from .fastlane import FastLane
 
 __all__ = ["SCHEMES", "Simulation", "Report", "build_simulation", "run_scenario", "run_replications"]
 
@@ -52,8 +51,6 @@ class Simulation:
     injector: Optional[FaultInjector] = None
     #: Observability collectors (present iff ``scenario.obs`` is set).
     observer: Optional[Observer] = None
-    #: Hybrid analytic fast lane (present iff ``scenario.fastlane``).
-    fastlane: Optional[FastLane] = None
 
     #: Snapshot fields (see :mod:`repro.snap.state`): the components
     #: with a declaration of their own (not a dataclass field).
@@ -84,8 +81,6 @@ class Simulation:
         """Run to the scenario horizon and build the report."""
         self.start()
         self.env.run(until=self.scenario.duration)
-        if self.fastlane is not None:
-            self.fastlane.finalize()
         return Report.from_simulation(self)
 
     def close(self) -> None:
@@ -113,7 +108,6 @@ class Simulation:
         self.env.close()
         for station in self.stations.values():
             station.close()
-        self.source.close()
         self.env.close()  # what the abandoned requests scheduled on their way out
         self.network.close()
 
@@ -150,9 +144,6 @@ class Report:
     #: neighbors at local acquisitions (the paper's N_borrow); 0 for
     #: other schemes.
     measured_n_borrow: float = 0.0
-    #: Fast-lane divergence summary (see ``FastLane.summary``); None
-    #: when the run did not use the hybrid analytic lane.
-    fastlane: Optional[Dict[str, Any]] = None
     # Fault-injection accounting (all zero / empty without a plan).
     faults_injected: Dict[str, int] = field(default_factory=dict)
     faults_recovered: Dict[str, int] = field(default_factory=dict)
@@ -185,9 +176,6 @@ class Report:
             duration=sim.scenario.duration - sim.scenario.warmup,
             measured_n_borrow=(
                 local_notify / local_acquires if local_acquires else 0.0
-            ),
-            fastlane=(
-                sim.fastlane.summary() if sim.fastlane is not None else None
             ),
             faults_injected=dict(m.faults_injected),
             faults_recovered=dict(m.faults_recovered),
@@ -338,14 +326,6 @@ def build_simulation(scenario: Scenario) -> Simulation:
         horizon=scenario.duration,
     )
 
-    # Hybrid analytic fast lane: wired only when requested, so the
-    # default path constructs nothing and stays event-for-event
-    # identical to the classic kernel.
-    lane: Optional[FastLane] = None
-    if scenario.fastlane:
-        lane = FastLane(env, stations, source, metrics, scenario, streams)
-        lane.install()
-
     # Observability: attached last so its probe subscriptions see the
     # fully wired stack.  With no sample interval, nothing here
     # subscribes and the kernel's no-probe fast path stays active.
@@ -366,7 +346,6 @@ def build_simulation(scenario: Scenario) -> Simulation:
         sanitizers=sanitizers,
         injector=injector,
         observer=observer,
-        fastlane=lane,
     )
 
 

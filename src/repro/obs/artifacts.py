@@ -311,44 +311,6 @@ def _render_report_md(report: Any) -> str:
         )
         lines += ["", "(no analytical model for this run's parameters)"]
 
-    lane = getattr(report, "fastlane", None)
-    if lane:
-        promotions = lane.get("promotions", {})
-        lines += [
-            "",
-            "## Fast lane (model vs sim divergence)",
-            "",
-            "Fluid cells were advanced analytically (Erlang-loss model) "
-            "instead of event by event; this table bounds how far the "
-            "fluid model drifted from the discrete dynamics it replaced "
-            "(see DESIGN.md's fast-lane section).",
-            "",
-        ]
-        lines += _md_table(
-            ["metric", "value"],
-            [
-                ["fluid fraction (cell-time)", f"{lane['fluid_fraction']:.3f}"],
-                ["demotions", lane["demotions"]],
-                [
-                    "promotions (message/spike/borrow)",
-                    "/".join(
-                        str(promotions.get(r, 0))
-                        for r in ("message", "spike", "borrow")
-                    ),
-                ],
-                ["fluid arrivals", lane["arrivals"]],
-                ["fluid blocked", lane["blocked"]],
-                ["calls materialized", lane["materialized"]],
-                ["calls shed at materialization", lane["shed"]],
-                ["block rate (fluid measured)", f"{lane['measured_block_rate']:.4f}"],
-                ["block rate (Erlang-B model)", f"{lane['model_block_rate']:.4f}"],
-                ["block rate |Δ|", f"{lane['block_rate_abs_err']:.4f}"],
-                ["occupancy at promotion (mean)", f"{lane['occupancy_mean']:.3f}"],
-                ["occupancy model (carried load)", f"{lane['occupancy_model_mean']:.3f}"],
-                ["occupancy |Δ|", f"{lane['occupancy_abs_err']:.3f}"],
-            ],
-        )
-
     stats = obs.span_stats
     lines += [
         "",

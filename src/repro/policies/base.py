@@ -148,11 +148,6 @@ class ModePolicy:
         freshly constructed with ``initial`` free primaries."""
         raise NotImplementedError
 
-    def reconcile(self, s: int) -> None:
-        """Re-anchor after a fast-lane materialization: the pre-fluid
-        history is fictional, the honest state is "flat at ``s``"."""
-        self.reset(s)
-
     # -- snapshot round trip -------------------------------------------------
     def state_dict(self) -> Dict[str, Any]:
         """Complete mutable state as JSON-safe plain data."""

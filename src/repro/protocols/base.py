@@ -65,10 +65,10 @@ class MSS:
     #: Human-readable scheme name (subclasses override).
     scheme = "abstract"
     #: Capability cells a scheme owns (see ``repro.harness.capability``):
-    #: can the fast lane advance its cells as an Erlang-loss fluid, and
-    #: does a ``ModePolicy`` drive it.  Set the attribute; the table,
-    #: the CLI help and the lane oracle pick it up.
-    fluid_model = False
+    #: do its handshakes need per-link FIFO delivery (docs/PROTOCOL.md
+    #: §7), and does a ``ModePolicy`` drive it.  Set the attribute; the
+    #: table and the lane oracle pick it up.
+    requires_fifo = False
     policy_driven = False
     #: ``Scenario`` fields the constructor takes, each as the keyword of
     #: the same name (``build_simulation`` passes them).
@@ -176,11 +176,6 @@ class MSS:
         #: Dispatch cache: payload type -> bound ``_on_<Type>`` handler
         #: (filled lazily; saves a name format + getattr per message).
         self._handlers: Dict[type, Any] = {}
-        #: Fast-lane controller (see ``repro.harness.fastlane``); set by
-        #: the harness when the scenario enables the hybrid lane, None
-        #: otherwise.  Protocol handlers must never read lane state —
-        #: the lane talks to the MSS, not the other way around (ANA204).
-        self.fastlane: Optional[Any] = None
         network.attach(self)
 
     def close(self) -> None:
@@ -190,11 +185,9 @@ class MSS:
         lock, an open round, a scheme's own gate or round table —
         abandons its waiters: the parked request is dropped and its
         generator closed while the station is still whole.  The handler
-        cache (bound methods of the station itself) and the link to a
-        fast lane (which holds the stations) go too.
+        cache (bound methods of the station itself) goes too.
         """
         self._handlers.clear()
-        self.fastlane = None
         for name in _waits(type(self)):
             held = getattr(self, name)
             for wait in held.values() if type(held) is dict else (held,):
@@ -357,23 +350,6 @@ class MSS:
             return "channel request holds the acquisition lock"
         return None
 
-    def fastlane_eligible(self) -> bool:
-        """May this station be advanced analytically right now?
-
-        The fast lane demotes a cell only while its protocol state is
-        *quiescent*: nothing in flight, nothing deferred, no borrowed
-        channels — so that an Erlang-loss fluid model is an exact
-        stand-in for the discrete dynamics.  Subclasses that support
-        the lane override this; the abstract default is conservative.
-        """
-        return False
-
-    def fastlane_reconcile(self) -> None:
-        """State-bridge hook: reconcile protocol-internal history with
-        the just-materialized occupancy (called by the fast lane after
-        it populates ``use`` at a promotion).  Default: nothing —
-        stateless schemes need no reconciliation."""
-
     # -- shared helpers -----------------------------------------------------
     def _checked_guard(self, guard_channels: int) -> int:
         """``guard_channels`` if it leaves new calls a primary, else ValueError."""
@@ -525,11 +501,6 @@ class MSS:
         logical message reaches its handler exactly once.
         """
         payload = envelope.payload
-        if self.fastlane is not None:
-            # Materialize before handling: a fluid cell (or one whose
-            # fluid neighbor this message implicates) must be discrete
-            # before any protocol handler observes it.
-            self.fastlane.notify_message(self.cell)
         if self._link is not None:
             if type(payload) is Ack:
                 self._link.on_ack(payload)

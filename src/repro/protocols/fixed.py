@@ -27,7 +27,6 @@ class FixedMSS(MSS):
     """Static allocation: serve from ``PR_i`` or deny."""
 
     scheme = "fixed"
-    fluid_model = True
 
     def __init__(self, *args, guard_channels: int = 0, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -47,8 +46,3 @@ class FixedMSS(MSS):
 
     def _release(self, channel: int) -> None:
         self._drop_from_use(channel)
-
-    def fastlane_eligible(self) -> bool:
-        """FCA is always an isolated M/M/c/c loss system — any live
-        cell may be advanced analytically (no messages, no borrowing)."""
-        return not self.down

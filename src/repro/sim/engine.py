@@ -90,8 +90,8 @@ class Environment:
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none.
 
-        Cancelled entries (see :meth:`cancel`) are discarded on the way
-        so the answer is the next event that will actually process.
+        Abandoned entries (see :meth:`Event.abandon`) are discarded on
+        the way so the answer is the next event that will actually process.
         """
         queue = self._queue
         while queue and queue[0][3].callbacks is None:
@@ -173,20 +173,6 @@ class Environment:
         self._eid = eid = self._eid + 1
         _heappush(self._queue, (self._now + delay, priority, eid, event))
 
-    def cancel(self, event: Event) -> None:
-        """Remove a scheduled event from the queue (lazy deletion).
-
-        The heap entry stays in place but is skipped unprocessed when it
-        surfaces: O(1) instead of an O(n) heap rebuild.  Callbacks never
-        run and the clock does not advance for a cancelled entry, so
-        cancelling an event a process waits on silently abandons that
-        process (the fast lane uses this to take a demoted cell's
-        pending arrival timeout off the event heap).
-        """
-        if event._processed:
-            raise RuntimeError(f"{event!r} was already processed")
-        event.callbacks = None
-
     def close(self) -> None:
         """Abandon everything scheduled; the environment will not run again.
 
@@ -216,7 +202,7 @@ class Environment:
 
         callbacks = event.callbacks
         if callbacks is None:
-            return  # cancelled: skip without advancing the clock
+            return  # abandoned: skip without advancing the clock
         self._now = when
         event.callbacks = None  # late callback registration is a bug
         event._processed = True
@@ -277,7 +263,7 @@ class Environment:
                 when, _prio, _eid, event = pop(queue)
                 callbacks = event.callbacks
                 if callbacks is None:
-                    continue  # cancelled: skip without advancing the clock
+                    continue  # abandoned: skip without advancing the clock
                 self._now = when
                 event.callbacks = None  # late callback registration is a bug
                 event._processed = True

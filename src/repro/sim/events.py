@@ -222,16 +222,6 @@ class Process(Event):
         env._eid = eid = env._eid + 1
         _heappush(env._queue, (env._now, URGENT, eid, init))
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the underlying generator has not terminated."""
-        return self._value is PENDING
-
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process currently waits on."""
-        return self._target
-
     # -- internal --------------------------------------------------------
     def _resume(self, event: Event) -> None:
         env = self.env

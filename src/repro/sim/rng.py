@@ -335,13 +335,6 @@ class StreamRegistry:
         if key not in self._streams:
             self._reserved.add(key)
 
-    def spawn(self, *parts: Any) -> "StreamRegistry":
-        """Derive a child registry (e.g. one per replication)."""
-        digest = hashlib.sha256(
-            f"{self.seed}:spawn:{self._key(parts)}".encode("utf-8")
-        ).digest()
-        return StreamRegistry(int.from_bytes(digest[:8], "little"))
-
     # -- snapshot hooks (see repro.snap.state) -------------------------------
     def state_dict(self) -> Dict[str, Dict[str, Any]]:
         """Every stream's bit-generator state by key, sorted: the streams

@@ -49,7 +49,7 @@ def checkpoint(sim: Any) -> Snapshot:
     and the caller should step the kernel and retry —
     :func:`run_to_checkpoint` does exactly that.  An unserializable
     scenario raises :class:`SnapshotError`; a combination no amount of
-    stepping makes capturable (fastlane, a ``TrafficMix`` source),
+    stepping makes capturable (a ``TrafficMix`` source),
     :class:`~repro.harness.capability.CompatibilityError`.
     """
     try:

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, Generator, Optional, Union
 
-from ..sim import Environment, Event, Process, StreamRegistry
+from ..sim import Environment, Event, StreamRegistry
 from .calls import CallConfig, CallLog, call_process
 from .mix import TrafficMix
 from .patterns import LoadPattern
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from ..harness.fastlane import FastLane
     from ..protocols import MSS
 
 __all__ = ["TrafficSource"]
@@ -55,13 +54,6 @@ class TrafficSource:
         #: Aggregate accounting (all classes combined).
         self.log = CallLog()
         self._started = False
-        #: Fast-lane controller (``repro.harness.fastlane``); when set,
-        #: cells the lane claims at t=0 get no arrival process until
-        #: the lane promotes them via :meth:`launch`.
-        self.lane: Optional["FastLane"] = None
-        #: Live arrival process per cell (lane demotion cancels the
-        #: process's pending gap timeout through this).
-        self._procs: Dict[int, Process] = {}
 
     def start(self) -> None:
         """Launch one arrival process per cell (their arrival and call
@@ -69,52 +61,12 @@ class TrafficSource:
         if self._started:
             raise RuntimeError("traffic source already started")
         self._started = True
-        cells = [
-            cell for cell in sorted(self.stations)
-            if self.pattern.max_rate(cell) > 0
-            # A cell the lane claims is fluid from t=0; the lane settles it.
-            and not (self.lane is not None and self.lane.claims(cell))
-        ]
+        cells = [cell for cell in sorted(self.stations) if self.pattern.max_rate(cell) > 0]
         self.streams.prepare(
             ("traffic", kind, cell) for cell in cells for kind in ("arrivals", "calls")
         )
         for cell in cells:
-            self.launch(cell)
-
-    def launch(self, cell: int) -> None:
-        """(Re)start the arrival process for one cell.
-
-        Used at :meth:`start` and by the fast lane at promotion.  The
-        per-cell RNG substreams are memoized in the registry, so a
-        relaunched process resumes the *same* stream where the previous
-        incarnation (or the lane's settlement replay) left it.
-        """
-        self._procs[cell] = self.env.process(
-            self._arrivals(cell), name=f"arrivals[{cell}]"
-        )
-
-    def close(self) -> None:
-        """Forget the arrival processes (their frames hold the source)
-        and the fast lane (which holds it too)."""
-        self._procs.clear()
-        self.lane = None
-
-    def halt(self, cell: int) -> None:
-        """Take a cell's arrival process off the event heap (fast lane).
-
-        The process is parked on its next-gap :class:`Timeout`;
-        cancelling that timeout abandons the generator without running
-        any of its code.  Exactness note: the un-elapsed exponential
-        gap can be discarded because the exponential is memoryless —
-        redrawing from the (memoized, position-preserved) stream at
-        promotion is distributionally identical.
-        """
-        proc = self._procs.pop(cell, None)
-        if proc is None or not proc.is_alive:
-            return
-        target = proc.target
-        if target is not None:
-            self.env.cancel(target)
+            self.env.process(self._arrivals(cell), name=f"arrivals[{cell}]")
 
     def _arrivals(
         self, cell: int, wake_at: Optional[float] = None

@@ -177,46 +177,37 @@ def assert_drains_under_hostile_faults(scheme, seed=1):
 
 
 #: feature -> the smallest request that switches it on, for every
-#: feature ``repro.harness.capability.CAPABILITIES`` mentions:
-#: ``scenario`` (Scenario fields), ``lanes`` / ``source``
-#: (``check_compatible`` keywords) and ``argv`` (the same thing said to
-#: ``python -m repro``, a subcommand first; absent where no flag says
-#: it).  The boundary test and the lane oracle in tests/test_lanes.py
-#: both build their requests from it, so a feature without a witness
-#: fails there.
+#: feature ``repro.harness.capability.CAPABILITIES`` mentions and every
+#: one the lane oracle draws: ``scenario`` (Scenario fields) and
+#: ``lanes`` / ``source`` (``check_compatible`` keywords).  The boundary
+#: test and the lane oracle in tests/test_lanes.py both build their
+#: requests from it, so a feature without a witness fails there.
 WITNESS = {
-    "classic kernel": dict(argv=[]),
-    "fastlane": dict(scenario=dict(fastlane=True), argv=["--fastlane"]),
-    "checkpoint": dict(lanes=("checkpoint",), argv=["snapshot", "take", "--at", "100"]),
+    "checkpoint": dict(lanes=("checkpoint",)),
     "workers": dict(),
     "result cache": dict(),
-    "scheme without fluid model": dict(
-        scenario=dict(scheme="basic_update"), argv=["--scheme", "basic_update"]
-    ),
-    "fault plan": dict(scenario=dict(faults=HOSTILE_FAULTS), argv=["--faults", "0.05"]),
-    "mobility": dict(scenario=dict(mean_dwell=600.0), argv=["--dwell", "600"]),
+    "scheme that requires FIFO links": dict(scenario=dict(scheme="adaptive")),
+    "fault plan": dict(scenario=dict(faults=HOSTILE_FAULTS)),
+    "mobility": dict(scenario=dict(mean_dwell=600.0)),
     "guard channels": dict(scenario=dict(extra_params={"guard_channels": 2})),
     "TrafficMix": dict(source=SimpleNamespace(mix=object())),
     "obs": dict(scenario=dict(obs=20.0)),
     "random latency": dict(scenario=dict(latency_model="uniform", latency_spread=0.5)),
     "setup deadline": dict(scenario=dict(setup_deadline=10.0)),
-    "planar grid": dict(scenario=dict(wrap=False), argv=["--no-wrap"]),
+    "planar grid": dict(scenario=dict(wrap=False)),
     "unordered links": dict(scenario=dict(fifo=False)),
 }
 
 
 def witness_request(*names, **fields):
-    """The witnesses of ``names`` merged into one request, ``fields``
-    overriding their Scenario fields: ``(check_compatible keywords, the
-    argv saying the same or None where some feature has no flag)``."""
-    scenario, pieces = {}, []
+    """The witnesses of ``names`` merged into one ``check_compatible``
+    request, ``fields`` overriding their Scenario fields."""
+    scenario = {}
     request = {"lanes": (), "source": None}
     for name in names:
         witness = WITNESS[name]
         scenario.update(witness.get("scenario", {}))
         request["lanes"] += witness.get("lanes", ())
         request["source"] = witness.get("source", request["source"])
-        pieces.append(witness.get("argv"))
     scenario.update(fields)
-    argv = None if None in pieces else sum(sorted(pieces, key=lambda p: p[:1] != ["snapshot"]), [])
-    return dict(request, scenario=Scenario(**scenario)), argv
+    return dict(request, scenario=Scenario(**scenario))

@@ -366,9 +366,9 @@ def test_snapshot_written_by_the_parent_commit_restores_and_recheckpoints(name):
     assert sim.metrics.records.rows() == snap.state["metrics"]["records"]
     assert checkpoint(sim).to_bytes() == data
     report = run_from_snapshot(snap)
-    # The fixture rows predate the removal of a Report column that was always null here.
+    # The fixture rows predate the removal of two Report columns that were always null here.
     row = dict(expected["row"])
-    assert row.pop("regret_vs_oracle") is None
+    assert row.pop("regret_vs_oracle") is None and row.pop("fastlane") is None
     assert json.loads(json.dumps(report_row(report))) == row
     records = [tuple(r) for r in report.metrics.records]
     assert len(records) == expected["offered"]

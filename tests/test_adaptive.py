@@ -348,15 +348,3 @@ def test_hysteresis_reduces_flapping():
         return s.mode_changes
 
     assert run(2.0, 2.0) >= run(1.0, 4.0)
-
-
-def test_free_primary_count_accounts_interference():
-    env, net, topo, stations, monitor, metrics = adaptive_stack()
-    s = stations[0]
-    assert s.free_primary_count() == len(topo.PR(0))
-    drive(env, s.request_channel())
-    assert s.free_primary_count() == len(topo.PR(0)) - 1
-    neighbor = sorted(topo.IN(0))[0]
-    borrowed = sorted(topo.PR(0))[-1]
-    s._mirror_add(s.U, neighbor, borrowed)  # neighbor borrowed one of our primaries
-    assert s.free_primary_count() == len(topo.PR(0)) - 2

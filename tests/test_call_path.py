@@ -63,6 +63,8 @@ def b0_smoke(scheme):
 #: the restructuring, the other four on a clean copy of f02d344.  The
 #: row digests were re-read at ec772e8 without ``Report.regret_vs_oracle``
 #: (always None here); with it put back they give the original digests.
+#: They include ``Report.fastlane``, always None here too, which the
+#: test puts back now that the fast lane is gone.
 PINNED = {
     "fixed": (
         Scenario(scheme="fixed", offered_load=8.0, duration=400.0, warmup=50.0,
@@ -106,7 +108,7 @@ def test_run_equals_the_parent_commit_bare_and_observed(bare, name):
         assert sim.env._eid == eid
         assert report.offered == offered
         assert digest([tuple(r) for r in sim.metrics.records]) == records_digest
-        assert digest(sorted(report_row(report).items())) == row_digest
+        assert digest(sorted({**report_row(report), "fastlane": None}.items())) == row_digest
 
     # begin / serve / end pair by (cell, req_id): at most one serve and
     # one end per begin (requests in flight at the horizon have none),

@@ -393,9 +393,9 @@ def test_sim010_honours_noqa_and_flags_a_stale_one(tmp_path):
         "src/repro/harness/x.py",
         """
         def f(env, probes):
-            env.emit("fastlane.demote", None)  # repro: noqa(SIM010)
-            if "fastlane.promote" in env._probes:
-                env.emit("fastlane.promote", None)  # repro: noqa(SIM010)
+            env.emit("cell.halt", None)  # repro: noqa(SIM010)
+            if "cell.resume" in env._probes:
+                env.emit("cell.resume", None)  # repro: noqa(SIM010)
         """,
     )
     findings = check_file(path)
@@ -780,7 +780,7 @@ def test_registry_codes_unique_and_documented():
     seen = [rule.code for rule in RULES]
     assert seen == sorted(set(seen))
     headings = re.findall(r"^### ((?:SIM|ANA)\d{3}) ", (ROOT / "docs/CHECKS.md").read_text(), re.M)
-    assert sorted(headings) == sorted(seen + [STALE_NOQA_CODE]) and len(headings) == 23
+    assert sorted(headings) == sorted(seen + [STALE_NOQA_CODE]) and len(headings) == 22
     for rule in RULES:
         assert rule.description
         assert rule.paths

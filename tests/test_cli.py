@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import Scenario
 from repro.__main__ import build_parser, main, scenario_from_args
 
 
@@ -163,25 +164,42 @@ def test_shards_flag_is_gone_not_ignored(capsys, nothing_constructed):
     assert "unrecognized arguments: --shards 2" in err
 
 
+def test_fastlane_is_gone_as_a_flag_and_as_a_config_key(capsys, tmp_path, nothing_constructed):
+    config = tmp_path / "lane.json"
+    config.write_text(json.dumps(dict(json.loads(Scenario().to_json()), fastlane=True)))
+    for argv, said in (["--fastlane"], "unrecognized arguments: --fastlane"), (
+        ["--config", str(config)], "fast lane was removed"
+    ):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and said in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ["--scheme", "basic_update", "--fastlane"],
-        ["--fastlane", "--faults", "0.05"],
-        ["snapshot", "take", "--at", "100", "--fastlane"],
-        # Four of the six cells are not runnable: none may be simulated.
-        ["--all-schemes", "--fastlane"],
+        ["--config", "UNORDERED"],
+        ["snapshot", "take", "--at", "100", "--config", "UNORDERED"],
+        # Five of the six cells are runnable: none may be simulated.
+        ["--all-schemes", "--config", "UNORDERED"],
     ],
     ids=" ".join,
 )
 def test_rejected_combination_is_one_error_line_not_a_traceback(
-    argv, capsys, monkeypatch, tmp_path, nothing_constructed
+    argv, capsys, monkeypatch, tmp_path_factory, nothing_constructed
 ):
-    monkeypatch.chdir(tmp_path)
-    rc = main(argv + ["--duration", "300", "--warmup", "50"])
+    # Unordered links with the adaptive scheme: a --config file is the
+    # one way to say fifo=False on the command line.
+    config = tmp_path_factory.mktemp("config") / "unordered.json"
+    config.write_text(Scenario(fifo=False, duration=300.0, warmup=50.0).to_json())
+    cwd = tmp_path_factory.mktemp("cwd")
+    monkeypatch.chdir(cwd)
+    rc = main([str(config) if arg == "UNORDERED" else arg for arg in argv])
     assert rc == 2  # argparse's own code for a bad command line
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
-    assert not list(tmp_path.iterdir())
+    assert "FIFO" in err and "Traceback" not in err
+    assert not list(cwd.iterdir())

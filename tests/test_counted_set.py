@@ -7,8 +7,8 @@ refcounted sets they replaced.
 (b) *Same view* — Hypothesis drives a station's mask mirrors and the
     reference with the same interleaved ``add`` / ``discard`` /
     ``replace`` writes, ``use`` changes and crash wipes; ``interfered()``,
-    ``free_primary_count()``, the ``I_i`` refcounts and the snapshot
-    state must match after every step.
+    the ``I_i`` refcounts and the snapshot state must match after every
+    step.
 (c) *Guards the sets cannot meet* — mirror bytes per station on a
     28×28 ``basic_update`` run and a 7×7 ``adaptive`` one (as sets:
     4.6 KiB and 17.0 KiB).
@@ -37,7 +37,7 @@ class _CountedSet(set):
     union inside ``check_mode`` — which runs on *every* message — was
     the simulator's hottest path (40% of runtime, measured).  Instead,
     every mutation of a mirrored set updates the owner's channel
-    refcount, so ``interfered()`` and ``free_primary_count`` become
+    refcount, so ``interfered()`` and the free-primary count become
     O(result) lookups.
     """
 
@@ -303,9 +303,6 @@ class ReferenceView:
     def interfered(self):
         return set(self._icount)
 
-    def free_primary_count(self):
-        return sum(1 for c in self.PR if c not in self.use and c not in self._icount)
-
     def state_dict(self):
         return {
             "U": {j: set(self.U.peek(j)) for j in self.IN},
@@ -354,7 +351,6 @@ def test_the_masks_derive_what_the_sets_did(script):
             else:
                 getattr(reference, kind)(j, arg)
         assert ours.interfered() == theirs.interfered()
-        assert ours.free_primary_count() == theirs.free_primary_count()
         assert ours._icount == theirs._icount
         state = ours.state_dict()
         assert {k: state[k] for k in ("U", "granted_out")} == theirs.state_dict()

@@ -97,12 +97,10 @@ def test_subscribers_never_change_a_run(bare, name):
     assert sim_all.network._seq == sim.network._seq == sim_one.network._seq
 
 
-#: Catalogued kinds none of the three scenarios can reach: they need
-#: the fast lane, or a loss pattern (terminally lost ACQUISITION,
-#: traffic across the severed link) these short runs do not produce.
+#: Catalogued kinds none of the three scenarios can reach: they need a
+#: loss pattern (terminally lost ACQUISITION, traffic across the
+#: severed link) these short runs do not produce.
 NOT_DRIVEN = {
-    "fastlane.demote",
-    "fastlane.promote",
     "fault.ack_timeout",
     "fault.partition",
 }
@@ -357,19 +355,6 @@ def test_every_scheduling_site_puts_the_envelope_itself_on_the_heap():
     assert [len(network.node(n).got) for n in range(6)] == [0, 1, 1, 1, 0, 2]
     assert network.node(1).got[0].callbacks is None
     assert network.node(1).got[0]._processed is True
-
-
-def test_cancelling_an_envelope_skips_its_delivery():
-    env, network, _ = twin()
-    first = network.send(0, 1, "first")
-    second = network.send(0, 1, "second")
-    env.cancel(second)
-    assert second.callbacks is None
-    assert env.peek() == first.deliver_at
-    env.run()
-    assert [e.payload for e in network.node(1).got] == ["first"]
-    with pytest.raises(RuntimeError, match="already processed"):
-        env.cancel(first)
 
 
 def test_restored_in_flight_messages_are_envelope_entries():

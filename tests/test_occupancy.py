@@ -1,46 +1,10 @@
-"""Tests for the a-priori occupancy model (truncated Poisson, ξ)."""
+"""Tests for the a-priori occupancy model (ξ)."""
 
 import dataclasses
-import math
 
 import pytest
 
-from repro.analysis.occupancy import predict_xi, truncated_poisson_pmf
-from repro.analysis import erlang_b
-
-
-def test_pmf_sums_to_one():
-    for a, c in [(0.5, 3), (5.0, 10), (50.0, 40)]:
-        pmf = truncated_poisson_pmf(a, c)
-        assert sum(pmf.values()) == pytest.approx(1.0)
-        assert set(pmf) == set(range(c + 1))
-
-
-def test_pmf_top_state_equals_erlang_b():
-    for a, c in [(1.0, 1), (5.0, 10), (12.0, 10)]:
-        pmf = truncated_poisson_pmf(a, c)
-        assert pmf[c] == pytest.approx(erlang_b(a, c), rel=1e-9)
-
-
-def test_pmf_zero_load_concentrates_at_zero():
-    pmf = truncated_poisson_pmf(0.0, 5)
-    assert pmf[0] == 1.0
-    assert all(pmf[k] == 0 for k in range(1, 6))
-
-
-def test_pmf_matches_direct_formula():
-    a, c = 4.2, 7
-    pmf = truncated_poisson_pmf(a, c)
-    denom = sum(a**j / math.factorial(j) for j in range(c + 1))
-    for k in range(c + 1):
-        assert pmf[k] == pytest.approx((a**k / math.factorial(k)) / denom)
-
-
-def test_pmf_validation():
-    with pytest.raises(ValueError):
-        truncated_poisson_pmf(-1, 5)
-    with pytest.raises(ValueError):
-        truncated_poisson_pmf(1, -5)
+from repro.analysis.occupancy import predict_xi
 
 
 def test_predict_xi_fractions_form_distribution():

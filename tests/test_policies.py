@@ -151,11 +151,3 @@ def test_midrun_checkpoint_resumes_row_identically(name):
     snapshot = run_to_checkpoint(scenario, at=80.0)
     resumed = report_row(run_from_snapshot(snapshot))
     assert resumed == cold
-
-
-# -- fast lane --------------------------------------------------------------
-
-
-def test_fastlane_accepts_safe_policies():
-    report = run_scenario(small(policy="quantile", fastlane=True))
-    assert report.fastlane is not None

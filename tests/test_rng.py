@@ -41,18 +41,6 @@ def test_adding_consumer_does_not_perturb_existing():
     assert np.array_equal(only_x, with_y)
 
 
-def test_spawn_derives_child_registry():
-    parent = StreamRegistry(seed=3)
-    child1 = parent.spawn("rep", 0)
-    child2 = parent.spawn("rep", 1)
-    a = child1.stream("x").random(5)
-    b = child2.stream("x").random(5)
-    assert not np.array_equal(a, b)
-    # Deterministic derivation.
-    again = StreamRegistry(seed=3).spawn("rep", 0).stream("x").random(5)
-    assert np.array_equal(a, again)
-
-
 def test_multi_part_names():
     reg = StreamRegistry(seed=4)
     assert reg.stream("a", "b", 1) is reg.stream("a", "b", 1)
@@ -88,8 +76,6 @@ def test_separator_in_a_name_part_is_rejected(parts):
     reg = StreamRegistry(seed=4)
     with pytest.raises(ValueError, match="must not contain '/'"):
         reg.stream(*parts)
-    with pytest.raises(ValueError, match="must not contain '/'"):
-        reg.spawn(*parts)
     assert reg.stream("a", "b") is reg.stream("a", "b")
 
 

@@ -52,6 +52,18 @@ def test_unknown_field_rejected():
         Scenario.from_dict({"bogus_field": 1})
 
 
+def test_fastlane_is_a_format_constant_not_a_field():
+    # The lane is gone; its key stays in every v2 scenario JSON (snapshots,
+    # result-cache keys), always false.
+    text = Scenario(seed=3, fifo=False).to_json()
+    assert json.loads(text)["fastlane"] is False
+    assert Scenario.from_json(text).to_json() == text
+    with pytest.raises(ValueError, match="fast lane was removed"):
+        Scenario.from_json(text.replace('"fastlane": false', '"fastlane": true'))
+    with pytest.raises(TypeError):
+        Scenario(fastlane=False)
+
+
 def test_json_is_valid_and_sorted():
     text = Scenario(seed=3).to_json()
     data = json.loads(text)

@@ -24,15 +24,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.__main__ import build_parser, main
-from repro.harness import (
-    SCHEMES,
-    CompatibilityError,
-    Scenario,
-    build_simulation,
-    check_compatible,
-    run_scenario,
-)
-from repro.harness.capability import CAPABILITIES
+from repro.harness import SCHEMES, Scenario, build_simulation, run_scenario
 from repro.protocols import MSS, NO_CHANNEL, ReqType, Request, ResType, Response
 from repro.sim.network import Message
 from repro.snap import checkpoint, restore, run_from_snapshot, run_to_checkpoint
@@ -207,12 +199,6 @@ def test_toy_traces_without_an_analytical_model(toy, tmp_path, capsys):
     assert "(no analytical model" in (run_dir / "report.md").read_text()
     events = json.loads((run_dir / "trace.json").read_text())["traceEvents"]
     assert any(e["name"] == "round.begin" for e in events)  # MSS._await_round's probe
-
-
-def test_toy_is_refused_by_the_fast_lane(toy):
-    reason = CAPABILITIES["fastlane", "scheme without fluid model"].detail
-    with pytest.raises(CompatibilityError, match=reason[:40]):
-        check_compatible(busy(fastlane=True))
 
 
 def test_toy_requests_end_under_hostile_faults(toy):

@@ -28,7 +28,7 @@ from repro.snap import run_from_snapshot, run_to_checkpoint
 
 from conftest import HOSTILE_FAULTS, report_row
 
-HEAVY = ("network", "source", "monitor", "injector", "observer", "sanitizers", "fastlane")
+HEAVY = ("network", "source", "monitor", "injector", "observer", "sanitizers")
 
 
 def faulty():
@@ -112,15 +112,6 @@ def test_run_scenario_leaves_nothing_for_the_collector(built, collector_off, sch
             assert count < 50
         assert report.offered > 50 and report.violations == 0
     assert collector_off == []
-
-
-def test_a_fast_lane_run_is_freed_too(built, collector_off):
-    lane_on = scenario("adaptive", 3.0, fastlane=True)
-    run_scenario(lane_on)
-    del built[:]
-    report = run_scenario(lane_on)
-    (parts,) = built
-    assert report.fastlane["demotions"] > 0 and alive(parts) == [] and collector_off == []
 
 
 @pytest.mark.parametrize("faults", [None, faulty()], ids=["clean", "faults"])

@@ -17,10 +17,10 @@ ANA104    rules: every kind sent is handled, every handler's kind is
           sent, every ``msg.<attr>`` is a field, every constructor
           call matches its dataclass.
 ANA201–   State isolation (``isolation.py``): stations interact only
-ANA204,   by messages, and no simulation state lives where a snapshot
+ANA203,   by messages, and no simulation state lives where a snapshot
 ANA301    cannot see it — no cross-cell dereference, no mutable class
-          attribute or module global, no fluid-state access in a
-          handler, no generator outside the stream registry.
+          attribute or module global, no generator outside the stream
+          registry.
 ANA401    Public surface (``surface.py``), whole-program: every public
           def, class and method under ``src/repro`` is referenced
           outside ``tests/``, or names its consumer in a pragma.

@@ -1,4 +1,4 @@
-"""State-isolation rules (ANA201–ANA204, ANA301).
+"""State-isolation rules (ANA201–ANA203, ANA301).
 
 The paper's system model is that mobile service stations share nothing
 and interact *only* by messages; the reproduction adds that a run's
@@ -11,7 +11,6 @@ bit for bit.  These rules flag the shortcuts around both:
 * **ANA202** / **ANA203** — process-shared mutable state: a mutable
   class attribute or module global is shared by every cell of a run
   and every run of the process, and no snapshot sees it.
-* **ANA204** — fluid-state access from inside a message handler.
 * **ANA301** — a random generator constructed outside the stream
   registry: state no snapshot captures.
 """
@@ -168,45 +167,6 @@ class NoMutableModuleGlobal(StatefulRule):
             )
 
 
-class NoFluidAccessInHandler(CellRule):
-    """ANA204: a message handler never touches ``self.fastlane``.
-
-    By the time an ``_on_*`` / ``_handle_*`` method runs,
-    ``MSS.on_message`` has already materialized the cell (the lane's one
-    sanctioned dispatch hook); a handler reaching into the lane again
-    either re-promotes a cell mid-settlement or reads fluid occupancy
-    its own delivery just invalidated.
-    """
-
-    code = "ANA204"
-    description = "no self.fastlane access inside a message handler"
-
-    def run(self, tree: ast.Module, ctx: CheckContext) -> Iterator[Match]:
-        for cls in ast.walk(tree):
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            for func in cls.body:
-                if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                if not func.name.startswith(("_on_", "_handle_")):
-                    continue
-                for node in ast.walk(func):
-                    if (
-                        isinstance(node, ast.Attribute)
-                        and node.attr == "fastlane"
-                        and isinstance(node.value, ast.Name)
-                        and node.value.id == "self"
-                    ):
-                        yield node, (
-                            f"fluid-state access: {cls.name}.{func.name} "
-                            "touches self.fastlane inside a message "
-                            "handler — on_message already materialized "
-                            "this cell before dispatch; interact with "
-                            "the lane only via the fastlane_eligible/"
-                            "fastlane_reconcile hooks"
-                        )
-
-
 class NoUnregisteredGenerator(StatefulRule):
     """ANA301: every generator comes from the stream registry.
 
@@ -249,6 +209,5 @@ ISOLATION_RULES: List[AnyRule] = [
     NoCrossCellAccess(),
     NoMutableClassAttribute(),
     NoMutableModuleGlobal(),
-    NoFluidAccessInHandler(),
     NoUnregisteredGenerator(),
 ]
