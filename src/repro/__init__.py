@@ -26,6 +26,9 @@ Quick start::
 
 __version__ = "1.0.0"
 
+import sys
+from typing import Any, Dict, List, Tuple
+
 from .cellular import CellularTopology, HexGrid, ReusePattern, Spectrum
 from .sim import Environment, Network, StreamRegistry
 
@@ -57,13 +60,28 @@ _HARNESS_EXPORTS = (
 )
 
 
-def __getattr__(name):
-    if name in _HARNESS_EXPORTS:
-        from . import harness
+def lazy_exports(package: str, table: Dict[str, Tuple[str, ...]]):
+    """``(__getattr__, __dir__)`` for a package whose names in ``table``
+    (``{submodule: names}``) import their submodule at first access.
 
-        return getattr(harness, name)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    The package's one loader: its ``__init__`` imports what every run
+    needs and lists each export that not every run uses in ``table``,
+    so a run imports only the modules it executes (DESIGN.md, "What a
+    run imports").
+    """
+    home = {name: package + module for module, names in table.items() for name in names}
+
+    def __getattr__(name: str) -> Any:
+        module = home.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        # The import statement's own path, so `python -X importtime` lists the load.
+        return getattr(__import__(module, fromlist=(name,)), name)
+
+    def __dir__() -> List[str]:
+        return sorted(set(vars(sys.modules[package])) | set(home))
+
+    return __getattr__, __dir__
 
 
-def __dir__():
-    return sorted(set(globals()) | set(_HARNESS_EXPORTS))
+__getattr__, __dir__ = lazy_exports(__name__, {".harness": _HARNESS_EXPORTS})

@@ -19,16 +19,14 @@ import argparse
 import json
 import sys
 
-from .faults import FaultPlan
 from .harness import (
     SCHEMES,
     CompatibilityError,
     ExperimentError,
     Scenario,
-    render_table,
     run_cells,
 )
-from .policies.base import policy_names
+from .policies import policy_names
 from .traffic import HotspotLoad
 
 
@@ -143,12 +141,9 @@ def scenario_from_args(args, scheme: str) -> Scenario:
             hot_cells=args.hotspot,
             hot_rate=args.hot_load / args.holding,
         )
-    faults = (
-        FaultPlan.uniform_loss(args.faults) if args.faults is not None else None
-    )
     return Scenario(
         scheme=scheme,
-        faults=faults,
+        faults=_uniform_loss(args),
         rows=args.rows,
         cols=args.cols,
         num_channels=args.channels,
@@ -168,6 +163,15 @@ def scenario_from_args(args, scheme: str) -> Scenario:
         window=args.window,
         policy=args.policy or "linear",
     )
+
+
+def _uniform_loss(args):
+    """The ``--faults P`` plan, or None without the flag."""
+    if args.faults is None:
+        return None
+    from .faults import FaultPlan
+
+    return FaultPlan.uniform_loss(args.faults)
 
 
 def report_dict(report) -> dict:
@@ -325,7 +329,7 @@ def _scenarios(args, schemes, parser: argparse.ArgumentParser) -> list:
 
         overrides: dict = {}
         if args.faults is not None:
-            overrides["faults"] = FaultPlan.uniform_loss(args.faults)
+            overrides["faults"] = _uniform_loss(args)
         if args.policy is not None:
             overrides["policy"] = args.policy
         return [s.with_(**overrides) for s in scenarios]
@@ -397,6 +401,8 @@ def _print_reports(args, reports) -> int:
     if len(reports) == 1:
         print(reports[0].summary())
     else:
+        from .harness import render_table
+
         rows = [
             [
                 r.scenario.scheme,

@@ -120,7 +120,6 @@ class AdaptiveMSS(Requester, Responder, MSS):
     """
 
     scheme = "adaptive"
-    requires_fifo = True
     policy_driven = True
     SCENARIO_FIELDS = ("alpha", "theta_low", "theta_high", "window", "policy", "policy_params")
     #: The plain fields; :meth:`state_dict` adds the ones that are not

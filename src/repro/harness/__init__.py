@@ -1,5 +1,6 @@
 """Experiment harness: scenarios, runners, replication, table output."""
 
+from .. import lazy_exports
 from .capability import CompatibilityError, check_compatible
 from .config import Scenario
 from .runner import (
@@ -10,12 +11,6 @@ from .runner import (
     run_replications,
     run_scenario,
 )
-from .ascii_viz import sparkline
-from .cache import ResultCache, cache_key, code_stamp, resolve_cache
-from .parallel import CellFailure, ExperimentError, default_workers, run_cells
-from .presets import PRESETS, preset, preset_names
-from .stats import CI, compare, summarize
-from .tables import format_value, render_table
 
 __all__ = [
     "run_cells",
@@ -45,3 +40,14 @@ __all__ = [
     "render_table",
     "format_value",
 ]
+
+#: The sweep tooling — pool, result cache, presets, statistics, tables
+#: — loads at first use: one run builds, runs and reports without it.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".parallel": ("run_cells", "default_workers", "CellFailure", "ExperimentError"),
+    ".cache": ("ResultCache", "resolve_cache", "cache_key", "code_stamp"),
+    ".ascii_viz": ("sparkline",),
+    ".stats": ("CI", "summarize", "compare"),
+    ".presets": ("preset", "preset_names", "PRESETS"),
+    ".tables": ("render_table", "format_value"),
+})

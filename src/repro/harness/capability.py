@@ -20,23 +20,53 @@ is an argparse error.  ``docs/CAPABILITIES.md`` is generated from it.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Set, Tuple, Type
+import importlib
+from typing import Any, Callable, Dict, Iterable, Iterator, MutableMapping, Set, Tuple, Type
 
-from ..core import AdaptiveMSS
-from ..policies.base import policy_spec
-from ..protocols import MSS, AdvancedUpdateMSS, BasicSearchMSS, BasicUpdateMSS, FixedMSS, PrakashMSS
+from ..protocols import MSS
 
 __all__ = ["SCHEMES", "CAPABILITIES", "CompatibilityError", "check_compatible", "features"]
 
+
+class _Schemes(MutableMapping[str, Type[MSS]]):
+    """Scheme name -> ``MSS`` subclass.  A stock entry is a function that
+    reads the class off its package, whose lazy exports import the
+    scheme's module then: a run loads only the scheme it runs.
+    Assigning an entry registers a class as it is (a drop-in scheme)."""
+
+    def __init__(self, stock: Dict[str, Callable[[], Type[MSS]]]) -> None:
+        self._entries: Dict[str, Any] = dict(stock)
+
+    def __getitem__(self, name: str) -> Type[MSS]:
+        entry = self._entries[name]
+        return entry if isinstance(entry, type) else entry()
+
+    def __setitem__(self, name: str, cls: Type[MSS]) -> None:
+        self._entries[name] = cls
+
+    def __delitem__(self, name: str) -> None:
+        del self._entries[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+def _package(name: str) -> Any:
+    return importlib.import_module(f"repro.{name}")
+
+
 #: Registry of allocation schemes by name.
-SCHEMES: Dict[str, Type[MSS]] = {
-    "fixed": FixedMSS,
-    "basic_search": BasicSearchMSS,
-    "basic_update": BasicUpdateMSS,
-    "advanced_update": AdvancedUpdateMSS,
-    "adaptive": AdaptiveMSS,
-    "prakash": PrakashMSS,
-}
+SCHEMES = _Schemes({
+    "fixed": lambda: _package("protocols").FixedMSS,
+    "basic_search": lambda: _package("protocols").BasicSearchMSS,
+    "basic_update": lambda: _package("protocols").BasicUpdateMSS,
+    "advanced_update": lambda: _package("protocols").AdvancedUpdateMSS,
+    "adaptive": lambda: _package("core").AdaptiveMSS,
+    "prakash": lambda: _package("protocols").PrakashMSS,
+})
 
 
 class CompatibilityError(ValueError):
@@ -66,10 +96,10 @@ def features(scenario: Any = None, *, lanes: Iterable[str] = (), source: Any = N
         on.add("TrafficMix")
     if scenario is None:
         return on
-    scheme = SCHEMES.get(scenario.scheme, MSS)  # an unknown name is build_simulation's to refuse
+    scheme = SCHEMES.get(scenario.scheme)  # an unknown name is build_simulation's to refuse
     derived = (
         ("unordered links", not scenario.fifo),
-        ("scheme that requires FIFO links", scheme.requires_fifo),
+        ("scheme that requires FIFO links", scheme is not None and scheme.requires_fifo),
     )
     return on.union(name for name, holds in derived if holds)
 
@@ -82,6 +112,8 @@ def check_compatible(scenario: Any = None, *, lanes: Iterable[str] = (), source:
     Every entry point calls this before it builds anything.
     """
     if scenario is not None and SCHEMES.get(scenario.scheme, MSS).policy_driven:
+        from ..policies import policy_spec  # a policy-driven scheme loads the registry
+
         policy_spec(scenario.policy)
     on = features(scenario, lanes=lanes, source=source)
     for (a, b), reason in CAPABILITIES.items():

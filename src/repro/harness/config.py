@@ -12,9 +12,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
-from ..faults import FaultPlan
 from ..traffic.patterns import (
     HotspotLoad,
     LoadPattern,
@@ -23,6 +22,9 @@ from ..traffic.patterns import (
     TemporalHotspot,
     UniformLoad,
 )
+
+if TYPE_CHECKING:
+    from ..faults import FaultPlan
 
 __all__ = ["Scenario"]
 
@@ -217,10 +219,11 @@ class Scenario:
             raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
         if data.get("pattern") is not None:
             data["pattern"] = _pattern_from_dict(data["pattern"])
-        if data.get("faults") is not None and not isinstance(
-            data["faults"], FaultPlan
-        ):
-            data["faults"] = FaultPlan.from_dict(data["faults"])
+        if data.get("faults") is not None:
+            from ..faults import FaultPlan  # a fault plan loads its package
+
+            if not isinstance(data["faults"], FaultPlan):
+                data["faults"] = FaultPlan.from_dict(data["faults"])
         if data.get("channels_per_color") is not None:
             # JSON object keys are strings; restore integer colors.
             data["channels_per_color"] = {

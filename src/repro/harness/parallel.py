@@ -27,7 +27,8 @@ Guarantees, in order of importance:
 runs serially in-process, with the same failure capture and the same
 result cache integration (see :mod:`repro.harness.cache`).  The pool
 machinery (``multiprocessing`` and the sockets and selectors under it)
-is imported only when a pool runs, so a serial run never loads it.
+is imported only when a pool runs, and the cache only when one is on,
+so a serial run with ``cache=False`` loads neither.
 """
 
 from __future__ import annotations
@@ -35,13 +36,14 @@ from __future__ import annotations
 import os
 import traceback
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
-from ..verify import get_default_policy, set_default_policy
-from .cache import ResultCache, resolve_cache
 from .capability import check_compatible
 from .config import Scenario
-from .runner import Report, run_scenario
+from .runner import Report, default_sanitizer_policy, run_scenario
+
+if TYPE_CHECKING:
+    from .cache import ResultCache
 
 __all__ = [
     "CellFailure",
@@ -106,7 +108,9 @@ def _run_cell(cell: _Cell) -> _CellResult:
     """
     index, scenario, policy = cell
     try:
-        if get_default_policy() != policy:
+        if default_sanitizer_policy() != policy:
+            from ..verify import set_default_policy
+
             set_default_policy(policy)
         return index, True, run_scenario(scenario)
     except Exception:
@@ -164,11 +168,15 @@ def run_cells(
         if not isinstance(scenario, Scenario):
             raise TypeError(f"cell {index} is not a Scenario: {scenario!r}")
         check_compatible(scenario)
-    store: Optional[ResultCache] = resolve_cache(cache)
+    store: Optional[ResultCache] = None
+    if cache is not False:
+        from .cache import resolve_cache
+
+        store = resolve_cache(cache)
     reports: List[Optional[Report]] = [None] * len(scenarios)
 
     pending: List[_Cell] = []
-    policy = get_default_policy()
+    policy = default_sanitizer_policy()
     for index, scenario in enumerate(scenarios):
         hit = store.get(scenario) if store is not None else None
         if hit is not None:

@@ -8,13 +8,12 @@ and safety monitor — runs it to the scenario horizon, and returns a
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from ..cellular import CellularTopology, topology_for
-from ..faults import FaultInjector, Hardening
 from ..metrics import MetricsCollector
-from ..obs import ObsData, Observer
 from ..protocols import MSS, InterferenceMonitor
 from ..sim import (
     DeterministicLatency,
@@ -24,9 +23,13 @@ from ..sim import (
     UniformLatency,
 )
 from ..traffic import CallConfig, HotspotLoad, PiecewiseLoad, TemporalHotspot, TrafficSource
-from ..verify import SanitizerSuite, get_default_policy
 from .capability import SCHEMES, check_compatible
 from .config import Scenario
+
+if TYPE_CHECKING:
+    from ..faults import FaultInjector
+    from ..obs import ObsData, Observer
+    from ..verify import SanitizerSuite
 
 __all__ = ["SCHEMES", "Simulation", "Report", "build_simulation", "run_scenario", "run_replications"]
 
@@ -53,14 +56,15 @@ class Simulation:
     observer: Optional[Observer] = None
 
     #: Snapshot fields (see :mod:`repro.snap.state`): the components
-    #: with a declaration of their own (not a dataclass field).
+    #: with a declaration of their own (not a dataclass field); the
+    #: injector's and the observer's classes load with their feature.
     SNAPSHOT = (
         ("network", "network", Network),
         ("metrics", "metrics", MetricsCollector),
         ("monitor", "monitor", InterferenceMonitor),
         ("source", "source", TrafficSource),
-        ("injector", "injector", FaultInjector),
-        ("obs", "observer", Observer),
+        ("injector", "injector", object),
+        ("obs", "observer", object),
     )
 
     def at_warmup(self, wake_at: Optional[float] = None):
@@ -226,6 +230,16 @@ class Report:
         return "\n".join(lines)
 
 
+def default_sanitizer_policy() -> Optional[str]:
+    """The process-wide sanitizer policy (:func:`repro.verify.set_default_policy`).
+
+    Only that module sets one, so until something imports it there is
+    none, and a run reads it without loading the checkers' package.
+    """
+    verify = sys.modules.get("repro.verify")
+    return None if verify is None else verify.get_default_policy()
+
+
 def _make_latency(scenario: Scenario, streams: StreamRegistry):
     if scenario.latency_model == "deterministic":
         return DeterministicLatency(scenario.latency_T)
@@ -268,20 +282,22 @@ def build_simulation(scenario: Scenario) -> Simulation:
     network = Network(env, _make_latency(scenario, streams), fifo=scenario.fifo)
     metrics = MetricsCollector(warmup=scenario.warmup)
     monitor = InterferenceMonitor(topo, policy=scenario.monitor_policy)
-    sanitizer_policy = get_default_policy()
-    sanitizers = (
-        SanitizerSuite(env, network, monitor, policy=sanitizer_policy)
-        if sanitizer_policy is not None
-        else None
-    )
+    sanitizer_policy = default_sanitizer_policy()
+    sanitizers: Optional[SanitizerSuite] = None
+    if sanitizer_policy is not None:
+        from ..verify import SanitizerSuite
+
+        sanitizers = SanitizerSuite(env, network, monitor, policy=sanitizer_policy)
 
     # Fault injection + protocol hardening: wired only for a plan that
     # actually injects something, so a disabled/absent plan runs the
     # original reliable-network code paths event-for-event.
     injector: Optional[FaultInjector] = None
-    hardening: Optional[Hardening] = None
+    hardening = None
     plan = scenario.faults
     if plan is not None and plan.enabled:
+        from ..faults import FaultInjector, Hardening
+
         injector = FaultInjector(
             env,
             plan,
@@ -331,6 +347,8 @@ def build_simulation(scenario: Scenario) -> Simulation:
     # subscribes and the kernel's no-probe fast path stays active.
     observer: Optional[Observer] = None
     if scenario.obs is not None:
+        from ..obs import Observer
+
         observer = Observer(env, stations, scenario.obs, scenario.duration, network)
 
     return Simulation(

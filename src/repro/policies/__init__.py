@@ -15,9 +15,8 @@ decorate with :func:`register_policy`, and every harness entry point
 only if it passes the rule in docs/POLICIES.md.
 """
 
-# Import order matters: `base` must be fully loaded before the policy
-# modules, because importing any of them pulls in repro.core, whose
-# adaptive scheme imports `make_policy` back out of `base`.
+# A policy registers itself when its module is imported: the package
+# imports every one, so `policy_names()` and `policy_spec()` see them all.
 from .base import (
     ModePolicy,
     make_policy,

@@ -6,25 +6,9 @@ the three published baselines it is compared against (§2.2, §5):
 fixed allocation, basic search, basic update, advanced update.
 """
 
-from .advanced_update import AdvancedUpdateMSS
+from .. import lazy_exports
 from .base import MSS
-from .basic_search import BasicSearchMSS
-from .basic_update import BasicUpdateMSS
-from .fixed import FixedMSS
-from .messages import (
-    Acquisition,
-    AcqType,
-    ChangeMode,
-    NO_CHANNEL,
-    Release,
-    ReqType,
-    Request,
-    ResType,
-    Response,
-    Timestamp,
-)
 from .monitor import InterferenceMonitor, InterferenceViolation
-from .prakash import PrakashMSS
 
 __all__ = [
     "MSS",
@@ -46,3 +30,18 @@ __all__ = [
     "Timestamp",
     "NO_CHANNEL",
 ]
+
+#: A scheme's module loads at its first lookup, so a run imports only
+#: the scheme it runs (``repro.harness.SCHEMES``), and the message
+#: vocabulary with the first scheme that sends one.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".messages": (
+        "Request", "Response", "ChangeMode", "Acquisition", "Release",
+        "ReqType", "ResType", "AcqType", "Timestamp", "NO_CHANNEL",
+    ),
+    ".fixed": ("FixedMSS",),
+    ".basic_search": ("BasicSearchMSS",),
+    ".basic_update": ("BasicUpdateMSS",),
+    ".advanced_update": ("AdvancedUpdateMSS",),
+    ".prakash": ("PrakashMSS",),
+})

@@ -56,6 +56,7 @@ class AdvancedUpdateMSS(MSS):
     """Primary-arbitrated borrowing (Dong & Lai's advanced update)."""
 
     scheme = "advanced_update"
+    requires_fifo = False  # tests/test_fifo_assumption.py stresses it over unordered links
     SCENARIO_FIELDS = ("max_attempts",)
     #: ``state_dict`` adds the mirrors, as ``{j: set}`` over every
     #: sender ever heard (emptied ones included).

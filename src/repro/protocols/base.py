@@ -27,14 +27,16 @@ from __future__ import annotations
 from collections import deque
 from functools import lru_cache
 from types import GeneratorType
-from typing import Any, Dict, FrozenSet, Generator, Iterable, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Generator, Iterable, Optional, Set, Tuple
 
 from ..cellular import CellularTopology
-from ..faults.arq import Ack, DedupFilter, Hardening, ReliableLink
 from ..sim import Collector, Environment, Envelope, Event, Network, Resource
 from ..sim.events import PENDING
-from .messages import Timestamp
 from .monitor import InterferenceMonitor
+
+if TYPE_CHECKING:
+    from ..faults.arq import DedupFilter, Hardening, ReliableLink
+    from .messages import Timestamp
 
 __all__ = ["MSS"]
 
@@ -67,8 +69,10 @@ class MSS:
     #: Capability cells a scheme owns (see ``repro.harness.capability``):
     #: do its handshakes need per-link FIFO delivery (docs/PROTOCOL.md
     #: §7), and does a ``ModePolicy`` drive it.  Set the attribute; the
-    #: table and the lane oracle pick it up.
-    requires_fifo = False
+    #: table and the lane oracle pick it up.  Unordered links need
+    #: evidence: a scheme declares ``requires_fifo = False`` only with a
+    #: stress over them that passes (``tests/test_fifo_assumption.py``).
+    requires_fifo = True
     policy_driven = False
     #: ``Scenario`` fields the constructor takes, each as the keyword of
     #: the same name (``build_simulation`` passes them).
@@ -81,7 +85,8 @@ class MSS:
     local_acquires = 0
     local_notify_sum = 0
     #: Snapshot fields (see :mod:`repro.snap.state`); a subclass lists
-    #: only what it adds.
+    #: only what it adds.  The link and the duplicate filter are
+    #: :mod:`repro.faults.arq` objects, loaded with the hardening.
     SNAPSHOT = (
         ("scheme", "__class__", type),
         "use",
@@ -92,8 +97,8 @@ class MSS:
         ("req_kind", "_req_kind"),
         ("alias", "_alias", deque),
         ("grant_mode", "_grant_mode"),
-        ("link", "_link", ReliableLink),
-        ("dedup", "_dedup", DedupFilter),
+        ("link", "_link", object),
+        ("dedup", "_dedup", object),
     )
     #: ``_attempts`` is scratch of the request being served: zeroed when
     #: serving starts, and no request is open at a safe point.
@@ -131,14 +136,15 @@ class MSS:
         #: plan) leaves the original reliable-network fast paths fully
         #: intact.
         self.hardening = hardening
+        self._link: Optional[ReliableLink] = None
+        self._dedup: Optional[DedupFilter] = None
         if hardening is not None:
-            self._link: Optional[ReliableLink] = ReliableLink(
-                env, network, cell, hardening, metrics
-            )
-            self._dedup: Optional[DedupFilter] = DedupFilter()
-        else:
-            self._link = None
-            self._dedup = None
+            from ..faults.arq import Ack, DedupFilter, ReliableLink
+
+            self._link = ReliableLink(env, network, cell, hardening, metrics)
+            self._dedup = DedupFilter()
+            #: The link layer's acknowledgement, told apart in dispatch.
+            self._ack = Ack
         #: True while this station is crashed (fault injection).
         self.down = False
         #: Credits for channels force-released by a crash: the calls
@@ -502,12 +508,13 @@ class MSS:
         """
         payload = envelope.payload
         if self._link is not None:
-            if type(payload) is Ack:
+            ack = self._ack
+            if type(payload) is ack:
                 self._link.on_ack(payload)
                 return
             if self.down:
                 return  # crashed: the radio is off
-            self.network.send(self.cell, envelope.src, Ack(envelope.msg_id))
+            self.network.send(self.cell, envelope.src, ack(envelope.msg_id))
             if not self._dedup.accept(envelope.src, envelope.msg_id):
                 if "fault.duplicate_suppressed" in self._probes:
                     self.env.emit(

@@ -28,6 +28,7 @@ class BasicSearchMSS(MSS):
     """Search-based dynamic allocation (stateless between requests)."""
 
     scheme = "basic_search"
+    requires_fifo = False  # tests/test_fifo_assumption.py stresses it over unordered links
     SNAPSHOT = (("collector_round", "_collector_round"),)
 
     def __init__(self, *args, **kwargs) -> None:

@@ -41,6 +41,7 @@ class BasicUpdateMSS(MSS):
     """Update-based dynamic allocation with local channel pick."""
 
     scheme = "basic_update"
+    requires_fifo = False  # tests/test_fifo_assumption.py stresses it over unordered links
     SCENARIO_FIELDS = ("max_attempts",)
     #: ``state_dict`` adds the mirrors, as ``{j: set}`` over ``IN``.
     SNAPSHOT = (("collector_round", "_collector_round"),)

@@ -15,10 +15,12 @@ Off by default.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .base import MSS
-from .messages import Timestamp
+
+if TYPE_CHECKING:
+    from .messages import Timestamp
 
 __all__ = ["FixedMSS"]
 
@@ -27,6 +29,7 @@ class FixedMSS(MSS):
     """Static allocation: serve from ``PR_i`` or deny."""
 
     scheme = "fixed"
+    requires_fifo = False  # tests/test_fifo_assumption.py stresses it over unordered links
 
     def __init__(self, *args, guard_channels: int = 0, **kwargs) -> None:
         super().__init__(*args, **kwargs)

@@ -20,6 +20,9 @@ attribute holds:
 * a class that has a declaration of its own — the attribute is such an
   object or None (both sides must agree), or a list / dict of them,
   rebuilt blank from their fields alone;
+* ``object`` — the attribute is an object of a class with a
+  declaration, or None (both sides must agree), where the class loads
+  only with its feature (a hardened station's link, a run's injector);
 * a record class (NamedTuple, dataclass) — the rows of a list;
 * any other callable — rebuilds one value of a dict or list (``set``,
   ``deque``, ``dict``), or the attribute itself (an enum); ``type``
@@ -65,7 +68,6 @@ from dataclasses import fields, is_dataclass
 from functools import lru_cache
 from typing import Any, Callable, Dict, List, Tuple
 
-from ..faults.arq import ReliableLink
 from ..harness.capability import check_compatible
 from ..sim.events import NORMAL, PENDING, ConditionEvent, Process
 from ..sim.network import Envelope, decode_payload, encode_payload
@@ -111,9 +113,9 @@ def _plan(cls: type) -> Tuple[Any, Any, Any]:
             key, attr, element = (
                 (entry, entry, None) if isinstance(entry, str) else (*entry, None)[:3]
             )
-            is_part = isinstance(element, type) and _declared(element)
+            is_part = element is object or (isinstance(element, type) and _declared(element))
             if is_part:
-                make = _reviver(element)
+                make = None if element is object else _reviver(element)
             elif isinstance(element, type) and (
                 is_dataclass(element) or hasattr(element, "_fields")
             ):
@@ -182,7 +184,7 @@ def _apply(obj: Any, data: Dict[str, Any], where: str) -> None:
     found, _, load_state = _plan(type(obj))
     for key, attr, make, is_part in found:
         value = data[key]
-        if make is None and type(value) in _SCALARS:
+        if make is None and not is_part and type(value) in _SCALARS:
             setattr(obj, attr, value)  # most fields of most objects
             continue
         live = getattr(obj, attr)
@@ -291,7 +293,7 @@ def _classify_queue(sim: Any) -> List[Dict[str, Any]]:
                 "msg_id": envelope.msg_id,
                 "fault_tag": envelope.fault_tag,
             })
-        elif isinstance(owner, ReliableLink) and name == "_on_timer":
+        elif name == "_on_timer":  # a hardened station's ARQ link
             if event._value in owner._pending:  # else acknowledged: a no-op
                 entries.append({
                     "kind": "arq_timer",

@@ -1,8 +1,7 @@
 """Traffic workloads: load patterns, call lifecycle, arrival processes."""
 
+from .. import lazy_exports
 from .calls import CallConfig, CallLog, call_process
-from .mix import TrafficClass, TrafficMix
-from .waypoint import WaypointHost, waypoint_call_process
 from .patterns import (
     HotspotLoad,
     LoadPattern,
@@ -29,3 +28,10 @@ __all__ = [
     "WaypointHost",
     "waypoint_call_process",
 ]
+
+#: Multi-class sources and waypoint mobility are built by the code that
+#: uses them; a scenario's own source needs neither.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".mix": ("TrafficClass", "TrafficMix"),
+    ".waypoint": ("WaypointHost", "waypoint_call_process"),
+})

@@ -17,11 +17,11 @@ from typing import TYPE_CHECKING, Any, Dict, Generator, Optional, Union
 
 from ..sim import Environment, Event, StreamRegistry
 from .calls import CallConfig, CallLog, call_process
-from .mix import TrafficMix
 from .patterns import LoadPattern
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from ..protocols import MSS
+    from .mix import TrafficMix
 
 __all__ = ["TrafficSource"]
 
@@ -47,7 +47,7 @@ class TrafficSource:
         self.pattern = pattern
         #: Either a single CallConfig or a multi-class TrafficMix.
         self.config = config
-        self.mix = config if isinstance(config, TrafficMix) else None
+        self.mix = None if isinstance(config, CallConfig) else config
         self.streams = streams
         #: Arrivals stop at this time (active calls drain naturally).
         self.horizon = horizon

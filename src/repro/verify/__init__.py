@@ -29,11 +29,7 @@ globally via :func:`set_default_policy`.
 
 from typing import Optional
 
-from .base import Sanitizer, Violation
-from .causality import CausalityChecker, CausalityViolation
-from .deadlock import DeadlockDetector, DeadlockViolation
-from .quiescence import QuiescenceChecker, QuiescenceViolation
-from .suite import SanitizerSuite
+from .. import lazy_exports
 
 __all__ = [
     "Sanitizer",
@@ -48,6 +44,17 @@ __all__ = [
     "set_default_policy",
     "get_default_policy",
 ]
+
+#: The checkers load when a simulation is built under a default policy:
+#: this package itself holds only that policy, so a run without one
+#: imports none of them.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".base": ("Sanitizer", "Violation"),
+    ".causality": ("CausalityChecker", "CausalityViolation"),
+    ".deadlock": ("DeadlockDetector", "DeadlockViolation"),
+    ".quiescence": ("QuiescenceChecker", "QuiescenceViolation"),
+    ".suite": ("SanitizerSuite",),
+})
 
 #: Module-level default policy: when not ``None``, the harness attaches
 #: a :class:`SanitizerSuite` with this policy to every simulation it

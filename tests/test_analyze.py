@@ -597,6 +597,47 @@ def test_one_defect_one_code_suppressible_nowhere_invisible(tmp_path, code):
         assert codes(stale) == ["SIM100"], relpath
 
 
+# ---------------------------------------------------------------- ANA401 ----
+def surface_findings(tmp_path, consumer_source, consumer="src/repro/user.py"):
+    """ANA401 on a package whose one public def, ``spawn``, only ``consumer`` may use."""
+    write(tmp_path, "src/repro/__init__.py", "")
+    write(tmp_path, consumer, consumer_source)
+    path = write(tmp_path, "src/repro/rng.py", "def spawn():\n    return 1\n")
+    return codes(check_file(path))
+
+
+def test_ana401_a_string_argument_is_not_a_reference(tmp_path):
+    # A start-method name once kept a method of the same name alive.
+    source = 'import multiprocessing\nctx = multiprocessing.get_context("spawn")\n'
+    assert surface_findings(tmp_path, source) == ["ANA401"]
+
+
+@pytest.mark.parametrize("builtin", ["getattr", "hasattr", "delattr"])
+def test_ana401_an_attribute_builtins_name_is_a_reference(tmp_path, builtin):
+    assert surface_findings(tmp_path, f'import repro.rng\n{builtin}(repro.rng, "spawn")\n') == []
+
+
+def test_ana401_setattrs_name_is_a_reference(tmp_path):
+    assert surface_findings(tmp_path, 'import repro.rng\nsetattr(repro.rng, "spawn", 1)\n') == []
+
+
+def test_ana401_any_string_under_bench_is_a_reference(tmp_path):
+    # The benchmark's tracer binds methods from tuples of their names.
+    source = 'for attr in ("spawn", "other"):\n    print(attr)\n'
+    assert surface_findings(tmp_path, source, consumer="bench/trace.py") == []
+
+
+def test_ana401_an_export_table_entry_keeps_no_name(tmp_path):
+    source = """
+        from repro import lazy_exports
+
+        __all__ = ["spawn"]
+        _HARNESS_EXPORTS = ("spawn",)
+        __getattr__, __dir__ = lazy_exports(__name__, {".rng": ("spawn",)})
+    """
+    assert surface_findings(tmp_path, source, consumer="src/repro/pkg/__init__.py") == ["ANA401"]
+
+
 # ------------------------------------------------------------- real tree ----
 def test_real_tree_has_no_unbaselined_findings(tmp_path, monkeypatch):
     """Clean under every rule — and each file is parsed once, ``--dot`` included."""

@@ -11,8 +11,8 @@ two counters are there to meet every layer a real scheme meets —
 the ARQ payload codec, the causality sanitizer and its end-of-run round audit, the
 snapshot walker, the CLI and the capability table.
 
-The whole footprint is this module plus one line in ``SCHEMES``, which
-the ``toy`` fixture adds to the plain dict for one test at a time.  The
+The whole footprint is this module plus one entry in ``SCHEMES``, which
+the ``toy`` fixture adds to the registry for one test at a time.  The
 rounds' snapshot obstacle is ``MSS``'s own, so the ``SNAPSHOT`` tuple is
 all the class declares.  Serial only: a spawned worker imports
 ``repro`` afresh and would not see the patch.
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.__main__ import build_parser, main
-from repro.harness import SCHEMES, Scenario, build_simulation, run_scenario
+from repro.harness import SCHEMES, CompatibilityError, Scenario, build_simulation, run_scenario
 from repro.protocols import MSS, NO_CHANNEL, ReqType, Request, ResType, Response
 from repro.sim.network import Message
 from repro.snap import checkpoint, restore, run_from_snapshot, run_to_checkpoint
@@ -131,6 +131,14 @@ def test_the_patch_is_undone_with_the_fixture():
         patch.setitem(SCHEMES, "toy", ToyMSS)
         assert sorted(SCHEMES) == sorted(STOCK + ["toy"])
     assert sorted(SCHEMES) == STOCK
+
+
+def test_an_undeclared_scheme_is_refused_over_unordered_links(toy, nothing_constructed):
+    # Unordered links need evidence: the toy declares no requires_fifo,
+    # so it gets the default, True, and the capability table refuses.
+    assert ToyMSS.requires_fifo
+    with pytest.raises(CompatibilityError, match="scheme that requires FIFO links"):
+        run_scenario(busy(fifo=False))
 
 
 def test_toy_runs_clean_and_uses_both_paths(toy):

@@ -5,10 +5,13 @@ that nothing in the program references is kept alive only by its own
 tests.  The program is every ``.py`` file under :data:`CONSUMERS` of
 the checked file's tree: the run's parse where it has one, else read
 from disk, so the verdict does not depend on the paths given.  A
-reference is a ``Name``, an ``Attribute`` or an identifier-shaped
-string; ``__all__``, ``_HARNESS_EXPORTS``, imports and ``tests``
-directories are not.  A tree without ``src/repro/__init__.py`` is not
-the package and is not judged.
+reference is a ``Name``, an ``Attribute``, the constant name argument
+of ``getattr`` / ``setattr`` / ``hasattr`` / ``delattr``, or — under
+``bench/``, whose tracer binds methods from string tuples — any
+identifier-shaped string outside ``__all__``.  Any other string (an
+export table, a start-method name), an import and a ``tests``
+directory are not.  A tree without ``src/repro/__init__.py`` is not the
+package and is not judged.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ _ACCESSORS = frozenset({"setter", "getter", "deleter"})
 #: Decorators that register nothing, so they exempt nothing.
 _NEUTRAL = _ACCESSORS | {"property", "staticmethod", "classmethod", "dataclass", "lru_cache"}
 
-#: Assignments that list names without using them.
-_EXPORT_LISTS = frozenset({"__all__", "_HARNESS_EXPORTS"})
+#: The builtins whose second argument names an attribute.
+_ATTRIBUTE_CALLS = frozenset({"getattr", "setattr", "hasattr", "delattr"})
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 _Def = Union[ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef]
@@ -57,11 +60,26 @@ def _judged(tree: ast.Module) -> Iterator[_Def]:
 def _lists_exports(node: ast.AST) -> bool:
     targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
     return isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and any(
-        isinstance(t, ast.Name) and t.id in _EXPORT_LISTS for t in targets
+        isinstance(t, ast.Name) and t.id == "__all__" for t in targets
     )
 
 
-def _used_names(tree: ast.Module) -> Iterator[str]:
+def _attribute_name(node: ast.Call) -> Iterator[str]:
+    """The constant name ``getattr(obj, "name")`` and its kin look up."""
+    func, args = node.func, node.args
+    if (
+        isinstance(func, ast.Name)
+        and func.id in _ATTRIBUTE_CALLS
+        and len(args) >= 2
+        and isinstance(args[1], ast.Constant)
+        and isinstance(args[1].value, str)
+    ):
+        yield args[1].value
+
+
+def _used_names(tree: ast.Module, strings: bool = False) -> Iterator[str]:
+    """The names ``tree`` references; every identifier-shaped string
+    counts as one when ``strings`` is set."""
     stack: List[ast.AST] = [tree]
     while stack:
         node = stack.pop()
@@ -71,7 +89,9 @@ def _used_names(tree: ast.Module) -> Iterator[str]:
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif isinstance(node, ast.Call):
+            yield from _attribute_name(node)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             if node.value.isidentifier():
                 yield node.value
         accessors = [
@@ -90,7 +110,8 @@ def _references(root: Path, parsed: Dict[Path, ast.Module]) -> Set[str]:
                 tree = parsed.get(path.resolve())
                 if tree is None:
                     tree = ast.parse(path.read_text(), filename=str(path))
-                names.update(_used_names(tree))
+                # The benchmark's tracer binds methods from tuples of their names.
+                names.update(_used_names(tree, strings=top == "bench"))
     return names
 
 
