@@ -26,8 +26,14 @@ from .harness import (
     Scenario,
     run_cells,
 )
-from .policies import policy_names
 from .traffic import HotspotLoad
+
+#: The scenario flags that still apply next to a source that sets the
+#: whole scenario; any other scenario flag there is a usage error.
+_APPLY_WITH = {
+    "config": ("--scheme", "--faults", "--policy"),
+    "preset": ("--scheme", "--seed", "--faults", "--policy"),
+}
 
 
 def _worker_count(text: str) -> int:
@@ -70,10 +76,10 @@ def _scenario_flags() -> argparse.ArgumentParser:
     p.add_argument("--theta-high", type=float, default=3.0)
     p.add_argument("--window", type=float, default=30.0)
     p.add_argument(
-        "--policy", default=None, choices=policy_names(),
+        "--policy", default=None,
         help="mode policy for the adaptive scheme (LOCAL <-> BORROWING "
-        "decision rule); 'linear' is the paper's sliding-window "
-        "predictor — see docs/POLICIES.md",
+        "decision rule), by registry name; 'linear' (the default) is "
+        "the paper's sliding-window predictor — see docs/POLICIES.md",
     )
     p.add_argument(
         "--faults", type=float, default=None, metavar="P",
@@ -83,14 +89,24 @@ def _scenario_flags() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--config", type=str, default=None, metavar="FILE",
-        help="load the scenario from a JSON file (other scenario flags "
-        "are ignored; --scheme/--all-schemes still apply)",
+        help="load the whole scenario from a JSON file; of the scenario flags "
+        f"only {', '.join(_APPLY_WITH['config'])} may go with it, and override it",
     )
     p.add_argument(
         "--preset", type=str, default=None,
-        help="use a named preset workload (see --list-presets)",
+        help="use a named preset workload (see --list-presets); of the scenario "
+        f"flags only {', '.join(_APPLY_WITH['preset'])} may go with it, and override it",
     )
     return p
+
+
+def _given_flags(argv) -> dict:
+    """Destination -> option string of every scenario flag ``argv`` spells out."""
+    probe = _scenario_flags()
+    for action in probe._actions:
+        action.default = argparse.SUPPRESS
+    given, _others = probe.parse_known_args(argv)
+    return {a.dest: a.option_strings[0] for a in probe._actions if a.dest in vars(given)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -238,7 +254,7 @@ def snapshot_main(argv) -> int:
     if args.cmd == "take":
         from .snap import run_to_checkpoint, save_snapshot
 
-        scenario = _scenarios(args, [args.scheme], p)[0]
+        scenario = _scenarios(args, _given_flags(argv), p)[0]
         try:
             snap = run_to_checkpoint(scenario, args.at)
         except CompatibilityError:
@@ -311,28 +327,40 @@ def _load_snapshot(parser: argparse.ArgumentParser, path: str):
         parser.error(f"cannot load snapshot {path}: {exc}")
 
 
-def _scenarios(args, schemes, parser: argparse.ArgumentParser) -> list:
-    """The scenario of every requested scheme, from --config / --preset /
-    flags; a usage error if they do not make one."""
+def _scenarios(args, given: dict, parser: argparse.ArgumentParser, every_scheme=False) -> list:
+    """The scenario of the requested scheme (of every scheme with
+    ``every_scheme``), from --config / --preset / flags; a usage error if
+    they do not make one or would ignore a flag ``given``."""
+    source = "config" if args.config else "preset" if args.preset else None
+    applies = (f"--{source}", *_APPLY_WITH.get(source, ()))
+    ignored = [flag for flag in given.values() if source and flag not in applies]
+    if ignored:
+        parser.error(f"{', '.join(ignored)} not allowed with --{source}, which sets the whole "
+                     f"scenario (only {', '.join(_APPLY_WITH[source])} apply)")
+    if args.policy is not None:
+        from .policies import policy_names
+
+        if args.policy not in policy_names():
+            choices = ", ".join(map(repr, policy_names()))
+            parser.error(f"argument --policy: invalid choice: {args.policy!r} "
+                         f"(choose from {choices})")
     try:
         if args.config:
             with open(args.config) as fh:
                 base = Scenario.from_json(fh.read())
-            scenarios = [base.with_(scheme=s) for s in schemes]
         elif args.preset:
             from .harness import preset
 
             base = preset(args.preset)
-            scenarios = [base.with_(scheme=s, seed=args.seed) for s in schemes]
         else:
-            return [scenario_from_args(args, s) for s in schemes]
-
-        overrides: dict = {}
-        if args.faults is not None:
+            base = scenario_from_args(args, args.scheme)
+        overrides = {dest: getattr(args, dest) for dest in ("scheme", "seed", "policy")
+                     if dest in given}
+        if "faults" in given:
             overrides["faults"] = _uniform_loss(args)
-        if args.policy is not None:
-            overrides["policy"] = args.policy
-        return [s.with_(**overrides) for s in scenarios]
+        base = base.with_(**overrides)
+        schemes = sorted(SCHEMES) if every_scheme else [base.scheme]
+        return [base.with_(scheme=s) for s in schemes]
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
 
@@ -344,7 +372,7 @@ def main(argv=None) -> int:
         if argv and argv[0] == "snapshot":
             return snapshot_main(argv[1:])
         parser = build_parser()
-        return _run(parser.parse_args(argv), parser)
+        return _run(parser.parse_args(argv), _given_flags(argv), parser)
     except CompatibilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -357,7 +385,7 @@ def main(argv=None) -> int:
         return 1
 
 
-def _run(args, parser: argparse.ArgumentParser) -> int:
+def _run(args, given: dict, parser: argparse.ArgumentParser) -> int:
     if args.list_presets:
         from .harness import preset_names
 
@@ -365,8 +393,7 @@ def _run(args, parser: argparse.ArgumentParser) -> int:
             print(name)
         return 0
 
-    schemes = sorted(SCHEMES) if args.all_schemes else [args.scheme]
-    scenarios = _scenarios(args, schemes, parser)
+    scenarios = _scenarios(args, given, parser, every_scheme=args.all_schemes)
     if args.trace is not None:
         from .obs import SAMPLE_INTERVAL
 
@@ -403,6 +430,7 @@ def _print_reports(args, reports) -> int:
     else:
         from .harness import render_table
 
+        scenario = reports[0].scenario
         rows = [
             [
                 r.scenario.scheme,
@@ -418,7 +446,7 @@ def _print_reports(args, reports) -> int:
             render_table(
                 ["scheme", "drop", "acq time (T)", "msgs/req", "fairness", "violations"],
                 rows,
-                title=f"load={args.load} Erlang/cell, seed={args.seed}",
+                title=f"load={scenario.offered_load} Erlang/cell, seed={scenario.seed}",
             )
         )
     return 0

@@ -37,10 +37,6 @@ class CellularTopology:
         Size of the radio spectrum (paper's ``n``).
     cluster_size:
         Reuse cluster ``k`` (paper's implicit reuse pattern for PR sets).
-    interference_radius:
-        Reuse radius in cell hops; ``IN_i`` = all cells within this
-        distance.  Defaults to ``min_cochannel_distance - 1``, the
-        largest radius the reuse pattern safely supports.
     wrap:
         Toroidal grid (recommended for experiments; removes edge bias).
     channels_per_color:
@@ -55,20 +51,18 @@ class CellularTopology:
         cols: int,
         num_channels: int,
         cluster_size: int = 7,
-        interference_radius: Optional[int] = None,
         wrap: bool = False,
         channels_per_color: Optional[Dict[int, int]] = None,
     ) -> None:
         self.grid = HexGrid(rows, cols, wrap=wrap)
         self.pattern = ReusePattern(self.grid, cluster_size)
         self.spectrum = Spectrum(num_channels)
-        if interference_radius is None:
-            interference_radius = self.pattern.min_cochannel_distance() - 1
-        self.interference_radius = interference_radius
-        self.pattern.validate_against_radius(interference_radius)
+        #: Reuse radius in cell hops, ``IN_i`` = all cells within it: the
+        #: largest radius the reuse pattern safely supports.
+        self.interference_radius = self.pattern.min_cochannel_distance() - 1
         #: ``IN_i`` for every cell i (read-only).
         self.interference: Mapping[int, FrozenSet[int]] = MappingProxyType(
-            self.grid.interference_map(interference_radius)
+            self.grid.interference_map(self.interference_radius)
         )
         #: ``PR_i`` for every cell i (read-only).
         self.primaries: Mapping[int, FrozenSet[int]] = MappingProxyType(
@@ -133,7 +127,6 @@ def _shared_topology(
     cols: int,
     num_channels: int,
     cluster_size: int,
-    interference_radius: Optional[int],
     wrap: bool,
     channels_per_color: Optional[Tuple[Tuple[int, int], ...]],
 ) -> CellularTopology:
@@ -142,7 +135,6 @@ def _shared_topology(
         cols,
         num_channels=num_channels,
         cluster_size=cluster_size,
-        interference_radius=interference_radius,
         wrap=wrap,
         channels_per_color=(
             None if channels_per_color is None else dict(channels_per_color)
@@ -154,7 +146,7 @@ def topology_for(scenario: Any) -> CellularTopology:
     """The (shared, frozen) topology of ``scenario``'s shape.
 
     The one place a scenario becomes a :class:`CellularTopology`.
-    Scenarios that agree on the seven shape fields get the same object
+    Scenarios that agree on the six shape fields get the same object
     from a small least-recently-used memo, so replications and
     snapshot restores stop rebuilding identical static tables; a shape
     that fails validation raises every time (errors are not memoized).
@@ -165,7 +157,6 @@ def topology_for(scenario: Any) -> CellularTopology:
         scenario.cols,
         scenario.num_channels,
         scenario.cluster_size,
-        scenario.interference_radius,
         scenario.wrap,
         None if plan is None else tuple(sorted(plan.items())),
     )

@@ -89,11 +89,11 @@ class AdaptiveMSS(Requester, Responder, MSS):
         free-primary count.
     window:
         Prediction window ``W`` of the NFC history.
-    policy, policy_params:
+    policy:
         The mode-switching decision rule, by registry name (see
-        :mod:`repro.policies`), plus its policy-specific parameters.
-        The default ``"linear"`` is the paper's Fig. 6 predictor and
-        is bit-identical to the pre-registry implementation.
+        :mod:`repro.policies`).  The default ``"linear"`` is the paper's
+        Fig. 6 predictor and is bit-identical to the pre-registry
+        implementation.
     best_policy:
         Borrow-target selection: ``"best"`` (Fig. 10's heuristic —
         fewest borrowing neighbors in common), ``"first"`` (lowest
@@ -121,7 +121,7 @@ class AdaptiveMSS(Requester, Responder, MSS):
 
     scheme = "adaptive"
     policy_driven = True
-    SCENARIO_FIELDS = ("alpha", "theta_low", "theta_high", "window", "policy", "policy_params")
+    SCENARIO_FIELDS = ("alpha", "theta_low", "theta_high", "window", "policy")
     #: The plain fields; :meth:`state_dict` adds the ones that are not
     #: (counted mirrors, STATUS collectors, the tie-breaking generator).
     SNAPSHOT = (
@@ -147,7 +147,6 @@ class AdaptiveMSS(Requester, Responder, MSS):
         theta_high: float = 3.0,
         window: float = 30.0,
         policy: str = "linear",
-        policy_params: Optional[Dict[str, object]] = None,
         best_policy: str = "best",
         repack: bool = False,
         guard_channels: int = 0,
@@ -206,7 +205,6 @@ class AdaptiveMSS(Requester, Responder, MSS):
         #: The mode-switching decision rule (see ``repro.policies``).
         self.policy = make_policy(
             policy,
-            policy_params,
             cell=self.cell,
             theta_low=theta_low,
             theta_high=theta_high,

@@ -10,7 +10,7 @@ stop-and-wait ARQ per logical message:
   :class:`Ack` carrying the envelope's ``msg_id``;
 * an unacknowledged message is retransmitted after an RTO sized from
   the latency model's worst-case round trip, with exponential backoff,
-  up to ``max_retries`` times;
+  up to ``MAX_RETRIES`` times;
 * retransmissions reuse the original ``msg_id``, so the receiver-side
   :class:`DedupFilter` delivers each logical message to the handler
   exactly once no matter how many copies (injected duplicates or
@@ -28,7 +28,7 @@ stop-and-wait ARQ per logical message:
 
 Reliability is therefore end-to-end *per direction*: a request/response
 round survives loss as long as no single message exhausts its retry
-budget (probability ``p^(max_retries+1)`` under i.i.d. loss ``p``).
+budget (probability ``p^(MAX_RETRIES+1)`` under i.i.d. loss ``p``).
 When the budget *is* exhausted — heavy loss, a partition outlasting the
 backoff schedule, or a crashed peer — the protocols fall back to their
 round deadlines and resolve the round conservatively (missing verdicts
@@ -47,6 +47,11 @@ from typing import Any, Deque, Dict, Tuple
 from ..sim.network import Message, decode_payload, encode_payload
 
 __all__ = ["Ack", "Hardening", "ReliableLink", "DedupFilter"]
+
+#: Retransmissions of one message before the ARQ gives up on it.
+MAX_RETRIES = 3
+#: Growth factor of the retransmission timer per attempt.
+BACKOFF = 2.0
 
 
 @dataclass(frozen=True)
@@ -90,35 +95,21 @@ class Hardening:
     ack_timeout: float
 
     @classmethod
-    def from_plan(cls, plan: Any, max_one_way: float) -> "Hardening":
-        """Size every timeout from the worst one-way latency.
-
-        ``max_one_way`` must already include the plan's injected extra
-        delay (``latency.max_delay + plan.max_extra_delay()``).
-        """
-        rto = plan.rto if plan.rto is not None else 2.5 * max_one_way
+    def from_plan(cls, plan: Any, max_delay: float) -> "Hardening":
+        """Size every timeout from the worst one-way latency: the latency
+        model's ``max_delay`` plus the plan's worst injected delay."""
+        max_one_way = max_delay + plan.max_extra_delay()
+        rto = 2.5 * max_one_way
         # Total time one message can spend in the ARQ before giving up:
         # rto * (1 + b + b^2 + ... + b^retries) plus the final flight.
-        budget = 0.0
-        for attempt in range(plan.max_retries + 1):
-            budget += rto * plan.backoff**attempt
-        budget += max_one_way
-        round_deadline = (
-            plan.round_deadline
-            if plan.round_deadline is not None
-            else 2.0 * budget + 4.0 * max_one_way
-        )
-        ack_timeout = (
-            plan.ack_timeout
-            if plan.ack_timeout is not None
-            else round_deadline + budget + 4.0 * max_one_way
-        )
+        budget = sum(rto * BACKOFF**attempt for attempt in range(MAX_RETRIES + 1)) + max_one_way
+        round_deadline = 2.0 * budget + 4.0 * max_one_way
         return cls(
-            max_retries=plan.max_retries,
-            backoff=plan.backoff,
+            max_retries=MAX_RETRIES,
+            backoff=BACKOFF,
             rto=rto,
             round_deadline=round_deadline,
-            ack_timeout=ack_timeout,
+            ack_timeout=round_deadline + budget + 4.0 * max_one_way,
         )
 
 

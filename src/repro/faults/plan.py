@@ -15,9 +15,23 @@ persistent result cache's content-hash keys).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, Dict, Optional, Tuple
+from types import MappingProxyType
+from typing import Any, Dict, Mapping, Tuple
+
+from ..harness.config import drop_retired
+from .arq import BACKOFF, MAX_RETRIES
 
 __all__ = ["LinkPartition", "CrashWindow", "FaultPlan"]
+
+#: Hardening keys retired from the v2 fault-plan JSON, as the scenario's
+#: are (``repro.harness.config.RETIRED``): key -> (constant, why).
+RETIRED: Mapping[str, Tuple[Any, str]] = MappingProxyType({
+    "max_retries": (MAX_RETRIES, f"the ARQ retransmits at most {MAX_RETRIES} times"),
+    "backoff": (BACKOFF, f"the ARQ timer grows by {BACKOFF:g}x per retransmission"),
+    "rto": (None, "the retransmission timer is derived from the latency model"),
+    "round_deadline": (None, "the round deadline is derived from the latency model"),
+    "ack_timeout": (None, "the owed-ack backstop is derived from the latency model"),
+})
 
 
 @dataclass(frozen=True)
@@ -93,10 +107,9 @@ class FaultPlan:
     ``partitions`` and ``crashes`` schedule deterministic topology
     faults; see :class:`LinkPartition` and :class:`CrashWindow`.
 
-    The hardening knobs (``max_retries``, ``backoff``, ``rto``,
-    ``round_deadline``, ``ack_timeout``) parameterize the protocol-side
-    recovery machinery; ``None`` means "derive from the latency model"
-    (see :class:`repro.faults.arq.Hardening`).
+    The protocol-side recovery machinery takes nothing from the plan
+    but its worst injected delay: every timer is derived from it and
+    the latency model (see :class:`repro.faults.arq.Hardening`).
     """
 
     drop_prob: float = 0.0
@@ -107,12 +120,6 @@ class FaultPlan:
     reorder_delay: float = 0.0
     partitions: Tuple[LinkPartition, ...] = ()
     crashes: Tuple[CrashWindow, ...] = ()
-    # -- protocol-hardening knobs (active only while the plan is) --------
-    max_retries: int = 3
-    backoff: float = 2.0
-    rto: Optional[float] = None
-    round_deadline: Optional[float] = None
-    ack_timeout: Optional[float] = None
 
     def __post_init__(self) -> None:
         for name in ("drop_prob", "dup_prob", "delay_prob", "reorder_prob"):
@@ -123,10 +130,6 @@ class FaultPlan:
             raise ValueError("delay_prob > 0 needs extra_delay > 0")
         if self.reorder_prob > 0 and self.reorder_delay <= 0:
             raise ValueError("reorder_prob > 0 needs reorder_delay > 0")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.backoff < 1.0:
-            raise ValueError("backoff must be >= 1")
         # Normalize list inputs (e.g. from JSON) to tuples.
         if not isinstance(self.partitions, tuple):
             object.__setattr__(self, "partitions", tuple(self.partitions))
@@ -168,11 +171,13 @@ class FaultPlan:
             elif f.name == "crashes":
                 value = [vars(c).copy() for c in value]
             data[f.name] = value
+        data.update((key, constant) for key, (constant, _why) in RETIRED.items())
         return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FaultPlan":
         data = dict(data)
+        drop_retired(data, RETIRED)
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import json
 import math
+from copy import copy
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple
 
 from ..traffic.patterns import (
     HotspotLoad,
@@ -36,6 +38,30 @@ _PATTERN_TYPES = {
     "RampLoad": RampLoad,
     "PiecewiseLoad": PiecewiseLoad,
 }
+
+
+#: Keys retired from the version-2 scenario JSON: key -> (the value
+#: every v2 file holds, why the key is gone).  Each sits in every v2
+#: snapshot, every result-cache key and the warm-fork golden hash, so
+#: ``to_dict`` keeps writing it; all leave together at the next
+#: ``SNAPSHOT_FORMAT_VERSION`` (DESIGN.md §9).
+RETIRED: Mapping[str, Tuple[Any, str]] = MappingProxyType({
+    "fastlane": (False, "the fast lane was removed (DESIGN.md §10 records why)"),
+    "interference_radius": (None, "IN_i is derived: min co-channel distance - 1"),
+    "setup_deadline": (30.0, "a call gives up after 30 time units unserved"),
+    "policy_params": ({}, "a mode policy takes no parameters"),
+    "monitor_policy": ("raise", "the interference monitor always raises"),
+})
+
+
+def drop_retired(data: Dict[str, Any], retired: Mapping[str, Tuple[Any, str]]) -> None:
+    """Remove every retired key from ``data``; a value other than the
+    key's constant is a ``ValueError`` naming the key."""
+    for key, (constant, reason) in retired.items():
+        if key in data and data.pop(key) != constant:
+            raise ValueError(
+                f"{key}: {reason}; only {json.dumps(constant)} is accepted"
+            )
 
 
 def _pattern_to_dict(pattern: LoadPattern) -> Dict[str, Any]:
@@ -82,7 +108,6 @@ class Scenario:
     cols: int = 7
     num_channels: int = 70
     cluster_size: int = 7
-    interference_radius: Optional[int] = None
     wrap: bool = True
     #: Demand-weighted static plan: channel-pool size per reuse color
     #: (see ``repro.analysis.planning``); None = balanced split.
@@ -101,7 +126,6 @@ class Scenario:
     pattern: Optional[LoadPattern] = None
     mean_holding: float = 180.0
     mean_dwell: Optional[float] = None
-    setup_deadline: Optional[float] = 30.0
 
     # -- horizon ---------------------------------------------------------------
     duration: float = 4000.0
@@ -117,10 +141,6 @@ class Scenario:
     #: default "linear" is the paper's sliding-window predictor and is
     #: bit-identical to the pre-registry behaviour.
     policy: str = "linear"
-    #: Policy-specific constructor parameters (e.g. ``{"q": 0.1}`` for
-    #: "quantile").  Participates in the scenario JSON, hence in
-    #: result-cache keys.
-    policy_params: Dict[str, Any] = field(default_factory=dict)
 
     # -- baseline parameters -------------------------------------------------------
     max_attempts: int = 25
@@ -142,7 +162,6 @@ class Scenario:
 
     # -- bookkeeping ------------------------------------------------------------
     seed: int = 1
-    monitor_policy: str = "raise"
     #: Free-form extras forwarded to the MSS constructor.
     extra_params: Dict[str, Any] = field(default_factory=dict)
 
@@ -198,21 +217,14 @@ class Scenario:
         # asdict recursed into the plan; replace with the canonical form
         # (lists, not tuples) so cache keys and JSON round-trips agree.
         data["faults"] = self.faults.to_dict() if self.faults is not None else None
-        # A v2 format constant: the key sits in every v2 snapshot's
-        # scenario JSON, every result-cache key and the warm-fork golden
-        # hash, so it leaves with the next SNAPSHOT_FORMAT_VERSION.
-        data["fastlane"] = False
+        data.update((key, copy(constant)) for key, (constant, _why) in RETIRED.items())
         return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Scenario":
         """Inverse of :meth:`to_dict`; unknown keys are rejected."""
         data = dict(data)
-        if data.pop("fastlane", False):
-            raise ValueError(
-                "fastlane: the hybrid analytic fast lane was removed "
-                "(DESIGN.md §10 records why); run the scenario without it"
-            )
+        drop_retired(data, RETIRED)
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:

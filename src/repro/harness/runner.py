@@ -281,7 +281,7 @@ def build_simulation(scenario: Scenario) -> Simulation:
     _check_pattern_cells(scenario.pattern, topo.grid)
     network = Network(env, _make_latency(scenario, streams), fifo=scenario.fifo)
     metrics = MetricsCollector(warmup=scenario.warmup)
-    monitor = InterferenceMonitor(topo, policy=scenario.monitor_policy)
+    monitor = InterferenceMonitor(topo)
     sanitizer_policy = default_sanitizer_policy()
     sanitizers: Optional[SanitizerSuite] = None
     if sanitizer_policy is not None:
@@ -306,9 +306,7 @@ def build_simulation(scenario: Scenario) -> Simulation:
             metrics,
         )
         network.injector = injector
-        hardening = Hardening.from_plan(
-            plan, network.latency.max_delay + plan.max_extra_delay()
-        )
+        hardening = Hardening.from_plan(plan, network.latency.max_delay)
 
     cls = SCHEMES[scenario.scheme]
     kwargs: Dict[str, Any] = dict(scenario.extra_params)
@@ -333,11 +331,7 @@ def build_simulation(scenario: Scenario) -> Simulation:
         env,
         stations,
         scenario.effective_pattern(),
-        CallConfig(
-            mean_holding=scenario.mean_holding,
-            mean_dwell=scenario.mean_dwell,
-            setup_deadline=scenario.setup_deadline,
-        ),
+        CallConfig(mean_holding=scenario.mean_holding, mean_dwell=scenario.mean_dwell),
         streams,
         horizon=scenario.duration,
     )

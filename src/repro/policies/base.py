@@ -5,9 +5,8 @@ scheme's ``check_mode`` (Fig. 6): given the stream of free-primary
 samples it decides when a cell should enter or leave borrowing mode.
 The paper's linear predictor is the default ``linear`` entry; every
 other registered policy is a drop-in alternative selected per scenario
-(``Scenario.policy`` / ``--policy``) with JSON-serializable parameters
-(``Scenario.policy_params``), so a policy choice is part of the cache
-key and of snapshot identity like any other scenario field.
+(``Scenario.policy`` / ``--policy``), so a policy choice is part of the
+cache key and of snapshot identity like any other scenario field.
 
 Design constraints (why the interface looks the way it does):
 
@@ -65,7 +64,6 @@ def policy_spec(name: str) -> Type["ModePolicy"]:
 
 def make_policy(
     name: str,
-    params: Optional[Dict[str, Any]] = None,
     *,
     cell: int,
     theta_low: float,
@@ -74,26 +72,16 @@ def make_policy(
     horizon: float,
     initial: int,
 ) -> "ModePolicy":
-    """Instantiate the registered policy ``name`` for one station.
-
-    ``params`` are the policy-specific keyword arguments from
-    ``Scenario.policy_params`` (e.g. the quantile's ``q``); the
-    remaining arguments are the station-derived context every policy
-    receives.  Unknown parameters raise ``ValueError`` naming the policy.
-    """
-    cls = policy_spec(name)
-    try:
-        return cls(
-            cell=cell,
-            theta_low=theta_low,
-            theta_high=theta_high,
-            window=window,
-            horizon=horizon,
-            initial=initial,
-            **(params or {}),
-        )
-    except TypeError as exc:
-        raise ValueError(f"bad parameters for policy {name!r}: {exc}") from None
+    """Instantiate the registered policy ``name`` for one station, from
+    the station-derived context every policy receives."""
+    return policy_spec(name)(
+        cell=cell,
+        theta_low=theta_low,
+        theta_high=theta_high,
+        window=window,
+        horizon=horizon,
+        initial=initial,
+    )
 
 
 class ModePolicy:

@@ -1,19 +1,18 @@
 """Windowed-quantile policy: threshold test on a low load quantile.
 
 ``quantile`` keeps the raw (t, s) samples of the last ``W`` time units
-and compares a configurable quantile ``q`` of the retained
+and compares the lower quartile (``q = 0.25``) of the retained
 free-primary counts against θ_l/θ_h — a rank statistic instead of an
-extrapolation.  With the default ``q = 0.25`` the cell reacts to
-*sustained* scarcity (a quarter of the recent window at or below the
-threshold) and ignores one-sample dips entirely; there is no notion of
-trend, so it neither anticipates load like the linear predictor nor
-overshoots like it.
+extrapolation.  The cell reacts to *sustained* scarcity (a quarter of
+the recent window at or below the threshold) and ignores one-sample
+dips entirely; there is no notion of trend, so it neither anticipates
+load like the linear predictor nor overshoots like it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, ClassVar, Deque, Dict, List, Optional, Tuple
 
 from .base import ModePolicy, register_policy
 
@@ -25,12 +24,11 @@ class QuantilePolicy(ModePolicy):
     """Threshold test on the q-quantile of the sample window."""
 
     name = "quantile"
+    #: The quantile tested (E12 ran this one).
+    q: ClassVar[float] = 0.25
 
-    def __init__(self, q: float = 0.25, **context: Any) -> None:
+    def __init__(self, **context: Any) -> None:
         super().__init__(**context)
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("q must be in [0, 1]")
-        self.q = float(q)
         self._samples: Deque[Tuple[float, int]] = deque()
         self._initial = self.initial
 

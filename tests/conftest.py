@@ -193,7 +193,6 @@ WITNESS = {
     "TrafficMix": dict(source=SimpleNamespace(mix=object())),
     "obs": dict(scenario=dict(obs=20.0)),
     "random latency": dict(scenario=dict(latency_model="uniform", latency_spread=0.5)),
-    "setup deadline": dict(scenario=dict(setup_deadline=10.0)),
     "planar grid": dict(scenario=dict(wrap=False)),
     "unordered links": dict(scenario=dict(fifo=False)),
 }

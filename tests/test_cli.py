@@ -69,6 +69,38 @@ def test_main_all_schemes_table(capsys):
     out = capsys.readouterr().out
     for scheme in ["fixed", "adaptive", "basic_search", "prakash"]:
         assert scheme in out
+    assert out.startswith("load=1.5 Erlang/cell, seed=1\n")
+
+
+def test_all_schemes_title_names_the_scenario_that_ran(capsys, tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(Scenario(offered_load=9.0, seed=4, duration=60.0, warmup=10.0).to_json())
+    assert main(["--config", str(config), "--all-schemes", "--no-cache"]) == 0
+    assert capsys.readouterr().out.startswith("load=9.0 Erlang/cell, seed=4\n")
+
+
+def test_the_flags_that_apply_next_to_a_source_still_apply(capsys, tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(Scenario(scheme="fixed", rows=14, cols=14, seed=4).to_json())
+
+    def dumped(*argv):
+        assert main([*argv, "--dump-config"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def fields(data, *names):
+        return [data[name] for name in names]
+
+    # Without the flags the source's own scheme and seed run.
+    assert fields(dumped("--config", str(config)), "scheme", "rows", "seed") == ["fixed", 14, 4]
+    assert fields(dumped("--preset", "low_load"), "scheme", "offered_load", "seed") == [
+        "adaptive", 1.0, 1
+    ]
+    flags = ["--scheme", "prakash", "--faults", "0.1", "--policy", "quantile"]
+    for source in (["--config", str(config)], ["--preset", "low_load", "--seed", "9"]):
+        data = dumped(*source, *flags)
+        assert fields(data, "scheme", "policy") == ["prakash", "quantile"]
+        assert data["faults"]["drop_prob"] == 0.1
+    assert fields(data, "seed", "offered_load") == [9, 1.0]
 
 
 def test_invalid_scheme_rejected():
@@ -110,12 +142,19 @@ def test_negative_workers_is_a_usage_error(capsys, nothing_constructed):
         (["snapshot", "run", "x.snap", "--scheme", "fixed"], "unrecognized arguments: --scheme fixed"),
         (["snapshot", "run", "x.snap", "--workers", "2"], "unrecognized arguments: --workers 2"),
         (["--checkpoint-at", "100"], "unrecognized arguments: --checkpoint-at 100"),
+        (["--scheme", "fixed", "--policy", "bogus"], "argument --policy: invalid choice: 'bogus'"),
+        # A scenario flag the whole-scenario source would ignore.
+        (["--config", "cfg.json", "--rows", "5"], "--rows not allowed with --config"),
+        (["--preset", "low_load", "--seed", "3", "--duration", "100"],
+         "--duration not allowed with --preset"),
+        (["snapshot", "take", "--at", "10", "--config", "cfg.json", "--seed", "3"],
+         "--seed not allowed with --config"),
     ],
     ids=[
         "load", "warmup", "inspect-missing", "inspect-garbage", "from-checkpoint", "load-nan",
         "latency-nan", "theta-nan", "duration-inf", "load-inf", "duration-nan", "warmup-negative",
         "warmup-nan", "take-at-nan", "take-trace", "take-dump-config", "run-scheme", "run-workers",
-        "checkpoint-at-gone",
+        "checkpoint-at-gone", "policy-bogus", "config-rows", "preset-duration", "take-config-seed",
     ],
 )
 def test_bad_input_is_a_usage_error_not_a_traceback(

@@ -45,10 +45,6 @@ def test_plan_validation_errors():
         FaultPlan(delay_prob=0.1)
     with pytest.raises(ValueError, match="reorder_delay"):
         FaultPlan(reorder_prob=0.1)
-    with pytest.raises(ValueError, match="max_retries"):
-        FaultPlan(max_retries=-1)
-    with pytest.raises(ValueError, match="backoff"):
-        FaultPlan(backoff=0.5)
     with pytest.raises(ValueError, match="start < end"):
         LinkPartition(0, 1, 20.0, 10.0)
     with pytest.raises(ValueError, match="downtime"):
@@ -63,7 +59,6 @@ def test_plan_roundtrips_through_dict():
         extra_delay=3.0,
         partitions=(LinkPartition(2, 9, 100.0, 150.0),),
         crashes=(CrashWindow(24, at=200.0, downtime=30.0, lose_state=False),),
-        max_retries=5,
     )
     assert FaultPlan.from_dict(plan.to_dict()) == plan
 

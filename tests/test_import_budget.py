@@ -54,6 +54,13 @@ run_scenario(Scenario.from_dict({scenario!r}))
 print(json.dumps(sorted(m for m in sys.modules if m.startswith("repro"))))
 """
 
+_CLI = """
+import json, sys
+from repro.__main__ import main
+main({argv!r})
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("repro"))))
+"""
+
 _RESTORE = """
 import gzip, json, sys
 from repro.snap import Snapshot, run_from_snapshot
@@ -86,10 +93,16 @@ def under(modules, package):
 
 
 def test_a_fixed_run_loads_none_of_what_it_does_not_execute():
-    modules = loaded("fixed")
-    assert "repro.protocols.fixed" in modules
-    assert [p for p in DEFERRED if under(modules, p)] == []
-    assert "repro.protocols.messages" not in modules  # it sends none
+    cli = ["--scheme", "fixed", "--load", "8", "--duration", "60", "--warmup", "10",
+           "--json", "--no-cache"]
+    # The command line runs every scenario through run_cells.
+    for modules, runs in (
+        (loaded("fixed"), ()),
+        (set(child(_CLI.format(argv=cli))), ("repro.harness.parallel",)),
+    ):
+        assert "repro.protocols.fixed" in modules
+        assert [p for p in DEFERRED if p not in runs and under(modules, p)] == []
+        assert "repro.protocols.messages" not in modules  # it sends none
 
 
 def test_an_adaptive_run_loads_its_scheme_and_policies_only():

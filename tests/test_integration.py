@@ -56,7 +56,6 @@ def test_fca_matches_erlang_b():
             offered_load=9.0,
             duration=12000.0,
             warmup=1000.0,
-            setup_deadline=None,
         )
     )
     expected = erlang_b(9.0, 10)

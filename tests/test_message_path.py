@@ -40,19 +40,22 @@ def bare():
 
 
 def hostile_plan():
+    # Short injected delays keep the derived round deadline (81 worst
+    # one-way delays) well inside the run, and cell 10 stays down past a
+    # message's whole retransmission schedule: sends to it exhaust their
+    # retries and rounds that wait on it time out.
     return FaultPlan(
         drop_prob=0.05,
         dup_prob=0.03,
         delay_prob=0.05,
-        extra_delay=2.0,
+        extra_delay=0.5,
         reorder_prob=0.02,
-        reorder_delay=1.0,
+        reorder_delay=0.5,
         crashes=(
-            CrashWindow(cell=10, at=60.0, downtime=20.0),
+            CrashWindow(cell=10, at=40.0, downtime=60.0),
             CrashWindow(cell=24, at=90.0, downtime=15.0, lose_state=False),
         ),
         partitions=(LinkPartition(a=3, b=4, start=50.0, end=80.0),),
-        max_retries=1,
     )
 
 

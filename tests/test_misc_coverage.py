@@ -70,15 +70,6 @@ def test_report_mode_changes_zero_for_fixed():
     assert rep.mode_changes == 0
 
 
-def test_scenario_interference_radius_explicit():
-    # Radius 1 with k=7 is legal (stricter than needed) and shrinks IN.
-    topo = CellularTopology(
-        7, 7, num_channels=70, cluster_size=7, interference_radius=1,
-        wrap=True,
-    )
-    assert all(len(topo.IN(c)) == 6 for c in topo.grid)
-
-
 def test_adaptive_measured_n_borrow_populated():
     rep = run_scenario(
         Scenario(scheme="adaptive", offered_load=8.0, duration=600.0,

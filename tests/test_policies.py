@@ -5,9 +5,9 @@ The contracts under test (docs/POLICIES.md):
 * **Registry round trip** — every registered policy reconstructs from
   its scenario fields after a JSON round trip, and its mutable state
   survives ``state_dict``/``load_state`` the same way.
-* **Cache hygiene** — ``policy`` and ``policy_params`` participate in
-  the result-cache key, so two scenarios differing only in policy can
-  never alias a cached row.
+* **Cache hygiene** — ``policy`` and the parameters every policy
+  receives (θ_l, θ_h, W) participate in the result-cache key, so two
+  scenarios differing only in policy can never alias a cached row.
 * **Snapshot round trip** — a mid-run checkpoint taken under any
   policy resumes row-identically to never having snapshotted (the
   format-v2 opaque policy state actually carries the policy's memory).
@@ -60,20 +60,14 @@ def test_unknown_policy_is_a_value_error():
         make_policy("nope", **CONTEXT)
 
 
-def test_bad_params_name_the_policy():
-    with pytest.raises(ValueError, match="quantile"):
-        make_policy("quantile", {"bogus": 1}, **CONTEXT)
-
-
 @pytest.mark.parametrize("name", policy_names())
 def test_config_round_trip(name):
     """Scenario JSON -> make_policy reconstructs the policy it names."""
-    params = {"q": 0.1} if name == "quantile" else {}
-    scenario = Scenario.from_json(small(policy=name, policy_params=params).to_json())
-    policy = make_policy(scenario.policy, scenario.policy_params, **CONTEXT)
+    scenario = Scenario.from_json(small(policy=name).to_json())
+    policy = make_policy(scenario.policy, **CONTEXT)
     assert type(policy) is policy_spec(name)
-    assert policy.state_dict() == make_policy(name, params, **CONTEXT).state_dict()
-    assert getattr(policy, "q", None) == params.get("q")
+    assert policy.state_dict() == make_policy(name, **CONTEXT).state_dict()
+    assert getattr(policy, "q", None) == (0.25 if name == "quantile" else None)
 
 
 @pytest.mark.parametrize("name", policy_names())
@@ -118,16 +112,16 @@ def test_cache_key_separates_policies_and_params():
     keys = {
         cache_key(base),
         cache_key(base.with_(policy="quantile")),
-        cache_key(base.with_(policy="quantile", policy_params={"q": 0.5})),
+        cache_key(base.with_(policy="quantile", theta_low=0.5)),
     }
     assert len(keys) == 3
 
 
 def test_scenario_json_round_trips_policy_fields():
-    scenario = small(policy="quantile", policy_params={"q": 0.4})
+    scenario = small(policy="quantile", window=20.0)
     restored = Scenario.from_json(scenario.to_json())
     assert restored.policy == "quantile"
-    assert restored.policy_params == {"q": 0.4}
+    assert restored.window == 20.0
     assert cache_key(restored) == cache_key(scenario)
 
 
@@ -137,7 +131,7 @@ def test_scenario_json_round_trips_policy_fields():
 def test_default_policy_is_linear_and_row_identical():
     """An explicit policy="linear" is the default, bit for bit."""
     default = run_scenario(small())
-    explicit = run_scenario(small(policy="linear", policy_params={}))
+    explicit = run_scenario(small(policy="linear"))
     assert report_row(default) == report_row(explicit)
 
 

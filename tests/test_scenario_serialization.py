@@ -1,10 +1,16 @@
 """Tests for Scenario (de)serialization and the --config CLI path."""
 
+import gzip
 import json
+import pathlib
 
 import pytest
 
+from repro.faults import FaultPlan
+from repro.faults import plan as fault_plan
 from repro.harness import Scenario
+from repro.harness import config
+from repro.snap import Snapshot
 from repro.traffic import (
     HotspotLoad,
     PiecewiseLoad,
@@ -52,16 +58,50 @@ def test_unknown_field_rejected():
         Scenario.from_dict({"bogus_field": 1})
 
 
-def test_fastlane_is_a_format_constant_not_a_field():
-    # The lane is gone; its key stays in every v2 scenario JSON (snapshots,
-    # result-cache keys), always false.
-    text = Scenario(seed=3, fifo=False).to_json()
-    assert json.loads(text)["fastlane"] is False
-    assert Scenario.from_json(text).to_json() == text
-    with pytest.raises(ValueError, match="fast lane was removed"):
-        Scenario.from_json(text.replace('"fastlane": false', '"fastlane": true'))
-    with pytest.raises(TypeError):
-        Scenario(fastlane=False)
+#: A scenario JSON the parent commit wrote, fault plan included.
+PARENT_WRITTEN = Snapshot.from_bytes(gzip.decompress(
+    (pathlib.Path(__file__).parent / "data" / "snapshots_b425d78" / "adaptive-faults.snap.gz")
+    .read_bytes()
+)).scenario_json
+
+#: (section, key, constant, reason) of every key retired from the v2 JSON.
+RETIRED_KEYS = [
+    (section, key, constant, reason)
+    for section, table in (("scenario", config.RETIRED), ("faults", fault_plan.RETIRED))
+    for key, (constant, reason) in table.items()
+]
+
+
+@pytest.mark.parametrize(
+    "section, key, constant, reason", RETIRED_KEYS, ids=[k for _s, k, _c, _r in RETIRED_KEYS]
+)
+def test_a_retired_key_is_a_format_constant_not_a_field(section, key, constant, reason):
+    # The field is gone; its key stays in every v2 scenario JSON
+    # (snapshots, result-cache keys), always at its constant.
+    def at(data):
+        return data if section == "scenario" else data["faults"]
+
+    fresh = Scenario(seed=3, fifo=False, faults=FaultPlan(drop_prob=0.1)).to_json()
+    for text in (PARENT_WRITTEN, fresh):
+        value = at(json.loads(text))[key]
+        assert value == constant and type(value) is type(constant)
+        assert Scenario.from_json(text).to_json() == text
+    for other in (True, 7, 0.5, "other", {"q": 0.1}, None):
+        if other == constant:
+            continue
+        data = json.loads(PARENT_WRITTEN)
+        at(data)[key] = other
+        with pytest.raises(ValueError, match=key) as refused:
+            Scenario.from_dict(data)
+        assert reason in str(refused.value)
+    if section == "scenario":
+        with pytest.raises(TypeError):
+            Scenario(**{key: constant})
+        with pytest.raises(TypeError):
+            Scenario().with_(**{key: constant})
+    else:
+        with pytest.raises(TypeError):
+            FaultPlan(**{key: constant})
 
 
 def test_json_is_valid_and_sorted():

@@ -12,7 +12,6 @@ holds mid-flight must be reachable through it.
 """
 
 import copy
-import dataclasses
 import gc
 import sys
 import weakref
@@ -139,8 +138,12 @@ def test_a_wait_that_timed_out_leaves_no_cycle(collector_off):
     # A setup deadline frees the call from a lock request, a round
     # deadline a station from a round's ``done``: neither event will
     # fire, and its ``cancel`` unhooks the ``AnyOf`` that listened on it.
-    plan = dataclasses.replace(faulty(), round_deadline=4.0)
-    sim = build_simulation(scenario("adaptive", 12.0, faults=plan))
+    # Cell 10 stays down far longer than the derived round deadline, so
+    # the rounds that wait on it time out.
+    plan = FaultPlan(
+        drop_prob=0.05, dup_prob=0.03, crashes=(CrashWindow(cell=10, at=40.0, downtime=170.0),)
+    )
+    sim = build_simulation(scenario("adaptive", 16.0, faults=plan))
     round_timeouts = []
     sim.env.subscribe("fault.round_timeout", lambda now, p: round_timeouts.append(p))
     report = sim.run()

@@ -294,7 +294,7 @@ def test_restore_in_a_dirty_process_matches_a_fresh_interpreter(tmp_path):
         small("basic_update", rows=14, cols=14, seed=5),
         small("fixed", wrap=False, seed=6),
         small("prakash", num_channels=140, seed=7),
-        small("adaptive", interference_radius=1, seed=8),
+        small("adaptive", rows=6, cols=6, cluster_size=3, seed=8),
         small("advanced_update", num_channels=77, seed=9),
         small("adaptive", seed=10),
     ):

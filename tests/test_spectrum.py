@@ -63,14 +63,6 @@ def test_min_cochannel_distance_values():
     assert ReusePattern(g, 12).min_cochannel_distance() == 4
 
 
-def test_validate_against_radius():
-    g = HexGrid(12, 12, wrap=False)
-    p = ReusePattern(g, 7)
-    p.validate_against_radius(2)  # fine: co-channel distance is 3
-    with pytest.raises(ValueError):
-        p.validate_against_radius(3)
-
-
 def test_incompatible_torus_rejected():
     # 8x8 torus is not a multiple of the k=7 reuse lattice.
     g = HexGrid(8, 8, wrap=True)
@@ -160,9 +152,3 @@ def test_topology_describe_mentions_shape():
     topo = CellularTopology(7, 7, num_channels=70, wrap=True)
     text = topo.describe()
     assert "7x7" in text and "70 channels" in text and "k=7" in text
-
-
-def test_topology_explicit_radius_validated():
-    with pytest.raises(ValueError):
-        CellularTopology(7, 7, num_channels=70, cluster_size=3,
-                         interference_radius=2, wrap=False)

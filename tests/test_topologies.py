@@ -43,8 +43,8 @@ def test_scheme_safe_on_topology(rows, cols, channels, cluster, wrap, label, sch
 
 
 def test_interference_radius_one_configuration():
-    # k=3 has co-channel distance 2, so radius 1 (the 6 adjacent cells)
-    # is the only valid region — a much tighter N than the default.
+    # k=3 has co-channel distance 2, so the interference region is
+    # radius 1 (the 6 adjacent cells) — a much tighter N than the default.
     rep = run_scenario(
         Scenario(
             scheme="adaptive",
@@ -52,7 +52,6 @@ def test_interference_radius_one_configuration():
             cols=6,
             num_channels=36,
             cluster_size=3,
-            interference_radius=1,
             wrap=True,
             offered_load=8.0,
             mean_holding=60.0,

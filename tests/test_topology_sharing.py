@@ -37,7 +37,6 @@ def test_different_shapes_do_not_share():
         small(rows=14, cols=14),
         small(num_channels=140),
         small(wrap=False),
-        small(interference_radius=1),
         small(channels_per_color={c: 10 for c in range(7)}),
     ):
         assert topology_for(other) is not base
@@ -94,10 +93,10 @@ def test_memo_is_bounded_and_evicts_least_recently_used():
 
 
 def test_invalid_shapes_raise_every_time():
-    too_small = small(rows=4, cols=4, cluster_size=4, interference_radius=2)
-    bad_radius = small(interference_radius=3)  # k=7 co-channel distance is 3
+    too_small = small(rows=2, cols=2, cluster_size=4)
+    bad_torus = small(rows=8, cols=8)  # not a multiple of the k=7 lattice
     bad_cluster = small(cluster_size=5)
-    for scenario in (too_small, bad_radius, bad_cluster):
+    for scenario in (too_small, bad_torus, bad_cluster):
         for _ in range(2):  # errors are not memoized
             with pytest.raises(ValueError):
                 topology_for(scenario)

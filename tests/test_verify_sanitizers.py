@@ -191,11 +191,12 @@ def test_real_traffic_overtaking_flagged(scheme):
         sim = build_simulation(
             Scenario(scheme=scheme, offered_load=8.0, mean_holding=60.0,
                      duration=100.0, warmup=20.0, latency_model="uniform",
-                     latency_spread=1.5, monitor_policy="record")
+                     latency_spread=1.5)
         )
     finally:
         set_default_policy(previous)
     sim.network.fifo = False
+    sim.monitor.policy = "record"
     try:
         sim.run()
     except AssertionError as exc:  # adaptive's own FIFO tripwire
