@@ -10,7 +10,12 @@ Compare every scheme on a hot-spot workload::
 
     python -m repro --all-schemes --hotspot 24 --hot-load 20 --load 2
 
-Any scenario knob is exposed; ``--json`` emits machine-readable output.
+Each scenario flag sets the :class:`~repro.harness.Scenario` field it
+names on the scenario source: the ``--config`` file, the ``--preset`` or
+``Scenario(duration=3000.0, warmup=400.0)``.  The fields without a flag
+(``fifo``, ``latency_model``, ``latency_spread``, ``max_attempts``,
+``channels_per_color``, ``extra_params``) are set in a ``--config``
+file; ``obs`` is ``--trace``.  ``--json`` emits machine-readable output.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .harness import (
     SCHEMES,
@@ -27,13 +33,6 @@ from .harness import (
     run_cells,
 )
 from .traffic import HotspotLoad
-
-#: The scenario flags that still apply next to a source that sets the
-#: whole scenario; any other scenario flag there is a usage error.
-_APPLY_WITH = {
-    "config": ("--scheme", "--faults", "--policy"),
-    "preset": ("--scheme", "--seed", "--faults", "--policy"),
-}
 
 
 def _worker_count(text: str) -> int:
@@ -51,62 +50,59 @@ def _worker_count(text: str) -> int:
 
 def _scenario_flags() -> argparse.ArgumentParser:
     """The flags that say which scenario to run, shared as a parent by
-    the main command and ``snapshot take``."""
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--scheme", default="adaptive", choices=sorted(SCHEMES))
-    p.add_argument("--rows", type=int, default=7)
-    p.add_argument("--cols", type=int, default=7)
-    p.add_argument("--channels", type=int, default=70)
-    p.add_argument("--cluster", type=int, default=7, help="reuse cluster size k")
-    p.add_argument("--no-wrap", action="store_true", help="planar grid")
-    p.add_argument("--load", type=float, default=5.0, help="Erlangs per cell")
-    p.add_argument("--holding", type=float, default=180.0)
-    p.add_argument("--dwell", type=float, default=None,
-                   help="mean cell-dwell time (enables mobility)")
-    p.add_argument("--hotspot", type=int, nargs="*", default=None,
-                   metavar="CELL", help="hot cell ids")
-    p.add_argument("--hot-load", type=float, default=20.0,
-                   help="Erlangs per hot cell")
-    p.add_argument("--duration", type=float, default=3000.0)
-    p.add_argument("--warmup", type=float, default=400.0)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--latency", type=float, default=1.0, help="one-way T")
-    p.add_argument("--alpha", type=int, default=2)
-    p.add_argument("--theta-low", type=float, default=1.0)
-    p.add_argument("--theta-high", type=float, default=3.0)
-    p.add_argument("--window", type=float, default=30.0)
+    the main command and ``snapshot take``.  A scenario flag's ``dest``
+    is the :class:`Scenario` field it sets and it has no default, so the
+    parsed namespace holds exactly the fields the command line gave."""
+    p = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+
+    def renamed(option: str, dest: str, **kwargs) -> None:
+        """A flag that sets a field of another name; ``--help`` names the flag."""
+        p.add_argument(option, dest=dest, metavar=option[2:].upper(), **kwargs)
+
+    p.add_argument("--scheme", choices=sorted(SCHEMES))
+    p.add_argument("--rows", type=int)
+    p.add_argument("--cols", type=int)
+    renamed("--channels", "num_channels", type=int)
+    renamed("--cluster", "cluster_size", type=int, help="reuse cluster size k")
+    p.add_argument("--no-wrap", dest="wrap", action="store_false", help="planar grid")
+    renamed("--load", "offered_load", type=float, help="Erlangs per cell")
+    renamed("--holding", "mean_holding", type=float)
+    renamed("--dwell", "mean_dwell", type=float, help="mean cell-dwell time (enables mobility)")
+    p.add_argument("--hotspot", dest="pattern", type=int, nargs="+", metavar="CELL",
+                   help="hot cell ids")
+    p.add_argument("--hot-load", type=float, default=None,
+                   help="Erlangs per hot cell (default 20; needs --hotspot)")
+    p.add_argument("--duration", type=float)
+    p.add_argument("--warmup", type=float)
+    p.add_argument("--seed", type=int)
+    renamed("--latency", "latency_T", type=float, help="one-way T")
+    p.add_argument("--alpha", type=int)
+    p.add_argument("--theta-low", type=float)
+    p.add_argument("--theta-high", type=float)
+    p.add_argument("--window", type=float)
     p.add_argument(
-        "--policy", default=None,
+        "--policy",
         help="mode policy for the adaptive scheme (LOCAL <-> BORROWING "
         "decision rule), by registry name; 'linear' (the default) is "
         "the paper's sliding-window predictor — see docs/POLICIES.md",
     )
     p.add_argument(
-        "--faults", type=float, default=None, metavar="P",
+        "--faults", type=float, metavar="P",
         help="inject uniform message loss with probability P (enables "
         "the hardened protocol stack: ack/retry/dedup); fine-grained "
         "fault plans go in a --config file's \"faults\" section",
     )
-    p.add_argument(
+    source = p.add_mutually_exclusive_group()
+    source.add_argument(
         "--config", type=str, default=None, metavar="FILE",
-        help="load the whole scenario from a JSON file; of the scenario flags "
-        f"only {', '.join(_APPLY_WITH['config'])} may go with it, and override it",
+        help="load the scenario from a JSON file; scenario flags override its fields",
     )
-    p.add_argument(
+    source.add_argument(
         "--preset", type=str, default=None,
-        help="use a named preset workload (see --list-presets); of the scenario "
-        f"flags only {', '.join(_APPLY_WITH['preset'])} may go with it, and override it",
+        help="use a named preset workload (see --list-presets); scenario "
+        "flags override its fields",
     )
     return p
-
-
-def _given_flags(argv) -> dict:
-    """Destination -> option string of every scenario flag ``argv`` spells out."""
-    probe = _scenario_flags()
-    for action in probe._actions:
-        action.default = argparse.SUPPRESS
-    given, _others = probe.parse_known_args(argv)
-    return {a.dest: a.option_strings[0] for a in probe._actions if a.dest in vars(given)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -148,46 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     return p
 
-
-def scenario_from_args(args, scheme: str) -> Scenario:
-    pattern = None
-    if args.hotspot:
-        pattern = HotspotLoad(
-            base_rate=args.load / args.holding,
-            hot_cells=args.hotspot,
-            hot_rate=args.hot_load / args.holding,
-        )
-    return Scenario(
-        scheme=scheme,
-        faults=_uniform_loss(args),
-        rows=args.rows,
-        cols=args.cols,
-        num_channels=args.channels,
-        cluster_size=args.cluster,
-        wrap=not args.no_wrap,
-        offered_load=args.load,
-        pattern=pattern,
-        mean_holding=args.holding,
-        mean_dwell=args.dwell,
-        duration=args.duration,
-        warmup=args.warmup,
-        seed=args.seed,
-        latency_T=args.latency,
-        alpha=args.alpha,
-        theta_low=args.theta_low,
-        theta_high=args.theta_high,
-        window=args.window,
-        policy=args.policy or "linear",
-    )
-
-
-def _uniform_loss(args):
-    """The ``--faults P`` plan, or None without the flag."""
-    if args.faults is None:
-        return None
-    from .faults import FaultPlan
-
-    return FaultPlan.uniform_loss(args.faults)
 
 
 def report_dict(report) -> dict:
@@ -254,7 +210,7 @@ def snapshot_main(argv) -> int:
     if args.cmd == "take":
         from .snap import run_to_checkpoint, save_snapshot
 
-        scenario = _scenarios(args, _given_flags(argv), p)[0]
+        scenario = _scenarios(args, p)[0]
         try:
             snap = run_to_checkpoint(scenario, args.at)
         except CompatibilityError:
@@ -327,40 +283,48 @@ def _load_snapshot(parser: argparse.ArgumentParser, path: str):
         parser.error(f"cannot load snapshot {path}: {exc}")
 
 
-def _scenarios(args, given: dict, parser: argparse.ArgumentParser, every_scheme=False) -> list:
+def _scenarios(args, parser: argparse.ArgumentParser, every_scheme=False) -> list:
     """The scenario of the requested scheme (of every scheme with
-    ``every_scheme``), from --config / --preset / flags; a usage error if
-    they do not make one or would ignore a flag ``given``."""
-    source = "config" if args.config else "preset" if args.preset else None
-    applies = (f"--{source}", *_APPLY_WITH.get(source, ()))
-    ignored = [flag for flag in given.values() if source and flag not in applies]
-    if ignored:
-        parser.error(f"{', '.join(ignored)} not allowed with --{source}, which sets the whole "
-                     f"scenario (only {', '.join(_APPLY_WITH[source])} apply)")
-    if args.policy is not None:
+    ``every_scheme``): the source with every scenario flag given set on
+    it; a usage error if a flag cannot apply or they make no scenario."""
+    given = {f.name: getattr(args, f.name) for f in fields(Scenario) if hasattr(args, f.name)}
+    if every_scheme and "scheme" in given:
+        parser.error("argument --scheme: not allowed with argument --all-schemes")
+    if args.hot_load is not None and "pattern" not in given:
+        parser.error("argument --hot-load: not allowed without argument --hotspot")
+    if "policy" in given:
         from .policies import policy_names
 
-        if args.policy not in policy_names():
+        if given["policy"] not in policy_names():
             choices = ", ".join(map(repr, policy_names()))
-            parser.error(f"argument --policy: invalid choice: {args.policy!r} "
+            parser.error(f"argument --policy: invalid choice: {given['policy']!r} "
                          f"(choose from {choices})")
     try:
         if args.config:
             with open(args.config) as fh:
-                base = Scenario.from_json(fh.read())
+                source = Scenario.from_json(fh.read())
         elif args.preset:
             from .harness import preset
 
-            base = preset(args.preset)
+            source = preset(args.preset)
         else:
-            base = scenario_from_args(args, args.scheme)
-        overrides = {dest: getattr(args, dest) for dest in ("scheme", "seed", "policy")
-                     if dest in given}
+            # Scenario's defaults, but a shorter run.
+            source = Scenario(duration=3000.0, warmup=400.0)
         if "faults" in given:
-            overrides["faults"] = _uniform_loss(args)
-        base = base.with_(**overrides)
-        schemes = sorted(SCHEMES) if every_scheme else [base.scheme]
-        return [base.with_(scheme=s) for s in schemes]
+            from .faults import FaultPlan
+
+            given["faults"] = FaultPlan.uniform_loss(given["faults"])
+        hot_cells = given.pop("pattern", None)
+        scenario = source.with_(**given)
+        if hot_cells is not None:
+            hot_load = 20.0 if args.hot_load is None else args.hot_load
+            scenario = scenario.with_(pattern=HotspotLoad(
+                base_rate=scenario.arrival_rate,
+                hot_cells=hot_cells,
+                hot_rate=hot_load / scenario.mean_holding,
+            ))
+        schemes = sorted(SCHEMES) if every_scheme else [scenario.scheme]
+        return [scenario.with_(scheme=s) for s in schemes]
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
 
@@ -372,7 +336,7 @@ def main(argv=None) -> int:
         if argv and argv[0] == "snapshot":
             return snapshot_main(argv[1:])
         parser = build_parser()
-        return _run(parser.parse_args(argv), _given_flags(argv), parser)
+        return _run(parser.parse_args(argv), parser)
     except CompatibilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -385,7 +349,7 @@ def main(argv=None) -> int:
         return 1
 
 
-def _run(args, given: dict, parser: argparse.ArgumentParser) -> int:
+def _run(args, parser: argparse.ArgumentParser) -> int:
     if args.list_presets:
         from .harness import preset_names
 
@@ -393,7 +357,7 @@ def _run(args, given: dict, parser: argparse.ArgumentParser) -> int:
             print(name)
         return 0
 
-    scenarios = _scenarios(args, given, parser, every_scheme=args.all_schemes)
+    scenarios = _scenarios(args, parser, every_scheme=args.all_schemes)
     if args.trace is not None:
         from .obs import SAMPLE_INTERVAL
 

@@ -88,8 +88,6 @@ class Hardening:
       the Theorem 1 case 1(c) argument.
     """
 
-    max_retries: int
-    backoff: float
     rto: float
     round_deadline: float
     ack_timeout: float
@@ -105,8 +103,6 @@ class Hardening:
         budget = sum(rto * BACKOFF**attempt for attempt in range(MAX_RETRIES + 1)) + max_one_way
         round_deadline = 2.0 * budget + 4.0 * max_one_way
         return cls(
-            max_retries=MAX_RETRIES,
-            backoff=BACKOFF,
             rto=rto,
             round_deadline=round_deadline,
             ack_timeout=round_deadline + budget + 4.0 * max_one_way,
@@ -130,7 +126,7 @@ class ReliableLink:
     ``send`` transmits through the network and arms a retransmission
     timer; ``on_ack`` clears the pending entry.  The timer resends with
     the *same* ``msg_id`` (receiver dedup makes delivery exactly-once)
-    and exponential backoff until ``max_retries`` is exhausted, then
+    and exponential backoff until ``MAX_RETRIES`` is exhausted, then
     reports the message as undeliverable on the probe bus
     (``fault.retry_exhausted``) and gives up — the protocol's round
     deadline takes it from there.
@@ -265,7 +261,7 @@ class ReliableLink:
             del self._pending[msg_id]
             self._inflight.pop(record.dst, None)
             return
-        if record.attempt >= self.config.max_retries:
+        if record.attempt >= MAX_RETRIES:
             del self._pending[msg_id]
             self.exhausted += 1
             if self.metrics is not None:
@@ -295,7 +291,7 @@ class ReliableLink:
             msg_id=msg_id,
             fault_tag="retrans",
         )
-        self._arm(msg_id, self.config.rto * self.config.backoff**record.attempt)
+        self._arm(msg_id, self.config.rto * BACKOFF**record.attempt)
 
 
 class DedupFilter:

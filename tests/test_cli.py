@@ -1,39 +1,120 @@
 """Tests for the python -m repro command-line interface."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro import Scenario
-from repro.__main__ import build_parser, main, scenario_from_args
+from repro.__main__ import build_parser, main
+from repro.faults import FaultPlan
+from repro.snap import load_snapshot
+from repro.traffic import HotspotLoad
+
+#: The scenario the command line sets its flags on without --config / --preset.
+CLI_BASE = Scenario(duration=3000.0, warmup=400.0)
+
+#: Every scenario flag: its arguments, the field it sets and the value
+#: it sets there (given the source scenario, where that matters).
+SETS = {
+    "--scheme": (["prakash"], "scheme", "prakash"),
+    "--rows": (["9"], "rows", 9),
+    "--cols": (["9"], "cols", 9),
+    "--channels": (["49"], "num_channels", 49),
+    "--cluster": (["4"], "cluster_size", 4),
+    "--no-wrap": ([], "wrap", False),
+    "--load": (["3.5"], "offered_load", 3.5),
+    "--holding": (["90"], "mean_holding", 90.0),
+    "--dwell": (["60"], "mean_dwell", 60.0),
+    "--hotspot": (["3", "4"], "pattern", lambda source: HotspotLoad(
+        source.arrival_rate, [3, 4], 20.0 / source.mean_holding)),
+    "--duration": (["1000"], "duration", 1000.0),
+    "--warmup": (["100"], "warmup", 100.0),
+    "--seed": (["9"], "seed", 9),
+    "--latency": (["2"], "latency_T", 2.0),
+    "--alpha": (["3"], "alpha", 3),
+    "--theta-low": (["0.5"], "theta_low", 0.5),
+    "--theta-high": (["4"], "theta_high", 4.0),
+    "--window": (["20"], "window", 20.0),
+    "--policy": (["quantile"], "policy", "quantile"),
+    "--faults": (["0.1"], "faults", FaultPlan.uniform_loss(0.1)),
+}
 
 
-def test_parser_defaults():
+def dumped(capsys, *argv):
+    assert main([*argv, "--dump-config"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_parser_defaults(capsys):
+    # A flag not given sets nothing: the namespace holds no scenario
+    # field, and the scenario is the command line's base.
     args = build_parser().parse_args([])
-    assert args.scheme == "adaptive"
-    assert args.load == 5.0
+    assert not {f.name for f in dataclasses.fields(Scenario)} & set(vars(args))
     assert not args.all_schemes
+    assert dumped(capsys) == json.loads(CLI_BASE.to_json())
 
 
-def test_scenario_from_args_roundtrip():
-    args = build_parser().parse_args(
-        ["--scheme", "fixed", "--load", "3", "--rows", "7", "--seed", "9"]
-    )
-    s = scenario_from_args(args, args.scheme)
-    assert s.scheme == "fixed"
-    assert s.offered_load == 3.0
-    assert s.seed == 9
-    assert s.pattern is None
+def test_every_scenario_flag_is_in_the_table():
+    names = {f.name for f in dataclasses.fields(Scenario)}
+    flags = {a.option_strings[0] for a in build_parser()._actions if a.dest in names}
+    assert flags == set(SETS)
 
 
-def test_scenario_with_hotspot_builds_pattern():
-    args = build_parser().parse_args(
-        ["--hotspot", "3", "4", "--hot-load", "15", "--load", "2"]
-    )
-    s = scenario_from_args(args, "adaptive")
+@pytest.mark.parametrize("flag", sorted(SETS))
+@pytest.mark.parametrize("source", ["cli", "config"])
+def test_each_scenario_flag_sets_the_field_it_names(flag, source, capsys, tmp_path):
+    if source == "config":
+        base = Scenario(scheme="fixed", rows=14, cols=14, offered_load=3.0, mean_holding=120.0,
+                        duration=500.0, warmup=50.0, seed=4)
+        config = tmp_path / "cfg.json"
+        config.write_text(base.to_json())
+        argv = ["--config", str(config)]
+    else:
+        base, argv = CLI_BASE, []
+    args, name, value = SETS[flag]
+    before = dumped(capsys, *argv)
+    assert before == json.loads(base.to_json())
+    after = dumped(capsys, *argv, flag, *args)
+    value = value(base) if callable(value) else value
+    assert after == json.loads(base.with_(**{name: value}).to_json())
+    assert [key for key in after if after[key] != before[key]] == [name]
+
+
+def test_scenario_with_hotspot_builds_pattern(capsys, tmp_path):
+    s = Scenario.from_dict(dumped(capsys, "--hotspot", "3", "4", "--hot-load", "15", "--load", "2"))
     assert s.pattern is not None
     assert s.pattern.rate(3, 0) == pytest.approx(15 / 180)
     assert s.pattern.rate(0, 0) == pytest.approx(2 / 180)
+    # The rates come from the scenario the flags make, not the base's.
+    config = tmp_path / "cfg.json"
+    config.write_text(Scenario(offered_load=6.0, mean_holding=90.0).to_json())
+    s = Scenario.from_dict(dumped(capsys, "--config", str(config), "--hotspot", "3", "--load", "3"))
+    assert s.pattern.rate(3, 0) == pytest.approx(20 / 90)
+    assert s.pattern.rate(0, 0) == pytest.approx(3 / 90)
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--config", "cfg.json", "--rows", "5"], {"rows": 5, "cols": 14}),
+        (["--preset", "low_load", "--seed", "3", "--duration", "1000"],
+         {"seed": 3, "duration": 1000.0, "offered_load": 1.0}),
+        (["snapshot", "take", "--at", "10", "--config", "cfg.json", "--seed", "3"],
+         {"seed": 3, "rows": 14}),
+    ],
+    ids=["config-rows", "preset-duration", "take-config-seed"],
+)
+def test_a_flag_next_to_a_source_sets_its_field(argv, named, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    config = Scenario(scheme="fixed", rows=14, cols=14, seed=4, duration=60.0, warmup=10.0)
+    (tmp_path / "cfg.json").write_text(config.to_json())
+    if argv[0] == "snapshot":
+        assert main(argv) == 0
+        scenario = load_snapshot("checkpoint.snap").scenario()
+    else:
+        scenario = Scenario.from_dict(dumped(capsys, *argv))
+    assert {name: getattr(scenario, name) for name in named} == named
 
 
 def test_main_single_scheme_text(capsys):
@@ -83,21 +164,17 @@ def test_the_flags_that_apply_next_to_a_source_still_apply(capsys, tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(Scenario(scheme="fixed", rows=14, cols=14, seed=4).to_json())
 
-    def dumped(*argv):
-        assert main([*argv, "--dump-config"]) == 0
-        return json.loads(capsys.readouterr().out)
-
     def fields(data, *names):
         return [data[name] for name in names]
 
     # Without the flags the source's own scheme and seed run.
-    assert fields(dumped("--config", str(config)), "scheme", "rows", "seed") == ["fixed", 14, 4]
-    assert fields(dumped("--preset", "low_load"), "scheme", "offered_load", "seed") == [
+    assert fields(dumped(capsys, "--config", str(config)), "scheme", "rows", "seed") == ["fixed", 14, 4]
+    assert fields(dumped(capsys, "--preset", "low_load"), "scheme", "offered_load", "seed") == [
         "adaptive", 1.0, 1
     ]
     flags = ["--scheme", "prakash", "--faults", "0.1", "--policy", "quantile"]
     for source in (["--config", str(config)], ["--preset", "low_load", "--seed", "9"]):
-        data = dumped(*source, *flags)
+        data = dumped(capsys, *source, *flags)
         assert fields(data, "scheme", "policy") == ["prakash", "quantile"]
         assert data["faults"]["drop_prob"] == 0.1
     assert fields(data, "seed", "offered_load") == [9, 1.0]
@@ -143,18 +220,20 @@ def test_negative_workers_is_a_usage_error(capsys, nothing_constructed):
         (["snapshot", "run", "x.snap", "--workers", "2"], "unrecognized arguments: --workers 2"),
         (["--checkpoint-at", "100"], "unrecognized arguments: --checkpoint-at 100"),
         (["--scheme", "fixed", "--policy", "bogus"], "argument --policy: invalid choice: 'bogus'"),
-        # A scenario flag the whole-scenario source would ignore.
-        (["--config", "cfg.json", "--rows", "5"], "--rows not allowed with --config"),
-        (["--preset", "low_load", "--seed", "3", "--duration", "100"],
-         "--duration not allowed with --preset"),
-        (["snapshot", "take", "--at", "10", "--config", "cfg.json", "--seed", "3"],
-         "--seed not allowed with --config"),
+        # A flag that cannot apply.
+        (["--all-schemes", "--scheme", "fixed"],
+         "argument --scheme: not allowed with argument --all-schemes"),
+        (["--hot-load", "30"], "argument --hot-load: not allowed without argument --hotspot"),
+        (["--hotspot"], "argument --hotspot: expected at least one argument"),
+        (["--config", "cfg.json", "--preset", "low_load"],
+         "argument --preset: not allowed with argument --config"),
     ],
     ids=[
         "load", "warmup", "inspect-missing", "inspect-garbage", "from-checkpoint", "load-nan",
         "latency-nan", "theta-nan", "duration-inf", "load-inf", "duration-nan", "warmup-negative",
         "warmup-nan", "take-at-nan", "take-trace", "take-dump-config", "run-scheme", "run-workers",
-        "checkpoint-at-gone", "policy-bogus", "config-rows", "preset-duration", "take-config-seed",
+        "checkpoint-at-gone", "policy-bogus", "all-schemes-scheme", "hot-load-alone", "hotspot-bare",
+        "config-preset",
     ],
 )
 def test_bad_input_is_a_usage_error_not_a_traceback(

@@ -16,7 +16,7 @@ from repro.faults import (
     Hardening,
     LinkPartition,
 )
-from repro.faults.arq import DedupFilter, ReliableLink
+from repro.faults.arq import MAX_RETRIES, DedupFilter, ReliableLink
 from repro.harness import SCHEMES, Scenario, build_simulation, run_scenario
 from repro.sim import DeterministicLatency, Environment, Network
 from repro.traffic import HotspotLoad
@@ -151,7 +151,7 @@ def test_reliable_link_bounded_retries_then_gives_up():
     env, net, link, hard = _link_fixture()
     link.send(1, "void")
     env.run()
-    assert link.retransmissions == hard.max_retries
+    assert link.retransmissions == MAX_RETRIES
     assert link.exhausted == 1
     assert link.in_flight == 0
 

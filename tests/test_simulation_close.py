@@ -65,7 +65,11 @@ def collector_off(monkeypatch):
     finalizers (a generator's ``finally:`` on a torn-down stack) kept."""
     unraisable = []
     monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
-    gc.collect()
+    # Freeing a dropped simulation closes its generators, which leaves
+    # garbage for the next pass: collect until a pass finds nothing, or
+    # DEBUG_SAVEALL keeps an earlier test's simulation as a leftover.
+    while gc.collect():
+        pass
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
