@@ -73,7 +73,7 @@ class KernelProfiler:
         while env.now < self.horizon:
             self.sim_times.append(env.now)
             self.events.append(env._eid)
-            self.heap_depth.append(len(env._queue))
+            self.heap_depth.append(len(env))
             self.wall.append(time.perf_counter())
             self.cpu.append(time.process_time())
             self.messages_by_kind.append(dict(self.network.sent_by_kind))

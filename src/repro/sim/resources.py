@@ -16,11 +16,10 @@ paper's blocking pseudocode (``wait UNTIL ...``):
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappush as _heappush
 from typing import Any, Deque, Dict, Iterable, List
 
 from .engine import Environment
-from .events import NORMAL, ConditionEvent, Event
+from .events import ConditionEvent, Event
 
 __all__ = ["Gate", "Resource", "Collector"]
 
@@ -123,7 +122,7 @@ class Resource:
             self._in_use += 1
             event._value = None
             env._eid = eid = env._eid + 1
-            _heappush(env._queue, (env._now, NORMAL, eid, event))
+            env._normal.append((eid, event))
         else:
             self._queue.append(event)
         return event

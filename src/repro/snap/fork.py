@@ -147,7 +147,7 @@ def run_to_checkpoint(scenario: Any, at: float) -> Snapshot:
                 return checkpoint(sim)
             except UnsafeState as exc:
                 last_reason = exc.reason
-            if env._queue and env._queue[0][0] >= limit:
+            if env.peek() >= limit:
                 break
             try:
                 env.step()

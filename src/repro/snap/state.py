@@ -257,7 +257,7 @@ def _classify_queue(sim: Any) -> List[Dict[str, Any]]:
     """Describe every live event-queue entry, in canonical heap order."""
     network = sim.network
     entries: List[Dict[str, Any]] = []
-    for when, prio, _eid, event in sorted(sim.env._queue):
+    for when, prio, _eid, event in sorted(sim.env.pending()):
         if prio != NORMAL:
             raise UnsafeState("urgent event pending")
         live = []
@@ -387,9 +387,7 @@ def apply_state(sim: Any, state: Dict[str, Any], reseed: bool = False) -> None:
     if unknown:
         raise SnapshotError(f"snapshot covers unknown cell {unknown[0]}")
     env = sim.env
-    env._queue.clear()
-    env._eid = 0
-    env._now = state["env"]["now"]
+    env.reset(state["env"]["now"])
 
     if reseed:
         # Every stream the snapshot names is seeded anew: in one batch.

@@ -17,6 +17,7 @@ sys.path.insert(0, str(ROOT))
 from tools.check import RULES  # noqa: E402
 from tools.docscheck import (  # noqa: E402
     EXCLUDED,
+    check_class_attrs,
     check_code_paths,
     check_doc_calls,
     check_generated,
@@ -156,6 +157,23 @@ def test_stale_imports_and_keywords_in_doc_code_are_flagged(tmp_path):
         "README.md:4: `reps` takes no keyword `warm_start`",
         "README.md:8: `repro.obs` has no `Settings`",
         "README.md:9: no module `repro.gone`",
+    ]
+
+
+# -- pass 6: class attributes in prose -----------------------------------------
+
+
+def test_missing_class_attributes_in_prose_are_flagged(tmp_path):
+    root = make_tree(tmp_path)
+    (tmp_path / "README.md").write_text(
+        "`Environment.peek()`, `Scenario.seed`, `Envelope.callbacks`, `Network.fifo`\n"
+        "`Environment.cancel(envelope)` and `Scenario.fastlane`\n"
+        "`cancel` on `Environment`; `Unexported.anything`\n"
+        "```python\nEnvironment.cancel\n```\n"
+    )
+    assert check_class_attrs(root, markdown_files(root)) == [
+        "README.md:2: `Environment` has no attribute `cancel`",
+        "README.md:2: `Scenario` has no attribute `fastlane`",
     ]
 
 

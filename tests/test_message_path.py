@@ -135,7 +135,7 @@ def test_recording_subscriber_sees_every_occurrence(bare, monkeypatch):
         delivered = counts["net.deliver"]
         if sim.injector is None:
             # Perfect network: everything sent is delivered or in flight.
-            in_flight = sum(isinstance(e[3], Envelope) for e in sim.env._queue)
+            in_flight = sum(isinstance(e[3], Envelope) for e in sim.env.pending())
             assert delivered + in_flight == sim.network.total_sent, name
         seen_anywhere |= set(counts)
     assert seen_anywhere <= catalogue
@@ -209,7 +209,7 @@ def envelope_fields(envelope):
 def state_of(env, network, log):
     heap = [
         (when, prio, eid, envelope_fields(entry))
-        for when, prio, eid, entry in sorted(env._queue, key=lambda e: e[:3])
+        for when, prio, eid, entry in sorted(env.pending(), key=lambda e: e[:3])
     ]
     return {
         "heap": heap,
@@ -348,10 +348,10 @@ def test_every_scheduling_site_puts_the_envelope_itself_on_the_heap():
     plan = FaultPlan(dup_prob=1.0, reorder_prob=1.0, reorder_delay=0.5)
     network.injector = FaultInjector(env, plan, StreamRegistry(1), network.latency)
     network.send(0, 5, "faulty")
-    tags = sorted(e[3].fault_tag or "" for e in env._queue if e[3].dst == 5)
+    tags = sorted(e[3].fault_tag or "" for e in env.pending() if e[3].dst == 5)
     assert tags == ["dup", "reorder"]
     assert len(env) == 5
-    for entry in env._queue:
+    for entry in env.pending():
         assert_is_delivery(entry, network)
     network.injector = None
     env.run()
@@ -369,7 +369,7 @@ def test_restored_in_flight_messages_are_envelope_entries():
     in_flight = [e for e in snapshot.state["queue"] if e["kind"] == "envelope"]
     assert len(in_flight) >= 10, "scenario no longer checkpoints with messages in flight"
     forked = restore(snapshot)
-    entries = [e for e in forked.env._queue if type(e[3]) is Envelope]
+    entries = [e for e in forked.env.pending() if type(e[3]) is Envelope]
     assert len(entries) == len(in_flight)
     for entry in entries:
         assert_is_delivery(entry, forked.network)

@@ -41,30 +41,6 @@ def test_negative_timeout_rejected():
         env.timeout(-1)
 
 
-def test_events_fire_in_time_order():
-    env = Environment()
-    order = []
-    for delay in (3, 1, 2):
-        def proc(d=delay):
-            yield env.timeout(d)
-            order.append(d)
-        env.process(proc())
-    env.run()
-    assert order == [1, 2, 3]
-
-
-def test_same_time_events_fire_in_insertion_order():
-    env = Environment()
-    order = []
-    for tag in "abc":
-        def proc(t=tag):
-            yield env.timeout(1)
-            order.append(t)
-        env.process(proc())
-    env.run()
-    assert order == ["a", "b", "c"]
-
-
 def test_run_until_time_stops_clock_exactly():
     env = Environment()
 
@@ -378,7 +354,7 @@ def test_environment_timeout_at_schedules_absolute_time():
     assert now + (at - now) != at
     env = Environment(initial_time=now)
     exact, via_delay = env.timeout_at(at), env.timeout(at - now)
-    key = {event: when for when, _, _, event in env._queue}
+    key = {event: when for when, _, _, event in env.pending()}
     assert key[exact] == at and key[via_delay] != at
 
 

@@ -1,6 +1,6 @@
 """Documentation cross-reference checker.
 
-Five passes over the repo's markdown (root ``*.md`` plus
+Six passes over the repo's markdown (root ``*.md`` plus
 ``docs/**/*.md``, minus the driver-metadata files):
 
 1. **Relative links** — every ``[text](target)`` that is not external
@@ -22,6 +22,12 @@ Five passes over the repo's markdown (root ``*.md`` plus
 5. **Stale calls in doc code** — a fenced ``python`` / ``pycon`` block
    may import only existing ``repro`` names, and call one only with
    keywords its signature accepts (any, given ``**kwargs``).
+6. **Class attributes in prose** — an inline code span opening with
+   ``Class.attr``, where ``Class`` is exported in a ``repro`` package's
+   ``__all__``, names an attribute the class (or a base) has: a class
+   attribute, slot, property, method, dataclass field or ``self.attr =``
+   assignment.  A removed name is written "``attr`` on ``Class``",
+   which this pass leaves alone.
 
 Run as ``python -m tools.docscheck`` (exit 1 on any problem); CI runs
 it in the docs job.  ``tests/test_docscheck.py`` covers the failure
@@ -42,6 +48,7 @@ from tools.check import RULES, STALE_NOQA_CODE
 
 __all__ = [
     "EXCLUDED",
+    "check_class_attrs",
     "check_code_paths",
     "check_doc_calls",
     "check_generated",
@@ -241,8 +248,68 @@ def check_doc_calls(root: pathlib.Path, files: List[pathlib.Path]) -> List[str]:
     return problems
 
 
+#: An inline code span opening with ``Class.attr``.
+_CLASS_ATTR_RE = re.compile(r"`([A-Z][A-Za-z0-9_]*)\.([A-Za-z_][A-Za-z0-9_]*)[^`]*`")
+
+
+def _exported_classes() -> Dict[str, type]:
+    """Every class in the ``__all__`` of ``repro`` or one of its packages."""
+    import pkgutil
+
+    import repro
+
+    classes: Dict[str, type] = {}
+    names = ["repro"] + [
+        f"repro.{info.name}" for info in pkgutil.iter_modules(repro.__path__) if info.ispkg
+    ]
+    for name in names:
+        package = importlib.import_module(name)
+        for export in getattr(package, "__all__", ()):
+            value = getattr(package, export)
+            if isinstance(value, type):
+                classes[export] = value
+    return classes
+
+
+def _has_attr(cls: type, attr: str) -> bool:
+    """``attr`` is on ``cls`` or a base, or assigned as ``self.attr`` in one."""
+    if hasattr(cls, attr) or attr in getattr(cls, "__dataclass_fields__", {}):
+        return True
+    for klass in cls.__mro__:
+        try:
+            tree = ast.parse(textwrap.dedent(inspect.getsource(klass)))
+        except (OSError, TypeError):  # a builtin, or no source
+            continue
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == attr
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                return True
+    return False
+
+
+def check_class_attrs(root: pathlib.Path, files: List[pathlib.Path]) -> List[str]:
+    """Pass 6: a backticked ``Class.attr`` names an attribute that exists."""
+    classes = _exported_classes()
+    problems: List[str] = []
+    for path in files:
+        fenced = False
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            if line.lstrip().startswith("```"):
+                fenced = not fenced
+            if fenced:
+                continue
+            for match in _CLASS_ATTR_RE.finditer(line):
+                name, attr = match.groups()
+                if name in classes and not _has_attr(classes[name], attr):
+                    problems.append(
+                        f"{path.relative_to(root)}:{number}: `{name}` has no attribute `{attr}`"
+                    )
+    return problems
+
+
 def run_all(root: pathlib.Path) -> List[str]:
-    """All five passes; the empty list means the docs are consistent."""
+    """All six passes; the empty list means the docs are consistent."""
     files = markdown_files(root)
     return (
         check_links(root, files)
@@ -250,4 +317,5 @@ def run_all(root: pathlib.Path) -> List[str]:
         + check_rule_catalog(root)
         + check_generated(root)
         + check_doc_calls(root, files)
+        + check_class_attrs(root, files)
     )
